@@ -240,8 +240,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     manifest_path = FsPath(args.manifest)
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
+    entries = manifest.get("circuits") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, dict) and isinstance(entry.get("file"), str) for entry in entries
+    ):
+        raise CircuitError("manifest needs a 'circuits' list of objects, each with a 'file' name")
     reports = []
-    for entry in manifest["circuits"]:
+    for entry in entries:
         circuit = load_circuit(str(manifest_path.parent / entry["file"]))
         report = _verify_one(circuit, args)
         report["file"] = entry["file"]
@@ -265,7 +270,10 @@ def _parse_gate_spec(text: str) -> np.ndarray:
         entries = json.loads(text)
     except json.JSONDecodeError:
         raise CircuitError(f"gate spec {text!r} is neither an angle nor a JSON matrix") from None
-    return np.array([[complex(re, im) for re, im in row] for row in entries])
+    try:
+        return np.array([[complex(re, im) for re, im in row] for row in entries])
+    except (TypeError, ValueError):
+        raise CircuitError(f"gate spec {text!r} is not a matrix of [re, im] pairs") from None
 
 
 def cmd_epr(args: argparse.Namespace) -> int:
@@ -512,11 +520,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "oracle_cap", None):
-        from . import oracle
-
-        oracle.MAX_ORACLE_PARTICLES = args.oracle_cap
     try:
+        if args.budget <= 0:
+            raise CircuitError(f"budget must be positive, got {args.budget}")
+        if getattr(args, "oracle_cap", None) is not None:
+            if args.oracle_cap < 1:
+                raise CircuitError(f"oracle cap must be at least 1, got {args.oracle_cap}")
+            from . import oracle
+
+            oracle.MAX_ORACLE_PARTICLES = args.oracle_cap
         return args.func(args)
     except BudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)

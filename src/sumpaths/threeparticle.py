@@ -18,6 +18,15 @@ without the relevant gate contribute exact zeros (no arithmetic happens).
 
 `hit_three`/`lambda_three` evaluate single pairs; `Lambda3Tables` runs the
 same literal cascade vectorized over every path-prefix pair.
+
+Each gamma or chi increment is sum_l conj(f_l(p, m)) f_l(q, n), separable
+across the (p, m) | (q, n) split of subsystem and external prefixes. The
+tables therefore keep each branch's running sums as a stack of signed
+columns over (p, m), four per booked increment, never as a dense
+(p, q, m, n) table. Layer r costs O(columns * 4^r) time and memory, with up
+to eight columns per layer on a branch. The budget is charged with the
+largest stack, 4^r prefix pairs times its columns, so all-gates circuits
+reach n = 8 under the default budget of 2^22.
 """
 from __future__ import annotations
 
@@ -305,24 +314,84 @@ def lambda_direct_three(circuit: Circuit, p: Path, q: Path) -> complex:
     return complex(np.vdot(state_p, state_q))
 
 
-def _expand4(table: np.ndarray) -> np.ndarray:
-    for axis in range(4):
-        table = np.repeat(table, 2, axis=axis)
-    return table
+def _largest_table(circuit: Circuit) -> int:
+    """Entries of the biggest array a `Lambda3Tables` build holds.
+
+    That is a column stack, 4^r prefix pairs by its column count after the
+    increments booked at layer r, or the final 4^n lambda table if larger.
+    """
+    largest = 4**circuit.n
+    c_columns = b_columns = 0
+    for r in range(1, circuit.n + 1):
+        bc, ab, ac = (_thetas(circuit, pair, r) is not None for pair in (BC, AB, AC))
+        c_columns += 4 * (bc + ac)
+        b_columns += 4 * (bc + ab)
+        largest = max(largest, 4**r * max(c_columns, b_columns))
+    return largest
+
+
+def _refine(
+    stack: np.ndarray, signs: np.ndarray, increments: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve a column stack one layer finer and append this layer's increments.
+
+    `stack[p, e, L]` holds separable columns over (subsystem prefix p,
+    external prefix e); the accumulator it stands for is
+    sum_L signs[L] * conj(stack[p, e, L]) * stack[q, f, L]. Every carried
+    column is repeated over the new bit of both prefixes. An increment
+    (plus, minus) of two (p, e, 2) state tables books
+    sum_l conj(plus[p, e, l]) plus[q, f, l] - conj(minus[p, e, l]) minus[q, f, l]
+    as four new columns.
+    """
+    half, ext_half, carried = stack.shape
+    out = np.empty((half, 2, ext_half, 2, carried + 4 * len(increments)), dtype=complex)
+    out[..., :carried] = stack[:, None, :, None, :]
+    out = out.reshape(2 * half, 2 * ext_half, -1)
+    for index, (plus, minus) in enumerate(increments):
+        col = carried + 4 * index
+        out[:, :, col : col + 2] = plus
+        out[:, :, col + 2 : col + 4] = minus
+    booked = np.tile([1.0, 1.0, -1.0, -1.0], len(increments))
+    return out, np.concatenate([signs, booked])
+
+
+def _branch_hit(
+    left: np.ndarray, stack: np.ndarray, signs: np.ndarray, phases: np.ndarray
+) -> np.ndarray:
+    """One branch's share of the hit table, for every subsystem prefix pair.
+
+    `left[p, e]` is the booked external path weight (bare amplitude times
+    cumulative straddle phase), `stack`/`signs` the branch weight
+    1 + gamma + chi in column form, and `phases[p, k]` the booking gate's
+    phase for the subsystem at prefix p and external endpoint k. Summed over
+    external path pairs (e, f) ending at k, the weight splits into
+    outer(conj(B), B) for the 1 and (conj(X) * signs) @ X.T for the columns.
+    """
+    size = left.shape[0]
+    left = left.reshape(size, -1, 2)  # external prefix split into (earlier modes, endpoint k)
+    ones = left.sum(axis=1)
+    cols = np.einsum("qnk,qnkL->qkL", left, stack.reshape(*left.shape, stack.shape[2]))
+    hit = np.zeros((size, size), dtype=complex)
+    for k in (0, 1):
+        weight = np.outer(ones[:, k].conj(), ones[:, k]) + (cols[:, k].conj() * signs) @ cols[:, k].T
+        hit += (np.outer(phases[:, k].conj(), phases[:, k]) - 1.0) * weight
+    return hit
 
 
 class Lambda3Tables:
     """The literal cascade, vectorized over every (subsystem, external) prefix pair.
 
     All arrays are indexed by prefix integers with modes packed
-    most-significant-first, exactly like the two-particle tables.
+    most-significant-first, exactly like the two-particle tables. The gamma
+    and chi sums are kept per branch as separable column stacks (see
+    `_refine`), never as dense (p, q, m, n) tables.
     """
 
     def __init__(self, circuit: Circuit, budget: int = DEFAULT_BUDGET):
         _require_three_particles(circuit)
         if circuit.n < 1:
             raise ValueError("need at least one layer")
-        check_budget(16**circuit.n, budget, "three-particle cascade table")
+        check_budget(_largest_table(circuit), budget, "three-particle cascade table")
         self.circuit = circuit
         n = self.n = circuit.n
 
@@ -336,10 +405,12 @@ class Lambda3Tables:
         uv[0, 0] = 1.0
         self.direct: list[np.ndarray] = [uv.conj() @ uv.T]
 
-        gab = np.zeros((1, 1, 1, 1), dtype=complex)  # sum of gamma terms, A-B branch
-        xab = np.zeros((1, 1, 1, 1), dtype=complex)  # sum of chi terms, A-B branch
-        gac = np.zeros((1, 1, 1, 1), dtype=complex)
-        xac = np.zeros((1, 1, 1, 1), dtype=complex)
+        # A-B branch: C's overlap, chi (B-C) and gamma (A-C) columns over (A, B) prefixes
+        c_stack = np.zeros((1, 1, 0), dtype=complex)
+        c_signs = np.zeros(0)
+        # A-C branch: B's overlap, chi (B-C) and gamma (A-B) columns over (A, C) prefixes
+        b_stack = np.zeros((1, 1, 0), dtype=complex)
+        b_signs = np.zeros(0)
         pab = np.ones((1, 1), dtype=complex)  # cumulative A-B straddle phases
         pac = np.ones((1, 1), dtype=complex)
         bamp = np.ones(1, dtype=complex)
@@ -354,9 +425,7 @@ class Lambda3Tables:
             th_ac = _thetas(circuit, AC, r)
             th_bc = _thetas(circuit, BC, r)
 
-            # expand carried tables to this layer's resolution before updating;
             # pab/pac keep their through-(r-1) content until after the assemblies
-            gab, xab, gac, xac = _expand4(gab), _expand4(xab), _expand4(gac), _expand4(xac)
             pab = np.repeat(np.repeat(pab, 2, axis=0), 2, axis=1)
             pac = np.repeat(np.repeat(pac, 2, axis=0), 2, axis=1)
 
@@ -383,67 +452,34 @@ class Lambda3Tables:
                 w_b = z_b * np.exp(1j * th_bc.T)[bit][None, :, :]  # after B-C, before A-B
             else:
                 w_b = z_b
+            cv = v_c * np.exp(1j * th_ac)[bit][:, None, :] if th_ac is not None else v_c
+            bv = w_b * np.exp(1j * th_ab)[bit][:, None, :] if th_ab is not None else w_b
 
-            # per-layer gamma/chi increments (skipped entirely when the gate is absent)
+            # per-layer gamma/chi increments, as (after, before) gate pairs; an
+            # absent gate books nothing. The A-C gamma goes last on C's stack:
+            # the A-B branch sums gamma only through layer r-1.
+            c_increments, b_increments = [], []
             if th_bc is not None:
-                d_m = np.exp(-1j * th_bc)[bit]
-                d_n = np.exp(1j * th_bc)[bit]
-                xab = xab + (
-                    np.einsum("ml,pml,nl,qnl->pqmn", d_m, z_c.conj(), d_n, z_c, optimize=True)
-                    - np.einsum("pml,qnl->pqmn", z_c.conj(), z_c, optimize=True)
-                )
-                d_s = np.exp(-1j * th_bc.T)[bit]
-                d_t = np.exp(1j * th_bc.T)[bit]
-                xac = xac + (
-                    np.einsum("sk,psk,tk,qtk->pqst", d_s, z_b.conj(), d_t, z_b, optimize=True)
-                    - np.einsum("psk,qtk->pqst", z_b.conj(), z_b, optimize=True)
-                )
+                c_increments.append((v_c, z_c))
+                b_increments.append((w_b, z_b))
+            ab_columns = c_stack.shape[2] + 4 * len(c_increments)
+            if th_ac is not None:
+                c_increments.append((cv, v_c))
             if th_ab is not None:
-                d_p = np.exp(-1j * th_ab)[bit]
-                d_q = np.exp(1j * th_ab)[bit]
-                gac = gac + (
-                    np.einsum("pk,psk,qk,qtk->pqst", d_p, w_b.conj(), d_q, w_b, optimize=True)
-                    - np.einsum("psk,qtk->pqst", w_b.conj(), w_b, optimize=True)
-                )
+                b_increments.append((bv, w_b))
+            c_stack, c_signs = _refine(c_stack, c_signs, c_increments)
+            b_stack, b_signs = _refine(b_stack, b_signs, b_increments)
 
             hit_table = None
             if th_ab is not None:
-                # A-B branch: gamma through r-1 (gab not yet updated), chi through r
-                weight = 1.0 + gab + xab
-                b_left = bamp[None, :] * pab
-                hit_table = np.zeros((size, size), dtype=complex)
-                d_p = np.exp(-1j * th_ab)[bit]
-                d_q = np.exp(1j * th_ab)[bit]
-                for k in (0, 1):
-                    t_k = np.einsum(
-                        "pm,qn,pqmn->pq",
-                        b_left[:, k::2].conj(),
-                        b_left[:, k::2],
-                        weight[:, :, k::2, k::2],
-                        optimize=True,
-                    )
-                    hit_table += (d_p[:, k][:, None] * d_q[None, :, k] - 1.0) * t_k
-
-            if th_ac is not None:
-                d_pv = np.exp(-1j * th_ac)[bit]
-                d_qv = np.exp(1j * th_ac)[bit]
-                gab = gab + (
-                    np.einsum("pl,pml,ql,qnl->pqmn", d_pv, v_c.conj(), d_qv, v_c, optimize=True)
-                    - np.einsum("pml,qnl->pqmn", v_c.conj(), v_c, optimize=True)
+                hit_table = _branch_hit(
+                    bamp[None, :] * pab,
+                    c_stack[:, :, :ab_columns],
+                    c_signs[:ab_columns],
+                    np.exp(1j * th_ab)[bit],
                 )
-                # A-C branch: gamma and chi both through r
-                weight = 1.0 + gac + xac
-                c_left = camp[None, :] * pac
-                ac_table = np.zeros((size, size), dtype=complex)
-                for l in (0, 1):
-                    t_l = np.einsum(
-                        "ps,qt,pqst->pq",
-                        c_left[:, l::2].conj(),
-                        c_left[:, l::2],
-                        weight[:, :, l::2, l::2],
-                        optimize=True,
-                    )
-                    ac_table += (d_pv[:, l][:, None] * d_qv[None, :, l] - 1.0) * t_l
+            if th_ac is not None:
+                ac_table = _branch_hit(camp[None, :] * pac, b_stack, b_signs, np.exp(1j * th_ac)[bit])
                 hit_table = ac_table if hit_table is None else hit_table + ac_table
 
             lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
@@ -457,16 +493,6 @@ class Lambda3Tables:
                 pab = pab * np.exp(1j * th_ab[bit[:, None], bit[None, :]])
             if th_ac is not None:
                 pac = pac * np.exp(1j * th_ac[bit[:, None], bit[None, :]])
-
-            # conditioned single-particle states after the full layer
-            if th_ac is not None:
-                cv = v_c * np.exp(1j * th_ac)[bit][:, None, :]
-            else:
-                cv = v_c
-            if th_ab is not None:
-                bv = w_b * np.exp(1j * th_ab)[bit][:, None, :]
-            else:
-                bv = w_b
 
             # direct external-pair states for the oracle-side tables
             op4 = np.kron(circuit.single(r, 1), circuit.single(r, 2))

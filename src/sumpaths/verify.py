@@ -20,7 +20,7 @@ from .density import density_report
 from .oracle import evolve, marginal_by_sum
 from .paths import Path, amplitude_via_paths
 from .subsystems import lambda_block, marginal_general
-from .threeparticle import lambda3_tables, marginal_three
+from .threeparticle import Lambda3Tables, lambda3_tables
 from .twoparticle import lambda_tables, marginal_lambda
 
 DEFAULT_TOL = 1e-9
@@ -97,11 +97,13 @@ def _pathsum_completeness(circuit: Circuit, budget: int) -> float:
     return worst
 
 
-def _lambda_marginals(circuit: Circuit, budget: int) -> list[float]:
+def _lambda_marginals(
+    circuit: Circuit, budget: int, tables3: Lambda3Tables | None
+) -> list[float]:
     if circuit.particles == 2:
         return [marginal_lambda(circuit, j, budget) for j in (0, 1)]
-    if circuit.particles == 3:
-        return [marginal_three(circuit, j, budget) for j in (0, 1)]
+    if tables3 is not None:
+        return [tables3.marginal(j) for j in (0, 1)]
     return [marginal_general(circuit, (0,), (j,), budget) for j in (0, 1)]
 
 
@@ -119,7 +121,9 @@ def verify_circuit(
 
     if n >= 2 and circuit.n >= 1:
         oracle = marginal_by_sum(circuit, {0})
-        lam_marginals = _lambda_marginals(circuit, budget)
+        # one three-particle build serves the marginals and every table check
+        tables3 = lambda3_tables(circuit, budget) if n == 3 else None
+        lam_marginals = _lambda_marginals(circuit, budget, tables3)
         runner.run(
             "oracle_equivalence",
             tol,
@@ -167,16 +171,15 @@ def verify_circuit(
                 "density_pathsum", 1e-10, lambda: max(r["pathsum_error"] for r in records)
             )
         elif n == 3:
-            tables = lambda3_tables(circuit, budget)
             runner.run(
                 "three_closure",
                 tol,
                 lambda: max(
-                    float(np.max(np.abs(tables.lam[t] - tables.direct[t])))
+                    float(np.max(np.abs(tables3.lam[t] - tables3.direct[t])))
                     for t in range(circuit.n + 1)
                 ),
             )
-            final = tables.lam[circuit.n]
+            final = tables3.lam[circuit.n]
             runner.run(
                 "hermitian_pairing",
                 1e-12,
@@ -185,7 +188,7 @@ def verify_circuit(
             runner.run(
                 "lambda_bound",
                 1e-10,
-                lambda: max(0.0, max(float(np.max(np.abs(t_))) for t_ in tables.lam) - 1.0),
+                lambda: max(0.0, max(float(np.max(np.abs(t_))) for t_ in tables3.lam) - 1.0),
             )
         else:
             blocks = [

@@ -318,6 +318,38 @@ def test_budget_exit_code(tmp_path):
     assert code == 3 and "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_nonpositive_budget_is_input_error(epr_file, budget):
+    code, out, err = run_cli("marginal", "--circuit", epr_file, "--budget", budget)
+    assert code == 2 and out == ""
+    assert err == f"error: budget must be positive, got {budget}\n"
+
+
+def test_zero_oracle_cap_is_input_error(epr_file):
+    from sumpaths import oracle
+
+    cap = oracle.MAX_ORACLE_PARTICLES
+    code, out, err = run_cli("marginal", "--circuit", epr_file, "--oracle-cap", "0")
+    assert code == 2 and out == ""
+    assert err == "error: oracle cap must be at least 1, got 0\n"
+    assert oracle.MAX_ORACLE_PARTICLES == cap
+
+
+@pytest.mark.parametrize("manifest", ["[]", '{"circuits": 3}', '{"circuits": [{"file": 3}]}'])
+def test_malformed_manifest_is_input_error(tmp_path, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(manifest, encoding="utf-8")
+    code, out, err = run_cli("verify", "--manifest", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: manifest") and err.count("\n") == 1
+
+
+def test_epr_matrix_without_pairs_is_input_error():
+    code, out, err = run_cli("epr", "--a2", "[[1,2]]")
+    assert code == 2 and out == ""
+    assert err.startswith("error: gate spec") and err.count("\n") == 1
+
+
 def test_missing_file_is_input_error():
     code, _, _ = run_cli("marginal", "--circuit", "no-such-file.json")
     assert code == 2

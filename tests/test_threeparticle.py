@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumpaths.circuits import PhaseGate, make_circuit
 from sumpaths.common import BudgetExceeded
@@ -15,6 +17,7 @@ from sumpaths.corpus import (
 )
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths
+from sumpaths.subsystems import marginal_general
 from sumpaths.threeparticle import (
     delta_ab,
     delta_ac,
@@ -249,6 +252,55 @@ def test_tables_match_scalar_cascade():
             scalar = lambda_three(circuit, p, q)
             table = tables.trajectory(p, q)
             assert np.max(np.abs(np.array(table) - np.array(scalar.trajectory))) < 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_tables_match_scalar_cascade_on_sparse_gate_patterns(pattern, seed):
+    # each layer holds any subset of the A-B, A-C and B-C gates, so the
+    # tables' absent-gate branches (no increment, no hit) all run
+    rng = np.random.default_rng(seed)
+    specs = [
+        (
+            {i: random_single(rng) for i in range(3)},
+            [
+                PhaseGate(pair, tuple(rng.uniform(0.0, 2.0 * np.pi, 4).tolist()))
+                for pair, present in zip(((0, 1), (0, 2), (1, 2)), gates)
+                if present
+            ],
+        )
+        for gates in pattern
+    ]
+    circuit = make_circuit(3, specs)
+    tables = lambda3_tables(circuit)
+    for endpoint in (0, 1):
+        paths = enumerate_paths(circuit.n, endpoint)
+        p, q = (paths[int(i)] for i in rng.integers(0, len(paths), 2))
+        scalar = lambda_three(circuit, p, q)
+        assert np.max(np.abs(np.array(tables.trajectory(p, q)) - scalar.trajectory)) < 1e-10
+
+
+@pytest.mark.parametrize("layers", [6, 7, 8])
+def test_tables_beyond_five_layers_match_direct_and_general_routes(layers):
+    # all gates present, so every layer books the most columns; n = 8 fills the default budget
+    circuit = random_circuit(np.random.default_rng(79 + layers), 3, layers, p_single=1.0, p_phase=1.0)
+    tables = lambda3_tables(circuit)
+    for t in range(layers + 1):
+        assert np.max(np.abs(tables.lam[t] - tables.direct[t])) < 1e-9
+    oracle = marginal_by_sum(circuit, {0})
+    for j in (0, 1):
+        assert abs(tables.marginal(j) - marginal_general(circuit, (0,), (j,))) < 1e-9
+        assert abs(tables.marginal(j) - oracle[j]) < 1e-9
+
+
+def test_budget_guard_admits_eight_all_gate_layers_only():
+    rng = np.random.default_rng(83)
+    lambda3_tables(random_circuit(rng, 3, 8, p_single=1.0, p_phase=1.0))
+    with pytest.raises(BudgetExceeded):
+        lambda3_tables(random_circuit(rng, 3, 9, p_single=1.0, p_phase=1.0))
 
 
 def test_tables_close_for_all_pairs_and_prefixes():
