@@ -129,6 +129,15 @@ def _check_single(matrix: Any, where: str) -> np.ndarray:
     return _freeze(arr)
 
 
+def _is_number(value: Any) -> bool:
+    """JSON numbers only: booleans are ints to Python but never a valid number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_index(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_complex_matrix(entries: Any, where: str) -> np.ndarray:
     if (
         not isinstance(entries, list)
@@ -142,7 +151,7 @@ def _parse_complex_matrix(entries: Any, where: str) -> np.ndarray:
             if not isinstance(cell, list) or len(cell) != 2:
                 raise CircuitFormatError(f"{where}[{i}][{j}]: expected [re, im]")
             re, im = cell
-            if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+            if not _is_number(re) or not _is_number(im):
                 raise CircuitFormatError(f"{where}[{i}][{j}]: entries must be numbers")
             out[i, j] = complex(re, im)
     return out
@@ -156,7 +165,7 @@ def _parse_phase(raw: Any, particles: int, where: str) -> PhaseGate:
         raise CircuitFormatError(f"{where}: unknown keys {sorted(unknown)}")
     pair = raw.get("pair")
     theta = raw.get("theta")
-    if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(x, int) for x in pair):
+    if not isinstance(pair, list) or len(pair) != 2 or not all(_is_index(x) for x in pair):
         raise CircuitFormatError(f"{where}: 'pair' must be two particle indices")
     a, b = pair
     if not (0 <= a < particles and 0 <= b < particles):
@@ -167,7 +176,7 @@ def _parse_phase(raw: Any, particles: int, where: str) -> PhaseGate:
         raise CircuitFormatError(f"{where}: 'theta' must be four angles")
     angles = []
     for k, value in enumerate(theta):
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not _is_number(value) or not math.isfinite(value):
             raise CircuitFormatError(f"{where}: theta[{k}] must be a finite number")
         angles.append(float(value))
     return PhaseGate(pair=(a, b), thetas=tuple(angles))
@@ -181,7 +190,7 @@ def validate_circuit(raw: Mapping[str, Any]) -> Circuit:
     if unknown:
         raise CircuitFormatError(f"unknown top-level keys {sorted(unknown)}")
     particles = raw.get("particles")
-    if not isinstance(particles, int) or particles < 1:
+    if not _is_index(particles) or particles < 1:
         raise CircuitFormatError("'particles' must be a positive integer")
     raw_layers = raw.get("layers")
     if not isinstance(raw_layers, list):

@@ -16,6 +16,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
+from . import oracle as oracle_module
 from .circuits import (
     Circuit,
     CircuitError,
@@ -23,22 +24,19 @@ from .circuits import (
     circuit_digest,
     load_circuit,
 )
-from .common import DEFAULT_BUDGET, BudgetExceeded, RealityError, check_budget
+from .common import DEFAULT_BUDGET, BudgetExceeded, LambdaBlock, RealityError, check_budget
 from .density import density_report
 from .oracle import marginal_by_sum
 from .paths import Path, amplitude_via_paths, enumerate_paths, path_amplitude
 from .subsystems import (
     enumerate_config_paths,
-    lambda_block,
+    lambda_blocks,
     lambda_general_trajectory,
     normalize_subsystem,
-    subsystem_distribution,
 )
-from .threeparticle import lambda3_tables, lambda_three
-from .twoparticle import lambda_accumulate, lambda_tables
+from .threeparticle import lambda_three
+from .twoparticle import lambda_accumulate
 from .verify import DEFAULT_TOL, verify_circuit
-
-REALITY_TOL = 1e-10
 
 
 def _emit(obj: dict) -> None:
@@ -72,14 +70,10 @@ def _label(outcome: tuple[int, ...]) -> str:
 
 
 def _lambda_distribution(circuit: Circuit, subsystem: tuple[int, ...], budget: int) -> dict[str, float]:
-    if circuit.particles == 2 and subsystem == (0,):
-        tables = lambda_tables(circuit, budget)
-        return {str(j): tables.marginal(j) for j in (0, 1)}
-    if circuit.particles == 3 and subsystem == (0,):
-        tables = lambda3_tables(circuit, budget)
-        return {str(j): tables.marginal(j) for j in (0, 1)}
-    dist = subsystem_distribution(circuit, subsystem, budget)
-    return dist.as_mapping()
+    return {
+        _label(outcome): block.marginal()
+        for outcome, block in lambda_blocks(circuit, subsystem, budget).items()
+    }
 
 
 def _pathsum_distribution(circuit: Circuit, subsystem: tuple[int, ...], budget: int) -> dict[str, float]:
@@ -282,8 +276,7 @@ def cmd_epr(args: argparse.Namespace) -> int:
     circuit = build_epr_circuit(a2, b2)
     oracle = marginal_by_sum(circuit, {0}).as_mapping()
     pathsum = _pathsum_distribution(circuit, (0,), args.budget)
-    tables = lambda_tables(circuit, args.budget)
-    lam_probs = {str(j): tables.marginal(j) for j in (0, 1)}
+    lam_probs = _lambda_distribution(circuit, (0,), args.budget)
     cross = lambda_accumulate(circuit, Path((0, 0)), Path((1, 0)))
 
     max_marginal_error = max(
@@ -317,17 +310,13 @@ def cmd_epr(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def _clamped_block(amps: np.ndarray, lam: np.ndarray, clamp: float) -> float:
-    magnitude = np.abs(lam)
+def _clamped(block: LambdaBlock, clamp: float) -> LambdaBlock:
+    """The block with every hidden-variable magnitude above `clamp` scaled down to it."""
+    magnitude = np.abs(block.lam)
     scale = np.ones_like(magnitude)
     over = magnitude > clamp
     scale[over] = clamp / magnitude[over]
-    weights = lam * scale
-    np.fill_diagonal(weights, 0.0)
-    total = float(np.sum(np.abs(amps) ** 2)) + complex(amps.conj() @ weights @ amps)
-    if abs(total.imag) > REALITY_TOL:
-        raise RealityError(f"clamped pair sum has imaginary residue {total.imag:.3e}")
-    return total.real
+    return LambdaBlock(block.amplitudes, block.lam * scale)
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
@@ -337,22 +326,10 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     subsystem = _parse_subsystem(args.subsystem, circuit)
     oracle = marginal_by_sum(circuit, subsystem).as_mapping()
 
-    raw: dict[str, float] = {}
-    if circuit.particles == 2 and subsystem == (0,):
-        tables = lambda_tables(circuit, args.budget)
-        for j in (0, 1):
-            rows = tables.endpoint_rows(j)
-            raw[str(j)] = _clamped_block(tables.amps[rows], tables.lambda_final(j), args.clamp)
-    elif circuit.particles == 3 and subsystem == (0,):
-        tables = lambda3_tables(circuit, args.budget)
-        for j in (0, 1):
-            rows = tables.endpoint_rows(j)
-            raw[str(j)] = _clamped_block(tables.amps[rows], tables.lambda_final(j), args.clamp)
-    else:
-        for outcome in itertools.product((0, 1), repeat=len(subsystem)):
-            block = lambda_block(circuit, subsystem, outcome, args.budget)
-            raw[_label(outcome)] = _clamped_block(block.amplitudes, block.lam, args.clamp)
-
+    raw = {
+        _label(outcome): _clamped(block, args.clamp).marginal()
+        for outcome, block in lambda_blocks(circuit, subsystem, args.budget).items()
+    }
     raw_total = sum(raw.values())
     probabilities = {key: value / raw_total for key, value in raw.items()}
     deviations = {key: probabilities[key] - oracle[key] for key in raw}
@@ -520,15 +497,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    cap = oracle_module.MAX_ORACLE_PARTICLES
     try:
         if args.budget <= 0:
             raise CircuitError(f"budget must be positive, got {args.budget}")
         if getattr(args, "oracle_cap", None) is not None:
             if args.oracle_cap < 1:
                 raise CircuitError(f"oracle cap must be at least 1, got {args.oracle_cap}")
-            from . import oracle
-
-            oracle.MAX_ORACLE_PARTICLES = args.oracle_cap
+            oracle_module.MAX_ORACLE_PARTICLES = args.oracle_cap
         return args.func(args)
     except BudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)
@@ -539,6 +515,8 @@ def main(argv: list[str] | None = None) -> int:
     except (CircuitError, OSError, json.JSONDecodeError, KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        oracle_module.MAX_ORACLE_PARTICLES = cap  # the override lasts one call
 
 
 if __name__ == "__main__":

@@ -1,7 +1,12 @@
-"""Shared numeric constants and guard errors."""
+"""Shared numeric constants, guard errors, and the lambda pair sum."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
+
 DEFAULT_BUDGET = 2**22
+REALITY_TOL = 1e-10
 
 
 class BudgetExceeded(RuntimeError):
@@ -17,3 +22,27 @@ def check_budget(count: int, budget: int, what: str = "path lattice") -> None:
         raise BudgetExceeded(
             f"{what} needs {count} combinations, budget is {budget}; raise --budget to override"
         )
+
+
+@dataclass(frozen=True)
+class LambdaBlock:
+    """Path amplitudes and pairwise hidden variables for one subsystem outcome.
+
+    Every route (two-particle tables, three-particle cascade, general
+    conditioned overlaps) ends in one of these; only the way `lam` is
+    computed differs.
+    """
+
+    amplitudes: np.ndarray
+    lam: np.ndarray
+
+    def marginal(self) -> float:
+        """Classical sum of path probabilities plus the lambda-weighted interference."""
+        weights = self.lam.copy()
+        np.fill_diagonal(weights, 0.0)
+        total = float(np.sum(np.abs(self.amplitudes) ** 2)) + complex(
+            self.amplitudes.conj() @ weights @ self.amplitudes
+        )
+        if abs(total.imag) > REALITY_TOL:
+            raise RealityError(f"pair sum has imaginary residue {total.imag:.3e}")
+        return total.real

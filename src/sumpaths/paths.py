@@ -57,12 +57,28 @@ def enumerate_paths(n: int, endpoint: int) -> list[Path]:
     ]
 
 
-def path_index(path: Path) -> int:
-    """Lexicographic index of `path` within enumerate_paths(path.n, path.endpoint)."""
+def prefix_index(path: Path, t: int) -> int:
+    """The first t modes of `path` packed most-significant-first: its row in prefix tables."""
     idx = 0
-    for m in path.modes[:-1]:
+    for m in path.modes[:t]:
         idx = (idx << 1) | m
     return idx
+
+
+def path_index(path: Path) -> int:
+    """Lexicographic index of `path` within enumerate_paths(path.n, path.endpoint)."""
+    return prefix_index(path, path.n - 1)
+
+
+def prefix_amplitudes(circuit: Circuit, particle: int) -> np.ndarray:
+    """Path amplitudes of `particle` over all 2^n mode sequences, indexed by prefix_index."""
+    amps = np.ones(1, dtype=complex)
+    last = np.zeros(1, dtype=int)
+    for t in range(1, circuit.n + 1):
+        gate = circuit.single(t, particle)
+        amps = np.repeat(amps, 2) * gate[np.tile([0, 1], last.shape[0]), np.repeat(last, 2)]
+        last = np.tile([0, 1], last.shape[0])
+    return amps
 
 
 def path_mode_array(n: int, endpoint: int) -> np.ndarray:

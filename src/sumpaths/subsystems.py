@@ -10,6 +10,10 @@ contribute an exact zero because the shared external unitary cancels).
 Phase gates wholly inside the subsystem belong to the configuration
 amplitude; gates wholly outside stay in the conditioned evolution; straddling
 gates are conditioned on the subsystem path.
+
+`lambda_blocks` is where every lambda marginal picks its route: the
+two-particle tables or the three-particle cascade where they apply, these
+conditioned overlaps otherwise.
 """
 from __future__ import annotations
 
@@ -20,11 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import Circuit
-from .common import DEFAULT_BUDGET, RealityError, check_budget
+from .common import DEFAULT_BUDGET, LambdaBlock, check_budget
 from .oracle import Distribution
 from .paths import Path, condition_on_paths, enumerate_paths, path_amplitude
-
-REALITY_TOL = 1e-10
+from .threeparticle import lambda3_tables
+from .twoparticle import lambda_tables
 
 
 @dataclass(frozen=True)
@@ -190,25 +194,6 @@ def _conditioned_states_block(
     return states
 
 
-@dataclass(frozen=True)
-class LambdaBlock:
-    """Amplitudes and pairwise hidden variables for one endpoint tuple."""
-
-    configs: tuple[ConfigPath, ...]
-    amplitudes: np.ndarray
-    lam: np.ndarray
-
-    def marginal(self) -> float:
-        weights = self.lam.copy()
-        np.fill_diagonal(weights, 0.0)
-        total = float(np.sum(np.abs(self.amplitudes) ** 2)) + complex(
-            self.amplitudes.conj() @ weights @ self.amplitudes
-        )
-        if abs(total.imag) > REALITY_TOL:
-            raise RealityError(f"pair sum has imaginary residue {total.imag:.3e}")
-        return total.real
-
-
 def lambda_block(
     circuit: Circuit,
     subsystem: Sequence[int],
@@ -216,7 +201,7 @@ def lambda_block(
     budget: int = DEFAULT_BUDGET,
     intra_in_amplitude: bool = True,
 ) -> LambdaBlock:
-    """Everything needed for one subsystem outcome: configs, amplitudes, lambda matrix.
+    """Amplitudes and lambda matrix over the configuration paths of one subsystem outcome.
 
     With intra_in_amplitude=False the intra-subsystem phases move from the
     amplitudes onto the hidden variables; the marginal is unchanged.
@@ -240,12 +225,30 @@ def lambda_block(
     states = _conditioned_states_block(circuit, particles, configs)
     lam = states.conj() @ states.T
     if intra_in_amplitude:
-        return LambdaBlock(configs=tuple(configs), amplitudes=bare * intra, lam=lam)
-    return LambdaBlock(
-        configs=tuple(configs),
-        amplitudes=bare,
-        lam=lam * np.outer(intra.conj(), intra),
-    )
+        return LambdaBlock(amplitudes=bare * intra, lam=lam)
+    return LambdaBlock(amplitudes=bare, lam=lam * np.outer(intra.conj(), intra))
+
+
+def lambda_blocks(
+    circuit: Circuit, subsystem: Sequence[int], budget: int
+) -> dict[tuple[int, ...], LambdaBlock]:
+    """The lambda block of every subsystem outcome, by the route the particle count allows.
+
+    A single-particle subsystem (0,) of two or three particles reads its
+    blocks off one two- or three-particle table build; every other subsystem
+    gets the conditioned-overlap block of each outcome.
+    """
+    particles = normalize_subsystem(circuit, subsystem)
+    if particles == (0,) and circuit.particles == 2:
+        tables = lambda_tables(circuit, budget, keep_trajectory=False)
+    elif particles == (0,) and circuit.particles == 3:
+        tables = lambda3_tables(circuit, budget)
+    else:
+        return {
+            outcome: lambda_block(circuit, particles, outcome, budget)
+            for outcome in itertools.product((0, 1), repeat=len(particles))
+        }
+    return {(j,): tables.block(j) for j in (0, 1)}
 
 
 def marginal_general(

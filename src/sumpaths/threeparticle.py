@@ -35,10 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, IDENTITY, make_circuit
-from .common import DEFAULT_BUDGET, RealityError, check_budget
-from .paths import Path, enumerate_paths
-
-REALITY_TOL = 1e-10
+from .common import DEFAULT_BUDGET, LambdaBlock, check_budget
+from .paths import Path, enumerate_paths, prefix_amplitudes, prefix_index
 
 AB, AC, BC = (0, 1), (0, 2), (1, 2)
 
@@ -305,15 +303,6 @@ def lambda_three(
     return Lambda3Entry(trajectory=tuple(trajectory), breakdowns=tuple(breakdowns))
 
 
-def lambda_direct_three(circuit: Circuit, p: Path, q: Path) -> complex:
-    """The same hidden variable as a conditioned two-particle evolution overlap."""
-    from .paths import condition_on_paths
-
-    state_p = condition_on_paths(circuit, {0: p}).state()
-    state_q = condition_on_paths(circuit, {0: q}).state()
-    return complex(np.vdot(state_p, state_q))
-
-
 def _largest_table(circuit: Circuit) -> int:
     """Entries of the biggest array a `Lambda3Tables` build holds.
 
@@ -508,43 +497,21 @@ class Lambda3Tables:
                 uv = uv * np.tile(f_ac, ((1 << (r - 1)), 1))
             self.direct.append(uv.conj() @ uv.T)
 
-        # subsystem path amplitudes
-        amps = np.ones(1, dtype=complex)
-        last = np.zeros(1, dtype=int)
-        for t in range(1, n + 1):
-            gate_a = circuit.single(t, 0)
-            amps = np.repeat(amps, 2) * gate_a[np.tile([0, 1], last.shape[0]), np.repeat(last, 2)]
-            last = np.tile([0, 1], last.shape[0])
-        self.amps = amps
-
-    def endpoint_rows(self, endpoint: int) -> np.ndarray:
-        return np.arange(1 << (self.n - 1)) * 2 + endpoint
-
-    def lambda_final(self, endpoint: int) -> np.ndarray:
-        rows = self.endpoint_rows(endpoint)
-        return self.lam[self.n][np.ix_(rows, rows)]
-
-    def prefix_index(self, path: Path, t: int) -> int:
-        idx = 0
-        for m in path.modes[:t]:
-            idx = (idx << 1) | m
-        return idx
+        self.amps = prefix_amplitudes(circuit, 0)
 
     def trajectory(self, p: Path, q: Path) -> tuple[complex, ...]:
         return tuple(
-            complex(self.lam[t][self.prefix_index(p, t), self.prefix_index(q, t)])
+            complex(self.lam[t][prefix_index(p, t), prefix_index(q, t)])
             for t in range(self.n + 1)
         )
 
+    def block(self, endpoint: int) -> LambdaBlock:
+        """Amplitudes and final lambda of the paths ending at `endpoint`, in enumeration order."""
+        rows = np.arange(1 << (self.n - 1)) * 2 + endpoint
+        return LambdaBlock(self.amps[rows], self.lam[self.n][np.ix_(rows, rows)])
+
     def marginal(self, endpoint: int) -> float:
-        rows = self.endpoint_rows(endpoint)
-        weights = self.lam[self.n][np.ix_(rows, rows)].copy()
-        np.fill_diagonal(weights, 0.0)
-        a = self.amps[rows]
-        total = float(np.sum(np.abs(a) ** 2)) + complex(a.conj() @ weights @ a)
-        if abs(total.imag) > REALITY_TOL:
-            raise RealityError(f"pair sum has imaginary residue {total.imag:.3e}")
-        return total.real
+        return self.block(endpoint).marginal()
 
 
 def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Lambda3Tables:

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, conditioned_diagonal
-from .common import DEFAULT_BUDGET, RealityError, check_budget
-from .paths import Path, condition_on_paths
-
-REALITY_TOL = 1e-10
+from .common import DEFAULT_BUDGET, REALITY_TOL, LambdaBlock, RealityError, check_budget
+from .paths import Path, condition_on_paths, prefix_amplitudes, prefix_index
 
 
 def _require_two_particles(circuit: Circuit) -> None:
@@ -161,70 +159,46 @@ class TwoParticleTables:
                 self.hits = [hits_t]
                 self.direct = [direct_t]
 
-        # subsystem path amplitudes over all 2^n prefix paths
-        amps = np.ones(1, dtype=complex)
-        last = np.zeros(1, dtype=int)
-        for t in range(1, n + 1):
-            gate_a = circuit.single(t, 0)
-            amps = np.repeat(amps, 2) * gate_a[np.tile([0, 1], last.shape[0]), np.repeat(last, 2)]
-            last = np.tile([0, 1], last.shape[0])
-        self.amps = amps
+        self.amps = prefix_amplitudes(circuit, 0)
         self.n = n
 
     @property
     def final(self) -> np.ndarray:
         return self.lam[-1]
 
-    def endpoint_rows(self, endpoint: int) -> np.ndarray:
-        return np.arange(1 << (self.n - 1)) * 2 + endpoint
-
-    def lambda_final(self, endpoint: int) -> np.ndarray:
-        """Final lambda over endpoint paths, ordered by enumeration index."""
-        rows = self.endpoint_rows(endpoint)
-        return self.final[np.ix_(rows, rows)]
-
-    def prefix_index(self, path: Path, t: int) -> int:
-        idx = 0
-        for m in path.modes[:t]:
-            idx = (idx << 1) | m
-        return idx
-
     def entry(self, p: Path, q: Path) -> LambdaEntry:
         if not self.keep_trajectory:
             raise ValueError("tables were built without trajectories")
         trajectory = [
-            complex(self.lam[t][self.prefix_index(p, t), self.prefix_index(q, t)])
+            complex(self.lam[t][prefix_index(p, t), prefix_index(q, t)])
             for t in range(self.n + 1)
         ]
         hits = [
             0j
             if self.hits[t] is None
-            else complex(self.hits[t][self.prefix_index(p, t), self.prefix_index(q, t)])
+            else complex(self.hits[t][prefix_index(p, t), prefix_index(q, t)])
             for t in range(1, self.n + 1)
         ]
         return LambdaEntry(trajectory=tuple(trajectory), hits=tuple(hits))
 
-    def _pair_sum(self, endpoint: int, subtract_one: bool) -> complex:
-        rows = self.endpoint_rows(endpoint)
-        weights = self.final[np.ix_(rows, rows)].copy()
-        if subtract_one:
-            weights -= 1.0
-        np.fill_diagonal(weights, 0.0)
-        a = self.amps[rows]
-        return complex(a.conj() @ weights @ a)
+    def block(self, endpoint: int) -> LambdaBlock:
+        """Amplitudes and final lambda of the paths ending at `endpoint`, in enumeration order."""
+        rows = np.arange(1 << (self.n - 1)) * 2 + endpoint
+        return LambdaBlock(self.amps[rows], self.final[np.ix_(rows, rows)])
 
     def marginal(self, endpoint: int) -> float:
-        a = self.amps[self.endpoint_rows(endpoint)]
-        total = float(np.sum(np.abs(a) ** 2)) + self._pair_sum(endpoint, subtract_one=False)
-        if abs(total.imag) > REALITY_TOL:
-            raise RealityError(f"pair sum has imaginary residue {total.imag:.3e}")
-        return total.real
+        return self.block(endpoint).marginal()
 
     def marginal_deviation(self, endpoint: int) -> float:
+        """Free single-particle probability plus the (lambda - 1)-weighted interference."""
         free = np.eye(2, dtype=complex)
         for t in range(1, self.n + 1):
             free = self.circuit.single(t, 0) @ free
-        total = abs(free[endpoint, 0]) ** 2 + self._pair_sum(endpoint, subtract_one=True)
+        block = self.block(endpoint)
+        weights = block.lam - 1.0
+        np.fill_diagonal(weights, 0.0)
+        a = block.amplitudes
+        total = abs(free[endpoint, 0]) ** 2 + complex(a.conj() @ weights @ a)
         if abs(total.imag) > REALITY_TOL:
             raise RealityError(f"pair sum has imaginary residue {total.imag:.3e}")
         return total.real

@@ -4,24 +4,32 @@ Every check applicable to the circuit's particle count runs at a stated
 tolerance and reports its worst error; the report is deterministic for a
 given input (the no-signaling probe layer is seeded from the circuit
 digest).
+
+The lambda route of the subsystem (0,) is built once per circuit: one
+two-particle table, one three-particle cascade, or the general blocks for
+more particles. Its blocks serve the marginal checks, the tables the
+route's own checks, and the base side of no_signaling; the extended side is
+one more build, made after the base one is released. Each check is charged
+the time since the previous check ended, so a shared build counts in the
+first check that needs it and the timings add up to the verify's wall time.
 """
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
 from .circuits import Circuit, circuit_digest
-from .common import DEFAULT_BUDGET
+from .common import DEFAULT_BUDGET, LambdaBlock
 from .corpus import append_external_layer
 from .density import density_report
-from .oracle import evolve, marginal_by_sum
+from .oracle import Distribution, evolve, marginal_by_sum
 from .paths import Path, amplitude_via_paths
-from .subsystems import lambda_block, marginal_general
-from .threeparticle import Lambda3Tables, lambda3_tables
-from .twoparticle import lambda_tables, marginal_lambda
+from .subsystems import lambda_blocks, marginal_general
+from .threeparticle import lambda3_tables
+from .twoparticle import TwoParticleTables, hit, lambda_tables
 
 DEFAULT_TOL = 1e-9
 
@@ -65,22 +73,25 @@ class VerificationReport:
 
 
 class _Runner:
+    """Runs checks in order, charging each with the time since the previous one ended."""
+
     def __init__(self) -> None:
         self.checks: list[CheckResult] = []
+        self.mark = perf_counter()
 
     def run(self, name: str, tolerance: float, fn) -> None:
-        start = time.perf_counter()
         error = float(fn())
-        elapsed = (time.perf_counter() - start) * 1000.0
+        now = perf_counter()
         self.checks.append(
             CheckResult(
                 name=name,
                 max_error=error,
                 tolerance=tolerance,
                 passed=error <= tolerance,
-                timing_ms=elapsed,
+                timing_ms=(now - self.mark) * 1000.0,
             )
         )
+        self.mark = now
 
 
 def _norm_preservation(circuit: Circuit) -> float:
@@ -97,22 +108,92 @@ def _pathsum_completeness(circuit: Circuit, budget: int) -> float:
     return worst
 
 
-def _lambda_marginals(
-    circuit: Circuit, budget: int, tables3: Lambda3Tables | None
+def _marginal_checks(
+    runner: _Runner, blocks: list[LambdaBlock], oracle: Distribution, tol: float
 ) -> list[float]:
-    if circuit.particles == 2:
-        return [marginal_lambda(circuit, j, budget) for j in (0, 1)]
-    if tables3 is not None:
-        return [tables3.marginal(j) for j in (0, 1)]
-    return [marginal_general(circuit, (0,), (j,), budget) for j in (0, 1)]
+    """oracle_equivalence and marginal_normalization; returns the lambda marginals."""
+    marginals = [block.marginal() for block in blocks]
+    runner.run(
+        "oracle_equivalence", tol, lambda: max(abs(marginals[j] - oracle[j]) for j in (0, 1))
+    )
+    runner.run("marginal_normalization", tol, lambda: abs(sum(marginals) - 1.0))
+    return marginals
+
+
+def _two_particle_checks(
+    runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
+) -> list[float]:
+    # trajectories only at sizes where the zero-hit comparison is cheap
+    tables = lambda_tables(circuit, budget, keep_trajectory=circuit.n <= 8)
+    marginals = _marginal_checks(runner, [tables.block(j) for j in (0, 1)], oracle, tol)
+    runner.run("telescoping", 1e-10, lambda: tables.telescoping_error)
+    runner.run("zero_hit_layers", 0.0, lambda: _zero_hit_error(circuit, tables))
+    runner.run(
+        "two_form_equivalence",
+        1e-10,
+        lambda: max(abs(marginals[j] - tables.marginal_deviation(j)) for j in (0, 1)),
+    )
+    final = tables.final
+    runner.run("hermitian_pairing", 1e-12, lambda: float(np.max(np.abs(final - final.conj().T))))
+    runner.run("lambda_bound", 1e-10, lambda: max(0.0, tables.max_abs - 1.0))
+    records = density_report(circuit)
+    runner.run(
+        "density_reconstruction", 1e-10, lambda: max(r["frobenius_error"] for r in records)
+    )
+    runner.run("density_hit_diagonal", 1e-12, lambda: max(r["hit_diagonal_max"] for r in records))
+    runner.run(
+        "density_offdiagonal_form", 1e-12, lambda: max(r["offdiagonal_error"] for r in records)
+    )
+    runner.run("density_pathsum", 1e-10, lambda: max(r["pathsum_error"] for r in records))
+    return marginals
+
+
+def _three_particle_checks(
+    runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
+) -> list[float]:
+    tables = lambda3_tables(circuit, budget)
+    marginals = _marginal_checks(runner, [tables.block(j) for j in (0, 1)], oracle, tol)
+    runner.run(
+        "three_closure",
+        tol,
+        lambda: max(
+            float(np.max(np.abs(tables.lam[t] - tables.direct[t]))) for t in range(circuit.n + 1)
+        ),
+    )
+    final = tables.lam[circuit.n]
+    runner.run("hermitian_pairing", 1e-12, lambda: float(np.max(np.abs(final - final.conj().T))))
+    runner.run(
+        "lambda_bound",
+        1e-10,
+        lambda: max(0.0, max(float(np.max(np.abs(t_))) for t_ in tables.lam) - 1.0),
+    )
+    return marginals
+
+
+def _general_checks(
+    runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
+) -> list[float]:
+    blocks = list(lambda_blocks(circuit, (0,), budget).values())
+    marginals = _marginal_checks(runner, blocks, oracle, tol)
+    runner.run(
+        "hermitian_pairing",
+        1e-12,
+        lambda: max(float(np.max(np.abs(b.lam - b.lam.conj().T))) for b in blocks),
+    )
+    runner.run(
+        "lambda_bound",
+        1e-10,
+        lambda: max(0.0, max(float(np.max(np.abs(b.lam))) for b in blocks) - 1.0),
+    )
+    return marginals
 
 
 def verify_circuit(
     circuit: Circuit, tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET
 ) -> VerificationReport:
     """Run every applicable invariant; raises BudgetExceeded if the circuit is too big."""
-    digest = circuit_digest(circuit)
     runner = _Runner()
+    digest = circuit_digest(circuit)
     n = circuit.particles
 
     runner.run("norm_preservation", 1e-12, lambda: _norm_preservation(circuit))
@@ -121,93 +202,10 @@ def verify_circuit(
 
     if n >= 2 and circuit.n >= 1:
         oracle = marginal_by_sum(circuit, {0})
-        # one three-particle build serves the marginals and every table check
-        tables3 = lambda3_tables(circuit, budget) if n == 3 else None
-        lam_marginals = _lambda_marginals(circuit, budget, tables3)
-        runner.run(
-            "oracle_equivalence",
-            tol,
-            lambda: max(abs(lam_marginals[j] - oracle[j]) for j in (0, 1)),
-        )
-        runner.run(
-            "marginal_normalization", tol, lambda: abs(sum(lam_marginals) - 1.0)
-        )
-
-        if n == 2:
-            tables = lambda_tables(circuit, budget, keep_trajectory=False)
-            runner.run("telescoping", 1e-10, lambda: tables.telescoping_error)
-            runner.run("zero_hit_layers", 0.0, lambda: _zero_hit_error(circuit, budget))
-            runner.run(
-                "two_form_equivalence",
-                1e-10,
-                lambda: max(
-                    abs(tables.marginal(j) - tables.marginal_deviation(j)) for j in (0, 1)
-                ),
-            )
-            final = tables.final
-            runner.run(
-                "hermitian_pairing",
-                1e-12,
-                lambda: float(np.max(np.abs(final - final.conj().T))),
-            )
-            runner.run("lambda_bound", 1e-10, lambda: max(0.0, tables.max_abs - 1.0))
-            records = density_report(circuit)
-            runner.run(
-                "density_reconstruction",
-                1e-10,
-                lambda: max(r["frobenius_error"] for r in records),
-            )
-            runner.run(
-                "density_hit_diagonal",
-                1e-12,
-                lambda: max(r["hit_diagonal_max"] for r in records),
-            )
-            runner.run(
-                "density_offdiagonal_form",
-                1e-12,
-                lambda: max(r["offdiagonal_error"] for r in records),
-            )
-            runner.run(
-                "density_pathsum", 1e-10, lambda: max(r["pathsum_error"] for r in records)
-            )
-        elif n == 3:
-            runner.run(
-                "three_closure",
-                tol,
-                lambda: max(
-                    float(np.max(np.abs(tables3.lam[t] - tables3.direct[t])))
-                    for t in range(circuit.n + 1)
-                ),
-            )
-            final = tables3.lam[circuit.n]
-            runner.run(
-                "hermitian_pairing",
-                1e-12,
-                lambda: float(np.max(np.abs(final - final.conj().T))),
-            )
-            runner.run(
-                "lambda_bound",
-                1e-10,
-                lambda: max(0.0, max(float(np.max(np.abs(t_))) for t_ in tables3.lam) - 1.0),
-            )
-        else:
-            blocks = [
-                lambda_block(circuit, (0,), (j,), budget) for j in (0, 1)
-            ]
-            runner.run(
-                "hermitian_pairing",
-                1e-12,
-                lambda: max(
-                    float(np.max(np.abs(b.lam - b.lam.conj().T))) for b in blocks
-                ),
-            )
-            runner.run(
-                "lambda_bound",
-                1e-10,
-                lambda: max(
-                    0.0, max(float(np.max(np.abs(b.lam))) for b in blocks) - 1.0
-                ),
-            )
+        # each route's tables live only inside its checks, so they are
+        # released before no_signaling builds the extended circuit's
+        route_checks = {2: _two_particle_checks, 3: _three_particle_checks}.get(n, _general_checks)
+        base_lam = route_checks(runner, circuit, budget, oracle, tol)
 
         if n >= 3:
             pair = (0, 1)
@@ -221,18 +219,19 @@ def verify_circuit(
                 ),
             )
 
-        runner.run("no_signaling", 1e-12, lambda: _no_signaling_error(circuit, digest, budget))
+        runner.run(
+            "no_signaling",
+            1e-12,
+            lambda: _no_signaling_error(circuit, digest, budget, oracle, base_lam),
+        )
 
     return VerificationReport(digest=digest, checks=tuple(runner.checks))
 
 
-def _zero_hit_error(circuit: Circuit, budget: int) -> float:
+def _zero_hit_error(circuit: Circuit, tables: TwoParticleTables) -> float:
     """Hits at interaction-free layers must be bit-exact zeros, table and scalar alike."""
-    from .twoparticle import hit
-
     worst = 0.0
-    if circuit.n <= 8:  # full trajectory comparison only at sizes where it is cheap
-        tables = lambda_tables(circuit, budget, keep_trajectory=True)
+    if tables.keep_trajectory:
         for t in range(1, tables.n + 1):
             if tables.hits[t] is None:
                 expanded = np.repeat(np.repeat(tables.lam[t - 1], 2, axis=0), 2, axis=1)
@@ -249,21 +248,14 @@ def _zero_hit_error(circuit: Circuit, budget: int) -> float:
     return worst
 
 
-def _no_signaling_error(circuit: Circuit, digest: str, budget: int) -> float:
-    # The probe layer lengthens the circuit, so the three-particle cascade
-    # table can outgrow the budget here; the conditioned inner-product form
-    # of the lambda marginal scales and is used for N >= 3 instead.
-    def lam_marginals(c: Circuit) -> list[float]:
-        if c.particles == 2:
-            return [marginal_lambda(c, j, budget) for j in (0, 1)]
-        return [marginal_general(c, (0,), (j,), budget) for j in (0, 1)]
-
+def _no_signaling_error(
+    circuit: Circuit, digest: str, budget: int, base_oracle: Distribution, base_lam: list[float]
+) -> float:
+    """Appending an external layer must move neither the oracle nor the lambda marginal."""
     rng = np.random.default_rng(int(digest[:8], 16))
     extended = append_external_layer(circuit, rng, subsystem=(0,))
-    base_oracle = marginal_by_sum(circuit, {0})
     ext_oracle = marginal_by_sum(extended, {0})
-    base_lam = lam_marginals(circuit)
-    ext_lam = lam_marginals(extended)
+    ext_lam = [block.marginal() for block in lambda_blocks(extended, (0,), budget).values()]
     return max(
         max(abs(base_oracle[j] - ext_oracle[j]) for j in (0, 1)),
         max(abs(base_lam[j] - ext_lam[j]) for j in (0, 1)),

@@ -368,3 +368,40 @@ def test_reports_are_deterministic_for_every_command(epr_file, random_file):
         second = run_cli(*argv)
         assert first[0] == 0
         assert first[1] == second[1]
+
+
+def test_oracle_cap_lasts_one_call():
+    code, _, _ = run_cli(
+        "marginal", "--circuit", str(CORPUS / "n2_l2_s0.json"), "--method", "oracle", "--oracle-cap", "2"
+    )
+    assert code == 0
+    code, _, err = run_cli("marginal", "--circuit", str(CORPUS / "n3_l2_s0.json"), "--method", "oracle")
+    assert code == 0, err
+
+
+NUMBERS = {"particles": 2, "cell": 1, "pair": [0, 1], "theta": [0, 0, 0, 1]}
+BOOLEANS = {"particles": True, "cell": True, "pair": [False, True], "theta": [0, 0, 0, True]}
+
+
+def _one_layer_json(values: dict) -> dict:
+    identity = [[[values["cell"], 0], [0, 0]], [[0, 0], [1, 0]]]
+    phase = {"pair": values["pair"], "theta": values["theta"]}
+    return {"particles": values["particles"], "layers": [{"singles": {"0": identity}, "phases": [phase]}]}
+
+
+@pytest.mark.parametrize("field", sorted(BOOLEANS))
+def test_json_booleans_are_not_numbers(tmp_path, field):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_one_layer_json(NUMBERS)), encoding="utf-8")
+    assert run_cli("marginal", "--circuit", str(path))[0] == 0
+    path.write_text(json.dumps(_one_layer_json({**NUMBERS, field: BOOLEANS[field]})), encoding="utf-8")
+    code, out, err = run_cli("marginal", "--circuit", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    message = {
+        "particles": "'particles' must be",
+        "cell": "entries must be numbers",
+        "pair": "'pair' must be",
+        "theta": "theta[3] must be",
+    }
+    assert message[field] in err

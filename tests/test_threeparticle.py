@@ -17,7 +17,7 @@ from sumpaths.corpus import (
 )
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths
-from sumpaths.subsystems import marginal_general
+from sumpaths.subsystems import ConfigPath, lambda_general, marginal_general
 from sumpaths.threeparticle import (
     delta_ab,
     delta_ac,
@@ -25,7 +25,6 @@ from sumpaths.threeparticle import (
     gamma_chi_c,
     hit_three,
     lambda3_tables,
-    lambda_direct_three,
     lambda_three,
     marginal_three,
     remove_trailing_external_gate,
@@ -226,7 +225,8 @@ def test_cascade_closes_to_direct_inner_product():
         for endpoint in (0, 1):
             for p, q in sample_pairs(layers, endpoint, 6, seed=layers):
                 entry = lambda_three(circuit, p, q)
-                assert abs(entry.final - lambda_direct_three(circuit, p, q)) < 1e-9
+                direct = lambda_general(circuit, (0,), ConfigPath((p,)), ConfigPath((q,)))
+                assert abs(entry.final - direct) < 1e-9
 
 
 def test_zero_theta_circuit_keeps_lambda_at_one():
@@ -241,7 +241,7 @@ def test_identical_paths_give_unit_lambda():
     circuit = random_circuit(np.random.default_rng(37), 3, 3)
     p = enumerate_paths(3, 1)[2]
     assert abs(lambda_three(circuit, p, p).final - 1.0) < 1e-12
-    assert abs(lambda_direct_three(circuit, p, p) - 1.0) < 1e-12
+    assert abs(lambda_general(circuit, (0,), ConfigPath((p,)), ConfigPath((p,))) - 1.0) < 1e-12
 
 
 def test_tables_match_scalar_cascade():

@@ -1,15 +1,40 @@
 """Verification suite: report structure, pass behavior, failure signaling."""
 from __future__ import annotations
 
+import functools
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
-import numpy as np
+from pathlib import Path
 
-from sumpaths.circuits import build_epr_circuit, save_circuit
+import numpy as np
+import pytest
+
+from sumpaths import subsystems, threeparticle, twoparticle, verify
+from sumpaths.circuits import build_epr_circuit, load_circuit, save_circuit
 from sumpaths.cli import main
 from sumpaths.corpus import random_circuit
 from sumpaths.verify import verify_circuit
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap every sumpaths binding of `fn`; the returned list grows by one per call."""
+    calls = []
+
+    @functools.wraps(fn)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sumpaths" or name.startswith("sumpaths."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def test_epr_report_is_complete_and_tight():
@@ -66,3 +91,48 @@ def test_report_json_shape():
     assert all(set(c) == {"name", "max_error", "tolerance", "pass"} for c in raw["checks"])
     timed = report.to_json(with_timings=True)
     assert all("timing_ms" in c for c in timed["checks"])
+
+
+@pytest.mark.parametrize(
+    "file, builder, builds",
+    [
+        # base and extended circuit: one table build each
+        ("n2_l8_s0.json", twoparticle.lambda_tables, 2),
+        ("n3_l3_s0.json", threeparticle.lambda3_tables, 2),
+        # (0,) base: 2 blocks, (0, 1) general_subsystem: 4, (0,) extended: 2
+        ("n4_l3_s0.json", subsystems.lambda_block, 8),
+    ],
+)
+def test_verify_builds_each_route_once(monkeypatch, file, builder, builds):
+    calls = count_calls(monkeypatch, builder)
+    assert verify_circuit(load_circuit(str(CORPUS / file))).passed
+    assert len(calls) == builds
+
+
+def test_timings_charge_shared_builds_and_sum_to_wall_time(monkeypatch):
+    # every clock read advances 1 s; each table build advances 1000 s
+    clock = [0.0]
+    reads = []
+
+    def fake_clock():
+        reads.append(clock[0])
+        clock[0] += 1.0
+        return reads[-1]
+
+    build = twoparticle.lambda_tables
+
+    def slow_build(*args, **kwargs):
+        clock[0] += 1000.0
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "perf_counter", fake_clock)
+    monkeypatch.setattr(verify, "lambda_tables", slow_build)
+    monkeypatch.setattr(subsystems, "lambda_tables", slow_build)
+    report = verify_circuit(load_circuit(str(CORPUS / "n2_l8_s0.json")))
+    timings = {check.name: check.timing_ms for check in report.checks}
+    assert len(reads) == len(report.checks) + 1
+    assert sum(timings.values()) == (reads[-1] - reads[0]) * 1000.0
+    # the base build is charged to the first check that reads it, the extended one to no_signaling
+    slow = {name for name, ms in timings.items() if ms > 1000.0 * 1000.0}
+    assert slow == {"oracle_equivalence", "no_signaling"}
+    assert all(ms == 1000.0 for name, ms in timings.items() if name not in slow)
