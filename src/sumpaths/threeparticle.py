@@ -303,15 +303,26 @@ def lambda_three(
     return Lambda3Entry(trajectory=tuple(trajectory), breakdowns=tuple(breakdowns))
 
 
+def _last_hit_layer(circuit: Circuit) -> int:
+    """The last layer with an A-B or A-C gate, or 0; no hit reads the column stacks after it."""
+    coupled = [
+        r
+        for r in range(1, circuit.n + 1)
+        if _thetas(circuit, AB, r) is not None or _thetas(circuit, AC, r) is not None
+    ]
+    return max(coupled, default=0)
+
+
 def _largest_table(circuit: Circuit) -> int:
     """Entries of the biggest array a `Lambda3Tables` build holds.
 
     That is a column stack, 4^r prefix pairs by its column count after the
-    increments booked at layer r, or the final 4^n lambda table if larger.
+    increments booked at layer r <= `_last_hit_layer`, or the final 4^n
+    lambda table if larger.
     """
     largest = 4**circuit.n
     c_columns = b_columns = 0
-    for r in range(1, circuit.n + 1):
+    for r in range(1, _last_hit_layer(circuit) + 1):
         bc, ab, ac = (_thetas(circuit, pair, r) is not None for pair in (BC, AB, AC))
         c_columns += 4 * (bc + ac)
         b_columns += 4 * (bc + ab)
@@ -406,6 +417,7 @@ class Lambda3Tables:
         camp = np.ones(1, dtype=complex)
         blast = np.zeros(1, dtype=int)
         clast = np.zeros(1, dtype=int)
+        last_hit = _last_hit_layer(circuit)
 
         for r in range(1, n + 1):
             size = 1 << r
@@ -456,8 +468,9 @@ class Lambda3Tables:
                 c_increments.append((cv, v_c))
             if th_ab is not None:
                 b_increments.append((bv, w_b))
-            c_stack, c_signs = _refine(c_stack, c_signs, c_increments)
-            b_stack, b_signs = _refine(b_stack, b_signs, b_increments)
+            if r <= last_hit:
+                c_stack, c_signs = _refine(c_stack, c_signs, c_increments)
+                b_stack, b_signs = _refine(b_stack, b_signs, b_increments)
 
             hit_table = None
             if th_ab is not None:

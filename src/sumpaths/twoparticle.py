@@ -105,8 +105,9 @@ class TwoParticleTables:
     is its mode bitstring read as a binary number; paths ending at j occupy
     rows 2k + j with k the lexicographic enumeration index.
 
-    With keep_trajectory=False only the final tables are retained (memory
-    O(4^n) instead of O(n 4^n)); the per-prefix telescoping error and the
+    With keep_trajectory=False only the final lambda table is retained
+    (memory O(4^n) instead of O(n 4^n)), hits are added into it in place and
+    `hits` and `direct` stay empty; the per-prefix telescoping error and the
     magnitude bound are still tracked incrementally.
     """
 
@@ -124,8 +125,8 @@ class TwoParticleTables:
         lam = np.ones((1, 1), dtype=complex)
         ext = np.array([[1.0, 0.0]], dtype=complex)  # conditioned external states per prefix
         self.lam: list[np.ndarray] = [lam]
-        self.hits: list[np.ndarray | None] = [None]
-        self.direct: list[np.ndarray] = [ext.conj() @ ext.T]
+        self.hits: list[np.ndarray | None] = [None] if keep_trajectory else []
+        self.direct: list[np.ndarray] = [ext.conj() @ ext.T] if keep_trajectory else []
         self.telescoping_error = 0.0
         self.max_abs = 1.0
 
@@ -133,31 +134,32 @@ class TwoParticleTables:
             pre = ext @ circuit.single(t, 1).T  # states just before the layer-t phase gate
             gate = circuit.phase(t, (0, 1))
             lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
+            hits_t = None
             if gate is None:
-                hits_t = None
                 ext = np.repeat(pre, 2, axis=0)
             else:
                 thetas = np.asarray(gate.thetas).reshape(2, 2)
-                hits_t = np.empty_like(lam)
+                if keep_trajectory:
+                    hits_t = np.empty_like(lam)
                 for a in (0, 1):
                     for b in (0, 1):
                         d = np.exp(1j * (thetas[b] - thetas[a])) - 1.0
-                        hits_t[a::2, b::2] = (pre.conj() * d) @ pre.T
-                lam = lam + hits_t
+                        block = (pre.conj() * d) @ pre.T
+                        lam[a::2, b::2] += block
+                        if keep_trajectory:
+                            hits_t[a::2, b::2] = block
                 ext = np.repeat(pre, 2, axis=0) * np.tile(np.exp(1j * thetas), (pre.shape[0], 1))
             direct_t = ext.conj() @ ext.T
-            self.telescoping_error = max(
-                self.telescoping_error, float(np.max(np.abs(lam - direct_t)))
-            )
             self.max_abs = max(self.max_abs, float(np.max(np.abs(lam))))
             if keep_trajectory:
                 self.lam.append(lam)
                 self.hits.append(hits_t)
                 self.direct.append(direct_t)
+                gap = lam - direct_t
             else:
                 self.lam = [lam]
-                self.hits = [hits_t]
-                self.direct = [direct_t]
+                gap = np.subtract(lam, direct_t, out=direct_t)  # direct_t is not kept
+            self.telescoping_error = max(self.telescoping_error, float(np.max(np.abs(gap))))
 
         self.amps = prefix_amplitudes(circuit, 0)
         self.n = n

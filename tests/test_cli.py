@@ -325,6 +325,15 @@ def test_nonpositive_budget_is_input_error(epr_file, budget):
     assert err == f"error: budget must be positive, got {budget}\n"
 
 
+def test_no_signaling_fits_the_base_circuits_budget():
+    # the extended circuit's cascade is charged no more than the base one's
+    code, out, err = run_cli(
+        "verify", "--circuit", str(CORPUS / "n3_l5_s0.json"), "--budget", "100000"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True
+
+
 def test_zero_oracle_cap_is_input_error(epr_file):
     from sumpaths import oracle
 

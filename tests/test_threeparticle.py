@@ -303,6 +303,20 @@ def test_budget_guard_admits_eight_all_gate_layers_only():
         lambda3_tables(random_circuit(rng, 3, 9, p_single=1.0, p_phase=1.0))
 
 
+def test_trailing_external_layer_costs_no_budget():
+    # the column stacks feed no hit after the last A-B/A-C gate, so the layer
+    # no-signaling appends fits the budget an all-gates n = 8 circuit fills
+    rng = np.random.default_rng(89)
+    circuit = random_circuit(rng, 3, 8, p_single=1.0, p_phase=1.0)
+    extended = append_external_layer(circuit, rng)
+    base, tables = lambda3_tables(circuit), lambda3_tables(extended)
+    assert tables.hit_tables[extended.n] is None
+    for t in range(extended.n + 1):
+        assert np.max(np.abs(tables.lam[t] - tables.direct[t])) < 1e-9
+    for j in (0, 1):
+        assert abs(tables.marginal(j) - base.marginal(j)) < 1e-12
+
+
 def test_tables_close_for_all_pairs_and_prefixes():
     circuit = random_circuit(np.random.default_rng(43), 3, 5)
     tables = lambda3_tables(circuit)

@@ -1,6 +1,8 @@
 """Two-particle hits, hidden variables, and marginals against independent references."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,10 +196,27 @@ def test_trajectory_free_tables_keep_final_results():
     light = lambda_tables(circuit, keep_trajectory=False)
     assert np.array_equal(light.final, full.lam[circuit.n])
     assert light.telescoping_error == full.telescoping_error
+    assert light.max_abs == full.max_abs
+    assert len(light.lam) == 1 and light.hits == [] and light.direct == []
     for j in (0, 1):
         assert light.marginal(j) == full.marginal(j)
     with pytest.raises(ValueError):
         light.entry(enumerate_paths(5, 0)[0], enumerate_paths(5, 0)[1])
+
+
+def test_trajectory_free_build_peaks_below_four_final_tables():
+    # hits go into lambda in place and the telescoping gap overwrites the
+    # direct table, so the last layer holds lambda, direct and one |gap| table
+    circuit = random_circuit(
+        np.random.default_rng(59), particles=2, layers=9, p_single=1.0, p_phase=1.0
+    )
+    tracemalloc.start()
+    try:
+        light = lambda_tables(circuit, keep_trajectory=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * light.final.nbytes
 
 
 from hypothesis import given, settings
