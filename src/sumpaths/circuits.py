@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
@@ -130,8 +131,10 @@ def _check_single(matrix: Any, where: str) -> np.ndarray:
 
 
 def _is_number(value: Any) -> bool:
-    """JSON numbers only: booleans are ints to Python but never a valid number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """JSON numbers a float can hold: booleans are ints to Python but never a valid number here."""
+    if isinstance(value, float):
+        return True
+    return isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def _is_index(value: Any) -> bool:
@@ -219,9 +222,12 @@ def validate_circuit(raw: Mapping[str, Any]) -> Circuit:
             matrix = _parse_complex_matrix(entries, f"{where} singles[{idx}]")
             singles[idx] = _check_single(matrix, f"{where} singles[{idx}]")
 
+        raw_phases = raw_layer.get("phases", [])
+        if not isinstance(raw_phases, list):
+            raise CircuitFormatError(f"{where}: 'phases' must be a list")
         phases: list[PhaseGate] = []
         seen_pairs: set[tuple[int, int]] = set()
-        for k, raw_phase in enumerate(raw_layer.get("phases", [])):
+        for k, raw_phase in enumerate(raw_phases):
             gate = _parse_phase(raw_phase, particles, f"{where} phases[{k}]")
             if gate.pair in seen_pairs:
                 raise DuplicatePhasePair(f"{where}: duplicate phase gate on pair {gate.pair}")

@@ -24,7 +24,7 @@ from .circuits import (
     circuit_digest,
     load_circuit,
 )
-from .common import DEFAULT_BUDGET, BudgetExceeded, LambdaBlock, RealityError, check_budget
+from .common import DEFAULT_BUDGET, BudgetExceeded, LambdaBlock, check_budget
 from .density import density_report
 from .oracle import marginal_by_sum
 from .paths import Path, amplitude_via_paths, enumerate_paths, path_amplitude
@@ -243,6 +243,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for entry in entries:
         circuit = load_circuit(str(manifest_path.parent / entry["file"]))
         report = _verify_one(circuit, args)
+        if "digest" in entry and entry["digest"] != report["circuit"]:
+            raise CircuitError(f"{entry['file']}: digest differs from its manifest entry")
         report["file"] = entry["file"]
         reports.append(report)
     overall = all(r["pass"] for r in reports)
@@ -509,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except RealityError as err:
+    except ArithmeticError as err:  # norm drift in the oracle, a complex pair sum
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (CircuitError, OSError, json.JSONDecodeError, KeyError, ValueError) as err:

@@ -17,7 +17,7 @@ import numpy as np
 from .circuits import Circuit, PhaseGate, factor_phase_gate, make_circuit
 from .common import DEFAULT_BUDGET, check_budget
 from .oracle import evolve, reduced_density
-from .paths import enumerate_paths
+from .paths import conditioned_prefix_states, endpoint_rows, prefix_amplitudes
 
 
 class PhaseGateNotNormalized(ValueError):
@@ -119,21 +119,10 @@ def hit_pathsum_amplitude(circuit: Circuit, t: int, budget: int = DEFAULT_BUDGET
     _require_two_particles(circuit)
     _core_angle(circuit, t)
     check_budget(1 << max(t - 1, 0), budget, "subsystem paths")
-    total = 0j
-    for path in enumerate_paths(t, 0):
-        amp = 1.0 + 0j
-        for s in range(1, t + 1):
-            amp *= circuit.single(s, 0)[path.mode(s), path.mode(s - 1)]
-        state = np.array([1.0, 0.0], dtype=complex)
-        for s in range(1, t):
-            state = circuit.single(s, 1) @ state
-            gate = circuit.phase(s, (0, 1))
-            if gate is not None:
-                thetas = np.asarray(gate.thetas).reshape(2, 2)
-                state = np.exp(1j * thetas[path.mode(s)]) * state
-        state = circuit.single(t, 1) @ state
-        total += amp * state[1]
-    return complex(total)
+    head = Circuit(particles=2, layers=circuit.layers[:t])  # the tree stays within the budget charged
+    amps = prefix_amplitudes(head, 0)[endpoint_rows(t, 0)]  # row 2k + 0 extends prefix k
+    states = conditioned_prefix_states(head, (0,))[t - 1]
+    return complex(np.sum(amps * (states @ circuit.single(t, 1)[1])))
 
 
 def collapse_amplitude_direct(circuit: Circuit, t: int) -> complex:

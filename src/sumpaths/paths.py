@@ -4,6 +4,12 @@ A path for one particle is its mode after each layer, (m_1, ..., m_n), with
 the implicit start m_0 = 0. Enumeration order is lexicographic in
 (m_1, ..., m_{n-1}) and is part of the public contract: tables and reports
 keyed by path index are reproducible run to run.
+
+`conditioned_prefix_states` is the one vectorized evolution of the external
+system conditioned on subsystem paths: every lambda route (two-particle
+tables, the three-particle cascade's direct tables, general blocks, the
+density path sum) reads its external states from this prefix tree.
+`condition_on_paths` is the per-path scalar reference it is checked against.
 """
 from __future__ import annotations
 
@@ -70,30 +76,40 @@ def path_index(path: Path) -> int:
     return prefix_index(path, path.n - 1)
 
 
-def prefix_amplitudes(circuit: Circuit, particle: int) -> np.ndarray:
-    """Path amplitudes of `particle` over all 2^n mode sequences, indexed by prefix_index."""
+def endpoint_rows(n: int, endpoint: int) -> np.ndarray:
+    """Prefix-table rows of the n-layer paths ending at `endpoint`, in enumeration order.
+
+    With no layers the empty path ends at the initial mode 0.
+    """
+    return np.flatnonzero(np.arange(1 << n) % 2 == endpoint)
+
+
+def prefix_amplitudes(circuit: Circuit, particle: int, upto: int | None = None) -> np.ndarray:
+    """Amplitudes of `particle` over its 2^t mode sequences through layer t = `upto` (default n).
+
+    Indexed by prefix_index.
+    """
     amps = np.ones(1, dtype=complex)
-    last = np.zeros(1, dtype=int)
-    for t in range(1, circuit.n + 1):
-        gate = circuit.single(t, particle)
-        amps = np.repeat(amps, 2) * gate[np.tile([0, 1], last.shape[0]), np.repeat(last, 2)]
-        last = np.tile([0, 1], last.shape[0])
+    for t in range(1, (circuit.n if upto is None else upto) + 1):
+        last = np.arange(amps.size) % 2  # mode after layer t - 1 (0 before layer 1)
+        amps = np.repeat(amps, 2) * circuit.single(t, particle)[np.tile([0, 1], amps.size), np.repeat(last, 2)]
     return amps
 
 
 def path_mode_array(n: int, endpoint: int) -> np.ndarray:
-    """(2^(n-1), n) int array of modes, rows in enumeration order."""
-    count = 1 << (n - 1)
-    prefix_bits = ((np.arange(count)[:, None] >> np.arange(n - 2, -1, -1)[None, :]) & 1) if n > 1 else np.zeros((1, 0), dtype=int)
-    return np.hstack([prefix_bits, np.full((count, 1), endpoint, dtype=int)])
+    """(paths, n) int array of the modes of the paths ending at `endpoint`, in enumeration order."""
+    return (endpoint_rows(n, endpoint)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
 def path_amplitude(circuit: Circuit, particle: int, path: Path) -> complex:
-    """Product of single-gate matrix elements along the path; phase gates excluded."""
-    if path.n != circuit.n:
+    """Product of single-gate matrix elements along the path's layers; phase gates excluded.
+
+    A path shorter than the circuit gets its amplitude over the first path.n layers.
+    """
+    if path.n > circuit.n:
         raise ValueError(f"path has {path.n} layers, circuit has {circuit.n}")
     value = 1.0 + 0.0j
-    for t in range(1, circuit.n + 1):
+    for t in range(1, path.n + 1):
         value *= circuit.single(t, particle)[path.mode(t), path.mode(t - 1)]
     return complex(value)
 
@@ -142,17 +158,8 @@ def amplitude_via_paths(
     check_budget((1 << max(n - 1, 0)) ** particles, budget, "configuration-space path sum")
 
     mode_arrays = [path_mode_array(n, outcome[i]) for i in range(particles)]
-    operands: list[np.ndarray] = []
-    subscripts: list[str] = []
-    for i, modes in enumerate(mode_arrays):
-        amps = np.ones(modes.shape[0], dtype=complex)
-        prev = np.zeros(modes.shape[0], dtype=int)
-        for t in range(1, n + 1):
-            gate = circuit.single(t, i)
-            amps = amps * gate[modes[:, t - 1], prev]
-            prev = modes[:, t - 1]
-        operands.append(amps)
-        subscripts.append(_EINSUM_LETTERS[i])
+    operands = [prefix_amplitudes(circuit, i)[endpoint_rows(n, outcome[i])] for i in range(particles)]
+    subscripts = list(_EINSUM_LETTERS[:particles])
     for a in range(particles):
         for b in range(a + 1, particles):
             phases = _pairwise_phase_matrix(circuit, (a, b), mode_arrays[a], mode_arrays[b])
@@ -273,3 +280,55 @@ def condition_on_paths(circuit: Circuit, conditioning: Mapping[int, Path]) -> Co
             ConditionedLayer(singles=singles, phases=tuple(phases), diagonals=tuple(diagonals))
         )
     return ConditionalUnitary(external=external, layers=tuple(layers))
+
+
+def conditioned_prefix_states(circuit: Circuit, subsystem: Sequence[int]) -> list[np.ndarray]:
+    """External states conditioned on every subsystem path prefix, after layers 0..n.
+
+    Table t is (2^(M t), 2^(N - M)). A row joins the members' t-mode prefix
+    indices (`prefix_index`), first member most significant; a column is an
+    external basis state, first external particle most significant. Row r
+    equals `condition_on_paths(...).state(upto=t)` for any member paths with
+    those prefixes. Each layer applies the external singles axis by axis and
+    the external phase gates once per prefix, grows every member's prefix by
+    `np.repeat`, then applies the straddling gates conditioned on the new
+    mode. Gates wholly inside the subsystem stay in the path amplitudes.
+    """
+    members = tuple(sorted(set(subsystem)))
+    external = tuple(p for p in range(circuit.particles) if p not in members)
+    if not external:
+        raise ValueError("conditioning set must leave at least one external particle")
+    size, width = len(members), len(external)
+    axis = {p: k for k, p in enumerate(members)}
+    axis.update({p: size + k for k, p in enumerate(external)})
+    state = np.zeros((1,) * size + (2,) * width, dtype=complex)
+    state[(0,) * state.ndim] = 1.0
+    tables = [state.reshape(1, -1)]
+    for t in range(1, circuit.n + 1):
+        layer = circuit.layer(t)
+        for p in external:
+            moved = np.moveaxis(state, axis[p], -1)
+            state = np.moveaxis((moved.reshape(-1, 2) @ layer.singles[p].T).reshape(moved.shape), -1, axis[p])
+        straddling = []
+        for gate in layer.phases:
+            a_in, b_in = (p in members for p in gate.pair)
+            if a_in != b_in:
+                straddling.append(gate)
+            elif not a_in:
+                shape = [1] * state.ndim
+                shape[axis[gate.pair[0]]] = shape[axis[gate.pair[1]]] = 2
+                state = state * gate.diagonal().reshape(shape)
+        for k in range(size):
+            state = np.repeat(state, 2, axis=k)
+        new_mode = np.arange(1 << t) % 2
+        for gate in straddling:
+            a, b = gate.pair
+            factors = gate.diagonal().reshape(2, 2)  # indexed (mode of a, mode of b)
+            member, other = (a, b) if a in members else (b, a)
+            if member == b:
+                factors = factors.T
+            shape = [1] * state.ndim
+            shape[axis[member]], shape[axis[other]] = 1 << t, 2
+            state = state * factors[new_mode].reshape(shape)
+        tables.append(state.reshape(-1, 1 << width))
+    return tables

@@ -3,8 +3,12 @@
 Subsystem paths are configuration-space paths (one single-particle path per
 subsystem member). The hidden variable of an ordered pair of configuration
 paths with equal endpoint tuples is the overlap of the conditioned external
-evolutions; here it is evaluated as that direct inner product, with per-layer
-prefix increments exposed (layers without a subsystem-external phase gate
+evolutions. `lambda_block` evaluates every such overlap of one outcome at
+once, as the Gram matrix of the final table of the prefix-shared evolution
+`paths.conditioned_prefix_states`. `lambda_general` and
+`lambda_general_trajectory` evaluate single pairs with per-path
+`condition_on_paths`, the independent reference; the trajectory exposes the
+per-layer prefix increments (layers without a subsystem-external phase gate
 contribute an exact zero because the shared external unitary cancels).
 
 Phase gates wholly inside the subsystem belong to the configuration
@@ -17,6 +21,7 @@ conditioned overlaps otherwise.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,7 +31,8 @@ import numpy as np
 from .circuits import Circuit
 from .common import DEFAULT_BUDGET, LambdaBlock, check_budget
 from .oracle import Distribution
-from .paths import Path, condition_on_paths, enumerate_paths, path_amplitude
+from .paths import Path, _pairwise_phase_matrix, condition_on_paths, conditioned_prefix_states
+from .paths import endpoint_rows, enumerate_paths, path_amplitude, path_mode_array, prefix_amplitudes
 from .threeparticle import lambda3_tables
 from .twoparticle import lambda_tables
 
@@ -143,57 +149,6 @@ def lambda_general(
     return complex(np.vdot(state_p, state_q))
 
 
-def _conditioned_states_block(
-    circuit: Circuit, subsystem: tuple[int, ...], configs: list[ConfigPath]
-) -> np.ndarray:
-    """Conditioned external final states for a batch of configuration paths."""
-    external = tuple(i for i in range(circuit.particles) if i not in subsystem)
-    ext_local = {p: k for k, p in enumerate(external)}
-    width = len(external)
-    dim = 1 << width
-    count = len(configs)
-    sub_local = {p: k for k, p in enumerate(subsystem)}
-
-    # modes[c, k, t-1]: mode of subsystem member k of config c after layer t
-    modes = np.array([[list(p.modes) for p in cfg.paths] for cfg in configs], dtype=int)
-
-    states = np.zeros((count, dim), dtype=complex)
-    states[:, 0] = 1.0
-    basis_bits = (np.arange(dim)[:, None] >> np.arange(width - 1, -1, -1)[None, :]) & 1
-    for t in range(1, circuit.n + 1):
-        layer = circuit.layer(t)
-        # free part of the layer: external singles and internal phase gates
-        op = np.eye(1, dtype=complex)
-        for p in external:
-            op = np.kron(op, layer.singles[p])
-        diag = np.ones(dim, dtype=complex)
-        for gate in layer.phases:
-            a, b = gate.pair
-            if a in ext_local and b in ext_local:
-                thetas = np.asarray(gate.thetas).reshape(2, 2)
-                diag *= np.exp(
-                    1j * thetas[basis_bits[:, ext_local[a]], basis_bits[:, ext_local[b]]]
-                )
-        states = states @ (diag[:, None] * op).T
-        # straddling gates, conditioned per configuration
-        for gate in layer.phases:
-            a, b = gate.pair
-            a_in, b_in = a in sub_local, b in sub_local
-            if a_in == b_in:
-                continue
-            thetas = np.asarray(gate.thetas).reshape(2, 2)
-            if a_in:
-                controller_modes = modes[:, sub_local[a], t - 1]
-                target_bits = basis_bits[:, ext_local[b]]
-                factors = np.exp(1j * thetas[controller_modes[:, None], target_bits[None, :]])
-            else:
-                controller_modes = modes[:, sub_local[b], t - 1]
-                target_bits = basis_bits[:, ext_local[a]]
-                factors = np.exp(1j * thetas[target_bits[None, :], controller_modes[:, None]])
-            states = states * factors
-    return states
-
-
 def lambda_block(
     circuit: Circuit,
     subsystem: Sequence[int],
@@ -203,27 +158,34 @@ def lambda_block(
 ) -> LambdaBlock:
     """Amplitudes and lambda matrix over the configuration paths of one subsystem outcome.
 
-    With intra_in_amplitude=False the intra-subsystem phases move from the
+    lambda is the Gram matrix of the conditioned external final states
+    (`conditioned_prefix_states`) at the configuration paths' rows. With
+    intra_in_amplitude=False the intra-subsystem phases move from the
     amplitudes onto the hidden variables; the marginal is unchanged.
     """
     particles = normalize_subsystem(circuit, subsystem)
     if len(outcome) != len(particles):
         raise ValueError("need one outcome mode per subsystem particle")
-    if circuit.n < 1:
-        raise ValueError("need at least one layer")
-    count = (1 << (circuit.n - 1)) ** len(particles)
+    n, size = circuit.n, len(particles)
+    count = (1 << max(n - 1, 0)) ** size
     check_budget(count * count, budget, "configuration path pairs")
-    configs = enumerate_config_paths(circuit.n, outcome)
-    bare = np.array(
-        [
-            np.prod([path_amplitude(circuit, p, path) for p, path in zip(particles, cfg.paths)])
-            for cfg in configs
-        ],
-        dtype=complex,
-    )
-    intra = np.array([_intra_phase(circuit, particles, cfg) for cfg in configs], dtype=complex)
-    states = _conditioned_states_block(circuit, particles, configs)
+    check_budget(1 << (size * n + circuit.particles - size), budget, "conditioned external states")
+    rows = [endpoint_rows(n, j) for j in outcome]
+    joint = functools.reduce(lambda high, low: np.add.outer(high << n, low), rows).reshape(-1)
+    states = conditioned_prefix_states(circuit, particles)[n][joint]
     lam = states.conj() @ states.T
+    bare = functools.reduce(
+        np.multiply.outer, [prefix_amplitudes(circuit, p)[r] for p, r in zip(particles, rows)]
+    ).reshape(-1)
+    intra = np.ones([len(r) for r in rows], dtype=complex)
+    modes = [path_mode_array(n, j) for j in outcome]
+    for a, b in itertools.combinations(range(size), 2):
+        phases = _pairwise_phase_matrix(circuit, (particles[a], particles[b]), modes[a], modes[b])
+        if phases is not None:
+            shape = [1] * size
+            shape[a], shape[b] = phases.shape
+            intra = intra * phases.reshape(shape)
+    intra = intra.reshape(-1)
     if intra_in_amplitude:
         return LambdaBlock(amplitudes=bare * intra, lam=lam)
     return LambdaBlock(amplitudes=bare, lam=lam * np.outer(intra.conj(), intra))

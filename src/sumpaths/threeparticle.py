@@ -17,7 +17,10 @@ booking layer; on the A-C branch both run through the booking layer. Layers
 without the relevant gate contribute exact zeros (no arithmetic happens).
 
 `hit_three`/`lambda_three` evaluate single pairs; `Lambda3Tables` runs the
-same literal cascade vectorized over every path-prefix pair.
+same literal cascade vectorized over every path-prefix pair. Its `direct`
+tables, which `three_closure` checks the cascade against, are the Gram
+matrices of the conditioned external-pair states of
+`paths.conditioned_prefix_states`, not of the cascade's own columns.
 
 Each gamma or chi increment is sum_l conj(f_l(p, m)) f_l(q, n), separable
 across the (p, m) | (q, n) split of subsystem and external prefixes. The
@@ -36,7 +39,8 @@ import numpy as np
 
 from .circuits import Circuit, IDENTITY, make_circuit
 from .common import DEFAULT_BUDGET, LambdaBlock, check_budget
-from .paths import Path, enumerate_paths, prefix_amplitudes, prefix_index
+from .paths import Path, conditioned_prefix_states, endpoint_rows, enumerate_paths, path_amplitude
+from .paths import prefix_amplitudes, prefix_index
 
 AB, AC, BC = (0, 1), (0, 2), (1, 2)
 
@@ -49,13 +53,6 @@ def _require_three_particles(circuit: Circuit) -> None:
 def _thetas(circuit: Circuit, pair: tuple[int, int], t: int) -> np.ndarray | None:
     gate = circuit.phase(t, pair)
     return None if gate is None else np.asarray(gate.thetas).reshape(2, 2)
-
-
-def _bare_amplitude(circuit: Circuit, particle: int, path: Path) -> complex:
-    value = 1.0 + 0.0j
-    for t in range(1, path.n + 1):
-        value *= circuit.single(t, particle)[path.mode(t), path.mode(t - 1)]
-    return value
 
 
 def _straddle_phase(circuit: Circuit, pair: tuple[int, int], a: Path, b: Path, upto: int) -> float:
@@ -120,7 +117,7 @@ def delta_ab(circuit: Circuit, p: Path, q: Path, m: Path, n_: Path, r: int) -> c
         )
     )
     return complex(
-        factor * np.conj(_bare_amplitude(circuit, 1, m)) * _bare_amplitude(circuit, 1, n_) * cumulative
+        factor * np.conj(path_amplitude(circuit, 1, m)) * path_amplitude(circuit, 1, n_) * cumulative
     )
 
 
@@ -140,7 +137,7 @@ def delta_ac(circuit: Circuit, p: Path, q: Path, s: Path, t_: Path, r: int) -> c
         )
     )
     return complex(
-        factor * np.conj(_bare_amplitude(circuit, 2, s)) * _bare_amplitude(circuit, 2, t_) * cumulative
+        factor * np.conj(path_amplitude(circuit, 2, s)) * path_amplitude(circuit, 2, t_) * cumulative
     )
 
 
@@ -389,8 +386,6 @@ class Lambda3Tables:
 
     def __init__(self, circuit: Circuit, budget: int = DEFAULT_BUDGET):
         _require_three_particles(circuit)
-        if circuit.n < 1:
-            raise ValueError("need at least one layer")
         check_budget(_largest_table(circuit), budget, "three-particle cascade table")
         self.circuit = circuit
         n = self.n = circuit.n
@@ -401,9 +396,6 @@ class Lambda3Tables:
 
         cv = np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2)  # C given (A, B) prefixes
         bv = np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2)  # B given (A, C) prefixes
-        uv = np.zeros((1, 4), dtype=complex)  # external pair state given A prefix
-        uv[0, 0] = 1.0
-        self.direct: list[np.ndarray] = [uv.conj() @ uv.T]
 
         # A-B branch: C's overlap, chi (B-C) and gamma (A-C) columns over (A, B) prefixes
         c_stack = np.zeros((1, 1, 0), dtype=complex)
@@ -413,10 +405,6 @@ class Lambda3Tables:
         b_signs = np.zeros(0)
         pab = np.ones((1, 1), dtype=complex)  # cumulative A-B straddle phases
         pac = np.ones((1, 1), dtype=complex)
-        bamp = np.ones(1, dtype=complex)
-        camp = np.ones(1, dtype=complex)
-        blast = np.zeros(1, dtype=int)
-        clast = np.zeros(1, dtype=int)
         last_hit = _last_hit_layer(circuit)
 
         for r in range(1, n + 1):
@@ -429,16 +417,6 @@ class Lambda3Tables:
             # pab/pac keep their through-(r-1) content until after the assemblies
             pab = np.repeat(np.repeat(pab, 2, axis=0), 2, axis=1)
             pac = np.repeat(np.repeat(pac, 2, axis=0), 2, axis=1)
-
-            # bare external path amplitudes now cover layers 1..r
-            bamp = np.repeat(bamp, 2) * circuit.single(r, 1)[
-                np.tile([0, 1], blast.shape[0]), np.repeat(blast, 2)
-            ]
-            blast = np.tile([0, 1], blast.shape[0])
-            camp = np.repeat(camp, 2) * circuit.single(r, 2)[
-                np.tile([0, 1], clast.shape[0]), np.repeat(clast, 2)
-            ]
-            clast = np.tile([0, 1], clast.shape[0])
 
             # conditioned external states through this layer's gate sequence
             z_c = np.tensordot(cv, circuit.single(r, 2), axes=([2], [1]))
@@ -475,13 +453,15 @@ class Lambda3Tables:
             hit_table = None
             if th_ab is not None:
                 hit_table = _branch_hit(
-                    bamp[None, :] * pab,
+                    prefix_amplitudes(circuit, 1, r)[None, :] * pab,
                     c_stack[:, :, :ab_columns],
                     c_signs[:ab_columns],
                     np.exp(1j * th_ab)[bit],
                 )
             if th_ac is not None:
-                ac_table = _branch_hit(camp[None, :] * pac, b_stack, b_signs, np.exp(1j * th_ac)[bit])
+                ac_table = _branch_hit(
+                    prefix_amplitudes(circuit, 2, r)[None, :] * pac, b_stack, b_signs, np.exp(1j * th_ac)[bit]
+                )
                 hit_table = ac_table if hit_table is None else hit_table + ac_table
 
             lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
@@ -496,20 +476,8 @@ class Lambda3Tables:
             if th_ac is not None:
                 pac = pac * np.exp(1j * th_ac[bit[:, None], bit[None, :]])
 
-            # direct external-pair states for the oracle-side tables
-            op4 = np.kron(circuit.single(r, 1), circuit.single(r, 2))
-            base = uv @ op4.T
-            if th_bc is not None:
-                base = base * np.exp(1j * np.asarray(th_bc).reshape(-1))[None, :]
-            uv = np.repeat(base, 2, axis=0)
-            if th_ab is not None:
-                f_ab = np.exp(1j * th_ab[:, [0, 0, 1, 1]])
-                uv = uv * np.tile(f_ab, ((1 << (r - 1)), 1))
-            if th_ac is not None:
-                f_ac = np.exp(1j * th_ac[:, [0, 1, 0, 1]])
-                uv = uv * np.tile(f_ac, ((1 << (r - 1)), 1))
-            self.direct.append(uv.conj() @ uv.T)
-
+        # the oracle-side tables: overlaps of the conditioned external-pair states
+        self.direct = [u.conj() @ u.T for u in conditioned_prefix_states(circuit, (0,))]
         self.amps = prefix_amplitudes(circuit, 0)
 
     def trajectory(self, p: Path, q: Path) -> tuple[complex, ...]:
@@ -520,7 +488,7 @@ class Lambda3Tables:
 
     def block(self, endpoint: int) -> LambdaBlock:
         """Amplitudes and final lambda of the paths ending at `endpoint`, in enumeration order."""
-        rows = np.arange(1 << (self.n - 1)) * 2 + endpoint
+        rows = endpoint_rows(self.n, endpoint)
         return LambdaBlock(self.amps[rows], self.lam[self.n][np.ix_(rows, rows)])
 
     def marginal(self, endpoint: int) -> float:

@@ -12,6 +12,10 @@ phase gate with the conditioned phase difference of the gate. Layers without
 a phase gate contribute an exact zero (no arithmetic is performed, so the
 zero is bit-exact). The subsystem marginal is then the classical sum over
 path probabilities plus the lambda-weighted interference of distinct pairs.
+
+`TwoParticleTables` reads the conditioned external states of every prefix
+from `paths.conditioned_prefix_states`; `hit` and `lambda_accumulate` evolve
+one path's state on their own and stay the scalar reference.
 """
 from __future__ import annotations
 
@@ -21,7 +25,8 @@ import numpy as np
 
 from .circuits import Circuit, conditioned_diagonal
 from .common import DEFAULT_BUDGET, REALITY_TOL, LambdaBlock, RealityError, check_budget
-from .paths import Path, condition_on_paths, prefix_amplitudes, prefix_index
+from .paths import Path, condition_on_paths, conditioned_prefix_states, endpoint_rows
+from .paths import prefix_amplitudes, prefix_index
 
 
 def _require_two_particles(circuit: Circuit) -> None:
@@ -103,7 +108,10 @@ class TwoParticleTables:
 
     Prefix indices encode modes most-significant-first, so a full path's row
     is its mode bitstring read as a binary number; paths ending at j occupy
-    rows 2k + j with k the lexicographic enumeration index.
+    rows 2k + j with k the lexicographic enumeration index. A layer's hits
+    contract the prefix tree's states before the layer, rotated by the
+    external single; its `direct` table is the Gram matrix of the states
+    after it.
 
     With keep_trajectory=False only the final lambda table is retained
     (memory O(4^n) instead of O(n 4^n)), hits are added into it in place and
@@ -115,29 +123,25 @@ class TwoParticleTables:
         self, circuit: Circuit, budget: int = DEFAULT_BUDGET, keep_trajectory: bool = True
     ):
         _require_two_particles(circuit)
-        if circuit.n < 1:
-            raise ValueError("need at least one layer")
         check_budget(4**circuit.n, budget, "path-pair table")
         self.circuit = circuit
         self.keep_trajectory = keep_trajectory
         n = circuit.n
+        states = conditioned_prefix_states(circuit, (0,))  # external states per prefix
 
         lam = np.ones((1, 1), dtype=complex)
-        ext = np.array([[1.0, 0.0]], dtype=complex)  # conditioned external states per prefix
         self.lam: list[np.ndarray] = [lam]
         self.hits: list[np.ndarray | None] = [None] if keep_trajectory else []
-        self.direct: list[np.ndarray] = [ext.conj() @ ext.T] if keep_trajectory else []
+        self.direct: list[np.ndarray] = [states[0].conj() @ states[0].T] if keep_trajectory else []
         self.telescoping_error = 0.0
         self.max_abs = 1.0
 
         for t in range(1, n + 1):
-            pre = ext @ circuit.single(t, 1).T  # states just before the layer-t phase gate
+            pre = states[t - 1] @ circuit.single(t, 1).T  # states just before the layer-t phase gate
             gate = circuit.phase(t, (0, 1))
             lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
             hits_t = None
-            if gate is None:
-                ext = np.repeat(pre, 2, axis=0)
-            else:
+            if gate is not None:
                 thetas = np.asarray(gate.thetas).reshape(2, 2)
                 if keep_trajectory:
                     hits_t = np.empty_like(lam)
@@ -148,8 +152,7 @@ class TwoParticleTables:
                         lam[a::2, b::2] += block
                         if keep_trajectory:
                             hits_t[a::2, b::2] = block
-                ext = np.repeat(pre, 2, axis=0) * np.tile(np.exp(1j * thetas), (pre.shape[0], 1))
-            direct_t = ext.conj() @ ext.T
+            direct_t = states[t].conj() @ states[t].T
             self.max_abs = max(self.max_abs, float(np.max(np.abs(lam))))
             if keep_trajectory:
                 self.lam.append(lam)
@@ -185,7 +188,7 @@ class TwoParticleTables:
 
     def block(self, endpoint: int) -> LambdaBlock:
         """Amplitudes and final lambda of the paths ending at `endpoint`, in enumeration order."""
-        rows = np.arange(1 << (self.n - 1)) * 2 + endpoint
+        rows = endpoint_rows(self.n, endpoint)
         return LambdaBlock(self.amps[rows], self.final[np.ix_(rows, rows)])
 
     def marginal(self, endpoint: int) -> float:

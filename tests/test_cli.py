@@ -4,13 +4,23 @@ from __future__ import annotations
 import io
 import json
 import math
+import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sumpaths.circuits import build_epr_circuit, save_circuit
+from sumpaths.circuits import (
+    build_epr_circuit,
+    circuit_digest,
+    load_circuit,
+    save_circuit,
+    validate_circuit,
+)
 from sumpaths.cli import main
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
@@ -414,3 +424,194 @@ def test_json_booleans_are_not_numbers(tmp_path, field):
         "theta": "theta[3] must be",
     }
     assert message[field] in err
+
+
+def test_norm_drift_exits_one(tmp_path):
+    # each gate's defect (8e-13) passes validation; four layers drift past NORM_TOL
+    drifting = [[[1 + 4e-13, 0], [0, 0]], [[0, 0], [1, 0]]]
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps({"particles": 2, "layers": [{"singles": {"0": drifting}}] * 4}))
+    for argv in (("marginal", "--method", "oracle"), ("verify",)):
+        code, out, err = run_cli(argv[0], "--circuit", str(path), *argv[1:])
+        assert code == 1 and out == ""
+        assert err.startswith("error: state norm drifted") and err.count("\n") == 1
+
+
+def test_manifest_digest_mismatch_is_input_error(tmp_path):
+    entry = json.loads((CORPUS / "manifest.json").read_text())["circuits"][0]
+    (tmp_path / entry["file"]).write_text((CORPUS / entry["file"]).read_text())
+    path = tmp_path / "manifest.json"
+    for digest, expected in ((entry["digest"], 0), (None, 0), ("0" * 64, 2)):
+        listed = {"file": entry["file"]} if digest is None else {"file": entry["file"], "digest": digest}
+        path.write_text(json.dumps({"circuits": [listed]}))
+        code, out, err = run_cli("verify", "--manifest", str(path))
+        assert code == expected, err
+    assert out == "" and err == f"error: {entry['file']}: digest differs from its manifest entry\n"
+
+
+@pytest.mark.parametrize("particles, subsystem", [(2, "0"), (3, "0"), (3, "0,1"), (4, "0"), (4, "0,1")])
+def test_zero_layer_circuits_answer_like_the_oracle(tmp_path, particles, subsystem):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"particles": particles, "layers": []}))
+    expected = marginal_by_sum(load_circuit(str(path)), [int(i) for i in subsystem.split(",")])
+    for argv in (("marginal", "--method", "lambda"), ("marginal", "--method", "pathsum"), ("perturb", "--clamp", "0.5")):
+        code, out, err = run_cli(argv[0], "--circuit", str(path), "--subsystem", subsystem, *argv[1:])
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)["probabilities"] == expected.as_mapping()
+
+
+@pytest.mark.parametrize(
+    "layer, message",
+    [
+        ({"phases": 5}, "'phases' must be a list"),
+        ({"singles": {"0": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]}}, "entries must be numbers"),
+        ({"phases": [{"pair": [0, 1], "theta": [0, 0, 0, 10**400]}]}, "theta[3] must be"),
+    ],
+)
+def test_mistyped_layer_fields_are_input_errors(tmp_path, layer, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"particles": 2, "layers": [layer]}))
+    code, out, err = run_cli("marginal", "--circuit", str(path))
+    assert code == 2 and out == ""
+    assert message in err and err.count("\n") == 1
+
+
+def test_sixteen_particles_fit_and_twenty_four_exit_before_allocating(tmp_path):
+    small, large = tmp_path / "p16.json", tmp_path / "p24.json"
+    save_circuit(random_circuit(np.random.default_rng(1), 16, 1), str(small))
+    save_circuit(random_circuit(np.random.default_rng(1), 24, 1), str(large))
+    code, out, err = run_cli("marginal", "--circuit", str(small), "--method", "lambda")
+    assert (code, err) == (0, "")
+    code, oracle_out, _ = run_cli("marginal", "--circuit", str(small), "--method", "oracle", "--oracle-cap", "16")
+    assert code == 0
+    lam, oracle = json.loads(out)["probabilities"], json.loads(oracle_out)["probabilities"]
+    assert max(abs(lam[k] - oracle[k]) for k in oracle) < 1e-9
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli("marginal", "--circuit", str(large), "--method", "lambda")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == "" and "conditioned external states" in err
+    assert peak < 16 * 2**20  # one 2 x 2^23 state table would be 256 MiB
+
+
+_ANGLES = st.floats(-10, 10, allow_nan=False)
+# Leaves a mutation may put anywhere: wrong types, huge and tiny numbers, strings.
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 6)
+    | st.sampled_from([2**64, -(10**400), 10**400])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3)
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _unitary_cells(draw):
+    special = draw(st.sampled_from(["random", "identity", "drift"]))
+    if special == "identity":
+        return [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    if special == "drift":
+        return [[[1 + 4e-13, 0], [0, 0]], [[0, 0], [1, 0]]]
+    a, b, c, d = (draw(_ANGLES) for _ in range(4))
+    u = np.exp(1j * a) * np.array(
+        [[np.exp(1j * b) * np.cos(c), np.exp(1j * d) * np.sin(c)],
+         [-np.exp(-1j * d) * np.sin(c), np.exp(-1j * b) * np.cos(c)]]
+    )
+    return [[[float(x.real), float(x.imag)] for x in row] for row in u]
+
+
+@st.composite
+def _circuit_json(draw):
+    particles = draw(st.integers(1, 5))
+    layers = []
+    for _ in range(draw(st.integers(0, 3))):
+        singles = {
+            str(i): draw(_unitary_cells())
+            for i in range(particles)
+            if draw(st.booleans())
+        }
+        pairs = [(a, b) for a in range(particles) for b in range(a + 1, particles)]
+        phases = [
+            {"pair": list(pair), "theta": [draw(_ANGLES) for _ in range(4)]}
+            for pair in pairs
+            if draw(st.booleans())
+        ]
+        layers.append({"singles": singles, "phases": phases})
+    return {"particles": particles, "layers": layers}
+
+
+def _mutate(data, document):
+    """Replace, drop or add a few nodes of a JSON document.
+
+    Each mutation walks down from the root, going one level deeper with odds
+    of two in three, so the top-level keys, the layer fields and the numbers
+    deep inside a gate all get hit.
+    """
+    for _ in range(data.draw(st.sampled_from([0, 1, 1, 2]))):
+        node = document
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            inner = [k for k in keys if isinstance(node[k], (dict, list)) and node[k]]
+            if inner and data.draw(st.integers(0, 2)):
+                node = node[data.draw(st.sampled_from(inner))]
+                continue
+            action = data.draw(st.sampled_from(["replace", "drop", "add"])) if keys else "add"
+            if action == "add" and isinstance(node, dict):
+                key = data.draw(st.sampled_from(["particles", "layers", "singles", "phases", "pair", "theta", "file", "digest", "0", "x"]))
+                node[key] = data.draw(_JSON)
+            elif action == "add":
+                node.append(data.draw(_JSON))
+            elif action == "drop":
+                del node[data.draw(st.sampled_from(keys))]
+            else:
+                node[data.draw(st.sampled_from(keys))] = data.draw(_JSON)
+            break
+    return document
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(st.data())
+def test_cli_exit_codes_hold_on_random_and_mutated_input(data):
+    circuit = _mutate(data, data.draw(_circuit_json()))
+    if isinstance(circuit, dict) and isinstance(circuit.get("particles"), int) and circuit["particles"] > 5:
+        circuit["particles"] = 5  # the contract under test covers at most five particles
+    try:
+        digest = circuit_digest(validate_circuit(circuit))
+    except ValueError:  # an invalid circuit: any digest will do
+        digest = "0" * 64
+    entry = {"file": data.draw(st.sampled_from(["c.json", "missing.json", ""])), "digest": digest}
+    manifest = _mutate(data, {"circuits": [entry]})
+    subsystem = data.draw(st.sampled_from(["0", "1", "0,1", "1,2", "0,0", "5", "-1", "x"]))
+    commands = [
+        ("marginal", "--subsystem", subsystem, "--method", data.draw(st.sampled_from(["oracle", "pathsum", "lambda"]))),
+        ("verify",),
+        ("perturb", "--subsystem", subsystem, "--clamp", data.draw(st.sampled_from(["0", "0.5", "1", "2"]))),
+        ("trace", "--subsystem", subsystem, "--endpoint", data.draw(st.sampled_from(["0", "1", "0,1", "2"])),
+         "--pair", data.draw(st.sampled_from(["0,0", "0,1", "1,0", "3,1", "a,b"]))),
+        ("density",),
+    ]
+    command = data.draw(st.sampled_from(commands + [("verify-manifest",)]))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "c.json").write_text(json.dumps(circuit))
+        (Path(tmp) / "manifest.json").write_text(json.dumps(manifest))
+        if command[0] == "verify-manifest":
+            argv = ("verify", "--manifest", str(Path(tmp) / "manifest.json"))
+        else:
+            argv = (command[0], "--circuit", str(Path(tmp) / "c.json"), *command[1:])
+        code, _, err = run_cli(*argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumpaths.circuits import HADAMARD, PhaseGate, build_epr_circuit, make_circuit
 from sumpaths.common import BudgetExceeded
@@ -15,6 +17,7 @@ from sumpaths.paths import (
     Path,
     amplitude_via_paths,
     condition_on_paths,
+    conditioned_prefix_states,
     enumerate_paths,
     joint_phase,
     path_amplitude,
@@ -203,3 +206,45 @@ def test_conditioning_rejects_overlap_and_full_cover():
         condition_on_paths(circuit, {0: paths[0], 1: paths[0], 2: paths[0]})
     with pytest.raises(ValueError):
         condition_on_paths(circuit, {0: paths[0], 1: paths[0]})
+
+
+def test_short_paths_get_their_prefix_amplitude():
+    circuit = random_circuit(np.random.default_rng(71), particles=2, layers=4)
+    full = Path((1, 0, 1, 1))
+    for t in range(5):
+        head = Path(full.modes[:t])
+        expected = np.prod([circuit.single(s, 1)[full.mode(s), full.mode(s - 1)] for s in range(1, t + 1)])
+        assert abs(path_amplitude(circuit, 1, head) - expected) < 1e-15
+    with pytest.raises(ValueError):
+        path_amplitude(circuit, 1, Path((0,) * 5))
+
+
+def test_zero_layer_path_sum_is_the_initial_state():
+    circuit = make_circuit(3, [])
+    for outcome in itertools.product((0, 1), repeat=3):
+        assert amplitude_via_paths(circuit, outcome) == (1.0 if outcome == (0, 0, 0) else 0.0)
+
+
+def _prefix_paths(row: int, t: int, members: int, n: int) -> list[Path]:
+    """Member paths of length n whose first t modes are the prefixes joined in `row`."""
+    prefixes = [(row >> (t * (members - 1 - k))) & ((1 << t) - 1) for k in range(members)]
+    return [Path(tuple((p >> (t - 1 - s)) & 1 for s in range(t)) + (1,) * (n - t)) for p in prefixes]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 5), st.integers(0, 4), st.integers(0, 2**32 - 1), st.data())
+def test_prefix_tree_rows_equal_the_conditioned_evolutions(particles, layers, seed, data):
+    members = data.draw(st.integers(1, min(2, particles - 1)))
+    subsystem = sorted(data.draw(st.sets(st.integers(0, particles - 1), min_size=members, max_size=members)))
+    circuit = random_circuit(np.random.default_rng(seed), particles, layers)
+    tables = conditioned_prefix_states(circuit, subsystem)
+    assert len(tables) == layers + 1
+    for t, table in enumerate(tables):
+        assert table.shape == (1 << (members * t), 1 << (particles - members))
+        for row in range(table.shape[0]):
+            paths = _prefix_paths(row, t, members, layers)
+            if layers == 0:
+                expected = np.eye(1 << (particles - members))[0]
+            else:
+                expected = condition_on_paths(circuit, dict(zip(subsystem, paths))).state(upto=t)
+            assert np.max(np.abs(table[row] - expected)) < 1e-12
