@@ -41,10 +41,9 @@ from .paths import (
 from .subsystems import (
     ConfigPath,
     config_path_amplitude,
+    lambda_blocks,
     lambda_general,
     lambda_general_trajectory,
-    marginal_general,
-    subsystem_distribution,
 )
 from .threeparticle import (
     HitBreakdown,
@@ -54,15 +53,11 @@ from .threeparticle import (
     gamma_chi_c,
     hit_three,
     lambda_three,
-    marginal_three,
-    remove_trailing_external_gate,
 )
 from .twoparticle import (
     LambdaEntry,
     hit,
     lambda_accumulate,
     lambda_direct,
-    marginal_lambda,
-    marginal_lambda_deviation,
 )
 from .verify import VerificationReport, verify_circuit

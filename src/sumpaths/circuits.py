@@ -108,9 +108,6 @@ class Circuit:
     def phase(self, t: int, pair: tuple[int, int]) -> PhaseGate | None:
         return self.layer(t).phase_on(pair)
 
-    def pairs_with_phase(self) -> set[tuple[int, int]]:
-        return {g.pair for layer in self.layers for g in layer.phases}
-
 
 def unitarity_defect(matrix: np.ndarray) -> float:
     """Max absolute entry of U^dag U - I."""

@@ -3,7 +3,8 @@
 All results go to standard output as canonically serialized JSON (sorted
 keys, repr floats), so identical inputs produce byte-identical reports;
 diagnostics go to standard error. Exit codes: 0 success, 1 invariant or
-assertion failure, 2 invalid input, 3 path budget exceeded.
+assertion failure (a NaN or infinite result included, which JSON cannot
+hold), 2 invalid input, 3 path budget exceeded.
 """
 from __future__ import annotations
 
@@ -40,7 +41,11 @@ from .verify import DEFAULT_TOL, verify_circuit
 
 
 def _emit(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # NaN and infinity have no JSON form
+        raise ArithmeticError("result is not finite") from None
+    sys.stdout.write(text + "\n")
 
 
 def _emit_csv(rows: list[tuple], header: tuple) -> None:
@@ -70,10 +75,11 @@ def _label(outcome: tuple[int, ...]) -> str:
 
 
 def _lambda_distribution(circuit: Circuit, subsystem: tuple[int, ...], budget: int) -> dict[str, float]:
-    return {
-        _label(outcome): block.marginal()
-        for outcome, block in lambda_blocks(circuit, subsystem, budget).items()
-    }
+    probs = {}
+    for outcome, block in lambda_blocks(circuit, subsystem, budget):
+        probs[_label(outcome)] = block.marginal()
+        del block  # the next block's lambda is built without this one alive
+    return probs
 
 
 def _pathsum_distribution(circuit: Circuit, subsystem: tuple[int, ...], budget: int) -> dict[str, float]:
@@ -184,6 +190,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
             for b in entry.breakdowns
         ]
     else:
+        external = circuit.particles - len(subsystem)
+        check_budget(1 << external, args.budget, "conditioned external states")
         configs = enumerate_config_paths(circuit.n, endpoints)
         cfg_p, cfg_q = _select(configs, first), _select(configs, second)
         trajectory = lambda_general_trajectory(circuit, subsystem, cfg_p, cfg_q)
@@ -328,10 +336,10 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     subsystem = _parse_subsystem(args.subsystem, circuit)
     oracle = marginal_by_sum(circuit, subsystem).as_mapping()
 
-    raw = {
-        _label(outcome): _clamped(block, args.clamp).marginal()
-        for outcome, block in lambda_blocks(circuit, subsystem, args.budget).items()
-    }
+    raw = {}
+    for outcome, block in lambda_blocks(circuit, subsystem, args.budget):
+        raw[_label(outcome)] = _clamped(block, args.clamp).marginal()
+        del block  # the next block's lambda is built without this one alive
     raw_total = sum(raw.values())
     probabilities = {key: value / raw_total for key, value in raw.items()}
     deviations = {key: probabilities[key] - oracle[key] for key in raw}
@@ -507,7 +515,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.oracle_cap < 1:
                 raise CircuitError(f"oracle cap must be at least 1, got {args.oracle_cap}")
             oracle_module.MAX_ORACLE_PARTICLES = args.oracle_cap
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite result gets one error line from _emit
+            return args.func(args)
     except BudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

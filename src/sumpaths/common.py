@@ -7,6 +7,7 @@ import numpy as np
 
 DEFAULT_BUDGET = 2**22
 REALITY_TOL = 1e-10
+_PAIR_SUM_COLUMNS = 256  # lambda columns the pair sum copies at a time
 
 
 class BudgetExceeded(RuntimeError):
@@ -37,12 +38,20 @@ class LambdaBlock:
     lam: np.ndarray
 
     def marginal(self) -> float:
-        """Classical sum of path probabilities plus the lambda-weighted interference."""
-        weights = self.lam.copy()
-        np.fill_diagonal(weights, 0.0)
-        total = float(np.sum(np.abs(self.amplitudes) ** 2)) + complex(
-            self.amplitudes.conj() @ weights @ self.amplitudes
-        )
+        """Classical sum of path probabilities plus the lambda-weighted interference.
+
+        The interference row (a^dagger times lambda with its diagonal zeroed)
+        is formed a slice of columns at a time, so the sum never copies a
+        whole lambda.
+        """
+        conj = self.amplitudes.conj()
+        row = np.empty_like(conj)
+        for start in range(0, len(conj), _PAIR_SUM_COLUMNS):
+            stop = start + _PAIR_SUM_COLUMNS
+            weights = self.lam[:, start:stop].copy()
+            np.fill_diagonal(weights[start:], 0.0)
+            row[start:stop] = conj @ weights
+        total = float(np.sum(np.abs(self.amplitudes) ** 2)) + complex(row @ self.amplitudes)
         if abs(total.imag) > REALITY_TOL:
             raise RealityError(f"pair sum has imaginary residue {total.imag:.3e}")
         return total.real

@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 from pathlib import Path as FsPath
-from typing import Iterator
 
 import numpy as np
 
@@ -58,46 +57,6 @@ def random_circuit(
         ]
         specs.append((singles, phases))
     return make_circuit(particles, specs)
-
-
-def random_corpus(
-    count: int, particles: int, max_layers: int, seed: int
-) -> Iterator[tuple[int, Circuit]]:
-    """Stream of (layer_count, circuit); layer counts drawn uniformly from 1..max_layers."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        layers = int(rng.integers(1, max_layers + 1))
-        yield layers, random_circuit(rng, particles, layers)
-
-
-def decoupled_three_particle(rng: np.random.Generator, layers: int) -> Circuit:
-    """Three-particle circuit whose third particle never interacts (no A-C or B-C gates)."""
-    specs = []
-    for _ in range(layers):
-        singles = {i: random_single(rng) for i in range(3) if rng.random() < 0.9}
-        phases = (
-            [PhaseGate(pair=(0, 1), thetas=tuple(rng.uniform(0.0, 2.0 * math.pi, 4).tolist()))]
-            if rng.random() < 0.85
-            else []
-        )
-        specs.append((singles, phases))
-    return make_circuit(3, specs)
-
-
-def drop_particle(circuit: Circuit, particle: int) -> Circuit:
-    """Remove one particle and every phase gate touching it; remaining indices shift down."""
-    keep = [i for i in range(circuit.particles) if i != particle]
-    local = {p: k for k, p in enumerate(keep)}
-    specs = []
-    for layer in circuit.layers:
-        singles = {local[i]: layer.singles[i] for i in keep}
-        phases = [
-            PhaseGate(pair=(local[g.pair[0]], local[g.pair[1]]), thetas=g.thetas)
-            for g in layer.phases
-            if particle not in g.pair
-        ]
-        specs.append((singles, phases))
-    return make_circuit(circuit.particles - 1, specs)
 
 
 def append_external_layer(

@@ -3,9 +3,10 @@
 Subsystem paths are configuration-space paths (one single-particle path per
 subsystem member). The hidden variable of an ordered pair of configuration
 paths with equal endpoint tuples is the overlap of the conditioned external
-evolutions. `lambda_block` evaluates every such overlap of one outcome at
-once, as the Gram matrix of the final table of the prefix-shared evolution
-`paths.conditioned_prefix_states`. `lambda_general` and
+evolutions. Every outcome of a subsystem reads the same conditioned
+evolution, so `conditioned_blocks` builds the prefix-shared evolution
+`paths.conditioned_prefix_states` once and yields each outcome's overlaps as
+the Gram matrix of that outcome's rows of its final table. `lambda_general` and
 `lambda_general_trajectory` evaluate single pairs with per-path
 `condition_on_paths`, the independent reference; the trajectory exposes the
 per-layer prefix increments (layers without a subsystem-external phase gate
@@ -16,21 +17,21 @@ amplitude; gates wholly outside stay in the conditioned evolution; straddling
 gates are conditioned on the subsystem path.
 
 `lambda_blocks` is where every lambda marginal picks its route: the
-two-particle tables or the three-particle cascade where they apply, these
-conditioned overlaps otherwise.
+two-particle tables or the three-particle cascade where they apply,
+`conditioned_blocks` otherwise. Both yield (outcome, block) pairs one at a
+time.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .circuits import Circuit
 from .common import DEFAULT_BUDGET, LambdaBlock, check_budget
-from .oracle import Distribution
 from .paths import Path, _pairwise_phase_matrix, condition_on_paths, conditioned_prefix_states
 from .paths import endpoint_rows, enumerate_paths, path_amplitude, path_mode_array, prefix_amplitudes
 from .threeparticle import lambda3_tables
@@ -149,56 +150,53 @@ def lambda_general(
     return complex(np.vdot(state_p, state_q))
 
 
-def lambda_block(
-    circuit: Circuit,
-    subsystem: Sequence[int],
-    outcome: Sequence[int],
-    budget: int = DEFAULT_BUDGET,
-    intra_in_amplitude: bool = True,
-) -> LambdaBlock:
-    """Amplitudes and lambda matrix over the configuration paths of one subsystem outcome.
+def conditioned_blocks(
+    circuit: Circuit, subsystem: Sequence[int], budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
+    """(outcome, block) for every subsystem outcome, all read off one conditioned prefix tree.
 
-    lambda is the Gram matrix of the conditioned external final states
-    (`conditioned_prefix_states`) at the configuration paths' rows. With
-    intra_in_amplitude=False the intra-subsystem phases move from the
-    amplitudes onto the hidden variables; the marginal is unchanged.
+    An outcome's lambda is the Gram matrix of the tree's final-table rows at
+    its configuration paths; its amplitudes are the members' path amplitudes
+    times the intra-subsystem phases. The budget is charged the lambda pairs
+    of one outcome and the tree's final table before anything is built.
+    Outcomes come in `itertools.product((0, 1), repeat=M)` order, and each
+    lambda is built only when its outcome is reached.
     """
     particles = normalize_subsystem(circuit, subsystem)
-    if len(outcome) != len(particles):
-        raise ValueError("need one outcome mode per subsystem particle")
     n, size = circuit.n, len(particles)
     count = (1 << max(n - 1, 0)) ** size
     check_budget(count * count, budget, "configuration path pairs")
     check_budget(1 << (size * n + circuit.particles - size), budget, "conditioned external states")
-    rows = [endpoint_rows(n, j) for j in outcome]
-    joint = functools.reduce(lambda high, low: np.add.outer(high << n, low), rows).reshape(-1)
-    states = conditioned_prefix_states(circuit, particles)[n][joint]
-    lam = states.conj() @ states.T
-    bare = functools.reduce(
-        np.multiply.outer, [prefix_amplitudes(circuit, p)[r] for p, r in zip(particles, rows)]
-    ).reshape(-1)
-    intra = np.ones([len(r) for r in rows], dtype=complex)
-    modes = [path_mode_array(n, j) for j in outcome]
-    for a, b in itertools.combinations(range(size), 2):
-        phases = _pairwise_phase_matrix(circuit, (particles[a], particles[b]), modes[a], modes[b])
-        if phases is not None:
-            shape = [1] * size
-            shape[a], shape[b] = phases.shape
-            intra = intra * phases.reshape(shape)
-    intra = intra.reshape(-1)
-    if intra_in_amplitude:
-        return LambdaBlock(amplitudes=bare * intra, lam=lam)
-    return LambdaBlock(amplitudes=bare, lam=lam * np.outer(intra.conj(), intra))
+    final = conditioned_prefix_states(circuit, particles)[n]
+    amplitudes = [prefix_amplitudes(circuit, p) for p in particles]
+    for outcome in itertools.product((0, 1), repeat=size):
+        rows = [endpoint_rows(n, j) for j in outcome]
+        joint = functools.reduce(lambda high, low: np.add.outer(high << n, low), rows).reshape(-1)
+        states = final[joint]
+        bare = functools.reduce(
+            np.multiply.outer, [amps[r] for amps, r in zip(amplitudes, rows)]
+        ).reshape(-1)
+        intra = np.ones([len(r) for r in rows], dtype=complex)
+        modes = [path_mode_array(n, j) for j in outcome]
+        for a, b in itertools.combinations(range(size), 2):
+            phases = _pairwise_phase_matrix(circuit, (particles[a], particles[b]), modes[a], modes[b])
+            if phases is not None:
+                shape = [1] * size
+                shape[a], shape[b] = phases.shape
+                intra = intra * phases.reshape(shape)
+        # no local keeps the lambda across the yield
+        yield outcome, LambdaBlock(amplitudes=bare * intra.reshape(-1), lam=states.conj() @ states.T)
 
 
 def lambda_blocks(
     circuit: Circuit, subsystem: Sequence[int], budget: int
-) -> dict[tuple[int, ...], LambdaBlock]:
-    """The lambda block of every subsystem outcome, by the route the particle count allows.
+) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
+    """(outcome, block) for every subsystem outcome, by the route the particle count allows.
 
-    A single-particle subsystem (0,) of two or three particles reads its
+    A single-particle subsystem (0,) of two or three particles reads its two
     blocks off one two- or three-particle table build; every other subsystem
-    gets the conditioned-overlap block of each outcome.
+    gets `conditioned_blocks`. Blocks are yielded one at a time, so a caller
+    that drops each before asking for the next holds one lambda at a time.
     """
     particles = normalize_subsystem(circuit, subsystem)
     if particles == (0,) and circuit.particles == 2:
@@ -206,31 +204,7 @@ def lambda_blocks(
     elif particles == (0,) and circuit.particles == 3:
         tables = lambda3_tables(circuit, budget)
     else:
-        return {
-            outcome: lambda_block(circuit, particles, outcome, budget)
-            for outcome in itertools.product((0, 1), repeat=len(particles))
-        }
-    return {(j,): tables.block(j) for j in (0, 1)}
-
-
-def marginal_general(
-    circuit: Circuit,
-    subsystem: Sequence[int],
-    outcome: Sequence[int],
-    budget: int = DEFAULT_BUDGET,
-    intra_in_amplitude: bool = True,
-) -> float:
-    """Probability of one subsystem outcome tuple via the conditioned decomposition."""
-    return lambda_block(circuit, subsystem, outcome, budget, intra_in_amplitude).marginal()
-
-
-def subsystem_distribution(
-    circuit: Circuit, subsystem: Sequence[int], budget: int = DEFAULT_BUDGET
-) -> Distribution:
-    """Full subsystem distribution via marginal_general, one outcome at a time."""
-    particles = normalize_subsystem(circuit, subsystem)
-    labels = tuple(itertools.product((0, 1), repeat=len(particles)))
-    probs = np.array(
-        [marginal_general(circuit, particles, outcome, budget) for outcome in labels]
-    )
-    return Distribution(labels=labels, probabilities=probs)
+        yield from conditioned_blocks(circuit, particles, budget)
+        return
+    for j in (0, 1):
+        yield (j,), tables.block(j)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, IDENTITY, make_circuit
+from .circuits import Circuit
 from .common import DEFAULT_BUDGET, LambdaBlock, check_budget
 from .paths import Path, conditioned_prefix_states, endpoint_rows, enumerate_paths, path_amplitude
 from .paths import prefix_amplitudes, prefix_index
@@ -491,29 +491,7 @@ class Lambda3Tables:
         rows = endpoint_rows(self.n, endpoint)
         return LambdaBlock(self.amps[rows], self.lam[self.n][np.ix_(rows, rows)])
 
-    def marginal(self, endpoint: int) -> float:
-        return self.block(endpoint).marginal()
-
 
 def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Lambda3Tables:
     return Lambda3Tables(circuit, budget)
 
-
-def marginal_three(circuit: Circuit, endpoint: int, budget: int = DEFAULT_BUDGET) -> float:
-    """Subsystem marginal from the vectorized three-particle cascade."""
-    return lambda3_tables(circuit, budget).marginal(endpoint)
-
-
-def remove_trailing_external_gate(circuit: Circuit, atol: float = 1e-12) -> Circuit:
-    """Drop a final layer that acts only on external particles; subsystem marginals keep."""
-    if circuit.n < 1:
-        raise ValueError("circuit has no layers to remove")
-    last = circuit.layers[-1]
-    if any(0 in gate.pair for gate in last.phases):
-        raise ValueError("final layer couples the subsystem via a phase gate")
-    if np.max(np.abs(last.singles[0] - IDENTITY)) > atol:
-        raise ValueError("final layer applies a non-identity gate to the subsystem")
-    specs = [
-        (dict(enumerate(layer.singles)), list(layer.phases)) for layer in circuit.layers[:-1]
-    ]
-    return make_circuit(circuit.particles, specs)

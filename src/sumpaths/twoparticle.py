@@ -153,7 +153,8 @@ class TwoParticleTables:
                         if keep_trajectory:
                             hits_t[a::2, b::2] = block
             direct_t = states[t].conj() @ states[t].T
-            self.max_abs = max(self.max_abs, float(np.max(np.abs(lam))))
+            # np.maximum keeps a NaN, which the builtin max would drop
+            self.max_abs = float(np.maximum(self.max_abs, np.max(np.abs(lam))))
             if keep_trajectory:
                 self.lam.append(lam)
                 self.hits.append(hits_t)
@@ -162,7 +163,7 @@ class TwoParticleTables:
             else:
                 self.lam = [lam]
                 gap = np.subtract(lam, direct_t, out=direct_t)  # direct_t is not kept
-            self.telescoping_error = max(self.telescoping_error, float(np.max(np.abs(gap))))
+            self.telescoping_error = float(np.maximum(self.telescoping_error, np.max(np.abs(gap))))
 
         self.amps = prefix_amplitudes(circuit, 0)
         self.n = n
@@ -191,9 +192,6 @@ class TwoParticleTables:
         rows = endpoint_rows(self.n, endpoint)
         return LambdaBlock(self.amps[rows], self.final[np.ix_(rows, rows)])
 
-    def marginal(self, endpoint: int) -> float:
-        return self.block(endpoint).marginal()
-
     def marginal_deviation(self, endpoint: int) -> float:
         """Free single-particle probability plus the (lambda - 1)-weighted interference."""
         free = np.eye(2, dtype=complex)
@@ -214,14 +212,3 @@ def lambda_tables(
 ) -> TwoParticleTables:
     return TwoParticleTables(circuit, budget, keep_trajectory)
 
-
-def marginal_lambda(circuit: Circuit, endpoint: int, budget: int = DEFAULT_BUDGET) -> float:
-    """Subsystem marginal from path probabilities plus lambda-weighted interference."""
-    return lambda_tables(circuit, budget, keep_trajectory=False).marginal(endpoint)
-
-
-def marginal_lambda_deviation(
-    circuit: Circuit, endpoint: int, budget: int = DEFAULT_BUDGET
-) -> float:
-    """Equivalent form: free single-particle probability plus (lambda - 1) interference."""
-    return lambda_tables(circuit, budget, keep_trajectory=False).marginal_deviation(endpoint)

@@ -6,28 +6,32 @@ given input (the no-signaling probe layer is seeded from the circuit
 digest).
 
 The lambda route of the subsystem (0,) is built once per circuit: one
-two-particle table, one three-particle cascade, or the general blocks for
-more particles. Its blocks serve the marginal checks, the tables the
-route's own checks, and the base side of no_signaling; the extended side is
-one more build, made after the base one is released. Each check is charged
-the time since the previous check ended, so a shared build counts in the
-first check that needs it and the timings add up to the verify's wall time.
+two-particle table, one three-particle cascade, or, for more particles, one
+conditioned prefix tree whose blocks are read one at a time. Its blocks
+serve the marginal checks, the tables the route's own checks, and the base
+side of no_signaling; the extended side is one more build, made after the
+base one is released. general_subsystem reads the pair (0, 1) off one more
+tree. Each check is charged the time since the previous check ended, so a
+shared build counts in the first check that needs it and the timings add up
+to the verify's wall time. Every reduction keeps a NaN error, so a
+non-finite result fails its check.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from time import perf_counter
+from typing import Iterable
 
 import numpy as np
 
 from .circuits import Circuit, circuit_digest
-from .common import DEFAULT_BUDGET, LambdaBlock
+from .common import DEFAULT_BUDGET
 from .corpus import append_external_layer
 from .density import density_report
 from .oracle import Distribution, evolve, marginal_by_sum
 from .paths import Path, amplitude_via_paths
-from .subsystems import lambda_blocks, marginal_general
+from .subsystems import conditioned_blocks, lambda_blocks
 from .threeparticle import lambda3_tables
 from .twoparticle import TwoParticleTables, hit, lambda_tables
 
@@ -94,30 +98,31 @@ class _Runner:
         self.mark = now
 
 
+def _worst(errors: Iterable[float]) -> float:
+    """The largest error, or NaN if any error is NaN (the builtin max may drop a NaN)."""
+    return float(np.max(list(errors)))
+
+
 def _norm_preservation(circuit: Circuit) -> float:
-    return max(
-        abs(np.linalg.norm(evolve(circuit, t)) - 1.0) for t in range(circuit.n + 1)
-    )
+    return _worst(abs(np.linalg.norm(evolve(circuit, t)) - 1.0) for t in range(circuit.n + 1))
 
 
 def _pathsum_completeness(circuit: Circuit, budget: int) -> float:
     state = evolve(circuit)
-    worst = 0.0
-    for index, outcome in enumerate(itertools.product((0, 1), repeat=circuit.particles)):
-        worst = max(worst, abs(amplitude_via_paths(circuit, outcome, budget) - state[index]))
-    return worst
+    return _worst(
+        abs(amplitude_via_paths(circuit, outcome, budget) - state[index])
+        for index, outcome in enumerate(itertools.product((0, 1), repeat=circuit.particles))
+    )
 
 
 def _marginal_checks(
-    runner: _Runner, blocks: list[LambdaBlock], oracle: Distribution, tol: float
-) -> list[float]:
-    """oracle_equivalence and marginal_normalization; returns the lambda marginals."""
-    marginals = [block.marginal() for block in blocks]
+    runner: _Runner, marginals: list[float], oracle: Distribution, tol: float
+) -> None:
+    """oracle_equivalence and marginal_normalization of the lambda marginals."""
     runner.run(
-        "oracle_equivalence", tol, lambda: max(abs(marginals[j] - oracle[j]) for j in (0, 1))
+        "oracle_equivalence", tol, lambda: _worst(abs(marginals[j] - oracle[j]) for j in (0, 1))
     )
     runner.run("marginal_normalization", tol, lambda: abs(sum(marginals) - 1.0))
-    return marginals
 
 
 def _two_particle_checks(
@@ -125,26 +130,27 @@ def _two_particle_checks(
 ) -> list[float]:
     # trajectories only at sizes where the zero-hit comparison is cheap
     tables = lambda_tables(circuit, budget, keep_trajectory=circuit.n <= 8)
-    marginals = _marginal_checks(runner, [tables.block(j) for j in (0, 1)], oracle, tol)
+    marginals = [tables.block(j).marginal() for j in (0, 1)]
+    _marginal_checks(runner, marginals, oracle, tol)
     runner.run("telescoping", 1e-10, lambda: tables.telescoping_error)
     runner.run("zero_hit_layers", 0.0, lambda: _zero_hit_error(circuit, tables))
     runner.run(
         "two_form_equivalence",
         1e-10,
-        lambda: max(abs(marginals[j] - tables.marginal_deviation(j)) for j in (0, 1)),
+        lambda: _worst(abs(marginals[j] - tables.marginal_deviation(j)) for j in (0, 1)),
     )
     final = tables.final
     runner.run("hermitian_pairing", 1e-12, lambda: float(np.max(np.abs(final - final.conj().T))))
-    runner.run("lambda_bound", 1e-10, lambda: max(0.0, tables.max_abs - 1.0))
+    runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, tables.max_abs - 1.0]))
     records = density_report(circuit)
     runner.run(
-        "density_reconstruction", 1e-10, lambda: max(r["frobenius_error"] for r in records)
+        "density_reconstruction", 1e-10, lambda: _worst(r["frobenius_error"] for r in records)
     )
-    runner.run("density_hit_diagonal", 1e-12, lambda: max(r["hit_diagonal_max"] for r in records))
+    runner.run("density_hit_diagonal", 1e-12, lambda: _worst(r["hit_diagonal_max"] for r in records))
     runner.run(
-        "density_offdiagonal_form", 1e-12, lambda: max(r["offdiagonal_error"] for r in records)
+        "density_offdiagonal_form", 1e-12, lambda: _worst(r["offdiagonal_error"] for r in records)
     )
-    runner.run("density_pathsum", 1e-10, lambda: max(r["pathsum_error"] for r in records))
+    runner.run("density_pathsum", 1e-10, lambda: _worst(r["pathsum_error"] for r in records))
     return marginals
 
 
@@ -152,11 +158,12 @@ def _three_particle_checks(
     runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
 ) -> list[float]:
     tables = lambda3_tables(circuit, budget)
-    marginals = _marginal_checks(runner, [tables.block(j) for j in (0, 1)], oracle, tol)
+    marginals = [tables.block(j).marginal() for j in (0, 1)]
+    _marginal_checks(runner, marginals, oracle, tol)
     runner.run(
         "three_closure",
         tol,
-        lambda: max(
+        lambda: _worst(
             float(np.max(np.abs(tables.lam[t] - tables.direct[t]))) for t in range(circuit.n + 1)
         ),
     )
@@ -165,7 +172,7 @@ def _three_particle_checks(
     runner.run(
         "lambda_bound",
         1e-10,
-        lambda: max(0.0, max(float(np.max(np.abs(t_))) for t_ in tables.lam) - 1.0),
+        lambda: _worst([0.0, _worst(float(np.max(np.abs(t_))) for t_ in tables.lam) - 1.0]),
     )
     return marginals
 
@@ -173,18 +180,16 @@ def _three_particle_checks(
 def _general_checks(
     runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
 ) -> list[float]:
-    blocks = list(lambda_blocks(circuit, (0,), budget).values())
-    marginals = _marginal_checks(runner, blocks, oracle, tol)
-    runner.run(
-        "hermitian_pairing",
-        1e-12,
-        lambda: max(float(np.max(np.abs(b.lam - b.lam.conj().T))) for b in blocks),
-    )
-    runner.run(
-        "lambda_bound",
-        1e-10,
-        lambda: max(0.0, max(float(np.max(np.abs(b.lam))) for b in blocks) - 1.0),
-    )
+    # every check reads a block before the next one is built
+    marginals, asymmetry, largest = [], [], []
+    for _, block in lambda_blocks(circuit, (0,), budget):
+        marginals.append(block.marginal())
+        asymmetry.append(float(np.max(np.abs(block.lam - block.lam.conj().T))))
+        largest.append(float(np.max(np.abs(block.lam))))
+        del block  # the next outcome's lambda is built without this one alive
+    _marginal_checks(runner, marginals, oracle, tol)
+    runner.run("hermitian_pairing", 1e-12, lambda: _worst(asymmetry))
+    runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, _worst(largest) - 1.0]))
     return marginals
 
 
@@ -208,16 +213,7 @@ def verify_circuit(
         base_lam = route_checks(runner, circuit, budget, oracle, tol)
 
         if n >= 3:
-            pair = (0, 1)
-            oracle_pair = marginal_by_sum(circuit, pair)
-            runner.run(
-                "general_subsystem",
-                tol,
-                lambda: max(
-                    abs(marginal_general(circuit, pair, outcome, budget) - oracle_pair[outcome])
-                    for outcome in itertools.product((0, 1), repeat=2)
-                ),
-            )
+            runner.run("general_subsystem", tol, lambda: _general_subsystem_error(circuit, budget))
 
         runner.run(
             "no_signaling",
@@ -230,13 +226,13 @@ def verify_circuit(
 
 def _zero_hit_error(circuit: Circuit, tables: TwoParticleTables) -> float:
     """Hits at interaction-free layers must be bit-exact zeros, table and scalar alike."""
-    worst = 0.0
+    errors = [0.0]
     if tables.keep_trajectory:
         for t in range(1, tables.n + 1):
             if tables.hits[t] is None:
                 expanded = np.repeat(np.repeat(tables.lam[t - 1], 2, axis=0), 2, axis=1)
                 if not np.array_equal(tables.lam[t], expanded):
-                    worst = max(worst, float(np.max(np.abs(tables.lam[t] - expanded))))
+                    errors.append(float(np.max(np.abs(tables.lam[t] - expanded))))
     gateless = [t for t in range(1, circuit.n + 1) if circuit.phase(t, (0, 1)) is None]
     if gateless:
         p = Path(modes=(0,) * circuit.n)
@@ -244,8 +240,18 @@ def _zero_hit_error(circuit: Circuit, tables: TwoParticleTables) -> float:
         for t in gateless:
             value = hit(circuit, p, q, t)
             if value != 0j:
-                worst = max(worst, abs(value))
-    return worst
+                errors.append(abs(value))
+    return _worst(errors)
+
+
+def _general_subsystem_error(circuit: Circuit, budget: int) -> float:
+    """The pair (0, 1) by the general route against the oracle."""
+    oracle = marginal_by_sum(circuit, (0, 1))
+    errors = []
+    for outcome, block in conditioned_blocks(circuit, (0, 1), budget):
+        errors.append(abs(block.marginal() - oracle[outcome]))
+        del block  # the next outcome's lambda is built without this one alive
+    return _worst(errors)
 
 
 def _no_signaling_error(
@@ -255,8 +261,8 @@ def _no_signaling_error(
     rng = np.random.default_rng(int(digest[:8], 16))
     extended = append_external_layer(circuit, rng, subsystem=(0,))
     ext_oracle = marginal_by_sum(extended, {0})
-    ext_lam = [block.marginal() for block in lambda_blocks(extended, (0,), budget).values()]
-    return max(
-        max(abs(base_oracle[j] - ext_oracle[j]) for j in (0, 1)),
-        max(abs(base_lam[j] - ext_lam[j]) for j in (0, 1)),
+    ext_lam = [block.marginal() for _, block in lambda_blocks(extended, (0,), budget)]
+    return _worst(
+        [abs(base_oracle[j] - ext_oracle[j]) for j in (0, 1)]
+        + [abs(base_lam[j] - ext_lam[j]) for j in (0, 1)]
     )

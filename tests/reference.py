@@ -1,16 +1,21 @@
-"""Independent brute-force references the library is checked against.
+"""Independent brute-force references the library is checked against, and test circuits.
 
-Everything here is built from explicit Kronecker products and raw path
-enumeration so it shares no evolution or bookkeeping code with the package.
+The references are built from explicit Kronecker products and raw path
+enumeration so they share no evolution or bookkeeping code with the package.
+The circuit helpers at the end make the seeded corpora and the reduced or
+trimmed circuits that the tests compare.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from functools import reduce
+from typing import Iterator
 
 import numpy as np
 
-from sumpaths.circuits import Circuit
+from sumpaths.circuits import IDENTITY, Circuit, PhaseGate, make_circuit
+from sumpaths.corpus import random_circuit, random_single
 from sumpaths.paths import Path
 
 
@@ -92,3 +97,58 @@ def conditioned_external_matrix(
                     diag[index] *= np.exp(1j * gate.theta(modes[a], modes[b]))
         op = (diag[:, None] * layer_op) @ op
     return op
+
+
+def random_corpus(
+    count: int, particles: int, max_layers: int, seed: int
+) -> Iterator[tuple[int, Circuit]]:
+    """Stream of (layer_count, circuit); layer counts drawn uniformly from 1..max_layers."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        layers = int(rng.integers(1, max_layers + 1))
+        yield layers, random_circuit(rng, particles, layers)
+
+
+def decoupled_three_particle(rng: np.random.Generator, layers: int) -> Circuit:
+    """Three-particle circuit whose third particle never interacts (no A-C or B-C gates)."""
+    specs = []
+    for _ in range(layers):
+        singles = {i: random_single(rng) for i in range(3) if rng.random() < 0.9}
+        phases = (
+            [PhaseGate(pair=(0, 1), thetas=tuple(rng.uniform(0.0, 2.0 * math.pi, 4).tolist()))]
+            if rng.random() < 0.85
+            else []
+        )
+        specs.append((singles, phases))
+    return make_circuit(3, specs)
+
+
+def drop_particle(circuit: Circuit, particle: int) -> Circuit:
+    """Remove one particle and every phase gate touching it; remaining indices shift down."""
+    keep = [i for i in range(circuit.particles) if i != particle]
+    local = {p: k for k, p in enumerate(keep)}
+    specs = []
+    for layer in circuit.layers:
+        singles = {local[i]: layer.singles[i] for i in keep}
+        phases = [
+            PhaseGate(pair=(local[g.pair[0]], local[g.pair[1]]), thetas=g.thetas)
+            for g in layer.phases
+            if particle not in g.pair
+        ]
+        specs.append((singles, phases))
+    return make_circuit(circuit.particles - 1, specs)
+
+
+def remove_trailing_external_gate(circuit: Circuit, atol: float = 1e-12) -> Circuit:
+    """Drop a final layer that acts only on external particles; subsystem marginals keep."""
+    if circuit.n < 1:
+        raise ValueError("circuit has no layers to remove")
+    last = circuit.layers[-1]
+    if any(0 in gate.pair for gate in last.phases):
+        raise ValueError("final layer couples the subsystem via a phase gate")
+    if np.max(np.abs(last.singles[0] - IDENTITY)) > atol:
+        raise ValueError("final layer applies a non-identity gate to the subsystem")
+    specs = [
+        (dict(enumerate(layer.singles)), list(layer.phases)) for layer in circuit.layers[:-1]
+    ]
+    return make_circuit(circuit.particles, specs)

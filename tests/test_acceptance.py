@@ -15,14 +15,7 @@ import numpy as np
 
 from sumpaths.circuits import build_epr_circuit, save_circuit
 from sumpaths.cli import main as cli_main
-from sumpaths.corpus import (
-    append_external_layer,
-    decoupled_three_particle,
-    drop_particle,
-    random_circuit,
-    random_corpus,
-    random_single,
-)
+from sumpaths.corpus import append_external_layer, random_circuit, random_single
 from sumpaths.density import (
     collapse_amplitude_direct,
     density_step,
@@ -32,10 +25,12 @@ from sumpaths.density import (
 )
 from sumpaths.oracle import evolve, marginal_by_sum, reduced_density
 from sumpaths.paths import amplitude_via_paths
-from sumpaths.subsystems import marginal_general
+from sumpaths.subsystems import conditioned_blocks
 from sumpaths.threeparticle import lambda3_tables
 from sumpaths.twoparticle import lambda_accumulate, lambda_tables
 from sumpaths.paths import Path as SPath
+
+from .reference import decoupled_three_particle, drop_particle, random_corpus
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -60,7 +55,7 @@ def test_criterion_01_epr_reproduction():
             pathsum_prob = sum(
                 abs(amplitude_via_paths(circuit, (j, k))) ** 2 for k in (0, 1)
             )
-            for value in (oracle[j], tables.marginal(j), pathsum_prob):
+            for value in (oracle[j], tables.block(j).marginal(), pathsum_prob):
                 worst_marginal = max(worst_marginal, abs(value - 0.5))
         cross = lambda_accumulate(circuit, SPath((0, 0)), SPath((1, 0)))
         worst_lambda = max(worst_lambda, abs(cross.final))
@@ -88,7 +83,7 @@ def test_criterion_02_two_particle_oracle_equivalence():
         oracle = marginal_by_sum(circuit, {0})
         tables = lambda_tables(circuit)
         for j in (0, 1):
-            lam = tables.marginal(j)
+            lam = tables.block(j).marginal()
             worst_oracle = max(worst_oracle, abs(lam - oracle[j]))
             worst_forms = max(worst_forms, abs(lam - tables.marginal_deviation(j)))
     elapsed = time.perf_counter() - start
@@ -134,7 +129,7 @@ def test_criterion_04_three_particle_closure():
         )
         oracle = marginal_by_sum(circuit, {0})
         for j in (0, 1):
-            worst_marginal = max(worst_marginal, abs(tables.marginal(j) - oracle[j]))
+            worst_marginal = max(worst_marginal, abs(tables.block(j).marginal() - oracle[j]))
     elapsed = time.perf_counter() - start
     passed = worst_closure < 1e-9 and worst_marginal < 1e-9 and elapsed < 60.0
     report(
@@ -159,7 +154,7 @@ def test_criterion_05_reduction_to_two_particles():
             worst_lambda, float(np.max(np.abs(three.lam[layers] - two.lam[layers])))
         )
         for j in (0, 1):
-            worst_marginal = max(worst_marginal, abs(three.marginal(j) - two.marginal(j)))
+            worst_marginal = max(worst_marginal, abs(three.block(j).marginal() - two.block(j).marginal()))
     passed = worst_lambda < 1e-10 and worst_marginal < 1e-10
     report(
         5,
@@ -182,7 +177,7 @@ def test_criterion_06_no_signaling():
         ext = lambda3_tables(extended)
         for j in (0, 1):
             worst = max(worst, abs(base_oracle[j] - ext_oracle[j]))
-            worst = max(worst, abs(base.marginal(j) - ext.marginal(j)))
+            worst = max(worst, abs(base.block(j).marginal() - ext.block(j).marginal()))
     passed = worst < 1e-12
     report(6, "no-signaling", passed, f"max marginal shift {worst:.2e}")
 
@@ -198,9 +193,8 @@ def test_criterion_07_general_subsystem():
         circuit = random_circuit(rng, 4, layers)
         for subsystem in (singles[index % 4], pairs[index % 6]):
             oracle = marginal_by_sum(circuit, subsystem)
-            for outcome in itertools.product((0, 1), repeat=len(subsystem)):
-                value = marginal_general(circuit, subsystem, outcome)
-                worst = max(worst, abs(value - oracle[tuple(outcome)]))
+            for outcome, block in conditioned_blocks(circuit, subsystem):
+                worst = max(worst, abs(block.marginal() - oracle[outcome]))
     elapsed = time.perf_counter() - start
     passed = worst < 1e-9 and elapsed < 60.0
     report(
@@ -280,7 +274,7 @@ def test_criterion_10_structural_properties(tmp_path):
             worst_bound, max(float(np.max(np.abs(t_))) for t_ in tables2.lam) - 1.0
         )
         worst_norm = max(
-            worst_norm, abs(tables2.marginal(0) + tables2.marginal(1) - 1.0)
+            worst_norm, abs(tables2.block(0).marginal() + tables2.block(1).marginal() - 1.0)
         )
         circuit3 = random_circuit(rng, 3, int(rng.integers(1, 5)))
         tables3 = lambda3_tables(circuit3)
@@ -290,7 +284,7 @@ def test_criterion_10_structural_properties(tmp_path):
             worst_bound, max(float(np.max(np.abs(t_))) for t_ in tables3.lam) - 1.0
         )
         worst_norm = max(
-            worst_norm, abs(tables3.marginal(0) + tables3.marginal(1) - 1.0)
+            worst_norm, abs(tables3.block(0).marginal() + tables3.block(1).marginal() - 1.0)
         )
 
     # byte-identical reports across repeated runs

@@ -24,6 +24,7 @@ from sumpaths.circuits import (
 from sumpaths.cli import main
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
+from sumpaths.verify import verify_circuit
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -496,7 +497,65 @@ def test_sixteen_particles_fit_and_twenty_four_exit_before_allocating(tmp_path):
     assert peak < 16 * 2**20  # one 2 x 2^23 state table would be 256 MiB
 
 
-_ANGLES = st.floats(-10, 10, allow_nan=False)
+def test_non_finite_results_exit_one(tmp_path):
+    # valid angles whose sum over three layers overflows: the path sums are NaN
+    path = tmp_path / "huge.json"
+    layer = {"phases": [{"pair": [0, 1], "theta": [0, 0, 0, 1.7e308]}]}
+    path.write_text(json.dumps({"particles": 2, "layers": [layer] * 3}))
+    with np.errstate(all="ignore"):
+        checks = {c.name: c for c in verify_circuit(load_circuit(str(path))).checks}
+    assert math.isnan(checks["pathsum_completeness"].max_error)
+    assert not checks["pathsum_completeness"].passed
+    for argv in (("verify",), ("marginal", "--method", "pathsum")):
+        code, out, err = run_cli(argv[0], "--circuit", str(path), *argv[1:])
+        assert code == 1 and out == ""
+        assert err == "error: result is not finite\n"
+
+
+def test_trace_charges_the_conditioned_external_states(tmp_path):
+    path = tmp_path / "p16.json"
+    save_circuit(random_circuit(np.random.default_rng(1), 16, 1), str(path))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            "trace", "--circuit", str(path), "--subsystem", "0", "--pair", "0,0", "--budget", "4"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert err.startswith("error: conditioned external states needs 32768") and err.count("\n") == 1
+    assert peak < 2**20  # one 2^15 external state is 512 KiB
+
+
+def test_lambda_blocks_are_held_one_at_a_time(tmp_path):
+    # subsystem (0, 1) of an all-gates N=4 n=6 circuit: each outcome's lambda is
+    # 1024 x 1024 complex, 16 MiB, and four outcomes would hold 64 MiB
+    path = tmp_path / "n4.json"
+    circuit = random_circuit(np.random.default_rng(3), 4, 6, p_single=1.0, p_phase=1.0)
+    save_circuit(circuit, str(path))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli("marginal", "--circuit", str(path), "--method", "lambda", "--subsystem", "0,1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    oracle = marginal_by_sum(circuit, (0, 1)).as_mapping()
+    probabilities = json.loads(out)["probabilities"]
+    assert max(abs(probabilities[k] - oracle[k]) for k in oracle) < 1e-9
+    assert peak < 2 * 16 * 2**20
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+# Angles of +-1.7e308 are valid, but their sums over layers overflow.
+_ANGLES = st.floats(-10, 10, allow_nan=False) | st.sampled_from([1.7e308, -1.7e308])
 # Leaves a mutation may put anywhere: wrong types, huge and tiny numbers, strings.
 _LEAVES = (
     st.none()
@@ -611,7 +670,9 @@ def test_cli_exit_codes_hold_on_random_and_mutated_input(data):
             argv = ("verify", "--manifest", str(Path(tmp) / "manifest.json"))
         else:
             argv = (command[0], "--circuit", str(Path(tmp) / "c.json"), *command[1:])
-        code, _, err = run_cli(*argv)
+        code, out, err = run_cli(*argv)
     assert code in (0, 1, 2, 3)
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        _strict_json(out)

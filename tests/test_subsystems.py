@@ -7,22 +7,20 @@ import numpy as np
 import pytest
 
 from sumpaths.circuits import PhaseGate, build_epr_circuit, make_circuit
-from sumpaths.common import BudgetExceeded
+from sumpaths.common import BudgetExceeded, LambdaBlock
 from sumpaths.corpus import random_circuit, random_single
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths, path_amplitude
 from sumpaths.subsystems import (
     ConfigPath,
+    conditioned_blocks,
     config_path_amplitude,
     enumerate_config_paths,
-    lambda_block,
     lambda_general,
     lambda_general_trajectory,
-    marginal_general,
-    subsystem_distribution,
 )
 from sumpaths.threeparticle import lambda_three
-from sumpaths.twoparticle import lambda_accumulate, marginal_lambda
+from sumpaths.twoparticle import lambda_accumulate, lambda_tables
 
 
 def test_single_particle_config_amplitude_reduces_to_path_amplitude():
@@ -67,8 +65,9 @@ def test_lambda_general_matches_two_particle_module():
     for p, q in itertools.permutations(paths[:4], 2):
         general = lambda_general(circuit, (0,), ConfigPath((p,)), ConfigPath((q,)))
         assert abs(general - lambda_accumulate(circuit, p, q).final) < 1e-10
-    for j in (0, 1):
-        assert abs(marginal_general(circuit, (0,), (j,)) - marginal_lambda(circuit, j)) < 1e-12
+    tables = lambda_tables(circuit, keep_trajectory=False)
+    for (j,), block in conditioned_blocks(circuit, (0,)):
+        assert abs(block.marginal() - tables.block(j).marginal()) < 1e-12
 
 
 def test_lambda_general_matches_three_particle_module():
@@ -110,51 +109,68 @@ def test_product_circuit_pair_marginal_is_product_of_born_rules():
     rng = np.random.default_rng(23)
     gates = [random_single(rng) for _ in range(3)]
     circuit = make_circuit(3, [({i: gates[i] for i in range(3)}, [])])
-    for outcome in itertools.product((0, 1), repeat=2):
+    for outcome, block in conditioned_blocks(circuit, (0, 1)):
         expected = abs(gates[0][outcome[0], 0]) ** 2 * abs(gates[1][outcome[1], 0]) ** 2
-        assert abs(marginal_general(circuit, (0, 1), outcome) - expected) < 1e-12
+        assert abs(block.marginal() - expected) < 1e-12
 
 
 @pytest.mark.parametrize("subsystem", [(0,), (1,), (3,), (0, 1), (1, 3)])
 def test_marginal_general_matches_oracle_four_particles(subsystem):
     circuit = random_circuit(np.random.default_rng(29), 4, 4)
     oracle = marginal_by_sum(circuit, subsystem)
-    for outcome in itertools.product((0, 1), repeat=len(subsystem)):
-        assert abs(marginal_general(circuit, subsystem, outcome) - oracle[tuple(outcome)]) < 1e-9
+    for outcome, block in conditioned_blocks(circuit, subsystem):
+        assert abs(block.marginal() - oracle[outcome]) < 1e-9
 
 
 def test_intra_subsystem_bookkeeping_is_interchangeable():
+    # the intra-subsystem phases ride on the amplitudes, as in the scalar
+    # configuration amplitude; moved onto lambda they leave the marginal
     circuit = random_circuit(np.random.default_rng(31), 4, 3)
-    for outcome in itertools.product((0, 1), repeat=2):
-        in_amp = marginal_general(circuit, (0, 1), outcome, intra_in_amplitude=True)
-        in_lam = marginal_general(circuit, (0, 1), outcome, intra_in_amplitude=False)
-        assert abs(in_amp - in_lam) < 1e-12
+    for outcome, block in conditioned_blocks(circuit, (0, 1)):
+        configs = enumerate_config_paths(circuit.n, outcome)
+        scalar = np.array([config_path_amplitude(circuit, (0, 1), c) for c in configs])
+        assert np.max(np.abs(block.amplitudes - scalar)) < 1e-12
+        for i, k in ((0, 1), (2, 3), (3, 0)):
+            assert abs(block.lam[i, k] - lambda_general(circuit, (0, 1), configs[i], configs[k])) < 1e-10
+        bare = np.array(
+            [path_amplitude(circuit, 0, c.paths[0]) * path_amplitude(circuit, 1, c.paths[1]) for c in configs]
+        )
+        intra = np.ones(len(configs), dtype=complex)
+        for t in range(1, circuit.n + 1):
+            gate = circuit.phase(t, (0, 1))
+            if gate is not None:
+                intra *= [np.exp(1j * gate.theta(c.paths[0].mode(t), c.paths[1].mode(t))) for c in configs]
+        moved = LambdaBlock(amplitudes=bare, lam=block.lam * np.outer(intra.conj(), intra))
+        assert abs(moved.marginal() - block.marginal()) < 1e-12
 
 
 def test_subsystem_distribution_normalizes_and_matches_oracle():
     circuit = random_circuit(np.random.default_rng(37), 4, 3)
-    dist = subsystem_distribution(circuit, (1, 2))
+    blocks = list(conditioned_blocks(circuit, (1, 2)))
     oracle = marginal_by_sum(circuit, (1, 2))
-    assert np.max(np.abs(dist.probabilities - oracle.probabilities)) < 1e-9
+    assert [outcome for outcome, _ in blocks] == list(oracle.labels)
+    probabilities = np.array([block.marginal() for _, block in blocks])
+    assert np.max(np.abs(probabilities - oracle.probabilities)) < 1e-9
+    assert abs(probabilities.sum() - 1.0) < 1e-9
 
 
 def test_epr_marginal_through_general_machinery():
     circuit = build_epr_circuit(random_single(np.random.default_rng(41)), np.eye(2))
-    for j in (0, 1):
-        assert abs(marginal_general(circuit, (0,), (j,)) - 0.5) < 1e-10
+    for _, block in conditioned_blocks(circuit, (0,)):
+        assert abs(block.marginal() - 0.5) < 1e-10
 
 
 def test_lambda_block_budget_guard():
     circuit = random_circuit(np.random.default_rng(43), 4, 4)
     with pytest.raises(BudgetExceeded):
-        lambda_block(circuit, (0, 1), (0, 0), budget=16)
+        next(conditioned_blocks(circuit, (0, 1), budget=16))
 
 
 def test_subsystem_validation():
     circuit = random_circuit(np.random.default_rng(47), 3, 2)
     with pytest.raises(ValueError):
-        marginal_general(circuit, (), ())
+        next(conditioned_blocks(circuit, ()))
     with pytest.raises(ValueError):
-        marginal_general(circuit, (0, 1, 2), (0, 0, 0))
+        next(conditioned_blocks(circuit, (0, 1, 2)))
     with pytest.raises(ValueError):
-        marginal_general(circuit, (0, 5), (0, 0))
+        next(conditioned_blocks(circuit, (0, 5)))

@@ -8,16 +8,10 @@ from hypothesis import strategies as st
 
 from sumpaths.circuits import PhaseGate, make_circuit
 from sumpaths.common import BudgetExceeded
-from sumpaths.corpus import (
-    append_external_layer,
-    decoupled_three_particle,
-    drop_particle,
-    random_circuit,
-    random_single,
-)
+from sumpaths.corpus import append_external_layer, random_circuit, random_single
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths
-from sumpaths.subsystems import ConfigPath, lambda_general, marginal_general
+from sumpaths.subsystems import ConfigPath, conditioned_blocks, lambda_general
 from sumpaths.threeparticle import (
     delta_ab,
     delta_ac,
@@ -26,13 +20,16 @@ from sumpaths.threeparticle import (
     hit_three,
     lambda3_tables,
     lambda_three,
-    marginal_three,
-    remove_trailing_external_gate,
 )
 from sumpaths.twoparticle import hit as hit_two
-from sumpaths.twoparticle import lambda_accumulate, marginal_lambda
+from sumpaths.twoparticle import lambda_accumulate, lambda_tables
 
-from .reference import conditioned_external_matrix
+from .reference import (
+    conditioned_external_matrix,
+    decoupled_three_particle,
+    drop_particle,
+    remove_trailing_external_gate,
+)
 
 
 def sample_pairs(n: int, endpoint: int, count: int, seed: int = 0):
@@ -175,8 +172,9 @@ def test_zero_theta_marginal_is_free_born_rule():
         3, [({0: gates[0]}, []), ({0: gates[1], 1: random_single(rng), 2: random_single(rng)}, [])]
     )
     free = gates[1] @ gates[0]
+    tables = lambda3_tables(circuit)
     for j in (0, 1):
-        assert abs(marginal_three(circuit, j) - abs(free[j, 0]) ** 2) < 1e-12
+        assert abs(tables.block(j).marginal() - abs(free[j, 0]) ** 2) < 1e-12
 
 
 def test_hit_three_zero_at_interaction_free_layers():
@@ -291,9 +289,10 @@ def test_tables_beyond_five_layers_match_direct_and_general_routes(layers):
     for t in range(layers + 1):
         assert np.max(np.abs(tables.lam[t] - tables.direct[t])) < 1e-9
     oracle = marginal_by_sum(circuit, {0})
+    general = dict(conditioned_blocks(circuit, (0,)))
     for j in (0, 1):
-        assert abs(tables.marginal(j) - marginal_general(circuit, (0,), (j,))) < 1e-9
-        assert abs(tables.marginal(j) - oracle[j]) < 1e-9
+        assert abs(tables.block(j).marginal() - general[(j,)].marginal()) < 1e-9
+        assert abs(tables.block(j).marginal() - oracle[j]) < 1e-9
 
 
 def test_budget_guard_admits_eight_all_gate_layers_only():
@@ -314,7 +313,7 @@ def test_trailing_external_layer_costs_no_budget():
     for t in range(extended.n + 1):
         assert np.max(np.abs(tables.lam[t] - tables.direct[t])) < 1e-9
     for j in (0, 1):
-        assert abs(tables.marginal(j) - base.marginal(j)) < 1e-12
+        assert abs(tables.block(j).marginal() - base.block(j).marginal()) < 1e-12
 
 
 def test_tables_close_for_all_pairs_and_prefixes():
@@ -341,7 +340,9 @@ def test_decoupled_lambda_reduces_to_two_particle():
             three = lambda_three(circuit, p, q).final
             two = lambda_accumulate(reduced, p, q).final
             assert abs(three - two) < 1e-10
-        assert abs(marginal_three(circuit, endpoint) - marginal_lambda(reduced, endpoint)) < 1e-10
+        three_marginal = lambda3_tables(circuit).block(endpoint).marginal()
+        two_marginal = lambda_tables(reduced, keep_trajectory=False).block(endpoint).marginal()
+        assert abs(three_marginal - two_marginal) < 1e-10
 
 
 def test_marginal_three_matches_oracle():
@@ -349,9 +350,11 @@ def test_marginal_three_matches_oracle():
     for layers in (1, 2, 4, 5):
         circuit = random_circuit(rng, 3, layers)
         oracle = marginal_by_sum(circuit, {0})
+        tables = lambda3_tables(circuit)
+        marginals = [tables.block(j).marginal() for j in (0, 1)]
         for j in (0, 1):
-            assert abs(marginal_three(circuit, j) - oracle[j]) < 1e-9
-        assert abs(marginal_three(circuit, 0) + marginal_three(circuit, 1) - 1.0) < 1e-9
+            assert abs(marginals[j] - oracle[j]) < 1e-9
+        assert abs(marginals[0] + marginals[1] - 1.0) < 1e-9
 
 
 def test_no_signaling_external_layer():
@@ -360,9 +363,10 @@ def test_no_signaling_external_layer():
     extended = append_external_layer(circuit, rng)
     base_oracle = marginal_by_sum(circuit, {0})
     ext_oracle = marginal_by_sum(extended, {0})
+    base, ext = lambda3_tables(circuit), lambda3_tables(extended)
     for j in (0, 1):
         assert abs(base_oracle[j] - ext_oracle[j]) < 1e-12
-        assert abs(marginal_three(circuit, j) - marginal_three(extended, j)) < 1e-12
+        assert abs(base.block(j).marginal() - ext.block(j).marginal()) < 1e-12
 
 
 def test_remove_trailing_external_gate():
@@ -402,4 +406,4 @@ def test_wrong_particle_count_rejected():
     with pytest.raises(ValueError):
         hit_three(circuit, p, q, 1)
     with pytest.raises(ValueError):
-        marginal_three(circuit, 0)
+        lambda3_tables(circuit)

@@ -16,8 +16,6 @@ from sumpaths.twoparticle import (
     lambda_accumulate,
     lambda_direct,
     lambda_tables,
-    marginal_lambda,
-    marginal_lambda_deviation,
 )
 
 from .reference import conditioned_external_matrix
@@ -138,9 +136,10 @@ def test_epr_marginal_is_half_for_any_measurement_rotation():
     rng = np.random.default_rng(23)
     for _ in range(5):
         circuit = build_epr_circuit(random_single(rng), random_single(rng))
+        tables = lambda_tables(circuit, keep_trajectory=False)
         for j in (0, 1):
-            assert abs(marginal_lambda(circuit, j) - 0.5) < 1e-10
-            assert abs(marginal_lambda_deviation(circuit, j) - 0.5) < 1e-10
+            assert abs(tables.block(j).marginal() - 0.5) < 1e-10
+            assert abs(tables.marginal_deviation(j) - 0.5) < 1e-10
 
 
 def test_interaction_free_marginal_is_free_born_rule():
@@ -148,8 +147,9 @@ def test_interaction_free_marginal_is_free_born_rule():
     gates = [random_single(rng) for _ in range(3)]
     circuit = make_circuit(2, [({0: g, 1: random_single(rng)}, []) for g in gates])
     free = gates[2] @ gates[1] @ gates[0]
+    tables = lambda_tables(circuit, keep_trajectory=False)
     for j in (0, 1):
-        assert abs(marginal_lambda(circuit, j) - abs(free[j, 0]) ** 2) < 1e-12
+        assert abs(tables.block(j).marginal() - abs(free[j, 0]) ** 2) < 1e-12
 
 
 def test_marginal_matches_oracle_on_random_circuits():
@@ -157,22 +157,25 @@ def test_marginal_matches_oracle_on_random_circuits():
     for layers in (1, 2, 3, 5, 8):
         circuit = random_circuit(rng, particles=2, layers=layers)
         oracle = marginal_by_sum(circuit, {0})
+        tables = lambda_tables(circuit, keep_trajectory=False)
         for j in (0, 1):
-            assert abs(marginal_lambda(circuit, j) - oracle[j]) < 1e-9
-            assert abs(marginal_lambda(circuit, j) - marginal_lambda_deviation(circuit, j)) < 1e-10
+            assert abs(tables.block(j).marginal() - oracle[j]) < 1e-9
+            assert abs(tables.block(j).marginal() - tables.marginal_deviation(j)) < 1e-10
 
 
 def test_marginals_normalize():
     circuit = random_circuit(np.random.default_rng(37), particles=2, layers=6)
-    assert abs(marginal_lambda(circuit, 0) + marginal_lambda(circuit, 1) - 1.0) < 1e-9
+    tables = lambda_tables(circuit, keep_trajectory=False)
+    assert abs(tables.block(0).marginal() + tables.block(1).marginal() - 1.0) < 1e-9
 
 
 def test_single_layer_circuit_has_no_pairs():
     rng = np.random.default_rng(41)
     a = random_single(rng)
     circuit = make_circuit(2, [({0: a, 1: random_single(rng)}, [])])
+    tables = lambda_tables(circuit, keep_trajectory=False)
     for j in (0, 1):
-        assert abs(marginal_lambda(circuit, j) - abs(a[j, 0]) ** 2) < 1e-12
+        assert abs(tables.block(j).marginal() - abs(a[j, 0]) ** 2) < 1e-12
 
 
 def test_rejects_wrong_particle_count():
@@ -181,13 +184,13 @@ def test_rejects_wrong_particle_count():
     with pytest.raises(ValueError):
         hit(circuit, paths[0], paths[1], 1)
     with pytest.raises(ValueError):
-        marginal_lambda(circuit, 0)
+        lambda_tables(circuit, keep_trajectory=False)
 
 
 def test_budget_guard():
     circuit = random_circuit(np.random.default_rng(47), particles=2, layers=8)
     with pytest.raises(BudgetExceeded):
-        marginal_lambda(circuit, 0, budget=100)
+        lambda_tables(circuit, budget=100, keep_trajectory=False)
 
 
 def test_trajectory_free_tables_keep_final_results():
@@ -199,7 +202,7 @@ def test_trajectory_free_tables_keep_final_results():
     assert light.max_abs == full.max_abs
     assert len(light.lam) == 1 and light.hits == [] and light.direct == []
     for j in (0, 1):
-        assert light.marginal(j) == full.marginal(j)
+        assert light.block(j).marginal() == full.block(j).marginal()
     with pytest.raises(ValueError):
         light.entry(enumerate_paths(5, 0)[0], enumerate_paths(5, 0)[1])
 
@@ -246,4 +249,4 @@ def test_structural_invariants_hold_for_arbitrary_angles(layer_thetas):
     assert max(np.max(np.abs(t_)) for t_ in tables.lam) <= 1 + 1e-10
     oracle = marginal_by_sum(circuit, {0})
     for j in (0, 1):
-        assert abs(tables.marginal(j) - oracle[j]) < 1e-9
+        assert abs(tables.block(j).marginal() - oracle[j]) < 1e-9

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sumpaths import subsystems, threeparticle, twoparticle, verify
+from sumpaths import paths, subsystems, threeparticle, twoparticle, verify
 from sumpaths.circuits import build_epr_circuit, load_circuit, save_circuit
 from sumpaths.cli import main
 from sumpaths.corpus import random_circuit
@@ -99,14 +99,23 @@ def test_report_json_shape():
         # base and extended circuit: one table build each
         ("n2_l8_s0.json", twoparticle.lambda_tables, 2),
         ("n3_l3_s0.json", threeparticle.lambda3_tables, 2),
-        # (0,) base: 2 blocks, (0, 1) general_subsystem: 4, (0,) extended: 2
-        ("n4_l3_s0.json", subsystems.lambda_block, 8),
+        # one conditioned prefix tree each: (0,) base, (0, 1) general_subsystem, (0,) extended
+        ("n4_l3_s0.json", paths.conditioned_prefix_states, 3),
     ],
 )
 def test_verify_builds_each_route_once(monkeypatch, file, builder, builds):
     calls = count_calls(monkeypatch, builder)
     assert verify_circuit(load_circuit(str(CORPUS / file))).passed
     assert len(calls) == builds
+
+
+def test_marginal_builds_one_tree_for_every_outcome(monkeypatch):
+    calls = count_calls(monkeypatch, paths.conditioned_prefix_states)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["marginal", "--circuit", str(CORPUS / "n4_l3_s0.json"), "--subsystem", "0,1"])
+    assert code == 0 and len(json.loads(out.getvalue())["probabilities"]) == 4
+    assert len(calls) == 1
 
 
 def test_timings_charge_shared_builds_and_sum_to_wall_time(monkeypatch):
