@@ -3,8 +3,8 @@
 All results go to standard output as canonically serialized JSON (sorted
 keys, repr floats), so identical inputs produce byte-identical reports;
 diagnostics go to standard error. Exit codes: 0 success, 1 invariant or
-assertion failure (a NaN or infinite result included, which JSON cannot
-hold), 2 invalid input, 3 path budget exceeded.
+assertion failure (a NaN or infinite result included, which neither JSON
+nor CSV output holds), 2 invalid input, 3 path budget exceeded.
 """
 from __future__ import annotations
 
@@ -49,9 +49,12 @@ def _emit(obj: dict) -> None:
 
 
 def _emit_csv(rows: list[tuple], header: tuple) -> None:
-    sys.stdout.write(",".join(header) + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(str(cell) for cell in row) + "\n")
+    """Rows of raw cells, floats in repr form; a non-finite float fails before anything is written."""
+    if not all(math.isfinite(cell) for row in rows for cell in row if isinstance(cell, float)):
+        raise ArithmeticError("result is not finite")
+    lines = [",".join(header)]
+    lines += [",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row) for row in rows]
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _c(value: complex) -> list[float]:
@@ -109,7 +112,7 @@ def cmd_marginal(args: argparse.Namespace) -> int:
         probs = _lambda_distribution(circuit, subsystem, args.budget)
     if args.format == "csv":
         _emit_csv(
-            [(label, repr(p)) for label, p in sorted(probs.items())],
+            sorted(probs.items()),
             ("outcome", "probability"),
         )
         return 0
@@ -204,7 +207,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         rows = []
         for t, value in enumerate(report["trajectory"]):
             hit_value = [0.0, 0.0] if t == 0 else report["hits"][t - 1]
-            rows.append((t, repr(value[0]), repr(value[1]), repr(hit_value[0]), repr(hit_value[1])))
+            rows.append((t, *value, *hit_value))
         _emit_csv(rows, ("layer", "lambda_re", "lambda_im", "hit_re", "hit_im"))
         return 0
     _emit(report)
@@ -230,14 +233,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.format == "csv":
             _emit_csv(
                 [
-                    (c["name"], repr(c["max_error"]), repr(c["tolerance"]), c["pass"])
+                    (c["name"], c["max_error"], c["tolerance"], c["pass"])
                     for c in report["checks"]
                 ],
                 ("check", "max_error", "tolerance", "pass"),
             )
         else:
             _emit(report)
-        return 0 if report["pass"] else 1
+        failed = [c["name"] for c in report["checks"] if not c["pass"]]
+        if failed:
+            raise ArithmeticError(f"checks failed: {', '.join(failed)}")
+        return 0
 
     manifest_path = FsPath(args.manifest)
     with open(manifest_path, encoding="utf-8") as handle:
@@ -257,7 +263,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         reports.append(report)
     overall = all(r["pass"] for r in reports)
     _emit({"schema": 1, "pass": overall, "circuits": reports})
-    return 0 if overall else 1
+    if not overall:
+        raise ArithmeticError(f"circuits failed: {', '.join(r['file'] for r in reports if not r['pass'])}")
+    return 0
 
 
 def _parse_gate_spec(text: str) -> np.ndarray:
@@ -300,7 +308,7 @@ def cmd_epr(args: argparse.Namespace) -> int:
     )
     if args.format == "csv":
         rows = [
-            (method, outcome, repr(probs[outcome]))
+            (method, outcome, probs[outcome])
             for method, probs in (("oracle", oracle), ("pathsum", pathsum), ("lambda", lam_probs))
             for outcome in ("0", "1")
         ]
@@ -346,7 +354,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit_csv(
             [
-                (key, repr(raw[key]), repr(probabilities[key]), repr(oracle[key]), repr(deviations[key]))
+                (key, raw[key], probabilities[key], oracle[key], deviations[key])
                 for key in sorted(raw)
             ],
             ("outcome", "raw", "probability", "oracle", "deviation"),
@@ -380,7 +388,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
         rows.append((index, path, path_amplitude(circuit, args.particle, path)))
     if args.format == "csv":
         _emit_csv(
-            [(i, p.bitstring(), repr(float(a.real)), repr(float(a.imag))) for i, p, a in rows],
+            [(i, p.bitstring(), a.real, a.imag) for i, p, a in rows],
             ("index", "modes", "re", "im"),
         )
         return 0
@@ -404,8 +412,8 @@ def cmd_density(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit_csv(
             [
-                (r["layer"], repr(r["frobenius_error"]), repr(r["hit_diagonal_max"]),
-                 repr(r["offdiagonal_error"]), repr(r["pathsum_error"]))
+                (r["layer"], r["frobenius_error"], r["hit_diagonal_max"],
+                 r["offdiagonal_error"], r["pathsum_error"])
                 for r in records
             ],
             ("t", "frobeniusError", "hitDiagonalMax", "offdiagonalError", "pathsumError"),

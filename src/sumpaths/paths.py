@@ -6,9 +6,9 @@ the implicit start m_0 = 0. Enumeration order is lexicographic in
 keyed by path index are reproducible run to run.
 
 `conditioned_prefix_states` is the one vectorized evolution of the external
-system conditioned on subsystem paths: every lambda route (two-particle
-tables, the three-particle cascade's direct tables, general blocks, the
-density path sum) reads its external states from this prefix tree.
+system conditioned on subsystem paths: the two-particle table stream, the
+Gram tables `verify` checks both table streams against, the general blocks
+and the density path sum read their external states from this prefix tree.
 `condition_on_paths` is the per-path scalar reference it is checked against.
 """
 from __future__ import annotations
@@ -293,6 +293,9 @@ def conditioned_prefix_states(circuit: Circuit, subsystem: Sequence[int]) -> lis
     the external phase gates once per prefix, grows every member's prefix by
     `np.repeat`, then applies the straddling gates conditioned on the new
     mode. Gates wholly inside the subsystem stay in the path amplitudes.
+    For the subsystem (0,) of two or three particles, the Gram matrix of
+    table t is the lambda^(t) that `verify` checks each streamed table
+    against.
     """
     members = tuple(sorted(set(subsystem)))
     external = tuple(p for p in range(circuit.particles) if p not in members)

@@ -188,23 +188,48 @@ def conditioned_blocks(
         yield outcome, LambdaBlock(amplitudes=bare * intra.reshape(-1), lam=states.conj() @ states.T)
 
 
+def table_blocks(
+    circuit: Circuit, lam: np.ndarray
+) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
+    """((j,), block) for both endpoints of particle 0, read off a two- or three-particle table.
+
+    `lam` is the circuit's final lambda table over path prefixes or, if the
+    last layer adds no hit and so only repeats lambda over its new bit, the
+    table one layer short. Then endpoint j's block is that table itself, with
+    each prefix amplitude times the last single's element from its mode to j.
+    """
+    t = lam.shape[0].bit_length() - 1
+    amps = prefix_amplitudes(circuit, 0, upto=t)
+    for j in (0, 1):
+        if t == circuit.n:
+            rows = endpoint_rows(t, j)
+            yield (j,), LambdaBlock(amps[rows], lam[np.ix_(rows, rows)])
+        else:
+            yield (j,), LambdaBlock(amps * circuit.single(circuit.n, 0)[j, np.arange(amps.size) % 2], lam)
+
+
 def lambda_blocks(
     circuit: Circuit, subsystem: Sequence[int], budget: int
 ) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
     """(outcome, block) for every subsystem outcome, by the route the particle count allows.
 
     A single-particle subsystem (0,) of two or three particles reads its two
-    blocks off one two- or three-particle table build; every other subsystem
-    gets `conditioned_blocks`. Blocks are yielded one at a time, so a caller
-    that drops each before asking for the next holds one lambda at a time.
+    blocks off the last table of one two- or three-particle stream; every
+    other subsystem gets `conditioned_blocks`. When a two-particle circuit's
+    last layer has no 0-1 gate, the stream stops one layer short (charged
+    4^(n-1)) and `table_blocks` folds that layer into the amplitudes. Blocks
+    are yielded one at a time, so a caller that drops each before asking for
+    the next holds one lambda at a time.
     """
     particles = normalize_subsystem(circuit, subsystem)
     if particles == (0,) and circuit.particles == 2:
-        tables = lambda_tables(circuit, budget, keep_trajectory=False)
+        folds = circuit.n and circuit.phase(circuit.n, (0, 1)) is None  # the last layer adds no hit
+        tables = lambda_tables(Circuit(particles=2, layers=circuit.layers[:-1]) if folds else circuit, budget)
     elif particles == (0,) and circuit.particles == 3:
         tables = lambda3_tables(circuit, budget)
     else:
         yield from conditioned_blocks(circuit, particles, budget)
         return
-    for j in (0, 1):
-        yield (j,), tables.block(j)
+    for lam in tables:  # keeps only the last table
+        pass
+    yield from table_blocks(circuit, lam)

@@ -16,10 +16,10 @@ branch gamma sums stop at the previous layer while chi sums include the
 booking layer; on the A-C branch both run through the booking layer. Layers
 without the relevant gate contribute exact zeros (no arithmetic happens).
 
-`hit_three`/`lambda_three` evaluate single pairs; `Lambda3Tables` runs the
-same literal cascade vectorized over every path-prefix pair. Its `direct`
-tables, which `three_closure` checks the cascade against, are the Gram
-matrices of the conditioned external-pair states of
+`hit_three`/`lambda_three` evaluate single pairs; `lambda3_tables` runs the
+same literal cascade vectorized over every path-prefix pair and streams one
+lambda table per layer. `verify`'s `three_closure` checks each streamed
+table against the Gram matrix of the conditioned external-pair states of
 `paths.conditioned_prefix_states`, not of the cascade's own columns.
 
 Each gamma or chi increment is sum_l conj(f_l(p, m)) f_l(q, n), separable
@@ -34,13 +34,13 @@ reach n = 8 under the default budget of 2^22.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .circuits import Circuit
-from .common import DEFAULT_BUDGET, LambdaBlock, check_budget
-from .paths import Path, conditioned_prefix_states, endpoint_rows, enumerate_paths, path_amplitude
-from .paths import prefix_amplitudes, prefix_index
+from .common import DEFAULT_BUDGET, check_budget
+from .paths import Path, enumerate_paths, path_amplitude, prefix_amplitudes
 
 AB, AC, BC = (0, 1), (0, 2), (1, 2)
 
@@ -311,7 +311,7 @@ def _last_hit_layer(circuit: Circuit) -> int:
 
 
 def _largest_table(circuit: Circuit) -> int:
-    """Entries of the biggest array a `Lambda3Tables` build holds.
+    """Entries of the biggest array a `lambda3_tables` build holds.
 
     That is a column stack, 4^r prefix pairs by its column count after the
     increments booked at layer r <= `_last_hit_layer`, or the final 4^n
@@ -375,123 +375,99 @@ def _branch_hit(
     return hit
 
 
-class Lambda3Tables:
-    """The literal cascade, vectorized over every (subsystem, external) prefix pair.
+def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
+    """lambda^(t) over every pair of t-mode subsystem prefixes, for t = 0..n, by the literal cascade.
 
     All arrays are indexed by prefix integers with modes packed
     most-significant-first, exactly like the two-particle tables. The gamma
     and chi sums are kept per branch as separable column stacks (see
-    `_refine`), never as dense (p, q, m, n) tables.
+    `_refine`), never as dense (p, q, m, n) tables. Each lambda table is a
+    fresh array, never written after it is yielded. The `_largest_table`
+    budget charge and the particle count are checked on the first `next()`.
     """
+    _require_three_particles(circuit)
+    check_budget(_largest_table(circuit), budget, "three-particle cascade table")
+    lam = np.ones((1, 1), dtype=complex)
+    yield lam
 
-    def __init__(self, circuit: Circuit, budget: int = DEFAULT_BUDGET):
-        _require_three_particles(circuit)
-        check_budget(_largest_table(circuit), budget, "three-particle cascade table")
-        self.circuit = circuit
-        n = self.n = circuit.n
+    cv = np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2)  # C given (A, B) prefixes
+    bv = np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2)  # B given (A, C) prefixes
 
-        lam = np.ones((1, 1), dtype=complex)
-        self.lam: list[np.ndarray] = [lam]
-        self.hit_tables: list[np.ndarray | None] = [None]
+    # A-B branch: C's overlap, chi (B-C) and gamma (A-C) columns over (A, B) prefixes
+    c_stack = np.zeros((1, 1, 0), dtype=complex)
+    c_signs = np.zeros(0)
+    # A-C branch: B's overlap, chi (B-C) and gamma (A-B) columns over (A, C) prefixes
+    b_stack = np.zeros((1, 1, 0), dtype=complex)
+    b_signs = np.zeros(0)
+    pab = np.ones((1, 1), dtype=complex)  # cumulative A-B straddle phases
+    pac = np.ones((1, 1), dtype=complex)
+    last_hit = _last_hit_layer(circuit)
 
-        cv = np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2)  # C given (A, B) prefixes
-        bv = np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2)  # B given (A, C) prefixes
+    for r in range(1, circuit.n + 1):
+        size = 1 << r
+        bit = np.arange(size) % 2
+        th_ab = _thetas(circuit, AB, r)
+        th_ac = _thetas(circuit, AC, r)
+        th_bc = _thetas(circuit, BC, r)
 
-        # A-B branch: C's overlap, chi (B-C) and gamma (A-C) columns over (A, B) prefixes
-        c_stack = np.zeros((1, 1, 0), dtype=complex)
-        c_signs = np.zeros(0)
-        # A-C branch: B's overlap, chi (B-C) and gamma (A-B) columns over (A, C) prefixes
-        b_stack = np.zeros((1, 1, 0), dtype=complex)
-        b_signs = np.zeros(0)
-        pab = np.ones((1, 1), dtype=complex)  # cumulative A-B straddle phases
-        pac = np.ones((1, 1), dtype=complex)
-        last_hit = _last_hit_layer(circuit)
+        # pab/pac keep their through-(r-1) content until after the assemblies
+        pab = np.repeat(np.repeat(pab, 2, axis=0), 2, axis=1)
+        pac = np.repeat(np.repeat(pac, 2, axis=0), 2, axis=1)
 
-        for r in range(1, n + 1):
-            size = 1 << r
-            bit = np.arange(size) % 2
-            th_ab = _thetas(circuit, AB, r)
-            th_ac = _thetas(circuit, AC, r)
-            th_bc = _thetas(circuit, BC, r)
+        # conditioned external states through this layer's gate sequence
+        z_c = np.tensordot(cv, circuit.single(r, 2), axes=([2], [1]))
+        z_c = np.repeat(np.repeat(z_c, 2, axis=0), 2, axis=1)  # pre-B-C view
+        if th_bc is not None:
+            v_c = z_c * np.exp(1j * th_bc)[bit][None, :, :]  # after B-C, before A-C
+        else:
+            v_c = z_c
+        z_b = np.tensordot(bv, circuit.single(r, 1), axes=([2], [1]))
+        z_b = np.repeat(np.repeat(z_b, 2, axis=0), 2, axis=1)
+        if th_bc is not None:
+            w_b = z_b * np.exp(1j * th_bc.T)[bit][None, :, :]  # after B-C, before A-B
+        else:
+            w_b = z_b
+        cv = v_c * np.exp(1j * th_ac)[bit][:, None, :] if th_ac is not None else v_c
+        bv = w_b * np.exp(1j * th_ab)[bit][:, None, :] if th_ab is not None else w_b
 
-            # pab/pac keep their through-(r-1) content until after the assemblies
-            pab = np.repeat(np.repeat(pab, 2, axis=0), 2, axis=1)
-            pac = np.repeat(np.repeat(pac, 2, axis=0), 2, axis=1)
+        # per-layer gamma/chi increments, as (after, before) gate pairs; an
+        # absent gate books nothing. The A-C gamma goes last on C's stack:
+        # the A-B branch sums gamma only through layer r-1.
+        c_increments, b_increments = [], []
+        if th_bc is not None:
+            c_increments.append((v_c, z_c))
+            b_increments.append((w_b, z_b))
+        ab_columns = c_stack.shape[2] + 4 * len(c_increments)
+        if th_ac is not None:
+            c_increments.append((cv, v_c))
+        if th_ab is not None:
+            b_increments.append((bv, w_b))
+        if r <= last_hit:
+            c_stack, c_signs = _refine(c_stack, c_signs, c_increments)
+            b_stack, b_signs = _refine(b_stack, b_signs, b_increments)
 
-            # conditioned external states through this layer's gate sequence
-            z_c = np.tensordot(cv, circuit.single(r, 2), axes=([2], [1]))
-            z_c = np.repeat(np.repeat(z_c, 2, axis=0), 2, axis=1)  # pre-B-C view
-            if th_bc is not None:
-                v_c = z_c * np.exp(1j * th_bc)[bit][None, :, :]  # after B-C, before A-C
-            else:
-                v_c = z_c
-            z_b = np.tensordot(bv, circuit.single(r, 1), axes=([2], [1]))
-            z_b = np.repeat(np.repeat(z_b, 2, axis=0), 2, axis=1)
-            if th_bc is not None:
-                w_b = z_b * np.exp(1j * th_bc.T)[bit][None, :, :]  # after B-C, before A-B
-            else:
-                w_b = z_b
-            cv = v_c * np.exp(1j * th_ac)[bit][:, None, :] if th_ac is not None else v_c
-            bv = w_b * np.exp(1j * th_ab)[bit][:, None, :] if th_ab is not None else w_b
+        hit_table = None
+        if th_ab is not None:
+            hit_table = _branch_hit(
+                prefix_amplitudes(circuit, 1, r)[None, :] * pab,
+                c_stack[:, :, :ab_columns],
+                c_signs[:ab_columns],
+                np.exp(1j * th_ab)[bit],
+            )
+        if th_ac is not None:
+            ac_table = _branch_hit(
+                prefix_amplitudes(circuit, 2, r)[None, :] * pac, b_stack, b_signs, np.exp(1j * th_ac)[bit]
+            )
+            hit_table = ac_table if hit_table is None else hit_table + ac_table
 
-            # per-layer gamma/chi increments, as (after, before) gate pairs; an
-            # absent gate books nothing. The A-C gamma goes last on C's stack:
-            # the A-B branch sums gamma only through layer r-1.
-            c_increments, b_increments = [], []
-            if th_bc is not None:
-                c_increments.append((v_c, z_c))
-                b_increments.append((w_b, z_b))
-            ab_columns = c_stack.shape[2] + 4 * len(c_increments)
-            if th_ac is not None:
-                c_increments.append((cv, v_c))
-            if th_ab is not None:
-                b_increments.append((bv, w_b))
-            if r <= last_hit:
-                c_stack, c_signs = _refine(c_stack, c_signs, c_increments)
-                b_stack, b_signs = _refine(b_stack, b_signs, b_increments)
+        lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
+        if hit_table is not None:
+            lam = lam + hit_table
+        hit_table = ac_table = None  # not held while the caller reads lam
+        yield lam
 
-            hit_table = None
-            if th_ab is not None:
-                hit_table = _branch_hit(
-                    prefix_amplitudes(circuit, 1, r)[None, :] * pab,
-                    c_stack[:, :, :ab_columns],
-                    c_signs[:ab_columns],
-                    np.exp(1j * th_ab)[bit],
-                )
-            if th_ac is not None:
-                ac_table = _branch_hit(
-                    prefix_amplitudes(circuit, 2, r)[None, :] * pac, b_stack, b_signs, np.exp(1j * th_ac)[bit]
-                )
-                hit_table = ac_table if hit_table is None else hit_table + ac_table
-
-            lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
-            if hit_table is not None:
-                lam = lam + hit_table
-            self.lam.append(lam)
-            self.hit_tables.append(hit_table)
-
-            # straddle phases now cover layers 1..r, ready for the next layer's deltas
-            if th_ab is not None:
-                pab = pab * np.exp(1j * th_ab[bit[:, None], bit[None, :]])
-            if th_ac is not None:
-                pac = pac * np.exp(1j * th_ac[bit[:, None], bit[None, :]])
-
-        # the oracle-side tables: overlaps of the conditioned external-pair states
-        self.direct = [u.conj() @ u.T for u in conditioned_prefix_states(circuit, (0,))]
-        self.amps = prefix_amplitudes(circuit, 0)
-
-    def trajectory(self, p: Path, q: Path) -> tuple[complex, ...]:
-        return tuple(
-            complex(self.lam[t][prefix_index(p, t), prefix_index(q, t)])
-            for t in range(self.n + 1)
-        )
-
-    def block(self, endpoint: int) -> LambdaBlock:
-        """Amplitudes and final lambda of the paths ending at `endpoint`, in enumeration order."""
-        rows = endpoint_rows(self.n, endpoint)
-        return LambdaBlock(self.amps[rows], self.lam[self.n][np.ix_(rows, rows)])
-
-
-def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Lambda3Tables:
-    return Lambda3Tables(circuit, budget)
-
+        # straddle phases now cover layers 1..r, ready for the next layer's deltas
+        if th_ab is not None:
+            pab = pab * np.exp(1j * th_ab[bit[:, None], bit[None, :]])
+        if th_ac is not None:
+            pac = pac * np.exp(1j * th_ac[bit[:, None], bit[None, :]])

@@ -13,20 +13,22 @@ a phase gate contribute an exact zero (no arithmetic is performed, so the
 zero is bit-exact). The subsystem marginal is then the classical sum over
 path probabilities plus the lambda-weighted interference of distinct pairs.
 
-`TwoParticleTables` reads the conditioned external states of every prefix
-from `paths.conditioned_prefix_states`; `hit` and `lambda_accumulate` evolve
-one path's state on their own and stay the scalar reference.
+`lambda_tables` streams lambda^(t) over every prefix pair, one layer at a
+time, reading the conditioned external states of every prefix from
+`paths.conditioned_prefix_states`; `verify` checks each streamed table
+against the Gram matrix of those states. `hit` and `lambda_accumulate`
+evolve one path's state on their own and stay the scalar reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .circuits import Circuit, conditioned_diagonal
 from .common import DEFAULT_BUDGET, REALITY_TOL, LambdaBlock, RealityError, check_budget
-from .paths import Path, condition_on_paths, conditioned_prefix_states, endpoint_rows
-from .paths import prefix_amplitudes, prefix_index
+from .paths import Path, condition_on_paths, conditioned_prefix_states
 
 
 def _require_two_particles(circuit: Circuit) -> None:
@@ -103,112 +105,46 @@ def lambda_direct(circuit: Circuit, p: Path, q: Path) -> complex:
     return complex(np.vdot(state_p, state_q))
 
 
-class TwoParticleTables:
-    """Vectorized hidden variables over every subsystem path-prefix pair.
+def lambda_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
+    """lambda^(t) over every pair of t-mode subsystem prefixes, for t = 0..n.
 
     Prefix indices encode modes most-significant-first, so a full path's row
     is its mode bitstring read as a binary number; paths ending at j occupy
-    rows 2k + j with k the lexicographic enumeration index. A layer's hits
-    contract the prefix tree's states before the layer, rotated by the
-    external single; its `direct` table is the Gram matrix of the states
-    after it.
-
-    With keep_trajectory=False only the final lambda table is retained
-    (memory O(4^n) instead of O(n 4^n)), hits are added into it in place and
-    `hits` and `direct` stay empty; the per-prefix telescoping error and the
-    magnitude bound are still tracked incrementally.
+    rows 2k + j with k the lexicographic enumeration index. Layer t repeats
+    lambda^(t-1) over the new bit and adds the hits, which contract the
+    prefix tree's states before the layer, rotated by the external single.
+    Each table is a fresh array, never written after it is yielded, so a
+    caller that keeps only the last one holds at most two tables at a time.
+    The 4^n budget charge and the particle count are checked on the first
+    `next()`.
     """
-
-    def __init__(
-        self, circuit: Circuit, budget: int = DEFAULT_BUDGET, keep_trajectory: bool = True
-    ):
-        _require_two_particles(circuit)
-        check_budget(4**circuit.n, budget, "path-pair table")
-        self.circuit = circuit
-        self.keep_trajectory = keep_trajectory
-        n = circuit.n
-        states = conditioned_prefix_states(circuit, (0,))  # external states per prefix
-
-        lam = np.ones((1, 1), dtype=complex)
-        self.lam: list[np.ndarray] = [lam]
-        self.hits: list[np.ndarray | None] = [None] if keep_trajectory else []
-        self.direct: list[np.ndarray] = [states[0].conj() @ states[0].T] if keep_trajectory else []
-        self.telescoping_error = 0.0
-        self.max_abs = 1.0
-
-        for t in range(1, n + 1):
+    _require_two_particles(circuit)
+    check_budget(4**circuit.n, budget, "path-pair table")
+    states = conditioned_prefix_states(circuit, (0,))  # external states per prefix
+    lam = np.ones((1, 1), dtype=complex)
+    yield lam
+    for t in range(1, circuit.n + 1):
+        lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
+        gate = circuit.phase(t, (0, 1))
+        if gate is not None:
             pre = states[t - 1] @ circuit.single(t, 1).T  # states just before the layer-t phase gate
-            gate = circuit.phase(t, (0, 1))
-            lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
-            hits_t = None
-            if gate is not None:
-                thetas = np.asarray(gate.thetas).reshape(2, 2)
-                if keep_trajectory:
-                    hits_t = np.empty_like(lam)
-                for a in (0, 1):
-                    for b in (0, 1):
-                        d = np.exp(1j * (thetas[b] - thetas[a])) - 1.0
-                        block = (pre.conj() * d) @ pre.T
-                        lam[a::2, b::2] += block
-                        if keep_trajectory:
-                            hits_t[a::2, b::2] = block
-            direct_t = states[t].conj() @ states[t].T
-            # np.maximum keeps a NaN, which the builtin max would drop
-            self.max_abs = float(np.maximum(self.max_abs, np.max(np.abs(lam))))
-            if keep_trajectory:
-                self.lam.append(lam)
-                self.hits.append(hits_t)
-                self.direct.append(direct_t)
-                gap = lam - direct_t
-            else:
-                self.lam = [lam]
-                gap = np.subtract(lam, direct_t, out=direct_t)  # direct_t is not kept
-            self.telescoping_error = float(np.maximum(self.telescoping_error, np.max(np.abs(gap))))
-
-        self.amps = prefix_amplitudes(circuit, 0)
-        self.n = n
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.lam[-1]
-
-    def entry(self, p: Path, q: Path) -> LambdaEntry:
-        if not self.keep_trajectory:
-            raise ValueError("tables were built without trajectories")
-        trajectory = [
-            complex(self.lam[t][prefix_index(p, t), prefix_index(q, t)])
-            for t in range(self.n + 1)
-        ]
-        hits = [
-            0j
-            if self.hits[t] is None
-            else complex(self.hits[t][prefix_index(p, t), prefix_index(q, t)])
-            for t in range(1, self.n + 1)
-        ]
-        return LambdaEntry(trajectory=tuple(trajectory), hits=tuple(hits))
-
-    def block(self, endpoint: int) -> LambdaBlock:
-        """Amplitudes and final lambda of the paths ending at `endpoint`, in enumeration order."""
-        rows = endpoint_rows(self.n, endpoint)
-        return LambdaBlock(self.amps[rows], self.final[np.ix_(rows, rows)])
-
-    def marginal_deviation(self, endpoint: int) -> float:
-        """Free single-particle probability plus the (lambda - 1)-weighted interference."""
-        free = np.eye(2, dtype=complex)
-        for t in range(1, self.n + 1):
-            free = self.circuit.single(t, 0) @ free
-        block = self.block(endpoint)
-        weights = block.lam - 1.0
-        np.fill_diagonal(weights, 0.0)
-        a = block.amplitudes
-        total = abs(free[endpoint, 0]) ** 2 + complex(a.conj() @ weights @ a)
-        if abs(total.imag) > REALITY_TOL:
-            raise RealityError(f"pair sum has imaginary residue {total.imag:.3e}")
-        return total.real
+            thetas = np.asarray(gate.thetas).reshape(2, 2)
+            for a in (0, 1):
+                for b in (0, 1):
+                    d = np.exp(1j * (thetas[b] - thetas[a])) - 1.0
+                    lam[a::2, b::2] += (pre.conj() * d) @ pre.T
+        yield lam
 
 
-def lambda_tables(
-    circuit: Circuit, budget: int = DEFAULT_BUDGET, keep_trajectory: bool = True
-) -> TwoParticleTables:
-    return TwoParticleTables(circuit, budget, keep_trajectory)
-
+def marginal_deviation(circuit: Circuit, endpoint: int, block: LambdaBlock) -> float:
+    """Free single-particle probability plus the (lambda - 1)-weighted interference of `block`."""
+    free = np.eye(2, dtype=complex)
+    for t in range(1, circuit.n + 1):
+        free = circuit.single(t, 0) @ free
+    weights = block.lam - 1.0
+    np.fill_diagonal(weights, 0.0)
+    a = block.amplitudes
+    total = abs(free[endpoint, 0]) ** 2 + complex(a.conj() @ weights @ a)
+    if abs(total.imag) > REALITY_TOL:
+        raise RealityError(f"pair sum has imaginary residue {total.imag:.3e}")
+    return total.real

@@ -6,22 +6,26 @@ given input (the no-signaling probe layer is seeded from the circuit
 digest).
 
 The lambda route of the subsystem (0,) is built once per circuit: one
-two-particle table, one three-particle cascade, or, for more particles, one
-conditioned prefix tree whose blocks are read one at a time. Its blocks
-serve the marginal checks, the tables the route's own checks, and the base
-side of no_signaling; the extended side is one more build, made after the
-base one is released. general_subsystem reads the pair (0, 1) off one more
-tree. Each check is charged the time since the previous check ended, so a
-shared build counts in the first check that needs it and the timings add up
-to the verify's wall time. Every reduction keeps a NaN error, so a
-non-finite result fails its check.
+two-particle or three-particle stream of per-layer tables, or, for more
+particles, one conditioned prefix tree whose blocks are read one at a time.
+One walk over the stream, holding at most the previous table, computes every
+per-layer check: the gap to the Gram matrix of the conditioned external
+states (telescoping, three_closure), the largest |lambda| (lambda_bound),
+and, for two particles, the bit-exact repeat at layers without a 0-1 gate
+(zero_hit_layers). The final table's blocks serve the marginal checks and
+the base side of no_signaling; the extended side is one more build, made
+after the base one is released. general_subsystem reads the pair (0, 1) off
+one more tree. Each check is charged the time since the previous check
+ended, so a shared build counts in the first check that needs it and the
+timings add up to the verify's wall time. Every reduction keeps a NaN error,
+so a non-finite result fails its check.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable
+from typing import Container, Iterable, Iterator
 
 import numpy as np
 
@@ -30,10 +34,10 @@ from .common import DEFAULT_BUDGET
 from .corpus import append_external_layer
 from .density import density_report
 from .oracle import Distribution, evolve, marginal_by_sum
-from .paths import Path, amplitude_via_paths
-from .subsystems import conditioned_blocks, lambda_blocks
+from .paths import Path, amplitude_via_paths, conditioned_prefix_states
+from .subsystems import conditioned_blocks, lambda_blocks, table_blocks
 from .threeparticle import lambda3_tables
-from .twoparticle import TwoParticleTables, hit, lambda_tables
+from .twoparticle import hit, lambda_tables, marginal_deviation
 
 DEFAULT_TOL = 1e-9
 
@@ -125,23 +129,54 @@ def _marginal_checks(
     runner.run("marginal_normalization", tol, lambda: abs(sum(marginals) - 1.0))
 
 
+def _walk_layers(
+    circuit: Circuit, tables: Iterator[np.ndarray], gateless: Container[int] = ()
+) -> tuple[np.ndarray, float, float, float]:
+    """Per-layer checks of a lambda stream, holding at most the previous table.
+
+    Returns the final table, the worst gap |lambda_t - G_t| to the Gram
+    matrix G_t of the conditioned external states after layer t, the largest
+    |lambda_t|, and the worst zero-hit error at the `gateless` layers of a
+    two-particle circuit, where the table must repeat the previous one over
+    the new bit and one path pair's scalar `hit` must be 0, both bit-exact.
+    """
+    states = conditioned_prefix_states(circuit, (0,))
+    p = Path(modes=(0,) * circuit.n)
+    q = Path(modes=(1,) * (circuit.n - 1) + (0,)) if circuit.n > 1 else p
+    gaps, largest, zero_hit = [], [], [0.0]
+    previous = None
+    for t, lam in enumerate(tables):
+        gram = states[t].conj() @ states[t].T
+        gaps.append(float(np.max(np.abs(np.subtract(lam, gram, out=gram)))))
+        largest.append(float(np.max(np.abs(lam))))
+        if t in gateless:
+            size = previous.shape[0]
+            grown = lam.reshape(size, 2, size, 2)
+            repeated = previous[:, None, :, None]
+            if not np.array_equal(grown, np.broadcast_to(repeated, grown.shape)):
+                zero_hit.append(float(np.max(np.abs(grown - repeated))))
+            zero_hit.append(abs(hit(circuit, p, q, t)))
+        previous = lam
+    return previous, _worst(gaps), _worst(largest), _worst(zero_hit)
+
+
 def _two_particle_checks(
     runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
 ) -> list[float]:
-    # trajectories only at sizes where the zero-hit comparison is cheap
-    tables = lambda_tables(circuit, budget, keep_trajectory=circuit.n <= 8)
-    marginals = [tables.block(j).marginal() for j in (0, 1)]
+    gateless = [t for t in range(1, circuit.n + 1) if circuit.phase(t, (0, 1)) is None]
+    final, gap, largest, zero_hit = _walk_layers(circuit, lambda_tables(circuit, budget), gateless)
+    blocks = [block for _, block in table_blocks(circuit, final)]
+    marginals = [block.marginal() for block in blocks]
     _marginal_checks(runner, marginals, oracle, tol)
-    runner.run("telescoping", 1e-10, lambda: tables.telescoping_error)
-    runner.run("zero_hit_layers", 0.0, lambda: _zero_hit_error(circuit, tables))
+    runner.run("telescoping", 1e-10, lambda: gap)
+    runner.run("zero_hit_layers", 0.0, lambda: zero_hit)
     runner.run(
         "two_form_equivalence",
         1e-10,
-        lambda: _worst(abs(marginals[j] - tables.marginal_deviation(j)) for j in (0, 1)),
+        lambda: _worst(abs(marginals[j] - marginal_deviation(circuit, j, blocks[j])) for j in (0, 1)),
     )
-    final = tables.final
     runner.run("hermitian_pairing", 1e-12, lambda: float(np.max(np.abs(final - final.conj().T))))
-    runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, tables.max_abs - 1.0]))
+    runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, largest - 1.0]))
     records = density_report(circuit)
     runner.run(
         "density_reconstruction", 1e-10, lambda: _worst(r["frobenius_error"] for r in records)
@@ -157,23 +192,12 @@ def _two_particle_checks(
 def _three_particle_checks(
     runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
 ) -> list[float]:
-    tables = lambda3_tables(circuit, budget)
-    marginals = [tables.block(j).marginal() for j in (0, 1)]
+    final, gap, largest, _ = _walk_layers(circuit, lambda3_tables(circuit, budget))
+    marginals = [block.marginal() for _, block in table_blocks(circuit, final)]
     _marginal_checks(runner, marginals, oracle, tol)
-    runner.run(
-        "three_closure",
-        tol,
-        lambda: _worst(
-            float(np.max(np.abs(tables.lam[t] - tables.direct[t]))) for t in range(circuit.n + 1)
-        ),
-    )
-    final = tables.lam[circuit.n]
+    runner.run("three_closure", tol, lambda: gap)
     runner.run("hermitian_pairing", 1e-12, lambda: float(np.max(np.abs(final - final.conj().T))))
-    runner.run(
-        "lambda_bound",
-        1e-10,
-        lambda: _worst([0.0, _worst(float(np.max(np.abs(t_))) for t_ in tables.lam) - 1.0]),
-    )
+    runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, largest - 1.0]))
     return marginals
 
 
@@ -222,26 +246,6 @@ def verify_circuit(
         )
 
     return VerificationReport(digest=digest, checks=tuple(runner.checks))
-
-
-def _zero_hit_error(circuit: Circuit, tables: TwoParticleTables) -> float:
-    """Hits at interaction-free layers must be bit-exact zeros, table and scalar alike."""
-    errors = [0.0]
-    if tables.keep_trajectory:
-        for t in range(1, tables.n + 1):
-            if tables.hits[t] is None:
-                expanded = np.repeat(np.repeat(tables.lam[t - 1], 2, axis=0), 2, axis=1)
-                if not np.array_equal(tables.lam[t], expanded):
-                    errors.append(float(np.max(np.abs(tables.lam[t] - expanded))))
-    gateless = [t for t in range(1, circuit.n + 1) if circuit.phase(t, (0, 1)) is None]
-    if gateless:
-        p = Path(modes=(0,) * circuit.n)
-        q = Path(modes=(1,) * (circuit.n - 1) + (0,)) if circuit.n > 1 else p
-        for t in gateless:
-            value = hit(circuit, p, q, t)
-            if value != 0j:
-                errors.append(abs(value))
-    return _worst(errors)
 
 
 def _general_subsystem_error(circuit: Circuit, budget: int) -> float:

@@ -2,8 +2,11 @@
 
 The references are built from explicit Kronecker products and raw path
 enumeration so they share no evolution or bookkeeping code with the package.
-The circuit helpers at the end make the seeded corpora and the reduced or
-trimmed circuits that the tests compare.
+The circuit helpers after them make the seeded corpora and the reduced or
+trimmed circuits that the tests compare. The stream helpers at the end read
+the per-layer lambda tables of `lambda_tables` and `lambda3_tables`: one pair's
+trajectory, the final endpoint blocks, and the Gram tables of the package's
+conditioned prefix states that every layer must match.
 """
 from __future__ import annotations
 
@@ -16,7 +19,9 @@ import numpy as np
 
 from sumpaths.circuits import IDENTITY, Circuit, PhaseGate, make_circuit
 from sumpaths.corpus import random_circuit, random_single
-from sumpaths.paths import Path
+from sumpaths.common import LambdaBlock
+from sumpaths.paths import Path, conditioned_prefix_states, prefix_index
+from sumpaths.subsystems import table_blocks
 
 
 def kron_layer_operator(circuit: Circuit, t: int) -> np.ndarray:
@@ -152,3 +157,21 @@ def remove_trailing_external_gate(circuit: Circuit, atol: float = 1e-12) -> Circ
         (dict(enumerate(layer.singles)), list(layer.phases)) for layer in circuit.layers[:-1]
     ]
     return make_circuit(circuit.particles, specs)
+
+
+def table_trajectory(tables: list[np.ndarray], p: Path, q: Path) -> tuple[complex, ...]:
+    """lambda^(0..n) of the ordered pair (p, q), read off per-layer prefix tables."""
+    return tuple(
+        complex(table[prefix_index(p, t), prefix_index(q, t)]) for t, table in enumerate(tables)
+    )
+
+
+def final_blocks(circuit: Circuit, tables: Iterator[np.ndarray]) -> dict[int, LambdaBlock]:
+    """{j: endpoint-j block} read off the last table of a lambda stream."""
+    *_, final = tables
+    return {j: block for (j,), block in table_blocks(circuit, final)}
+
+
+def gram_tables(circuit: Circuit) -> list[np.ndarray]:
+    """G_t: overlaps of the external states conditioned on every t-mode prefix of particle 0."""
+    return [u.conj() @ u.T for u in conditioned_prefix_states(circuit, (0,))]

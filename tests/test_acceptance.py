@@ -27,10 +27,10 @@ from sumpaths.oracle import evolve, marginal_by_sum, reduced_density
 from sumpaths.paths import amplitude_via_paths
 from sumpaths.subsystems import conditioned_blocks
 from sumpaths.threeparticle import lambda3_tables
-from sumpaths.twoparticle import lambda_accumulate, lambda_tables
+from sumpaths.twoparticle import lambda_accumulate, lambda_tables, marginal_deviation
 from sumpaths.paths import Path as SPath
 
-from .reference import decoupled_three_particle, drop_particle, random_corpus
+from .reference import decoupled_three_particle, drop_particle, final_blocks, gram_tables, random_corpus
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -50,12 +50,12 @@ def test_criterion_01_epr_reproduction():
     for _ in range(20):
         circuit = build_epr_circuit(random_single(rng), random_single(rng))
         oracle = marginal_by_sum(circuit, {0})
-        tables = lambda_tables(circuit)
+        blocks = final_blocks(circuit, lambda_tables(circuit))
         for j in (0, 1):
             pathsum_prob = sum(
                 abs(amplitude_via_paths(circuit, (j, k))) ** 2 for k in (0, 1)
             )
-            for value in (oracle[j], tables.block(j).marginal(), pathsum_prob):
+            for value in (oracle[j], blocks[j].marginal(), pathsum_prob):
                 worst_marginal = max(worst_marginal, abs(value - 0.5))
         cross = lambda_accumulate(circuit, SPath((0, 0)), SPath((1, 0)))
         worst_lambda = max(worst_lambda, abs(cross.final))
@@ -81,11 +81,11 @@ def test_criterion_02_two_particle_oracle_equivalence():
     worst_forms = 0.0
     for _, circuit in _two_particle_corpus():
         oracle = marginal_by_sum(circuit, {0})
-        tables = lambda_tables(circuit)
+        blocks = final_blocks(circuit, lambda_tables(circuit))
         for j in (0, 1):
-            lam = tables.block(j).marginal()
+            lam = blocks[j].marginal()
             worst_oracle = max(worst_oracle, abs(lam - oracle[j]))
-            worst_forms = max(worst_forms, abs(lam - tables.marginal_deviation(j)))
+            worst_forms = max(worst_forms, abs(lam - marginal_deviation(circuit, j, blocks[j])))
     elapsed = time.perf_counter() - start
     passed = worst_oracle < 1e-9 and worst_forms < 1e-10 and elapsed < 30.0
     report(
@@ -100,13 +100,13 @@ def test_criterion_03_telescoping_closure():
     worst = 0.0
     zero_layer_violations = 0
     for _, circuit in _two_particle_corpus():
-        tables = lambda_tables(circuit)
-        for t in range(circuit.n + 1):
-            worst = max(worst, float(np.max(np.abs(tables.lam[t] - tables.direct[t]))))
+        tables = list(lambda_tables(circuit))
+        for lam, gram in zip(tables, gram_tables(circuit), strict=True):
+            worst = max(worst, float(np.max(np.abs(lam - gram))))
         for t in range(1, circuit.n + 1):
-            if tables.hits[t] is None:
-                expanded = np.repeat(np.repeat(tables.lam[t - 1], 2, axis=0), 2, axis=1)
-                if not np.array_equal(tables.lam[t], expanded):
+            if circuit.phase(t, (0, 1)) is None:
+                expanded = np.repeat(np.repeat(tables[t - 1], 2, axis=0), 2, axis=1)
+                if not np.array_equal(tables[t], expanded):
                     zero_layer_violations += 1
     passed = worst < 1e-10 and zero_layer_violations == 0
     report(
@@ -122,14 +122,14 @@ def test_criterion_04_three_particle_closure():
     worst_closure = 0.0
     worst_marginal = 0.0
     for _, circuit in random_corpus(100, particles=3, max_layers=5, seed=404):
-        tables = lambda3_tables(circuit)
+        *_, final = lambda3_tables(circuit)
         worst_closure = max(
-            worst_closure,
-            float(np.max(np.abs(tables.lam[circuit.n] - tables.direct[circuit.n]))),
+            worst_closure, float(np.max(np.abs(final - gram_tables(circuit)[circuit.n])))
         )
         oracle = marginal_by_sum(circuit, {0})
+        blocks = final_blocks(circuit, [final])
         for j in (0, 1):
-            worst_marginal = max(worst_marginal, abs(tables.block(j).marginal() - oracle[j]))
+            worst_marginal = max(worst_marginal, abs(blocks[j].marginal() - oracle[j]))
     elapsed = time.perf_counter() - start
     passed = worst_closure < 1e-9 and worst_marginal < 1e-9 and elapsed < 60.0
     report(
@@ -148,13 +148,12 @@ def test_criterion_05_reduction_to_two_particles():
         layers = int(rng.integers(1, 5))
         circuit = decoupled_three_particle(rng, layers)
         reduced = drop_particle(circuit, 2)
-        three = lambda3_tables(circuit)
-        two = lambda_tables(reduced)
-        worst_lambda = max(
-            worst_lambda, float(np.max(np.abs(three.lam[layers] - two.lam[layers])))
-        )
+        *_, three_final = lambda3_tables(circuit)
+        *_, two_final = lambda_tables(reduced)
+        worst_lambda = max(worst_lambda, float(np.max(np.abs(three_final - two_final))))
+        three, two = final_blocks(circuit, [three_final]), final_blocks(reduced, [two_final])
         for j in (0, 1):
-            worst_marginal = max(worst_marginal, abs(three.block(j).marginal() - two.block(j).marginal()))
+            worst_marginal = max(worst_marginal, abs(three[j].marginal() - two[j].marginal()))
     passed = worst_lambda < 1e-10 and worst_marginal < 1e-10
     report(
         5,
@@ -173,11 +172,11 @@ def test_criterion_06_no_signaling():
         extended = append_external_layer(circuit, rng)
         base_oracle = marginal_by_sum(circuit, {0})
         ext_oracle = marginal_by_sum(extended, {0})
-        base = lambda3_tables(circuit)
-        ext = lambda3_tables(extended)
+        base = final_blocks(circuit, lambda3_tables(circuit))
+        ext = final_blocks(extended, lambda3_tables(extended))
         for j in (0, 1):
             worst = max(worst, abs(base_oracle[j] - ext_oracle[j]))
-            worst = max(worst, abs(base.block(j).marginal() - ext.block(j).marginal()))
+            worst = max(worst, abs(base[j].marginal() - ext[j].marginal()))
     passed = worst < 1e-12
     report(6, "no-signaling", passed, f"max marginal shift {worst:.2e}")
 
@@ -267,24 +266,26 @@ def test_criterion_10_structural_properties(tmp_path):
     worst_norm = 0.0
     for _ in range(20):
         circuit2 = random_circuit(rng, 2, int(rng.integers(1, 9)))
-        tables2 = lambda_tables(circuit2)
-        final = tables2.lam[circuit2.n]
+        tables2 = list(lambda_tables(circuit2))
+        final = tables2[circuit2.n]
         worst_hermitian = max(worst_hermitian, float(np.max(np.abs(final - final.conj().T))))
         worst_bound = max(
-            worst_bound, max(float(np.max(np.abs(t_))) for t_ in tables2.lam) - 1.0
+            worst_bound, max(float(np.max(np.abs(t_))) for t_ in tables2) - 1.0
         )
+        blocks2 = final_blocks(circuit2, tables2)
         worst_norm = max(
-            worst_norm, abs(tables2.block(0).marginal() + tables2.block(1).marginal() - 1.0)
+            worst_norm, abs(blocks2[0].marginal() + blocks2[1].marginal() - 1.0)
         )
         circuit3 = random_circuit(rng, 3, int(rng.integers(1, 5)))
-        tables3 = lambda3_tables(circuit3)
-        final3 = tables3.lam[circuit3.n]
+        tables3 = list(lambda3_tables(circuit3))
+        final3 = tables3[circuit3.n]
         worst_hermitian = max(worst_hermitian, float(np.max(np.abs(final3 - final3.conj().T))))
         worst_bound = max(
-            worst_bound, max(float(np.max(np.abs(t_))) for t_ in tables3.lam) - 1.0
+            worst_bound, max(float(np.max(np.abs(t_))) for t_ in tables3) - 1.0
         )
+        blocks3 = final_blocks(circuit3, tables3)
         worst_norm = max(
-            worst_norm, abs(tables3.block(0).marginal() + tables3.block(1).marginal() - 1.0)
+            worst_norm, abs(blocks3[0].marginal() + blocks3[1].marginal() - 1.0)
         )
 
     # byte-identical reports across repeated runs

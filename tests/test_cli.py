@@ -345,6 +345,18 @@ def test_no_signaling_fits_the_base_circuits_budget():
     assert json.loads(out)["pass"] is True
 
 
+def test_two_particle_no_signaling_layer_costs_no_budget(tmp_path):
+    # the appended layer has no 0-1 gate, so the extended circuit's table
+    # stops one layer short and is charged the base circuit's 4^n: 4^6 fits
+    # a budget of 5000, and an all-gates n = 11 circuit the default 4^11
+    path = tmp_path / "n2_l11.json"
+    save_circuit(random_circuit(np.random.default_rng(11), 2, 11, p_single=0.9, p_phase=1.0), str(path))
+    for argv in ((str(CORPUS / "n2_l6_s0.json"), "--budget", "5000"), (str(path),)):
+        code, out, err = run_cli("verify", "--circuit", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["pass"] is True
+
+
 def test_zero_oracle_cap_is_input_error(epr_file):
     from sumpaths import oracle
 
@@ -507,9 +519,10 @@ def test_non_finite_results_exit_one(tmp_path):
     assert math.isnan(checks["pathsum_completeness"].max_error)
     assert not checks["pathsum_completeness"].passed
     for argv in (("verify",), ("marginal", "--method", "pathsum")):
-        code, out, err = run_cli(argv[0], "--circuit", str(path), *argv[1:])
-        assert code == 1 and out == ""
-        assert err == "error: result is not finite\n"
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(argv[0], "--circuit", str(path), *argv[1:], "--format", fmt)
+            assert code == 1 and out == ""
+            assert err == "error: result is not finite\n"
 
 
 def test_trace_charges_the_conditioned_external_states(tmp_path):
@@ -552,6 +565,17 @@ def _strict_json(text: str):
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
     return json.loads(text, parse_constant=refuse)
+
+
+def _finite_csv(text: str) -> None:
+    """Every cell of a CSV report that reads as a number is finite."""
+    for line in text.splitlines()[1:]:
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), line
 
 
 # Angles of +-1.7e308 are valid, but their sums over layers overflow.
@@ -663,16 +687,19 @@ def test_cli_exit_codes_hold_on_random_and_mutated_input(data):
         ("density",),
     ]
     command = data.draw(st.sampled_from(commands + [("verify-manifest",)]))
+    fmt = data.draw(st.sampled_from(["json", "csv"]))
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "c.json").write_text(json.dumps(circuit))
         (Path(tmp) / "manifest.json").write_text(json.dumps(manifest))
-        if command[0] == "verify-manifest":
+        if command[0] == "verify-manifest":  # a manifest report is JSON in either format
             argv = ("verify", "--manifest", str(Path(tmp) / "manifest.json"))
         else:
-            argv = (command[0], "--circuit", str(Path(tmp) / "c.json"), *command[1:])
+            argv = (command[0], "--circuit", str(Path(tmp) / "c.json"), *command[1:], "--format", fmt)
         code, out, err = run_cli(*argv)
     assert code in (0, 1, 2, 3)
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    elif "--format" in argv and fmt == "csv":
+        _finite_csv(out)
     else:
         _strict_json(out)

@@ -1,0 +1,14 @@
+"""The python examples in README.md run as written."""
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_examples_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for source in blocks:
+        exec(compile(source, str(README), "exec"), {})

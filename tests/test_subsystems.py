@@ -5,8 +5,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sumpaths.circuits import PhaseGate, build_epr_circuit, make_circuit
+from sumpaths.circuits import Circuit, PhaseGate, build_epr_circuit, make_circuit
 from sumpaths.common import BudgetExceeded, LambdaBlock
 from sumpaths.corpus import random_circuit, random_single
 from sumpaths.oracle import marginal_by_sum
@@ -16,11 +18,15 @@ from sumpaths.subsystems import (
     conditioned_blocks,
     config_path_amplitude,
     enumerate_config_paths,
+    lambda_blocks,
     lambda_general,
     lambda_general_trajectory,
+    table_blocks,
 )
-from sumpaths.threeparticle import lambda_three
+from sumpaths.threeparticle import lambda3_tables, lambda_three
 from sumpaths.twoparticle import lambda_accumulate, lambda_tables
+
+from .reference import final_blocks
 
 
 def test_single_particle_config_amplitude_reduces_to_path_amplitude():
@@ -65,9 +71,9 @@ def test_lambda_general_matches_two_particle_module():
     for p, q in itertools.permutations(paths[:4], 2):
         general = lambda_general(circuit, (0,), ConfigPath((p,)), ConfigPath((q,)))
         assert abs(general - lambda_accumulate(circuit, p, q).final) < 1e-10
-    tables = lambda_tables(circuit, keep_trajectory=False)
+    tables = final_blocks(circuit, lambda_tables(circuit))
     for (j,), block in conditioned_blocks(circuit, (0,)):
-        assert abs(block.marginal() - tables.block(j).marginal()) < 1e-12
+        assert abs(block.marginal() - tables[j].marginal()) < 1e-12
 
 
 def test_lambda_general_matches_three_particle_module():
@@ -174,3 +180,53 @@ def test_subsystem_validation():
         next(conditioned_blocks(circuit, (0, 1, 2)))
     with pytest.raises(ValueError):
         next(conditioned_blocks(circuit, (0, 5)))
+
+
+def _sparse_circuit(particles: int, pattern, seed: int):
+    """Random singles on every particle; layer k holds the pair gates its flags select."""
+    rng = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(particles), 2))
+    specs = [
+        (
+            {i: random_single(rng) for i in range(particles)},
+            [
+                PhaseGate(pair, tuple(rng.uniform(0.0, 2.0 * np.pi, 4).tolist()))
+                for pair, present in zip(pairs, gates)
+                if present
+            ],
+        )
+        for gates in pattern
+    ]
+    return make_circuit(particles, specs)
+
+
+_GATE_FLAGS = st.tuples(st.booleans(), st.booleans(), st.booleans())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3]), st.lists(_GATE_FLAGS, min_size=1, max_size=5), st.integers(0, 2**32 - 1))
+def test_each_streamed_table_is_the_final_table_of_the_cut_circuit(particles, pattern, seed):
+    # the tables are compared after the whole stream has run, so a table
+    # written after it was yielded fails too
+    circuit = _sparse_circuit(particles, pattern, seed)
+    build = lambda_tables if particles == 2 else lambda3_tables
+    streamed = list(build(circuit))
+    assert len(streamed) == circuit.n + 1
+    for t, lam in enumerate(streamed):
+        *_, final = build(Circuit(particles=particles, layers=circuit.layers[:t]))
+        assert np.array_equal(lam, final)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(_GATE_FLAGS, max_size=5), st.integers(0, 2**32 - 1))
+def test_folded_blocks_equal_the_unfolded_ones_bit_for_bit(pattern, seed):
+    # a last layer without a 0-1 gate is folded into the amplitudes, so the
+    # blocks fit the budget of a table one layer short
+    circuit = _sparse_circuit(2, pattern + [(False, False, False)], seed)
+    *_, final = lambda_tables(circuit)
+    unfolded = list(table_blocks(circuit, final))
+    folded = list(lambda_blocks(circuit, (0,), budget=4 ** (circuit.n - 1)))
+    for (outcome, block), (folded_outcome, folded_block) in zip(unfolded, folded, strict=True):
+        assert outcome == folded_outcome
+        assert np.array_equal(block.amplitudes, folded_block.amplitudes)
+        assert np.array_equal(block.lam, folded_block.lam)

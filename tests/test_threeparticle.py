@@ -28,7 +28,10 @@ from .reference import (
     conditioned_external_matrix,
     decoupled_three_particle,
     drop_particle,
+    final_blocks,
+    gram_tables,
     remove_trailing_external_gate,
+    table_trajectory,
 )
 
 
@@ -172,9 +175,9 @@ def test_zero_theta_marginal_is_free_born_rule():
         3, [({0: gates[0]}, []), ({0: gates[1], 1: random_single(rng), 2: random_single(rng)}, [])]
     )
     free = gates[1] @ gates[0]
-    tables = lambda3_tables(circuit)
+    blocks = final_blocks(circuit, lambda3_tables(circuit))
     for j in (0, 1):
-        assert abs(tables.block(j).marginal() - abs(free[j, 0]) ** 2) < 1e-12
+        assert abs(blocks[j].marginal() - abs(free[j, 0]) ** 2) < 1e-12
 
 
 def test_hit_three_zero_at_interaction_free_layers():
@@ -244,11 +247,11 @@ def test_identical_paths_give_unit_lambda():
 
 def test_tables_match_scalar_cascade():
     circuit = random_circuit(np.random.default_rng(41), 3, 3)
-    tables = lambda3_tables(circuit)
+    tables = list(lambda3_tables(circuit))
     for endpoint in (0, 1):
         for p, q in sample_pairs(3, endpoint, 8, seed=6):
             scalar = lambda_three(circuit, p, q)
-            table = tables.trajectory(p, q)
+            table = table_trajectory(tables, p, q)
             assert np.max(np.abs(np.array(table) - np.array(scalar.trajectory))) < 1e-10
 
 
@@ -273,33 +276,34 @@ def test_tables_match_scalar_cascade_on_sparse_gate_patterns(pattern, seed):
         for gates in pattern
     ]
     circuit = make_circuit(3, specs)
-    tables = lambda3_tables(circuit)
+    tables = list(lambda3_tables(circuit))
     for endpoint in (0, 1):
         paths = enumerate_paths(circuit.n, endpoint)
         p, q = (paths[int(i)] for i in rng.integers(0, len(paths), 2))
         scalar = lambda_three(circuit, p, q)
-        assert np.max(np.abs(np.array(tables.trajectory(p, q)) - scalar.trajectory)) < 1e-10
+        assert np.max(np.abs(np.array(table_trajectory(tables, p, q)) - scalar.trajectory)) < 1e-10
 
 
 @pytest.mark.parametrize("layers", [6, 7, 8])
 def test_tables_beyond_five_layers_match_direct_and_general_routes(layers):
     # all gates present, so every layer books the most columns; n = 8 fills the default budget
     circuit = random_circuit(np.random.default_rng(79 + layers), 3, layers, p_single=1.0, p_phase=1.0)
-    tables = lambda3_tables(circuit)
-    for t in range(layers + 1):
-        assert np.max(np.abs(tables.lam[t] - tables.direct[t])) < 1e-9
+    tables = list(lambda3_tables(circuit))
+    for lam, gram in zip(tables, gram_tables(circuit), strict=True):
+        assert np.max(np.abs(lam - gram)) < 1e-9
     oracle = marginal_by_sum(circuit, {0})
     general = dict(conditioned_blocks(circuit, (0,)))
+    blocks = final_blocks(circuit, tables)
     for j in (0, 1):
-        assert abs(tables.block(j).marginal() - general[(j,)].marginal()) < 1e-9
-        assert abs(tables.block(j).marginal() - oracle[j]) < 1e-9
+        assert abs(blocks[j].marginal() - general[(j,)].marginal()) < 1e-9
+        assert abs(blocks[j].marginal() - oracle[j]) < 1e-9
 
 
 def test_budget_guard_admits_eight_all_gate_layers_only():
     rng = np.random.default_rng(83)
-    lambda3_tables(random_circuit(rng, 3, 8, p_single=1.0, p_phase=1.0))
+    next(lambda3_tables(random_circuit(rng, 3, 8, p_single=1.0, p_phase=1.0)))
     with pytest.raises(BudgetExceeded):
-        lambda3_tables(random_circuit(rng, 3, 9, p_single=1.0, p_phase=1.0))
+        next(lambda3_tables(random_circuit(rng, 3, 9, p_single=1.0, p_phase=1.0)))
 
 
 def test_trailing_external_layer_costs_no_budget():
@@ -308,27 +312,28 @@ def test_trailing_external_layer_costs_no_budget():
     rng = np.random.default_rng(89)
     circuit = random_circuit(rng, 3, 8, p_single=1.0, p_phase=1.0)
     extended = append_external_layer(circuit, rng)
-    base, tables = lambda3_tables(circuit), lambda3_tables(extended)
-    assert tables.hit_tables[extended.n] is None
-    for t in range(extended.n + 1):
-        assert np.max(np.abs(tables.lam[t] - tables.direct[t])) < 1e-9
+    tables = list(lambda3_tables(extended))
+    expanded = np.repeat(np.repeat(tables[circuit.n], 2, axis=0), 2, axis=1)
+    assert np.array_equal(tables[extended.n], expanded)  # the appended layer adds no hit
+    for lam, gram in zip(tables, gram_tables(extended), strict=True):
+        assert np.max(np.abs(lam - gram)) < 1e-9
+    base, blocks = final_blocks(circuit, lambda3_tables(circuit)), final_blocks(extended, tables)
     for j in (0, 1):
-        assert abs(tables.block(j).marginal() - base.block(j).marginal()) < 1e-12
+        assert abs(blocks[j].marginal() - base[j].marginal()) < 1e-12
 
 
 def test_tables_close_for_all_pairs_and_prefixes():
     circuit = random_circuit(np.random.default_rng(43), 3, 5)
-    tables = lambda3_tables(circuit)
-    for t in range(circuit.n + 1):
-        assert np.max(np.abs(tables.lam[t] - tables.direct[t])) < 1e-9
+    for lam, gram in zip(lambda3_tables(circuit), gram_tables(circuit), strict=True):
+        assert np.max(np.abs(lam - gram)) < 1e-9
 
 
 def test_hermitian_pairing_and_bound():
     circuit = random_circuit(np.random.default_rng(47), 3, 4)
-    tables = lambda3_tables(circuit)
-    final = tables.lam[circuit.n]
+    tables = list(lambda3_tables(circuit))
+    final = tables[circuit.n]
     assert np.max(np.abs(final - final.conj().T)) < 1e-12
-    assert all(np.max(np.abs(table)) <= 1 + 1e-10 for table in tables.lam)
+    assert all(np.max(np.abs(table)) <= 1 + 1e-10 for table in tables)
 
 
 def test_decoupled_lambda_reduces_to_two_particle():
@@ -340,8 +345,8 @@ def test_decoupled_lambda_reduces_to_two_particle():
             three = lambda_three(circuit, p, q).final
             two = lambda_accumulate(reduced, p, q).final
             assert abs(three - two) < 1e-10
-        three_marginal = lambda3_tables(circuit).block(endpoint).marginal()
-        two_marginal = lambda_tables(reduced, keep_trajectory=False).block(endpoint).marginal()
+        three_marginal = final_blocks(circuit, lambda3_tables(circuit))[endpoint].marginal()
+        two_marginal = final_blocks(reduced, lambda_tables(reduced))[endpoint].marginal()
         assert abs(three_marginal - two_marginal) < 1e-10
 
 
@@ -350,8 +355,8 @@ def test_marginal_three_matches_oracle():
     for layers in (1, 2, 4, 5):
         circuit = random_circuit(rng, 3, layers)
         oracle = marginal_by_sum(circuit, {0})
-        tables = lambda3_tables(circuit)
-        marginals = [tables.block(j).marginal() for j in (0, 1)]
+        blocks = final_blocks(circuit, lambda3_tables(circuit))
+        marginals = [blocks[j].marginal() for j in (0, 1)]
         for j in (0, 1):
             assert abs(marginals[j] - oracle[j]) < 1e-9
         assert abs(marginals[0] + marginals[1] - 1.0) < 1e-9
@@ -363,10 +368,11 @@ def test_no_signaling_external_layer():
     extended = append_external_layer(circuit, rng)
     base_oracle = marginal_by_sum(circuit, {0})
     ext_oracle = marginal_by_sum(extended, {0})
-    base, ext = lambda3_tables(circuit), lambda3_tables(extended)
+    base = final_blocks(circuit, lambda3_tables(circuit))
+    ext = final_blocks(extended, lambda3_tables(extended))
     for j in (0, 1):
         assert abs(base_oracle[j] - ext_oracle[j]) < 1e-12
-        assert abs(base.block(j).marginal() - ext.block(j).marginal()) < 1e-12
+        assert abs(base[j].marginal() - ext[j].marginal()) < 1e-12
 
 
 def test_remove_trailing_external_gate():
@@ -397,7 +403,7 @@ def test_remove_trailing_external_gate():
 def test_budget_guard():
     circuit = random_circuit(np.random.default_rng(71), 3, 5)
     with pytest.raises(BudgetExceeded):
-        lambda3_tables(circuit, budget=1000)
+        next(lambda3_tables(circuit, budget=1000))
 
 
 def test_wrong_particle_count_rejected():
@@ -406,4 +412,4 @@ def test_wrong_particle_count_rejected():
     with pytest.raises(ValueError):
         hit_three(circuit, p, q, 1)
     with pytest.raises(ValueError):
-        lambda3_tables(circuit)
+        next(lambda3_tables(circuit))

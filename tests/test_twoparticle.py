@@ -16,9 +16,10 @@ from sumpaths.twoparticle import (
     lambda_accumulate,
     lambda_direct,
     lambda_tables,
+    marginal_deviation,
 )
 
-from .reference import conditioned_external_matrix
+from .reference import conditioned_external_matrix, final_blocks, gram_tables, table_trajectory
 
 EPR = build_epr_circuit(np.eye(2), np.eye(2))
 P0, P1 = Path((0, 0)), Path((1, 0))  # the two subsystem paths to endpoint 0
@@ -93,19 +94,18 @@ def test_accumulated_lambda_matches_direct():
 
 def test_tables_match_scalar_ops():
     circuit = random_circuit(np.random.default_rng(13), particles=2, layers=4)
-    tables = lambda_tables(circuit)
+    tables = list(lambda_tables(circuit))
     for p, q in all_pairs(4, 1):
-        entry = tables.entry(p, q)
+        trajectory = np.array(table_trajectory(tables, p, q))
         scalar = lambda_accumulate(circuit, p, q)
-        assert np.max(np.abs(np.array(entry.trajectory) - np.array(scalar.trajectory))) < 1e-12
-        assert np.max(np.abs(np.array(entry.hits) - np.array(scalar.hits))) < 1e-12
+        assert np.max(np.abs(trajectory - np.array(scalar.trajectory))) < 1e-12
+        assert np.max(np.abs(np.diff(trajectory) - np.array(scalar.hits))) < 1e-12
 
 
 def test_tables_telescope_to_direct_tables_at_every_prefix():
     circuit = random_circuit(np.random.default_rng(17), particles=2, layers=7)
-    tables = lambda_tables(circuit)
-    for t in range(circuit.n + 1):
-        assert np.max(np.abs(tables.lam[t] - tables.direct[t])) < 1e-10
+    for lam, gram in zip(lambda_tables(circuit), gram_tables(circuit), strict=True):
+        assert np.max(np.abs(lam - gram)) < 1e-10
 
 
 def test_gateless_layers_copy_lambda_bit_exactly():
@@ -116,18 +116,17 @@ def test_gateless_layers_copy_lambda_bit_exactly():
             ({1: random_single(np.random.default_rng(2))}, []),
         ],
     )
-    tables = lambda_tables(circuit)
-    assert tables.hits[2] is None
-    expanded = np.repeat(np.repeat(tables.lam[1], 2, axis=0), 2, axis=1)
-    assert np.array_equal(tables.lam[2], expanded)
+    tables = list(lambda_tables(circuit))
+    expanded = np.repeat(np.repeat(tables[1], 2, axis=0), 2, axis=1)
+    assert np.array_equal(tables[2], expanded)
 
 
 def test_hermitian_pairing_and_bound():
     circuit = random_circuit(np.random.default_rng(19), particles=2, layers=6)
-    tables = lambda_tables(circuit)
-    final = tables.lam[circuit.n]
+    tables = list(lambda_tables(circuit))
+    final = tables[circuit.n]
     assert np.max(np.abs(final - final.conj().T)) < 1e-12
-    assert all(np.max(np.abs(table)) <= 1 + 1e-10 for table in tables.lam)
+    assert all(np.max(np.abs(table)) <= 1 + 1e-10 for table in tables)
     p, q = enumerate_paths(6, 0)[0], enumerate_paths(6, 0)[3]
     assert abs(lambda_accumulate(circuit, p, q).final - np.conj(lambda_accumulate(circuit, q, p).final)) < 1e-12
 
@@ -136,10 +135,10 @@ def test_epr_marginal_is_half_for_any_measurement_rotation():
     rng = np.random.default_rng(23)
     for _ in range(5):
         circuit = build_epr_circuit(random_single(rng), random_single(rng))
-        tables = lambda_tables(circuit, keep_trajectory=False)
+        blocks = final_blocks(circuit, lambda_tables(circuit))
         for j in (0, 1):
-            assert abs(tables.block(j).marginal() - 0.5) < 1e-10
-            assert abs(tables.marginal_deviation(j) - 0.5) < 1e-10
+            assert abs(blocks[j].marginal() - 0.5) < 1e-10
+            assert abs(marginal_deviation(circuit, j, blocks[j]) - 0.5) < 1e-10
 
 
 def test_interaction_free_marginal_is_free_born_rule():
@@ -147,9 +146,9 @@ def test_interaction_free_marginal_is_free_born_rule():
     gates = [random_single(rng) for _ in range(3)]
     circuit = make_circuit(2, [({0: g, 1: random_single(rng)}, []) for g in gates])
     free = gates[2] @ gates[1] @ gates[0]
-    tables = lambda_tables(circuit, keep_trajectory=False)
+    blocks = final_blocks(circuit, lambda_tables(circuit))
     for j in (0, 1):
-        assert abs(tables.block(j).marginal() - abs(free[j, 0]) ** 2) < 1e-12
+        assert abs(blocks[j].marginal() - abs(free[j, 0]) ** 2) < 1e-12
 
 
 def test_marginal_matches_oracle_on_random_circuits():
@@ -157,25 +156,25 @@ def test_marginal_matches_oracle_on_random_circuits():
     for layers in (1, 2, 3, 5, 8):
         circuit = random_circuit(rng, particles=2, layers=layers)
         oracle = marginal_by_sum(circuit, {0})
-        tables = lambda_tables(circuit, keep_trajectory=False)
+        blocks = final_blocks(circuit, lambda_tables(circuit))
         for j in (0, 1):
-            assert abs(tables.block(j).marginal() - oracle[j]) < 1e-9
-            assert abs(tables.block(j).marginal() - tables.marginal_deviation(j)) < 1e-10
+            assert abs(blocks[j].marginal() - oracle[j]) < 1e-9
+            assert abs(blocks[j].marginal() - marginal_deviation(circuit, j, blocks[j])) < 1e-10
 
 
 def test_marginals_normalize():
     circuit = random_circuit(np.random.default_rng(37), particles=2, layers=6)
-    tables = lambda_tables(circuit, keep_trajectory=False)
-    assert abs(tables.block(0).marginal() + tables.block(1).marginal() - 1.0) < 1e-9
+    blocks = final_blocks(circuit, lambda_tables(circuit))
+    assert abs(blocks[0].marginal() + blocks[1].marginal() - 1.0) < 1e-9
 
 
 def test_single_layer_circuit_has_no_pairs():
     rng = np.random.default_rng(41)
     a = random_single(rng)
     circuit = make_circuit(2, [({0: a, 1: random_single(rng)}, [])])
-    tables = lambda_tables(circuit, keep_trajectory=False)
+    blocks = final_blocks(circuit, lambda_tables(circuit))
     for j in (0, 1):
-        assert abs(tables.block(j).marginal() - abs(a[j, 0]) ** 2) < 1e-12
+        assert abs(blocks[j].marginal() - abs(a[j, 0]) ** 2) < 1e-12
 
 
 def test_rejects_wrong_particle_count():
@@ -184,42 +183,30 @@ def test_rejects_wrong_particle_count():
     with pytest.raises(ValueError):
         hit(circuit, paths[0], paths[1], 1)
     with pytest.raises(ValueError):
-        lambda_tables(circuit, keep_trajectory=False)
+        next(lambda_tables(circuit))
 
 
 def test_budget_guard():
     circuit = random_circuit(np.random.default_rng(47), particles=2, layers=8)
     with pytest.raises(BudgetExceeded):
-        lambda_tables(circuit, budget=100, keep_trajectory=False)
+        next(lambda_tables(circuit, budget=100))
 
 
-def test_trajectory_free_tables_keep_final_results():
-    circuit = random_circuit(np.random.default_rng(53), particles=2, layers=5)
-    full = lambda_tables(circuit)
-    light = lambda_tables(circuit, keep_trajectory=False)
-    assert np.array_equal(light.final, full.lam[circuit.n])
-    assert light.telescoping_error == full.telescoping_error
-    assert light.max_abs == full.max_abs
-    assert len(light.lam) == 1 and light.hits == [] and light.direct == []
-    for j in (0, 1):
-        assert light.block(j).marginal() == full.block(j).marginal()
-    with pytest.raises(ValueError):
-        light.entry(enumerate_paths(5, 0)[0], enumerate_paths(5, 0)[1])
-
-
-def test_trajectory_free_build_peaks_below_four_final_tables():
-    # hits go into lambda in place and the telescoping gap overwrites the
-    # direct table, so the last layer holds lambda, direct and one |gap| table
+def test_streamed_build_peaks_below_two_final_tables():
+    # each layer's table is repeated from the last one and its hits are added
+    # in place, so the last layer holds lambda_(n-1), one half-repeated copy
+    # and lambda_n
     circuit = random_circuit(
         np.random.default_rng(59), particles=2, layers=9, p_single=1.0, p_phase=1.0
     )
     tracemalloc.start()
     try:
-        light = lambda_tables(circuit, keep_trajectory=False)
+        for final in lambda_tables(circuit):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * light.final.nbytes
+    assert peak < 2 * final.nbytes
 
 
 from hypothesis import given, settings
@@ -243,10 +230,11 @@ def test_structural_invariants_hold_for_arbitrary_angles(layer_thetas):
         for thetas in layer_thetas
     ]
     circuit = make_circuit(2, specs)
-    tables = lambda_tables(circuit)
-    final = tables.lam[circuit.n]
+    tables = list(lambda_tables(circuit))
+    final = tables[circuit.n]
     assert np.max(np.abs(final - final.conj().T)) < 1e-12
-    assert max(np.max(np.abs(t_)) for t_ in tables.lam) <= 1 + 1e-10
+    assert max(np.max(np.abs(t_)) for t_ in tables) <= 1 + 1e-10
+    blocks = final_blocks(circuit, tables)
     oracle = marginal_by_sum(circuit, {0})
     for j in (0, 1):
-        assert abs(tables.block(j).marginal() - oracle[j]) < 1e-9
+        assert abs(blocks[j].marginal() - oracle[j]) < 1e-9

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sumpaths import paths, subsystems, threeparticle, twoparticle, verify
-from sumpaths.circuits import build_epr_circuit, load_circuit, save_circuit
+from sumpaths.circuits import build_epr_circuit, load_circuit, make_circuit, save_circuit
 from sumpaths.cli import main
 from sumpaths.corpus import random_circuit
 from sumpaths.verify import verify_circuit
@@ -81,6 +81,7 @@ def test_impossible_tolerance_fails_and_exits_one(tmp_path):
         code = main(["verify", "--circuit", str(path), "--tol", "1e-18"])
     assert code == 1
     assert json.loads(out.getvalue())["pass"] is False
+    assert err.getvalue().startswith("error: checks failed: ") and err.getvalue().count("\n") == 1
 
 
 def test_report_json_shape():
@@ -145,3 +146,28 @@ def test_timings_charge_shared_builds_and_sum_to_wall_time(monkeypatch):
     slow = {name for name, ms in timings.items() if ms > 1000.0 * 1000.0}
     assert slow == {"oracle_equivalence", "no_signaling"}
     assert all(ms == 1000.0 for name, ms in timings.items() if name not in slow)
+
+
+def test_zero_hit_layers_compares_streamed_tables_at_nine_layers(monkeypatch):
+    # layer 5 of an otherwise all-gates n = 9 circuit has no 0-1 gate; its
+    # streamed table, nudged off the repeat of layer 4's, must fail the check
+    base = random_circuit(np.random.default_rng(61), 2, 9, p_single=1.0, p_phase=1.0)
+    specs = [
+        (dict(enumerate(layer.singles)), [] if t == 5 else list(layer.phases))
+        for t, layer in enumerate(base.layers, start=1)
+    ]
+    circuit = make_circuit(2, specs)
+    assert verify_circuit(circuit).passed
+    build = twoparticle.lambda_tables
+
+    def nudged(*args, **kwargs):
+        for t, lam in enumerate(build(*args, **kwargs)):
+            if t == 5:
+                lam = lam.copy()
+                lam[0, 1] += 1e-13
+            yield lam
+
+    monkeypatch.setattr(verify, "lambda_tables", nudged)
+    checks = {check.name: check for check in verify_circuit(circuit).checks}
+    assert not checks["zero_hit_layers"].passed and checks["zero_hit_layers"].max_error > 0.0
+    assert checks["telescoping"].passed
