@@ -12,7 +12,6 @@ from .circuits import (
     PhaseGate,
     build_epr_circuit,
     circuit_digest,
-    condition_phase_gate,
     dumps_canonical,
     factor_phase_gate,
     load_circuit,
@@ -47,10 +46,8 @@ from .subsystems import (
 )
 from .threeparticle import (
     HitBreakdown,
-    delta_ab,
-    delta_ac,
-    gamma_chi_b,
-    gamma_chi_c,
+    delta,
+    gamma_chi,
     hit_three,
     lambda_three,
 )

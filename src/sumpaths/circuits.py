@@ -262,13 +262,8 @@ def make_circuit(
     return Circuit(particles=particles, layers=tuple(built))
 
 
-def condition_phase_gate(gate: PhaseGate, controller: int, mode: int) -> np.ndarray:
-    """Fix one member of the pair to `mode`; returns the 2x2 diagonal gate on the other."""
-    return np.diag(conditioned_diagonal(gate, controller, mode))
-
-
 def conditioned_diagonal(gate: PhaseGate, controller: int, mode: int) -> np.ndarray:
-    """Length-2 diagonal of condition_phase_gate (the fast-path form)."""
+    """Fix one member of the pair to `mode`; returns the length-2 diagonal of the gate on the other."""
     if mode not in (0, 1):
         raise ValueError(f"mode must be 0 or 1, got {mode}")
     if controller == gate.pair[0]:

@@ -228,6 +228,8 @@ def _verify_one(circuit: Circuit, args: argparse.Namespace) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     if (args.circuit is None) == (args.manifest is None):
         raise CircuitError("verify needs exactly one of --circuit or --manifest")
+    if not math.isfinite(args.tol) or args.tol < 0:
+        raise CircuitError(f"tol must be finite and non-negative, got {args.tol}")
     if args.circuit is not None:
         report = _verify_one(load_circuit(args.circuit), args)
         if args.format == "csv":
@@ -338,6 +340,8 @@ def _clamped(block: LambdaBlock, clamp: float) -> LambdaBlock:
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.clamp):
+        raise CircuitError(f"clamp must be finite, got {args.clamp}")
     if args.clamp < 0:
         raise CircuitError("clamp must be non-negative")
     circuit = load_circuit(args.circuit)
@@ -408,7 +412,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
 
 def cmd_density(args: argparse.Namespace) -> int:
     circuit = load_circuit(args.circuit)
-    records = density_report(circuit)
+    records = density_report(circuit, args.budget)
     if args.format == "csv":
         _emit_csv(
             [

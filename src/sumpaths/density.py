@@ -132,9 +132,14 @@ def collapse_amplitude_direct(circuit: Circuit, t: int) -> complex:
     return complex((singles @ evolve(circuit, t - 1))[1])
 
 
-def density_report(circuit: Circuit) -> list[dict]:
-    """Per-layer records of the recursion for the CLI: errors against the oracle."""
+def density_report(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> list[dict]:
+    """Per-layer records of the recursion for the CLI: errors against the oracle.
+
+    The budget is charged once with the last layer's path count, the largest
+    that any layer's `hit_pathsum_amplitude` needs.
+    """
     normalized = normalized_phase_form(circuit)
+    check_budget(1 << max(normalized.n - 1, 0), budget, "subsystem paths")
     records = []
     for t in range(1, normalized.n + 1):
         psi = evolve(normalized, t - 1)
@@ -142,7 +147,7 @@ def density_report(circuit: Circuit) -> list[dict]:
         pair = density_step(normalized, t, prev_joint)
         oracle = reduced_density(normalized, 0, t)
         off = hit_offdiagonal(normalized, t, prev_joint)
-        pathsum = hit_pathsum_amplitude(normalized, t)
+        pathsum = hit_pathsum_amplitude(normalized, t, budget)
         direct = collapse_amplitude_direct(normalized, t)
         records.append(
             {

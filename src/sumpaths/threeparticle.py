@@ -5,16 +5,19 @@ hidden variable for an ordered pair of subsystem paths equals the overlap of
 the two-particle external evolutions conditioned on each path, and it is
 rebuilt layer by layer out of three families of factors:
 
-  delta  - booked at the layer of an A-B or A-C interaction, over pairs of
-           external paths meeting at that interaction;
-  gamma  - interactions of the struck particle's partner with the subsystem
-           before the booking layer;
-  chi    - B-C interactions feeding the struck particle.
+  delta  - `delta(circuit, struck, ...)`, booked at the layer of an A-struck
+           interaction (struck 1 on the A-B branch, 2 on the A-C branch),
+           over pairs of the struck particle's paths meeting there;
+  gamma  - interactions of the partner, 3 - struck, with the subsystem;
+  chi    - B-C interactions between the partner and the struck particle.
 
-Bookkeeping order inside a layer is B-C, then A-B, then A-C, so on the A-B
-branch gamma sums stop at the previous layer while chi sums include the
-booking layer; on the A-C branch both run through the booking layer. Layers
-without the relevant gate contribute exact zeros (no arithmetic happens).
+`gamma_chi(circuit, particle, ...)` gives the partner's gamma and chi terms
+of one layer. Both branches run one code path. Bookkeeping order inside a
+layer is B-C, then A-B, then A-C, so an A-B hit is booked before the layer's
+A-C gate: its gamma sums stop at the previous layer, while its chi sums and
+both sums of an A-C hit run through the booking layer.
+Layers without the relevant gate contribute exact zeros (no arithmetic
+happens).
 
 `hit_three`/`lambda_three` evaluate single pairs; `lambda3_tables` runs the
 same literal cascade vectorized over every path-prefix pair and streams one
@@ -45,9 +48,11 @@ from .paths import Path, enumerate_paths, path_amplitude, prefix_amplitudes
 AB, AC, BC = (0, 1), (0, 2), (1, 2)
 
 
-def _require_three_particles(circuit: Circuit) -> None:
+def _require_three_particles(circuit: Circuit, external: int = 1) -> None:
     if circuit.particles != 3:
         raise ValueError("three-particle decomposition needs exactly 3 particles")
+    if external not in (1, 2):
+        raise ValueError(f"external particle must be 1 (B) or 2 (C), got {external}")
 
 
 def _thetas(circuit: Circuit, pair: tuple[int, int], t: int) -> np.ndarray | None:
@@ -65,31 +70,24 @@ def _straddle_phase(circuit: Circuit, pair: tuple[int, int], a: Path, b: Path, u
     return angle
 
 
-def _b_state(circuit: Circuit, a_path: Path, c_path: Path, upto: int) -> np.ndarray:
-    """Particle B's state after `upto` layers, conditioned on subsystem and C paths."""
-    state = np.array([1.0, 0.0], dtype=complex)
-    for s in range(1, upto + 1):
-        state = circuit.single(s, 1) @ state
-        th_bc = _thetas(circuit, BC, s)
-        if th_bc is not None:
-            state = np.exp(1j * th_bc[:, c_path.mode(s)]) * state
-        th_ab = _thetas(circuit, AB, s)
-        if th_ab is not None:
-            state = np.exp(1j * th_ab[a_path.mode(s)]) * state
-    return state
+def _bc_thetas(circuit: Circuit, particle: int, t: int) -> np.ndarray | None:
+    """B-C angles at layer t indexed [mode of the other external particle, mode of `particle`]."""
+    th = _thetas(circuit, BC, t)
+    return th if th is None or particle == 2 else th.T
 
 
-def _c_state(circuit: Circuit, a_path: Path, b_path: Path, upto: int) -> np.ndarray:
-    """Particle C's state after `upto` layers, conditioned on subsystem and B paths."""
+def _external_state(circuit: Circuit, particle: int, a_path: Path, other: Path, upto: int) -> np.ndarray:
+    """External `particle`'s state after `upto` layers, conditioned on the subsystem
+    path and the other external particle's path."""
     state = np.array([1.0, 0.0], dtype=complex)
     for s in range(1, upto + 1):
-        state = circuit.single(s, 2) @ state
-        th_bc = _thetas(circuit, BC, s)
+        state = circuit.single(s, particle) @ state
+        th_bc = _bc_thetas(circuit, particle, s)
         if th_bc is not None:
-            state = np.exp(1j * th_bc[b_path.mode(s)]) * state
-        th_ac = _thetas(circuit, AC, s)
-        if th_ac is not None:
-            state = np.exp(1j * th_ac[a_path.mode(s)]) * state
+            state = np.exp(1j * th_bc[other.mode(s)]) * state
+        th_a = _thetas(circuit, (0, particle), s)
+        if th_a is not None:
+            state = np.exp(1j * th_a[a_path.mode(s)]) * state
     return state
 
 
@@ -101,102 +99,56 @@ def _check_common_endpoint(left: Path, right: Path) -> int:
     return left.endpoint
 
 
-def delta_ab(circuit: Circuit, p: Path, q: Path, m: Path, n_: Path, r: int) -> complex:
-    """Booking factor of an A-B interaction at layer r over B-paths (m, n_)."""
-    _require_three_particles(circuit)
-    k = _check_common_endpoint(m, n_)
-    th = _thetas(circuit, AB, r)
+def delta(circuit: Circuit, struck: int, p: Path, q: Path, e: Path, f: Path, r: int) -> complex:
+    """Booking factor of the A-`struck` interaction at layer r over struck-particle paths (e, f)."""
+    _require_three_particles(circuit, struck)
+    k = _check_common_endpoint(e, f)
+    pair = (0, struck)
+    th = _thetas(circuit, pair, r)
     if th is None:
         return 0j
     factor = np.exp(1j * (th[q.mode(r), k] - th[p.mode(r), k])) - 1.0
     cumulative = np.exp(
         1j
         * (
-            _straddle_phase(circuit, AB, q, n_, r - 1)
-            - _straddle_phase(circuit, AB, p, m, r - 1)
+            _straddle_phase(circuit, pair, q, f, r - 1)
+            - _straddle_phase(circuit, pair, p, e, r - 1)
         )
     )
     return complex(
-        factor * np.conj(path_amplitude(circuit, 1, m)) * path_amplitude(circuit, 1, n_) * cumulative
+        factor * np.conj(path_amplitude(circuit, struck, e)) * path_amplitude(circuit, struck, f) * cumulative
     )
 
 
-def delta_ac(circuit: Circuit, p: Path, q: Path, s: Path, t_: Path, r: int) -> complex:
-    """Booking factor of an A-C interaction at layer r over C-paths (s, t_)."""
-    _require_three_particles(circuit)
-    l = _check_common_endpoint(s, t_)
-    th = _thetas(circuit, AC, r)
-    if th is None:
-        return 0j
-    factor = np.exp(1j * (th[q.mode(r), l] - th[p.mode(r), l])) - 1.0
-    cumulative = np.exp(
-        1j
-        * (
-            _straddle_phase(circuit, AC, q, t_, r - 1)
-            - _straddle_phase(circuit, AC, p, s, r - 1)
-        )
-    )
-    return complex(
-        factor * np.conj(path_amplitude(circuit, 2, s)) * path_amplitude(circuit, 2, t_) * cumulative
-    )
-
-
-def gamma_chi_b(
-    circuit: Circuit, p: Path, q: Path, s: Path, t_: Path, t: int
+def gamma_chi(
+    circuit: Circuit, particle: int, p: Path, q: Path, e: Path, f: Path, t: int
 ) -> tuple[complex, complex]:
-    """Layer-t split-off terms of particle B's conditioned overlap on the A-C branch.
+    """Layer-t split-off terms of external `particle`'s conditioned overlap, on the
+    branch where the other external particle, with paths (e, f), is struck.
 
-    gamma carries the A-B phase difference, chi the B-C difference; both are
-    exact zeros when the corresponding gate is absent at layer t.
+    gamma carries the A-`particle` phase difference, chi the B-C difference;
+    both are exact zeros when the corresponding gate is absent at layer t.
     """
-    _require_three_particles(circuit)
-    _check_common_endpoint(s, t_)
-    w_p = circuit.single(t, 1) @ _b_state(circuit, p, s, t - 1)
-    w_q = circuit.single(t, 1) @ _b_state(circuit, q, t_, t - 1)
+    _require_three_particles(circuit, particle)
+    _check_common_endpoint(e, f)
+    w_p = circuit.single(t, particle) @ _external_state(circuit, particle, p, e, t - 1)
+    w_q = circuit.single(t, particle) @ _external_state(circuit, particle, q, f, t - 1)
 
-    th_bc = _thetas(circuit, BC, t)
+    th_bc = _bc_thetas(circuit, particle, t)
     if th_bc is None:
         chi = 0j
         y_p, y_q = w_p, w_q
     else:
-        d = np.exp(1j * (th_bc[:, t_.mode(t)] - th_bc[:, s.mode(t)])) - 1.0
+        d = np.exp(1j * (th_bc[f.mode(t)] - th_bc[e.mode(t)])) - 1.0
         chi = complex(np.sum(d * w_p.conj() * w_q))
-        y_p = np.exp(1j * th_bc[:, s.mode(t)]) * w_p
-        y_q = np.exp(1j * th_bc[:, t_.mode(t)]) * w_q
+        y_p = np.exp(1j * th_bc[e.mode(t)]) * w_p
+        y_q = np.exp(1j * th_bc[f.mode(t)]) * w_q
 
-    th_ab = _thetas(circuit, AB, t)
-    if th_ab is None:
+    th_a = _thetas(circuit, (0, particle), t)
+    if th_a is None:
         gamma = 0j
     else:
-        d = np.exp(1j * (th_ab[q.mode(t)] - th_ab[p.mode(t)])) - 1.0
-        gamma = complex(np.sum(d * y_p.conj() * y_q))
-    return gamma, chi
-
-
-def gamma_chi_c(
-    circuit: Circuit, p: Path, q: Path, m: Path, n_: Path, t: int
-) -> tuple[complex, complex]:
-    """Layer-t split-off terms of particle C's conditioned overlap on the A-B branch."""
-    _require_three_particles(circuit)
-    _check_common_endpoint(m, n_)
-    v_p = circuit.single(t, 2) @ _c_state(circuit, p, m, t - 1)
-    v_q = circuit.single(t, 2) @ _c_state(circuit, q, n_, t - 1)
-
-    th_bc = _thetas(circuit, BC, t)
-    if th_bc is None:
-        chi = 0j
-        y_p, y_q = v_p, v_q
-    else:
-        d = np.exp(1j * (th_bc[n_.mode(t)] - th_bc[m.mode(t)])) - 1.0
-        chi = complex(np.sum(d * v_p.conj() * v_q))
-        y_p = np.exp(1j * th_bc[m.mode(t)]) * v_p
-        y_q = np.exp(1j * th_bc[n_.mode(t)]) * v_q
-
-    th_ac = _thetas(circuit, AC, t)
-    if th_ac is None:
-        gamma = 0j
-    else:
-        d = np.exp(1j * (th_ac[q.mode(t)] - th_ac[p.mode(t)])) - 1.0
+        d = np.exp(1j * (th_a[q.mode(t)] - th_a[p.mode(t)])) - 1.0
         gamma = complex(np.sum(d * y_p.conj() * y_q))
     return gamma, chi
 
@@ -236,41 +188,30 @@ def hit_three(
         raise ValueError("subsystem paths must span every circuit layer")
     check_budget(4**r, budget, "branch path pairs")
 
-    ab_terms: list[BranchTerm] = []
-    if _thetas(circuit, AB, r) is not None:
-        for k in (0, 1):
-            paths_b = enumerate_paths(r, k)
-            for m in paths_b:
-                for n_ in paths_b:
-                    delta = delta_ab(circuit, p, q, m, n_, r)
-                    gamma_sum = 0j
-                    chi_sum = 0j
-                    for t in range(1, r + 1):
-                        gamma, chi = gamma_chi_c(circuit, p, q, m, n_, t)
-                        if t <= r - 1:
-                            gamma_sum += gamma
-                        chi_sum += chi
-                    ab_terms.append(BranchTerm(k, m, n_, delta, gamma_sum, chi_sum))
-
-    ac_terms: list[BranchTerm] = []
-    if _thetas(circuit, AC, r) is not None:
-        for l in (0, 1):
-            paths_c = enumerate_paths(r, l)
-            for s in paths_c:
-                for t_ in paths_c:
-                    delta = delta_ac(circuit, p, q, s, t_, r)
-                    gamma_sum = 0j
-                    chi_sum = 0j
-                    for t in range(1, r + 1):
-                        gamma, chi = gamma_chi_b(circuit, p, q, s, t_, t)
-                        gamma_sum += gamma
-                        chi_sum += chi
-                    ac_terms.append(BranchTerm(l, s, t_, delta, gamma_sum, chi_sum))
+    branches = []
+    for struck in (1, 2):  # A-B, then A-C
+        terms = []
+        if _thetas(circuit, (0, struck), r) is not None:
+            for k in (0, 1):
+                paths = enumerate_paths(r, k)
+                for e in paths:
+                    for f in paths:
+                        booked = delta(circuit, struck, p, q, e, f, r)
+                        gamma_sum = 0j
+                        chi_sum = 0j
+                        for t in range(1, r + 1):
+                            gamma, chi = gamma_chi(circuit, 3 - struck, p, q, e, f, t)
+                            if struck == 2 or t <= r - 1:  # A-B books before the layer-r A-C gate
+                                gamma_sum += gamma
+                            chi_sum += chi
+                        terms.append(BranchTerm(k, e, f, booked, gamma_sum, chi_sum))
+        branches.append(tuple(terms))
+    ab_terms, ac_terms = branches
 
     total = sum((term.value for term in ab_terms), 0j) + sum(
         (term.value for term in ac_terms), 0j
     )
-    return HitBreakdown(layer=r, ab_branch=tuple(ab_terms), ac_branch=tuple(ac_terms), total=total)
+    return HitBreakdown(layer=r, ab_branch=ab_terms, ac_branch=ac_terms, total=total)
 
 
 @dataclass(frozen=True)
@@ -390,84 +331,59 @@ def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[n
     lam = np.ones((1, 1), dtype=complex)
     yield lam
 
-    cv = np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2)  # C given (A, B) prefixes
-    bv = np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2)  # B given (A, C) prefixes
-
-    # A-B branch: C's overlap, chi (B-C) and gamma (A-C) columns over (A, B) prefixes
-    c_stack = np.zeros((1, 1, 0), dtype=complex)
-    c_signs = np.zeros(0)
-    # A-C branch: B's overlap, chi (B-C) and gamma (A-B) columns over (A, C) prefixes
-    b_stack = np.zeros((1, 1, 0), dtype=complex)
-    b_signs = np.zeros(0)
-    pab = np.ones((1, 1), dtype=complex)  # cumulative A-B straddle phases
-    pac = np.ones((1, 1), dtype=complex)
+    # Per branch, keyed by the struck particle: the partner's states conditioned
+    # on (A, struck) prefixes, the partner's chi (B-C) and gamma columns over
+    # those prefixes, and the cumulative A-struck straddle phases.
+    states = {struck: np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2) for struck in (1, 2)}
+    stacks = {struck: np.zeros((1, 1, 0), dtype=complex) for struck in (1, 2)}
+    signs = {struck: np.zeros(0) for struck in (1, 2)}
+    straddle = {struck: np.ones((1, 1), dtype=complex) for struck in (1, 2)}
     last_hit = _last_hit_layer(circuit)
 
     for r in range(1, circuit.n + 1):
-        size = 1 << r
-        bit = np.arange(size) % 2
-        th_ab = _thetas(circuit, AB, r)
-        th_ac = _thetas(circuit, AC, r)
-        th_bc = _thetas(circuit, BC, r)
-
-        # pab/pac keep their through-(r-1) content until after the assemblies
-        pab = np.repeat(np.repeat(pab, 2, axis=0), 2, axis=1)
-        pac = np.repeat(np.repeat(pac, 2, axis=0), 2, axis=1)
-
-        # conditioned external states through this layer's gate sequence
-        z_c = np.tensordot(cv, circuit.single(r, 2), axes=([2], [1]))
-        z_c = np.repeat(np.repeat(z_c, 2, axis=0), 2, axis=1)  # pre-B-C view
-        if th_bc is not None:
-            v_c = z_c * np.exp(1j * th_bc)[bit][None, :, :]  # after B-C, before A-C
-        else:
-            v_c = z_c
-        z_b = np.tensordot(bv, circuit.single(r, 1), axes=([2], [1]))
-        z_b = np.repeat(np.repeat(z_b, 2, axis=0), 2, axis=1)
-        if th_bc is not None:
-            w_b = z_b * np.exp(1j * th_bc.T)[bit][None, :, :]  # after B-C, before A-B
-        else:
-            w_b = z_b
-        cv = v_c * np.exp(1j * th_ac)[bit][:, None, :] if th_ac is not None else v_c
-        bv = w_b * np.exp(1j * th_ab)[bit][:, None, :] if th_ab is not None else w_b
-
-        # per-layer gamma/chi increments, as (after, before) gate pairs; an
-        # absent gate books nothing. The A-C gamma goes last on C's stack:
-        # the A-B branch sums gamma only through layer r-1.
-        c_increments, b_increments = [], []
-        if th_bc is not None:
-            c_increments.append((v_c, z_c))
-            b_increments.append((w_b, z_b))
-        ab_columns = c_stack.shape[2] + 4 * len(c_increments)
-        if th_ac is not None:
-            c_increments.append((cv, v_c))
-        if th_ab is not None:
-            b_increments.append((bv, w_b))
-        if r <= last_hit:
-            c_stack, c_signs = _refine(c_stack, c_signs, c_increments)
-            b_stack, b_signs = _refine(b_stack, b_signs, b_increments)
-
+        bit = np.arange(1 << r) % 2
         hit_table = None
-        if th_ab is not None:
-            hit_table = _branch_hit(
-                prefix_amplitudes(circuit, 1, r)[None, :] * pab,
-                c_stack[:, :, :ab_columns],
-                c_signs[:ab_columns],
-                np.exp(1j * th_ab)[bit],
-            )
-        if th_ac is not None:
-            ac_table = _branch_hit(
-                prefix_amplitudes(circuit, 2, r)[None, :] * pac, b_stack, b_signs, np.exp(1j * th_ac)[bit]
-            )
-            hit_table = ac_table if hit_table is None else hit_table + ac_table
+        for struck in (1, 2):  # A-B, then A-C
+            partner = 3 - struck
+            th_book = _thetas(circuit, (0, struck), r)
+            th_gamma = _thetas(circuit, (0, partner), r)
+            th_bc = _bc_thetas(circuit, partner, r)
+
+            # the partner's conditioned states through this layer's gate sequence
+            pre_bc = np.tensordot(states[struck], circuit.single(r, partner), axes=([2], [1]))
+            pre_bc = np.repeat(np.repeat(pre_bc, 2, axis=0), 2, axis=1)
+            pre_gamma = pre_bc * np.exp(1j * th_bc)[bit][None, :, :] if th_bc is not None else pre_bc
+            if th_gamma is not None:
+                states[struck] = pre_gamma * np.exp(1j * th_gamma)[bit][:, None, :]
+            else:
+                states[struck] = pre_gamma
+
+            # per-layer chi/gamma increments, as (after, before) gate pairs; an
+            # absent gate books nothing
+            increments = []
+            if th_bc is not None:
+                increments.append((pre_gamma, pre_bc))
+            if th_gamma is not None:
+                increments.append((states[struck], pre_gamma))
+            if r <= last_hit:
+                stacks[struck], signs[struck] = _refine(stacks[struck], signs[struck], increments)
+
+            straddle[struck] = np.repeat(np.repeat(straddle[struck], 2, axis=0), 2, axis=1)
+            if th_book is not None:
+                # A-B books before the layer-r A-C gate, whose gamma is the stack's last four columns
+                columns = stacks[struck].shape[2] - 4 * (struck == 1 and th_gamma is not None)
+                branch = _branch_hit(
+                    prefix_amplitudes(circuit, struck, r)[None, :] * straddle[struck],
+                    stacks[struck][:, :, :columns],
+                    signs[struck][:columns],
+                    np.exp(1j * th_book)[bit],
+                )
+                hit_table = branch if hit_table is None else hit_table + branch
+                # straddle phases now cover layers 1..r, ready for the next layer's deltas
+                straddle[struck] = straddle[struck] * np.exp(1j * th_book[bit[:, None], bit[None, :]])
 
         lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
         if hit_table is not None:
             lam = lam + hit_table
-        hit_table = ac_table = None  # not held while the caller reads lam
+        hit_table = branch = None  # not held while the caller reads lam
         yield lam
-
-        # straddle phases now cover layers 1..r, ready for the next layer's deltas
-        if th_ab is not None:
-            pab = pab * np.exp(1j * th_ab[bit[:, None], bit[None, :]])
-        if th_ac is not None:
-            pac = pac * np.exp(1j * th_ac[bit[:, None], bit[None, :]])

@@ -177,7 +177,7 @@ def _two_particle_checks(
     )
     runner.run("hermitian_pairing", 1e-12, lambda: float(np.max(np.abs(final - final.conj().T))))
     runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, largest - 1.0]))
-    records = density_report(circuit)
+    records = density_report(circuit, budget)
     runner.run(
         "density_reconstruction", 1e-10, lambda: _worst(r["frobenius_error"] for r in records)
     )

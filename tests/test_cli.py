@@ -250,6 +250,22 @@ def test_perturb_rejects_negative_clamp(epr_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("perturb", "--clamp", "nan"),
+        ("perturb", "--clamp", "inf"),
+        ("verify", "--tol", "nan"),
+        ("verify", "--tol", "inf"),
+        ("verify", "--tol", "-1"),
+    ],
+)
+def test_nonfinite_or_negative_clamp_and_tol_are_input_errors(epr_file, command, flag, value):
+    code, out, err = run_cli(command, "--circuit", epr_file, flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_paths_dump_epr():
     import tempfile
 
@@ -291,6 +307,16 @@ def test_density_command_reports_small_errors(tmp_path):
         total = np.array([[complex(*c) for c in row] for row in entry["sum"]])
         oracle = np.array([[complex(*c) for c in row] for row in entry["oracle"]])
         assert np.max(np.abs(total - oracle)) < 1e-10
+
+
+def test_density_honours_budget():
+    # the last layer of an 8-layer circuit sums 2^7 subsystem paths
+    circuit = str(CORPUS / "n2_l8_s0.json")
+    code, out, err = run_cli("density", "--circuit", circuit, "--budget", "4")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run_cli("density", "--circuit", circuit, "--budget", "128")
+    assert code == 0 and out == run_cli("density", "--circuit", circuit)[1]
 
 
 def test_csv_outputs_for_every_command(epr_file, random_file):

@@ -13,10 +13,8 @@ from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths
 from sumpaths.subsystems import ConfigPath, conditioned_blocks, lambda_general
 from sumpaths.threeparticle import (
-    delta_ab,
-    delta_ac,
-    gamma_chi_b,
-    gamma_chi_c,
+    delta,
+    gamma_chi,
     hit_three,
     lambda3_tables,
     lambda_three,
@@ -47,8 +45,8 @@ def test_delta_ab_zero_without_gate():
     circuit = make_circuit(3, [({}, [PhaseGate((0, 2), (0.1, 0.2, 0.3, 0.4))])])
     p, q = Path((0,)), Path((1,))
     m = n_ = Path((0,))
-    assert delta_ab(circuit, p, q, m, n_, 1) == 0j
-    assert delta_ac(circuit, p, q, m, n_, 1) != 0j
+    assert delta(circuit, 1, p, q, m, n_, 1) == 0j
+    assert delta(circuit, 2, p, q, m, n_, 1) != 0j
 
 
 def test_delta_ac_zero_when_decoupled():
@@ -57,14 +55,19 @@ def test_delta_ac_zero_when_decoupled():
     for r in range(1, 4):
         for s in enumerate_paths(r, 0):
             for t_ in enumerate_paths(r, 0):
-                assert delta_ac(circuit, p, q, s, t_, r) == 0j
+                assert delta(circuit, 2, p, q, s, t_, r) == 0j
 
 
 def test_delta_endpoint_mismatch_rejected():
     circuit = random_circuit(np.random.default_rng(5), 3, 2)
     p, q = Path((0, 0)), Path((1, 0))
     with pytest.raises(ValueError):
-        delta_ab(circuit, p, q, Path((0,)), Path((1,)), 1)
+        delta(circuit, 1, p, q, Path((0,)), Path((1,)), 1)
+    for outside in (0, 3):  # only B and C are external
+        with pytest.raises(ValueError):
+            delta(circuit, outside, p, q, Path((0,)), Path((0,)), 1)
+        with pytest.raises(ValueError):
+            gamma_chi(circuit, outside, p, q, Path((0,)), Path((0,)), 1)
 
 
 def test_delta_ab_reduces_to_two_particle_form_for_single_gate():
@@ -74,10 +77,10 @@ def test_delta_ab_reduces_to_two_particle_form_for_single_gate():
     circuit = make_circuit(3, [({}, [PhaseGate((0, 1), theta)])])
     p, q = Path((0,)), Path((1,))
     m = n_ = Path((0,))
-    value = delta_ab(circuit, p, q, m, n_, 1)
+    value = delta(circuit, 1, p, q, m, n_, 1)
     assert abs(value - (np.exp(1j * 0.0) - 1.0)) < 1e-15  # joint mode (q=1, k=0) has theta 0
     mm = nn = Path((1,))
-    value = delta_ab(circuit, p, q, mm, nn, 1)
+    value = delta(circuit, 1, p, q, mm, nn, 1)
     # B has identity singles, so a path through mode 1 has zero amplitude
     assert value == 0j
 
@@ -89,7 +92,7 @@ def test_gamma_chi_b_prefix_identity():
         for upto in range(1, 5):
             total = 1.0 + 0j
             for t in range(1, upto + 1):
-                gamma, chi = gamma_chi_b(circuit, p, q, s, t_, t)
+                gamma, chi = gamma_chi(circuit, 1, p, q, s, t_, t)
                 total += gamma + chi
             left = conditioned_external_matrix(circuit, {0: p, 2: s}, upto)[:, 0]
             right = conditioned_external_matrix(circuit, {0: q, 2: t_}, upto)[:, 0]
@@ -101,7 +104,7 @@ def test_gamma_chi_b_zero_without_gates():
     p, q = Path((0, 1, 0)), Path((1, 0, 0))
     for s, t_ in sample_pairs(3, 0, 2, seed=2):
         for t in range(1, 4):
-            gamma, chi = gamma_chi_b(circuit, p, q, s, t_, t)
+            gamma, chi = gamma_chi(circuit, 1, p, q, s, t_, t)
             assert chi == 0j  # no B-C gates in a decoupled circuit
             if circuit.phase(t, (0, 1)) is None:
                 assert gamma == 0j
@@ -114,7 +117,7 @@ def test_gamma_chi_c_prefix_identity_with_final_interaction_excluded():
         for upto in range(1, 5):
             total = 1.0 + 0j
             for t in range(1, upto + 1):
-                gamma, chi = gamma_chi_c(circuit, p, q, m, n_, t)
+                gamma, chi = gamma_chi(circuit, 2, p, q, m, n_, t)
                 if t <= upto - 1:
                     total += gamma
                 total += chi
@@ -138,7 +141,7 @@ def test_gamma_chi_c_full_telescoping():
     for m, n_ in sample_pairs(3, 1, 3, seed=4):
         total = 1.0 + 0j
         for t in range(1, 4):
-            gamma, chi = gamma_chi_c(circuit, p, q, m, n_, t)
+            gamma, chi = gamma_chi(circuit, 2, p, q, m, n_, t)
             total += gamma + chi
         left = conditioned_external_matrix(circuit, {0: p, 1: m}, 3)[:, 0]
         right = conditioned_external_matrix(circuit, {0: q, 1: n_}, 3)[:, 0]
@@ -157,12 +160,12 @@ def test_bc_only_layer_gives_zero_gamma_nonzero_chi():
     )
     p, q = Path((0, 0)), Path((1, 0))
     for s, t_ in sample_pairs(2, 0, 3, seed=8):
-        gamma, chi = gamma_chi_b(circuit, p, q, s, t_, 1)
+        gamma, chi = gamma_chi(circuit, 1, p, q, s, t_, 1)
         assert gamma == 0j
         if s.mode(1) != t_.mode(1):
             assert abs(chi) > 1e-6
     for m, n_ in sample_pairs(2, 1, 3, seed=9):
-        gamma, chi = gamma_chi_c(circuit, p, q, m, n_, 1)
+        gamma, chi = gamma_chi(circuit, 2, p, q, m, n_, 1)
         assert gamma == 0j
         if m.mode(1) != n_.mode(1):
             assert abs(chi) > 1e-6
@@ -255,15 +258,8 @@ def test_tables_match_scalar_cascade():
             assert np.max(np.abs(np.array(table) - np.array(scalar.trajectory))) < 1e-10
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=4),
-    st.integers(0, 2**32 - 1),
-)
-def test_tables_match_scalar_cascade_on_sparse_gate_patterns(pattern, seed):
-    # each layer holds any subset of the A-B, A-C and B-C gates, so the
-    # tables' absent-gate branches (no increment, no hit) all run
-    rng = np.random.default_rng(seed)
+def sparse_circuit(pattern, rng: np.random.Generator):
+    """Random singles on every particle; layer t holds the A-B, A-C and B-C gates flagged in pattern[t - 1]."""
     specs = [
         (
             {i: random_single(rng) for i in range(3)},
@@ -275,13 +271,58 @@ def test_tables_match_scalar_cascade_on_sparse_gate_patterns(pattern, seed):
         )
         for gates in pattern
     ]
-    circuit = make_circuit(3, specs)
+    return make_circuit(3, specs)
+
+
+def swap_externals(circuit):
+    """The same circuit with particles 1 (B) and 2 (C) exchanged."""
+    specs = []
+    for layer in circuit.layers:
+        phases = []
+        for gate in layer.phases:
+            if gate.pair == (1, 2):
+                t00, t01, t10, t11 = gate.thetas
+                phases.append(PhaseGate((1, 2), (t00, t10, t01, t11)))
+            else:
+                phases.append(PhaseGate((0, 3 - gate.pair[1]), gate.thetas))
+        specs.append(({0: layer.singles[0], 1: layer.singles[2], 2: layer.singles[1]}, phases))
+    return make_circuit(3, specs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_tables_match_scalar_cascade_on_sparse_gate_patterns(pattern, seed):
+    # each layer holds any subset of the A-B, A-C and B-C gates, so the
+    # tables' absent-gate branches (no increment, no hit) all run
+    rng = np.random.default_rng(seed)
+    circuit = sparse_circuit(pattern, rng)
     tables = list(lambda3_tables(circuit))
     for endpoint in (0, 1):
         paths = enumerate_paths(circuit.n, endpoint)
         p, q = (paths[int(i)] for i in rng.integers(0, len(paths), 2))
         scalar = lambda_three(circuit, p, q)
         assert np.max(np.abs(np.array(table_trajectory(tables, p, q)) - scalar.trajectory)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
+def test_swapping_external_particles_keeps_every_table(pattern, seed):
+    # the A-B and A-C branches trade places, and B-C angles are read transposed
+    rng = np.random.default_rng(seed)
+    circuit = sparse_circuit(pattern, rng)
+    swapped = swap_externals(circuit)
+    for lam, twin in zip(lambda3_tables(circuit), lambda3_tables(swapped), strict=True):
+        assert np.max(np.abs(lam - twin)) < 1e-12
+    if circuit.n <= 4:  # and one scalar pair
+        paths = enumerate_paths(circuit.n, int(rng.integers(0, 2)))
+        p, q = (paths[int(i)] for i in rng.integers(0, len(paths), 2))
+        assert abs(lambda_three(circuit, p, q).final - lambda_three(swapped, p, q).final) < 1e-10
 
 
 @pytest.mark.parametrize("layers", [6, 7, 8])
