@@ -31,10 +31,11 @@ from .oracle import Distribution, evolve, joint_distribution, marginal_by_sum, r
 from .paths import (
     ConditionalUnitary,
     Path,
-    amplitude_via_paths,
+    amplitudes_via_paths,
     condition_on_paths,
     enumerate_paths,
     joint_phase,
+    pair_phases,
     path_amplitude,
 )
 from .subsystems import (

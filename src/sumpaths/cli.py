@@ -28,7 +28,7 @@ from .circuits import (
 from .common import DEFAULT_BUDGET, BudgetExceeded, LambdaBlock, check_budget
 from .density import density_report
 from .oracle import marginal_by_sum
-from .paths import Path, amplitude_via_paths, enumerate_paths, path_amplitude
+from .paths import Path, amplitudes_via_paths, enumerate_paths, path_amplitude
 from .subsystems import (
     enumerate_config_paths,
     lambda_blocks,
@@ -86,19 +86,13 @@ def _lambda_distribution(circuit: Circuit, subsystem: tuple[int, ...], budget: i
 
 
 def _pathsum_distribution(circuit: Circuit, subsystem: tuple[int, ...], budget: int) -> dict[str, float]:
-    external = [i for i in range(circuit.particles) if i not in subsystem]
-    probs: dict[str, float] = {}
-    for outcome in itertools.product((0, 1), repeat=len(subsystem)):
-        total = 0.0
-        for ext_outcome in itertools.product((0, 1), repeat=len(external)):
-            joint = [0] * circuit.particles
-            for k, p in enumerate(subsystem):
-                joint[p] = outcome[k]
-            for k, p in enumerate(external):
-                joint[p] = ext_outcome[k]
-            total += abs(amplitude_via_paths(circuit, joint, budget)) ** 2
-        probs[_label(outcome)] = total
-    return probs
+    joint = np.abs(amplitudes_via_paths(circuit, budget).reshape((2,) * circuit.particles)) ** 2
+    external = tuple(i for i in range(circuit.particles) if i not in subsystem)
+    marginal = joint.sum(axis=external)  # axes left in ascending subsystem order
+    return {
+        _label(outcome): float(marginal[outcome])
+        for outcome in itertools.product((0, 1), repeat=len(subsystem))
+    }
 
 
 def cmd_marginal(args: argparse.Namespace) -> int:

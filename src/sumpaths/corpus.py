@@ -8,7 +8,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .circuits import Circuit, PhaseGate, circuit_digest, dumps_canonical, make_circuit
+from .circuits import Circuit, PhaseGate, circuit_digest, dumps_canonical, make_circuit, random_single
 
 GENERATOR_VERSION = 1
 
@@ -19,21 +19,6 @@ SHIPPED_BLOCKS = (
     + [(4, n, 3) for n in range(1, 5)]
 )
 SHIPPED_BASE_SEED = 755000
-
-
-def random_single(rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish 2x2 unitary: Gram-Schmidt orthonormalization of a complex Gaussian draw."""
-    while True:
-        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        n0 = np.linalg.norm(z[:, 0])
-        if n0 < 1e-6:
-            continue
-        c0 = z[:, 0] / n0
-        c1 = z[:, 1] - (c0.conj() @ z[:, 1]) * c0
-        n1 = np.linalg.norm(c1)
-        if n1 < 1e-6:
-            continue
-        return np.column_stack([c0, c1 / n1])
 
 
 def random_circuit(
@@ -57,26 +42,6 @@ def random_circuit(
         ]
         specs.append((singles, phases))
     return make_circuit(particles, specs)
-
-
-def append_external_layer(
-    circuit: Circuit, rng: np.random.Generator, subsystem: tuple[int, ...] = (0,)
-) -> Circuit:
-    """Append one layer acting only on particles outside `subsystem` (random singles,
-    plus a random phase gate between two external particles when possible)."""
-    external = [i for i in range(circuit.particles) if i not in subsystem]
-    if not external:
-        raise ValueError("no external particles to act on")
-    singles = {i: random_single(rng) for i in external}
-    phases = []
-    if len(external) >= 2:
-        a, b = external[0], external[1]
-        phases.append(
-            PhaseGate(pair=(a, b), thetas=tuple(rng.uniform(0.0, 2.0 * math.pi, 4).tolist()))
-        )
-    specs = [(dict(enumerate(layer.singles)), list(layer.phases)) for layer in circuit.layers]
-    specs.append((singles, phases))
-    return make_circuit(circuit.particles, specs)
 
 
 def shipped_corpus() -> list[tuple[str, int, Circuit]]:

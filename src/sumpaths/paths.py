@@ -1,4 +1,4 @@
-"""Computational-basis paths: enumeration, amplitudes, joint phases, conditional unitaries.
+"""Computational-basis paths: enumeration, amplitudes, joint phases, path sums, conditional unitaries.
 
 A path for one particle is its mode after each layer, (m_1, ..., m_n), with
 the implicit start m_0 = 0. Enumeration order is lexicographic in
@@ -13,6 +13,7 @@ and the density path sum read their external states from this prefix tree.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -22,7 +23,7 @@ import numpy as np
 from .circuits import Circuit, PhaseGate, conditioned_diagonal
 from .common import DEFAULT_BUDGET, check_budget
 
-_EINSUM_LETTERS = "abcdefghijklmnop"
+_MAX_PATHSUM_PARTICLES = 16  # the budget charges the lattice, not the 2^N output this bounds
 
 
 @dataclass(frozen=True)
@@ -96,11 +97,6 @@ def prefix_amplitudes(circuit: Circuit, particle: int, upto: int | None = None) 
     return amps
 
 
-def path_mode_array(n: int, endpoint: int) -> np.ndarray:
-    """(paths, n) int array of the modes of the paths ending at `endpoint`, in enumeration order."""
-    return (endpoint_rows(n, endpoint)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-
-
 def path_amplitude(circuit: Circuit, particle: int, path: Path) -> complex:
     """Product of single-gate matrix elements along the path's layers; phase gates excluded.
 
@@ -133,40 +129,52 @@ def joint_phase(circuit: Circuit, assignment: Sequence[Path]) -> complex:
     return complex(np.prod(joint_phase_factors(circuit, assignment)))
 
 
-def _pairwise_phase_matrix(circuit: Circuit, pair: tuple[int, int], modes_a: np.ndarray, modes_b: np.ndarray) -> np.ndarray | None:
-    """exp(i alpha) between every path of `pair[0]` and every path of `pair[1]`, or None if no gate couples them."""
-    total = None
-    for t in range(1, circuit.n + 1):
-        gate = circuit.phase(t, pair)
-        if gate is None:
-            continue
-        thetas = np.asarray(gate.thetas)
-        angles = thetas[2 * modes_a[:, t - 1][:, None] + modes_b[None, :, t - 1]]
-        total = angles if total is None else total + angles
-    return None if total is None else np.exp(1j * total)
+def pair_phases(circuit: Circuit, pair: tuple[int, int]) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Joint phase of two particles' paths, split into (prefix, last).
+
+    The phase is the product over layers of each gate's 2x2 factor
+    `gate.diagonal().reshape(2, 2)` at the two paths' modes. `prefix` is the
+    Kronecker product of the factors of layers 1..n-1, on the
+    (`prefix_index`, `prefix_index`) grid of the two particles' (n-1)-mode
+    prefixes; `last` is layer n's factor over the two endpoints. Either is
+    None when no gate couples the pair in those layers.
+    """
+    gates = [circuit.phase(t, pair) for t in range(1, circuit.n + 1)]
+    factors = [np.ones((2, 2)) if gate is None else gate.diagonal().reshape(2, 2) for gate in gates]
+    prefix = functools.reduce(np.kron, factors[:-1]) if any(g is not None for g in gates[:-1]) else None
+    return prefix, (factors[-1] if gates and gates[-1] is not None else None)
 
 
-def amplitude_via_paths(
-    circuit: Circuit, outcome: Sequence[int], budget: int = DEFAULT_BUDGET
-) -> complex:
-    """Full sum over the configuration-space path lattice for one joint outcome."""
+def amplitudes_via_paths(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """Every joint amplitude as one sum over the configuration-space path lattice.
+
+    Returns 2^N amplitudes, particle 0 most significant. Each particle
+    carries two indices, its path prefix and its endpoint; the sum is one
+    greedy-planned contraction of every particle's prefix amplitudes with
+    every coupled pair's `pair_phases`, no intermediate larger than the
+    charged lattice (2^(n-1))^N or the output. It never evolves a state
+    vector, so it stays independent of the oracle it is checked against.
+    """
     n, particles = circuit.n, circuit.particles
-    if len(outcome) != particles:
-        raise ValueError("need one outcome mode per particle")
-    if particles > len(_EINSUM_LETTERS):
+    if particles > _MAX_PATHSUM_PARTICLES:
         raise ValueError("too many particles for the path-sum evaluator")
-    check_budget((1 << max(n - 1, 0)) ** particles, budget, "configuration-space path sum")
+    lattice = (1 << max(n - 1, 0)) ** particles
+    check_budget(lattice, budget, "configuration-space path sum")
+    if n == 0:  # every particle still in its initial mode 0
+        return (np.arange(1 << particles) == 0).astype(complex)
 
-    mode_arrays = [path_mode_array(n, outcome[i]) for i in range(particles)]
-    operands = [prefix_amplitudes(circuit, i)[endpoint_rows(n, outcome[i])] for i in range(particles)]
-    subscripts = list(_EINSUM_LETTERS[:particles])
-    for a in range(particles):
-        for b in range(a + 1, particles):
-            phases = _pairwise_phase_matrix(circuit, (a, b), mode_arrays[a], mode_arrays[b])
-            if phases is not None:
-                operands.append(phases)
-                subscripts.append(_EINSUM_LETTERS[a] + _EINSUM_LETTERS[b])
-    return complex(np.einsum(",".join(subscripts) + "->", *operands))
+    ends = list(range(particles, 2 * particles))  # particle i: prefix index i, endpoint index N + i
+    operands: list = []
+    for i in range(particles):
+        operands += [prefix_amplitudes(circuit, i).reshape(-1, 2), [i, ends[i]]]
+    for a, b in itertools.combinations(range(particles), 2):
+        prefix, last = pair_phases(circuit, (a, b))
+        if prefix is not None:
+            operands += [prefix, [a, b]]
+        if last is not None:
+            operands += [last, [ends[a], ends[b]]]
+    # numpy's default cap, the largest operand, leaves most of the sum unplanned
+    return np.einsum(*operands, ends, optimize=("greedy", max(lattice, 1 << particles))).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)

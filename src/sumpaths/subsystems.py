@@ -32,8 +32,8 @@ import numpy as np
 
 from .circuits import Circuit
 from .common import DEFAULT_BUDGET, LambdaBlock, check_budget
-from .paths import Path, _pairwise_phase_matrix, condition_on_paths, conditioned_prefix_states
-from .paths import endpoint_rows, enumerate_paths, path_amplitude, path_mode_array, prefix_amplitudes
+from .paths import Path, condition_on_paths, conditioned_prefix_states, endpoint_rows
+from .paths import enumerate_paths, pair_phases, path_amplitude, prefix_amplitudes
 from .threeparticle import lambda3_tables
 from .twoparticle import lambda_tables
 
@@ -169,6 +169,8 @@ def conditioned_blocks(
     check_budget(1 << (size * n + circuit.particles - size), budget, "conditioned external states")
     final = conditioned_prefix_states(circuit, particles)[n]
     amplitudes = [prefix_amplitudes(circuit, p) for p in particles]
+    pairs = itertools.combinations(range(size), 2)
+    phases = {(a, b): pair_phases(circuit, (particles[a], particles[b])) for a, b in pairs}
     for outcome in itertools.product((0, 1), repeat=size):
         rows = [endpoint_rows(n, j) for j in outcome]
         joint = functools.reduce(lambda high, low: np.add.outer(high << n, low), rows).reshape(-1)
@@ -177,13 +179,13 @@ def conditioned_blocks(
             np.multiply.outer, [amps[r] for amps, r in zip(amplitudes, rows)]
         ).reshape(-1)
         intra = np.ones([len(r) for r in rows], dtype=complex)
-        modes = [path_mode_array(n, j) for j in outcome]
-        for a, b in itertools.combinations(range(size), 2):
-            phases = _pairwise_phase_matrix(circuit, (particles[a], particles[b]), modes[a], modes[b])
-            if phases is not None:
+        for (a, b), (prefix, last) in phases.items():
+            if prefix is not None:
                 shape = [1] * size
-                shape[a], shape[b] = phases.shape
-                intra = intra * phases.reshape(shape)
+                shape[a], shape[b] = prefix.shape
+                intra = intra * prefix.reshape(shape)
+            if last is not None:
+                intra = intra * last[outcome[a], outcome[b]]
         # no local keeps the lambda across the yield
         yield outcome, LambdaBlock(amplitudes=bare * intra.reshape(-1), lam=states.conj() @ states.T)
 

@@ -64,8 +64,8 @@ def hit(circuit: Circuit, p: Path, q: Path, t: int) -> complex:
         return 0j
     x_p = circuit.single(t, 1) @ _conditioned_external_state(circuit, p, t - 1)
     x_q = circuit.single(t, 1) @ _conditioned_external_state(circuit, q, t - 1)
-    thetas = np.asarray(gate.thetas).reshape(2, 2)
-    factors = np.exp(1j * (thetas[q.mode(t)] - thetas[p.mode(t)])) - 1.0
+    diag = gate.diagonal().reshape(2, 2)
+    factors = diag[q.mode(t)] * diag[p.mode(t)].conj() - 1.0
     return complex(np.sum(factors * x_p.conj() * x_q))
 
 
@@ -128,10 +128,10 @@ def lambda_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[np
         gate = circuit.phase(t, (0, 1))
         if gate is not None:
             pre = states[t - 1] @ circuit.single(t, 1).T  # states just before the layer-t phase gate
-            thetas = np.asarray(gate.thetas).reshape(2, 2)
+            diag = gate.diagonal().reshape(2, 2)
             for a in (0, 1):
                 for b in (0, 1):
-                    d = np.exp(1j * (thetas[b] - thetas[a])) - 1.0
+                    d = diag[b] * diag[a].conj() - 1.0
                     lam[a::2, b::2] += (pre.conj() * d) @ pre.T
         yield lam
 

@@ -22,19 +22,17 @@ so a non-finite result fails its check.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Container, Iterable, Iterator
 
 import numpy as np
 
-from .circuits import Circuit, circuit_digest
+from .circuits import Circuit, append_external_layer, circuit_digest
 from .common import DEFAULT_BUDGET
-from .corpus import append_external_layer
 from .density import density_report
 from .oracle import Distribution, evolve, marginal_by_sum
-from .paths import Path, amplitude_via_paths, conditioned_prefix_states
+from .paths import Path, amplitudes_via_paths, conditioned_prefix_states
 from .subsystems import conditioned_blocks, lambda_blocks, table_blocks
 from .threeparticle import lambda3_tables
 from .twoparticle import hit, lambda_tables, marginal_deviation
@@ -112,11 +110,7 @@ def _norm_preservation(circuit: Circuit) -> float:
 
 
 def _pathsum_completeness(circuit: Circuit, budget: int) -> float:
-    state = evolve(circuit)
-    return _worst(
-        abs(amplitude_via_paths(circuit, outcome, budget) - state[index])
-        for index, outcome in enumerate(itertools.product((0, 1), repeat=circuit.particles))
-    )
+    return _worst(np.abs(amplitudes_via_paths(circuit, budget) - evolve(circuit)))
 
 
 def _marginal_checks(

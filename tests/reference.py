@@ -17,8 +17,8 @@ from typing import Iterator
 
 import numpy as np
 
-from sumpaths.circuits import IDENTITY, Circuit, PhaseGate, make_circuit
-from sumpaths.corpus import random_circuit, random_single
+from sumpaths.circuits import IDENTITY, Circuit, PhaseGate, make_circuit, random_single
+from sumpaths.corpus import random_circuit
 from sumpaths.common import LambdaBlock
 from sumpaths.paths import Path, conditioned_prefix_states, prefix_index
 from sumpaths.subsystems import table_blocks
@@ -49,11 +49,16 @@ def kron_evolve(circuit: Circuit, upto: int | None = None) -> np.ndarray:
 
 
 def brute_amplitude(circuit: Circuit, outcome: tuple[int, ...]) -> complex:
-    """Raw loop over every per-particle mode sequence ending at the outcome."""
+    """Raw loop over every per-particle mode sequence ending at the outcome.
+
+    With no layers the only sequence is empty and ends at the initial mode 0.
+    """
     n, particles = circuit.n, circuit.particles
     total = 0.0 + 0.0j
     per_particle = [
         [seq + (outcome[i],) for seq in itertools.product((0, 1), repeat=n - 1)]
+        if n
+        else [()] * (outcome[i] == 0)
         for i in range(particles)
     ]
     for assignment in itertools.product(*per_particle):

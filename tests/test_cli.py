@@ -14,14 +14,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sumpaths import cli as cli_module
+from sumpaths import verify as verify_module
 from sumpaths.circuits import (
     build_epr_circuit,
     circuit_digest,
+    circuit_to_raw,
     load_circuit,
     save_circuit,
     validate_circuit,
 )
 from sumpaths.cli import main
+from sumpaths.common import DEFAULT_BUDGET
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.verify import verify_circuit
@@ -535,18 +539,50 @@ def test_sixteen_particles_fit_and_twenty_four_exit_before_allocating(tmp_path):
     assert peak < 16 * 2**20  # one 2 x 2^23 state table would be 256 MiB
 
 
-def test_non_finite_results_exit_one(tmp_path):
-    # valid angles whose sum over three layers overflows: the path sums are NaN
-    path = tmp_path / "huge.json"
-    layer = {"phases": [{"pair": [0, 1], "theta": [0, 0, 0, 1.7e308]}]}
-    path.write_text(json.dumps({"particles": 2, "layers": [layer] * 3}))
-    with np.errstate(all="ignore"):
-        checks = {c.name: c for c in verify_circuit(load_circuit(str(path))).checks}
+def _huge_angle_layers(thetas: list, singles: dict | None = None) -> list:
+    return [{"singles": singles or {}, "phases": [{"pair": [0, 1], "theta": theta}]} for theta in thetas]
+
+
+_H = [[[2**-0.5, 0], [2**-0.5, 0]], [[2**-0.5, 0], [-(2**-0.5), 0]]]
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        # per-layer factors never add two angles, so 1.7e308 absorbs nothing
+        {"particles": 2, "layers": _huge_angle_layers([[0, 0, 0, 1.7e308]] * 3)},
+        {"particles": 2, "layers": _huge_angle_layers([[0, 0, 0, 1.7e308], [0, 0, 0, 5.0]], {"0": _H, "1": _H})},
+        {"particles": 2, "layers": [{}, {}] + _huge_angle_layers([[1.0, 0.0, 1.7e308, 0.0]])},
+        # 12 particles and 66 gates in one sum: more operands than one unplanned einsum takes
+        circuit_to_raw(random_circuit(np.random.default_rng(11), 12, 1, p_single=1.0, p_phase=1.0)),
+    ],
+    ids=["three-huge-layers", "huge-then-small", "huge-hit", "twelve-particles"],
+)
+def test_valid_extreme_circuits_pass_verify_and_sum_their_paths(tmp_path, document):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli("verify", "--circuit", str(path))
+    assert (code, err) == (0, "")
+    assert all(check["pass"] for check in json.loads(out)["checks"])
+    code, out, err = run_cli("marginal", "--circuit", str(path), "--method", "pathsum")
+    assert (code, err) == (0, "")
+    oracle = marginal_by_sum(load_circuit(str(path)), (0,)).as_mapping()
+    pathsum = json.loads(out)["probabilities"]
+    assert max(abs(pathsum[k] - oracle[k]) for k in oracle) < 1e-12
+
+
+def test_non_finite_results_exit_one(monkeypatch, epr_file):
+    def nan_amplitudes(circuit, budget=DEFAULT_BUDGET):
+        return np.full(1 << circuit.particles, np.nan, dtype=complex)
+
+    monkeypatch.setattr(verify_module, "amplitudes_via_paths", nan_amplitudes)
+    monkeypatch.setattr(cli_module, "amplitudes_via_paths", nan_amplitudes)
+    checks = {c.name: c for c in verify_circuit(load_circuit(epr_file)).checks}
     assert math.isnan(checks["pathsum_completeness"].max_error)
     assert not checks["pathsum_completeness"].passed
     for argv in (("verify",), ("marginal", "--method", "pathsum")):
         for fmt in ("json", "csv"):
-            code, out, err = run_cli(argv[0], "--circuit", str(path), *argv[1:], "--format", fmt)
+            code, out, err = run_cli(argv[0], "--circuit", epr_file, *argv[1:], "--format", fmt)
             assert code == 1 and out == ""
             assert err == "error: result is not finite\n"
 

@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from sumpaths.circuits import circuit_digest, dumps_canonical, unitarity_defect, validate_circuit
+import sumpaths
+from sumpaths.circuits import circuit_digest, dumps_canonical, random_single, unitarity_defect, validate_circuit
 from sumpaths.corpus import (
     GENERATOR_VERSION,
     random_circuit,
-    random_single,
     shipped_corpus,
 )
 
@@ -59,3 +62,21 @@ def test_corpus_contains_interaction_free_layers():
     for _, _, circuit in shipped_corpus():
         gateless += sum(1 for layer in circuit.layers if not layer.phases)
     assert gateless > 10
+
+
+def test_regeneration_module_runs_warning_free(tmp_path):
+    # `import sumpaths` must not load sumpaths.corpus, or runpy warns that the
+    # module is already in sys.modules and two copies of it run
+    src = str(Path(sumpaths.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sumpaths.corpus", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    for entry in json.loads((CORPUS_DIR / "manifest.json").read_text())["circuits"]:
+        assert (tmp_path / entry["file"]).read_bytes() == (CORPUS_DIR / entry["file"]).read_bytes()
+    assert (tmp_path / "manifest.json").read_bytes() == (CORPUS_DIR / "manifest.json").read_bytes()

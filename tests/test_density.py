@@ -95,7 +95,7 @@ def test_unnormalized_gate_is_rejected():
 
 
 def test_pathsum_amplitude_product_state_collapses_to_single_term():
-    from sumpaths.corpus import random_single
+    from sumpaths.circuits import random_single
 
     b = random_single(np.random.default_rng(9))
     circuit = make_circuit(2, [({1: b}, []), ({1: b}, [])])

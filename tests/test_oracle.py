@@ -87,7 +87,7 @@ def test_all_identity_circuit_stays_at_zero():
 
 def test_epr_marginal_is_uniform_for_any_rotation():
     rng = np.random.default_rng(5)
-    from sumpaths.corpus import random_single
+    from sumpaths.circuits import random_single
 
     circuit = build_epr_circuit(random_single(rng), random_single(rng))
     marginal = marginal_by_sum(circuit, {0})
@@ -96,7 +96,7 @@ def test_epr_marginal_is_uniform_for_any_rotation():
 
 def test_marginal_of_product_circuit_is_single_particle_born_rule():
     rng = np.random.default_rng(9)
-    from sumpaths.corpus import random_single
+    from sumpaths.circuits import random_single
 
     a, b = random_single(rng), random_single(rng)
     circuit = make_circuit(2, [({0: a, 1: b}, [])])

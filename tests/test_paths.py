@@ -3,26 +3,27 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumpaths.circuits import HADAMARD, PhaseGate, build_epr_circuit, make_circuit
+from sumpaths.circuits import HADAMARD, PhaseGate, build_epr_circuit, make_circuit, random_single
 from sumpaths.common import BudgetExceeded
-from sumpaths.corpus import random_circuit, random_single
+from sumpaths.corpus import random_circuit
 from sumpaths.oracle import evolve
 from sumpaths.paths import (
     Path,
-    amplitude_via_paths,
+    amplitudes_via_paths,
     condition_on_paths,
     conditioned_prefix_states,
     enumerate_paths,
     joint_phase,
     path_amplitude,
+    pair_phases,
     path_index,
-    path_mode_array,
 )
 
 from .reference import brute_amplitude, conditioned_external_matrix
@@ -49,11 +50,6 @@ def test_four_layer_enumeration_is_lexicographic():
 def test_zero_layer_enumeration_rejected():
     with pytest.raises(ValueError):
         enumerate_paths(0, 0)
-
-
-def test_mode_array_matches_enumeration():
-    modes = path_mode_array(3, 1)
-    assert modes.tolist() == [list(p.modes) for p in enumerate_paths(3, 1)]
 
 
 def test_hadamard_path_amplitude():
@@ -101,7 +97,7 @@ def test_zero_theta_joint_phase_is_one():
 def test_two_layer_amplitude_is_sum_of_four_terms():
     rng = np.random.default_rng(23)
     circuit = random_circuit(rng, particles=2, layers=2, p_single=1.0, p_phase=1.0)
-    value = amplitude_via_paths(circuit, (0, 1))
+    value = amplitudes_via_paths(circuit)[0b01]
     total = 0.0
     for pa in enumerate_paths(2, 0):
         for pb in enumerate_paths(2, 1):
@@ -117,25 +113,76 @@ def test_amplitude_factorizes_without_phase_gates():
     rng = np.random.default_rng(29)
     a, b = random_single(rng), random_single(rng)
     circuit = make_circuit(2, [({0: a, 1: b}, [])])
+    amplitudes = amplitudes_via_paths(circuit)
     for ja, jb in itertools.product((0, 1), repeat=2):
-        value = amplitude_via_paths(circuit, (ja, jb))
-        assert abs(value - a[ja, 0] * b[jb, 0]) < 1e-14
+        assert abs(amplitudes[2 * ja + jb] - a[ja, 0] * b[jb, 0]) < 1e-14
 
 
 @pytest.mark.parametrize("seed,particles,layers", [(7, 2, 4), (7, 3, 3), (31, 3, 4)])
 def test_amplitude_via_paths_matches_oracle_and_brute_force(seed, particles, layers):
     circuit = random_circuit(np.random.default_rng(seed), particles, layers)
-    state = evolve(circuit)
+    amplitudes = amplitudes_via_paths(circuit)
+    assert np.max(np.abs(amplitudes - evolve(circuit))) < 1e-10
     for index, outcome in enumerate(itertools.product((0, 1), repeat=particles)):
-        value = amplitude_via_paths(circuit, outcome)
-        assert abs(value - state[index]) < 1e-10
-        assert abs(value - brute_amplitude(circuit, outcome)) < 1e-10
+        assert abs(amplitudes[index] - brute_amplitude(circuit, outcome)) < 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 5),
+    st.integers(0, 4),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_amplitudes_via_paths_match_oracle_and_brute_force_on_sparse_circuits(
+    particles, layers, p_single, p_phase, seed, data
+):
+    circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_single, p_phase)
+    amplitudes = amplitudes_via_paths(circuit)
+    assert amplitudes.shape == (1 << particles,)
+    assert np.max(np.abs(amplitudes - evolve(circuit))) < 1e-10
+    # the raw loop costs (2^(n-1))^N terms per outcome, so one drawn outcome is checked
+    index = data.draw(st.integers(0, (1 << particles) - 1))
+    outcome = tuple((index >> (particles - 1 - k)) & 1 for k in range(particles))
+    assert abs(amplitudes[index] - brute_amplitude(circuit, outcome)) < 1e-10
+
+
+def test_twelve_layer_pair_path_sum_stays_small():
+    # the pair's phase over layers 1..11 is one 2048 x 2048 table (64 MiB);
+    # a 4096 x 4096 table over both whole paths would be 256 MiB
+    circuit = random_circuit(np.random.default_rng(11), 2, 12, p_single=1.0, p_phase=1.0)
+    tracemalloc.start()
+    try:
+        amplitudes = amplitudes_via_paths(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(amplitudes - evolve(circuit))) < 1e-10
+    assert peak < 128 * 2**20
+
+
+def test_pair_phases_split_the_last_layer_off():
+    circuit = random_circuit(np.random.default_rng(5), 3, 3, p_single=1.0, p_phase=1.0)
+    prefix, last = pair_phases(circuit, (0, 2))
+    for pa, pb in itertools.product(enumerate_paths(3, 0) + enumerate_paths(3, 1), repeat=2):
+        gates = [circuit.phase(t, (0, 2)) for t in range(1, 4)]
+        expected = np.prod([np.exp(1j * g.theta(pa.mode(t), pb.mode(t))) for t, g in enumerate(gates, 1)])
+        value = prefix[path_index(pa), path_index(pb)] * last[pa.endpoint, pb.endpoint]
+        assert abs(value - expected) < 1e-14
+    uncoupled = make_circuit(2, [({}, [PhaseGate((0, 1), (0.1, 0.2, 0.3, 0.4))]), ({}, [])])
+    prefix, last = pair_phases(uncoupled, (0, 1))
+    assert prefix is not None and last is None
+    assert pair_phases(make_circuit(2, []), (0, 1)) == (None, None)
 
 
 def test_amplitude_budget_guard():
     circuit = random_circuit(np.random.default_rng(1), particles=3, layers=4)
     with pytest.raises(BudgetExceeded):
-        amplitude_via_paths(circuit, (0, 0, 0), budget=8)
+        amplitudes_via_paths(circuit, budget=8)
+    with pytest.raises(ValueError, match="too many particles"):
+        amplitudes_via_paths(make_circuit(17, [({}, [])]))
 
 
 def test_epr_conditioning_on_mode_zero_path_gives_free_external_circuit():
@@ -221,8 +268,8 @@ def test_short_paths_get_their_prefix_amplitude():
 
 def test_zero_layer_path_sum_is_the_initial_state():
     circuit = make_circuit(3, [])
-    for outcome in itertools.product((0, 1), repeat=3):
-        assert amplitude_via_paths(circuit, outcome) == (1.0 if outcome == (0, 0, 0) else 0.0)
+    assert amplitudes_via_paths(circuit).tolist() == [1.0] + [0.0] * 7
+    assert amplitudes_via_paths(make_circuit(16, [])).nonzero()[0].tolist() == [0]
 
 
 def _prefix_paths(row: int, t: int, members: int, n: int) -> list[Path]:

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumpaths.circuits import Circuit, PhaseGate, build_epr_circuit, make_circuit
+from sumpaths.circuits import Circuit, PhaseGate, build_epr_circuit, make_circuit, random_single
 from sumpaths.common import BudgetExceeded, LambdaBlock
-from sumpaths.corpus import random_circuit, random_single
+from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths, path_amplitude
 from sumpaths.subsystems import (

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumpaths.circuits import PhaseGate, make_circuit
+from sumpaths.circuits import PhaseGate, append_external_layer, make_circuit, random_single
 from sumpaths.common import BudgetExceeded
-from sumpaths.corpus import append_external_layer, random_circuit, random_single
+from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths
 from sumpaths.subsystems import ConfigPath, conditioned_blocks, lambda_general

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sumpaths.circuits import PhaseGate, build_epr_circuit, make_circuit
+from sumpaths.circuits import PhaseGate, build_epr_circuit, make_circuit, random_single
 from sumpaths.common import BudgetExceeded
-from sumpaths.corpus import random_circuit, random_single
+from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths
 from sumpaths.twoparticle import (
