@@ -10,13 +10,14 @@ leaves every density matrix unchanged.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import Circuit, PhaseGate, factor_phase_gate, make_circuit
 from .common import DEFAULT_BUDGET, check_budget
-from .oracle import evolve, reduced_density
+from .oracle import evolve, reduced_density_of, states
 from .paths import conditioned_prefix_states, endpoint_rows, prefix_amplitudes
 
 
@@ -120,35 +121,44 @@ def hit_pathsum_amplitude(circuit: Circuit, t: int, budget: int = DEFAULT_BUDGET
     _core_angle(circuit, t)
     check_budget(1 << max(t - 1, 0), budget, "subsystem paths")
     head = Circuit(particles=2, layers=circuit.layers[:t])  # the tree stays within the budget charged
-    amps = prefix_amplitudes(head, 0)[endpoint_rows(t, 0)]  # row 2k + 0 extends prefix k
-    states = conditioned_prefix_states(head, (0,))[t - 1]
-    return complex(np.sum(amps * (states @ circuit.single(t, 1)[1])))
+    return _pathsum_collapse(circuit, t, conditioned_prefix_states(head, (0,))[t - 1])
+
+
+def _pathsum_collapse(circuit: Circuit, t: int, table: np.ndarray) -> complex:
+    """`hit_pathsum_amplitude` from the tree's table t - 1."""
+    amps = prefix_amplitudes(circuit, 0, t)[endpoint_rows(t, 0)]  # row 2k + 0 extends prefix k
+    return complex(np.sum(amps * (table @ circuit.single(t, 1)[1])))
 
 
 def collapse_amplitude_direct(circuit: Circuit, t: int) -> complex:
     """<01| (A^(t) x B^(t)) |psi(t-1)>, straight from the state vector."""
     _require_two_particles(circuit)
-    singles = np.kron(circuit.single(t, 0), circuit.single(t, 1))
-    return complex((singles @ evolve(circuit, t - 1))[1])
+    return _collapse_direct(circuit, t, evolve(circuit, t - 1))
+
+
+def _collapse_direct(circuit: Circuit, t: int, psi: np.ndarray) -> complex:
+    """`collapse_amplitude_direct` from the state vector psi(t-1)."""
+    return complex((np.kron(circuit.single(t, 0), circuit.single(t, 1)) @ psi)[1])
 
 
 def density_report(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> list[dict]:
     """Per-layer records of the recursion for the CLI: errors against the oracle.
 
     The budget is charged once with the last layer's path count, the largest
-    that any layer's `hit_pathsum_amplitude` needs.
+    that any layer's `hit_pathsum_amplitude` needs. Every layer reads one
+    oracle state stream and one prefix tree of the normalized circuit.
     """
     normalized = normalized_phase_form(circuit)
     check_budget(1 << max(normalized.n - 1, 0), budget, "subsystem paths")
+    tree = conditioned_prefix_states(normalized, (0,))
     records = []
-    for t in range(1, normalized.n + 1):
-        psi = evolve(normalized, t - 1)
+    for t, (psi, after) in enumerate(itertools.pairwise(states(normalized)), start=1):
         prev_joint = np.outer(psi, psi.conj())
         pair = density_step(normalized, t, prev_joint)
-        oracle = reduced_density(normalized, 0, t)
+        oracle = reduced_density_of(after, 2, 0)
         off = hit_offdiagonal(normalized, t, prev_joint)
-        pathsum = hit_pathsum_amplitude(normalized, t, budget)
-        direct = collapse_amplitude_direct(normalized, t)
+        pathsum = _pathsum_collapse(normalized, t, tree[t - 1])
+        direct = _collapse_direct(normalized, t, psi)
         records.append(
             {
                 "layer": t,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -60,58 +61,70 @@ def _apply_layer(state: np.ndarray, circuit: Circuit, t: int) -> np.ndarray:
     return state
 
 
-def evolve(circuit: Circuit, upto: int | None = None, cap: int | None = None) -> np.ndarray:
-    """State vector after layers 1..upto applied to |0...0> (upto=None means all layers).
+def states(circuit: Circuit, upto: int | None = None) -> Iterator[np.ndarray]:
+    """State vectors after layers 0..upto applied to |0...0> (upto=None means all layers).
 
-    `cap` overrides the default particle ceiling (dense amplitudes grow as 2^N).
+    No state is written after it is yielded. The particle cap (dense amplitudes
+    grow as 2^N) is checked on the first `next()`, the norm after every layer.
     """
     n = circuit.particles
-    effective_cap = MAX_ORACLE_PARTICLES if cap is None else cap
-    if n > effective_cap:
+    if n > MAX_ORACLE_PARTICLES:
         raise ValueError(
-            f"state-vector oracle capped at {effective_cap} particles; raise the cap to override"
+            f"state-vector oracle capped at {MAX_ORACLE_PARTICLES} particles; raise the cap to override"
         )
     t_stop = circuit.n if upto is None else upto
     if not 0 <= t_stop <= circuit.n:
         raise IndexError(f"layer index {t_stop} out of range 0..{circuit.n}")
     state = np.zeros((2,) * n, dtype=complex)
     state[(0,) * n] = 1.0
+    yield state.reshape(-1)
     for t in range(1, t_stop + 1):
         state = _apply_layer(state, circuit, t)
         norm = np.linalg.norm(state)
         if abs(norm - 1.0) > NORM_TOL:
             raise ArithmeticError(f"state norm drifted to {norm} after layer {t}")
-    return state.reshape(-1)
+        yield state.reshape(-1)
+
+
+def evolve(circuit: Circuit, upto: int | None = None) -> np.ndarray:
+    """The last of `states(circuit, upto)`."""
+    for state in states(circuit, upto):
+        pass
+    return state
 
 
 def joint_distribution(circuit: Circuit) -> Distribution:
     """Born probabilities over all joint outcomes."""
-    amplitudes = evolve(circuit)
-    return Distribution(
-        labels=_outcome_labels(circuit.particles),
-        probabilities=np.abs(amplitudes) ** 2,
-    )
+    return marginal_by_sum(circuit, range(circuit.particles))
 
 
-def marginal_by_sum(circuit: Circuit, subsystem: tuple[int, ...] | list[int] | set[int]) -> Distribution:
+def marginal_by_sum(circuit: Circuit, subsystem: Iterable[int]) -> Distribution:
     """Classical sum of joint probabilities over the external outcomes."""
-    particles = sorted(set(subsystem))
-    if not particles:
+    members = sorted(set(subsystem))
+    if not members:
         raise ValueError("subsystem must be non-empty")
-    if particles[0] < 0 or particles[-1] >= circuit.particles:
-        raise ValueError(f"subsystem {particles} out of range for {circuit.particles} particles")
-    probs = (np.abs(evolve(circuit)) ** 2).reshape((2,) * circuit.particles)
-    external = tuple(i for i in range(circuit.particles) if i not in particles)
-    if external:
-        probs = probs.sum(axis=external)
-    return Distribution(labels=_outcome_labels(len(particles)), probabilities=probs.reshape(-1))
+    if members[0] < 0 or members[-1] >= circuit.particles:
+        raise ValueError(f"subsystem {members} out of range for {circuit.particles} particles")
+    return marginal_of(evolve(circuit), circuit.particles, members)
+
+
+def marginal_of(state: np.ndarray, particles: int, members: Iterable[int]) -> Distribution:
+    """`marginal_by_sum` of a state vector over `particles` particles, for valid `members`."""
+    members = sorted(set(members))
+    probs = (np.abs(state) ** 2).reshape((2,) * particles)
+    probs = probs.sum(axis=tuple(i for i in range(particles) if i not in members))
+    return Distribution(labels=_outcome_labels(len(members)), probabilities=probs.reshape(-1))
 
 
 def reduced_density(circuit: Circuit, particle: int, upto: int | None = None) -> np.ndarray:
     """Partial trace of |psi(t)><psi(t)| over every particle but one."""
     if not 0 <= particle < circuit.particles:
         raise IndexError(f"particle {particle} out of range")
-    state = evolve(circuit, upto).reshape((2,) * circuit.particles)
-    others = [i for i in range(circuit.particles) if i != particle]
-    rho = np.tensordot(state, state.conj(), axes=(others, others))
-    return rho
+    return reduced_density_of(evolve(circuit, upto), circuit.particles, particle)
+
+
+def reduced_density_of(state: np.ndarray, particles: int, particle: int) -> np.ndarray:
+    """`reduced_density` of a state vector over `particles` particles."""
+    state = state.reshape((2,) * particles)
+    others = [i for i in range(particles) if i != particle]
+    return np.tensordot(state, state.conj(), axes=(others, others))

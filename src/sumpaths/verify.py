@@ -3,7 +3,9 @@
 Every check applicable to the circuit's particle count runs at a stated
 tolerance and reports its worst error; the report is deterministic for a
 given input (the no-signaling probe layer is seeded from the circuit
-digest).
+digest). The oracle evolves the no-signaling circuit (this one plus an
+external layer) once, holding at most two states; its first n + 1 states
+are this circuit's, the last of which every other oracle check reads.
 
 The lambda route of the subsystem (0,) is built once per circuit: one
 two-particle or three-particle stream of per-layer tables, or, for more
@@ -13,8 +15,9 @@ per-layer check: the gap to the Gram matrix of the conditioned external
 states (telescoping, three_closure), the largest |lambda| (lambda_bound),
 and, for two particles, the bit-exact repeat at layers without a 0-1 gate
 (zero_hit_layers). The final table's blocks serve the marginal checks and
-the base side of no_signaling; the extended side is one more build, made
-after the base one is released. general_subsystem reads the pair (0, 1) off
+both sides of no_signaling: the appended layer has no gate on particle 0, so
+`table_blocks` folds it into the amplitudes. Only the general route builds
+the extended circuit's blocks. general_subsystem reads the pair (0, 1) off
 one more tree. Each check is charged the time since the previous check
 ended, so a shared build counts in the first check that needs it and the
 timings add up to the verify's wall time. Every reduction keeps a NaN error,
@@ -22,6 +25,7 @@ so a non-finite result fails its check.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Container, Iterable, Iterator
@@ -31,7 +35,7 @@ import numpy as np
 from .circuits import Circuit, append_external_layer, circuit_digest
 from .common import DEFAULT_BUDGET
 from .density import density_report
-from .oracle import Distribution, evolve, marginal_by_sum
+from .oracle import Distribution, marginal_of, states
 from .paths import Path, amplitudes_via_paths, conditioned_prefix_states
 from .subsystems import conditioned_blocks, lambda_blocks, table_blocks
 from .threeparticle import lambda3_tables
@@ -105,14 +109,6 @@ def _worst(errors: Iterable[float]) -> float:
     return float(np.max(list(errors)))
 
 
-def _norm_preservation(circuit: Circuit) -> float:
-    return _worst(abs(np.linalg.norm(evolve(circuit, t)) - 1.0) for t in range(circuit.n + 1))
-
-
-def _pathsum_completeness(circuit: Circuit, budget: int) -> float:
-    return _worst(np.abs(amplitudes_via_paths(circuit, budget) - evolve(circuit)))
-
-
 def _marginal_checks(
     runner: _Runner, marginals: list[float], oracle: Distribution, tol: float
 ) -> None:
@@ -134,13 +130,13 @@ def _walk_layers(
     two-particle circuit, where the table must repeat the previous one over
     the new bit and one path pair's scalar `hit` must be 0, both bit-exact.
     """
-    states = conditioned_prefix_states(circuit, (0,))
+    tree = conditioned_prefix_states(circuit, (0,))
     p = Path(modes=(0,) * circuit.n)
     q = Path(modes=(1,) * (circuit.n - 1) + (0,)) if circuit.n > 1 else p
     gaps, largest, zero_hit = [], [], [0.0]
     previous = None
     for t, lam in enumerate(tables):
-        gram = states[t].conj() @ states[t].T
+        gram = tree[t].conj() @ tree[t].T
         gaps.append(float(np.max(np.abs(np.subtract(lam, gram, out=gram)))))
         largest.append(float(np.max(np.abs(lam))))
         if t in gateless:
@@ -156,7 +152,7 @@ def _walk_layers(
 
 def _two_particle_checks(
     runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
-) -> list[float]:
+) -> tuple[list[float], np.ndarray]:
     gateless = [t for t in range(1, circuit.n + 1) if circuit.phase(t, (0, 1)) is None]
     final, gap, largest, zero_hit = _walk_layers(circuit, lambda_tables(circuit, budget), gateless)
     blocks = [block for _, block in table_blocks(circuit, final)]
@@ -180,24 +176,24 @@ def _two_particle_checks(
         "density_offdiagonal_form", 1e-12, lambda: _worst(r["offdiagonal_error"] for r in records)
     )
     runner.run("density_pathsum", 1e-10, lambda: _worst(r["pathsum_error"] for r in records))
-    return marginals
+    return marginals, final
 
 
 def _three_particle_checks(
     runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
-) -> list[float]:
+) -> tuple[list[float], np.ndarray]:
     final, gap, largest, _ = _walk_layers(circuit, lambda3_tables(circuit, budget))
     marginals = [block.marginal() for _, block in table_blocks(circuit, final)]
     _marginal_checks(runner, marginals, oracle, tol)
     runner.run("three_closure", tol, lambda: gap)
     runner.run("hermitian_pairing", 1e-12, lambda: float(np.max(np.abs(final - final.conj().T))))
     runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, largest - 1.0]))
-    return marginals
+    return marginals, final
 
 
 def _general_checks(
     runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
-) -> list[float]:
+) -> tuple[list[float], None]:
     # every check reads a block before the next one is built
     marginals, asymmetry, largest = [], [], []
     for _, block in lambda_blocks(circuit, (0,), budget):
@@ -208,7 +204,7 @@ def _general_checks(
     _marginal_checks(runner, marginals, oracle, tol)
     runner.run("hermitian_pairing", 1e-12, lambda: _worst(asymmetry))
     runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, _worst(largest) - 1.0]))
-    return marginals
+    return marginals, None
 
 
 def verify_circuit(
@@ -218,33 +214,39 @@ def verify_circuit(
     runner = _Runner()
     digest = circuit_digest(circuit)
     n = circuit.particles
-
-    runner.run("norm_preservation", 1e-12, lambda: _norm_preservation(circuit))
+    probed = n >= 2 and circuit.n >= 1
+    extended = append_external_layer(circuit, np.random.default_rng(int(digest[:8], 16))) if probed else circuit
+    stream, norm_errors = states(extended), []
+    for final in itertools.islice(stream, circuit.n + 1):  # no_signaling reads the next state
+        norm_errors.append(abs(np.linalg.norm(final) - 1.0))
+    runner.run("norm_preservation", 1e-12, lambda: _worst(norm_errors))
     if circuit.n >= 1:
-        runner.run("pathsum_completeness", 1e-10, lambda: _pathsum_completeness(circuit, budget))
+        runner.run(
+            "pathsum_completeness", 1e-10, lambda: _worst(np.abs(amplitudes_via_paths(circuit, budget) - final))
+        )
 
-    if n >= 2 and circuit.n >= 1:
-        oracle = marginal_by_sum(circuit, {0})
-        # each route's tables live only inside its checks, so they are
-        # released before no_signaling builds the extended circuit's
+    if probed:
+        oracle = marginal_of(final, n, {0})
         route_checks = {2: _two_particle_checks, 3: _three_particle_checks}.get(n, _general_checks)
-        base_lam = route_checks(runner, circuit, budget, oracle, tol)
+        base_lam, table = route_checks(runner, circuit, budget, oracle, tol)
 
         if n >= 3:
-            runner.run("general_subsystem", tol, lambda: _general_subsystem_error(circuit, budget))
+            runner.run("general_subsystem", tol, lambda: _general_subsystem_error(circuit, final, budget))
 
+        # built when no_signaling runs; a two- or three-particle table folds the appended layer
+        ext_blocks = lambda_blocks(extended, (0,), budget) if table is None else table_blocks(extended, table)
         runner.run(
             "no_signaling",
             1e-12,
-            lambda: _no_signaling_error(circuit, digest, budget, oracle, base_lam),
+            lambda: _no_signaling_error(oracle, base_lam, marginal_of(next(stream), n, {0}), ext_blocks),
         )
 
     return VerificationReport(digest=digest, checks=tuple(runner.checks))
 
 
-def _general_subsystem_error(circuit: Circuit, budget: int) -> float:
-    """The pair (0, 1) by the general route against the oracle."""
-    oracle = marginal_by_sum(circuit, (0, 1))
+def _general_subsystem_error(circuit: Circuit, final: np.ndarray, budget: int) -> float:
+    """The pair (0, 1) by the general route against the oracle's final state."""
+    oracle = marginal_of(final, circuit.particles, (0, 1))
     errors = []
     for outcome, block in conditioned_blocks(circuit, (0, 1), budget):
         errors.append(abs(block.marginal() - oracle[outcome]))
@@ -253,13 +255,10 @@ def _general_subsystem_error(circuit: Circuit, budget: int) -> float:
 
 
 def _no_signaling_error(
-    circuit: Circuit, digest: str, budget: int, base_oracle: Distribution, base_lam: list[float]
+    base_oracle: Distribution, base_lam: list[float], ext_oracle: Distribution, ext_blocks: Iterable
 ) -> float:
     """Appending an external layer must move neither the oracle nor the lambda marginal."""
-    rng = np.random.default_rng(int(digest[:8], 16))
-    extended = append_external_layer(circuit, rng, subsystem=(0,))
-    ext_oracle = marginal_by_sum(extended, {0})
-    ext_lam = [block.marginal() for _, block in lambda_blocks(extended, (0,), budget)]
+    ext_lam = [block.marginal() for _, block in ext_blocks]
     return _worst(
         [abs(base_oracle[j] - ext_oracle[j]) for j in (0, 1)]
         + [abs(base_lam[j] - ext_lam[j]) for j in (0, 1)]

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumpaths.circuits import PhaseGate, build_epr_circuit, make_circuit
 from sumpaths.corpus import random_circuit
@@ -127,6 +129,25 @@ def test_density_report_is_clean_on_epr():
         assert record["hit_diagonal_max"] < 1e-12
         assert record["offdiagonal_error"] < 1e-12
         assert record["pathsum_error"] < 1e-10
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 6),
+    st.sampled_from([0.3, 1.0]),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_density_report_matches_the_per_layer_references_bit_for_bit(layers, p_single, p_phase, seed):
+    circuit = random_circuit(np.random.default_rng(seed), 2, layers, p_single, p_phase)
+    normalized = normalized_phase_form(circuit)
+    records = density_report(circuit)
+    assert [record["layer"] for record in records] == list(range(1, layers + 1))
+    for t, record in enumerate(records, start=1):
+        pathsum = hit_pathsum_amplitude(normalized, t)
+        assert record["pathsum_amplitude"] == pathsum
+        assert record["pathsum_error"] == abs(pathsum - collapse_amplitude_direct(normalized, t))
+        assert np.array_equal(record["oracle"], reduced_density(normalized, 0, t))
 
 
 def test_rejects_three_particle_circuits():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumpaths.circuits import HADAMARD, build_epr_circuit, make_circuit
 from sumpaths.corpus import random_circuit
@@ -14,6 +16,7 @@ from sumpaths.oracle import (
     joint_distribution,
     marginal_by_sum,
     reduced_density,
+    states,
 )
 
 from .reference import kron_evolve
@@ -61,6 +64,23 @@ def test_evolution_matches_kron_reference(particles, layers, seed):
     circuit = random_circuit(np.random.default_rng(seed), particles, layers)
     for t in range(layers + 1):
         assert np.max(np.abs(evolve(circuit, upto=t) - kron_evolve(circuit, upto=t))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 5),
+    st.integers(0, 6),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_streamed_states_are_the_evolved_states_bit_for_bit(particles, layers, p_single, p_phase, seed):
+    # the whole stream is held, so a state written after its yield would show
+    circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_single, p_phase)
+    streamed = list(states(circuit))
+    assert len(streamed) == layers + 1
+    for t, state in enumerate(streamed):
+        assert np.array_equal(state, evolve(circuit, t))
 
 
 def test_epr_joint_distribution_is_bell_correlated():

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sumpaths import paths, subsystems, threeparticle, twoparticle, verify
-from sumpaths.circuits import build_epr_circuit, load_circuit, make_circuit, save_circuit
+from sumpaths import oracle, paths, subsystems, threeparticle, twoparticle, verify
+from sumpaths.circuits import HADAMARD, PhaseGate, build_epr_circuit, load_circuit, make_circuit, save_circuit
+from sumpaths.common import LambdaBlock
 from sumpaths.cli import main
 from sumpaths.corpus import random_circuit
 from sumpaths.verify import verify_circuit
@@ -97,9 +98,11 @@ def test_report_json_shape():
 @pytest.mark.parametrize(
     "file, builder, builds",
     [
-        # base and extended circuit: one table build each
-        ("n2_l8_s0.json", twoparticle.lambda_tables, 2),
-        ("n3_l3_s0.json", threeparticle.lambda3_tables, 2),
+        # one table build: no_signaling folds the appended layer into its final table
+        ("n2_l8_s0.json", twoparticle.lambda_tables, 1),
+        ("n3_l3_s0.json", threeparticle.lambda3_tables, 1),
+        # one conditioned prefix tree each: the table stream's, the Gram walk's, density's
+        ("n2_l8_s0.json", paths.conditioned_prefix_states, 3),
         # one conditioned prefix tree each: (0,) base, (0, 1) general_subsystem, (0,) extended
         ("n4_l3_s0.json", paths.conditioned_prefix_states, 3),
     ],
@@ -108,6 +111,49 @@ def test_verify_builds_each_route_once(monkeypatch, file, builder, builds):
     calls = count_calls(monkeypatch, builder)
     assert verify_circuit(load_circuit(str(CORPUS / file))).passed
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize(
+    "file, most",
+    [
+        # the base circuit's layers and the appended one, plus the normalized circuit's for density
+        ("n2_l8_s0.json", 17),
+        ("n3_l5_s0.json", 6),
+        ("n4_l4_s0.json", 5),
+    ],
+)
+def test_verify_evolves_the_state_vector_once(monkeypatch, file, most):
+    calls = count_calls(monkeypatch, oracle._apply_layer)
+    assert verify_circuit(load_circuit(str(CORPUS / file))).passed
+    assert len(calls) <= most
+
+
+@pytest.mark.parametrize("file", ["n2_l5_s0.json", "n3_l3_s0.json"])
+def test_no_signaling_catches_a_bad_fold(monkeypatch, file):
+    # only a folded table (one layer short of its circuit) gets endpoint 0's amplitudes scaled
+    def bad_fold(circuit, lam):
+        for outcome, block in subsystems.table_blocks(circuit, lam):
+            if lam.shape[0] < 1 << circuit.n and outcome == (0,):
+                block = LambdaBlock(block.amplitudes * (1.0 + 1e-6), block.lam)
+            yield outcome, block
+
+    monkeypatch.setattr(verify, "table_blocks", bad_fold)
+    checks = {check.name: check for check in verify_circuit(load_circuit(str(CORPUS / file))).checks}
+    assert checks["oracle_equivalence"].passed
+    assert not checks["no_signaling"].passed
+
+
+def test_three_particle_verify_charges_the_base_tables_only(tmp_path):
+    # the base cascade's largest table is 32 entries; no extended build charges 4^3 = 64
+    thetas = (0.0, 0.4, 1.1, 2.3)
+    first = [PhaseGate(pair, thetas) for pair in ((0, 1), (0, 2), (1, 2))]
+    circuit = make_circuit(3, [({0: HADAMARD, 1: HADAMARD, 2: HADAMARD}, first), ({}, [PhaseGate((1, 2), thetas)])])
+    path = tmp_path / "c.json"
+    save_circuit(circuit, str(path))
+    for budget, code in ((31, 3), (32, 0), (40, 0), (63, 0)):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(["verify", "--circuit", str(path), "--budget", str(budget)]) == code
 
 
 def test_marginal_builds_one_tree_for_every_outcome(monkeypatch):
@@ -142,9 +188,9 @@ def test_timings_charge_shared_builds_and_sum_to_wall_time(monkeypatch):
     timings = {check.name: check.timing_ms for check in report.checks}
     assert len(reads) == len(report.checks) + 1
     assert sum(timings.values()) == (reads[-1] - reads[0]) * 1000.0
-    # the base build is charged to the first check that reads it, the extended one to no_signaling
+    # the one build is charged to the first check that reads it
     slow = {name for name, ms in timings.items() if ms > 1000.0 * 1000.0}
-    assert slow == {"oracle_equivalence", "no_signaling"}
+    assert slow == {"oracle_equivalence"}
     assert all(ms == 1000.0 for name, ms in timings.items() if name not in slow)
 
 
