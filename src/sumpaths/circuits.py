@@ -6,9 +6,19 @@ followed by the diagonal controlled-phase gates; since all phase gates are
 diagonal they commute with each other, so their relative order only matters
 for hit bookkeeping, never for the physics.
 
-The JSON file format is strict: unknown keys are rejected, complex entries
-are [re, im] pairs, and particles absent from a layer's "singles" get the
-identity.
+The JSON file format is strict: unknown keys and repeated keys are rejected,
+a "singles" key is a particle index written as `str(i)`, complex entries are
+[re, im] pairs, and particles absent from a layer's "singles" get the
+identity. A circuit's explicit singles are checked for finiteness and
+unitarity in one batched pass, and the first failing gate in file order is
+reported.
+
+The canonical text of a circuit is what `json.dumps(circuit_to_raw(c),
+sort_keys=True, indent=2)` writes, plus a newline: the bytes of the corpus
+files and the input of `circuit_digest`. `dumps_canonical` writes those
+bytes directly, one template per gate filled with `repr` floats, instead of
+running the standard library's pure-Python indenting encoder over every
+token.
 """
 from __future__ import annotations
 
@@ -47,13 +57,8 @@ class BadParticleIndex(CircuitError):
     """A particle index is out of range or a pair is not strictly increasing."""
 
 
-def _freeze(matrix: np.ndarray) -> np.ndarray:
-    out = np.array(matrix, dtype=complex)
-    out.flags.writeable = False
-    return out
-
-
-_IDENTITY_FROZEN = _freeze(IDENTITY)
+_IDENTITY_FROZEN = IDENTITY.copy()
+_IDENTITY_FROZEN.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,22 +114,43 @@ class Circuit:
         return self.layer(t).phase_on(pair)
 
 
-def unitarity_defect(matrix: np.ndarray) -> float:
-    """Max absolute entry of U^dag U - I."""
+def unitarity_defect(matrix: np.ndarray) -> float | np.ndarray:
+    """Max absolute entry of U^dag U - I; for a stack of matrices, one value per matrix."""
     matrix = np.asarray(matrix, dtype=complex)
-    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
+    gram = np.swapaxes(matrix.conj(), -1, -2) @ matrix
+    defect = np.abs(gram - np.eye(matrix.shape[-1])).max(axis=(-2, -1))
+    return float(defect) if matrix.ndim == 2 else defect
 
 
-def _check_single(matrix: Any, where: str) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.shape != (2, 2):
-        raise CircuitFormatError(f"{where}: single gate must be 2x2, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise CircuitFormatError(f"{where}: non-finite gate entry")
-    defect = unitarity_defect(arr)
-    if defect > UNITARITY_TOL:
-        raise NonUnitaryGate(f"{where}: unitarity defect {defect:.3e} exceeds {UNITARITY_TOL}")
-    return _freeze(arr)
+def _assemble(
+    particles: int,
+    layers: list[tuple[dict[int, int], list[PhaseGate]]],
+    singles: list,
+    wheres: list[str],
+) -> Circuit:
+    """The circuit of `layers`, each a map from particle to row of `singles` plus its phase
+    gates, once every explicit single has passed one batched finiteness and unitarity check.
+
+    The check reports the first failing gate in file order; the checked stack is frozen once
+    and each layer holds views of it."""
+    stack = np.array(singles, dtype=complex).reshape(-1, 2, 2)
+    finite = np.isfinite(stack.view(float)).all(axis=(1, 2))
+    clean = len(wheres) if finite.all() else int(finite.argmin())
+    defects = unitarity_defect(stack[:clean])
+    over = np.flatnonzero(defects > UNITARITY_TOL)
+    if over.size:
+        row = over[0]
+        raise NonUnitaryGate(f"{wheres[row]}: unitarity defect {defects[row]:.3e} exceeds {UNITARITY_TOL}")
+    if clean < len(wheres):
+        raise CircuitFormatError(f"{wheres[clean]}: non-finite gate entry")
+    stack.flags.writeable = False
+    built = []
+    for rows, phases in layers:
+        gates = [_IDENTITY_FROZEN] * particles
+        for idx, row in rows.items():
+            gates[idx] = stack[row]
+        built.append(Layer(singles=tuple(gates), phases=tuple(sorted(phases, key=lambda g: g.pair))))
+    return Circuit(particles=particles, layers=tuple(built))
 
 
 def _is_number(value: Any) -> bool:
@@ -138,14 +164,15 @@ def _is_index(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_complex_matrix(entries: Any, where: str) -> np.ndarray:
+def _parse_complex_matrix(entries: Any, where: str) -> list[complex]:
+    """The four entries of a 2x2 matrix of [re, im] pairs, row by row."""
     if (
         not isinstance(entries, list)
         or len(entries) != 2
         or any(not isinstance(row, list) or len(row) != 2 for row in entries)
     ):
         raise CircuitFormatError(f"{where}: expected a 2x2 matrix of [re, im] pairs")
-    out = np.empty((2, 2), dtype=complex)
+    out = []
     for i, row in enumerate(entries):
         for j, cell in enumerate(row):
             if not isinstance(cell, list) or len(cell) != 2:
@@ -153,7 +180,7 @@ def _parse_complex_matrix(entries: Any, where: str) -> np.ndarray:
             re, im = cell
             if not _is_number(re) or not _is_number(im):
                 raise CircuitFormatError(f"{where}[{i}][{j}]: entries must be numbers")
-            out[i, j] = complex(re, im)
+            out.append(complex(re, im))
     return out
 
 
@@ -196,7 +223,9 @@ def validate_circuit(raw: Mapping[str, Any]) -> Circuit:
     if not isinstance(raw_layers, list):
         raise CircuitFormatError("'layers' must be a list")
 
-    layers = []
+    layers: list[tuple[dict[int, int], list[PhaseGate]]] = []
+    singles: list[list[complex]] = []
+    wheres: list[str] = []
     for t, raw_layer in enumerate(raw_layers, start=1):
         where = f"layer {t}"
         if not isinstance(raw_layer, dict):
@@ -205,7 +234,7 @@ def validate_circuit(raw: Mapping[str, Any]) -> Circuit:
         if unknown:
             raise CircuitFormatError(f"{where}: unknown keys {sorted(unknown)}")
 
-        singles: list[np.ndarray] = [_IDENTITY_FROZEN] * particles
+        rows: dict[int, int] = {}
         raw_singles = raw_layer.get("singles", {})
         if not isinstance(raw_singles, dict):
             raise CircuitFormatError(f"{where}: 'singles' must map particle index to matrix")
@@ -214,10 +243,13 @@ def validate_circuit(raw: Mapping[str, Any]) -> Circuit:
                 idx = int(key)
             except (TypeError, ValueError):
                 raise CircuitFormatError(f"{where}: singles key {key!r} is not an index") from None
+            if key != str(idx):  # int() also reads "01", " 1", "+1" and "1_0"
+                raise CircuitFormatError(f"{where}: singles key {key!r} is not written as {str(idx)!r}")
             if not 0 <= idx < particles:
                 raise BadParticleIndex(f"{where}: singles index {idx} out of range")
-            matrix = _parse_complex_matrix(entries, f"{where} singles[{idx}]")
-            singles[idx] = _check_single(matrix, f"{where} singles[{idx}]")
+            rows[idx] = len(singles)
+            wheres.append(f"{where} singles[{idx}]")
+            singles.append(_parse_complex_matrix(entries, wheres[-1]))
 
         raw_phases = raw_layer.get("phases", [])
         if not isinstance(raw_phases, list):
@@ -230,10 +262,9 @@ def validate_circuit(raw: Mapping[str, Any]) -> Circuit:
                 raise DuplicatePhasePair(f"{where}: duplicate phase gate on pair {gate.pair}")
             seen_pairs.add(gate.pair)
             phases.append(gate)
-        phases.sort(key=lambda g: g.pair)
-        layers.append(Layer(singles=tuple(singles), phases=tuple(phases)))
+        layers.append((rows, phases))
 
-    return Circuit(particles=particles, layers=tuple(layers))
+    return _assemble(particles, layers, singles, wheres)
 
 
 def make_circuit(
@@ -241,13 +272,21 @@ def make_circuit(
     layers: Iterator[tuple[Mapping[int, np.ndarray], list[PhaseGate]]] | list,
 ) -> Circuit:
     """Build a Circuit from in-memory gates: [(singles_by_index, [PhaseGate, ...]), ...]."""
-    built = []
+    specs: list[tuple[dict[int, int], list[PhaseGate]]] = []
+    singles: list[np.ndarray] = []
+    wheres: list[str] = []
     for t, (singles_map, phases) in enumerate(layers, start=1):
-        singles: list[np.ndarray] = [_IDENTITY_FROZEN] * particles
+        rows: dict[int, int] = {}
         for idx, matrix in singles_map.items():
             if not 0 <= idx < particles:
                 raise BadParticleIndex(f"layer {t}: singles index {idx} out of range")
-            singles[idx] = _check_single(matrix, f"layer {t} singles[{idx}]")
+            where = f"layer {t} singles[{idx}]"
+            arr = np.asarray(matrix, dtype=complex)
+            if arr.shape != (2, 2):
+                raise CircuitFormatError(f"{where}: single gate must be 2x2, got shape {arr.shape}")
+            rows[idx] = len(singles)
+            singles.append(arr)
+            wheres.append(where)
         seen: set[tuple[int, int]] = set()
         for gate in phases:
             a, b = gate.pair
@@ -256,10 +295,8 @@ def make_circuit(
             if gate.pair in seen:
                 raise DuplicatePhasePair(f"layer {t}: duplicate phase gate on pair {gate.pair}")
             seen.add(gate.pair)
-        built.append(
-            Layer(singles=tuple(singles), phases=tuple(sorted(phases, key=lambda g: g.pair)))
-        )
-    return Circuit(particles=particles, layers=tuple(built))
+        specs.append((rows, list(phases)))
+    return _assemble(particles, specs, singles, wheres)
 
 
 def conditioned_diagonal(gate: PhaseGate, controller: int, mode: int) -> np.ndarray:
@@ -338,9 +375,8 @@ def append_external_layer(
         phases.append(
             PhaseGate(pair=(a, b), thetas=tuple(rng.uniform(0.0, 2.0 * math.pi, 4).tolist()))
         )
-    specs = [(dict(enumerate(layer.singles)), list(layer.phases)) for layer in circuit.layers]
-    specs.append((singles, phases))
-    return make_circuit(circuit.particles, specs)
+    added = make_circuit(circuit.particles, [(singles, phases)]).layers
+    return Circuit(particles=circuit.particles, layers=circuit.layers + added)
 
 
 def _entry_list(matrix: np.ndarray) -> list:
@@ -367,21 +403,104 @@ def circuit_to_raw(circuit: Circuit) -> dict:
     return {"particles": circuit.particles, "layers": layers}
 
 
+# Per-gate pieces of the canonical text at their nesting depth, as json.dumps
+# with indent=2 lays them out; every number is filled in as json writes it.
+_PHASE_TEMPLATE = """\
+        {
+          "pair": [
+            %d,
+            %d
+          ],
+          "theta": [
+            %s,
+            %s,
+            %s,
+            %s
+          ]
+        }"""
+_SINGLE_TEMPLATE = """\
+        "%d": [
+          [
+            [
+              %s,
+              %s
+            ],
+            [
+              %s,
+              %s
+            ]
+          ],
+          [
+            [
+              %s,
+              %s
+            ],
+            [
+              %s,
+              %s
+            ]
+          ]
+        ]"""
+
+
+def _number(value: float) -> str:
+    """A number as json writes it: repr for a finite float, json's own form otherwise."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def _layer_text(layer: Layer, order: list[int]) -> str:
+    parts = []
+    if layer.phases:
+        gates = ",\n".join(_PHASE_TEMPLATE % (*g.pair, *map(_number, g.thetas)) for g in layer.phases)
+        parts.append(f'      "phases": [\n{gates}\n      ]')
+    singles = []
+    for i in order:
+        (a, b), (c, d) = layer.singles[i].tolist()
+        if (a, b, c, d) == (1, 0, 0, 1):  # identity singles are omitted
+            continue
+        numbers = (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
+        singles.append(_SINGLE_TEMPLATE % (i, *map(float.__repr__, numbers)))
+    if singles:
+        parts.append('      "singles": {\n' + ",\n".join(singles) + "\n      }")
+    return "    {\n" + ",\n".join(parts) + "\n    }" if parts else "    {}"
+
+
 def dumps_canonical(circuit: Circuit) -> str:
-    return json.dumps(circuit_to_raw(circuit), sort_keys=True, indent=2) + "\n"
+    """The canonical text: json.dumps(circuit_to_raw(circuit), sort_keys=True, indent=2)
+    plus a newline, byte for byte."""
+    order = sorted(range(circuit.particles), key=str)  # keys sort as text: "10" before "2"
+    layers = ",\n".join(_layer_text(layer, order) for layer in circuit.layers)
+    layers = f"[\n{layers}\n  ]" if circuit.layers else "[]"
+    return f'{{\n  "layers": {layers},\n  "particles": {circuit.particles}\n}}\n'
 
 
 def circuit_digest(circuit: Circuit) -> str:
-    """Content hash of the canonical serialization."""
+    """SHA-256 of the canonical text."""
     return hashlib.sha256(dumps_canonical(circuit).encode()).hexdigest()
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's pairs as a dict; a repeated key is an error, not a silent overwrite."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise CircuitFormatError(f"repeated key {key!r}")
+            seen.add(key)
+    return out
 
 
 def load_circuit(path: str) -> Circuit:
     with open(path, encoding="utf-8") as handle:
         try:
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as err:
             raise CircuitFormatError(f"{path}: invalid JSON ({err})") from None
+        except CircuitFormatError as err:
+            raise CircuitFormatError(f"{path}: {err}") from None
     return validate_circuit(raw)
 
 

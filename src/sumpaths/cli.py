@@ -9,6 +9,7 @@ nor CSV output holds), 2 invalid input, 3 path budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -450,7 +451,9 @@ def _add_common(parser: argparse.ArgumentParser, circuit: bool = True) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sumpaths",
         description="Subsystem marginals by state vector, raw path sums, and the "

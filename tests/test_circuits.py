@@ -1,6 +1,7 @@
 """Circuit model: validation, gate conditioning, factoring, serialization."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -12,16 +13,20 @@ from hypothesis import strategies as st
 from sumpaths.circuits import (
     HADAMARD,
     BadParticleIndex,
+    CircuitError,
     CircuitFormatError,
     DuplicatePhasePair,
     NonUnitaryGate,
     PhaseGate,
+    append_external_layer,
     build_epr_circuit,
     circuit_digest,
+    circuit_to_raw,
     conditioned_diagonal,
     dumps_canonical,
     factor_phase_gate,
     make_circuit,
+    random_single,
     validate_circuit,
 )
 
@@ -190,3 +195,92 @@ def test_layer_accessor_bounds():
         circuit.layer(0)
     with pytest.raises(IndexError):
         circuit.layer(2)
+
+
+# Floats whose text is easy to get wrong: signed zero, the smallest subnormal,
+# tiny and near-overflow normals, and integral values.
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1.7e308, -1.7e308, 1.0, -1.0, 2.0]
+_EXACT_UNITARIES = [
+    np.eye(2),
+    np.array([[0, 1], [1, 0]]),
+    np.array([[1, 0], [0, -1]]),
+    np.array([[0, -1j], [1j, 0]]),
+    HADAMARD,
+    -np.eye(2),
+]
+
+
+@st.composite
+def _single(draw) -> np.ndarray:
+    if draw(st.booleans()):
+        base = _EXACT_UNITARIES[draw(st.integers(0, len(_EXACT_UNITARIES) - 1))]
+    else:
+        base = random_single(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    # a zero part may become another zero or a subnormal: still unitary to 1e-12
+    parts = np.array(base, dtype=complex).view(float).ravel()
+    for k in np.flatnonzero(parts == 0.0):
+        parts[k] = draw(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300]))
+    return parts.view(complex).reshape(2, 2)
+
+
+@st.composite
+def _circuits(draw):
+    particles = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(particles), 2))
+    angle = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    layers = []
+    for _ in range(draw(st.integers(0, 4))):
+        singles = {
+            i: draw(_single()) for i in draw(st.sets(st.integers(0, particles - 1), max_size=particles))
+        }
+        chosen = draw(st.sets(st.sampled_from(pairs), max_size=4)) if pairs else set()
+        phases = [PhaseGate(pair, tuple(draw(st.lists(angle, min_size=4, max_size=4)))) for pair in chosen]
+        layers.append((singles, phases))
+    return make_circuit(particles, layers)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_circuits())
+def test_direct_writer_matches_the_stdlib_writer(circuit):
+    expected = json.dumps(circuit_to_raw(circuit), sort_keys=True, indent=2) + "\n"
+    assert dumps_canonical(circuit) == expected
+    assert dumps_canonical(validate_circuit(json.loads(expected))) == expected
+
+
+def test_direct_writer_matches_the_stdlib_writer_on_edge_layers():
+    gate = PhaseGate((0, 11), (-0.0, 5e-324, 1.7e308, -1.7e308))
+    singles = {2: np.array([[1.0, 1e-300], [-0.0, 1.0]]), 10: HADAMARD, 1: np.eye(2)}
+    for layers in ([], [({}, [])], [({}, [gate])], [(singles, [])], [({}, []), (singles, [gate, CZ])]):
+        circuit = make_circuit(12, layers)
+        assert dumps_canonical(circuit) == json.dumps(circuit_to_raw(circuit), sort_keys=True, indent=2) + "\n"
+
+
+def test_external_layer_reuses_the_base_layers():
+    circuit = make_circuit(3, [({0: HADAMARD, 2: HADAMARD}, [CZ]), ({}, []), ({1: HADAMARD}, [])])
+    extended = append_external_layer(circuit, np.random.default_rng(4))
+    assert all(new is old for new, old in zip(extended.layers[:-1], circuit.layers, strict=True))
+    added = extended.layers[-1]
+    rebuilt = make_circuit(
+        3,
+        [(dict(enumerate(layer.singles)), list(layer.phases)) for layer in circuit.layers]
+        + [({i: added.singles[i] for i in (1, 2)}, list(added.phases))],
+    )
+    assert circuit_digest(extended) == circuit_digest(rebuilt)
+
+
+def test_gate_errors_name_the_first_bad_gate_in_file_order():
+    bad, worse = single_raw(np.diag([1.0, 1.1])), single_raw(np.diag([1.0, 2.0]))
+    layers = [{"singles": {"1": bad}}, {"singles": {"0": single_raw(HADAMARD)}}, {"singles": {"0": worse}}]
+    with pytest.raises(NonUnitaryGate, match="^layer 1 singles\\[1\\]: unitarity defect 2.100e-01"):
+        validate_circuit({"particles": 2, "layers": layers})
+    with pytest.raises(NonUnitaryGate, match="^layer 1 singles\\[1\\]: unitarity defect 2.100e-01"):
+        make_circuit(2, [({1: np.diag([1.0, 1.1])}, []), ({}, []), ({0: np.diag([1.0, 2.0])}, [])])
+    infinite = single_raw(np.diag([1.0, 1.0]))
+    infinite[1][1][0] = math.inf
+    for first, second in ((infinite, bad), (bad, infinite)):
+        raw = {"particles": 2, "layers": [{"singles": {"0": first}}, {"singles": {"0": second}}]}
+        with pytest.raises(CircuitError, match="^layer 1 singles\\[0\\]: "):
+            validate_circuit(raw)
+    raw = {"particles": 2, "layers": [{"singles": {"0": single_raw(HADAMARD)}}, {"singles": {"1": infinite}}]}
+    with pytest.raises(CircuitFormatError, match="^layer 2 singles\\[1\\]: non-finite gate entry$"):
+        validate_circuit(raw)

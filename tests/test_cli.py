@@ -519,6 +519,50 @@ def test_mistyped_layer_fields_are_input_errors(tmp_path, layer, message):
     assert message in err and err.count("\n") == 1
 
 
+_H = [[[2**-0.5, 0], [2**-0.5, 0]], [[2**-0.5, 0], [-(2**-0.5), 0]]]
+_X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # json.load keeps the last of two equal keys, so each of these ran on what was left
+        ('{"particles": 2, "particles": 3, "layers": []}', "repeated key 'particles'"),
+        (f'{{"particles": 2, "layers": [{{"singles": {{"0": {_H}, "0": {_X}}}}}]}}', "repeated key '0'"),
+        ('{"particles": 2, "layers": [{"phases": [{"pair": [0, 1], "theta": [0, 0, 0, 1], "theta": [0, 0, 0, 2]}]}]}',
+         "repeated key 'theta'"),
+        # int() reads each of these keys as a particle index
+        (json.dumps({"particles": 2, "layers": [{"singles": {"1": _H, "01": _X}}]}), "singles key '01'"),
+        (json.dumps({"particles": 2, "layers": [{"singles": {" 1": _X}}]}), "singles key ' 1'"),
+        (json.dumps({"particles": 2, "layers": [{"singles": {"+1": _X}}]}), "singles key '+1'"),
+        (json.dumps({"particles": 11, "layers": [{"singles": {"1_0": _X}}]}), "singles key '1_0'"),
+    ],
+    ids=["particles", "singles-0", "theta", "key-01", "key-space-1", "key-plus-1", "key-1_0"],
+)
+def test_repeated_keys_and_noncanonical_singles_keys_are_input_errors(tmp_path, text, message):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    code, out, err = run_cli("marginal", "--circuit", str(path))
+    assert code == 2 and out == ""
+    assert message in err and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_one_parser_carries_no_state_between_calls(epr_file):
+    assert cli_module.build_parser() is cli_module.build_parser()
+    plain = run_cli("verify", "--circuit", epr_file)
+    assert plain[0] == 0
+    timed = run_cli("verify", "--circuit", epr_file, "--timings")
+    assert timed[0] == 0 and timed[1] != plain[1]
+    assert run_cli("verify", "--circuit", epr_file) == plain
+    circuit = str(CORPUS / "n3_l5_s0.json")
+    assert run_cli("marginal", "--circuit", circuit, "--budget", "4")[0] == 3
+    assert run_cli("marginal", "--circuit", circuit)[0] == 0
+    code, out, _ = run_cli("marginal", "--circuit", epr_file, "--format", "csv")
+    assert code == 0 and out.startswith("outcome,probability\n")
+    code, out, _ = run_cli("marginal", "--circuit", epr_file)
+    assert code == 0 and json.loads(out)["method"] == "lambda"
+
+
 def test_sixteen_particles_fit_and_twenty_four_exit_before_allocating(tmp_path):
     small, large = tmp_path / "p16.json", tmp_path / "p24.json"
     save_circuit(random_circuit(np.random.default_rng(1), 16, 1), str(small))
@@ -541,9 +585,6 @@ def test_sixteen_particles_fit_and_twenty_four_exit_before_allocating(tmp_path):
 
 def _huge_angle_layers(thetas: list, singles: dict | None = None) -> list:
     return [{"singles": singles or {}, "phases": [{"pair": [0, 1], "theta": theta}]} for theta in thetas]
-
-
-_H = [[[2**-0.5, 0], [2**-0.5, 0]], [[2**-0.5, 0], [-(2**-0.5), 0]]]
 
 
 @pytest.mark.parametrize(
