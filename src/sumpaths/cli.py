@@ -22,6 +22,8 @@ from . import oracle as oracle_module
 from .circuits import (
     Circuit,
     CircuitError,
+    CircuitFormatError,
+    _unique_keys,
     build_epr_circuit,
     circuit_digest,
     load_circuit,
@@ -244,7 +246,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     manifest_path = FsPath(args.manifest)
     with open(manifest_path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
+        try:
+            manifest = json.load(handle, object_pairs_hook=_unique_keys)
+        except CircuitFormatError as err:
+            raise CircuitFormatError(f"{manifest_path}: {err}") from None
     entries = manifest.get("circuits") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not all(
         isinstance(entry, dict) and isinstance(entry.get("file"), str) for entry in entries

@@ -18,10 +18,20 @@ class RealityError(ArithmeticError):
     """Raised when a quantity that must be real carries a non-negligible imaginary part."""
 
 
+def _count_text(count: int) -> str:
+    """`count` in decimal, or as a power of two past Python's int-to-str digit limit."""
+    try:
+        return str(count)
+    except ValueError:
+        power = count.bit_length() - 1
+        return f"2^{power}" if count == 1 << power else f"more than 2^{power}"
+
+
 def check_budget(count: int, budget: int, what: str = "path lattice") -> None:
     if count > budget:
         raise BudgetExceeded(
-            f"{what} needs {count} combinations, budget is {budget}; raise --budget to override"
+            f"{what} needs {_count_text(count)} combinations, budget is {_count_text(budget)};"
+            " raise --budget to override"
         )
 
 

@@ -13,7 +13,6 @@ and the density path sum read their external states from this prefix tree.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -88,12 +87,16 @@ def endpoint_rows(n: int, endpoint: int) -> np.ndarray:
 def prefix_amplitudes(circuit: Circuit, particle: int, upto: int | None = None) -> np.ndarray:
     """Amplitudes of `particle` over its 2^t mode sequences through layer t = `upto` (default n).
 
-    Indexed by prefix_index.
+    Indexed by prefix_index. Each layer is one outer product: prefix index
+    q with mode l after layer t - 1 is row 2q + l, and its extension by mode
+    m after layer t takes the matrix element single[m, l].
     """
-    amps = np.ones(1, dtype=complex)
-    for t in range(1, (circuit.n if upto is None else upto) + 1):
-        last = np.arange(amps.size) % 2  # mode after layer t - 1 (0 before layer 1)
-        amps = np.repeat(amps, 2) * circuit.single(t, particle)[np.tile([0, 1], amps.size), np.repeat(last, 2)]
+    t_stop = circuit.n if upto is None else upto
+    if t_stop == 0:
+        return np.ones(1, dtype=complex)
+    amps = circuit.single(1, particle)[:, 0]  # every path starts in mode 0
+    for t in range(2, t_stop + 1):
+        amps = (amps.reshape(-1, 2, 1) * circuit.single(t, particle).T).reshape(-1)
     return amps
 
 
@@ -136,12 +139,18 @@ def pair_phases(circuit: Circuit, pair: tuple[int, int]) -> tuple[np.ndarray | N
     `gate.diagonal().reshape(2, 2)` at the two paths' modes. `prefix` is the
     Kronecker product of the factors of layers 1..n-1, on the
     (`prefix_index`, `prefix_index`) grid of the two particles' (n-1)-mode
-    prefixes; `last` is layer n's factor over the two endpoints. Either is
-    None when no gate couples the pair in those layers.
+    prefixes, grown one broadcast outer product per layer; `last` is layer
+    n's factor over the two endpoints. Either is None when no gate couples
+    the pair in those layers.
     """
     gates = [circuit.phase(t, pair) for t in range(1, circuit.n + 1)]
     factors = [np.ones((2, 2)) if gate is None else gate.diagonal().reshape(2, 2) for gate in gates]
-    prefix = functools.reduce(np.kron, factors[:-1]) if any(g is not None for g in gates[:-1]) else None
+    prefix = None
+    if any(g is not None for g in gates[:-1]):
+        prefix = factors[0]
+        for factor in factors[1:-1]:
+            rows, cols = prefix.shape
+            prefix = (prefix[:, None, :, None] * factor[None, :, None, :]).reshape(2 * rows, 2 * cols)
     return prefix, (factors[-1] if gates and gates[-1] is not None else None)
 
 
@@ -149,11 +158,16 @@ def amplitudes_via_paths(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> np.n
     """Every joint amplitude as one sum over the configuration-space path lattice.
 
     Returns 2^N amplitudes, particle 0 most significant. Each particle
-    carries two indices, its path prefix and its endpoint; the sum is one
-    greedy-planned contraction of every particle's prefix amplitudes with
-    every coupled pair's `pair_phases`, no intermediate larger than the
-    charged lattice (2^(n-1))^N or the output. It never evolves a state
-    vector, so it stays independent of the oracle it is checked against.
+    carries two indices, its path prefix and its endpoint. The sum
+    eliminates whole particle prefixes in index order: step k multiplies
+    the running table by particle k's `pair_phases` prefixes to later
+    particles, then contracts its prefix against its `prefix_amplitudes`
+    in one batched matmul, leaving its endpoint. Particle 0 is contracted
+    against its coupling to particle 1 instead, so no table holds the whole
+    charged lattice (2^(n-1))^N: none exceeds about 2 (2^(n-1))^(N-1)
+    entries. The endpoint factors multiply the final 2^N table. It never
+    evolves a state vector, so it stays independent of the oracle it is
+    checked against.
     """
     n, particles = circuit.n, circuit.particles
     if particles > _MAX_PATHSUM_PARTICLES:
@@ -163,18 +177,37 @@ def amplitudes_via_paths(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> np.n
     if n == 0:  # every particle still in its initial mode 0
         return (np.arange(1 << particles) == 0).astype(complex)
 
-    ends = list(range(particles, 2 * particles))  # particle i: prefix index i, endpoint index N + i
-    operands: list = []
-    for i in range(particles):
-        operands += [prefix_amplitudes(circuit, i).reshape(-1, 2), [i, ends[i]]]
-    for a, b in itertools.combinations(range(particles), 2):
-        prefix, last = pair_phases(circuit, (a, b))
-        if prefix is not None:
-            operands += [prefix, [a, b]]
+    width = 1 << (n - 1)
+    prefixes, lasts = {}, {}
+    for pair in itertools.combinations(range(particles), 2):
+        prefixes[pair], lasts[pair] = pair_phases(circuit, pair)
+    # axes: the eliminated endpoints (particle 0 most significant), then the
+    # prefixes of particles k..N-1; a prefix no factor has touched yet has size 1
+    table = np.ones((1,) * (particles + 1), dtype=complex)
+    for k in range(particles):
+        head = prefixes.get((0, 1)) if k == 0 else None
+        for j in range(k + 1 + (head is not None), particles):
+            coupling = prefixes[k, j]
+            if coupling is not None:
+                shape = [1] * table.ndim
+                shape[1] = shape[1 + j - k] = width
+                table = table * coupling.reshape(shape)
+        amps = prefix_amplitudes(circuit, k).reshape(width, 2).T  # (endpoint, prefix)
+        if head is not None:  # prefix 0 goes through its coupling to prefix 1, so no table spans both
+            table = amps.reshape((2, width) + (1,) * (particles - 1)) * table[0]
+            table = (head.T @ table.reshape(2, width, -1)).reshape((2, width) + table.shape[3:])
+            continue
+        if table.shape[1] == 1:  # no factor couples this prefix: sum its amplitudes alone
+            amps = amps.sum(axis=1, keepdims=True)
+        rest = table.shape[2:]
+        table = (amps @ table.reshape(table.shape[0], table.shape[1], -1)).reshape((-1,) + rest)
+    table = table.reshape((2,) * particles)
+    for (a, b), last in lasts.items():
         if last is not None:
-            operands += [last, [ends[a], ends[b]]]
-    # numpy's default cap, the largest operand, leaves most of the sum unplanned
-    return np.einsum(*operands, ends, optimize=("greedy", max(lattice, 1 << particles))).reshape(-1)
+            shape = [1] * particles
+            shape[a] = shape[b] = 2
+            table = table * last.reshape(shape)
+    return table.reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,6 +2,11 @@
 
 The references are built from explicit Kronecker products and raw path
 enumeration so they share no evolution or bookkeeping code with the package.
+The path-sum references after them are the earlier implementations of the
+package's path-sum operands and contraction: `np.repeat`/`np.tile` prefix
+amplitudes, `np.kron` pair phases and one greedy-planned `np.einsum`. The
+package's one-broadcast-per-layer operands must equal them exactly, and
+its particle-by-particle elimination must match their sum.
 The circuit helpers after them make the seeded corpora and the reduced or
 trimmed circuits that the tests compare. The stream helpers at the end read
 the per-layer lambda tables of `lambda_tables` and `lambda3_tables`: one pair's
@@ -107,6 +112,46 @@ def conditioned_external_matrix(
                     diag[index] *= np.exp(1j * gate.theta(modes[a], modes[b]))
         op = (diag[:, None] * layer_op) @ op
     return op
+
+
+def repeat_prefix_amplitudes(circuit: Circuit, particle: int, upto: int | None = None) -> np.ndarray:
+    """`paths.prefix_amplitudes` grown by `np.repeat`, `np.tile` and fancy indexing."""
+    amps = np.ones(1, dtype=complex)
+    for t in range(1, (circuit.n if upto is None else upto) + 1):
+        last = np.arange(amps.size) % 2  # mode after layer t - 1 (0 before layer 1)
+        amps = np.repeat(amps, 2) * circuit.single(t, particle)[np.tile([0, 1], amps.size), np.repeat(last, 2)]
+    return amps
+
+
+def kron_pair_phases(circuit: Circuit, pair: tuple[int, int]) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """`paths.pair_phases` as one `np.kron` chain over layers 1..n-1, plus layer n's factor."""
+    gates = [circuit.phase(t, pair) for t in range(1, circuit.n + 1)]
+    factors = [np.ones((2, 2)) if gate is None else gate.diagonal().reshape(2, 2) for gate in gates]
+    prefix = reduce(np.kron, factors[:-1]) if any(g is not None for g in gates[:-1]) else None
+    return prefix, (factors[-1] if gates and gates[-1] is not None else None)
+
+
+def einsum_amplitudes(circuit: Circuit) -> np.ndarray:
+    """All 2^N amplitudes as one greedy-planned einsum over the reference operands.
+
+    Particle i carries its prefix index i and its endpoint index N + i.
+    """
+    n, particles = circuit.n, circuit.particles
+    if n == 0:
+        return (np.arange(1 << particles) == 0).astype(complex)
+    ends = list(range(particles, 2 * particles))
+    operands: list = []
+    for i in range(particles):
+        operands += [repeat_prefix_amplitudes(circuit, i).reshape(-1, 2), [i, ends[i]]]
+    for a, b in itertools.combinations(range(particles), 2):
+        prefix, last = kron_pair_phases(circuit, (a, b))
+        if prefix is not None:
+            operands += [prefix, [a, b]]
+        if last is not None:
+            operands += [last, [ends[a], ends[b]]]
+    # numpy's default cap, the largest operand, leaves most of the sum unplanned
+    lattice = (1 << (n - 1)) ** particles
+    return np.einsum(*operands, ends, optimize=("greedy", max(lattice, 1 << particles))).reshape(-1)
 
 
 def random_corpus(

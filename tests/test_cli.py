@@ -359,6 +359,18 @@ def test_budget_exit_code(tmp_path):
     assert code == 3 and "budget" in err
 
 
+def test_budget_charge_past_the_int_to_str_limit_exits_three(tmp_path):
+    # 2^20000 has 6021 decimal digits, past Python's default limit of 4300
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"particles": 20000, "layers": [{}]}))
+    code, out, err = run_cli("marginal", "--circuit", str(path), "--method", "lambda", "--subsystem", "0")
+    assert (code, out) == (3, "")
+    assert err == "error: conditioned external states needs 2^20000 combinations, budget is 4194304; raise --budget to override\n"
+    save_circuit(random_circuit(np.random.default_rng(6), 2, 8), str(path))  # counts below it stay decimal
+    code, _, err = run_cli("marginal", "--circuit", str(path), "--budget", "64")
+    assert (code, err) == (3, "error: path-pair table needs 65536 combinations, budget is 64; raise --budget to override\n")
+
+
 @pytest.mark.parametrize("budget", ["-1", "0"])
 def test_nonpositive_budget_is_input_error(epr_file, budget):
     code, out, err = run_cli("marginal", "--circuit", epr_file, "--budget", budget)
@@ -492,6 +504,19 @@ def test_manifest_digest_mismatch_is_input_error(tmp_path):
     assert out == "" and err == f"error: {entry['file']}: digest differs from its manifest entry\n"
 
 
+def test_manifest_repeated_digest_is_input_error(tmp_path):
+    # a repeated key must not let the last value pass over a wrong first one
+    entry = json.loads((CORPUS / "manifest.json").read_text())["circuits"][0]
+    (tmp_path / entry["file"]).write_text((CORPUS / entry["file"]).read_text())
+    path = tmp_path / "manifest.json"
+    path.write_text(
+        f'{{"circuits": [{{"file": "{entry["file"]}", "digest": "{"0" * 64}", "digest": "{entry["digest"]}"}}]}}'
+    )
+    code, out, err = run_cli("verify", "--manifest", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: repeated key 'digest'\n"
+
+
 @pytest.mark.parametrize("particles, subsystem", [(2, "0"), (3, "0"), (3, "0,1"), (4, "0"), (4, "0,1")])
 def test_zero_layer_circuits_answer_like_the_oracle(tmp_path, particles, subsystem):
     path = tmp_path / "empty.json"
@@ -594,7 +619,7 @@ def _huge_angle_layers(thetas: list, singles: dict | None = None) -> list:
         {"particles": 2, "layers": _huge_angle_layers([[0, 0, 0, 1.7e308]] * 3)},
         {"particles": 2, "layers": _huge_angle_layers([[0, 0, 0, 1.7e308], [0, 0, 0, 5.0]], {"0": _H, "1": _H})},
         {"particles": 2, "layers": [{}, {}] + _huge_angle_layers([[1.0, 0.0, 1.7e308, 0.0]])},
-        # 12 particles and 66 gates in one sum: more operands than one unplanned einsum takes
+        # 12 particles and 66 gates in one sum: 12 elimination steps, 66 endpoint factors
         circuit_to_raw(random_circuit(np.random.default_rng(11), 12, 1, p_single=1.0, p_phase=1.0)),
     ],
     ids=["three-huge-layers", "huge-then-small", "huge-hit", "twelve-particles"],

@@ -24,9 +24,16 @@ from sumpaths.paths import (
     path_amplitude,
     pair_phases,
     path_index,
+    prefix_amplitudes,
 )
 
-from .reference import brute_amplitude, conditioned_external_matrix
+from .reference import (
+    brute_amplitude,
+    conditioned_external_matrix,
+    einsum_amplitudes,
+    kron_pair_phases,
+    repeat_prefix_amplitudes,
+)
 
 
 def test_two_layer_enumeration_has_two_paths():
@@ -161,6 +168,50 @@ def test_twelve_layer_pair_path_sum_stays_small():
         tracemalloc.stop()
     assert np.max(np.abs(amplitudes - evolve(circuit))) < 1e-10
     assert peak < 128 * 2**20
+
+
+_GATE_DENSITIES = st.sampled_from([0.0, 0.3, 1.0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(0, 6), _GATE_DENSITIES, _GATE_DENSITIES, st.integers(0, 2**32 - 1))
+def test_path_sum_operands_equal_the_reference_builders(particles, layers, p_single, p_phase, seed):
+    circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_single, p_phase)
+    for i in range(particles):
+        for upto in range(layers + 1):
+            assert np.array_equal(prefix_amplitudes(circuit, i, upto), repeat_prefix_amplitudes(circuit, i, upto))
+    for pair in itertools.combinations(range(particles), 2):
+        for value, reference in zip(pair_phases(circuit, pair), kron_pair_phases(circuit, pair)):
+            assert (value is None) == (reference is None)
+            assert value is None or np.array_equal(value, reference)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 6), _GATE_DENSITIES, _GATE_DENSITIES, st.integers(0, 2**32 - 1), st.data())
+def test_eliminated_path_sum_matches_the_einsum_contraction(particles, p_single, p_phase, seed, data):
+    # at most 2^12 lattice terms, so the raw loop stays quick
+    layers = data.draw(st.integers(0, min(6, 1 + 12 // particles)))
+    circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_single, p_phase)
+    amplitudes = amplitudes_via_paths(circuit)
+    assert np.max(np.abs(amplitudes - einsum_amplitudes(circuit))) < 1e-13
+    assert np.max(np.abs(amplitudes - evolve(circuit))) < 1e-13
+    index = data.draw(st.integers(0, (1 << particles) - 1))
+    outcome = tuple((index >> (particles - 1 - k)) & 1 for k in range(particles))
+    assert abs(amplitudes[index] - brute_amplitude(circuit, outcome)) < 1e-12
+
+
+@pytest.mark.parametrize("particles,layers", [(3, 8), (4, 6), (5, 5)])
+def test_path_sum_never_holds_the_lattice(particles, layers):
+    # the lattice (2^(n-1))^N would be 16-32 MiB; the elimination's tables
+    # reach about 2 (2^(n-1))^(N-1) entries, 0.5-2 MiB
+    circuit = random_circuit(np.random.default_rng(13), particles, layers, p_single=1.0, p_phase=1.0)
+    tracemalloc.start()
+    try:
+        amplitudes_via_paths(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_pair_phases_split_the_last_layer_off():
