@@ -27,22 +27,19 @@ from .density import (
     hit_pathsum_amplitude,
     normalized_phase_form,
 )
-from .oracle import Distribution, evolve, joint_distribution, marginal_by_sum, reduced_density
+from .oracle import Distribution, evolve, marginal_by_sum, reduced_density
 from .paths import (
     ConditionalUnitary,
     Path,
     amplitudes_via_paths,
     condition_on_paths,
     enumerate_paths,
-    joint_phase,
     pair_phases,
     path_amplitude,
 )
 from .subsystems import (
     ConfigPath,
-    config_path_amplitude,
     lambda_blocks,
-    lambda_general,
     lambda_general_trajectory,
 )
 from .threeparticle import (
@@ -56,6 +53,5 @@ from .twoparticle import (
     LambdaEntry,
     hit,
     lambda_accumulate,
-    lambda_direct,
 )
 from .verify import VerificationReport, verify_circuit

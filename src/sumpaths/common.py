@@ -7,7 +7,6 @@ import numpy as np
 
 DEFAULT_BUDGET = 2**22
 REALITY_TOL = 1e-10
-_PAIR_SUM_COLUMNS = 256  # lambda columns the pair sum copies at a time
 
 
 class BudgetExceeded(RuntimeError):
@@ -39,7 +38,7 @@ def check_budget(count: int, budget: int, what: str = "path lattice") -> None:
 class LambdaBlock:
     """Path amplitudes and pairwise hidden variables for one subsystem outcome.
 
-    Every route (two-particle tables, three-particle cascade, general
+    Every route (the hit stream, the three-particle cascade, general
     conditioned overlaps) ends in one of these; only the way `lam` is
     computed differs.
     """
@@ -48,20 +47,15 @@ class LambdaBlock:
     lam: np.ndarray
 
     def marginal(self) -> float:
-        """Classical sum of path probabilities plus the lambda-weighted interference.
+        """Classical sum of path probabilities plus the lambda-weighted interference of distinct pairs.
 
-        The interference row (a^dagger times lambda with its diagonal zeroed)
-        is formed a slice of columns at a time, so the sum never copies a
-        whole lambda.
+        That is sum_i |a_i|^2 + sum_(i != k) conj(a_i) lambda_ik a_k, summed
+        as sum_i |a_i|^2 (1 - lambda_ii) + a^dagger lambda a, which reads
+        lambda in place and copies none of it.
         """
-        conj = self.amplitudes.conj()
-        row = np.empty_like(conj)
-        for start in range(0, len(conj), _PAIR_SUM_COLUMNS):
-            stop = start + _PAIR_SUM_COLUMNS
-            weights = self.lam[:, start:stop].copy()
-            np.fill_diagonal(weights[start:], 0.0)
-            row[start:stop] = conj @ weights
-        total = float(np.sum(np.abs(self.amplitudes) ** 2)) + complex(row @ self.amplitudes)
+        a = self.amplitudes
+        classical = np.sum(np.abs(a) ** 2 * (1.0 - np.diagonal(self.lam)))
+        total = complex(classical) + complex(a.conj() @ self.lam @ a)
         if abs(total.imag) > REALITY_TOL:
             raise RealityError(f"pair sum has imaginary residue {total.imag:.3e}")
         return total.real

@@ -1,4 +1,4 @@
-"""Ground truth by full state-vector evolution: joint and marginal distributions, partial traces.
+"""Ground truth by full state-vector evolution: marginal distributions of any particle set, partial traces.
 
 Basis convention: particle 0 is the most significant bit of the state index.
 Everything else in the package is checked against this module.
@@ -91,11 +91,6 @@ def evolve(circuit: Circuit, upto: int | None = None) -> np.ndarray:
     for state in states(circuit, upto):
         pass
     return state
-
-
-def joint_distribution(circuit: Circuit) -> Distribution:
-    """Born probabilities over all joint outcomes."""
-    return marginal_by_sum(circuit, range(circuit.particles))
 
 
 def marginal_by_sum(circuit: Circuit, subsystem: Iterable[int]) -> Distribution:

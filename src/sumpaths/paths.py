@@ -1,4 +1,4 @@
-"""Computational-basis paths: enumeration, amplitudes, joint phases, path sums, conditional unitaries.
+"""Computational-basis paths: enumeration, amplitudes, pair phases, path sums, conditioned evolutions.
 
 A path for one particle is its mode after each layer, (m_1, ..., m_n), with
 the implicit start m_0 = 0. Enumeration order is lexicographic in
@@ -6,9 +6,10 @@ the implicit start m_0 = 0. Enumeration order is lexicographic in
 keyed by path index are reproducible run to run.
 
 `conditioned_prefix_states` is the one vectorized evolution of the external
-system conditioned on subsystem paths: the two-particle table stream, the
-Gram tables `verify` checks both table streams against, the general blocks
-and the density path sum read their external states from this prefix tree.
+system conditioned on subsystem paths: the hit stream of the subsystem (0,),
+the Gram tables `verify` checks both table streams against, the general
+blocks and the density path sum read their external states from this prefix
+tree.
 `condition_on_paths` is the per-path scalar reference it is checked against.
 """
 from __future__ import annotations
@@ -63,19 +64,6 @@ def enumerate_paths(n: int, endpoint: int) -> list[Path]:
     ]
 
 
-def prefix_index(path: Path, t: int) -> int:
-    """The first t modes of `path` packed most-significant-first: its row in prefix tables."""
-    idx = 0
-    for m in path.modes[:t]:
-        idx = (idx << 1) | m
-    return idx
-
-
-def path_index(path: Path) -> int:
-    """Lexicographic index of `path` within enumerate_paths(path.n, path.endpoint)."""
-    return prefix_index(path, path.n - 1)
-
-
 def endpoint_rows(n: int, endpoint: int) -> np.ndarray:
     """Prefix-table rows of the n-layer paths ending at `endpoint`, in enumeration order.
 
@@ -87,7 +75,8 @@ def endpoint_rows(n: int, endpoint: int) -> np.ndarray:
 def prefix_amplitudes(circuit: Circuit, particle: int, upto: int | None = None) -> np.ndarray:
     """Amplitudes of `particle` over its 2^t mode sequences through layer t = `upto` (default n).
 
-    Indexed by prefix_index. Each layer is one outer product: prefix index
+    Indexed by prefix index: a path's first t modes packed
+    most-significant-first. Each layer is one outer product: prefix index
     q with mode l after layer t - 1 is row 2q + l, and its extension by mode
     m after layer t takes the matrix element single[m, l].
     """
@@ -113,32 +102,13 @@ def path_amplitude(circuit: Circuit, particle: int, path: Path) -> complex:
     return complex(value)
 
 
-def joint_phase_factors(circuit: Circuit, assignment: Sequence[Path]) -> np.ndarray:
-    """Per-layer phase factors for one path per particle; their product is the joint phase."""
-    if len(assignment) != circuit.particles:
-        raise ValueError("need exactly one path per particle")
-    factors = np.ones(circuit.n, dtype=complex)
-    for t in range(1, circuit.n + 1):
-        angle = 0.0
-        for gate in circuit.layer(t).phases:
-            a, b = gate.pair
-            angle += gate.theta(assignment[a].mode(t), assignment[b].mode(t))
-        factors[t - 1] = np.exp(1j * angle)
-    return factors
-
-
-def joint_phase(circuit: Circuit, assignment: Sequence[Path]) -> complex:
-    """Product over layers of the controlled-phase factors selected by the joint modes."""
-    return complex(np.prod(joint_phase_factors(circuit, assignment)))
-
-
 def pair_phases(circuit: Circuit, pair: tuple[int, int]) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Joint phase of two particles' paths, split into (prefix, last).
 
     The phase is the product over layers of each gate's 2x2 factor
     `gate.diagonal().reshape(2, 2)` at the two paths' modes. `prefix` is the
     Kronecker product of the factors of layers 1..n-1, on the
-    (`prefix_index`, `prefix_index`) grid of the two particles' (n-1)-mode
+    (prefix index, prefix index) grid of the two particles' (n-1)-mode
     prefixes, grown one broadcast outer product per layer; `last` is layer
     n's factor over the two endpoints. Either is None when no gate couples
     the pair in those layers.
@@ -246,7 +216,8 @@ class ConditionalUnitary:
             state = state * gate.diagonal().reshape(shape)
         for local, diag in layer.diagonals:
             shape = [2 if k == local else 1 for k in range(width)]
-            state = state * diag.reshape(shape)
+            # diagonal first: the operand order fixes the last bits `trace` prints
+            state = diag.reshape(shape) * state
         return state.reshape(-1)
 
     def state(self, upto: int | None = None) -> np.ndarray:
@@ -267,19 +238,6 @@ class ConditionalUnitary:
             state = self._apply(state, t)
             out.append(state)
         return out
-
-    def layer_operator(self, t: int) -> np.ndarray:
-        """Dense operator of layer t on the external system."""
-        op = np.eye(self.dim, dtype=complex)
-        cols = [self._apply(op[:, k].copy(), t) for k in range(self.dim)]
-        return np.column_stack(cols)
-
-    def unitary(self, upto: int | None = None) -> np.ndarray:
-        t_stop = self.n if upto is None else upto
-        op = np.eye(self.dim, dtype=complex)
-        for t in range(1, t_stop + 1):
-            op = self.layer_operator(t) @ op
-        return op
 
 
 def condition_on_paths(circuit: Circuit, conditioning: Mapping[int, Path]) -> ConditionalUnitary:
@@ -323,20 +281,25 @@ def condition_on_paths(circuit: Circuit, conditioning: Mapping[int, Path]) -> Co
     return ConditionalUnitary(external=external, layers=tuple(layers))
 
 
+def apply_single(state: np.ndarray, axis: int, gate: np.ndarray) -> np.ndarray:
+    """`gate` applied to one axis of `state`, as one (rows, 2) x (2, 2) matmul."""
+    moved = np.moveaxis(state, axis, -1)
+    return np.moveaxis((moved.reshape(-1, 2) @ gate.T).reshape(moved.shape), -1, axis)
+
+
 def conditioned_prefix_states(circuit: Circuit, subsystem: Sequence[int]) -> list[np.ndarray]:
     """External states conditioned on every subsystem path prefix, after layers 0..n.
 
     Table t is (2^(M t), 2^(N - M)). A row joins the members' t-mode prefix
-    indices (`prefix_index`), first member most significant; a column is an
+    indices, first member most significant; a column is an
     external basis state, first external particle most significant. Row r
     equals `condition_on_paths(...).state(upto=t)` for any member paths with
     those prefixes. Each layer applies the external singles axis by axis and
     the external phase gates once per prefix, grows every member's prefix by
     `np.repeat`, then applies the straddling gates conditioned on the new
     mode. Gates wholly inside the subsystem stay in the path amplitudes.
-    For the subsystem (0,) of two or three particles, the Gram matrix of
-    table t is the lambda^(t) that `verify` checks each streamed table
-    against.
+    For the subsystem (0,), the Gram matrix of table t is the lambda^(t)
+    that `verify` checks each streamed table against.
     """
     members = tuple(sorted(set(subsystem)))
     external = tuple(p for p in range(circuit.particles) if p not in members)
@@ -351,8 +314,7 @@ def conditioned_prefix_states(circuit: Circuit, subsystem: Sequence[int]) -> lis
     for t in range(1, circuit.n + 1):
         layer = circuit.layer(t)
         for p in external:
-            moved = np.moveaxis(state, axis[p], -1)
-            state = np.moveaxis((moved.reshape(-1, 2) @ layer.singles[p].T).reshape(moved.shape), -1, axis[p])
+            state = apply_single(state, axis[p], layer.singles[p])
         straddling = []
         for gate in layer.phases:
             a_in, b_in = (p in members for p in gate.pair)

@@ -6,20 +6,20 @@ paths with equal endpoint tuples is the overlap of the conditioned external
 evolutions. Every outcome of a subsystem reads the same conditioned
 evolution, so `conditioned_blocks` builds the prefix-shared evolution
 `paths.conditioned_prefix_states` once and yields each outcome's overlaps as
-the Gram matrix of that outcome's rows of its final table. `lambda_general` and
-`lambda_general_trajectory` evaluate single pairs with per-path
-`condition_on_paths`, the independent reference; the trajectory exposes the
-per-layer prefix increments (layers without a subsystem-external phase gate
-contribute an exact zero because the shared external unitary cancels).
+the Gram matrix of that outcome's rows of its final table.
+`lambda_general_trajectory` evaluates one pair with per-path
+`condition_on_paths`, the independent reference, and exposes the per-layer
+prefix values (layers without a subsystem-external phase gate contribute an
+exact zero because the shared external unitary cancels).
 
 Phase gates wholly inside the subsystem belong to the configuration
 amplitude; gates wholly outside stay in the conditioned evolution; straddling
 gates are conditioned on the subsystem path.
 
-`lambda_blocks` is where every lambda marginal picks its route: the
-two-particle tables or the three-particle cascade where they apply,
-`conditioned_blocks` otherwise. Both yield (outcome, block) pairs one at a
-time.
+`lambda_blocks` is where every lambda marginal picks its route, written
+once: the cascade for the subsystem (0,) of three particles, the hit stream
+for (0,) at every other particle count, and `conditioned_blocks` for every
+other subsystem. Each yields (outcome, block) pairs one at a time.
 """
 from __future__ import annotations
 
@@ -33,9 +33,9 @@ import numpy as np
 from .circuits import Circuit
 from .common import DEFAULT_BUDGET, LambdaBlock, check_budget
 from .paths import Path, condition_on_paths, conditioned_prefix_states, endpoint_rows
-from .paths import enumerate_paths, pair_phases, path_amplitude, prefix_amplitudes
+from .paths import enumerate_paths, pair_phases, prefix_amplitudes
 from .threeparticle import lambda3_tables
-from .twoparticle import lambda_tables
+from .twoparticle import lambda_tables, layer_hits, prefix_tree
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,6 @@ class ConfigPath:
     @property
     def endpoints(self) -> tuple[int, ...]:
         return tuple(p.endpoint for p in self.paths)
-
-    def modes(self, t: int) -> tuple[int, ...]:
-        return tuple(p.mode(t) for p in self.paths)
 
     def bitstrings(self) -> tuple[str, ...]:
         return tuple(p.bitstring() for p in self.paths)
@@ -76,30 +73,6 @@ def enumerate_config_paths(
     """All configuration paths to the endpoint tuple, lexicographic per particle."""
     per_particle = [enumerate_paths(n, endpoint) for endpoint in endpoints]
     return [ConfigPath(paths=combo) for combo in itertools.product(*per_particle)]
-
-
-def _intra_phase(circuit: Circuit, subsystem: tuple[int, ...], config: ConfigPath) -> complex:
-    local = {p: k for k, p in enumerate(subsystem)}
-    angle = 0.0
-    for t in range(1, circuit.n + 1):
-        for gate in circuit.layer(t).phases:
-            a, b = gate.pair
-            if a in local and b in local:
-                angle += gate.theta(config.paths[local[a]].mode(t), config.paths[local[b]].mode(t))
-    return complex(np.exp(1j * angle))
-
-
-def config_path_amplitude(
-    circuit: Circuit, subsystem: Sequence[int], config: ConfigPath
-) -> complex:
-    """Product of member path amplitudes times the intra-subsystem joint phase."""
-    particles = normalize_subsystem(circuit, subsystem)
-    if len(config.paths) != len(particles):
-        raise ValueError("configuration path arity does not match the subsystem")
-    value = 1.0 + 0.0j
-    for particle, path in zip(particles, config.paths):
-        value *= path_amplitude(circuit, particle, path)
-    return value * _intra_phase(circuit, particles, config)
 
 
 def _straddling_layers(circuit: Circuit, subsystem: tuple[int, ...]) -> list[bool]:
@@ -136,18 +109,6 @@ def lambda_general_trajectory(
         else:
             values.append(values[-1])
     return tuple(values)
-
-
-def lambda_general(
-    circuit: Circuit, subsystem: Sequence[int], config_p: ConfigPath, config_q: ConfigPath
-) -> complex:
-    """Final hidden variable: overlap of the two conditioned external evolutions."""
-    particles = normalize_subsystem(circuit, subsystem)
-    if config_p.endpoints != config_q.endpoints:
-        raise ValueError("configuration paths must share their endpoint tuple")
-    state_p = condition_on_paths(circuit, dict(zip(particles, config_p.paths))).state()
-    state_q = condition_on_paths(circuit, dict(zip(particles, config_q.paths))).state()
-    return complex(np.vdot(state_p, state_q))
 
 
 def conditioned_blocks(
@@ -191,23 +152,33 @@ def conditioned_blocks(
 
 
 def table_blocks(
-    circuit: Circuit, lam: np.ndarray
+    circuit: Circuit, lam: np.ndarray, tree: list[np.ndarray] | None = None
 ) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
-    """((j,), block) for both endpoints of particle 0, read off a two- or three-particle table.
+    """((j,), block) for both endpoints of particle 0, read off a lambda table over t-mode prefixes.
 
-    `lam` is the circuit's final lambda table over path prefixes or, if the
-    last layer adds no hit and so only repeats lambda over its new bit, the
-    table one layer short. Then endpoint j's block is that table itself, with
-    each prefix amplitude times the last single's element from its mode to j.
+    `lam` is the circuit's final lambda table (t = n) or the table one layer
+    short (t = n - 1). Then endpoint j's block is that table plus layer n's
+    hit between two prefixes that both move to j, with each prefix amplitude
+    times the last single's element from its mode to j: bit-identical to the
+    final table's rows and columns that end at j. The hit reads the prefix
+    tree's table n - 1 off `tree`; a last layer with no gate on particle 0
+    adds none, so then the block is `lam` itself and no tree is needed.
     """
     t = lam.shape[0].bit_length() - 1
     amps = prefix_amplitudes(circuit, 0, upto=t)
-    for j in (0, 1):
-        if t == circuit.n:
+    if t == circuit.n:
+        for j in (0, 1):
             rows = endpoint_rows(t, j)
             yield (j,), LambdaBlock(amps[rows], lam[np.ix_(rows, rows)])
-        else:
-            yield (j,), LambdaBlock(amps * circuit.single(circuit.n, 0)[j, np.arange(amps.size) % 2], lam)
+        return
+    hits = layer_hits(circuit, circuit.n, None if tree is None else tree[t])
+    for j in (0, 1):
+        block = lam
+        if hits is not None:
+            block = hits(j, j)
+            block += lam
+        yield (j,), LambdaBlock(amps * circuit.single(circuit.n, 0)[j, np.arange(amps.size) % 2], block)
+        del block  # the next endpoint's block is built without this one alive
 
 
 def lambda_blocks(
@@ -215,23 +186,22 @@ def lambda_blocks(
 ) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
     """(outcome, block) for every subsystem outcome, by the route the particle count allows.
 
-    A single-particle subsystem (0,) of two or three particles reads its two
-    blocks off the last table of one two- or three-particle stream; every
-    other subsystem gets `conditioned_blocks`. When a two-particle circuit's
-    last layer has no 0-1 gate, the stream stops one layer short (charged
-    4^(n-1)) and `table_blocks` folds that layer into the amplitudes. Blocks
-    are yielded one at a time, so a caller that drops each before asking for
-    the next holds one lambda at a time.
+    The subsystem (0,) of three particles reads its two blocks off the last
+    table of the cascade. At any other particle count it streams the hits
+    over the first n - 1 layers (charged 4^(n-1)), and `table_blocks` folds
+    layer n into both endpoint blocks. Every other subsystem gets
+    `conditioned_blocks`. Blocks are yielded one at a time, so a caller that
+    drops each before asking for the next holds one lambda at a time.
     """
     particles = normalize_subsystem(circuit, subsystem)
-    if particles == (0,) and circuit.particles == 2:
-        folds = circuit.n and circuit.phase(circuit.n, (0, 1)) is None  # the last layer adds no hit
-        tables = lambda_tables(Circuit(particles=2, layers=circuit.layers[:-1]) if folds else circuit, budget)
-    elif particles == (0,) and circuit.particles == 3:
-        tables = lambda3_tables(circuit, budget)
-    else:
+    if particles != (0,):
         yield from conditioned_blocks(circuit, particles, budget)
         return
+    if circuit.particles == 3:
+        tree, tables = None, lambda3_tables(circuit, budget)
+    else:
+        tree = prefix_tree(circuit, budget, layers=max(circuit.n - 1, 0))
+        tables = lambda_tables(circuit, tree=tree)
     for lam in tables:  # keeps only the last table
         pass
-    yield from table_blocks(circuit, lam)
+    yield from table_blocks(circuit, lam, tree)

@@ -7,21 +7,22 @@ digest). The oracle evolves the no-signaling circuit (this one plus an
 external layer) once, holding at most two states; its first n + 1 states
 are this circuit's, the last of which every other oracle check reads.
 
-The lambda route of the subsystem (0,) is built once per circuit: one
-two-particle or three-particle stream of per-layer tables, or, for more
-particles, one conditioned prefix tree whose blocks are read one at a time.
-One walk over the stream, holding at most the previous table, computes every
-per-layer check: the gap to the Gram matrix of the conditioned external
-states (telescoping, three_closure), the largest |lambda| (lambda_bound),
-and, for two particles, the bit-exact repeat at layers without a 0-1 gate
-(zero_hit_layers). The final table's blocks serve the marginal checks and
-both sides of no_signaling: the appended layer has no gate on particle 0, so
-`table_blocks` folds it into the amplitudes. Only the general route builds
-the extended circuit's blocks. general_subsystem reads the pair (0, 1) off
-one more tree. Each check is charged the time since the previous check
-ended, so a shared build counts in the first check that needs it and the
-timings add up to the verify's wall time. Every reduction keeps a NaN error,
-so a non-finite result fails its check.
+The lambda route of the subsystem (0,) is built once per circuit: the hit
+stream of `twoparticle`, or for three particles the cascade, each a stream
+of per-layer tables. One conditioned prefix tree serves both the hit stream
+and the walk that checks it. One walk over the stream, holding at most the
+previous table, computes every per-layer check: the gap to the Gram matrix
+of the tree's conditioned external states (telescoping, three_closure), the
+largest |lambda| (lambda_bound), and, for the hit stream, the bit-exact
+repeat at layers without a gate on particle 0 (zero_hit_layers). The final
+table's blocks serve the marginal checks and both sides of no_signaling:
+the appended layer has no gate on particle 0, so `table_blocks` folds it
+into the amplitudes. The density checks run for two particles only.
+general_subsystem reads the pair (0, 1) off one more tree. Each check is
+charged the time since the previous check ended, so a shared build counts
+in the first check that needs it and the timings add up to the verify's
+wall time. Every reduction keeps a NaN error, so a non-finite result fails
+its check.
 """
 from __future__ import annotations
 
@@ -37,9 +38,9 @@ from .common import DEFAULT_BUDGET
 from .density import density_report
 from .oracle import Distribution, marginal_of, states
 from .paths import Path, amplitudes_via_paths, conditioned_prefix_states
-from .subsystems import conditioned_blocks, lambda_blocks, table_blocks
+from .subsystems import conditioned_blocks, table_blocks
 from .threeparticle import lambda3_tables
-from .twoparticle import hit, lambda_tables, marginal_deviation
+from .twoparticle import hit, lambda_tables, marginal_deviation, prefix_tree
 
 DEFAULT_TOL = 1e-9
 
@@ -120,17 +121,20 @@ def _marginal_checks(
 
 
 def _walk_layers(
-    circuit: Circuit, tables: Iterator[np.ndarray], gateless: Container[int] = ()
+    circuit: Circuit,
+    tables: Iterator[np.ndarray],
+    tree: list[np.ndarray],
+    gateless: Container[int] = (),
 ) -> tuple[np.ndarray, float, float, float]:
     """Per-layer checks of a lambda stream, holding at most the previous table.
 
     Returns the final table, the worst gap |lambda_t - G_t| to the Gram
-    matrix G_t of the conditioned external states after layer t, the largest
-    |lambda_t|, and the worst zero-hit error at the `gateless` layers of a
-    two-particle circuit, where the table must repeat the previous one over
-    the new bit and one path pair's scalar `hit` must be 0, both bit-exact.
+    matrix G_t of the conditioned external states `tree[t]` after layer t,
+    the largest |lambda_t|, and the worst zero-hit error at the `gateless`
+    layers of the hit stream, where the table must repeat the previous one
+    over the new bit and one path pair's scalar `hit` must be 0, both
+    bit-exact.
     """
-    tree = conditioned_prefix_states(circuit, (0,))
     p = Path(modes=(0,) * circuit.n)
     q = Path(modes=(1,) * (circuit.n - 1) + (0,)) if circuit.n > 1 else p
     gaps, largest, zero_hit = [], [], [0.0]
@@ -150,11 +154,14 @@ def _walk_layers(
     return previous, _worst(gaps), _worst(largest), _worst(zero_hit)
 
 
-def _two_particle_checks(
+def _stream_checks(
     runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
 ) -> tuple[list[float], np.ndarray]:
-    gateless = [t for t in range(1, circuit.n + 1) if circuit.phase(t, (0, 1)) is None]
-    final, gap, largest, zero_hit = _walk_layers(circuit, lambda_tables(circuit, budget), gateless)
+    """The hit stream's checks, at every particle count but three; density only for two."""
+    layers = enumerate(circuit.layers, start=1)
+    gateless = [t for t, layer in layers if all(gate.pair[0] != 0 for gate in layer.phases)]
+    tree = prefix_tree(circuit, budget)
+    final, gap, largest, zero_hit = _walk_layers(circuit, lambda_tables(circuit, tree=tree), tree, gateless)
     blocks = [block for _, block in table_blocks(circuit, final)]
     marginals = [block.marginal() for block in blocks]
     _marginal_checks(runner, marginals, oracle, tol)
@@ -167,44 +174,30 @@ def _two_particle_checks(
     )
     runner.run("hermitian_pairing", 1e-12, lambda: float(np.max(np.abs(final - final.conj().T))))
     runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, largest - 1.0]))
-    records = density_report(circuit, budget)
-    runner.run(
-        "density_reconstruction", 1e-10, lambda: _worst(r["frobenius_error"] for r in records)
-    )
-    runner.run("density_hit_diagonal", 1e-12, lambda: _worst(r["hit_diagonal_max"] for r in records))
-    runner.run(
-        "density_offdiagonal_form", 1e-12, lambda: _worst(r["offdiagonal_error"] for r in records)
-    )
-    runner.run("density_pathsum", 1e-10, lambda: _worst(r["pathsum_error"] for r in records))
+    if circuit.particles == 2:
+        records = density_report(circuit, budget)
+        runner.run(
+            "density_reconstruction", 1e-10, lambda: _worst(r["frobenius_error"] for r in records)
+        )
+        runner.run("density_hit_diagonal", 1e-12, lambda: _worst(r["hit_diagonal_max"] for r in records))
+        runner.run(
+            "density_offdiagonal_form", 1e-12, lambda: _worst(r["offdiagonal_error"] for r in records)
+        )
+        runner.run("density_pathsum", 1e-10, lambda: _worst(r["pathsum_error"] for r in records))
     return marginals, final
 
 
 def _three_particle_checks(
     runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
 ) -> tuple[list[float], np.ndarray]:
-    final, gap, largest, _ = _walk_layers(circuit, lambda3_tables(circuit, budget))
+    tree = conditioned_prefix_states(circuit, (0,))
+    final, gap, largest, _ = _walk_layers(circuit, lambda3_tables(circuit, budget), tree)
     marginals = [block.marginal() for _, block in table_blocks(circuit, final)]
     _marginal_checks(runner, marginals, oracle, tol)
     runner.run("three_closure", tol, lambda: gap)
     runner.run("hermitian_pairing", 1e-12, lambda: float(np.max(np.abs(final - final.conj().T))))
     runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, largest - 1.0]))
     return marginals, final
-
-
-def _general_checks(
-    runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
-) -> tuple[list[float], None]:
-    # every check reads a block before the next one is built
-    marginals, asymmetry, largest = [], [], []
-    for _, block in lambda_blocks(circuit, (0,), budget):
-        marginals.append(block.marginal())
-        asymmetry.append(float(np.max(np.abs(block.lam - block.lam.conj().T))))
-        largest.append(float(np.max(np.abs(block.lam))))
-        del block  # the next outcome's lambda is built without this one alive
-    _marginal_checks(runner, marginals, oracle, tol)
-    runner.run("hermitian_pairing", 1e-12, lambda: _worst(asymmetry))
-    runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, _worst(largest) - 1.0]))
-    return marginals, None
 
 
 def verify_circuit(
@@ -227,14 +220,14 @@ def verify_circuit(
 
     if probed:
         oracle = marginal_of(final, n, {0})
-        route_checks = {2: _two_particle_checks, 3: _three_particle_checks}.get(n, _general_checks)
+        route_checks = _three_particle_checks if n == 3 else _stream_checks
         base_lam, table = route_checks(runner, circuit, budget, oracle, tol)
 
         if n >= 3:
             runner.run("general_subsystem", tol, lambda: _general_subsystem_error(circuit, final, budget))
 
-        # built when no_signaling runs; a two- or three-particle table folds the appended layer
-        ext_blocks = lambda_blocks(extended, (0,), budget) if table is None else table_blocks(extended, table)
+        # read when no_signaling runs: the appended layer has no gate on particle 0, so it folds
+        ext_blocks = table_blocks(extended, table)
         runner.run(
             "no_signaling",
             1e-12,

@@ -2,6 +2,10 @@
 
 The references are built from explicit Kronecker products and raw path
 enumeration so they share no evolution or bookkeeping code with the package.
+The per-path helpers after them (joint phases, path indices, configuration
+amplitudes, single-pair overlaps, dense conditioned unitaries, the joint
+distribution) evaluate one path or pair at a time; no command reads them,
+so they live here, next to the tests that compare the package against them.
 The path-sum references after them are the earlier implementations of the
 package's path-sum operands and contraction: `np.repeat`/`np.tile` prefix
 amplitudes, `np.kron` pair phases and one greedy-planned `np.einsum`. The
@@ -11,7 +15,9 @@ The circuit helpers after them make the seeded corpora and the reduced or
 trimmed circuits that the tests compare. The stream helpers at the end read
 the per-layer lambda tables of `lambda_tables` and `lambda3_tables`: one pair's
 trajectory, the final endpoint blocks, and the Gram tables of the package's
-conditioned prefix states that every layer must match.
+conditioned prefix states that every layer must match. Last come the
+earlier two-particle table builder and the earlier pair sum, which the
+general hit stream and the copy-free pair sum must reproduce.
 """
 from __future__ import annotations
 
@@ -25,8 +31,10 @@ import numpy as np
 from sumpaths.circuits import IDENTITY, Circuit, PhaseGate, make_circuit, random_single
 from sumpaths.corpus import random_circuit
 from sumpaths.common import LambdaBlock
-from sumpaths.paths import Path, conditioned_prefix_states, prefix_index
-from sumpaths.subsystems import table_blocks
+from sumpaths.oracle import Distribution, marginal_by_sum
+from sumpaths.paths import ConditionalUnitary, Path, condition_on_paths, conditioned_prefix_states
+from sumpaths.paths import path_amplitude
+from sumpaths.subsystems import ConfigPath, normalize_subsystem, table_blocks
 
 
 def kron_layer_operator(circuit: Circuit, t: int) -> np.ndarray:
@@ -114,6 +122,90 @@ def conditioned_external_matrix(
     return op
 
 
+def joint_phase_factors(circuit: Circuit, assignment: list[Path]) -> np.ndarray:
+    """Per-layer phase factors for one path per particle; their product is the joint phase."""
+    if len(assignment) != circuit.particles:
+        raise ValueError("need exactly one path per particle")
+    factors = np.ones(circuit.n, dtype=complex)
+    for t in range(1, circuit.n + 1):
+        angle = 0.0
+        for gate in circuit.layer(t).phases:
+            a, b = gate.pair
+            angle += gate.theta(assignment[a].mode(t), assignment[b].mode(t))
+        factors[t - 1] = np.exp(1j * angle)
+    return factors
+
+
+def joint_phase(circuit: Circuit, assignment: list[Path]) -> complex:
+    """Product over layers of the controlled-phase factors selected by the joint modes."""
+    return complex(np.prod(joint_phase_factors(circuit, assignment)))
+
+
+def prefix_index(path: Path, t: int) -> int:
+    """The first t modes of `path` packed most-significant-first: its row in prefix tables."""
+    idx = 0
+    for m in path.modes[:t]:
+        idx = (idx << 1) | m
+    return idx
+
+
+def path_index(path: Path) -> int:
+    """Lexicographic index of `path` within enumerate_paths(path.n, path.endpoint)."""
+    return prefix_index(path, path.n - 1)
+
+
+def config_path_amplitude(circuit: Circuit, subsystem: tuple[int, ...], config: ConfigPath) -> complex:
+    """Product of member path amplitudes times the intra-subsystem joint phase."""
+    particles = normalize_subsystem(circuit, subsystem)
+    if len(config.paths) != len(particles):
+        raise ValueError("configuration path arity does not match the subsystem")
+    local = {p: k for k, p in enumerate(particles)}
+    value = 1.0 + 0.0j
+    for particle, path in zip(particles, config.paths):
+        value *= path_amplitude(circuit, particle, path)
+    angle = 0.0
+    for t in range(1, circuit.n + 1):
+        for gate in circuit.layer(t).phases:
+            a, b = gate.pair
+            if a in local and b in local:
+                angle += gate.theta(config.paths[local[a]].mode(t), config.paths[local[b]].mode(t))
+    return value * complex(np.exp(1j * angle))
+
+
+def lambda_general(
+    circuit: Circuit, subsystem: tuple[int, ...], config_p: ConfigPath, config_q: ConfigPath
+) -> complex:
+    """Final hidden variable: overlap of the two conditioned external evolutions."""
+    particles = normalize_subsystem(circuit, subsystem)
+    if config_p.endpoints != config_q.endpoints:
+        raise ValueError("configuration paths must share their endpoint tuple")
+    state_p = condition_on_paths(circuit, dict(zip(particles, config_p.paths))).state()
+    state_q = condition_on_paths(circuit, dict(zip(particles, config_q.paths))).state()
+    return complex(np.vdot(state_p, state_q))
+
+
+def lambda_direct(circuit: Circuit, p: Path, q: Path) -> complex:
+    """The two-particle hidden variable as a direct conditioned-evolution inner product."""
+    if circuit.particles != 2:
+        raise ValueError("two-particle decomposition needs exactly 2 particles")
+    if p.n != circuit.n or q.n != circuit.n:
+        raise ValueError("paths must span every circuit layer")
+    return lambda_general(circuit, (0,), ConfigPath((p,)), ConfigPath((q,)))
+
+
+def conditioned_unitary(cond: ConditionalUnitary, upto: int | None = None) -> np.ndarray:
+    """Dense operator of the first `upto` layers (default all) of a conditioned evolution."""
+    op = np.eye(cond.dim, dtype=complex)
+    for t in range(1, (cond.n if upto is None else upto) + 1):
+        op = np.column_stack([cond._apply(column.copy(), t) for column in op.T])
+    return op
+
+
+def joint_distribution(circuit: Circuit) -> Distribution:
+    """Born probabilities over all joint outcomes."""
+    return marginal_by_sum(circuit, range(circuit.particles))
+
+
 def repeat_prefix_amplitudes(circuit: Circuit, particle: int, upto: int | None = None) -> np.ndarray:
     """`paths.prefix_amplitudes` grown by `np.repeat`, `np.tile` and fancy indexing."""
     amps = np.ones(1, dtype=complex)
@@ -162,6 +254,24 @@ def random_corpus(
     for _ in range(count):
         layers = int(rng.integers(1, max_layers + 1))
         yield layers, random_circuit(rng, particles, layers)
+
+
+def sparse_circuit(particles: int, pattern: list, seed: int) -> Circuit:
+    """Random singles on every particle; layer k holds the pair gates its flags select, pairs in order."""
+    rng = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(particles), 2))
+    specs = [
+        (
+            {i: random_single(rng) for i in range(particles)},
+            [
+                PhaseGate(pair, tuple(rng.uniform(0.0, 2.0 * math.pi, 4).tolist()))
+                for pair, present in zip(pairs, gates)
+                if present
+            ],
+        )
+        for gates in pattern
+    ]
+    return make_circuit(particles, specs)
 
 
 def decoupled_three_particle(rng: np.random.Generator, layers: int) -> Circuit:
@@ -225,3 +335,33 @@ def final_blocks(circuit: Circuit, tables: Iterator[np.ndarray]) -> dict[int, La
 def gram_tables(circuit: Circuit) -> list[np.ndarray]:
     """G_t: overlaps of the external states conditioned on every t-mode prefix of particle 0."""
     return [u.conj() @ u.T for u in conditioned_prefix_states(circuit, (0,))]
+
+
+def two_particle_tables(circuit: Circuit) -> Iterator[np.ndarray]:
+    """The earlier two-particle stream: lambda^(t) for t = 0..n off one whole-circuit prefix tree."""
+    states = conditioned_prefix_states(circuit, (0,))
+    lam = np.ones((1, 1), dtype=complex)
+    yield lam
+    for t in range(1, circuit.n + 1):
+        lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
+        gate = circuit.phase(t, (0, 1))
+        if gate is not None:
+            pre = states[t - 1] @ circuit.single(t, 1).T
+            diag = gate.diagonal().reshape(2, 2)
+            for a in (0, 1):
+                for b in (0, 1):
+                    d = diag[b] * diag[a].conj() - 1.0
+                    lam[a::2, b::2] += (pre.conj() * d) @ pre.T
+        yield lam
+
+
+def column_pair_sum(block: LambdaBlock) -> complex:
+    """The earlier pair sum: sum |a|^2 plus a^dagger lambda a, lambda's diagonal zeroed 256 columns at a time."""
+    conj = block.amplitudes.conj()
+    row = np.empty_like(conj)
+    for start in range(0, len(conj), 256):
+        stop = start + 256
+        weights = block.lam[:, start:stop].copy()
+        np.fill_diagonal(weights[start:], 0.0)
+        row[start:stop] = conj @ weights
+    return float(np.sum(np.abs(block.amplitudes) ** 2)) + complex(row @ block.amplitudes)

@@ -366,9 +366,10 @@ def test_budget_charge_past_the_int_to_str_limit_exits_three(tmp_path):
     code, out, err = run_cli("marginal", "--circuit", str(path), "--method", "lambda", "--subsystem", "0")
     assert (code, out) == (3, "")
     assert err == "error: conditioned external states needs 2^20000 combinations, budget is 4194304; raise --budget to override\n"
-    save_circuit(random_circuit(np.random.default_rng(6), 2, 8), str(path))  # counts below it stay decimal
+    # counts below it stay decimal; the marginal streams n - 1 = 7 layers and folds the last
+    save_circuit(random_circuit(np.random.default_rng(6), 2, 8), str(path))
     code, _, err = run_cli("marginal", "--circuit", str(path), "--budget", "64")
-    assert (code, err) == (3, "error: path-pair table needs 65536 combinations, budget is 64; raise --budget to override\n")
+    assert (code, err) == (3, "error: path-pair table needs 16384 combinations, budget is 64; raise --budget to override\n")
 
 
 @pytest.mark.parametrize("budget", ["-1", "0"])
@@ -606,6 +607,19 @@ def test_sixteen_particles_fit_and_twenty_four_exit_before_allocating(tmp_path):
         tracemalloc.stop()
     assert code == 3 and out == "" and "conditioned external states" in err
     assert peak < 16 * 2**20  # one 2 x 2^23 state table would be 256 MiB
+
+
+@pytest.mark.parametrize("particles", [2, 4, 5])
+def test_twelve_layer_lambda_marginal_fits_the_default_budget(tmp_path, particles):
+    # the stream runs 11 layers, 4^11 pairs, and folds the twelfth into the blocks
+    path = tmp_path / "c.json"
+    circuit = random_circuit(np.random.default_rng(11), particles, 12, p_single=0.9, p_phase=1.0)
+    save_circuit(circuit, str(path))
+    code, out, err = run_cli("marginal", "--circuit", str(path), "--method", "lambda")
+    assert (code, err) == (0, "")
+    oracle = marginal_by_sum(circuit, (0,)).as_mapping()
+    probabilities = json.loads(out)["probabilities"]
+    assert max(abs(probabilities[k] - oracle[k]) for k in oracle) < 1e-9
 
 
 def _huge_angle_layers(thetas: list, singles: dict | None = None) -> list:

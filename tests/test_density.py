@@ -17,7 +17,9 @@ from sumpaths.density import (
     hit_pathsum_amplitude,
     normalized_phase_form,
 )
-from sumpaths.oracle import evolve, joint_distribution, reduced_density
+from sumpaths.oracle import evolve, reduced_density
+
+from .reference import joint_distribution
 
 
 def joint_at(circuit, t):

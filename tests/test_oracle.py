@@ -13,13 +13,12 @@ from sumpaths.corpus import random_circuit
 from sumpaths.oracle import (
     Distribution,
     evolve,
-    joint_distribution,
     marginal_by_sum,
     reduced_density,
     states,
 )
 
-from .reference import kron_evolve
+from .reference import joint_distribution, kron_evolve
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -9,24 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumpaths.circuits import Circuit, PhaseGate, build_epr_circuit, make_circuit, random_single
-from sumpaths.common import BudgetExceeded, LambdaBlock
+from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded, LambdaBlock
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths, path_amplitude
 from sumpaths.subsystems import (
     ConfigPath,
     conditioned_blocks,
-    config_path_amplitude,
     enumerate_config_paths,
     lambda_blocks,
-    lambda_general,
     lambda_general_trajectory,
     table_blocks,
 )
 from sumpaths.threeparticle import lambda3_tables, lambda_three
 from sumpaths.twoparticle import lambda_accumulate, lambda_tables
 
-from .reference import final_blocks
+from .reference import column_pair_sum, config_path_amplitude, final_blocks, lambda_general, sparse_circuit
 
 
 def test_single_particle_config_amplitude_reduces_to_path_amplitude():
@@ -182,25 +180,7 @@ def test_subsystem_validation():
         next(conditioned_blocks(circuit, (0, 5)))
 
 
-def _sparse_circuit(particles: int, pattern, seed: int):
-    """Random singles on every particle; layer k holds the pair gates its flags select."""
-    rng = np.random.default_rng(seed)
-    pairs = list(itertools.combinations(range(particles), 2))
-    specs = [
-        (
-            {i: random_single(rng) for i in range(particles)},
-            [
-                PhaseGate(pair, tuple(rng.uniform(0.0, 2.0 * np.pi, 4).tolist()))
-                for pair, present in zip(pairs, gates)
-                if present
-            ],
-        )
-        for gates in pattern
-    ]
-    return make_circuit(particles, specs)
-
-
-_GATE_FLAGS = st.tuples(st.booleans(), st.booleans(), st.booleans())
+_GATE_FLAGS = st.lists(st.booleans(), min_size=10, max_size=10)  # one flag per pair of up to 5 particles
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -208,7 +188,7 @@ _GATE_FLAGS = st.tuples(st.booleans(), st.booleans(), st.booleans())
 def test_each_streamed_table_is_the_final_table_of_the_cut_circuit(particles, pattern, seed):
     # the tables are compared after the whole stream has run, so a table
     # written after it was yielded fails too
-    circuit = _sparse_circuit(particles, pattern, seed)
+    circuit = sparse_circuit(particles, pattern, seed)
     build = lambda_tables if particles == 2 else lambda3_tables
     streamed = list(build(circuit))
     assert len(streamed) == circuit.n + 1
@@ -217,16 +197,34 @@ def test_each_streamed_table_is_the_final_table_of_the_cut_circuit(particles, pa
         assert np.array_equal(lam, final)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(st.lists(_GATE_FLAGS, max_size=5), st.integers(0, 2**32 - 1))
-def test_folded_blocks_equal_the_unfolded_ones_bit_for_bit(pattern, seed):
-    # a last layer without a 0-1 gate is folded into the amplitudes, so the
-    # blocks fit the budget of a table one layer short
-    circuit = _sparse_circuit(2, pattern + [(False, False, False)], seed)
+@settings(max_examples=45, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 4, 5]), st.lists(_GATE_FLAGS, min_size=1, max_size=5), st.integers(0, 2**32 - 1))
+def test_folded_blocks_equal_the_unfolded_ones_bit_for_bit(particles, pattern, seed):
+    # the marginal route streams n - 1 layers and folds layer n, gate or no
+    # gate, into both endpoint blocks, under the charges of that shorter stream
+    circuit = sparse_circuit(particles, pattern, seed)
     *_, final = lambda_tables(circuit)
     unfolded = list(table_blocks(circuit, final))
-    folded = list(lambda_blocks(circuit, (0,), budget=4 ** (circuit.n - 1)))
+    budget = max(4 ** (circuit.n - 1), 2 ** (circuit.n - 1 + particles))
+    folded = list(lambda_blocks(circuit, (0,), budget=budget))
     for (outcome, block), (folded_outcome, folded_block) in zip(unfolded, folded, strict=True):
         assert outcome == folded_outcome
         assert np.array_equal(block.amplitudes, folded_block.amplitudes)
         assert np.array_equal(block.lam, folded_block.lam)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(2, 10), (3, 5), (4, 4)]),
+    st.floats(0.0, 1.5),
+    st.integers(0, 2**32 - 1),
+)
+def test_pair_sum_matches_the_column_sliced_sum(shape, clamp, seed):
+    # a clamp below 1 also scales the diagonal, which the sum must then weigh
+    particles, layers = shape
+    circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_single=1.0, p_phase=0.8)
+    for _, block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET):
+        scale = np.minimum(1.0, clamp / np.maximum(np.abs(block.lam), 1e-300))
+        clamped = LambdaBlock(block.amplitudes, block.lam * scale)
+        for checked in (block, clamped):
+            assert abs(checked.marginal() - column_pair_sum(checked).real) < 1e-13

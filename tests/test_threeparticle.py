@@ -11,7 +11,7 @@ from sumpaths.common import BudgetExceeded
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths
-from sumpaths.subsystems import ConfigPath, conditioned_blocks, lambda_general
+from sumpaths.subsystems import ConfigPath, conditioned_blocks
 from sumpaths.threeparticle import (
     delta,
     gamma_chi,
@@ -28,6 +28,7 @@ from .reference import (
     drop_particle,
     final_blocks,
     gram_tables,
+    lambda_general,
     remove_trailing_external_gate,
     table_trajectory,
 )

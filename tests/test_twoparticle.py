@@ -14,12 +14,19 @@ from sumpaths.paths import Path, enumerate_paths
 from sumpaths.twoparticle import (
     hit,
     lambda_accumulate,
-    lambda_direct,
     lambda_tables,
     marginal_deviation,
 )
 
-from .reference import conditioned_external_matrix, final_blocks, gram_tables, table_trajectory
+from .reference import (
+    conditioned_external_matrix,
+    final_blocks,
+    gram_tables,
+    lambda_direct,
+    sparse_circuit,
+    table_trajectory,
+    two_particle_tables,
+)
 
 EPR = build_epr_circuit(np.eye(2), np.eye(2))
 P0, P1 = Path((0, 0)), Path((1, 0))  # the two subsystem paths to endpoint 0
@@ -238,3 +245,30 @@ def test_structural_invariants_hold_for_arbitrary_angles(layer_thetas):
     oracle = marginal_by_sum(circuit, {0})
     for j in (0, 1):
         assert abs(blocks[j].marginal() - oracle[j]) < 1e-9
+
+
+_PAIR_FLAGS = st.lists(st.booleans(), min_size=15, max_size=15)  # one flag per pair of up to 6 particles
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 4, 5, 6]), st.lists(_PAIR_FLAGS, max_size=5), st.integers(0, 2**32 - 1))
+def test_hit_stream_matches_the_gram_tables_at_every_particle_count(particles, pattern, seed):
+    # two particles keep the earlier builder's tables bit for bit
+    circuit = sparse_circuit(particles, pattern, seed)
+    tables = list(lambda_tables(circuit))
+    assert len(tables) == circuit.n + 1
+    for lam, gram in zip(tables, gram_tables(circuit), strict=True):
+        assert np.max(np.abs(lam - gram)) < 1e-12
+    if particles == 2:
+        for lam, earlier in zip(tables, two_particle_tables(circuit), strict=True):
+            assert np.array_equal(lam, earlier)
+
+
+@pytest.mark.parametrize("particles", [4, 5])
+def test_scalar_hits_match_the_stream_beyond_three_particles(particles):
+    circuit = random_circuit(np.random.default_rng(67), particles, 4, p_single=1.0, p_phase=0.7)
+    tables = list(lambda_tables(circuit))
+    for endpoint in (0, 1):
+        for p, q in all_pairs(4, endpoint)[:12]:
+            entry = lambda_accumulate(circuit, p, q)
+            assert np.max(np.abs(np.array(entry.trajectory) - table_trajectory(tables, p, q))) < 1e-12

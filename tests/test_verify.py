@@ -67,11 +67,34 @@ def test_three_particle_report_has_closure_check():
     assert report.passed
 
 
+FOUR_OR_MORE_CHECKS = [
+    # the hit stream's walk, as for two particles, without the density checks
+    "norm_preservation",
+    "pathsum_completeness",
+    "oracle_equivalence",
+    "marginal_normalization",
+    "telescoping",
+    "zero_hit_layers",
+    "two_form_equivalence",
+    "hermitian_pairing",
+    "lambda_bound",
+    "general_subsystem",
+    "no_signaling",
+]
+
+
 def test_four_particle_report_passes():
     circuit = random_circuit(np.random.default_rng(7), 4, 3)
     report = verify_circuit(circuit)
     assert report.passed
-    assert "general_subsystem" in [check.name for check in report.checks]
+    assert [check.name for check in report.checks] == FOUR_OR_MORE_CHECKS
+
+
+@pytest.mark.parametrize("particles, layers", [(5, 4), (6, 2)])
+def test_more_particles_list_the_four_particle_checks(particles, layers):
+    report = verify_circuit(random_circuit(np.random.default_rng(7), particles, layers, p_phase=1.0))
+    assert report.passed
+    assert [check.name for check in report.checks] == FOUR_OR_MORE_CHECKS
 
 
 def test_impossible_tolerance_fails_and_exits_one(tmp_path):
@@ -101,10 +124,10 @@ def test_report_json_shape():
         # one table build: no_signaling folds the appended layer into its final table
         ("n2_l8_s0.json", twoparticle.lambda_tables, 1),
         ("n3_l3_s0.json", threeparticle.lambda3_tables, 1),
-        # one conditioned prefix tree each: the table stream's, the Gram walk's, density's
-        ("n2_l8_s0.json", paths.conditioned_prefix_states, 3),
-        # one conditioned prefix tree each: (0,) base, (0, 1) general_subsystem, (0,) extended
-        ("n4_l3_s0.json", paths.conditioned_prefix_states, 3),
+        # one conditioned prefix tree each: the one the stream and the Gram walk share, density's
+        ("n2_l8_s0.json", paths.conditioned_prefix_states, 2),
+        # one conditioned prefix tree each: (0,) for the stream and its walk, (0, 1) for general_subsystem
+        ("n4_l3_s0.json", paths.conditioned_prefix_states, 2),
     ],
 )
 def test_verify_builds_each_route_once(monkeypatch, file, builder, builds):
@@ -209,6 +232,31 @@ def test_zero_hit_layers_compares_streamed_tables_at_nine_layers(monkeypatch):
     def nudged(*args, **kwargs):
         for t, lam in enumerate(build(*args, **kwargs)):
             if t == 5:
+                lam = lam.copy()
+                lam[0, 1] += 1e-13
+            yield lam
+
+    monkeypatch.setattr(verify, "lambda_tables", nudged)
+    checks = {check.name: check for check in verify_circuit(circuit).checks}
+    assert not checks["zero_hit_layers"].passed and checks["zero_hit_layers"].max_error > 0.0
+    assert checks["telescoping"].passed
+
+
+def test_zero_hit_layers_compares_streamed_tables_at_four_particles(monkeypatch):
+    # layer 3 of an all-gates N=4 n=5 circuit keeps only its external gates;
+    # its streamed table, nudged off the repeat of layer 2's, must fail the check
+    base = random_circuit(np.random.default_rng(29), 4, 5, p_single=1.0, p_phase=1.0)
+    specs = [
+        (dict(enumerate(layer.singles)), [g for g in layer.phases if t != 3 or 0 not in g.pair])
+        for t, layer in enumerate(base.layers, start=1)
+    ]
+    circuit = make_circuit(4, specs)
+    assert verify_circuit(circuit).passed
+    build = twoparticle.lambda_tables
+
+    def nudged(*args, **kwargs):
+        for t, lam in enumerate(build(*args, **kwargs)):
+            if t == 3:
                 lam = lam.copy()
                 lam[0, 1] += 1e-13
             yield lam
