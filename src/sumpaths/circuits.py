@@ -27,6 +27,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterator, Mapping
 
 import numpy as np
@@ -72,8 +73,14 @@ class PhaseGate:
         return self.thetas[2 * mode_first + mode_second]
 
     def diagonal(self) -> np.ndarray:
-        """Length-4 diagonal of the induced two-particle operator."""
-        return np.exp(1j * np.asarray(self.thetas))
+        """Length-4 diagonal of the induced two-particle operator: one read-only array per gate."""
+        return self._diagonal
+
+    @cached_property
+    def _diagonal(self) -> np.ndarray:
+        diagonal = np.exp(1j * np.asarray(self.thetas))
+        diagonal.flags.writeable = False
+        return diagonal
 
 
 @dataclass(frozen=True, eq=False)

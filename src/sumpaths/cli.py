@@ -166,14 +166,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
         "endpoint": list(endpoints),
         "pair": [first, second],
     }
-    if circuit.particles == 2 and subsystem == (0,):
+    if subsystem == (0,) and circuit.particles != 3:  # the hit stream's route, one pair at a time
+        if circuit.particles > 2:
+            check_budget(1 << (circuit.particles - 1), args.budget, "conditioned external states")
         paths = enumerate_paths(circuit.n, endpoints[0])
         p, q = _select(paths, first), _select(paths, second)
         entry = lambda_accumulate(circuit, p, q)
         report["paths"] = [p.bitstring(), q.bitstring()]
         report["trajectory"] = [_c(v) for v in entry.trajectory]
         report["hits"] = [_c(v) for v in entry.hits]
-    elif circuit.particles == 3 and subsystem == (0,):
+    elif subsystem == (0,):
         paths = enumerate_paths(circuit.n, endpoints[0])
         p, q = _select(paths, first), _select(paths, second)
         entry = lambda_three(circuit, p, q, args.budget)

@@ -18,7 +18,7 @@ import numpy as np
 from .circuits import Circuit, PhaseGate, factor_phase_gate, make_circuit
 from .common import DEFAULT_BUDGET, check_budget
 from .oracle import evolve, reduced_density_of, states
-from .paths import conditioned_prefix_states, endpoint_rows, prefix_amplitudes
+from .paths import conditioned_prefix_states, prefix_amplitude_layers, prefix_amplitudes
 
 
 class PhaseGateNotNormalized(ValueError):
@@ -77,38 +77,65 @@ class DensityPair:
         return self.miss + self.hit
 
 
-def density_step(circuit: Circuit, t: int, prev_joint: np.ndarray) -> DensityPair:
-    """One recursion step from the full two-particle density matrix at layer t-1."""
-    _require_two_particles(circuit)
-    phi = _core_angle(circuit, t)
+def _singles(circuit: Circuit, t: int) -> np.ndarray:
+    """A^(t) x B^(t) as a 4 x 4 matrix: the Kronecker product as one broadcast product."""
     gate_a, gate_b = circuit.single(t, 0), circuit.single(t, 1)
-    prev_joint = np.asarray(prev_joint, dtype=complex).reshape(4, 4)
+    return (gate_a[:, None, :, None] * gate_b[None, :, None, :]).reshape(4, 4)
 
+
+def _evolved(singles: np.ndarray, phi: float | None, prev_joint: np.ndarray) -> np.ndarray | None:
+    """The joint density matrix after the layer's singles; None when the layer has no gate to read it."""
+    return None if phi is None else singles @ prev_joint @ singles.conj().T
+
+
+def _step(
+    circuit: Circuit, t: int, phi: float | None, prev_joint: np.ndarray, evolved: np.ndarray | None
+) -> DensityPair:
+    """`density_step` from the layer's core angle and `_evolved` joint matrix."""
+    gate_a = circuit.single(t, 0)
     rho_prev = prev_joint.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
     miss = gate_a @ rho_prev @ gate_a.conj().T
-
     if phi is None:
         return DensityPair(layer=t, miss=miss, hit=np.zeros((2, 2), dtype=complex))
-    singles = np.kron(gate_a, gate_b)
-    evolved = singles @ prev_joint @ singles.conj().T
     block = evolved.reshape(2, 2, 2, 2)[:, 1, :, 1]  # <1|_B ... |1>_B, indices (a, a')
     z_phi = np.array([1.0, np.exp(1j * phi)])
     hit = z_phi[:, None] * block * z_phi.conj()[None, :] - block
     return DensityPair(layer=t, miss=miss, hit=hit)
 
 
+def _offdiagonal(phi: float | None, evolved: np.ndarray | None) -> np.ndarray:
+    """`hit_offdiagonal` from the layer's core angle and `_evolved` joint matrix."""
+    out = np.zeros((2, 2), dtype=complex)
+    if phi is not None:
+        out[0, 1] = (np.exp(-1j * phi) - 1.0) * evolved[1, 3]  # <01|...|11>
+        out[1, 0] = (np.exp(1j * phi) - 1.0) * evolved[3, 1]  # <11|...|01>
+    return out
+
+
+def _pathsum_collapse(circuit: Circuit, t: int, amps: np.ndarray, table: np.ndarray) -> complex:
+    """`hit_pathsum_amplitude` from particle 0's prefix amplitudes through layer t and tree table t - 1."""
+    return complex(np.sum(amps[::2] * (table @ circuit.single(t, 1)[1])))  # row 2k + 0 extends prefix k
+
+
+def _collapse_direct(singles: np.ndarray, psi: np.ndarray) -> complex:
+    """`collapse_amplitude_direct` from the layer's `_singles` and the state vector psi(t-1)."""
+    return complex((singles @ psi)[1])
+
+
+def density_step(circuit: Circuit, t: int, prev_joint: np.ndarray) -> DensityPair:
+    """One recursion step from the full two-particle density matrix at layer t-1."""
+    _require_two_particles(circuit)
+    phi = _core_angle(circuit, t)
+    prev_joint = np.asarray(prev_joint, dtype=complex).reshape(4, 4)
+    return _step(circuit, t, phi, prev_joint, _evolved(_singles(circuit, t), phi, prev_joint))
+
+
 def hit_offdiagonal(circuit: Circuit, t: int, prev_joint: np.ndarray) -> np.ndarray:
     """Independent off-diagonal formula for the hit term (diagonal cancels exactly)."""
     _require_two_particles(circuit)
     phi = _core_angle(circuit, t)
-    if phi is None:
-        return np.zeros((2, 2), dtype=complex)
-    singles = np.kron(circuit.single(t, 0), circuit.single(t, 1))
-    evolved = singles @ np.asarray(prev_joint, dtype=complex).reshape(4, 4) @ singles.conj().T
-    out = np.zeros((2, 2), dtype=complex)
-    out[0, 1] = (np.exp(-1j * phi) - 1.0) * evolved[1, 3]  # <01|...|11>
-    out[1, 0] = (np.exp(1j * phi) - 1.0) * evolved[3, 1]  # <11|...|01>
-    return out
+    prev_joint = np.asarray(prev_joint, dtype=complex).reshape(4, 4)
+    return _offdiagonal(phi, _evolved(_singles(circuit, t), phi, prev_joint))
 
 
 def hit_pathsum_amplitude(circuit: Circuit, t: int, budget: int = DEFAULT_BUDGET) -> complex:
@@ -121,24 +148,14 @@ def hit_pathsum_amplitude(circuit: Circuit, t: int, budget: int = DEFAULT_BUDGET
     _core_angle(circuit, t)
     check_budget(1 << max(t - 1, 0), budget, "subsystem paths")
     head = Circuit(particles=2, layers=circuit.layers[:t])  # the tree stays within the budget charged
-    return _pathsum_collapse(circuit, t, conditioned_prefix_states(head, (0,))[t - 1])
-
-
-def _pathsum_collapse(circuit: Circuit, t: int, table: np.ndarray) -> complex:
-    """`hit_pathsum_amplitude` from the tree's table t - 1."""
-    amps = prefix_amplitudes(circuit, 0, t)[endpoint_rows(t, 0)]  # row 2k + 0 extends prefix k
-    return complex(np.sum(amps * (table @ circuit.single(t, 1)[1])))
+    table = conditioned_prefix_states(head, (0,))[t - 1]
+    return _pathsum_collapse(circuit, t, prefix_amplitudes(circuit, 0, t), table)
 
 
 def collapse_amplitude_direct(circuit: Circuit, t: int) -> complex:
     """<01| (A^(t) x B^(t)) |psi(t-1)>, straight from the state vector."""
     _require_two_particles(circuit)
-    return _collapse_direct(circuit, t, evolve(circuit, t - 1))
-
-
-def _collapse_direct(circuit: Circuit, t: int, psi: np.ndarray) -> complex:
-    """`collapse_amplitude_direct` from the state vector psi(t-1)."""
-    return complex((np.kron(circuit.single(t, 0), circuit.single(t, 1)) @ psi)[1])
+    return _collapse_direct(_singles(circuit, t), evolve(circuit, t - 1))
 
 
 def density_report(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> list[dict]:
@@ -146,19 +163,27 @@ def density_report(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> list[dict]
 
     The budget is charged once with the last layer's path count, the largest
     that any layer's `hit_pathsum_amplitude` needs. Every layer reads one
-    oracle state stream and one prefix tree of the normalized circuit.
+    oracle state stream, one prefix tree and one stream of particle 0's
+    prefix amplitudes of the normalized circuit, and builds its singles'
+    Kronecker product and evolved joint matrix once for the step, the
+    off-diagonal formula and the direct collapse.
     """
     normalized = normalized_phase_form(circuit)
     check_budget(1 << max(normalized.n - 1, 0), budget, "subsystem paths")
     tree = conditioned_prefix_states(normalized, (0,))
+    amplitudes = itertools.islice(prefix_amplitude_layers(normalized, 0), 1, None)
+    layers = zip(itertools.pairwise(states(normalized)), amplitudes)
     records = []
-    for t, (psi, after) in enumerate(itertools.pairwise(states(normalized)), start=1):
+    for t, ((psi, after), amps) in enumerate(layers, start=1):
+        phi = _core_angle(normalized, t)
         prev_joint = np.outer(psi, psi.conj())
-        pair = density_step(normalized, t, prev_joint)
+        singles = _singles(normalized, t)
+        evolved = _evolved(singles, phi, prev_joint)
+        pair = _step(normalized, t, phi, prev_joint, evolved)
         oracle = reduced_density_of(after, 2, 0)
-        off = hit_offdiagonal(normalized, t, prev_joint)
-        pathsum = _pathsum_collapse(normalized, t, tree[t - 1])
-        direct = _collapse_direct(normalized, t, psi)
+        off = _offdiagonal(phi, evolved)
+        pathsum = _pathsum_collapse(normalized, t, amps, tree[t - 1])
+        direct = _collapse_direct(singles, psi)
         records.append(
             {
                 "layer": t,

@@ -15,8 +15,9 @@ tree.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -72,21 +73,32 @@ def endpoint_rows(n: int, endpoint: int) -> np.ndarray:
     return np.flatnonzero(np.arange(1 << n) % 2 == endpoint)
 
 
+def prefix_amplitude_layers(circuit: Circuit, particle: int) -> Iterator[np.ndarray]:
+    """`prefix_amplitudes(circuit, particle, t)` for t = 0..n, each grown from the last.
+
+    Each layer is one outer product: prefix index q with mode l after layer
+    t - 1 is row 2q + l, and its extension by mode m after layer t takes the
+    matrix element single[m, l].
+    """
+    amps = np.ones(1, dtype=complex)
+    yield amps
+    for t in range(1, circuit.n + 1):
+        single = circuit.single(t, particle)
+        # every path starts in mode 0
+        amps = single[:, 0] if t == 1 else (amps.reshape(-1, 2, 1) * single.T).reshape(-1)
+        yield amps
+
+
 def prefix_amplitudes(circuit: Circuit, particle: int, upto: int | None = None) -> np.ndarray:
     """Amplitudes of `particle` over its 2^t mode sequences through layer t = `upto` (default n).
 
     Indexed by prefix index: a path's first t modes packed
-    most-significant-first. Each layer is one outer product: prefix index
-    q with mode l after layer t - 1 is row 2q + l, and its extension by mode
-    m after layer t takes the matrix element single[m, l].
+    most-significant-first.
     """
     t_stop = circuit.n if upto is None else upto
-    if t_stop == 0:
-        return np.ones(1, dtype=complex)
-    amps = circuit.single(1, particle)[:, 0]  # every path starts in mode 0
-    for t in range(2, t_stop + 1):
-        amps = (amps.reshape(-1, 2, 1) * circuit.single(t, particle).T).reshape(-1)
-    return amps
+    if not 0 <= t_stop <= circuit.n:
+        raise IndexError(f"layer index {t_stop} out of range 0..{circuit.n}")
+    return next(itertools.islice(prefix_amplitude_layers(circuit, particle), t_stop, None))
 
 
 def path_amplitude(circuit: Circuit, particle: int, path: Path) -> complex:
@@ -207,9 +219,11 @@ class ConditionalUnitary:
     def _apply(self, state: np.ndarray, t: int) -> np.ndarray:
         layer = self.layers[t - 1]
         width = len(self.external)
-        state = state.reshape((2,) * width)
         for i, gate in enumerate(layer.singles):
-            state = np.moveaxis(np.tensordot(gate, state, axes=([1], [i])), 0, i)
+            # the gate on the left: that operand order fixes the last bits `trace` prints
+            view = state.reshape(1 << i, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+            state = np.dot(gate, view).reshape(2, 1 << i, -1).transpose(1, 0, 2)
+        state = state.reshape((2,) * width)
         for gate in layer.phases:
             a, b = gate.pair
             shape = [2 if k in (a, b) else 1 for k in range(width)]
@@ -282,9 +296,15 @@ def condition_on_paths(circuit: Circuit, conditioning: Mapping[int, Path]) -> Co
 
 
 def apply_single(state: np.ndarray, axis: int, gate: np.ndarray) -> np.ndarray:
-    """`gate` applied to one axis of `state`, as one (rows, 2) x (2, 2) matmul."""
-    moved = np.moveaxis(state, axis, -1)
-    return np.moveaxis((moved.reshape(-1, 2) @ gate.T).reshape(moved.shape), -1, axis)
+    """`gate` applied to one axis of `state`, as one (rows, 2) x (2, 2) BLAS call on a view.
+
+    The rows stay on the left: that operand order fixes the last bits of
+    every prefix tree and lambda table. A gate on the left rounds
+    differently.
+    """
+    view = state.reshape(math.prod(state.shape[:axis]), 2, -1)
+    rows = np.dot(view.transpose(0, 2, 1).reshape(-1, 2), gate.T)
+    return rows.reshape(view.shape[0], -1, 2).transpose(0, 2, 1).reshape(state.shape)
 
 
 def conditioned_prefix_states(circuit: Circuit, subsystem: Sequence[int]) -> list[np.ndarray]:

@@ -36,6 +36,7 @@ reach n = 8 under the default budget of 2^22.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from .circuits import Circuit
 from .common import DEFAULT_BUDGET, check_budget
-from .paths import Path, enumerate_paths, path_amplitude, prefix_amplitudes
+from .paths import Path, apply_single, enumerate_paths, path_amplitude, prefix_amplitude_layers
 
 AB, AC, BC = (0, 1), (0, 2), (1, 2)
 
@@ -70,10 +71,20 @@ def _straddle_phase(circuit: Circuit, pair: tuple[int, int], a: Path, b: Path, u
     return angle
 
 
+def _phases(circuit: Circuit, pair: tuple[int, int], t: int) -> np.ndarray | None:
+    """The gate's factors exp(1j * theta) on `pair` at layer t, read-only, shaped like `_thetas`."""
+    gate = circuit.phase(t, pair)
+    return None if gate is None else gate.diagonal().reshape(2, 2)
+
+
+def _toward(particle: int, table: np.ndarray | None) -> np.ndarray | None:
+    """A B-C table indexed [mode of the other external particle, mode of `particle`]."""
+    return table if table is None or particle == 2 else table.T
+
+
 def _bc_thetas(circuit: Circuit, particle: int, t: int) -> np.ndarray | None:
-    """B-C angles at layer t indexed [mode of the other external particle, mode of `particle`]."""
-    th = _thetas(circuit, BC, t)
-    return th if th is None or particle == 2 else th.T
+    """B-C angles at layer t, `_toward` `particle`."""
+    return _toward(particle, _thetas(circuit, BC, t))
 
 
 def _external_state(circuit: Circuit, particle: int, a_path: Path, other: Path, upto: int) -> np.ndarray:
@@ -338,6 +349,10 @@ def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[n
     stacks = {struck: np.zeros((1, 1, 0), dtype=complex) for struck in (1, 2)}
     signs = {struck: np.zeros(0) for struck in (1, 2)}
     straddle = {struck: np.ones((1, 1), dtype=complex) for struck in (1, 2)}
+    # the struck particle's prefix amplitudes, grown one layer at a time from layer 1
+    amplitudes = {
+        struck: itertools.islice(prefix_amplitude_layers(circuit, struck), 1, None) for struck in (1, 2)
+    }
     last_hit = _last_hit_layer(circuit)
 
     for r in range(1, circuit.n + 1):
@@ -345,42 +360,43 @@ def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[n
         hit_table = None
         for struck in (1, 2):  # A-B, then A-C
             partner = 3 - struck
-            th_book = _thetas(circuit, (0, struck), r)
-            th_gamma = _thetas(circuit, (0, partner), r)
-            th_bc = _bc_thetas(circuit, partner, r)
+            ph_book = _phases(circuit, (0, struck), r)
+            ph_gamma = _phases(circuit, (0, partner), r)
+            ph_bc = _toward(partner, _phases(circuit, BC, r))
+            amps = next(amplitudes[struck])
 
             # the partner's conditioned states through this layer's gate sequence
-            pre_bc = np.tensordot(states[struck], circuit.single(r, partner), axes=([2], [1]))
+            pre_bc = apply_single(states[struck], 2, circuit.single(r, partner))
             pre_bc = np.repeat(np.repeat(pre_bc, 2, axis=0), 2, axis=1)
-            pre_gamma = pre_bc * np.exp(1j * th_bc)[bit][None, :, :] if th_bc is not None else pre_bc
-            if th_gamma is not None:
-                states[struck] = pre_gamma * np.exp(1j * th_gamma)[bit][:, None, :]
+            pre_gamma = pre_bc * ph_bc[bit][None, :, :] if ph_bc is not None else pre_bc
+            if ph_gamma is not None:
+                states[struck] = pre_gamma * ph_gamma[bit][:, None, :]
             else:
                 states[struck] = pre_gamma
 
             # per-layer chi/gamma increments, as (after, before) gate pairs; an
             # absent gate books nothing
             increments = []
-            if th_bc is not None:
+            if ph_bc is not None:
                 increments.append((pre_gamma, pre_bc))
-            if th_gamma is not None:
+            if ph_gamma is not None:
                 increments.append((states[struck], pre_gamma))
             if r <= last_hit:
                 stacks[struck], signs[struck] = _refine(stacks[struck], signs[struck], increments)
 
             straddle[struck] = np.repeat(np.repeat(straddle[struck], 2, axis=0), 2, axis=1)
-            if th_book is not None:
+            if ph_book is not None:
                 # A-B books before the layer-r A-C gate, whose gamma is the stack's last four columns
-                columns = stacks[struck].shape[2] - 4 * (struck == 1 and th_gamma is not None)
+                columns = stacks[struck].shape[2] - 4 * (struck == 1 and ph_gamma is not None)
                 branch = _branch_hit(
-                    prefix_amplitudes(circuit, struck, r)[None, :] * straddle[struck],
+                    amps[None, :] * straddle[struck],
                     stacks[struck][:, :, :columns],
                     signs[struck][:columns],
-                    np.exp(1j * th_book)[bit],
+                    ph_book[bit],
                 )
                 hit_table = branch if hit_table is None else hit_table + branch
                 # straddle phases now cover layers 1..r, ready for the next layer's deltas
-                straddle[struck] = straddle[struck] * np.exp(1j * th_book[bit[:, None], bit[None, :]])
+                straddle[struck] = straddle[struck] * ph_book[bit[:, None], bit[None, :]]
 
         lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
         if hit_table is not None:

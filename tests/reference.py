@@ -15,9 +15,12 @@ The circuit helpers after them make the seeded corpora and the reduced or
 trimmed circuits that the tests compare. The stream helpers at the end read
 the per-layer lambda tables of `lambda_tables` and `lambda3_tables`: one pair's
 trajectory, the final endpoint blocks, and the Gram tables of the package's
-conditioned prefix states that every layer must match. Last come the
+conditioned prefix states that every layer must match. Then come the
 earlier two-particle table builder and the earlier pair sum, which the
-general hit stream and the copy-free pair sum must reproduce.
+general hit stream and the copy-free pair sum must reproduce. Last are the
+earlier single-gate kernels, `tensordot` and `moveaxis` with a matmul, and
+the oracle and conditioned layers built from them: the package's one-BLAS-
+call kernels on reshaped views must equal them bit for bit.
 """
 from __future__ import annotations
 
@@ -365,3 +368,42 @@ def column_pair_sum(block: LambdaBlock) -> complex:
         np.fill_diagonal(weights[start:], 0.0)
         row[start:stop] = conj @ weights
     return float(np.sum(np.abs(block.amplitudes) ** 2)) + complex(row @ block.amplitudes)
+
+
+def tensordot_single(state: np.ndarray, axis: int, gate: np.ndarray) -> np.ndarray:
+    """The earlier oracle and conditioned-evolution kernel: `gate` on one axis by `np.tensordot`."""
+    return np.moveaxis(np.tensordot(gate, state, axes=([1], [axis])), 0, axis)
+
+
+def moveaxis_single(state: np.ndarray, axis: int, gate: np.ndarray) -> np.ndarray:
+    """The earlier `paths.apply_single`: the axis moved last, then one (rows, 2) x (2, 2) matmul."""
+    moved = np.moveaxis(state, axis, -1)
+    return np.moveaxis((moved.reshape(-1, 2) @ gate.T).reshape(moved.shape), -1, axis)
+
+
+def tensordot_oracle_layer(state: np.ndarray, circuit: Circuit, t: int) -> np.ndarray:
+    """The earlier `oracle._apply_layer`: singles by `tensordot_single`, then each phase diagonal."""
+    layer = circuit.layer(t)
+    n = circuit.particles
+    for i, gate in enumerate(layer.singles):
+        state = tensordot_single(state, i, gate)
+    for gate in layer.phases:
+        shape = [2 if k in gate.pair else 1 for k in range(n)]
+        state = state * gate.diagonal().reshape(shape)
+    return state
+
+
+def tensordot_conditioned_layer(cond: ConditionalUnitary, state: np.ndarray, t: int) -> np.ndarray:
+    """The earlier `ConditionalUnitary._apply`, with its singles by `tensordot_single`."""
+    layer = cond.layers[t - 1]
+    width = len(cond.external)
+    state = state.reshape((2,) * width)
+    for i, gate in enumerate(layer.singles):
+        state = tensordot_single(state, i, gate)
+    for gate in layer.phases:
+        shape = [2 if k in gate.pair else 1 for k in range(width)]
+        state = state * gate.diagonal().reshape(shape)
+    for local, diag in layer.diagonals:
+        shape = [2 if k == local else 1 for k in range(width)]
+        state = diag.reshape(shape) * state
+    return state.reshape(-1)

@@ -60,6 +60,19 @@ def test_epr_circuit_validates_with_two_layers():
     assert c.phase(2, (0, 1)) is None
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4))
+def test_phase_diagonal_is_one_read_only_array(thetas):
+    gate = PhaseGate(pair=(0, 1), thetas=tuple(thetas))
+    diagonal = gate.diagonal()
+    assert gate.diagonal() is diagonal
+    assert np.array_equal(diagonal, np.exp(1j * np.asarray(thetas)))
+    with pytest.raises(ValueError):
+        diagonal[0] = 1.0
+    with pytest.raises(ValueError):
+        diagonal.reshape(2, 2)[1, 1] = 1.0
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(CircuitFormatError):
         validate_circuit({"particles": 1, "layers": [], "extra": 1})

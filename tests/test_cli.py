@@ -28,6 +28,7 @@ from sumpaths.cli import main
 from sumpaths.common import DEFAULT_BUDGET
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
+from sumpaths.subsystems import enumerate_config_paths, lambda_general_trajectory
 from sumpaths.verify import verify_circuit
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -125,6 +126,31 @@ def test_trace_general_subsystem(tmp_path):
     report = json.loads(out)
     assert len(report["trajectory"]) == 3
     assert len(report["paths"][0]) == 2
+
+
+@pytest.mark.parametrize("particles", [4, 5])
+def test_trace_of_particle_zero_follows_the_hit_stream_beyond_three_particles(tmp_path, particles):
+    circuit = random_circuit(np.random.default_rng(80 + particles), particles, 4, p_single=0.9, p_phase=1.0)
+    path = tmp_path / "c.json"
+    save_circuit(circuit, str(path))
+    two = tmp_path / "two.json"
+    save_circuit(random_circuit(np.random.default_rng(80), 2, 4), str(two))
+    for endpoint, pair in (("0", "0,5"), ("1", "7,2"), ("1", "3,3")):
+        code, out, err = run_cli("trace", "--circuit", str(path), "--endpoint", endpoint, "--pair", pair)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        code, out, _ = run_cli("trace", "--circuit", str(two), "--endpoint", endpoint, "--pair", pair)
+        reference = json.loads(out)
+        assert report.keys() == reference.keys()
+        assert [len(report[key]) for key in ("paths", "trajectory", "hits")] == [2, 5, 4]
+        assert all(isinstance(bits, str) and len(bits) == 4 for bits in report["paths"])
+        configs = enumerate_config_paths(circuit.n, (int(endpoint),))
+        first, second = (configs[int(k)] for k in pair.split(","))
+        assert report["paths"] == [first.bitstrings()[0], second.bitstrings()[0]]
+        expected = lambda_general_trajectory(circuit, (0,), first, second)
+        assert max(abs(complex(*value) - e) for value, e in zip(report["trajectory"], expected)) < 1e-12
+        hits = [complex(*value) for value in report["hits"]]
+        assert max(abs(h - (b - a)) for h, a, b in zip(hits, expected, expected[1:])) < 1e-12
 
 
 def test_trace_bad_pair_index(epr_file):

@@ -1,12 +1,14 @@
 """Reduced-density hit/miss split against the partial-trace oracle."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumpaths.circuits import PhaseGate, build_epr_circuit, make_circuit
+from sumpaths.circuits import PhaseGate, build_epr_circuit, load_circuit, make_circuit
 from sumpaths.corpus import random_circuit
 from sumpaths.density import (
     PhaseGateNotNormalized,
@@ -20,6 +22,8 @@ from sumpaths.density import (
 from sumpaths.oracle import evolve, reduced_density
 
 from .reference import joint_distribution
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def joint_at(circuit, t):
@@ -133,6 +137,28 @@ def test_density_report_is_clean_on_epr():
         assert record["pathsum_error"] < 1e-10
 
 
+def _assert_report_equals_the_one_layer_functions(circuit):
+    normalized = normalized_phase_form(circuit)
+    records = density_report(circuit)
+    assert [record["layer"] for record in records] == list(range(1, circuit.n + 1))
+    for t, record in enumerate(records, start=1):
+        prev_joint = joint_at(normalized, t - 1)
+        pair = density_step(normalized, t, prev_joint)
+        assert np.array_equal(record["miss"], pair.miss)
+        assert np.array_equal(record["hit"], pair.hit)
+        assert np.array_equal(record["total"], pair.total)
+        off = hit_offdiagonal(normalized, t, prev_joint)
+        assert record["offdiagonal_error"] == float(np.max(np.abs(off - pair.hit)))
+        pathsum = hit_pathsum_amplitude(normalized, t)
+        direct = collapse_amplitude_direct(normalized, t)
+        # the Kronecker product by broadcast gives np.kron's bits
+        singles = np.kron(normalized.single(t, 0), normalized.single(t, 1))
+        assert direct == complex((singles @ evolve(normalized, t - 1))[1])
+        assert record["pathsum_amplitude"] == pathsum
+        assert record["pathsum_error"] == abs(pathsum - direct)
+        assert np.array_equal(record["oracle"], reduced_density(normalized, 0, t))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     st.integers(1, 6),
@@ -141,15 +167,14 @@ def test_density_report_is_clean_on_epr():
     st.integers(0, 2**32 - 1),
 )
 def test_density_report_matches_the_per_layer_references_bit_for_bit(layers, p_single, p_phase, seed):
-    circuit = random_circuit(np.random.default_rng(seed), 2, layers, p_single, p_phase)
-    normalized = normalized_phase_form(circuit)
-    records = density_report(circuit)
-    assert [record["layer"] for record in records] == list(range(1, layers + 1))
-    for t, record in enumerate(records, start=1):
-        pathsum = hit_pathsum_amplitude(normalized, t)
-        assert record["pathsum_amplitude"] == pathsum
-        assert record["pathsum_error"] == abs(pathsum - collapse_amplitude_direct(normalized, t))
-        assert np.array_equal(record["oracle"], reduced_density(normalized, 0, t))
+    _assert_report_equals_the_one_layer_functions(
+        random_circuit(np.random.default_rng(seed), 2, layers, p_single, p_phase)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in CORPUS.glob("n2_*.json")))
+def test_density_report_matches_the_per_layer_references_on_the_corpus(name):
+    _assert_report_equals_the_one_layer_functions(load_circuit(str(CORPUS / name)))
 
 
 def test_rejects_three_particle_circuits():

@@ -1,6 +1,7 @@
 """State-vector oracle against explicit Kronecker-product references."""
 from __future__ import annotations
 
+import ast
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumpaths.circuits import HADAMARD, build_epr_circuit, make_circuit
+from sumpaths import oracle as oracle_module
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import (
     Distribution,
@@ -18,7 +20,7 @@ from sumpaths.oracle import (
     states,
 )
 
-from .reference import joint_distribution, kron_evolve
+from .reference import joint_distribution, kron_evolve, tensordot_oracle_layer
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -157,3 +159,19 @@ def test_reduced_density_diagonal_matches_marginal():
 def test_distribution_rejects_unnormalized_probabilities():
     with pytest.raises(ValueError):
         Distribution(labels=((0,), (1,)), probabilities=np.array([0.7, 0.7]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.sampled_from([0.3, 1.0]), st.integers(0, 2**32 - 1))
+def test_layer_kernel_equals_the_tensordot_form(particles, p_single, seed):
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(rng, particles, 1, p_single=p_single, p_phase=1.0)
+    state = rng.normal(size=(2,) * particles) + 1j * rng.normal(size=(2,) * particles)
+    layer = oracle_module._apply_layer(state, circuit, 1)
+    assert np.array_equal(layer, tensordot_oracle_layer(state, circuit, 1))
+
+
+def test_oracle_imports_no_kernel_of_the_routes_it_checks():
+    tree = ast.parse(open(oracle_module.__file__, encoding="utf-8").read())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"paths", "twoparticle", "threeparticle", "subsystems", "density"}

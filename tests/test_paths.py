@@ -17,11 +17,13 @@ from sumpaths.oracle import evolve
 from sumpaths.paths import (
     Path,
     amplitudes_via_paths,
+    apply_single,
     condition_on_paths,
     conditioned_prefix_states,
     enumerate_paths,
     path_amplitude,
     pair_phases,
+    prefix_amplitude_layers,
     prefix_amplitudes,
 )
 
@@ -32,8 +34,10 @@ from .reference import (
     einsum_amplitudes,
     joint_phase,
     kron_pair_phases,
+    moveaxis_single,
     path_index,
     repeat_prefix_amplitudes,
+    tensordot_conditioned_layer,
 )
 
 
@@ -179,8 +183,9 @@ _GATE_DENSITIES = st.sampled_from([0.0, 0.3, 1.0])
 def test_path_sum_operands_equal_the_reference_builders(particles, layers, p_single, p_phase, seed):
     circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_single, p_phase)
     for i in range(particles):
-        for upto in range(layers + 1):
-            assert np.array_equal(prefix_amplitudes(circuit, i, upto), repeat_prefix_amplitudes(circuit, i, upto))
+        for upto, grown in enumerate(prefix_amplitude_layers(circuit, i)):
+            assert np.array_equal(grown, repeat_prefix_amplitudes(circuit, i, upto))
+            assert np.array_equal(prefix_amplitudes(circuit, i, upto), grown)
     for pair in itertools.combinations(range(particles), 2):
         for value, reference in zip(pair_phases(circuit, pair), kron_pair_phases(circuit, pair)):
             assert (value is None) == (reference is None)
@@ -227,6 +232,31 @@ def test_pair_phases_split_the_last_layer_off():
     prefix, last = pair_phases(uncoupled, (0, 1))
     assert prefix is not None and last is None
     assert pair_phases(make_circuit(2, []), (0, 1)) == (None, None)
+
+
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_single_gate_kernels_equal_the_forms_they_replace(particles, rows, seed):
+    rng = np.random.default_rng(seed)
+    gate = _complex_normal(rng, (2, 2))
+    state = _complex_normal(rng, (2,) * particles)
+    tree = _complex_normal(rng, (rows,) + (2,) * particles)  # a prefix tree's leading row axis
+    for axis in range(particles):
+        assert np.array_equal(apply_single(state, axis, gate), moveaxis_single(state, axis, gate))
+        assert np.array_equal(apply_single(tree, axis + 1, gate), moveaxis_single(tree, axis + 1, gate))
+    # the cascade's partner update: (subsystem prefix, external prefix, mode) tables
+    table = _complex_normal(rng, (rows, 2, 2))
+    assert np.array_equal(apply_single(table, 2, gate), np.tensordot(table, gate, axes=([2], [1])))
+
+    # the conditioned evolution of `particles` external particles, every axis carrying a single
+    circuit = random_circuit(rng, particles + 1, 2, p_single=1.0, p_phase=1.0)
+    cond = condition_on_paths(circuit, {0: Path(modes=tuple(int(m) for m in rng.integers(0, 2, 2)))})
+    for t in (1, 2):
+        assert np.array_equal(cond._apply(state, t), tensordot_conditioned_layer(cond, state, t))
 
 
 def test_amplitude_budget_guard():
