@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -32,6 +33,15 @@ def check_budget(count: int, budget: int, what: str = "path lattice") -> None:
             f"{what} needs {_count_text(count)} combinations, budget is {_count_text(budget)};"
             " raise --budget to override"
         )
+
+
+Charge = tuple[int, str]  # (count, what) for `check_budget`
+
+
+def check_charges(charges: Iterable[Charge], budget: int) -> None:
+    """`check_budget` on each charge in order, so the first one over the budget raises."""
+    for count, what in charges:
+        check_budget(count, budget, what)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, PhaseGate, factor_phase_gate, make_circuit
-from .common import DEFAULT_BUDGET, check_budget
+from .common import DEFAULT_BUDGET, Charge, check_budget, check_charges
 from .oracle import evolve, reduced_density_of, states
 from .paths import conditioned_prefix_states, prefix_amplitude_layers, prefix_amplitudes
 
@@ -158,18 +158,22 @@ def collapse_amplitude_direct(circuit: Circuit, t: int) -> complex:
     return _collapse_direct(_singles(circuit, t), evolve(circuit, t - 1))
 
 
+def density_charges(circuit: Circuit) -> list[Charge]:
+    """What `density_report` charges: the last layer's subsystem paths, the most any layer's path sum needs."""
+    return [(1 << max(circuit.n - 1, 0), "subsystem paths")]
+
+
 def density_report(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> list[dict]:
     """Per-layer records of the recursion for the CLI: errors against the oracle.
 
-    The budget is charged once with the last layer's path count, the largest
-    that any layer's `hit_pathsum_amplitude` needs. Every layer reads one
+    The budget is charged once, with `density_charges`. Every layer reads one
     oracle state stream, one prefix tree and one stream of particle 0's
     prefix amplitudes of the normalized circuit, and builds its singles'
     Kronecker product and evolved joint matrix once for the step, the
     off-diagonal formula and the direct collapse.
     """
     normalized = normalized_phase_form(circuit)
-    check_budget(1 << max(normalized.n - 1, 0), budget, "subsystem paths")
+    check_charges(density_charges(normalized), budget)
     tree = conditioned_prefix_states(normalized, (0,))
     amplitudes = itertools.islice(prefix_amplitude_layers(normalized, 0), 1, None)
     layers = zip(itertools.pairwise(states(normalized)), amplitudes)

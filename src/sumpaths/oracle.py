@@ -67,6 +67,14 @@ def _apply_layer(state: np.ndarray, circuit: Circuit, t: int) -> np.ndarray:
     return state
 
 
+def check_particles(particles: int) -> None:
+    """The particle cap `states` checks first: dense amplitudes grow as 2^N."""
+    if particles > MAX_ORACLE_PARTICLES:
+        raise ValueError(
+            f"state-vector oracle capped at {MAX_ORACLE_PARTICLES} particles; raise the cap to override"
+        )
+
+
 def states(circuit: Circuit, upto: int | None = None) -> Iterator[np.ndarray]:
     """State vectors after layers 0..upto applied to |0...0> (upto=None means all layers).
 
@@ -74,10 +82,7 @@ def states(circuit: Circuit, upto: int | None = None) -> Iterator[np.ndarray]:
     grow as 2^N) is checked on the first `next()`, the norm after every layer.
     """
     n = circuit.particles
-    if n > MAX_ORACLE_PARTICLES:
-        raise ValueError(
-            f"state-vector oracle capped at {MAX_ORACLE_PARTICLES} particles; raise the cap to override"
-        )
+    check_particles(n)
     t_stop = circuit.n if upto is None else upto
     if not 0 <= t_stop <= circuit.n:
         raise IndexError(f"layer index {t_stop} out of range 0..{circuit.n}")

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .circuits import Circuit, PhaseGate, conditioned_diagonal
-from .common import DEFAULT_BUDGET, check_budget
+from .common import DEFAULT_BUDGET, Charge, check_charges
 
 _MAX_PATHSUM_PARTICLES = 16  # the budget charges the lattice, not the 2^N output this bounds
 
@@ -136,6 +136,16 @@ def pair_phases(circuit: Circuit, pair: tuple[int, int]) -> tuple[np.ndarray | N
     return prefix, (factors[-1] if gates and gates[-1] is not None else None)
 
 
+def pathsum_charges(circuit: Circuit) -> list[Charge]:
+    """What `amplitudes_via_paths` charges: the whole path lattice, (2^(n-1))^N.
+
+    Raises ValueError past the particle cap, which it checks first.
+    """
+    if circuit.particles > _MAX_PATHSUM_PARTICLES:
+        raise ValueError("too many particles for the path-sum evaluator")
+    return [((1 << max(circuit.n - 1, 0)) ** circuit.particles, "configuration-space path sum")]
+
+
 def amplitudes_via_paths(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Every joint amplitude as one sum over the configuration-space path lattice.
 
@@ -152,10 +162,7 @@ def amplitudes_via_paths(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> np.n
     checked against.
     """
     n, particles = circuit.n, circuit.particles
-    if particles > _MAX_PATHSUM_PARTICLES:
-        raise ValueError("too many particles for the path-sum evaluator")
-    lattice = (1 << max(n - 1, 0)) ** particles
-    check_budget(lattice, budget, "configuration-space path sum")
+    check_charges(pathsum_charges(circuit), budget)
     if n == 0:  # every particle still in its initial mode 0
         return (np.arange(1 << particles) == 0).astype(complex)
 

@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .circuits import Circuit
-from .common import DEFAULT_BUDGET, LambdaBlock, check_budget
+from .common import DEFAULT_BUDGET, Charge, LambdaBlock, check_charges
 from .paths import Path, condition_on_paths, conditioned_prefix_states, endpoint_rows
 from .paths import enumerate_paths, pair_phases, prefix_amplitudes
 from .threeparticle import lambda3_tables
@@ -111,6 +111,16 @@ def lambda_general_trajectory(
     return tuple(values)
 
 
+def conditioned_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Charge]:
+    """What `conditioned_blocks` charges for a normalized subsystem: one outcome's lambda pairs, then the tree's final table."""
+    n, size = circuit.n, len(particles)
+    count = (1 << max(n - 1, 0)) ** size
+    return [
+        (count * count, "configuration path pairs"),
+        (1 << (size * n + circuit.particles - size), "conditioned external states"),
+    ]
+
+
 def conditioned_blocks(
     circuit: Circuit, subsystem: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
@@ -125,9 +135,7 @@ def conditioned_blocks(
     """
     particles = normalize_subsystem(circuit, subsystem)
     n, size = circuit.n, len(particles)
-    count = (1 << max(n - 1, 0)) ** size
-    check_budget(count * count, budget, "configuration path pairs")
-    check_budget(1 << (size * n + circuit.particles - size), budget, "conditioned external states")
+    check_charges(conditioned_charges(circuit, particles), budget)
     final = conditioned_prefix_states(circuit, particles)[n]
     amplitudes = [prefix_amplitudes(circuit, p) for p in particles]
     pairs = itertools.combinations(range(size), 2)

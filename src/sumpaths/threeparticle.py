@@ -26,13 +26,25 @@ table against the Gram matrix of the conditioned external-pair states of
 `paths.conditioned_prefix_states`, not of the cascade's own columns.
 
 Each gamma or chi increment is sum_l conj(f_l(p, m)) f_l(q, n), separable
-across the (p, m) | (q, n) split of subsystem and external prefixes. The
-tables therefore keep each branch's running sums as a stack of signed
-columns over (p, m), four per booked increment, never as a dense
-(p, q, m, n) table. Layer r costs O(columns * 4^r) time and memory, with up
-to eight columns per layer on a branch. The budget is charged with the
-largest stack, 4^r prefix pairs times its columns, so all-gates circuits
-reach n = 8 under the default budget of 2^22.
+across the (p, m) | (q, n) split of subsystem and struck prefixes, and a hit
+sums it over struck path pairs (m, n) that end together, each side times
+the struck particle's path weight: its bare amplitude times the booked
+A-struck phases. So `lambda3_tables` books each increment as four signed
+columns of the partner's conditioned states over (p, m) and contracts them
+over m with those weights once, at the booking layer, into a
+(2^r, 2 endpoints, 4) block. Later layers carry the contracted columns
+forward by a 2x2 transfer (`_carry`): a column only repeats over the new
+bits, while a path weight gains the layer's booking factor and the struck
+particle's next single. A layer costs O(4^r) for the partner's states,
+their weights and the one contraction, O(2^r * columns) for the carry, and
+one O(4^r * columns) product for the hit; no array holds 4^r * columns
+entries. The partner's states stay the literal (p, m)-conditioned ones:
+contracting them earlier would turn the columns into the conditioned
+external-pair states that `three_closure` checks the tables against.
+
+The budget is still charged with 4^r prefix pairs times the columns booked
+through layer r, at its largest (`_largest_table`): pairs of work, not
+bytes held. All-gates circuits reach n = 8 under the default budget of 2^22.
 """
 from __future__ import annotations
 
@@ -43,8 +55,8 @@ from typing import Iterator
 import numpy as np
 
 from .circuits import Circuit
-from .common import DEFAULT_BUDGET, check_budget
-from .paths import Path, apply_single, enumerate_paths, path_amplitude, prefix_amplitude_layers
+from .common import DEFAULT_BUDGET, Charge, check_budget, check_charges
+from .paths import Path, apply_single, enumerate_paths, path_amplitude
 
 AB, AC, BC = (0, 1), (0, 2), (1, 2)
 
@@ -253,7 +265,7 @@ def lambda_three(
 
 
 def _last_hit_layer(circuit: Circuit) -> int:
-    """The last layer with an A-B or A-C gate, or 0; no hit reads the column stacks after it."""
+    """The last layer with an A-B or A-C gate, or 0; no hit reads the branches after it."""
     coupled = [
         r
         for r in range(1, circuit.n + 1)
@@ -263,11 +275,12 @@ def _last_hit_layer(circuit: Circuit) -> int:
 
 
 def _largest_table(circuit: Circuit) -> int:
-    """Entries of the biggest array a `lambda3_tables` build holds.
+    """The cascade's charge: 4^r prefix pairs times the columns booked through layer r, at its largest.
 
-    That is a column stack, 4^r prefix pairs by its column count after the
-    increments booked at layer r <= `_last_hit_layer`, or the final 4^n
-    lambda table if larger.
+    r runs up to `_last_hit_layer`, and the final 4^n lambda table counts if
+    larger. The count is pairs of work, not bytes held: each booked column
+    is contracted over the 4^r (subsystem, struck) prefix pairs once, and
+    every later hit reads it over all 4^r subsystem prefix pairs.
     """
     largest = 4**circuit.n
     c_columns = b_columns = 0
@@ -279,127 +292,142 @@ def _largest_table(circuit: Circuit) -> int:
     return largest
 
 
-def _refine(
-    stack: np.ndarray, signs: np.ndarray, increments: list[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve a column stack one layer finer and append this layer's increments.
+def cascade_charges(circuit: Circuit) -> list[Charge]:
+    """What `lambda3_tables` charges: `_largest_table`."""
+    return [(_largest_table(circuit), "three-particle cascade table")]
 
-    `stack[p, e, L]` holds separable columns over (subsystem prefix p,
-    external prefix e); the accumulator it stands for is
-    sum_L signs[L] * conj(stack[p, e, L]) * stack[q, f, L]. Every carried
-    column is repeated over the new bit of both prefixes. An increment
-    (plus, minus) of two (p, e, 2) state tables books
-    sum_l conj(plus[p, e, l]) plus[q, f, l] - conj(minus[p, e, l]) minus[q, f, l]
-    as four new columns.
+
+def _carry(columns: np.ndarray, single: np.ndarray, booking: np.ndarray | None) -> np.ndarray:
+    """Contracted columns over (r-1)-mode subsystem prefixes, carried to r-mode prefixes.
+
+    `columns[q, k, L]` is column L summed over the struck particle's
+    prefixes that end at k, each times its path weight. A column only
+    repeats over the new bits, while the weight gains layer r - 1's booking
+    factor `booking[q_last, k]` (absent: ones) and the struck particle's
+    single element `single[k', k]`. So the carried column is
+    sum_k single[k', k] booking[q_last, k] columns[q, k, L], the same for
+    both new subsystem modes: the 2x2 transfer `_grow_weights` applies to
+    the weights themselves.
     """
-    half, ext_half, carried = stack.shape
-    out = np.empty((half, 2, ext_half, 2, carried + 4 * len(increments)), dtype=complex)
-    out[..., :carried] = stack[:, None, :, None, :]
-    out = out.reshape(2 * half, 2 * ext_half, -1)
-    for index, (plus, minus) in enumerate(increments):
-        col = carried + 4 * index
-        out[:, :, col : col + 2] = plus
-        out[:, :, col + 2 : col + 4] = minus
-    booked = np.tile([1.0, 1.0, -1.0, -1.0], len(increments))
-    return out, np.concatenate([signs, booked])
+    if booking is not None:
+        columns = columns * booking[np.arange(columns.shape[0]) % 2][:, :, None]
+    return np.repeat(single @ columns, 2, axis=0)
 
 
-def _branch_hit(
-    left: np.ndarray, stack: np.ndarray, signs: np.ndarray, phases: np.ndarray
-) -> np.ndarray:
+def _grow_weights(weights: np.ndarray, single: np.ndarray, booking: np.ndarray | None) -> np.ndarray:
+    """The struck particle's path weights over r-mode prefix pairs, from those over (r-1)-mode pairs.
+
+    `weights[p, e]` is the bare amplitude of struck prefix e times the
+    booked A-struck phases along (p, e). Layer r - 1's booking factors
+    `booking[p_last, e_last]` join (absent: ones), extending e by mode k
+    takes `single[k, e_last]`, and the weight repeats over p's new bit.
+    """
+    size = weights.shape[0]
+    if booking is not None:
+        weights = (weights.reshape(size // 2, 2, size // 2, 2) * booking[None, :, None, :]).reshape(size, size)
+    grown = np.empty((size, 2, size, 2), dtype=complex)
+    np.multiply(weights[:, None, :, None], single.T[np.arange(size) % 2], out=grown)
+    return grown.reshape(2 * size, 2 * size)
+
+
+def _contract(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """States over (r-1)-mode prefix pairs, repeated over both new bits, summed with r-mode path weights.
+
+    The sum runs over the struck prefixes that end at k: entry [2q + b, k, l]
+    is sum_e weights[2q + b, 2e + k] states[q, e, l], one batched
+    (2, e) x (e, l) product per (q, b).
+    """
+    size = states.shape[0]
+    rows = weights.reshape(size, 2, size, 2).transpose(0, 1, 3, 2)
+    return (rows @ states[:, None]).reshape(2 * size, 2, 2)
+
+
+def _branch_hit(columns: np.ndarray, signs: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """One branch's share of the hit table, for every subsystem prefix pair.
 
-    `left[p, e]` is the booked external path weight (bare amplitude times
-    cumulative straddle phase), `stack`/`signs` the branch weight
-    1 + gamma + chi in column form, and `phases[p, k]` the booking gate's
-    phase for the subsystem at prefix p and external endpoint k. Summed over
-    external path pairs (e, f) ending at k, the weight splits into
-    outer(conj(B), B) for the 1 and (conj(X) * signs) @ X.T for the columns.
+    `columns[p, k, L]` with `signs[L]` is the branch weight 1 + gamma + chi
+    in contracted form (column 0 is the 1), and `phases[p, k]` the booking
+    gate's phase for the subsystem at prefix p and struck endpoint k. The
+    share is sum_k (conj(phases[p, k]) phases[q, k] - 1) W_k[p, q] with
+    W_k = (conj(Y_k) * signs) @ Y_k.T, Y_k = columns[:, k], which is one
+    product over the phased and bare columns side by side.
     """
-    size = left.shape[0]
-    left = left.reshape(size, -1, 2)  # external prefix split into (earlier modes, endpoint k)
-    ones = left.sum(axis=1)
-    cols = np.einsum("qnk,qnkL->qkL", left, stack.reshape(*left.shape, stack.shape[2]))
-    hit = np.zeros((size, size), dtype=complex)
-    for k in (0, 1):
-        weight = np.outer(ones[:, k].conj(), ones[:, k]) + (cols[:, k].conj() * signs) @ cols[:, k].T
-        hit += (np.outer(phases[:, k].conj(), phases[:, k]) - 1.0) * weight
-    return hit
+    phased = columns * phases[:, :, None]
+    side = np.concatenate([phased[:, 0], phased[:, 1], columns[:, 0], columns[:, 1]], axis=1)
+    signed = np.concatenate([signs, signs, -signs, -signs])
+    return (side.conj() * signed) @ side.T
 
 
 def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
     """lambda^(t) over every pair of t-mode subsystem prefixes, for t = 0..n, by the literal cascade.
 
     All arrays are indexed by prefix integers with modes packed
-    most-significant-first, exactly like the two-particle tables. The gamma
-    and chi sums are kept per branch as separable column stacks (see
-    `_refine`), never as dense (p, q, m, n) tables. Each lambda table is a
-    fresh array, never written after it is yielded. The `_largest_table`
-    budget charge and the particle count are checked on the first `next()`.
+    most-significant-first, exactly like the two-particle tables. Each
+    branch books its gamma and chi increments as columns of the partner's
+    conditioned states over (subsystem, struck) prefix pairs, contracts
+    them with the struck particle's path weights once, at the booking
+    layer, and carries the contracted columns forward by `_carry`. Each
+    lambda table is a fresh array, never written after it is yielded. The
+    `cascade_charges` and the particle count are checked on the first
+    `next()`.
     """
     _require_three_particles(circuit)
-    check_budget(_largest_table(circuit), budget, "three-particle cascade table")
+    check_charges(cascade_charges(circuit), budget)
     lam = np.ones((1, 1), dtype=complex)
     yield lam
 
     # Per branch, keyed by the struck particle: the partner's states conditioned
-    # on (A, struck) prefixes, the partner's chi (B-C) and gamma columns over
-    # those prefixes, and the cumulative A-struck straddle phases.
+    # on (A, struck) prefixes, the struck particle's path weights, the
+    # contracted columns with their signs, and the last layer's booking factors.
+    # Column 0 is the 1 of the branch weight 1 + gamma + chi: before layer 1 the
+    # struck particle sits in mode 0 with weight 1.
     states = {struck: np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2) for struck in (1, 2)}
-    stacks = {struck: np.zeros((1, 1, 0), dtype=complex) for struck in (1, 2)}
-    signs = {struck: np.zeros(0) for struck in (1, 2)}
-    straddle = {struck: np.ones((1, 1), dtype=complex) for struck in (1, 2)}
-    # the struck particle's prefix amplitudes, grown one layer at a time from layer 1
-    amplitudes = {
-        struck: itertools.islice(prefix_amplitude_layers(circuit, struck), 1, None) for struck in (1, 2)
-    }
+    weights = {struck: np.ones((1, 1), dtype=complex) for struck in (1, 2)}
+    columns = {struck: np.array([[[1.0], [0.0]]], dtype=complex) for struck in (1, 2)}
+    signs = {struck: np.ones(1) for struck in (1, 2)}
+    booking = {struck: None for struck in (1, 2)}
     last_hit = _last_hit_layer(circuit)
 
     for r in range(1, circuit.n + 1):
+        lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
+        if r > last_hit:  # no hit reads the branches again
+            yield lam
+            continue
+        phases = {pair: _phases(circuit, pair, r) for pair in (AB, AC, BC)}
         bit = np.arange(1 << r) % 2
-        hit_table = None
         for struck in (1, 2):  # A-B, then A-C
             partner = 3 - struck
-            ph_book = _phases(circuit, (0, struck), r)
-            ph_gamma = _phases(circuit, (0, partner), r)
-            ph_bc = _toward(partner, _phases(circuit, BC, r))
-            amps = next(amplitudes[struck])
+            ph_book, ph_gamma = phases[0, struck], phases[0, partner]
+            ph_bc = _toward(partner, phases[BC])
 
-            # the partner's conditioned states through this layer's gate sequence
-            pre_bc = apply_single(states[struck], 2, circuit.single(r, partner))
-            pre_bc = np.repeat(np.repeat(pre_bc, 2, axis=0), 2, axis=1)
-            pre_gamma = pre_bc * ph_bc[bit][None, :, :] if ph_bc is not None else pre_bc
-            if ph_gamma is not None:
-                states[struck] = pre_gamma * ph_gamma[bit][:, None, :]
-            else:
-                states[struck] = pre_gamma
-
-            # per-layer chi/gamma increments, as (after, before) gate pairs; an
-            # absent gate books nothing
-            increments = []
+            # The partner's conditioned states through this layer's gate sequence:
+            # single, then B-C, then A-partner. Each present gate books the state
+            # after it minus the state before it, contracted with the struck
+            # particle's path weights now; a diagonal gate commutes with that
+            # contraction, so one contraction serves the whole sequence.
+            weights[struck] = _grow_weights(weights[struck], circuit.single(r, struck), booking[struck])
+            moved = apply_single(states[struck], 2, circuit.single(r, partner))
+            chain = [_contract(weights[struck], moved)]
+            factors = np.ones((2, 2, 2))  # [new subsystem mode, new struck mode, partner mode]
             if ph_bc is not None:
-                increments.append((pre_gamma, pre_bc))
+                chain.append(chain[-1] * ph_bc)
+                factors = factors * ph_bc
             if ph_gamma is not None:
-                increments.append((states[struck], pre_gamma))
-            if r <= last_hit:
-                stacks[struck], signs[struck] = _refine(stacks[struck], signs[struck], increments)
+                chain.append(chain[-1] * ph_gamma[bit][:, None, :])
+                factors = factors * ph_gamma[:, None, :]
+            if r < last_hit:  # only the next layer reads them: grown over both new bits
+                size = moved.shape[0]
+                grown = np.empty((size, 2, size, 2, 2), dtype=complex)
+                np.multiply(moved[:, None, :, None, :], factors[:, None], out=grown)
+                states[struck] = grown.reshape(2 * size, 2 * size, 2)
 
-            straddle[struck] = np.repeat(np.repeat(straddle[struck], 2, axis=0), 2, axis=1)
+            booked = [np.concatenate([after, before], axis=2) for before, after in itertools.pairwise(chain)]
+            carried = _carry(columns[struck], circuit.single(r, struck), booking[struck])
+            columns[struck] = np.concatenate([carried, *booked], axis=2)
+            signs[struck] = np.concatenate([signs[struck], *[[1.0, 1.0, -1.0, -1.0]] * len(booked)])
+            booking[struck] = ph_book
             if ph_book is not None:
-                # A-B books before the layer-r A-C gate, whose gamma is the stack's last four columns
-                columns = stacks[struck].shape[2] - 4 * (struck == 1 and ph_gamma is not None)
-                branch = _branch_hit(
-                    amps[None, :] * straddle[struck],
-                    stacks[struck][:, :, :columns],
-                    signs[struck][:columns],
-                    ph_book[bit],
-                )
-                hit_table = branch if hit_table is None else hit_table + branch
-                # straddle phases now cover layers 1..r, ready for the next layer's deltas
-                straddle[struck] = straddle[struck] * ph_book[bit[:, None], bit[None, :]]
-
-        lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
-        if hit_table is not None:
-            lam = lam + hit_table
-        hit_table = branch = None  # not held while the caller reads lam
+                # A-B books before the layer-r A-C gate, whose gamma is the last four columns
+                count = columns[struck].shape[2] - 4 * (struck == 1 and ph_gamma is not None)
+                lam += _branch_hit(columns[struck][:, :, :count], signs[struck][:count], ph_book[bit])
         yield lam

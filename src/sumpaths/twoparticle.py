@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .circuits import Circuit
-from .common import DEFAULT_BUDGET, REALITY_TOL, LambdaBlock, RealityError, check_budget
+from .common import DEFAULT_BUDGET, REALITY_TOL, Charge, LambdaBlock, RealityError, check_charges
 from .paths import Path, apply_single, condition_on_paths, conditioned_prefix_states
 
 
@@ -138,19 +138,27 @@ def lambda_accumulate(circuit: Circuit, p: Path, q: Path) -> LambdaEntry:
     return LambdaEntry(trajectory=tuple(trajectory), hits=tuple(hits))
 
 
+def prefix_tree_charges(circuit: Circuit, layers: int | None = None) -> list[Charge]:
+    """What `prefix_tree` charges over the first `layers` layers (default n).
+
+    A stream over those layers holds lambda over 4^layers prefix pairs, and
+    the tree's tables together hold under 2^(layers + 1) x 2^(N - 1)
+    external amplitudes.
+    """
+    layers = circuit.n if layers is None else layers
+    return [(4**layers, "path-pair table"), (1 << (layers + circuit.particles), "conditioned external states")]
+
+
 def prefix_tree(
     circuit: Circuit, budget: int = DEFAULT_BUDGET, layers: int | None = None
 ) -> list[np.ndarray]:
     """Particle 0's conditioned prefix tree over the first `layers` layers (default n), charged first.
 
-    A stream over those layers holds lambda over 4^layers prefix pairs, and
-    the tree's tables together hold under 2^(layers + 1) x 2^(N - 1)
-    external amplitudes; both are charged before anything is built.
+    Both `prefix_tree_charges` are checked before anything is built.
     """
     _require_stream(circuit)
     layers = circuit.n if layers is None else layers
-    check_budget(4**layers, budget, "path-pair table")
-    check_budget(1 << (layers + circuit.particles), budget, "conditioned external states")
+    check_charges(prefix_tree_charges(circuit, layers), budget)
     head = Circuit(particles=circuit.particles, layers=circuit.layers[:layers])
     return conditioned_prefix_states(head, (0,))
 

@@ -22,7 +22,9 @@ general_subsystem reads the pair (0, 1) off one more tree. Each check is
 charged the time since the previous check ended, so a shared build counts
 in the first check that needs it and the timings add up to the verify's
 wall time. Every reduction keeps a NaN error, so a non-finite result fails
-its check.
+its check. Every budget charge the checks will make (`verify_charges`) is
+checked before the first one runs, so a circuit too big for any of them
+exits before any work.
 """
 from __future__ import annotations
 
@@ -34,13 +36,13 @@ from typing import Container, Iterable, Iterator
 import numpy as np
 
 from .circuits import Circuit, append_external_layer, circuit_digest
-from .common import DEFAULT_BUDGET
-from .density import density_report
-from .oracle import Distribution, marginal_of, states
-from .paths import Path, amplitudes_via_paths, conditioned_prefix_states
-from .subsystems import conditioned_blocks, table_blocks
-from .threeparticle import lambda3_tables
-from .twoparticle import hit, lambda_tables, marginal_deviation, prefix_tree
+from .common import DEFAULT_BUDGET, Charge, check_charges
+from .density import density_charges, density_report
+from .oracle import Distribution, check_particles, marginal_of, states
+from .paths import Path, amplitudes_via_paths, conditioned_prefix_states, pathsum_charges
+from .subsystems import conditioned_blocks, conditioned_charges, table_blocks
+from .threeparticle import cascade_charges, lambda3_tables
+from .twoparticle import hit, lambda_tables, marginal_deviation, prefix_tree, prefix_tree_charges
 
 DEFAULT_TOL = 1e-9
 
@@ -110,6 +112,14 @@ def _worst(errors: Iterable[float]) -> float:
     return float(np.max(list(errors)))
 
 
+def _hermitian_gap(table: np.ndarray) -> float:
+    """max |A - A^H|, over slabs of 64 rows so each transposed read stays small; a NaN still fails."""
+    return _worst(
+        np.max(np.abs(table[start : start + 64] - table[:, start : start + 64].conj().T))
+        for start in range(0, table.shape[0], 64)
+    )
+
+
 def _marginal_checks(
     runner: _Runner, marginals: list[float], oracle: Distribution, tol: float
 ) -> None:
@@ -172,7 +182,7 @@ def _stream_checks(
         1e-10,
         lambda: _worst(abs(marginals[j] - marginal_deviation(circuit, j, blocks[j])) for j in (0, 1)),
     )
-    runner.run("hermitian_pairing", 1e-12, lambda: float(np.max(np.abs(final - final.conj().T))))
+    runner.run("hermitian_pairing", 1e-12, lambda: _hermitian_gap(final))
     runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, largest - 1.0]))
     if circuit.particles == 2:
         records = density_report(circuit, budget)
@@ -195,15 +205,37 @@ def _three_particle_checks(
     marginals = [block.marginal() for _, block in table_blocks(circuit, final)]
     _marginal_checks(runner, marginals, oracle, tol)
     runner.run("three_closure", tol, lambda: gap)
-    runner.run("hermitian_pairing", 1e-12, lambda: float(np.max(np.abs(final - final.conj().T))))
+    runner.run("hermitian_pairing", 1e-12, lambda: _hermitian_gap(final))
     runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, largest - 1.0]))
     return marginals, final
+
+
+def verify_charges(circuit: Circuit) -> list[Charge]:
+    """Every budget charge `verify_circuit` makes, in the order its checks make them."""
+    charges = pathsum_charges(circuit) if circuit.n >= 1 else []
+    n = circuit.particles
+    if n >= 2 and circuit.n >= 1:
+        if n == 3:
+            charges += cascade_charges(circuit)
+        else:
+            charges += prefix_tree_charges(circuit)
+        if n == 2:
+            charges += density_charges(circuit)
+        if n >= 3:
+            charges += conditioned_charges(circuit, (0, 1))
+    return charges
 
 
 def verify_circuit(
     circuit: Circuit, tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET
 ) -> VerificationReport:
-    """Run every applicable invariant; raises BudgetExceeded if the circuit is too big."""
+    """Run every applicable invariant; raises BudgetExceeded if the circuit is too big.
+
+    The oracle's particle cap and every `verify_charges` charge are checked
+    before any check runs, in the order the checks would meet them.
+    """
+    check_particles(circuit.particles)
+    check_charges(verify_charges(circuit), budget)
     runner = _Runner()
     digest = circuit_digest(circuit)
     n = circuit.particles

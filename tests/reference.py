@@ -16,8 +16,10 @@ trimmed circuits that the tests compare. The stream helpers at the end read
 the per-layer lambda tables of `lambda_tables` and `lambda3_tables`: one pair's
 trajectory, the final endpoint blocks, and the Gram tables of the package's
 conditioned prefix states that every layer must match. Then come the
-earlier two-particle table builder and the earlier pair sum, which the
-general hit stream and the copy-free pair sum must reproduce. Last are the
+earlier two-particle table builder, the earlier three-particle cascade that
+refined its whole column stacks every layer, and the earlier pair sum, which
+the general hit stream, the carried-column cascade and the copy-free pair
+sum must reproduce. Last are the
 earlier single-gate kernels, `tensordot` and `moveaxis` with a matmul, and
 the oracle and conditioned layers built from them: the package's one-BLAS-
 call kernels on reshaped views must equal them bit for bit.
@@ -36,7 +38,7 @@ from sumpaths.corpus import random_circuit
 from sumpaths.common import LambdaBlock
 from sumpaths.oracle import Distribution, marginal_by_sum
 from sumpaths.paths import ConditionalUnitary, Path, condition_on_paths, conditioned_prefix_states
-from sumpaths.paths import path_amplitude
+from sumpaths.paths import apply_single, path_amplitude, prefix_amplitude_layers
 from sumpaths.subsystems import ConfigPath, normalize_subsystem, table_blocks
 
 
@@ -355,6 +357,117 @@ def two_particle_tables(circuit: Circuit) -> Iterator[np.ndarray]:
                 for b in (0, 1):
                     d = diag[b] * diag[a].conj() - 1.0
                     lam[a::2, b::2] += (pre.conj() * d) @ pre.T
+        yield lam
+
+
+def _refine(
+    stack: np.ndarray, signs: np.ndarray, increments: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve a column stack one layer finer and append this layer's increments.
+
+    `stack[p, e, L]` holds separable columns over (subsystem prefix p,
+    external prefix e); the accumulator it stands for is
+    sum_L signs[L] * conj(stack[p, e, L]) * stack[q, f, L]. Every carried
+    column is repeated over the new bit of both prefixes. An increment
+    (plus, minus) of two (p, e, 2) state tables books
+    sum_l conj(plus[p, e, l]) plus[q, f, l] - conj(minus[p, e, l]) minus[q, f, l]
+    as four new columns.
+    """
+    half, ext_half, carried = stack.shape
+    out = np.empty((half, 2, ext_half, 2, carried + 4 * len(increments)), dtype=complex)
+    out[..., :carried] = stack[:, None, :, None, :]
+    out = out.reshape(2 * half, 2 * ext_half, -1)
+    for index, (plus, minus) in enumerate(increments):
+        col = carried + 4 * index
+        out[:, :, col : col + 2] = plus
+        out[:, :, col + 2 : col + 4] = minus
+    booked = np.tile([1.0, 1.0, -1.0, -1.0], len(increments))
+    return out, np.concatenate([signs, booked])
+
+
+def _branch_hit(
+    left: np.ndarray, stack: np.ndarray, signs: np.ndarray, phases: np.ndarray
+) -> np.ndarray:
+    """One branch's share of the hit table, for every subsystem prefix pair.
+
+    `left[p, e]` is the booked external path weight (bare amplitude times
+    cumulative straddle phase), `stack`/`signs` the branch weight
+    1 + gamma + chi in column form, and `phases[p, k]` the booking gate's
+    phase for the subsystem at prefix p and external endpoint k. Summed over
+    external path pairs (e, f) ending at k, the weight splits into
+    outer(conj(B), B) for the 1 and (conj(X) * signs) @ X.T for the columns.
+    """
+    size = left.shape[0]
+    left = left.reshape(size, -1, 2)  # external prefix split into (earlier modes, endpoint k)
+    ones = left.sum(axis=1)
+    cols = np.einsum("qnk,qnkL->qkL", left, stack.reshape(*left.shape, stack.shape[2]))
+    hit = np.zeros((size, size), dtype=complex)
+    for k in (0, 1):
+        weight = np.outer(ones[:, k].conj(), ones[:, k]) + (cols[:, k].conj() * signs) @ cols[:, k].T
+        hit += (np.outer(phases[:, k].conj(), phases[:, k]) - 1.0) * weight
+    return hit
+
+
+def refined_cascade_tables(circuit: Circuit) -> Iterator[np.ndarray]:
+    """The earlier three-particle cascade: every layer refines each branch's whole column stack.
+
+    Each branch keeps its gamma and chi sums as a stack of signed columns
+    over (subsystem prefix, struck prefix) pairs, repeated over the new bit
+    of both prefixes at every layer up to the last A-B/A-C gate, and every
+    hit contracts the whole stack with the struck particle's path weights.
+    """
+    def factors(pair: tuple[int, int], t: int) -> np.ndarray | None:
+        gate = circuit.phase(t, pair)
+        return None if gate is None else gate.diagonal().reshape(2, 2)
+
+    coupled = [r for r in range(1, circuit.n + 1) if factors((0, 1), r) is not None or factors((0, 2), r) is not None]
+    last_hit = max(coupled, default=0)
+    lam = np.ones((1, 1), dtype=complex)
+    yield lam
+    states = {struck: np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2) for struck in (1, 2)}
+    stacks = {struck: np.zeros((1, 1, 0), dtype=complex) for struck in (1, 2)}
+    signs = {struck: np.zeros(0) for struck in (1, 2)}
+    straddle = {struck: np.ones((1, 1), dtype=complex) for struck in (1, 2)}
+    amplitudes = {
+        struck: itertools.islice(prefix_amplitude_layers(circuit, struck), 1, None) for struck in (1, 2)
+    }
+    for r in range(1, circuit.n + 1):
+        bit = np.arange(1 << r) % 2
+        hit_table = None
+        for struck in (1, 2):  # A-B, then A-C
+            partner = 3 - struck
+            ph_book = factors((0, struck), r)
+            ph_gamma = factors((0, partner), r)
+            ph_bc = factors((1, 2), r)
+            if ph_bc is not None and partner == 1:
+                ph_bc = ph_bc.T  # indexed [struck mode, partner mode]
+            amps = next(amplitudes[struck])
+            pre_bc = apply_single(states[struck], 2, circuit.single(r, partner))
+            pre_bc = np.repeat(np.repeat(pre_bc, 2, axis=0), 2, axis=1)
+            pre_gamma = pre_bc * ph_bc[bit][None, :, :] if ph_bc is not None else pre_bc
+            states[struck] = pre_gamma * ph_gamma[bit][:, None, :] if ph_gamma is not None else pre_gamma
+            increments = []
+            if ph_bc is not None:
+                increments.append((pre_gamma, pre_bc))
+            if ph_gamma is not None:
+                increments.append((states[struck], pre_gamma))
+            if r <= last_hit:
+                stacks[struck], signs[struck] = _refine(stacks[struck], signs[struck], increments)
+            straddle[struck] = np.repeat(np.repeat(straddle[struck], 2, axis=0), 2, axis=1)
+            if ph_book is not None:
+                # A-B books before the layer-r A-C gate, whose gamma is the stack's last four columns
+                columns = stacks[struck].shape[2] - 4 * (struck == 1 and ph_gamma is not None)
+                branch = _branch_hit(
+                    amps[None, :] * straddle[struck],
+                    stacks[struck][:, :, :columns],
+                    signs[struck][:columns],
+                    ph_book[bit],
+                )
+                hit_table = branch if hit_table is None else hit_table + branch
+                straddle[struck] = straddle[struck] * ph_book[bit[:, None], bit[None, :]]
+        lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
+        if hit_table is not None:
+            lam = lam + hit_table
         yield lam
 
 

@@ -1,12 +1,15 @@
 """Three-particle cascade: branch factors, closure, reductions, no-signaling."""
 from __future__ import annotations
 
+import tracemalloc
+from pathlib import Path as FilePath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumpaths.circuits import PhaseGate, append_external_layer, make_circuit, random_single
+from sumpaths.circuits import PhaseGate, append_external_layer, load_circuit, make_circuit, random_single
 from sumpaths.common import BudgetExceeded
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
@@ -29,9 +32,12 @@ from .reference import (
     final_blocks,
     gram_tables,
     lambda_general,
+    refined_cascade_tables,
     remove_trailing_external_gate,
     table_trajectory,
 )
+
+CORPUS = FilePath(__file__).resolve().parent.parent / "corpus"
 
 
 def sample_pairs(n: int, endpoint: int, count: int, seed: int = 0):
@@ -341,6 +347,48 @@ def test_tables_beyond_five_layers_match_direct_and_general_routes(layers):
         assert abs(blocks[j].marginal() - oracle[j]) < 1e-9
 
 
+def assert_matches_refined_cascade(circuit) -> None:
+    for lam, earlier in zip(lambda3_tables(circuit), refined_cascade_tables(circuit), strict=True):
+        assert np.max(np.abs(lam - earlier)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
+def test_tables_match_the_refined_cascade_on_sparse_gate_patterns(pattern, seed):
+    # the carried columns meet every mix of present and absent booking, gamma and chi gates
+    assert_matches_refined_cascade(sparse_circuit(pattern, np.random.default_rng(seed)))
+
+
+@settings(max_examples=14, deadline=None, derandomize=True)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_tables_match_the_refined_cascade_with_every_gate(layers, seed):
+    circuit = random_circuit(np.random.default_rng(seed), 3, layers, p_single=1.0, p_phase=1.0)
+    assert_matches_refined_cascade(circuit)
+
+
+@pytest.mark.parametrize("file", sorted(path.name for path in CORPUS.glob("n3_*.json")))
+def test_tables_match_the_refined_cascade_on_the_corpus(file):
+    assert_matches_refined_cascade(load_circuit(str(CORPUS / file)))
+
+
+def test_eight_all_gate_layers_peak_well_under_the_charged_stack():
+    # the charge is 4^8 prefix pairs by 64 columns, 64 MiB of complex entries; the
+    # contracted columns keep the build's allocations at half that or less
+    circuit = random_circuit(np.random.default_rng(83), 3, 8, p_single=1.0, p_phase=1.0)
+    tracemalloc.start()
+    try:
+        for lam in lambda3_tables(circuit):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lam.shape == (256, 256)
+    assert peak < 32 * 2**20
+
+
 def test_budget_guard_admits_eight_all_gate_layers_only():
     rng = np.random.default_rng(83)
     next(lambda3_tables(random_circuit(rng, 3, 8, p_single=1.0, p_phase=1.0)))
@@ -349,7 +397,7 @@ def test_budget_guard_admits_eight_all_gate_layers_only():
 
 
 def test_trailing_external_layer_costs_no_budget():
-    # the column stacks feed no hit after the last A-B/A-C gate, so the layer
+    # the booked columns feed no hit after the last A-B/A-C gate, so the layer
     # no-signaling appends fits the budget an all-gates n = 8 circuit fills
     rng = np.random.default_rng(89)
     circuit = random_circuit(rng, 3, 8, p_single=1.0, p_phase=1.0)

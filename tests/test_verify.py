@@ -13,7 +13,7 @@ import pytest
 
 from sumpaths import oracle, paths, subsystems, threeparticle, twoparticle, verify
 from sumpaths.circuits import HADAMARD, PhaseGate, build_epr_circuit, load_circuit, make_circuit, save_circuit
-from sumpaths.common import LambdaBlock
+from sumpaths.common import BudgetExceeded, LambdaBlock
 from sumpaths.cli import main
 from sumpaths.corpus import random_circuit
 from sumpaths.verify import verify_circuit
@@ -265,3 +265,47 @@ def test_zero_hit_layers_compares_streamed_tables_at_four_particles(monkeypatch)
     checks = {check.name: check for check in verify_circuit(circuit).checks}
     assert not checks["zero_hit_layers"].passed and checks["zero_hit_layers"].max_error > 0.0
     assert checks["telescoping"].passed
+
+
+@pytest.mark.parametrize(
+    "particles, layers, charge",
+    [
+        (3, 8, "configuration path pairs needs 268435456"),
+        (3, 7, "configuration path pairs needs 16777216"),
+        (2, 12, "path-pair table needs 16777216"),
+    ],
+)
+def test_every_charge_is_checked_before_any_check_runs(monkeypatch, tmp_path, particles, layers, charge):
+    # each of these fits its first charges and fails a later one
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before every charge was checked")
+
+    monkeypatch.setattr(verify, "states", no_oracle)
+    path = tmp_path / "c.json"
+    save_circuit(random_circuit(np.random.default_rng(11), particles, layers, p_single=0.9, p_phase=1.0), str(path))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--circuit", str(path)])
+    assert (code, out.getvalue()) == (3, "")
+    assert err.getvalue() == f"error: {charge} combinations, budget is 4194304; raise --budget to override\n"
+
+
+@pytest.mark.parametrize("file", ["n2_l3_s0.json", "n3_l3_s0.json", "n4_l3_s0.json"])
+def test_verify_charges_name_every_charge_the_checks_make(file):
+    # the checks fit exactly the largest listed charge, and one less fails the first one that needs it
+    circuit = load_circuit(str(CORPUS / file))
+    charges = verify.verify_charges(circuit)
+    largest = max(count for count, _ in charges)
+    assert verify_circuit(circuit, budget=largest).passed
+    first = next(what for count, what in charges if count == largest)
+    with pytest.raises(BudgetExceeded, match=f"^{first} needs {largest} "):
+        verify_circuit(circuit, budget=largest - 1)
+
+
+def test_hermitian_gap_reads_every_slab_and_keeps_nan():
+    rng = np.random.default_rng(3)
+    for size in (1, 64, 65, 200):
+        table = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        assert verify._hermitian_gap(table) == float(np.max(np.abs(table - table.conj().T)))
+        table[-1, 0] = np.nan
+        assert np.isnan(verify._hermitian_gap(table))
