@@ -20,14 +20,8 @@ from .circuits import (
     validate_circuit,
 )
 from .common import DEFAULT_BUDGET, BudgetExceeded, RealityError
-from .density import (
-    DensityPair,
-    density_step,
-    hit_offdiagonal,
-    hit_pathsum_amplitude,
-    normalized_phase_form,
-)
-from .oracle import Distribution, evolve, marginal_by_sum, reduced_density
+from .density import DensityPair, normalized_phase_form
+from .oracle import Distribution, evolve, marginal_by_sum
 from .paths import (
     ConditionalUnitary,
     Path,

@@ -91,10 +91,12 @@ class Layer:
     phases: tuple[PhaseGate, ...]
 
     def phase_on(self, pair: tuple[int, int]) -> PhaseGate | None:
-        for gate in self.phases:
-            if gate.pair == pair:
-                return gate
-        return None
+        return self._phase_by_pair.get(pair)
+
+    @cached_property
+    def _phase_by_pair(self) -> dict[tuple[int, int], PhaseGate]:
+        """Each pair's gate, built once per layer; the first gate wins, as a scan in order would find it."""
+        return {gate.pair: gate for gate in reversed(self.phases)}
 
 
 @dataclass(frozen=True, eq=False)

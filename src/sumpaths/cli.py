@@ -84,7 +84,7 @@ def _lambda_distribution(circuit: Circuit, subsystem: tuple[int, ...], budget: i
     probs = {}
     for outcome, block in lambda_blocks(circuit, subsystem, budget):
         probs[_label(outcome)] = block.marginal()
-        del block  # the next block's lambda is built without this one alive
+        del block  # a folded endpoint block is dense: the next is built without this one alive
     return probs
 
 
@@ -353,7 +353,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     raw = {}
     for outcome, block in lambda_blocks(circuit, subsystem, args.budget):
         raw[_label(outcome)] = _clamped(block, args.clamp).marginal()
-        del block  # the next block's lambda is built without this one alive
+        del block  # the block keeps its dense lambda: the next is built without this one alive
     raw_total = sum(raw.values())
     probabilities = {key: value / raw_total for key, value in raw.items()}
     deviations = {key: probabilities[key] - oracle[key] for key in raw}

@@ -1,7 +1,7 @@
 """Shared numeric constants, guard errors, and the lambda pair sum."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -44,28 +44,49 @@ def check_charges(charges: Iterable[Charge], budget: int) -> None:
         check_budget(count, budget, what)
 
 
-@dataclass(frozen=True)
 class LambdaBlock:
     """Path amplitudes and pairwise hidden variables for one subsystem outcome.
 
-    Every route (the hit stream, the three-particle cascade, general
-    conditioned overlaps) ends in one of these; only the way `lam` is
-    computed differs.
+    Every route ends in one of these; only the way lambda is held differs.
+    The hit stream and the three-particle cascade hold it dense, as `lam`.
+    General conditioned overlaps hold it as a Gram `factor` S: one row per
+    configuration path of the outcome, one column per external basis state,
+    with lambda = conj(S) S^T. Reading `lam` off a factor materializes that
+    product once, for callers that read entries; `marginal` never does.
     """
 
-    amplitudes: np.ndarray
-    lam: np.ndarray
+    def __init__(
+        self, amplitudes: np.ndarray, lam: np.ndarray | None = None, *, factor: np.ndarray | None = None
+    ) -> None:
+        if (lam is None) == (factor is None):
+            raise ValueError("a lambda block holds exactly one of lam and factor")
+        self.amplitudes = amplitudes
+        self.factor = factor
+        if lam is not None:
+            self.lam = lam
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """The dense lambda; off a factor, conj(S) S^T from a C-contiguous S."""
+        factor = np.ascontiguousarray(self.factor)
+        return factor.conj() @ factor.T
 
     def marginal(self) -> float:
         """Classical sum of path probabilities plus the lambda-weighted interference of distinct pairs.
 
         That is sum_i |a_i|^2 + sum_(i != k) conj(a_i) lambda_ik a_k, summed
-        as sum_i |a_i|^2 (1 - lambda_ii) + a^dagger lambda a, which reads
-        lambda in place and copies none of it.
+        as sum_i |a_i|^2 (1 - lambda_ii) + a^dagger lambda a. A dense lambda
+        is read in place and none of it is copied. Off a factor, lambda_ii is
+        |s_i|^2 and a^dagger lambda a is |S^T a|^2, so nothing of size
+        rows^2 is allocated.
         """
         a = self.amplitudes
-        classical = np.sum(np.abs(a) ** 2 * (1.0 - np.diagonal(self.lam)))
-        total = complex(classical) + complex(a.conj() @ self.lam @ a)
+        if self.factor is None:
+            diagonal, pairs = np.diagonal(self.lam), a.conj() @ self.lam @ a
+        else:
+            projected = a @ self.factor
+            diagonal, pairs = np.sum(np.abs(self.factor) ** 2, axis=1), np.vdot(projected, projected)
+        total = complex(np.sum(np.abs(a) ** 2 * (1.0 - diagonal))) + complex(pairs)
         if abs(total.imag) > REALITY_TOL:
             raise RealityError(f"pair sum has imaginary residue {total.imag:.3e}")
         return total.real

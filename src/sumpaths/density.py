@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, PhaseGate, factor_phase_gate, make_circuit
-from .common import DEFAULT_BUDGET, Charge, check_budget, check_charges
-from .oracle import evolve, reduced_density_of, states
-from .paths import conditioned_prefix_states, prefix_amplitude_layers, prefix_amplitudes
+from .common import DEFAULT_BUDGET, Charge, check_charges
+from .oracle import reduced_density_of, states
+from .paths import conditioned_prefix_states, prefix_amplitude_layers
 
 
 class PhaseGateNotNormalized(ValueError):
@@ -91,7 +91,7 @@ def _evolved(singles: np.ndarray, phi: float | None, prev_joint: np.ndarray) -> 
 def _step(
     circuit: Circuit, t: int, phi: float | None, prev_joint: np.ndarray, evolved: np.ndarray | None
 ) -> DensityPair:
-    """`density_step` from the layer's core angle and `_evolved` joint matrix."""
+    """One recursion step from the joint density matrix at layer t-1, the core angle and `_evolved`."""
     gate_a = circuit.single(t, 0)
     rho_prev = prev_joint.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
     miss = gate_a @ rho_prev @ gate_a.conj().T
@@ -104,7 +104,7 @@ def _step(
 
 
 def _offdiagonal(phi: float | None, evolved: np.ndarray | None) -> np.ndarray:
-    """`hit_offdiagonal` from the layer's core angle and `_evolved` joint matrix."""
+    """Independent off-diagonal formula for the hit term (its diagonal cancels exactly), from `_step`'s operands."""
     out = np.zeros((2, 2), dtype=complex)
     if phi is not None:
         out[0, 1] = (np.exp(-1j * phi) - 1.0) * evolved[1, 3]  # <01|...|11>
@@ -113,49 +113,18 @@ def _offdiagonal(phi: float | None, evolved: np.ndarray | None) -> np.ndarray:
 
 
 def _pathsum_collapse(circuit: Circuit, t: int, amps: np.ndarray, table: np.ndarray) -> complex:
-    """`hit_pathsum_amplitude` from particle 0's prefix amplitudes through layer t and tree table t - 1."""
+    """The collapse amplitude <01| singles |psi(t-1)> rebuilt as a subsystem path sum.
+
+    Each subsystem path to mode 0 carries its bare amplitude (particle 0's
+    prefix amplitudes through layer t) times the conditioned external
+    transition <1|B^(t) B_P^(t-1)|0> (tree table t - 1).
+    """
     return complex(np.sum(amps[::2] * (table @ circuit.single(t, 1)[1])))  # row 2k + 0 extends prefix k
 
 
 def _collapse_direct(singles: np.ndarray, psi: np.ndarray) -> complex:
-    """`collapse_amplitude_direct` from the layer's `_singles` and the state vector psi(t-1)."""
+    """<01| (A^(t) x B^(t)) |psi(t-1)>, straight from the layer's `_singles` and the state vector psi(t-1)."""
     return complex((singles @ psi)[1])
-
-
-def density_step(circuit: Circuit, t: int, prev_joint: np.ndarray) -> DensityPair:
-    """One recursion step from the full two-particle density matrix at layer t-1."""
-    _require_two_particles(circuit)
-    phi = _core_angle(circuit, t)
-    prev_joint = np.asarray(prev_joint, dtype=complex).reshape(4, 4)
-    return _step(circuit, t, phi, prev_joint, _evolved(_singles(circuit, t), phi, prev_joint))
-
-
-def hit_offdiagonal(circuit: Circuit, t: int, prev_joint: np.ndarray) -> np.ndarray:
-    """Independent off-diagonal formula for the hit term (diagonal cancels exactly)."""
-    _require_two_particles(circuit)
-    phi = _core_angle(circuit, t)
-    prev_joint = np.asarray(prev_joint, dtype=complex).reshape(4, 4)
-    return _offdiagonal(phi, _evolved(_singles(circuit, t), phi, prev_joint))
-
-
-def hit_pathsum_amplitude(circuit: Circuit, t: int, budget: int = DEFAULT_BUDGET) -> complex:
-    """The collapse amplitude <01| singles |psi(t-1)> rebuilt as a subsystem path sum.
-
-    Each subsystem path to mode 0 carries its bare amplitude times the
-    conditioned external transition <1|B^(t) B_P^(t-1)|0>.
-    """
-    _require_two_particles(circuit)
-    _core_angle(circuit, t)
-    check_budget(1 << max(t - 1, 0), budget, "subsystem paths")
-    head = Circuit(particles=2, layers=circuit.layers[:t])  # the tree stays within the budget charged
-    table = conditioned_prefix_states(head, (0,))[t - 1]
-    return _pathsum_collapse(circuit, t, prefix_amplitudes(circuit, 0, t), table)
-
-
-def collapse_amplitude_direct(circuit: Circuit, t: int) -> complex:
-    """<01| (A^(t) x B^(t)) |psi(t-1)>, straight from the state vector."""
-    _require_two_particles(circuit)
-    return _collapse_direct(_singles(circuit, t), evolve(circuit, t - 1))
 
 
 def density_charges(circuit: Circuit) -> list[Charge]:

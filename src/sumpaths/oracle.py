@@ -122,15 +122,8 @@ def marginal_of(state: np.ndarray, particles: int, members: Iterable[int]) -> Di
     return Distribution(labels=_outcome_labels(len(members)), probabilities=probs.reshape(-1))
 
 
-def reduced_density(circuit: Circuit, particle: int, upto: int | None = None) -> np.ndarray:
-    """Partial trace of |psi(t)><psi(t)| over every particle but one."""
-    if not 0 <= particle < circuit.particles:
-        raise IndexError(f"particle {particle} out of range")
-    return reduced_density_of(evolve(circuit, upto), circuit.particles, particle)
-
-
 def reduced_density_of(state: np.ndarray, particles: int, particle: int) -> np.ndarray:
-    """`reduced_density` of a state vector over `particles` particles."""
+    """Partial trace of |state><state| over every particle but `particle`, of `particles` particles."""
     state = state.reshape((2,) * particles)
     others = [i for i in range(particles) if i != particle]
     return np.tensordot(state, state.conj(), axes=(others, others))

@@ -6,7 +6,8 @@ paths with equal endpoint tuples is the overlap of the conditioned external
 evolutions. Every outcome of a subsystem reads the same conditioned
 evolution, so `conditioned_blocks` builds the prefix-shared evolution
 `paths.conditioned_prefix_states` once and yields each outcome's overlaps as
-the Gram matrix of that outcome's rows of its final table.
+a Gram factor: that outcome's rows of the final table, whose pair sum
+|S^T a|^2 needs no lambda matrix.
 `lambda_general_trajectory` evaluates one pair with per-path
 `condition_on_paths`, the independent reference, and exposes the per-layer
 prefix values (layers without a subsystem-external phase gate contribute an
@@ -112,7 +113,12 @@ def lambda_general_trajectory(
 
 
 def conditioned_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Charge]:
-    """What `conditioned_blocks` charges for a normalized subsystem: one outcome's lambda pairs, then the tree's final table."""
+    """What `conditioned_blocks` charges for a normalized subsystem: one outcome's lambda pairs, then the tree's final table.
+
+    The pairs are the ceiling a dense lambda would need. The blocks hold Gram
+    factors and build no pair table, but the charge stays, so no exit-3
+    point moves.
+    """
     n, size = circuit.n, len(particles)
     count = (1 << max(n - 1, 0)) ** size
     return [
@@ -126,37 +132,54 @@ def conditioned_blocks(
 ) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
     """(outcome, block) for every subsystem outcome, all read off one conditioned prefix tree.
 
-    An outcome's lambda is the Gram matrix of the tree's final-table rows at
-    its configuration paths; its amplitudes are the members' path amplitudes
-    times the intra-subsystem phases. The budget is charged the lambda pairs
-    of one outcome and the tree's final table before anything is built.
-    Outcomes come in `itertools.product((0, 1), repeat=M)` order, and each
-    lambda is built only when its outcome is reached.
+    An outcome's block is a Gram factor: the tree's final-table rows at its
+    configuration paths, whose overlaps are its lambda. Its amplitudes are
+    the members' path amplitudes times the intra-subsystem phases. The
+    final table and the joint amplitude tensor are each built once and
+    reordered once to (outcome, configuration path), so every block holds
+    views and no outcome allocates anything of its own (past n = 1; below,
+    an outcome has at most one path). The budget is
+    charged `conditioned_charges` before anything is built. Outcomes come in
+    `itertools.product((0, 1), repeat=M)` order.
     """
     particles = normalize_subsystem(circuit, subsystem)
     n, size = circuit.n, len(particles)
     check_charges(conditioned_charges(circuit, particles), budget)
-    final = conditioned_prefix_states(circuit, particles)[n]
-    amplitudes = [prefix_amplitudes(circuit, p) for p in particles]
-    pairs = itertools.combinations(range(size), 2)
-    phases = {(a, b): pair_phases(circuit, (particles[a], particles[b])) for a, b in pairs}
-    for outcome in itertools.product((0, 1), repeat=size):
-        rows = [endpoint_rows(n, j) for j in outcome]
-        joint = functools.reduce(lambda high, low: np.add.outer(high << n, low), rows).reshape(-1)
-        states = final[joint]
-        bare = functools.reduce(
-            np.multiply.outer, [amps[r] for amps, r in zip(amplitudes, rows)]
-        ).reshape(-1)
-        intra = np.ones([len(r) for r in rows], dtype=complex)
-        for (a, b), (prefix, last) in phases.items():
-            if prefix is not None:
-                shape = [1] * size
-                shape[a], shape[b] = prefix.shape
-                intra = intra * prefix.reshape(shape)
-            if last is not None:
-                intra = intra * last[outcome[a], outcome[b]]
-        # no local keeps the lambda across the yield
-        yield outcome, LambdaBlock(amplitudes=bare * intra.reshape(-1), lam=states.conj() @ states.T)
+    states = conditioned_prefix_states(circuit, particles)[n]
+    outcomes = itertools.product((0, 1), repeat=size)
+    amps = [prefix_amplitudes(circuit, p) for p in particles]
+    pairs = [
+        (a, b, pair_phases(circuit, (particles[a], particles[b]))) for a, b in itertools.combinations(range(size), 2)
+    ]
+    if n <= 1:
+        # at most one configuration path per outcome (none at n = 0 once the outcome
+        # has a 1); numpy rounds a one-element complex product differently from a
+        # longer loop, so each outcome multiplies one-element arrays of its own
+        for index, outcome in enumerate(outcomes):
+            bare = functools.reduce(np.multiply.outer, [amp[j : j + 1] for amp, j in zip(amps, outcome)])
+            intra = np.ones(bare.shape, dtype=complex)
+            for a, b, (_, last) in pairs:
+                if last is not None:
+                    intra = intra * last[outcome[a], outcome[b]]
+            yield outcome, LambdaBlock(amplitudes=(bare * intra).reshape(-1), factor=states[index : index + 1])
+        return
+    split = (1 << (n - 1), 2) * size  # each member's (n-1)-mode prefix, then its endpoint
+    bare = functools.reduce(np.multiply.outer, amps)
+    intra = np.ones(split, dtype=complex)
+    for a, b, factors in pairs:
+        for offset, factor in enumerate(factors):
+            if factor is not None:  # the prefix factor, then the last layer's
+                shape = [1] * len(split)
+                shape[2 * a + offset], shape[2 * b + offset] = factor.shape
+                intra = intra * factor.reshape(shape)
+    # endpoints first, copied C-contiguous: a strided row would round the dense pair sum differently
+    order = tuple(range(1, len(split), 2)) + tuple(range(0, len(split), 2))
+    amplitudes = np.ascontiguousarray((bare.reshape(split) * intra).transpose(order)).reshape(1 << size, -1)
+    external = 1 << (circuit.particles - size)
+    states = np.ascontiguousarray(states.reshape(split + (external,)).transpose(order + (len(split),)))
+    states = states.reshape(1 << size, -1, external)
+    for index, outcome in enumerate(outcomes):
+        yield outcome, LambdaBlock(amplitudes=amplitudes[index], factor=states[index])
 
 
 def table_blocks(
@@ -198,8 +221,9 @@ def lambda_blocks(
     table of the cascade. At any other particle count it streams the hits
     over the first n - 1 layers (charged 4^(n-1)), and `table_blocks` folds
     layer n into both endpoint blocks. Every other subsystem gets
-    `conditioned_blocks`. Blocks are yielded one at a time, so a caller that
-    drops each before asking for the next holds one lambda at a time.
+    `conditioned_blocks`, whose Gram-factor blocks hold no lambda until one
+    is read. Blocks are yielded one at a time, so a caller that drops each
+    before asking for the next holds one dense lambda at a time.
     """
     particles = normalize_subsystem(circuit, subsystem)
     if particles != (0,):

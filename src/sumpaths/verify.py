@@ -18,7 +18,8 @@ repeat at layers without a gate on particle 0 (zero_hit_layers). The final
 table's blocks serve the marginal checks and both sides of no_signaling:
 the appended layer has no gate on particle 0, so `table_blocks` folds it
 into the amplitudes. The density checks run for two particles only.
-general_subsystem reads the pair (0, 1) off one more tree. Each check is
+general_subsystem reads the pair (0, 1) off one more tree, as Gram
+factors whose pair sums build no lambda matrix. Each check is
 charged the time since the previous check ended, so a shared build counts
 in the first check that needs it and the timings add up to the verify's
 wall time. Every reduction keeps a NaN error, so a non-finite result fails
@@ -272,11 +273,8 @@ def verify_circuit(
 def _general_subsystem_error(circuit: Circuit, final: np.ndarray, budget: int) -> float:
     """The pair (0, 1) by the general route against the oracle's final state."""
     oracle = marginal_of(final, circuit.particles, (0, 1))
-    errors = []
-    for outcome, block in conditioned_blocks(circuit, (0, 1), budget):
-        errors.append(abs(block.marginal() - oracle[outcome]))
-        del block  # the next outcome's lambda is built without this one alive
-    return _worst(errors)
+    blocks = conditioned_blocks(circuit, (0, 1), budget)
+    return _worst(abs(block.marginal() - oracle[outcome]) for outcome, block in blocks)
 
 
 def _no_signaling_error(

@@ -19,10 +19,16 @@ conditioned prefix states that every layer must match. Then come the
 earlier two-particle table builder, the earlier three-particle cascade that
 refined its whole column stacks every layer, and the earlier pair sum, which
 the general hit stream, the carried-column cascade and the copy-free pair
-sum must reproduce. Last are the
+sum must reproduce. Then come the
 earlier single-gate kernels, `tensordot` and `moveaxis` with a matmul, and
 the oracle and conditioned layers built from them: the package's one-BLAS-
-call kernels on reshaped views must equal them bit for bit.
+call kernels on reshaped views must equal them bit for bit. Then comes the
+earlier general-subsystem route, which built each outcome's dense lambda as
+the Gram matrix of its gathered final-table rows: the package's Gram-factor
+blocks must give its amplitudes and lambdas bit for bit. Last are the
+per-layer density references, one layer and one formula per call over the
+package's own helpers, which `density_report` must reproduce bit for bit,
+and the oracle's partial trace of one evolved state.
 """
 from __future__ import annotations
 
@@ -35,11 +41,23 @@ import numpy as np
 
 from sumpaths.circuits import IDENTITY, Circuit, PhaseGate, make_circuit, random_single
 from sumpaths.corpus import random_circuit
-from sumpaths.common import LambdaBlock
-from sumpaths.oracle import Distribution, marginal_by_sum
+from sumpaths.common import DEFAULT_BUDGET, LambdaBlock, check_budget, check_charges
+from sumpaths.density import (
+    DensityPair,
+    _collapse_direct,
+    _core_angle,
+    _evolved,
+    _offdiagonal,
+    _pathsum_collapse,
+    _require_two_particles,
+    _singles,
+    _step,
+)
+from sumpaths.oracle import Distribution, evolve, marginal_by_sum, reduced_density_of
 from sumpaths.paths import ConditionalUnitary, Path, condition_on_paths, conditioned_prefix_states
-from sumpaths.paths import apply_single, path_amplitude, prefix_amplitude_layers
-from sumpaths.subsystems import ConfigPath, normalize_subsystem, table_blocks
+from sumpaths.paths import apply_single, endpoint_rows, pair_phases, path_amplitude, prefix_amplitude_layers
+from sumpaths.paths import prefix_amplitudes
+from sumpaths.subsystems import ConfigPath, conditioned_charges, normalize_subsystem, table_blocks
 
 
 def kron_layer_operator(circuit: Circuit, t: int) -> np.ndarray:
@@ -520,3 +538,82 @@ def tensordot_conditioned_layer(cond: ConditionalUnitary, state: np.ndarray, t: 
         shape = [2 if k == local else 1 for k in range(width)]
         state = diag.reshape(shape) * state
     return state.reshape(-1)
+
+
+def dense_conditioned_blocks(
+    circuit: Circuit, subsystem: tuple[int, ...], budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
+    """(outcome, block) for every subsystem outcome, all read off one conditioned prefix tree.
+
+    An outcome's lambda is the Gram matrix of the tree's final-table rows at
+    its configuration paths; its amplitudes are the members' path amplitudes
+    times the intra-subsystem phases. The budget is charged the lambda pairs
+    of one outcome and the tree's final table before anything is built.
+    Outcomes come in `itertools.product((0, 1), repeat=M)` order, and each
+    lambda is built only when its outcome is reached.
+    """
+    particles = normalize_subsystem(circuit, subsystem)
+    n, size = circuit.n, len(particles)
+    check_charges(conditioned_charges(circuit, particles), budget)
+    final = conditioned_prefix_states(circuit, particles)[n]
+    amplitudes = [prefix_amplitudes(circuit, p) for p in particles]
+    pairs = itertools.combinations(range(size), 2)
+    phases = {(a, b): pair_phases(circuit, (particles[a], particles[b])) for a, b in pairs}
+    for outcome in itertools.product((0, 1), repeat=size):
+        rows = [endpoint_rows(n, j) for j in outcome]
+        joint = reduce(lambda high, low: np.add.outer(high << n, low), rows).reshape(-1)
+        states = final[joint]
+        bare = reduce(np.multiply.outer, [amps[r] for amps, r in zip(amplitudes, rows)]).reshape(-1)
+        intra = np.ones([len(r) for r in rows], dtype=complex)
+        for (a, b), (prefix, last) in phases.items():
+            if prefix is not None:
+                shape = [1] * size
+                shape[a], shape[b] = prefix.shape
+                intra = intra * prefix.reshape(shape)
+            if last is not None:
+                intra = intra * last[outcome[a], outcome[b]]
+        # no local keeps the lambda across the yield
+        yield outcome, LambdaBlock(amplitudes=bare * intra.reshape(-1), lam=states.conj() @ states.T)
+
+
+def density_step(circuit: Circuit, t: int, prev_joint: np.ndarray) -> DensityPair:
+    """One recursion step from the full two-particle density matrix at layer t-1."""
+    _require_two_particles(circuit)
+    phi = _core_angle(circuit, t)
+    prev_joint = np.asarray(prev_joint, dtype=complex).reshape(4, 4)
+    return _step(circuit, t, phi, prev_joint, _evolved(_singles(circuit, t), phi, prev_joint))
+
+
+def hit_offdiagonal(circuit: Circuit, t: int, prev_joint: np.ndarray) -> np.ndarray:
+    """Independent off-diagonal formula for the hit term (diagonal cancels exactly)."""
+    _require_two_particles(circuit)
+    phi = _core_angle(circuit, t)
+    prev_joint = np.asarray(prev_joint, dtype=complex).reshape(4, 4)
+    return _offdiagonal(phi, _evolved(_singles(circuit, t), phi, prev_joint))
+
+
+def hit_pathsum_amplitude(circuit: Circuit, t: int, budget: int = DEFAULT_BUDGET) -> complex:
+    """The collapse amplitude <01| singles |psi(t-1)> rebuilt as a subsystem path sum.
+
+    Each subsystem path to mode 0 carries its bare amplitude times the
+    conditioned external transition <1|B^(t) B_P^(t-1)|0>.
+    """
+    _require_two_particles(circuit)
+    _core_angle(circuit, t)
+    check_budget(1 << max(t - 1, 0), budget, "subsystem paths")
+    head = Circuit(particles=2, layers=circuit.layers[:t])  # the tree stays within the budget charged
+    table = conditioned_prefix_states(head, (0,))[t - 1]
+    return _pathsum_collapse(circuit, t, prefix_amplitudes(circuit, 0, t), table)
+
+
+def collapse_amplitude_direct(circuit: Circuit, t: int) -> complex:
+    """<01| (A^(t) x B^(t)) |psi(t-1)>, straight from the state vector."""
+    _require_two_particles(circuit)
+    return _collapse_direct(_singles(circuit, t), evolve(circuit, t - 1))
+
+
+def reduced_density(circuit: Circuit, particle: int, upto: int | None = None) -> np.ndarray:
+    """Partial trace of |psi(t)><psi(t)| over every particle but one."""
+    if not 0 <= particle < circuit.particles:
+        raise IndexError(f"particle {particle} out of range")
+    return reduced_density_of(evolve(circuit, upto), circuit.particles, particle)

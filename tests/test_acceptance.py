@@ -15,21 +15,26 @@ import numpy as np
 from sumpaths.circuits import append_external_layer, build_epr_circuit, random_single, save_circuit
 from sumpaths.cli import main as cli_main
 from sumpaths.corpus import random_circuit
-from sumpaths.density import (
-    collapse_amplitude_direct,
-    density_step,
-    hit_offdiagonal,
-    hit_pathsum_amplitude,
-    normalized_phase_form,
-)
-from sumpaths.oracle import evolve, marginal_by_sum, reduced_density
+from sumpaths.density import normalized_phase_form
+from sumpaths.oracle import evolve, marginal_by_sum
 from sumpaths.paths import amplitudes_via_paths
 from sumpaths.subsystems import conditioned_blocks
 from sumpaths.threeparticle import lambda3_tables
 from sumpaths.twoparticle import lambda_accumulate, lambda_tables, marginal_deviation
 from sumpaths.paths import Path as SPath
 
-from .reference import decoupled_three_particle, drop_particle, final_blocks, gram_tables, random_corpus
+from .reference import (
+    collapse_amplitude_direct,
+    decoupled_three_particle,
+    density_step,
+    drop_particle,
+    final_blocks,
+    gram_tables,
+    hit_offdiagonal,
+    hit_pathsum_amplitude,
+    random_corpus,
+    reduced_density,
+)
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 

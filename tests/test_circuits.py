@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from sumpaths.circuits import (
     HADAMARD,
+    IDENTITY,
     BadParticleIndex,
     CircuitError,
     CircuitFormatError,
     DuplicatePhasePair,
+    Layer,
     NonUnitaryGate,
     PhaseGate,
     append_external_layer,
@@ -29,6 +31,7 @@ from sumpaths.circuits import (
     random_single,
     validate_circuit,
 )
+from sumpaths.corpus import random_circuit
 
 CZ = PhaseGate(pair=(0, 1), thetas=(0.0, 0.0, 0.0, math.pi))
 
@@ -71,6 +74,18 @@ def test_phase_diagonal_is_one_read_only_array(thetas):
         diagonal[0] = 1.0
     with pytest.raises(ValueError):
         diagonal.reshape(2, 2)[1, 1] = 1.0
+
+
+def test_phase_lookup_finds_what_a_scan_of_the_layer_finds():
+    # the pair map is built once per layer, and a layer built directly may repeat a pair
+    first, second = PhaseGate((0, 2), (0.1, 0.2, 0.3, 0.4)), PhaseGate((0, 2), (0.5, 0.6, 0.7, 0.8))
+    layers = [Layer(singles=(IDENTITY,) * 3, phases=(CZ, first, second))]
+    layers += [layer for n in (3, 5) for layer in random_circuit(np.random.default_rng(n), n, 4).layers]
+    for layer in layers:
+        for pair in itertools.combinations(range(len(layer.singles)), 2):
+            scanned = next((gate for gate in layer.phases if gate.pair == pair), None)
+            assert layer.phase_on(pair) is scanned
+    assert layers[0].phase_on((0, 2)) is first
 
 
 def test_unknown_keys_rejected():

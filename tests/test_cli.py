@@ -710,8 +710,9 @@ def test_trace_charges_the_conditioned_external_states(tmp_path):
 
 
 def test_lambda_blocks_are_held_one_at_a_time(tmp_path):
-    # subsystem (0, 1) of an all-gates N=4 n=6 circuit: each outcome's lambda is
-    # 1024 x 1024 complex, 16 MiB, and four outcomes would hold 64 MiB
+    # subsystem (0, 1) of an all-gates N=4 n=6 circuit: a dense lambda per outcome
+    # would be 1024 x 1024 complex, 16 MiB; the Gram-factor blocks are views of
+    # the tree's final table, 4096 x 4 complex, and hold no lambda at all
     path = tmp_path / "n4.json"
     circuit = random_circuit(np.random.default_rng(3), 4, 6, p_single=1.0, p_phase=1.0)
     save_circuit(circuit, str(path))
@@ -725,7 +726,7 @@ def test_lambda_blocks_are_held_one_at_a_time(tmp_path):
     oracle = marginal_by_sum(circuit, (0, 1)).as_mapping()
     probabilities = json.loads(out)["probabilities"]
     assert max(abs(probabilities[k] - oracle[k]) for k in oracle) < 1e-9
-    assert peak < 2 * 16 * 2**20
+    assert peak < 4 * 2**20
 
 
 def _strict_json(text: str):

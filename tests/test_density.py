@@ -10,18 +10,17 @@ from hypothesis import strategies as st
 
 from sumpaths.circuits import PhaseGate, build_epr_circuit, load_circuit, make_circuit
 from sumpaths.corpus import random_circuit
-from sumpaths.density import (
-    PhaseGateNotNormalized,
+from sumpaths.density import PhaseGateNotNormalized, density_report, normalized_phase_form
+from sumpaths.oracle import evolve
+
+from .reference import (
     collapse_amplitude_direct,
-    density_report,
     density_step,
     hit_offdiagonal,
     hit_pathsum_amplitude,
-    normalized_phase_form,
+    joint_distribution,
+    reduced_density,
 )
-from sumpaths.oracle import evolve, reduced_density
-
-from .reference import joint_distribution
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 

@@ -12,15 +12,9 @@ from hypothesis import strategies as st
 from sumpaths.circuits import HADAMARD, build_epr_circuit, make_circuit
 from sumpaths import oracle as oracle_module
 from sumpaths.corpus import random_circuit
-from sumpaths.oracle import (
-    Distribution,
-    evolve,
-    marginal_by_sum,
-    reduced_density,
-    states,
-)
+from sumpaths.oracle import Distribution, evolve, marginal_by_sum, states
 
-from .reference import joint_distribution, kron_evolve, tensordot_oracle_layer
+from .reference import joint_distribution, kron_evolve, reduced_density, tensordot_oracle_layer
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 

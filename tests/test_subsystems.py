@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import itertools
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sumpaths.circuits import Circuit, PhaseGate, build_epr_circuit, make_circuit, random_single
+from sumpaths.circuits import Circuit, PhaseGate, build_epr_circuit, load_circuit, make_circuit, random_single
 from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded, LambdaBlock
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
@@ -16,6 +17,7 @@ from sumpaths.paths import Path, enumerate_paths, path_amplitude
 from sumpaths.subsystems import (
     ConfigPath,
     conditioned_blocks,
+    conditioned_charges,
     enumerate_config_paths,
     lambda_blocks,
     lambda_general_trajectory,
@@ -24,7 +26,8 @@ from sumpaths.subsystems import (
 from sumpaths.threeparticle import lambda3_tables, lambda_three
 from sumpaths.twoparticle import lambda_accumulate, lambda_tables
 
-from .reference import column_pair_sum, config_path_amplitude, final_blocks, lambda_general, sparse_circuit
+from .reference import column_pair_sum, config_path_amplitude, dense_conditioned_blocks, final_blocks
+from .reference import lambda_general, sparse_circuit
 
 
 def test_single_particle_config_amplitude_reduces_to_path_amplitude():
@@ -228,3 +231,60 @@ def test_pair_sum_matches_the_column_sliced_sum(shape, clamp, seed):
         clamped = LambdaBlock(block.amplitudes, block.lam * scale)
         for checked in (block, clamped):
             assert abs(checked.marginal() - column_pair_sum(checked).real) < 1e-13
+
+
+CORPUS = FilePath(__file__).resolve().parent.parent / "corpus"
+
+
+def assert_gram_blocks_equal_the_dense_blocks(circuit, subsystem):
+    # the factor route keeps every amplitude and materialized lambda bit for bit,
+    # and sums its pairs as |S^T a|^2 to within rounding of the dense pair sum
+    oracle = marginal_by_sum(circuit, subsystem)
+    pairs = zip(conditioned_blocks(circuit, subsystem), dense_conditioned_blocks(circuit, subsystem), strict=True)
+    for (outcome, block), (dense_outcome, dense) in pairs:
+        assert outcome == dense_outcome
+        marginal = block.marginal()
+        if circuit.n == 0 and any(outcome):
+            assert block.amplitudes.size == block.factor.shape[0] == 0 and marginal == 0.0
+        assert np.array_equal(block.amplitudes, dense.amplitudes)
+        assert np.array_equal(block.lam, dense.lam)
+        assert LambdaBlock(block.amplitudes, block.lam).marginal() == dense.marginal()  # as perturb sums it
+        assert abs(marginal - dense.marginal()) < 1e-12
+        assert abs(marginal - oracle[outcome]) < 1e-10
+
+
+@pytest.mark.parametrize("layers", range(6))
+@pytest.mark.parametrize("particles", [2, 3, 4, 5])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(density=st.sampled_from([0.0, 0.3, 1.0]), data=st.data())
+def test_gram_factor_blocks_equal_the_dense_blocks(particles, layers, density, data):
+    members = data.draw(st.lists(st.integers(0, particles - 1), min_size=1, max_size=particles - 1, unique=True))
+    subsystem = tuple(sorted(members))
+    assume(subsystem != (0,))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_phase=density)
+    if max(count for count, _ in conditioned_charges(circuit, subsystem)) > DEFAULT_BUDGET:
+        # both routes stop at the same charge, with the same message, before any work
+        with pytest.raises(BudgetExceeded) as factored:
+            next(conditioned_blocks(circuit, subsystem))
+        with pytest.raises(BudgetExceeded) as dense:
+            next(dense_conditioned_blocks(circuit, subsystem))
+        assert str(factored.value) == str(dense.value)
+        return
+    assert_gram_blocks_equal_the_dense_blocks(circuit, subsystem)
+
+
+@pytest.mark.parametrize("subsystem", [(0, 1), (1, 2)])
+@pytest.mark.parametrize("file", sorted(path.name for path in CORPUS.glob("n[34]_*.json")))
+def test_gram_factor_blocks_equal_the_dense_blocks_on_the_corpus(file, subsystem):
+    assert_gram_blocks_equal_the_dense_blocks(load_circuit(str(CORPUS / file)), subsystem)
+
+
+def test_a_block_holds_exactly_one_lambda_form():
+    amplitudes, factor = np.ones(2, dtype=complex), np.eye(2, dtype=complex)
+    for forms in ({}, {"lam": np.eye(2), "factor": factor}):
+        with pytest.raises(ValueError):
+            LambdaBlock(amplitudes, **forms)
+    block = LambdaBlock(amplitudes, factor=factor)
+    assert block.lam is block.lam  # materialized once
+    assert np.array_equal(block.lam, np.eye(2)) and block.marginal() == 2.0
