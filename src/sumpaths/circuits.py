@@ -162,6 +162,10 @@ def _assemble(
     return Circuit(particles=particles, layers=tuple(built))
 
 
+_INF = math.inf
+_LAYER_KEYS = frozenset({"singles", "phases"})
+
+
 def _is_number(value: Any) -> bool:
     """JSON numbers a float can hold: booleans are ints to Python but never a valid number here."""
     if isinstance(value, float):
@@ -174,7 +178,25 @@ def _is_index(value: Any) -> bool:
 
 
 def _parse_complex_matrix(entries: Any, where: str) -> list[complex]:
-    """The four entries of a 2x2 matrix of [re, im] pairs, row by row."""
+    """The four entries of a 2x2 matrix of [re, im] pairs, row by row.
+
+    Eight floats in lists nested the right way, the form every canonical file
+    has, are taken after one unpacking and one type test per element;
+    anything else takes the element walk, which also reads ints and raises
+    for the first bad element.
+    """
+    try:
+        top, bottom = entries
+        (c0, c1), (c2, c3) = top, bottom
+        (a, b), (c, d), (e, f), (g, h) = c0, c1, c2, c3
+    except (TypeError, ValueError):
+        pass
+    else:
+        if (
+            type(entries) is type(top) is type(bottom) is type(c0) is type(c1) is type(c2) is type(c3) is list
+            and type(a) is type(b) is type(c) is type(d) is type(e) is type(f) is type(g) is type(h) is float
+        ):
+            return [complex(a, b), complex(c, d), complex(e, f), complex(g, h)]
     if (
         not isinstance(entries, list)
         or len(entries) != 2
@@ -194,6 +216,22 @@ def _parse_complex_matrix(entries: Any, where: str) -> list[complex]:
 
 
 def _parse_phase(raw: Any, particles: int, where: str) -> PhaseGate:
+    """A phase gate; a gate of two in-range ints and four finite floats is tested inline,
+    anything else takes the walk that raises for the first bad field."""
+    if type(raw) is dict and len(raw) == 2:
+        pair, theta = raw.get("pair"), raw.get("theta")
+        if type(pair) is list and type(theta) is list and len(pair) == 2 and len(theta) == 4:
+            (a, b), (t0, t1, t2, t3) = pair, theta
+            if (
+                type(a) is type(b) is int  # a bool's type is bool, not int
+                and 0 <= a < b < particles
+                and type(t0) is type(t1) is type(t2) is type(t3) is float
+                and -_INF < t0 < _INF  # false for NaN too
+                and -_INF < t1 < _INF
+                and -_INF < t2 < _INF
+                and -_INF < t3 < _INF
+            ):
+                return PhaseGate(pair=(a, b), thetas=(t0, t1, t2, t3))
     if not isinstance(raw, dict):
         raise CircuitFormatError(f"{where}: phase gate must be an object")
     unknown = set(raw) - {"pair", "theta"}
@@ -239,9 +277,8 @@ def validate_circuit(raw: Mapping[str, Any]) -> Circuit:
         where = f"layer {t}"
         if not isinstance(raw_layer, dict):
             raise CircuitFormatError(f"{where}: must be an object")
-        unknown = set(raw_layer) - {"singles", "phases"}
-        if unknown:
-            raise CircuitFormatError(f"{where}: unknown keys {sorted(unknown)}")
+        if not raw_layer.keys() <= _LAYER_KEYS:
+            raise CircuitFormatError(f"{where}: unknown keys {sorted(raw_layer.keys() - _LAYER_KEYS)}")
 
         rows: dict[int, int] = {}
         raw_singles = raw_layer.get("singles", {})
@@ -508,6 +545,8 @@ def load_circuit(path: str) -> Circuit:
             raw = json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as err:
             raise CircuitFormatError(f"{path}: invalid JSON ({err})") from None
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise CircuitFormatError(f"{path}: invalid JSON (nested too deeply)") from None
         except CircuitFormatError as err:
             raise CircuitFormatError(f"{path}: {err}") from None
     return validate_circuit(raw)

@@ -250,6 +250,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with open(manifest_path, encoding="utf-8") as handle:
         try:
             manifest = json.load(handle, object_pairs_hook=_unique_keys)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise CircuitFormatError(f"{manifest_path}: invalid JSON (nested too deeply)") from None
         except CircuitFormatError as err:
             raise CircuitFormatError(f"{manifest_path}: {err}") from None
     entries = manifest.get("circuits") if isinstance(manifest, dict) else None
@@ -284,7 +286,7 @@ def _parse_gate_spec(text: str) -> np.ndarray:
         pass
     try:
         entries = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # the decoder recurses once per nesting level
         raise CircuitError(f"gate spec {text!r} is neither an angle nor a JSON matrix") from None
     try:
         return np.array([[complex(re, im) for re, im in row] for row in entries])

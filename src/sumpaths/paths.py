@@ -5,11 +5,12 @@ the implicit start m_0 = 0. Enumeration order is lexicographic in
 (m_1, ..., m_{n-1}) and is part of the public contract: tables and reports
 keyed by path index are reproducible run to run.
 
-`conditioned_prefix_states` is the one vectorized evolution of the external
-system conditioned on subsystem paths: the hit stream of the subsystem (0,),
-the Gram tables `verify` checks both table streams against, the general
-blocks and the density path sum read their external states from this prefix
-tree.
+`conditioned_prefix_state_layers` is the one vectorized evolution of the
+external system conditioned on subsystem paths, one table per layer, and
+`conditioned_prefix_states` holds its tables from a given layer on: the hit
+stream of the subsystem (0,), the Gram tables `verify` checks both table
+streams against, the general blocks (the final table only) and the density
+path sum read their external states from this prefix tree.
 `condition_on_paths` is the per-path scalar reference it is checked against.
 """
 from __future__ import annotations
@@ -314,8 +315,8 @@ def apply_single(state: np.ndarray, axis: int, gate: np.ndarray) -> np.ndarray:
     return rows.reshape(view.shape[0], -1, 2).transpose(0, 2, 1).reshape(state.shape)
 
 
-def conditioned_prefix_states(circuit: Circuit, subsystem: Sequence[int]) -> list[np.ndarray]:
-    """External states conditioned on every subsystem path prefix, after layers 0..n.
+def conditioned_prefix_state_layers(circuit: Circuit, subsystem: Sequence[int]) -> Iterator[np.ndarray]:
+    """External states conditioned on every subsystem path prefix, after layers t = 0..n, each grown from the last.
 
     Table t is (2^(M t), 2^(N - M)). A row joins the members' t-mode prefix
     indices, first member most significant; a column is an
@@ -337,7 +338,7 @@ def conditioned_prefix_states(circuit: Circuit, subsystem: Sequence[int]) -> lis
     axis.update({p: size + k for k, p in enumerate(external)})
     state = np.zeros((1,) * size + (2,) * width, dtype=complex)
     state[(0,) * state.ndim] = 1.0
-    tables = [state.reshape(1, -1)]
+    yield state.reshape(1, -1)
     for t in range(1, circuit.n + 1):
         layer = circuit.layer(t)
         for p in external:
@@ -363,5 +364,9 @@ def conditioned_prefix_states(circuit: Circuit, subsystem: Sequence[int]) -> lis
             shape = [1] * state.ndim
             shape[axis[member]], shape[axis[other]] = 1 << t, 2
             state = state * factors[new_mode].reshape(shape)
-        tables.append(state.reshape(-1, 1 << width))
-    return tables
+        yield state.reshape(-1, 1 << width)
+
+
+def conditioned_prefix_states(circuit: Circuit, subsystem: Sequence[int], first: int = 0) -> list[np.ndarray]:
+    """`conditioned_prefix_state_layers`' tables after layers `first`..n; no earlier table is held."""
+    return list(itertools.islice(conditioned_prefix_state_layers(circuit, subsystem), first, None))

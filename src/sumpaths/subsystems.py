@@ -145,7 +145,7 @@ def conditioned_blocks(
     particles = normalize_subsystem(circuit, subsystem)
     n, size = circuit.n, len(particles)
     check_charges(conditioned_charges(circuit, particles), budget)
-    states = conditioned_prefix_states(circuit, particles)[n]
+    (states,) = conditioned_prefix_states(circuit, particles, first=n)  # the final table only
     outcomes = itertools.product((0, 1), repeat=size)
     amps = [prefix_amplitudes(circuit, p) for p in particles]
     pairs = [

@@ -29,36 +29,50 @@ Each gamma or chi increment is sum_l conj(f_l(p, m)) f_l(q, n), separable
 across the (p, m) | (q, n) split of subsystem and struck prefixes, and a hit
 sums it over struck path pairs (m, n) that end together, each side times
 the struck particle's path weight: its bare amplitude times the booked
-A-struck phases. So `lambda3_tables` books each increment as four signed
-columns of the partner's conditioned states over (p, m) and contracts them
-over m with those weights once, at the booking layer, into a
-(2^r, 2 endpoints, 4) block. Later layers carry the contracted columns
-forward by a 2x2 transfer (`_carry`): a column only repeats over the new
-bits, while a path weight gains the layer's booking factor and the struck
-particle's next single. A layer costs O(4^r) for the partner's states,
-their weights and the one contraction, O(2^r * columns) for the carry, and
-one O(4^r * columns) product for the hit; no array holds 4^r * columns
-entries. The partner's states stay the literal (p, m)-conditioned ones:
-contracting them earlier would turn the columns into the conditioned
-external-pair states that `three_closure` checks the tables against.
+A-struck phases. An increment is the partner's conditioned state after its
+gate minus the state before it, so a layer's B-C and A-partner increments
+telescope into one: the state after every gate of the layer minus the
+state before the first. `lambda3_tables` books that as four signed columns
+of the partner's conditioned states over (p, m), one pair per branch and
+layer, and contracts them over m with the path weights once, at the booking
+layer, into a (2^r, 2 endpoints, 4) block. The one exception is the A-B hit
+at its own booking layer, which stops before that layer's A-C gate: it
+reads the pair [after B-C, before B-C] in place of the layer's stored one.
+Later layers carry the contracted columns forward by a 2x2 transfer
+(`_carry`): a column only repeats over the new bits, while a path weight
+gains the layer's booking factor and the struck particle's next single. A
+layer costs O(4^r) for the partner's states, their weights and the one
+contraction, O(2^r * columns) for the carry, and one O(4^r * columns)
+product for the hit; no array holds 4^r * columns entries. The partner's
+states stay the literal (p, m)-conditioned ones: contracting them earlier
+would turn the columns into the conditioned external-pair states that
+`three_closure` checks the tables against.
 
-The budget is still charged with 4^r prefix pairs times the columns booked
-through layer r, at its largest (`_largest_table`): pairs of work, not
-bytes held. All-gates circuits reach n = 8 under the default budget of 2^22.
+The budget is still charged with 4^r prefix pairs times four columns per
+present gate of each branch through layer r, at its largest
+(`_largest_table`): pairs of work, not bytes held, and an upper bound on
+the columns now booked. All-gates circuits reach n = 8 under the default
+budget of 2^22.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, PhaseGate
 from .common import DEFAULT_BUDGET, Charge, check_budget, check_charges
 from .paths import Path, apply_single, enumerate_paths, path_amplitude
 
 AB, AC, BC = (0, 1), (0, 2), (1, 2)
+
+_NO_FACTORS = np.ones((2, 2, 2))
+_NO_FACTORS.flags.writeable = False
+# Two blocks of two columns, the first added and the second subtracted: a booked
+# pair [after, before] over the partner's modes, and a hit's [phased, bare] sides.
+_PLUS_MINUS = np.array([1.0, 1.0, -1.0, -1.0])
+_PLUS_MINUS.flags.writeable = False
 
 
 def _require_three_particles(circuit: Circuit, external: int = 1) -> None:
@@ -83,9 +97,8 @@ def _straddle_phase(circuit: Circuit, pair: tuple[int, int], a: Path, b: Path, u
     return angle
 
 
-def _phases(circuit: Circuit, pair: tuple[int, int], t: int) -> np.ndarray | None:
-    """The gate's factors exp(1j * theta) on `pair` at layer t, read-only, shaped like `_thetas`."""
-    gate = circuit.phase(t, pair)
+def _factors(gate: PhaseGate | None) -> np.ndarray | None:
+    """The gate's factors exp(1j * theta), read-only, indexed [mode of first, mode of second]."""
     return None if gate is None else gate.diagonal().reshape(2, 2)
 
 
@@ -214,7 +227,7 @@ def hit_three(
     branches = []
     for struck in (1, 2):  # A-B, then A-C
         terms = []
-        if _thetas(circuit, (0, struck), r) is not None:
+        if circuit.phase(r, (0, struck)) is not None:
             for k in (0, 1):
                 paths = enumerate_paths(r, k)
                 for e in paths:
@@ -268,8 +281,8 @@ def _last_hit_layer(circuit: Circuit) -> int:
     """The last layer with an A-B or A-C gate, or 0; no hit reads the branches after it."""
     coupled = [
         r
-        for r in range(1, circuit.n + 1)
-        if _thetas(circuit, AB, r) is not None or _thetas(circuit, AC, r) is not None
+        for r, layer in enumerate(circuit.layers, start=1)
+        if layer.phase_on(AB) is not None or layer.phase_on(AC) is not None
     ]
     return max(coupled, default=0)
 
@@ -278,14 +291,18 @@ def _largest_table(circuit: Circuit) -> int:
     """The cascade's charge: 4^r prefix pairs times the columns booked through layer r, at its largest.
 
     r runs up to `_last_hit_layer`, and the final 4^n lambda table counts if
-    larger. The count is pairs of work, not bytes held: each booked column
-    is contracted over the 4^r (subsystem, struck) prefix pairs once, and
-    every later hit reads it over all 4^r subsystem prefix pairs.
+    larger. Each of a layer's present B-C, A-B and A-C gates counts four
+    columns on the branches it reaches, as when every increment was booked
+    as a pair of its own; `lambda3_tables` books one telescoped pair per
+    branch and layer, so the count bounds its columns from above. It is
+    pairs of work, not bytes held: each booked column is contracted over
+    the 4^r (subsystem, struck) prefix pairs once, and every later hit reads
+    it over all 4^r subsystem prefix pairs.
     """
     largest = 4**circuit.n
     c_columns = b_columns = 0
-    for r in range(1, _last_hit_layer(circuit) + 1):
-        bc, ab, ac = (_thetas(circuit, pair, r) is not None for pair in (BC, AB, AC))
+    for r, layer in enumerate(circuit.layers[: _last_hit_layer(circuit)], start=1):
+        bc, ab, ac = (layer.phase_on(pair) is not None for pair in (BC, AB, AC))
         c_columns += 4 * (bc + ac)
         b_columns += 4 * (bc + ab)
         largest = max(largest, 4**r * max(c_columns, b_columns))
@@ -310,8 +327,9 @@ def _carry(columns: np.ndarray, single: np.ndarray, booking: np.ndarray | None) 
     the weights themselves.
     """
     if booking is not None:
-        columns = columns * booking[np.arange(columns.shape[0]) % 2][:, :, None]
-    return np.repeat(single @ columns, 2, axis=0)
+        size, _, count = columns.shape
+        columns = (columns.reshape(size // 2, 2, 2, count) * booking[:, :, None]).reshape(size, 2, count)
+    return (single @ columns).repeat(2, axis=0)
 
 
 def _grow_weights(weights: np.ndarray, single: np.ndarray, booking: np.ndarray | None) -> np.ndarray:
@@ -334,12 +352,18 @@ def _contract(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
     """States over (r-1)-mode prefix pairs, repeated over both new bits, summed with r-mode path weights.
 
     The sum runs over the struck prefixes that end at k: entry [2q + b, k, l]
-    is sum_e weights[2q + b, 2e + k] states[q, e, l], one batched
-    (2, e) x (e, l) product per (q, b).
+    is sum_e weights[2q + b, 2e + k] states[q, e, l]. A weight repeats over
+    the subsystem's new bit b (`_grow_weights`), so this is one batched
+    (2, e) x (e, l) product per q, repeated over b.
     """
     size = states.shape[0]
-    rows = weights.reshape(size, 2, size, 2).transpose(0, 1, 3, 2)
-    return (rows @ states[:, None]).reshape(2 * size, 2, 2)
+    rows = weights.reshape(size, 2, size, 2)[:, 0].transpose(0, 2, 1)  # the same for both b
+    return (rows @ states).repeat(2, axis=0)
+
+
+def _telescoped(carried: np.ndarray, chain: list[np.ndarray]) -> np.ndarray:
+    """The carried columns, then the pair [last state, first state] of a chain that passed a gate."""
+    return carried if len(chain) == 1 else np.concatenate([carried, chain[-1], chain[0]], axis=2)
 
 
 def _branch_hit(columns: np.ndarray, signs: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -353,8 +377,8 @@ def _branch_hit(columns: np.ndarray, signs: np.ndarray, phases: np.ndarray) -> n
     product over the phased and bare columns side by side.
     """
     phased = columns * phases[:, :, None]
-    side = np.concatenate([phased[:, 0], phased[:, 1], columns[:, 0], columns[:, 1]], axis=1)
-    signed = np.concatenate([signs, signs, -signs, -signs])
+    side = np.concatenate([phased, columns], axis=1).reshape(len(columns), -1)
+    signed = np.multiply.outer(_PLUS_MINUS, signs).reshape(-1)
     return (side.conj() * signed) @ side.T
 
 
@@ -363,10 +387,11 @@ def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[n
 
     All arrays are indexed by prefix integers with modes packed
     most-significant-first, exactly like the two-particle tables. Each
-    branch books its gamma and chi increments as columns of the partner's
-    conditioned states over (subsystem, struck) prefix pairs, contracts
-    them with the struck particle's path weights once, at the booking
-    layer, and carries the contracted columns forward by `_carry`. Each
+    branch books a layer's gamma and chi increments, telescoped into one
+    pair, as columns of the partner's conditioned states over (subsystem,
+    struck) prefix pairs, contracts them with the struck particle's path
+    weights once, at the booking layer, and carries the contracted columns
+    forward by `_carry`. Each
     lambda table is a fresh array, never written after it is yielded. The
     `cascade_charges` and the particle count are checked on the first
     `next()`.
@@ -389,11 +414,12 @@ def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[n
     last_hit = _last_hit_layer(circuit)
 
     for r in range(1, circuit.n + 1):
-        lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
+        lam = lam.repeat(2, axis=0).repeat(2, axis=1)
         if r > last_hit:  # no hit reads the branches again
             yield lam
             continue
-        phases = {pair: _phases(circuit, pair, r) for pair in (AB, AC, BC)}
+        layer = circuit.layers[r - 1]
+        phases = {pair: _factors(layer.phase_on(pair)) for pair in (AB, AC, BC)}
         bit = np.arange(1 << r) % 2
         for struck in (1, 2):  # A-B, then A-C
             partner = 3 - struck
@@ -401,14 +427,13 @@ def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[n
             ph_bc = _toward(partner, phases[BC])
 
             # The partner's conditioned states through this layer's gate sequence:
-            # single, then B-C, then A-partner. Each present gate books the state
-            # after it minus the state before it, contracted with the struck
+            # single, then B-C, then A-partner, contracted with the struck
             # particle's path weights now; a diagonal gate commutes with that
             # contraction, so one contraction serves the whole sequence.
-            weights[struck] = _grow_weights(weights[struck], circuit.single(r, struck), booking[struck])
-            moved = apply_single(states[struck], 2, circuit.single(r, partner))
+            weights[struck] = _grow_weights(weights[struck], layer.singles[struck], booking[struck])
+            moved = apply_single(states[struck], 2, layer.singles[partner])
             chain = [_contract(weights[struck], moved)]
-            factors = np.ones((2, 2, 2))  # [new subsystem mode, new struck mode, partner mode]
+            factors = _NO_FACTORS  # [new subsystem mode, new struck mode, partner mode]
             if ph_bc is not None:
                 chain.append(chain[-1] * ph_bc)
                 factors = factors * ph_bc
@@ -421,13 +446,19 @@ def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[n
                 np.multiply(moved[:, None, :, None, :], factors[:, None], out=grown)
                 states[struck] = grown.reshape(2 * size, 2 * size, 2)
 
-            booked = [np.concatenate([after, before], axis=2) for before, after in itertools.pairwise(chain)]
-            carried = _carry(columns[struck], circuit.single(r, struck), booking[struck])
-            columns[struck] = np.concatenate([carried, *booked], axis=2)
-            signs[struck] = np.concatenate([signs[struck], *[[1.0, 1.0, -1.0, -1.0]] * len(booked)])
+            # Each present gate's increment is the state after it minus the state
+            # before it, so the layer's increments telescope: one signed pair,
+            # [after every gate, before the first], stands for all of them.
+            carried = _carry(columns[struck], layer.singles[struck], booking[struck])
+            columns[struck] = _telescoped(carried, chain)
+            if len(chain) > 1:
+                signs[struck] = np.concatenate([signs[struck], _PLUS_MINUS])
             booking[struck] = ph_book
-            if ph_book is not None:
-                # A-B books before the layer-r A-C gate, whose gamma is the last four columns
-                count = columns[struck].shape[2] - 4 * (struck == 1 and ph_gamma is not None)
-                lam += _branch_hit(columns[struck][:, :, :count], signs[struck][:count], ph_book[bit])
+            if ph_book is None:
+                continue
+            hit_columns = columns[struck]
+            if struck == 1 and ph_gamma is not None:
+                # A-B books before the layer-r A-C gate: its hit's pair stops at the state before that gate
+                hit_columns = _telescoped(carried, chain[:-1])
+            lam += _branch_hit(hit_columns, signs[struck][: hit_columns.shape[2]], ph_book[bit])
         yield lam

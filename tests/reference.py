@@ -25,21 +25,36 @@ the oracle and conditioned layers built from them: the package's one-BLAS-
 call kernels on reshaped views must equal them bit for bit. Then comes the
 earlier general-subsystem route, which built each outcome's dense lambda as
 the Gram matrix of its gathered final-table rows: the package's Gram-factor
-blocks must give its amplitudes and lambdas bit for bit. Last are the
+blocks must give its amplitudes and lambdas bit for bit. Then come the
 per-layer density references, one layer and one formula per call over the
 package's own helpers, which `density_report` must reproduce bit for bit,
-and the oracle's partial trace of one evolved state.
+and the oracle's partial trace of one evolved state. Then comes the
+earlier cascade charge, which tested each gate's presence by building its
+angle table. Last is the earlier circuit validator, which tests every
+number with a helper call: `validate_circuit`'s inline type tests must give
+the same circuits and raise the same errors.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from functools import reduce
-from typing import Iterator
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from sumpaths.circuits import IDENTITY, Circuit, PhaseGate, make_circuit, random_single
+from sumpaths.circuits import (
+    IDENTITY,
+    BadParticleIndex,
+    Circuit,
+    CircuitFormatError,
+    DuplicatePhasePair,
+    PhaseGate,
+    _assemble,
+    make_circuit,
+    random_single,
+)
 from sumpaths.corpus import random_circuit
 from sumpaths.common import DEFAULT_BUDGET, LambdaBlock, check_budget, check_charges
 from sumpaths.density import (
@@ -58,6 +73,7 @@ from sumpaths.paths import ConditionalUnitary, Path, condition_on_paths, conditi
 from sumpaths.paths import apply_single, endpoint_rows, pair_phases, path_amplitude, prefix_amplitude_layers
 from sumpaths.paths import prefix_amplitudes
 from sumpaths.subsystems import ConfigPath, conditioned_charges, normalize_subsystem, table_blocks
+from sumpaths.threeparticle import _thetas
 
 
 def kron_layer_operator(circuit: Circuit, t: int) -> np.ndarray:
@@ -617,3 +633,134 @@ def reduced_density(circuit: Circuit, particle: int, upto: int | None = None) ->
     if not 0 <= particle < circuit.particles:
         raise IndexError(f"particle {particle} out of range")
     return reduced_density_of(evolve(circuit, upto), circuit.particles, particle)
+
+
+def thetas_cascade_charges(circuit: Circuit) -> list:
+    """The earlier `cascade_charges`: each gate's presence read off its 2x2 angle table."""
+    def present(pair: tuple[int, int], r: int) -> bool:
+        return _thetas(circuit, pair, r) is not None
+
+    ab, ac, bc = (0, 1), (0, 2), (1, 2)
+    last_hit = max((r for r in range(1, circuit.n + 1) if present(ab, r) or present(ac, r)), default=0)
+    largest = 4**circuit.n
+    c_columns = b_columns = 0
+    for r in range(1, last_hit + 1):
+        has_bc, has_ab, has_ac = (present(pair, r) for pair in (bc, ab, ac))
+        c_columns += 4 * (has_bc + has_ac)
+        b_columns += 4 * (has_bc + has_ab)
+        largest = max(largest, 4**r * max(c_columns, b_columns))
+    return [(largest, "three-particle cascade table")]
+
+
+def _ref_is_number(value: Any) -> bool:
+    """JSON numbers a float can hold: booleans are ints to Python but never a valid number here."""
+    if isinstance(value, float):
+        return True
+    return isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _ref_is_index(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _ref_parse_complex_matrix(entries: Any, where: str) -> list[complex]:
+    """The four entries of a 2x2 matrix of [re, im] pairs, row by row."""
+    if (
+        not isinstance(entries, list)
+        or len(entries) != 2
+        or any(not isinstance(row, list) or len(row) != 2 for row in entries)
+    ):
+        raise CircuitFormatError(f"{where}: expected a 2x2 matrix of [re, im] pairs")
+    out = []
+    for i, row in enumerate(entries):
+        for j, cell in enumerate(row):
+            if not isinstance(cell, list) or len(cell) != 2:
+                raise CircuitFormatError(f"{where}[{i}][{j}]: expected [re, im]")
+            re, im = cell
+            if not _ref_is_number(re) or not _ref_is_number(im):
+                raise CircuitFormatError(f"{where}[{i}][{j}]: entries must be numbers")
+            out.append(complex(re, im))
+    return out
+
+
+def _ref_parse_phase(raw: Any, particles: int, where: str) -> PhaseGate:
+    if not isinstance(raw, dict):
+        raise CircuitFormatError(f"{where}: phase gate must be an object")
+    unknown = set(raw) - {"pair", "theta"}
+    if unknown:
+        raise CircuitFormatError(f"{where}: unknown keys {sorted(unknown)}")
+    pair = raw.get("pair")
+    theta = raw.get("theta")
+    if not isinstance(pair, list) or len(pair) != 2 or not all(_ref_is_index(x) for x in pair):
+        raise CircuitFormatError(f"{where}: 'pair' must be two particle indices")
+    a, b = pair
+    if not (0 <= a < particles and 0 <= b < particles):
+        raise BadParticleIndex(f"{where}: pair {pair} out of range for {particles} particles")
+    if a >= b:
+        raise BadParticleIndex(f"{where}: pair must be strictly increasing, got {pair}")
+    if not isinstance(theta, list) or len(theta) != 4:
+        raise CircuitFormatError(f"{where}: 'theta' must be four angles")
+    angles = []
+    for k, value in enumerate(theta):
+        if not _ref_is_number(value) or not math.isfinite(value):
+            raise CircuitFormatError(f"{where}: theta[{k}] must be a finite number")
+        angles.append(float(value))
+    return PhaseGate(pair=(a, b), thetas=tuple(angles))
+
+
+def reference_validate_circuit(raw: Mapping[str, Any]) -> Circuit:
+    """The earlier validator: every number through `_ref_is_number`, every gate through the element walk."""
+    if not isinstance(raw, Mapping):
+        raise CircuitFormatError("circuit description must be an object")
+    unknown = set(raw) - {"particles", "layers"}
+    if unknown:
+        raise CircuitFormatError(f"unknown top-level keys {sorted(unknown)}")
+    particles = raw.get("particles")
+    if not _ref_is_index(particles) or particles < 1:
+        raise CircuitFormatError("'particles' must be a positive integer")
+    raw_layers = raw.get("layers")
+    if not isinstance(raw_layers, list):
+        raise CircuitFormatError("'layers' must be a list")
+
+    layers: list[tuple[dict[int, int], list[PhaseGate]]] = []
+    singles: list[list[complex]] = []
+    wheres: list[str] = []
+    for t, raw_layer in enumerate(raw_layers, start=1):
+        where = f"layer {t}"
+        if not isinstance(raw_layer, dict):
+            raise CircuitFormatError(f"{where}: must be an object")
+        unknown = set(raw_layer) - {"singles", "phases"}
+        if unknown:
+            raise CircuitFormatError(f"{where}: unknown keys {sorted(unknown)}")
+
+        rows: dict[int, int] = {}
+        raw_singles = raw_layer.get("singles", {})
+        if not isinstance(raw_singles, dict):
+            raise CircuitFormatError(f"{where}: 'singles' must map particle index to matrix")
+        for key, entries in raw_singles.items():
+            try:
+                idx = int(key)
+            except (TypeError, ValueError):
+                raise CircuitFormatError(f"{where}: singles key {key!r} is not an index") from None
+            if key != str(idx):  # int() also reads "01", " 1", "+1" and "1_0"
+                raise CircuitFormatError(f"{where}: singles key {key!r} is not written as {str(idx)!r}")
+            if not 0 <= idx < particles:
+                raise BadParticleIndex(f"{where}: singles index {idx} out of range")
+            rows[idx] = len(singles)
+            wheres.append(f"{where} singles[{idx}]")
+            singles.append(_ref_parse_complex_matrix(entries, wheres[-1]))
+
+        raw_phases = raw_layer.get("phases", [])
+        if not isinstance(raw_phases, list):
+            raise CircuitFormatError(f"{where}: 'phases' must be a list")
+        phases: list[PhaseGate] = []
+        seen_pairs: set[tuple[int, int]] = set()
+        for k, raw_phase in enumerate(raw_phases):
+            gate = _ref_parse_phase(raw_phase, particles, f"{where} phases[{k}]")
+            if gate.pair in seen_pairs:
+                raise DuplicatePhasePair(f"{where}: duplicate phase gate on pair {gate.pair}")
+            seen_pairs.add(gate.pair)
+            phases.append(gate)
+        layers.append((rows, phases))
+
+    return _assemble(particles, layers, singles, wheres)

@@ -1,9 +1,12 @@
 """Circuit model: validation, gate conditioning, factoring, serialization."""
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +36,9 @@ from sumpaths.circuits import (
 )
 from sumpaths.corpus import random_circuit
 
+from .reference import reference_validate_circuit
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 CZ = PhaseGate(pair=(0, 1), thetas=(0.0, 0.0, 0.0, math.pi))
 
 
@@ -312,3 +318,144 @@ def test_gate_errors_name_the_first_bad_gate_in_file_order():
     raw = {"particles": 2, "layers": [{"singles": {"0": single_raw(HADAMARD)}}, {"singles": {"1": infinite}}]}
     with pytest.raises(CircuitFormatError, match="^layer 2 singles\\[1\\]: non-finite gate entry$"):
         validate_circuit(raw)
+
+
+def _gate_cells(draw) -> list:
+    """A unitary's cells as parsed JSON: floats, or the ints a hand-written identity or swap has."""
+    kind = draw(st.sampled_from(["random", "identity", "swap"]))
+    if kind == "identity":
+        return [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    if kind == "swap":
+        return [[[0, 0], [1.0, 0]], [[1, 0], [0.0, -0.0]]]
+    return single_raw(random_single(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))))
+
+
+@st.composite
+def _raw_circuits(draw) -> dict:
+    """Valid parsed circuit files, with the optional fields and int forms a hand-written file may use."""
+    particles = draw(st.integers(1, 4))
+    pairs = list(itertools.combinations(range(particles), 2))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    angle = st.one_of(floats, st.sampled_from([0, -3, 2**53 + 1, int(1.7e308), -0.0]))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        layer = {}
+        members = draw(st.sets(st.integers(0, particles - 1)))
+        if members or draw(st.booleans()):
+            layer["singles"] = {str(i): _gate_cells(draw) for i in sorted(members)}
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) if pairs else []
+        if chosen or draw(st.booleans()):
+            layer["phases"] = [
+                {"pair": list(pair), "theta": draw(st.lists(draw(st.sampled_from([floats, angle])), min_size=4, max_size=4))}
+                for pair in chosen
+            ]
+        layers.append(layer)
+    return {"particles": particles, "layers": layers}
+
+
+def _parts(raw: dict) -> tuple[dict, list, list]:
+    """Of a parsed circuit, possibly mutated already, in file order: the (container, key) of
+    every number and index the validator reads, grouped by kind, every object, and the
+    (layer, key) of every single; malformed parts are skipped."""
+    def items(node, key, kind):
+        value = node.get(key) if isinstance(node, dict) else None
+        return value if isinstance(value, kind) else kind()
+
+    slots: dict[str, list] = {"cell": [], "pair": [], "theta": [], "particles": [(raw, "particles")]}
+    objects, singles = [raw], []
+    for layer in items(raw, "layers", list):
+        objects.append(layer)
+        for key, cells in items(layer, "singles", dict).items():
+            singles.append((layer, key))
+            rows = cells if isinstance(cells, list) else []
+            pairs = [cell for row in rows if isinstance(row, list) for cell in row if isinstance(cell, list)]
+            slots["cell"] += [(cell, k) for cell in pairs for k in range(len(cell))]
+        for gate in items(layer, "phases", list):
+            objects.append(gate)
+            for field in ("pair", "theta"):
+                values = items(gate, field, list)
+                slots[field] += [(values, k) for k in range(len(values))]
+    return slots, [node for node in objects if isinstance(node, dict)], singles
+
+
+def _mutate_raw(draw, raw: dict) -> None:
+    """One mutation of a parsed circuit, in place; some leave it valid."""
+    kind = draw(st.sampled_from([
+        "bool", "huge int", "01", "²", "None", "non-finite", "missing key", "extra key",
+        "out of range", "duplicate pair", "non-unitary",
+    ]))
+    slots, objects, singles = _parts(raw)
+    slot, index = draw(st.sampled_from(draw(st.sampled_from([group for group in slots.values() if group]))))
+    if kind == "bool":
+        slot[index] = draw(st.booleans())
+    elif kind == "huge int":
+        slot[index] = draw(st.sampled_from([10**400, -(2**1024), int(sys.float_info.max), -int(sys.float_info.max)]))
+    elif kind in ("01", "²") and singles and draw(st.booleans()):
+        layer, key = draw(st.sampled_from(singles))
+        layer["singles"][{"01": "0" + key, "²": "²"}[kind]] = layer["singles"].pop(key)
+    elif kind in ("01", "²", "None"):
+        slot[index] = {"01": "01", "²": "²", "None": None}[kind]
+    elif kind == "non-finite":
+        slot[index] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "extra key":
+        draw(st.sampled_from(objects))[draw(st.sampled_from(["x", "pair", "singles", "layers"]))] = 0
+    elif kind == "missing key":
+        node = draw(st.sampled_from(objects))
+        if node:
+            del node[draw(st.sampled_from(sorted(node)))]
+    elif kind == "out of range":
+        slot[index] = draw(st.sampled_from([-1, 3, 9, 0, 1]))  # 0 and 1 also make pairs that do not increase
+    elif kind == "duplicate pair":
+        layers = [layer for layer in objects[1:] if isinstance(layer.get("phases"), list) and layer["phases"]]
+        if layers:
+            phases = draw(st.sampled_from(layers))["phases"]
+            phases.append(copy.deepcopy(draw(st.sampled_from(phases))))
+    elif singles:  # non-unitary: one entry of one single moved off a unitary value
+        layer, key = draw(st.sampled_from(singles))
+        cells = _parts({"layers": [{"singles": {key: layer["singles"][key]}}]})[0]["cell"]
+        if cells:
+            cell, k = draw(st.sampled_from(cells))
+            cell[k] = draw(st.sampled_from([1.5, 2, 1 + 2e-12]))
+
+
+def _validated(validate, raw) -> tuple:
+    """The circuit bit for bit, or the class and message of the error raised."""
+    try:
+        with np.errstate(all="ignore"):  # entries near the float maximum overflow the unitarity check
+            circuit = validate(copy.deepcopy(raw))
+    except Exception as err:  # the class is compared too
+        return type(err), str(err)
+    return circuit.particles, [
+        (
+            [(gate.dtype, gate.shape, gate.tobytes()) for gate in layer.singles],
+            [(gate.pair, [type(x) for x in gate.pair], [x.hex() for x in gate.thetas]) for gate in layer.phases],
+        )
+        for layer in circuit.layers
+    ]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_raw_circuits())
+def test_inline_validation_gives_the_reference_circuits(raw):
+    built = _validated(validate_circuit, raw)
+    assert isinstance(built[0], int), built
+    assert built == _validated(reference_validate_circuit, raw)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_raw_circuits(), st.data())
+def test_inline_validation_raises_the_reference_errors(raw, data):
+    for _ in range(data.draw(st.integers(1, 2))):
+        _mutate_raw(data.draw, raw)
+    assert _validated(validate_circuit, raw) == _validated(reference_validate_circuit, raw)
+
+
+@pytest.mark.parametrize("value", [True, 10**400, int(sys.float_info.max), "01", "²", None, math.nan, -math.inf, -1, 0, 3])
+def test_inline_validation_raises_the_reference_errors_at_every_number(value):
+    # each number and index of an all-gates corpus circuit in turn, so every position of every field is hit
+    raw = json.loads((CORPUS / "n3_l3_s0.json").read_text(encoding="utf-8"))
+    slots, _, _ = _parts(raw)
+    for container, key in [slot for group in slots.values() for slot in group]:
+        before, container[key] = container[key], value
+        assert _validated(validate_circuit, raw) == _validated(reference_validate_circuit, raw)
+        container[key] = before

@@ -451,6 +451,24 @@ def test_epr_matrix_without_pairs_is_input_error():
     assert err.startswith("error: gate spec") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("depth", [1000, 100000])
+@pytest.mark.parametrize("source", ["circuit", "manifest", "gate spec"])
+def test_deeply_nested_json_is_input_error(tmp_path, source, depth):
+    nested = "[" * depth + "]" * depth
+    path = tmp_path / "input.json"
+    if source == "circuit":
+        path.write_text(f'{{"particles": 2, "layers": {nested}}}', encoding="utf-8")
+        argv = ("marginal", "--circuit", str(path))
+    elif source == "manifest":
+        path.write_text(f'{{"circuits": {nested}}}', encoding="utf-8")
+        argv = ("verify", "--manifest", str(path))
+    else:
+        argv = ("epr", "--a2", nested, "--b2", "0")
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_file_is_input_error():
     code, _, _ = run_cli("marginal", "--circuit", "no-such-file.json")
     assert code == 2

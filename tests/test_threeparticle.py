@@ -16,6 +16,7 @@ from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths
 from sumpaths.subsystems import ConfigPath, conditioned_blocks
 from sumpaths.threeparticle import (
+    cascade_charges,
     delta,
     gamma_chi,
     hit_three,
@@ -35,6 +36,7 @@ from .reference import (
     refined_cascade_tables,
     remove_trailing_external_gate,
     table_trajectory,
+    thetas_cascade_charges,
 )
 
 CORPUS = FilePath(__file__).resolve().parent.parent / "corpus"
@@ -372,6 +374,22 @@ def test_tables_match_the_refined_cascade_with_every_gate(layers, seed):
 @pytest.mark.parametrize("file", sorted(path.name for path in CORPUS.glob("n3_*.json")))
 def test_tables_match_the_refined_cascade_on_the_corpus(file):
     assert_matches_refined_cascade(load_circuit(str(CORPUS / file)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+def test_cascade_charge_reads_gate_presence_like_the_angle_tables(pattern, seed):
+    circuit = sparse_circuit(pattern, np.random.default_rng(seed))
+    assert cascade_charges(circuit) == thetas_cascade_charges(circuit)
+
+
+@pytest.mark.parametrize("file", sorted(path.name for path in CORPUS.glob("n3_*.json")))
+def test_cascade_charge_reads_gate_presence_like_the_angle_tables_on_the_corpus(file):
+    circuit = load_circuit(str(CORPUS / file))
+    assert cascade_charges(circuit) == thetas_cascade_charges(circuit)
 
 
 def test_eight_all_gate_layers_peak_well_under_the_charged_stack():
