@@ -31,11 +31,7 @@ from .paths import (
     pair_phases,
     path_amplitude,
 )
-from .subsystems import (
-    ConfigPath,
-    lambda_blocks,
-    lambda_general_trajectory,
-)
+from .subsystems import lambda_blocks
 from .threeparticle import (
     HitBreakdown,
     delta,

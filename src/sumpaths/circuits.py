@@ -33,6 +33,11 @@ from typing import Any, Iterator, Mapping
 import numpy as np
 
 UNITARITY_TOL = 1e-12
+# every layer holds one gate reference per particle: these cap a layer at 512 KiB and the whole
+# gate table at 8 MiB; no route answers past a few dozen particles, but larger counts still
+# reach their budget charge
+MAX_PARTICLES = 1 << 16
+MAX_GATE_SLOTS = 1 << 20
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 IDENTITY = np.eye(2, dtype=complex)
@@ -81,6 +86,11 @@ class PhaseGate:
         diagonal = np.exp(1j * np.asarray(self.thetas))
         diagonal.flags.writeable = False
         return diagonal
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The diagonal as a read-only 2x2 table indexed (mode of the first particle, mode of the second)."""
+        return self._diagonal.reshape(2, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,9 +276,13 @@ def validate_circuit(raw: Mapping[str, Any]) -> Circuit:
     particles = raw.get("particles")
     if not _is_index(particles) or particles < 1:
         raise CircuitFormatError("'particles' must be a positive integer")
+    if particles > MAX_PARTICLES:
+        raise CircuitFormatError(f"'particles' must be at most {MAX_PARTICLES}")
     raw_layers = raw.get("layers")
     if not isinstance(raw_layers, list):
         raise CircuitFormatError("'layers' must be a list")
+    if particles * len(raw_layers) > MAX_GATE_SLOTS:
+        raise CircuitFormatError(f"'particles' times the layer count must be at most {MAX_GATE_SLOTS}")
 
     layers: list[tuple[dict[int, int], list[PhaseGate]]] = []
     singles: list[list[complex]] = []

@@ -31,13 +31,8 @@ from .circuits import (
 from .common import DEFAULT_BUDGET, BudgetExceeded, LambdaBlock, check_budget
 from .density import density_report
 from .oracle import marginal_by_sum
-from .paths import Path, amplitudes_via_paths, enumerate_paths, path_amplitude
-from .subsystems import (
-    enumerate_config_paths,
-    lambda_blocks,
-    lambda_general_trajectory,
-    normalize_subsystem,
-)
+from .paths import Path, amplitudes_via_paths, enumerate_paths, member_paths_at, normalize_subsystem, path_amplitude
+from .subsystems import lambda_blocks
 from .threeparticle import lambda_three
 from .twoparticle import lambda_accumulate
 from .verify import DEFAULT_TOL, verify_circuit
@@ -158,6 +153,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise CircuitError("need one endpoint per subsystem particle")
     first, second = _parse_pair(args.pair)
     check_budget((1 << max(circuit.n - 1, 0)) ** len(subsystem), args.budget, "path enumeration")
+    cascade = subsystem == (0,) and circuit.particles == 3
+    # the cascade charges its own branch pairs; the (0,) of two particles never paid for its 2-amplitude state
+    if not cascade and (subsystem != (0,) or circuit.particles > 2):
+        check_budget(1 << (circuit.particles - len(subsystem)), args.budget, "conditioned external states")
+    p, q = (_select(circuit.n, endpoints, index) for index in (first, second))
 
     report: dict = {
         "schema": 1,
@@ -166,22 +166,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
         "endpoint": list(endpoints),
         "pair": [first, second],
     }
-    if subsystem == (0,) and circuit.particles != 3:  # the hit stream's route, one pair at a time
-        if circuit.particles > 2:
-            check_budget(1 << (circuit.particles - 1), args.budget, "conditioned external states")
-        paths = enumerate_paths(circuit.n, endpoints[0])
-        p, q = _select(paths, first), _select(paths, second)
-        entry = lambda_accumulate(circuit, p, q)
-        report["paths"] = [p.bitstring(), q.bitstring()]
-        report["trajectory"] = [_c(v) for v in entry.trajectory]
-        report["hits"] = [_c(v) for v in entry.hits]
-    elif subsystem == (0,):
-        paths = enumerate_paths(circuit.n, endpoints[0])
-        p, q = _select(paths, first), _select(paths, second)
-        entry = lambda_three(circuit, p, q, args.budget)
-        report["paths"] = [p.bitstring(), q.bitstring()]
-        report["trajectory"] = [_c(v) for v in entry.trajectory]
-        report["hits"] = [_c(b.total) for b in entry.breakdowns]
+    if subsystem == (0,):
+        report["paths"] = [p[0].bitstring(), q[0].bitstring()]
+    else:
+        report["paths"] = [[path.bitstring() for path in paths] for paths in (p, q)]
+    if cascade:
+        entry = lambda_three(circuit, p[0], q[0], args.budget)
+        hits = [b.total for b in entry.breakdowns]
         report["breakdowns"] = [
             {
                 "layer": b.layer,
@@ -192,16 +183,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
             for b in entry.breakdowns
         ]
     else:
-        external = circuit.particles - len(subsystem)
-        check_budget(1 << external, args.budget, "conditioned external states")
-        configs = enumerate_config_paths(circuit.n, endpoints)
-        cfg_p, cfg_q = _select(configs, first), _select(configs, second)
-        trajectory = lambda_general_trajectory(circuit, subsystem, cfg_p, cfg_q)
-        report["paths"] = [list(cfg_p.bitstrings()), list(cfg_q.bitstrings())]
-        report["trajectory"] = [_c(v) for v in trajectory]
-        report["hits"] = [
-            _c(trajectory[t] - trajectory[t - 1]) for t in range(1, len(trajectory))
-        ]
+        entry = lambda_accumulate(circuit, subsystem, p, q)
+        hits = entry.hits
+    report["trajectory"] = [_c(v) for v in entry.trajectory]
+    report["hits"] = [_c(v) for v in hits]
     if args.format == "csv":
         rows = []
         for t, value in enumerate(report["trajectory"]):
@@ -213,10 +198,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _select(items, index: int):
-    if not 0 <= index < len(items):
-        raise CircuitError(f"pair index {index} out of range 0..{len(items) - 1}")
-    return items[index]
+def _select(n: int, endpoints: tuple[int, ...], index: int) -> tuple[Path, ...]:
+    """The member paths at `index`, built from its bits; no other path is made."""
+    try:
+        return member_paths_at(n, endpoints, index)
+    except IndexError:
+        count = (1 << (n - 1)) ** len(endpoints)
+        raise CircuitError(f"pair index {index} out of range 0..{count - 1}") from None
 
 
 def _verify_one(circuit: Circuit, args: argparse.Namespace) -> dict:
@@ -301,7 +289,7 @@ def cmd_epr(args: argparse.Namespace) -> int:
     oracle = marginal_by_sum(circuit, {0}).as_mapping()
     pathsum = _pathsum_distribution(circuit, (0,), args.budget)
     lam_probs = _lambda_distribution(circuit, (0,), args.budget)
-    cross = lambda_accumulate(circuit, Path((0, 0)), Path((1, 0)))
+    cross = lambda_accumulate(circuit, (0,), (Path((0, 0)),), (Path((1, 0)),))
 
     max_marginal_error = max(
         abs(probs[key] - 0.5)
@@ -391,6 +379,7 @@ def cmd_paths(args: argparse.Namespace) -> int:
         raise CircuitError(f"particle {args.particle} out of range")
     if args.endpoint not in (0, 1):
         raise CircuitError("endpoint must be 0 or 1")
+    check_budget(1 << max(circuit.n - 1, 0), args.budget, "path enumeration")
     rows = []
     for index, path in enumerate(enumerate_paths(circuit.n, args.endpoint)):
         rows.append((index, path, path_amplitude(circuit, args.particle, path)))

@@ -3,7 +3,9 @@
 A path for one particle is its mode after each layer, (m_1, ..., m_n), with
 the implicit start m_0 = 0. Enumeration order is lexicographic in
 (m_1, ..., m_{n-1}) and is part of the public contract: tables and reports
-keyed by path index are reproducible run to run.
+keyed by path index are reproducible run to run. `member_paths_at` builds
+one entry of the product of several members' enumerations from its index
+alone, so naming two paths never enumerates the rest.
 
 `conditioned_prefix_state_layers` is the one vectorized evolution of the
 external system conditioned on subsystem paths, one table per layer, and
@@ -11,10 +13,12 @@ external system conditioned on subsystem paths, one table per layer, and
 stream of the subsystem (0,), the Gram tables `verify` checks both table
 streams against, the general blocks (the final table only) and the density
 path sum read their external states from this prefix tree.
-`condition_on_paths` is the per-path scalar reference it is checked against.
+`condition_on_paths` is the per-path scalar reference it is checked against,
+and the evolution the per-pair hits (`twoparticle.hit`) read.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,16 +58,37 @@ class Path:
         return "".join(str(m) for m in self.modes)
 
 
-def enumerate_paths(n: int, endpoint: int) -> list[Path]:
-    """All 2^(n-1) paths of length n ending at `endpoint`, in lexicographic order."""
+def _check_endpoint(n: int, endpoint: int) -> None:
     if n < 1:
         raise ValueError("a path needs at least one layer")
     if endpoint not in (0, 1):
         raise ValueError(f"endpoint must be 0 or 1, got {endpoint}")
+
+
+def enumerate_paths(n: int, endpoint: int) -> list[Path]:
+    """All 2^(n-1) paths of length n ending at `endpoint`, in lexicographic order."""
+    _check_endpoint(n, endpoint)
     return [
         Path(modes=prefix + (endpoint,))
         for prefix in itertools.product((0, 1), repeat=n - 1)
     ]
+
+
+def member_paths_at(n: int, endpoints: Sequence[int], index: int) -> tuple[Path, ...]:
+    """One path per endpoint: entry `index` of the product of their `enumerate_paths`, built alone.
+
+    The index's M(n - 1) bits are the members' prefixes in turn, first
+    member most significant, as `itertools.product` orders the product.
+    Raises IndexError outside 0..2^(M(n - 1)) - 1, after the ValueError
+    `enumerate_paths` raises for a bad layer count or endpoint.
+    """
+    for endpoint in endpoints:
+        _check_endpoint(n, endpoint)
+    width = n - 1
+    if not 0 <= index < 1 << (width * len(endpoints)):
+        raise IndexError(f"path index {index} out of range")
+    bits = [(index >> k) & 1 for k in range(width * len(endpoints) - 1, -1, -1)]
+    return tuple(Path(tuple(bits[k * width : (k + 1) * width]) + (e,)) for k, e in enumerate(endpoints))
 
 
 def endpoint_rows(n: int, endpoint: int) -> np.ndarray:
@@ -251,15 +276,17 @@ class ConditionalUnitary:
             state = self._apply(state, t)
         return state
 
-    def state_trajectory(self) -> list[np.ndarray]:
-        """States after 0..n layers."""
-        state = np.zeros(self.dim, dtype=complex)
-        state[0] = 1.0
-        out = [state]
-        for t in range(1, self.n + 1):
-            state = self._apply(state, t)
-            out.append(state)
-        return out
+
+def normalize_subsystem(circuit: Circuit, subsystem: Sequence[int]) -> tuple[int, ...]:
+    """The subsystem's distinct members in ascending order, checked to leave an external particle."""
+    particles = tuple(sorted(set(subsystem)))
+    if not particles:
+        raise ValueError("subsystem must be non-empty")
+    if particles[0] < 0 or particles[-1] >= circuit.particles:
+        raise ValueError(f"subsystem {particles} out of range")
+    if len(particles) == circuit.particles:
+        raise ValueError("subsystem must leave at least one external particle")
+    return particles
 
 
 def condition_on_paths(circuit: Circuit, conditioning: Mapping[int, Path]) -> ConditionalUnitary:
@@ -315,6 +342,19 @@ def apply_single(state: np.ndarray, axis: int, gate: np.ndarray) -> np.ndarray:
     return rows.reshape(view.shape[0], -1, 2).transpose(0, 2, 1).reshape(state.shape)
 
 
+@functools.cache
+def member_layout(particles: int, members: tuple[int, ...]) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The external particles, and each particle's axis: the members, then the external particles, each ascending."""
+    external = tuple(p for p in range(particles) if p not in members)
+    return external, {p: k for k, p in enumerate(members + external)}
+
+
+def straddling_factor(gate: PhaseGate, members: tuple[int, ...]) -> tuple[int, int, np.ndarray]:
+    """A straddling gate's member, its external particle, and its 2x2 factor indexed (member mode, external mode)."""
+    a, b = gate.pair
+    return (a, b, gate.table) if a in members else (b, a, gate.table.T)
+
+
 def conditioned_prefix_state_layers(circuit: Circuit, subsystem: Sequence[int]) -> Iterator[np.ndarray]:
     """External states conditioned on every subsystem path prefix, after layers t = 0..n, each grown from the last.
 
@@ -330,12 +370,10 @@ def conditioned_prefix_state_layers(circuit: Circuit, subsystem: Sequence[int]) 
     that `verify` checks each streamed table against.
     """
     members = tuple(sorted(set(subsystem)))
-    external = tuple(p for p in range(circuit.particles) if p not in members)
+    external, axis = member_layout(circuit.particles, members)
     if not external:
         raise ValueError("conditioning set must leave at least one external particle")
     size, width = len(members), len(external)
-    axis = {p: k for k, p in enumerate(members)}
-    axis.update({p: size + k for k, p in enumerate(external)})
     state = np.zeros((1,) * size + (2,) * width, dtype=complex)
     state[(0,) * state.ndim] = 1.0
     yield state.reshape(1, -1)
@@ -356,11 +394,7 @@ def conditioned_prefix_state_layers(circuit: Circuit, subsystem: Sequence[int]) 
             state = np.repeat(state, 2, axis=k)
         new_mode = np.arange(1 << t) % 2
         for gate in straddling:
-            a, b = gate.pair
-            factors = gate.diagonal().reshape(2, 2)  # indexed (mode of a, mode of b)
-            member, other = (a, b) if a in members else (b, a)
-            if member == b:
-                factors = factors.T
+            member, other, factors = straddling_factor(gate, members)
             shape = [1] * state.ndim
             shape[axis[member]], shape[axis[other]] = 1 << t, 2
             state = state * factors[new_mode].reshape(shape)

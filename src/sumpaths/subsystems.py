@@ -7,11 +7,9 @@ evolutions. Every outcome of a subsystem reads the same conditioned
 evolution, so `conditioned_blocks` builds the prefix-shared evolution
 `paths.conditioned_prefix_states` once and yields each outcome's overlaps as
 a Gram factor: that outcome's rows of the final table, whose pair sum
-|S^T a|^2 needs no lambda matrix.
-`lambda_general_trajectory` evaluates one pair with per-path
-`condition_on_paths`, the independent reference, and exposes the per-layer
-prefix values (layers without a subsystem-external phase gate contribute an
-exact zero because the shared external unitary cancels).
+|S^T a|^2 needs no lambda matrix. One pair's lambda, built up hit by hit,
+is `twoparticle.lambda_accumulate`, the per-pair reference for every
+subsystem.
 
 Phase gates wholly inside the subsystem belong to the configuration
 amplitude; gates wholly outside stay in the conditioned evolution; straddling
@@ -26,90 +24,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .circuits import Circuit
 from .common import DEFAULT_BUDGET, Charge, LambdaBlock, check_charges
-from .paths import Path, condition_on_paths, conditioned_prefix_states, endpoint_rows
-from .paths import enumerate_paths, pair_phases, prefix_amplitudes
+from .paths import conditioned_prefix_states, endpoint_rows, normalize_subsystem, pair_phases, prefix_amplitudes
 from .threeparticle import lambda3_tables
 from .twoparticle import lambda_tables, layer_hits, prefix_tree
-
-
-@dataclass(frozen=True)
-class ConfigPath:
-    """One path per subsystem particle, in ascending particle order."""
-
-    paths: tuple[Path, ...]
-
-    @property
-    def n(self) -> int:
-        return self.paths[0].n
-
-    @property
-    def endpoints(self) -> tuple[int, ...]:
-        return tuple(p.endpoint for p in self.paths)
-
-    def bitstrings(self) -> tuple[str, ...]:
-        return tuple(p.bitstring() for p in self.paths)
-
-
-def normalize_subsystem(circuit: Circuit, subsystem: Sequence[int]) -> tuple[int, ...]:
-    particles = tuple(sorted(set(subsystem)))
-    if not particles:
-        raise ValueError("subsystem must be non-empty")
-    if particles[0] < 0 or particles[-1] >= circuit.particles:
-        raise ValueError(f"subsystem {particles} out of range")
-    if len(particles) == circuit.particles:
-        raise ValueError("subsystem must leave at least one external particle")
-    return particles
-
-
-def enumerate_config_paths(
-    n: int, endpoints: Sequence[int]
-) -> list[ConfigPath]:
-    """All configuration paths to the endpoint tuple, lexicographic per particle."""
-    per_particle = [enumerate_paths(n, endpoint) for endpoint in endpoints]
-    return [ConfigPath(paths=combo) for combo in itertools.product(*per_particle)]
-
-
-def _straddling_layers(circuit: Circuit, subsystem: tuple[int, ...]) -> list[bool]:
-    """flags[t-1]: does layer t couple the subsystem to the external system."""
-    inside = set(subsystem)
-    flags = []
-    for layer in circuit.layers:
-        flags.append(
-            any((g.pair[0] in inside) != (g.pair[1] in inside) for g in layer.phases)
-        )
-    return flags
-
-
-def lambda_general_trajectory(
-    circuit: Circuit, subsystem: Sequence[int], config_p: ConfigPath, config_q: ConfigPath
-) -> tuple[complex, ...]:
-    """Hidden-variable prefix values lambda^(0..n) for one ordered configuration pair.
-
-    Non-interacting layers copy the previous value, so their increments are
-    exact zeros.
-    """
-    particles = normalize_subsystem(circuit, subsystem)
-    if config_p.endpoints != config_q.endpoints:
-        raise ValueError("configuration paths must share their endpoint tuple")
-    cond_p = condition_on_paths(circuit, dict(zip(particles, config_p.paths)))
-    cond_q = condition_on_paths(circuit, dict(zip(particles, config_q.paths)))
-    states_p = cond_p.state_trajectory()
-    states_q = cond_q.state_trajectory()
-    straddling = _straddling_layers(circuit, particles)
-    values = [1.0 + 0.0j]
-    for t in range(1, circuit.n + 1):
-        if straddling[t - 1]:
-            values.append(complex(np.vdot(states_p[t], states_q[t])))
-        else:
-            values.append(values[-1])
-    return tuple(values)
 
 
 def conditioned_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Charge]:

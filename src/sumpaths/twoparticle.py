@@ -1,39 +1,43 @@
-"""The hit stream of the subsystem (0,): per-layer hits of information and path-pair hidden variables.
+"""Hits of information and path-pair hidden variables: the stream of the subsystem (0,), and the per-pair reference.
 
-The subsystem is particle 0; every other particle is external. For an
-ordered pair of subsystem paths (P, Q) sharing an endpoint, the hidden
-variable lambda is the overlap of the external evolutions conditioned on P
-and on Q. It starts at 1 and is updated additively by one hit per
-interaction layer, however many external particles there are:
+For an ordered pair of subsystem path tuples (P, Q), one path per member,
+sharing their endpoints, the hidden variable lambda is the overlap of the
+external evolutions conditioned on P and on Q. It starts at 1 and is
+updated additively by one hit per interaction layer, however many particles
+the subsystem and the external system hold:
 
     lambda^(t) = lambda^(t-1) + H^(t)
 
 where H^(t) contracts the conditioned external states just before the
 layer-t phase gates with the conditioned phase difference of the layer's
-straddling (0, j) gates. External-only gates cancel in the contraction, so
-they drop out, and layers without a straddling gate contribute an exact
-zero (no arithmetic is performed, so the zero is bit-exact). The subsystem
-marginal is then the classical sum over path probabilities plus the
-lambda-weighted interference of distinct pairs.
+straddling gates, those coupling a member to an external particle.
+External-only gates cancel in the contraction and gates inside the
+subsystem belong to the path amplitudes, so both drop out, and layers
+without a straddling gate contribute an exact zero (no arithmetic is
+performed, so the zero is bit-exact). The subsystem marginal is then the
+classical sum over path probabilities plus the lambda-weighted interference
+of distinct pairs.
 
-This serves every particle count but three, whose lambda route is the
-paper's cascade in `threeparticle`. `lambda_tables` streams lambda^(t) over
-every prefix pair, one layer at a time, reading the conditioned external
-states of every prefix from one `prefix_tree`; `verify` checks each
-streamed table against the Gram matrix of those states. `hit` and
-`lambda_accumulate` evolve one path's state by `condition_on_paths` and stay
-the per-pair reference.
+`hit` and `lambda_accumulate` evolve each path tuple's external state by
+`condition_on_paths` and are the per-pair reference for every subsystem but
+the (0,) of three particles, whose hits are the paper's cascade in
+`threeparticle`. `lambda_tables` streams lambda^(t) of the subsystem (0,)
+over every prefix pair, one layer at a time, reading the conditioned
+external states of every prefix from one `prefix_tree`; `verify` checks each
+streamed table against the Gram matrix of those states. The stream serves
+every particle count but three.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .circuits import Circuit
 from .common import DEFAULT_BUDGET, REALITY_TOL, Charge, LambdaBlock, RealityError, check_charges
-from .paths import Path, apply_single, condition_on_paths, conditioned_prefix_states
+from .paths import Path, apply_single, condition_on_paths, conditioned_prefix_states, member_layout, normalize_subsystem
+from .paths import straddling_factor
 
 
 def _require_stream(circuit: Circuit) -> None:
@@ -44,39 +48,56 @@ def _require_stream(circuit: Circuit) -> None:
         )
 
 
-def _check_pair(circuit: Circuit, p: Path, q: Path) -> None:
-    if p.n != circuit.n or q.n != circuit.n:
+def _check_pair(circuit: Circuit, subsystem: Sequence[int], p: Sequence[Path], q: Sequence[Path]) -> tuple[int, ...]:
+    """The normalized members, once each member has one full-length path on both sides."""
+    members = normalize_subsystem(circuit, subsystem)
+    if members == (0,):
+        _require_stream(circuit)
+    if len(p) != len(members) or len(q) != len(members):
+        raise ValueError(f"need one path per subsystem member, {len(members)} on each side")
+    if any(path.n != circuit.n for path in (*p, *q)):
         raise ValueError("paths must span every circuit layer")
+    return members
 
 
-def _straddle(circuit: Circuit, t: int) -> np.ndarray | None:
-    """D[a, x]: layer t's (0, j) phase factors multiplied at subsystem mode a and external basis state x.
+def _straddle(circuit: Circuit, members: tuple[int, ...], t: int) -> np.ndarray | None:
+    """D[a, x]: layer t's straddling phase factors multiplied at joint member mode a and external basis state x.
 
-    None when no gate of layer t couples particle 0 to the external system.
+    Both a and x read their particles in ascending order, the first most
+    significant, on the axes of `paths.member_layout`, each gate's factor
+    oriented by `paths.straddling_factor`. None when no gate of layer t
+    couples a member to the external system.
     """
-    width = circuit.particles - 1
+    _, axis = member_layout(circuit.particles, members)
     product = None
     for gate in circuit.layer(t).phases:
-        if gate.pair[0] == 0:
-            shape = [2] + [1] * width
-            shape[gate.pair[1]] = 2
-            factor = gate.diagonal().reshape(shape)
-            product = factor if product is None else product * factor
-    return None if product is None else np.broadcast_to(product, (2,) * (width + 1)).reshape(2, -1)
+        a, b = gate.pair
+        if (a in members) == (b in members):
+            continue
+        member, other, factor = straddling_factor(gate, members)
+        shape = [1] * circuit.particles
+        shape[axis[member]] = shape[axis[other]] = 2
+        factor = factor.reshape(shape)
+        product = factor if product is None else product * factor
+    if product is None:
+        return None
+    return np.broadcast_to(product, (2,) * circuit.particles).reshape(1 << len(members), -1)
 
 
-def _before_layer(circuit: Circuit, t: int, states: np.ndarray) -> np.ndarray:
+def _before_layer(circuit: Circuit, members: tuple[int, ...], t: int, states: np.ndarray) -> np.ndarray:
     """Rows of external states with layer t's external singles applied axis by axis."""
-    state = states.reshape((-1,) + (2,) * (circuit.particles - 1))
-    for axis, gate in enumerate(circuit.layer(t).singles[1:], start=1):
-        state = apply_single(state, axis, gate)
+    external, _ = member_layout(circuit.particles, members)
+    state = states.reshape((-1,) + (2,) * len(external))
+    singles = circuit.layer(t).singles
+    for axis, particle in enumerate(external, start=1):
+        state = apply_single(state, axis, singles[particle])
     return state.reshape(states.shape)
 
 
 def layer_hits(
     circuit: Circuit, t: int, states: np.ndarray | None
 ) -> Callable[[int, int], np.ndarray] | None:
-    """Layer t's hits over every pair of (t-1)-mode prefixes, as a function of the modes (a, b) at t.
+    """Layer t's hits over every pair of (t-1)-mode prefixes of particle 0, as a function of the modes (a, b) at t.
 
     `hits(a, b)[k, l]` is the hit of the pair of prefixes k + a and l + b:
     sum_x conj(pre[k, x]) pre[l, x] (conj(D_a(x)) D_b(x) - 1), with `pre`
@@ -84,10 +105,10 @@ def layer_hits(
     and D the straddling factors (`_straddle`). None when layer t has no
     straddling gate; `states` is read only when it has one.
     """
-    factors = _straddle(circuit, t)
+    factors = _straddle(circuit, (0,), t)
     if factors is None:
         return None
-    pre = _before_layer(circuit, t, states)
+    pre = _before_layer(circuit, (0,), t, states)
 
     def hits(a: int, b: int) -> np.ndarray:
         return (pre.conj() * (factors[b] * factors[a].conj() - 1.0)) @ pre.T
@@ -95,19 +116,34 @@ def layer_hits(
     return hits
 
 
-def hit(circuit: Circuit, p: Path, q: Path, t: int) -> complex:
-    """Hit of information for the ordered path pair (p, q) at layer t."""
-    _require_stream(circuit)
-    _check_pair(circuit, p, q)
-    factors = _straddle(circuit, t)
+def _joint_mode(paths: Sequence[Path], t: int) -> int:
+    """The members' modes after layer t as one index, first member most significant."""
+    mode = 0
+    for path in paths:
+        mode = 2 * mode + path.mode(t)
+    return mode
+
+
+def hit(circuit: Circuit, subsystem: Sequence[int], p: Sequence[Path], q: Sequence[Path], t: int) -> complex:
+    """Hit of information at layer t for the ordered pair of member path tuples (p, q).
+
+    `p` and `q` hold one path per subsystem member, in ascending member
+    order. The hit is sum_x conj(x_p) x_q (conj(D_a(x)) D_b(x) - 1): x_p is
+    the external state conditioned on p through layer t - 1, with layer t's
+    external singles applied, and a is p's joint member mode at t. Exactly
+    0j when layer t has no straddling gate. Refuses the subsystem (0,) of
+    three particles, whose hits are the cascade's.
+    """
+    members = _check_pair(circuit, subsystem, p, q)
+    factors = _straddle(circuit, members, t)
     if factors is None:
         return 0j
     # one row each: a two-row product can round differently from the one-row products traces print
     x_p, x_q = (
-        _before_layer(circuit, t, condition_on_paths(circuit, {0: path}).state(upto=t - 1)[None])[0]
-        for path in (p, q)
+        _before_layer(circuit, members, t, condition_on_paths(circuit, dict(zip(members, paths))).state(t - 1)[None])[0]
+        for paths in (p, q)
     )
-    diff = factors[q.mode(t)] * factors[p.mode(t)].conj() - 1.0
+    diff = factors[_joint_mode(q, t)] * factors[_joint_mode(p, t)].conj() - 1.0
     return complex(np.sum(diff * x_p.conj() * x_q))
 
 
@@ -123,15 +159,14 @@ class LambdaEntry:
         return self.trajectory[-1]
 
 
-def lambda_accumulate(circuit: Circuit, p: Path, q: Path) -> LambdaEntry:
-    """Full trajectory with lambda^(0) = 1 and additive per-layer updates."""
-    _require_stream(circuit)
-    _check_pair(circuit, p, q)
+def lambda_accumulate(circuit: Circuit, subsystem: Sequence[int], p: Sequence[Path], q: Sequence[Path]) -> LambdaEntry:
+    """Full trajectory with lambda^(0) = 1 and one additive `hit` per layer, for one member path tuple pair."""
+    _check_pair(circuit, subsystem, p, q)
     value = 1.0 + 0.0j
     trajectory = [value]
     hits = []
     for t in range(1, circuit.n + 1):
-        increment = hit(circuit, p, q, t)
+        increment = hit(circuit, subsystem, p, q, t)
         hits.append(increment)
         value = value + increment
         trajectory.append(value)

@@ -160,7 +160,7 @@ def _walk_layers(
             repeated = previous[:, None, :, None]
             if not np.array_equal(grown, np.broadcast_to(repeated, grown.shape)):
                 zero_hit.append(float(np.max(np.abs(grown - repeated))))
-            zero_hit.append(abs(hit(circuit, p, q, t)))
+            zero_hit.append(abs(hit(circuit, (0,), (p,), (q,), t)))
         previous = lam
     return previous, _worst(gaps), _worst(largest), _worst(zero_hit)
 

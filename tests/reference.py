@@ -46,6 +46,8 @@ import numpy as np
 
 from sumpaths.circuits import (
     IDENTITY,
+    MAX_GATE_SLOTS,
+    MAX_PARTICLES,
     BadParticleIndex,
     Circuit,
     CircuitFormatError,
@@ -69,10 +71,10 @@ from sumpaths.density import (
     _step,
 )
 from sumpaths.oracle import Distribution, evolve, marginal_by_sum, reduced_density_of
-from sumpaths.paths import ConditionalUnitary, Path, condition_on_paths, conditioned_prefix_states
+from sumpaths.paths import ConditionalUnitary, Path, condition_on_paths, conditioned_prefix_states, normalize_subsystem
 from sumpaths.paths import apply_single, endpoint_rows, pair_phases, path_amplitude, prefix_amplitude_layers
 from sumpaths.paths import prefix_amplitudes
-from sumpaths.subsystems import ConfigPath, conditioned_charges, normalize_subsystem, table_blocks
+from sumpaths.subsystems import conditioned_charges, table_blocks
 from sumpaths.threeparticle import _thetas
 
 
@@ -193,34 +195,58 @@ def path_index(path: Path) -> int:
     return prefix_index(path, path.n - 1)
 
 
-def config_path_amplitude(circuit: Circuit, subsystem: tuple[int, ...], config: ConfigPath) -> complex:
-    """Product of member path amplitudes times the intra-subsystem joint phase."""
+def config_path_amplitude(circuit: Circuit, subsystem: tuple[int, ...], config: tuple[Path, ...]) -> complex:
+    """Product of member path amplitudes times the intra-subsystem joint phase; one path per member."""
     particles = normalize_subsystem(circuit, subsystem)
-    if len(config.paths) != len(particles):
+    if len(config) != len(particles):
         raise ValueError("configuration path arity does not match the subsystem")
     local = {p: k for k, p in enumerate(particles)}
     value = 1.0 + 0.0j
-    for particle, path in zip(particles, config.paths):
+    for particle, path in zip(particles, config):
         value *= path_amplitude(circuit, particle, path)
     angle = 0.0
     for t in range(1, circuit.n + 1):
         for gate in circuit.layer(t).phases:
             a, b = gate.pair
             if a in local and b in local:
-                angle += gate.theta(config.paths[local[a]].mode(t), config.paths[local[b]].mode(t))
+                angle += gate.theta(config[local[a]].mode(t), config[local[b]].mode(t))
     return value * complex(np.exp(1j * angle))
 
 
 def lambda_general(
-    circuit: Circuit, subsystem: tuple[int, ...], config_p: ConfigPath, config_q: ConfigPath
+    circuit: Circuit, subsystem: tuple[int, ...], p: tuple[Path, ...], q: tuple[Path, ...]
 ) -> complex:
-    """Final hidden variable: overlap of the two conditioned external evolutions."""
+    """Final hidden variable: overlap of the external evolutions conditioned on the member paths p and on q.
+
+    One path per member, in ascending member order; the two tuples must
+    share their endpoints.
+    """
     particles = normalize_subsystem(circuit, subsystem)
-    if config_p.endpoints != config_q.endpoints:
+    if tuple(path.endpoint for path in p) != tuple(path.endpoint for path in q):
         raise ValueError("configuration paths must share their endpoint tuple")
-    state_p = condition_on_paths(circuit, dict(zip(particles, config_p.paths))).state()
-    state_q = condition_on_paths(circuit, dict(zip(particles, config_q.paths))).state()
+    state_p = condition_on_paths(circuit, dict(zip(particles, p))).state()
+    state_q = condition_on_paths(circuit, dict(zip(particles, q))).state()
     return complex(np.vdot(state_p, state_q))
+
+
+def prefix_lambdas(
+    circuit: Circuit, subsystem: tuple[int, ...], p: tuple[Path, ...], q: tuple[Path, ...]
+) -> list[complex]:
+    """lambda^(0..n) of one pair, each a direct overlap of the evolutions conditioned on the paths cut to t layers.
+
+    The cut paths' last modes may differ, so this does not go through
+    `lambda_general`.
+    """
+    particles = normalize_subsystem(circuit, subsystem)
+    values = []
+    for t in range(circuit.n + 1):
+        head = Circuit(particles=circuit.particles, layers=circuit.layers[:t])
+        state_p, state_q = (
+            condition_on_paths(head, {m: Path(path.modes[:t]) for m, path in zip(particles, paths)}).state()
+            for paths in (p, q)
+        )
+        values.append(complex(np.vdot(state_p, state_q)))
+    return values
 
 
 def lambda_direct(circuit: Circuit, p: Path, q: Path) -> complex:
@@ -229,7 +255,7 @@ def lambda_direct(circuit: Circuit, p: Path, q: Path) -> complex:
         raise ValueError("two-particle decomposition needs exactly 2 particles")
     if p.n != circuit.n or q.n != circuit.n:
         raise ValueError("paths must span every circuit layer")
-    return lambda_general(circuit, (0,), ConfigPath((p,)), ConfigPath((q,)))
+    return lambda_general(circuit, (0,), (p,), (q,))
 
 
 def conditioned_unitary(cond: ConditionalUnitary, upto: int | None = None) -> np.ndarray:
@@ -718,9 +744,13 @@ def reference_validate_circuit(raw: Mapping[str, Any]) -> Circuit:
     particles = raw.get("particles")
     if not _ref_is_index(particles) or particles < 1:
         raise CircuitFormatError("'particles' must be a positive integer")
+    if particles > MAX_PARTICLES:
+        raise CircuitFormatError(f"'particles' must be at most {MAX_PARTICLES}")
     raw_layers = raw.get("layers")
     if not isinstance(raw_layers, list):
         raise CircuitFormatError("'layers' must be a list")
+    if particles * len(raw_layers) > MAX_GATE_SLOTS:
+        raise CircuitFormatError(f"'particles' times the layer count must be at most {MAX_GATE_SLOTS}")
 
     layers: list[tuple[dict[int, int], list[PhaseGate]]] = []
     singles: list[list[complex]] = []

@@ -60,7 +60,7 @@ def test_criterion_01_epr_reproduction():
             pathsum_prob = sum(abs(amplitudes[2 * j + k]) ** 2 for k in (0, 1))
             for value in (oracle[j], blocks[j].marginal(), pathsum_prob):
                 worst_marginal = max(worst_marginal, abs(value - 0.5))
-        cross = lambda_accumulate(circuit, SPath((0, 0)), SPath((1, 0)))
+        cross = lambda_accumulate(circuit, (0,), (SPath((0, 0)),), (SPath((1, 0)),))
         worst_lambda = max(worst_lambda, abs(cross.final))
         worst_hits = max(worst_hits, abs(cross.hits[0] + 1.0), abs(cross.hits[1]))
     elapsed = time.perf_counter() - start

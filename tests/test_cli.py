@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -28,8 +29,10 @@ from sumpaths.cli import main
 from sumpaths.common import DEFAULT_BUDGET
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
-from sumpaths.subsystems import enumerate_config_paths, lambda_general_trajectory
+from sumpaths.paths import enumerate_paths
 from sumpaths.verify import verify_circuit
+
+from .reference import lambda_general, prefix_lambdas
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -144,10 +147,10 @@ def test_trace_of_particle_zero_follows_the_hit_stream_beyond_three_particles(tm
         assert report.keys() == reference.keys()
         assert [len(report[key]) for key in ("paths", "trajectory", "hits")] == [2, 5, 4]
         assert all(isinstance(bits, str) and len(bits) == 4 for bits in report["paths"])
-        configs = enumerate_config_paths(circuit.n, (int(endpoint),))
-        first, second = (configs[int(k)] for k in pair.split(","))
-        assert report["paths"] == [first.bitstrings()[0], second.bitstrings()[0]]
-        expected = lambda_general_trajectory(circuit, (0,), first, second)
+        paths = enumerate_paths(circuit.n, int(endpoint))
+        first, second = ((paths[int(k)],) for k in pair.split(","))
+        assert report["paths"] == [first[0].bitstring(), second[0].bitstring()]
+        expected = prefix_lambdas(circuit, (0,), first, second)
         assert max(abs(complex(*value) - e) for value, e in zip(report["trajectory"], expected)) < 1e-12
         hits = [complex(*value) for value in report["hits"]]
         assert max(abs(h - (b - a)) for h, a, b in zip(hits, expected, expected[1:])) < 1e-12
@@ -156,6 +159,105 @@ def test_trace_of_particle_zero_follows_the_hit_stream_beyond_three_particles(tm
 def test_trace_bad_pair_index(epr_file):
     code, _, err = run_cli("trace", "--circuit", epr_file, "--pair", "0,7")
     assert code == 2 and "out of range" in err
+
+
+def _straddles(circuit, subsystem: tuple[int, ...], t: int) -> bool:
+    return any((a in subsystem) != (b in subsystem) for a, b in (g.pair for g in circuit.layer(t).phases))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(2, 5), st.integers(1, 4), st.sampled_from([0.3, 1.0]), st.integers(0, 2**32 - 1), st.data())
+def test_trace_of_every_subsystem_matches_the_direct_overlap_at_every_layer(particles, layers, p_phase, seed, data):
+    circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_single=0.9, p_phase=p_phase)
+    subsets = [s for r in range(1, particles) for s in itertools.combinations(range(particles), r)]
+    subsystem = data.draw(st.sampled_from([s for s in subsets if (s, particles) != ((0,), 3)]))
+    endpoints = data.draw(st.tuples(*[st.integers(0, 1)] * len(subsystem)))
+    count = (1 << (layers - 1)) ** len(subsystem)
+    first, second = data.draw(st.integers(0, count - 1)), data.draw(st.integers(0, count - 1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        save_circuit(circuit, str(path))
+        code, out, err = run_cli(
+            "trace", "--circuit", str(path), "--subsystem", ",".join(map(str, subsystem)),
+            "--endpoint", ",".join(map(str, endpoints)), "--pair", f"{first},{second}",
+        )
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    member_paths = [enumerate_paths(layers, e) for e in endpoints]
+    p, q = (list(itertools.product(*member_paths))[index] for index in (first, second))
+    expected = prefix_lambdas(circuit, subsystem, p, q)
+    assert expected[-1] == lambda_general(circuit, subsystem, p, q)
+    trajectory = [complex(*value) for value in report["trajectory"]]
+    assert trajectory[0] == 1 and max(abs(a - b) for a, b in zip(trajectory, expected, strict=True)) < 1e-12
+    for t, value in enumerate(report["hits"], start=1):
+        if not _straddles(circuit, subsystem, t):
+            assert value == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("particles, subsystem", [(2, "0"), (3, "0"), (4, "0"), (4, "1,2"), (5, "2,4")])
+def test_trace_names_paths_in_enumeration_order_at_every_index(tmp_path, particles, subsystem):
+    members = len(subsystem.split(","))
+    for layers in range(1, 5):
+        path = tmp_path / f"n{layers}.json"
+        save_circuit(random_circuit(np.random.default_rng(layers), particles, layers), str(path))
+        for endpoints in itertools.product((0, 1), repeat=members):
+            product = list(itertools.product(*(enumerate_paths(layers, e) for e in endpoints)))
+            for index, paths in enumerate(product):
+                last = len(product) - 1 - index
+                code, out, _ = run_cli(
+                    "trace", "--circuit", str(path), "--subsystem", subsystem,
+                    "--endpoint", ",".join(map(str, endpoints)), "--pair", f"{index},{last}",
+                )
+                assert code == 0
+                named = json.loads(out)["paths"][0]
+                if subsystem == "0":
+                    assert named == paths[0].bitstring()
+                else:
+                    assert named == [p.bitstring() for p in paths]
+
+
+def test_trace_builds_only_the_two_named_paths(tmp_path):
+    # 2^19 paths per endpoint: enumerating them all took about 145 MiB
+    path = tmp_path / "n20.json"
+    save_circuit(random_circuit(np.random.default_rng(20), 2, 20, p_single=0.9, p_phase=1.0), str(path))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli("trace", "--circuit", str(path), "--pair", "0,524287")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["paths"] == ["0" * 20, "1" * 19 + "0"]
+    assert peak < 4 * 2**20
+
+
+def test_paths_charges_its_enumeration(tmp_path):
+    path = tmp_path / "n4.json"
+    save_circuit(random_circuit(np.random.default_rng(4), 1, 4), str(path))
+    code, out, err = run_cli("paths", "--circuit", str(path), "--particle", "0", "--endpoint", "0", "--budget", "4")
+    assert (code, out) == (3, "")
+    assert err == "error: path enumeration needs 8 combinations, budget is 4; raise --budget to override\n"
+    code, out, _ = run_cli("paths", "--circuit", str(path), "--particle", "0", "--endpoint", "0", "--budget", "8")
+    assert code == 0 and len(json.loads(out)["paths"]) == 8
+
+
+@pytest.mark.parametrize(
+    "particles, layers, message",
+    [
+        ("1" * 400, 1, "'particles' must be at most 65536"),
+        (str(2**40), 1, "'particles' must be at most 65536"),
+        # about 300 KB of empty layers that would ask for a 50 GB gate table
+        ("65536", 100_000, "'particles' times the layer count must be at most 1048576"),
+    ],
+    ids=["400-digits", "2^40", "many-layers"],
+)
+@pytest.mark.parametrize("command", ["marginal", "verify"])
+def test_huge_particle_counts_are_input_errors(tmp_path, particles, layers, message, command):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"particles": {particles}, "layers": [{", ".join(["{}"] * layers)}]}}')
+    code, out, err = run_cli(command, "--circuit", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_verify_epr_passes_tightly(epr_file):

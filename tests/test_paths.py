@@ -21,6 +21,7 @@ from sumpaths.paths import (
     condition_on_paths,
     conditioned_prefix_states,
     enumerate_paths,
+    member_paths_at,
     path_amplitude,
     pair_phases,
     prefix_amplitude_layers,
@@ -62,6 +63,25 @@ def test_four_layer_enumeration_is_lexicographic():
 def test_zero_layer_enumeration_rejected():
     with pytest.raises(ValueError):
         enumerate_paths(0, 0)
+
+
+@pytest.mark.parametrize("members", [1, 2, 3])
+def test_member_paths_at_builds_the_product_order_at_every_index(members):
+    for n in range(1, 5):
+        for endpoints in itertools.product((0, 1), repeat=members):
+            product = list(itertools.product(*(enumerate_paths(n, e) for e in endpoints)))
+            built = [member_paths_at(n, endpoints, index) for index in range(len(product))]
+            assert built == product
+            for index in (-1, len(product)):
+                with pytest.raises(IndexError):
+                    member_paths_at(n, endpoints, index)
+
+
+def test_member_paths_at_rejects_what_enumeration_rejects_first():
+    with pytest.raises(ValueError, match="at least one layer"):
+        member_paths_at(0, (0,), 5)
+    with pytest.raises(ValueError, match="endpoint must be 0 or 1, got 2"):
+        member_paths_at(3, (1, 2), 99)
 
 
 def test_hadamard_path_amplitude():

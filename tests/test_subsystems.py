@@ -14,15 +14,7 @@ from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded, LambdaBlock
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths, path_amplitude
-from sumpaths.subsystems import (
-    ConfigPath,
-    conditioned_blocks,
-    conditioned_charges,
-    enumerate_config_paths,
-    lambda_blocks,
-    lambda_general_trajectory,
-    table_blocks,
-)
+from sumpaths.subsystems import conditioned_blocks, conditioned_charges, lambda_blocks, table_blocks
 from sumpaths.threeparticle import lambda3_tables, lambda_three
 from sumpaths.twoparticle import lambda_accumulate, lambda_tables
 
@@ -33,8 +25,7 @@ from .reference import lambda_general, sparse_circuit
 def test_single_particle_config_amplitude_reduces_to_path_amplitude():
     circuit = random_circuit(np.random.default_rng(3), 3, 3)
     for path in enumerate_paths(3, 1):
-        cfg = ConfigPath(paths=(path,))
-        assert config_path_amplitude(circuit, (0,), cfg) == path_amplitude(circuit, 0, path)
+        assert config_path_amplitude(circuit, (0,), (path,)) == path_amplitude(circuit, 0, path)
 
 
 def test_epr_pair_config_amplitude_carries_interaction_phase():
@@ -45,14 +36,13 @@ def test_epr_pair_config_amplitude_carries_interaction_phase():
     circuit = make_circuit(
         3, [({0: HADAMARD, 1: HADAMARD}, [PhaseGate((0, 1), (0.0, 0.0, 0.0, np.pi))])]
     )
-    cfg = ConfigPath(paths=(Path((1,)), Path((1,))))
-    value = config_path_amplitude(circuit, (0, 1), cfg)
+    value = config_path_amplitude(circuit, (0, 1), (Path((1,)), Path((1,))))
     assert abs(value - (-0.5)) < 1e-12
 
 
 def test_lambda_general_identity_cases():
     circuit = random_circuit(np.random.default_rng(5), 3, 3)
-    cfg = ConfigPath(paths=(enumerate_paths(3, 0)[2],))
+    cfg = (enumerate_paths(3, 0)[2],)
     assert abs(lambda_general(circuit, (0,), cfg, cfg) - 1.0) < 1e-12
 
 
@@ -62,7 +52,7 @@ def test_lambda_general_is_one_when_decoupled():
     circuit = make_circuit(3, specs)
     paths = enumerate_paths(3, 0)
     for p, q in itertools.combinations(paths, 2):
-        value = lambda_general(circuit, (0,), ConfigPath((p,)), ConfigPath((q,)))
+        value = lambda_general(circuit, (0,), (p,), (q,))
         assert value == 1.0 + 0j
 
 
@@ -70,8 +60,8 @@ def test_lambda_general_matches_two_particle_module():
     circuit = random_circuit(np.random.default_rng(11), 2, 4)
     paths = enumerate_paths(4, 1)
     for p, q in itertools.permutations(paths[:4], 2):
-        general = lambda_general(circuit, (0,), ConfigPath((p,)), ConfigPath((q,)))
-        assert abs(general - lambda_accumulate(circuit, p, q).final) < 1e-10
+        general = lambda_general(circuit, (0,), (p,), (q,))
+        assert abs(general - lambda_accumulate(circuit, (0,), (p,), (q,)).final) < 1e-10
     tables = final_blocks(circuit, lambda_tables(circuit))
     for (j,), block in conditioned_blocks(circuit, (0,)):
         assert abs(block.marginal() - tables[j].marginal()) < 1e-12
@@ -81,7 +71,7 @@ def test_lambda_general_matches_three_particle_module():
     circuit = random_circuit(np.random.default_rng(13), 3, 3)
     paths = enumerate_paths(3, 0)
     for p, q in itertools.permutations(paths[:3], 2):
-        general = lambda_general(circuit, (0,), ConfigPath((p,)), ConfigPath((q,)))
+        general = lambda_general(circuit, (0,), (p,), (q,))
         assert abs(general - lambda_three(circuit, p, q).final) < 1e-10
 
 
@@ -95,19 +85,18 @@ def test_trajectory_increments_are_exact_zeros_off_interaction_layers():
             ({i: random_single(rng) for i in range(4)}, [PhaseGate((0, 1), tuple(rng.uniform(0, 2 * np.pi, 4)))]),
         ],
     )
-    subsystem = (0, 1)
-    cfgs = enumerate_config_paths(3, (0, 1))
-    trajectory = lambda_general_trajectory(circuit, subsystem, cfgs[0], cfgs[3])
+    p = (Path((0, 0, 0)), Path((0, 0, 1)))
+    q = (Path((0, 1, 0)), Path((1, 1, 1)))  # particle 0 differs at the straddling layer 2
+    hits = lambda_accumulate(circuit, (0, 1), p, q).hits
     # layer 1 only couples external particles (2,3); layer 3's (0,1) gate is intra-subsystem
-    assert trajectory[1] == trajectory[0]
-    assert trajectory[3] == trajectory[2]
-    assert trajectory[2] != trajectory[1]
+    assert hits[0] == 0j and hits[2] == 0j
+    assert hits[1] != 0j
 
 
 def test_endpoint_mismatch_rejected():
     circuit = random_circuit(np.random.default_rng(19), 3, 2)
-    p = ConfigPath((Path((0, 0)),))
-    q = ConfigPath((Path((0, 1)),))
+    p = (Path((0, 0)),)
+    q = (Path((0, 1)),)
     with pytest.raises(ValueError):
         lambda_general(circuit, (0,), p, q)
 
@@ -134,19 +123,19 @@ def test_intra_subsystem_bookkeeping_is_interchangeable():
     # configuration amplitude; moved onto lambda they leave the marginal
     circuit = random_circuit(np.random.default_rng(31), 4, 3)
     for outcome, block in conditioned_blocks(circuit, (0, 1)):
-        configs = enumerate_config_paths(circuit.n, outcome)
+        configs = list(itertools.product(*(enumerate_paths(circuit.n, j) for j in outcome)))
         scalar = np.array([config_path_amplitude(circuit, (0, 1), c) for c in configs])
         assert np.max(np.abs(block.amplitudes - scalar)) < 1e-12
         for i, k in ((0, 1), (2, 3), (3, 0)):
             assert abs(block.lam[i, k] - lambda_general(circuit, (0, 1), configs[i], configs[k])) < 1e-10
         bare = np.array(
-            [path_amplitude(circuit, 0, c.paths[0]) * path_amplitude(circuit, 1, c.paths[1]) for c in configs]
+            [path_amplitude(circuit, 0, c[0]) * path_amplitude(circuit, 1, c[1]) for c in configs]
         )
         intra = np.ones(len(configs), dtype=complex)
         for t in range(1, circuit.n + 1):
             gate = circuit.phase(t, (0, 1))
             if gate is not None:
-                intra *= [np.exp(1j * gate.theta(c.paths[0].mode(t), c.paths[1].mode(t))) for c in configs]
+                intra *= [np.exp(1j * gate.theta(c[0].mode(t), c[1].mode(t))) for c in configs]
         moved = LambdaBlock(amplitudes=bare, lam=block.lam * np.outer(intra.conj(), intra))
         assert abs(moved.marginal() - block.marginal()) < 1e-12
 

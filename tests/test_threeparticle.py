@@ -14,7 +14,7 @@ from sumpaths.common import BudgetExceeded
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths
-from sumpaths.subsystems import ConfigPath, conditioned_blocks
+from sumpaths.subsystems import conditioned_blocks
 from sumpaths.threeparticle import (
     cascade_charges,
     delta,
@@ -217,7 +217,7 @@ def test_hit_three_matches_two_particle_hit_when_decoupled():
         for p, q in sample_pairs(3, endpoint, 6, seed=5):
             for r in range(1, 4):
                 three = hit_three(circuit, p, q, r).total
-                two = hit_two(reduced, p, q, r)
+                two = hit_two(reduced, (0,), (p,), (q,), r)
                 assert abs(three - two) < 1e-10
 
 
@@ -238,7 +238,7 @@ def test_cascade_closes_to_direct_inner_product():
         for endpoint in (0, 1):
             for p, q in sample_pairs(layers, endpoint, 6, seed=layers):
                 entry = lambda_three(circuit, p, q)
-                direct = lambda_general(circuit, (0,), ConfigPath((p,)), ConfigPath((q,)))
+                direct = lambda_general(circuit, (0,), (p,), (q,))
                 assert abs(entry.final - direct) < 1e-9
 
 
@@ -254,7 +254,7 @@ def test_identical_paths_give_unit_lambda():
     circuit = random_circuit(np.random.default_rng(37), 3, 3)
     p = enumerate_paths(3, 1)[2]
     assert abs(lambda_three(circuit, p, p).final - 1.0) < 1e-12
-    assert abs(lambda_general(circuit, (0,), ConfigPath((p,)), ConfigPath((p,))) - 1.0) < 1e-12
+    assert abs(lambda_general(circuit, (0,), (p,), (p,)) - 1.0) < 1e-12
 
 
 def test_tables_match_scalar_cascade():
@@ -451,7 +451,7 @@ def test_decoupled_lambda_reduces_to_two_particle():
     for endpoint in (0, 1):
         for p, q in sample_pairs(4, endpoint, 8, seed=7):
             three = lambda_three(circuit, p, q).final
-            two = lambda_accumulate(reduced, p, q).final
+            two = lambda_accumulate(reduced, (0,), (p,), (q,)).final
             assert abs(three - two) < 1e-10
         three_marginal = final_blocks(circuit, lambda3_tables(circuit))[endpoint].marginal()
         two_marginal = final_blocks(reduced, lambda_tables(reduced))[endpoint].marginal()

@@ -29,7 +29,7 @@ from .reference import (
 )
 
 EPR = build_epr_circuit(np.eye(2), np.eye(2))
-P0, P1 = Path((0, 0)), Path((1, 0))  # the two subsystem paths to endpoint 0
+P0, P1 = (Path((0, 0)),), (Path((1, 0)),)  # the two subsystem paths to endpoint 0, one member each
 
 
 def all_pairs(n: int, endpoint: int):
@@ -38,21 +38,21 @@ def all_pairs(n: int, endpoint: int):
 
 
 def test_epr_hit_is_minus_one_at_layer_one():
-    assert abs(hit(EPR, P0, P1, 1) + 1.0) < 1e-12
+    assert abs(hit(EPR, (0,), P0, P1, 1) + 1.0) < 1e-12
 
 
 def test_layers_without_phase_gate_hit_exactly_zero():
-    assert hit(EPR, P0, P1, 2) == 0j
+    assert hit(EPR, (0,), P0, P1, 2) == 0j
     circuit = make_circuit(2, [({0: random_single(np.random.default_rng(0))}, [])] * 3)
     paths = enumerate_paths(3, 0)
-    assert all(hit(circuit, paths[0], paths[1], t) == 0j for t in (1, 2, 3))
+    assert all(hit(circuit, (0,), (paths[0],), (paths[1],), t) == 0j for t in (1, 2, 3))
 
 
 def test_hit_telescopes_against_direct_matrix_products():
     circuit = random_circuit(np.random.default_rng(101), particles=2, layers=5)
     for p, q in all_pairs(5, 0)[:20]:
         for t in range(1, 6):
-            via_hit = hit(circuit, p, q, t)
+            via_hit = hit(circuit, (0,), (p,), (q,), t)
             now = conditioned_external_matrix(circuit, {0: p}, upto=t).conj().T @ (
                 conditioned_external_matrix(circuit, {0: q}, upto=t)
             )
@@ -63,7 +63,7 @@ def test_hit_telescopes_against_direct_matrix_products():
 
 
 def test_epr_trajectory_turns_interference_off():
-    entry = lambda_accumulate(EPR, P0, P1)
+    entry = lambda_accumulate(EPR, (0,), P0, P1)
     assert np.max(np.abs(np.array(entry.trajectory) - np.array([1.0, 0.0, 0.0]))) < 1e-12
     assert abs(entry.hits[0] + 1.0) < 1e-12 and entry.hits[1] == 0j
 
@@ -79,13 +79,13 @@ def test_zero_theta_circuit_keeps_lambda_at_one():
         ],
     )
     for p, q in all_pairs(4, 1)[:6]:
-        entry = lambda_accumulate(circuit, p, q)
+        entry = lambda_accumulate(circuit, (0,), (p,), (q,))
         assert all(value == 1.0 + 0j for value in entry.trajectory)
 
 
 def test_lambda_direct_examples():
-    assert abs(lambda_direct(EPR, P0, P0) - 1.0) < 1e-12
-    assert abs(lambda_direct(EPR, P0, P1)) < 1e-12
+    assert abs(lambda_direct(EPR, P0[0], P0[0]) - 1.0) < 1e-12
+    assert abs(lambda_direct(EPR, P0[0], P1[0])) < 1e-12
     circuit = random_circuit(np.random.default_rng(7), particles=2, layers=6)
     for p, q in all_pairs(6, 0)[:10]:
         assert abs(lambda_direct(circuit, p, q)) <= 1 + 1e-12
@@ -95,7 +95,7 @@ def test_accumulated_lambda_matches_direct():
     circuit = random_circuit(np.random.default_rng(11), particles=2, layers=6)
     for endpoint in (0, 1):
         for p, q in all_pairs(6, endpoint)[:24]:
-            entry = lambda_accumulate(circuit, p, q)
+            entry = lambda_accumulate(circuit, (0,), (p,), (q,))
             assert abs(entry.final - lambda_direct(circuit, p, q)) < 1e-10
 
 
@@ -104,7 +104,7 @@ def test_tables_match_scalar_ops():
     tables = list(lambda_tables(circuit))
     for p, q in all_pairs(4, 1):
         trajectory = np.array(table_trajectory(tables, p, q))
-        scalar = lambda_accumulate(circuit, p, q)
+        scalar = lambda_accumulate(circuit, (0,), (p,), (q,))
         assert np.max(np.abs(trajectory - np.array(scalar.trajectory))) < 1e-12
         assert np.max(np.abs(np.diff(trajectory) - np.array(scalar.hits))) < 1e-12
 
@@ -135,7 +135,8 @@ def test_hermitian_pairing_and_bound():
     assert np.max(np.abs(final - final.conj().T)) < 1e-12
     assert all(np.max(np.abs(table)) <= 1 + 1e-10 for table in tables)
     p, q = enumerate_paths(6, 0)[0], enumerate_paths(6, 0)[3]
-    assert abs(lambda_accumulate(circuit, p, q).final - np.conj(lambda_accumulate(circuit, q, p).final)) < 1e-12
+    forward, backward = (lambda_accumulate(circuit, (0,), (a,), (b,)).final for a, b in ((p, q), (q, p)))
+    assert abs(forward - np.conj(backward)) < 1e-12
 
 
 def test_epr_marginal_is_half_for_any_measurement_rotation():
@@ -188,7 +189,7 @@ def test_rejects_wrong_particle_count():
     circuit = random_circuit(np.random.default_rng(43), particles=3, layers=2)
     paths = enumerate_paths(2, 0)
     with pytest.raises(ValueError):
-        hit(circuit, paths[0], paths[1], 1)
+        hit(circuit, (0,), (paths[0],), (paths[1],), 1)
     with pytest.raises(ValueError):
         next(lambda_tables(circuit))
 
@@ -270,5 +271,5 @@ def test_scalar_hits_match_the_stream_beyond_three_particles(particles):
     tables = list(lambda_tables(circuit))
     for endpoint in (0, 1):
         for p, q in all_pairs(4, endpoint)[:12]:
-            entry = lambda_accumulate(circuit, p, q)
+            entry = lambda_accumulate(circuit, (0,), (p,), (q,))
             assert np.max(np.abs(np.array(entry.trajectory) - table_trajectory(tables, p, q))) < 1e-12
