@@ -130,6 +130,13 @@ def _parse_pair(text: str) -> tuple[int, int]:
         raise CircuitError(f"bad pair spec {text!r}") from None
 
 
+def _parse_endpoints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise CircuitError(f"bad endpoint spec {text!r}") from None
+
+
 def _branch_json(terms) -> list[dict]:
     return [
         {
@@ -148,7 +155,7 @@ def _branch_json(terms) -> list[dict]:
 def cmd_trace(args: argparse.Namespace) -> int:
     circuit = load_circuit(args.circuit)
     subsystem = _parse_subsystem(args.subsystem, circuit)
-    endpoints = tuple(int(part) for part in str(args.endpoint).split(","))
+    endpoints = _parse_endpoints(args.endpoint)
     if len(endpoints) != len(subsystem):
         raise CircuitError("need one endpoint per subsystem particle")
     first, second = _parse_pair(args.pair)

@@ -9,10 +9,16 @@ alone, so naming two paths never enumerates the rest.
 
 `conditioned_prefix_state_layers` is the one vectorized evolution of the
 external system conditioned on subsystem paths, one table per layer, and
-`conditioned_prefix_states` holds its tables from a given layer on: the hit
-stream of the subsystem (0,), the Gram tables `verify` checks both table
-streams against, the general blocks (the final table only) and the density
-path sum read their external states from this prefix tree.
+`conditioned_prefix_states` holds its tables from a given layer on. Each
+layer is one `TreeStep`: one product of the rows with the layer's external
+operator (the external singles as Kronecker blocks of at most four
+particles, the external-only phase gates folded in as one diagonal), then
+one broadcast multiply that grows every member's prefix by its new bit and
+applies the straddling factors D[a, x]. `conditioned_prefix_tree` keeps
+each layer's `TreeStep`, so the hit stream of the subsystem (0,) reads the
+pre-gate states and D it needs instead of rebuilding them. The Gram tables
+`verify` checks both table streams against, the general blocks (the final
+table only) and the density path sum read the same tree's tables.
 `condition_on_paths` is the per-path scalar reference it is checked against,
 and the evolution the per-pair hits (`twoparticle.hit`) read.
 """
@@ -331,15 +337,19 @@ def condition_on_paths(circuit: Circuit, conditioning: Mapping[int, Path]) -> Co
 
 
 def apply_single(state: np.ndarray, axis: int, gate: np.ndarray) -> np.ndarray:
-    """`gate` applied to one axis of `state`, as one (rows, 2) x (2, 2) BLAS call on a view.
+    """`gate` applied to one axis of `state`, as one (rows, K) x (K, K) BLAS call on a view.
 
-    The rows stay on the left: that operand order fixes the last bits of
-    every prefix tree and lambda table. A gate on the left rounds
+    K is the axis' size: 2 for one particle, 2^c for a Kronecker block of c
+    particles. The rows stay on the left: that operand order fixes the last
+    bits of every prefix tree and lambda table. A gate on the left rounds
     differently.
     """
-    view = state.reshape(math.prod(state.shape[:axis]), 2, -1)
-    rows = np.dot(view.transpose(0, 2, 1).reshape(-1, 2), gate.T)
-    return rows.reshape(view.shape[0], -1, 2).transpose(0, 2, 1).reshape(state.shape)
+    size = state.shape[axis]
+    if axis == state.ndim - 1:  # the same product, without the transposes
+        return np.dot(state.reshape(-1, size), gate.T).reshape(state.shape)
+    view = state.reshape(math.prod(state.shape[:axis]), size, -1)
+    rows = np.dot(view.transpose(0, 2, 1).reshape(-1, size), gate.T)
+    return rows.reshape(view.shape[0], -1, size).transpose(0, 2, 1).reshape(state.shape)
 
 
 @functools.cache
@@ -355,6 +365,105 @@ def straddling_factor(gate: PhaseGate, members: tuple[int, ...]) -> tuple[int, i
     return (a, b, gate.table) if a in members else (b, a, gate.table.T)
 
 
+_BLOCK = 4  # external particles per Kronecker block of a tree step's operator: at most 16 x 16, 256 entries
+
+
+def _kron_block(singles: list[np.ndarray]) -> np.ndarray:
+    """The Kronecker product of up to `_BLOCK` single gates, the first most significant, one outer product each."""
+    op = singles[0]
+    for single in singles[1:]:
+        size = len(op)
+        op = (op[:, None, :, None] * single[:, None]).reshape(2 * size, 2 * size)
+    return op
+
+
+def _phase_product(factors: list[tuple[int, int, np.ndarray]], ndim: int) -> np.ndarray:
+    """The product of 2x2 phase tables over every ndim-bit index, each table on its (earlier, later) pair of axes."""
+    product = None
+    for first, second, table in factors:
+        shape = [1] * ndim
+        shape[first] = shape[second] = 2
+        factor = table.reshape(shape)
+        product = factor if product is None else product * factor
+    full = np.empty((2,) * ndim, dtype=complex)
+    full[...] = product
+    return full.reshape(-1)
+
+
+@dataclass(frozen=True, eq=False)
+class TreeStep:
+    """Layer t of a conditioned prefix tree, taken from table t - 1.
+
+    `pre` is table t - 1 with layer t's external operator applied: the
+    external singles, as one product per Kronecker block of at most four
+    particles, and the external-only phase gates as one diagonal. It holds
+    the external states just before the straddling gates, one row per
+    (t-1)-mode member prefix. `factors` is D[a, x], the product of layer t's
+    straddling factors at joint member mode a and external basis state x
+    (first member and first external particle most significant), or None
+    when no gate couples a member to the external system. Gates wholly
+    inside the subsystem belong to the path amplitudes and appear in
+    neither.
+    """
+
+    layer: int
+    members: tuple[int, ...]
+    pre: np.ndarray
+    factors: np.ndarray | None
+
+    def grow(self) -> np.ndarray:
+        """Table t in one broadcast multiply: row (k, a) is pre row k times D[a], k extended by each member's new bit."""
+        prefix, size, width = 1 << (self.layer - 1), len(self.members), self.pre.shape[1]
+        rows = self.pre.reshape((prefix, 1) * size + (width,))
+        if self.factors is None:
+            grown = np.broadcast_to(rows, (prefix, 2) * size + (width,))
+        else:
+            grown = rows * self.factors.reshape((1, 2) * size + (width,))
+        return grown.reshape(-1, width)
+
+
+def _tree_step(circuit: Circuit, members: tuple[int, ...], t: int, table: np.ndarray) -> TreeStep:
+    """Layer t's `TreeStep` for the normalized `members`, from the prefix tree's table t - 1.
+
+    The external-only phase diagonal folds into the operator when the
+    external system is one block, and multiplies the rows once otherwise.
+    Each straddling factor is oriented by `straddling_factor`.
+    """
+    external, axis = member_layout(circuit.particles, members)
+    layer = circuit.layer(t)
+    size, width = len(members), len(external)
+    phases, straddling = [], []
+    for gate in layer.phases:
+        a, b = gate.pair
+        if (a in members) != (b in members):
+            member, other, factor = straddling_factor(gate, members)
+            straddling.append((axis[member], axis[other], factor))
+        elif a not in members:
+            phases.append((axis[a] - size, axis[b] - size, gate.table))
+    ops = [_kron_block([layer.singles[p] for p in external[k : k + _BLOCK]]) for k in range(0, width, _BLOCK)]
+    diagonal = _phase_product(phases, width) if phases else None
+    if diagonal is not None and len(ops) == 1:
+        ops[0], diagonal = diagonal[:, None] * ops[0], None
+    pre = table.reshape((-1,) + tuple(op.shape[0] for op in ops))
+    for k, op in enumerate(ops, start=1):
+        pre = apply_single(pre, k, op)
+    pre = pre.reshape(table.shape)
+    if diagonal is not None:
+        pre = pre * diagonal
+    factors = _phase_product(straddling, circuit.particles).reshape(1 << size, -1) if straddling else None
+    return TreeStep(layer=t, members=members, pre=pre, factors=factors)
+
+
+def _root(circuit: Circuit, members: tuple[int, ...]) -> np.ndarray:
+    """Table 0: one row, the external system in |0...0>."""
+    external, _ = member_layout(circuit.particles, members)
+    if not external:
+        raise ValueError("conditioning set must leave at least one external particle")
+    root = np.zeros((1, 1 << len(external)), dtype=complex)
+    root[0, 0] = 1.0
+    return root
+
+
 def conditioned_prefix_state_layers(circuit: Circuit, subsystem: Sequence[int]) -> Iterator[np.ndarray]:
     """External states conditioned on every subsystem path prefix, after layers t = 0..n, each grown from the last.
 
@@ -362,43 +471,44 @@ def conditioned_prefix_state_layers(circuit: Circuit, subsystem: Sequence[int]) 
     indices, first member most significant; a column is an
     external basis state, first external particle most significant. Row r
     equals `condition_on_paths(...).state(upto=t)` for any member paths with
-    those prefixes. Each layer applies the external singles axis by axis and
-    the external phase gates once per prefix, grows every member's prefix by
-    `np.repeat`, then applies the straddling gates conditioned on the new
-    mode. Gates wholly inside the subsystem stay in the path amplitudes.
-    For the subsystem (0,), the Gram matrix of table t is the lambda^(t)
-    that `verify` checks each streamed table against.
+    those prefixes. Each layer is one `TreeStep`: one product with the
+    layer's external operator, then one broadcast multiply that grows every
+    member's prefix by its new bit and applies the straddling factors. For
+    the subsystem (0,), the Gram matrix of table t is the lambda^(t) that
+    `verify` checks each streamed table against.
     """
     members = tuple(sorted(set(subsystem)))
-    external, axis = member_layout(circuit.particles, members)
-    if not external:
-        raise ValueError("conditioning set must leave at least one external particle")
-    size, width = len(members), len(external)
-    state = np.zeros((1,) * size + (2,) * width, dtype=complex)
-    state[(0,) * state.ndim] = 1.0
-    yield state.reshape(1, -1)
+    table = _root(circuit, members)
+    yield table
     for t in range(1, circuit.n + 1):
-        layer = circuit.layer(t)
-        for p in external:
-            state = apply_single(state, axis[p], layer.singles[p])
-        straddling = []
-        for gate in layer.phases:
-            a_in, b_in = (p in members for p in gate.pair)
-            if a_in != b_in:
-                straddling.append(gate)
-            elif not a_in:
-                shape = [1] * state.ndim
-                shape[axis[gate.pair[0]]] = shape[axis[gate.pair[1]]] = 2
-                state = state * gate.diagonal().reshape(shape)
-        for k in range(size):
-            state = np.repeat(state, 2, axis=k)
-        new_mode = np.arange(1 << t) % 2
-        for gate in straddling:
-            member, other, factors = straddling_factor(gate, members)
-            shape = [1] * state.ndim
-            shape[axis[member]], shape[axis[other]] = 1 << t, 2
-            state = state * factors[new_mode].reshape(shape)
-        yield state.reshape(-1, 1 << width)
+        table = _tree_step(circuit, members, t, table).grow()
+        yield table
+
+
+@dataclass(frozen=True, eq=False)
+class PrefixTree:
+    """A conditioned prefix tree over its first L layers that keeps each layer's step.
+
+    `tables[t]` is table t, for t = 0..L; `steps[t - 1]` is layer t's
+    `TreeStep`, for t = 1..L. `next` is layer L + 1's step when the circuit
+    has that layer: taken from table L, its table never grown.
+    """
+
+    tables: tuple[np.ndarray, ...]
+    steps: tuple[TreeStep, ...]
+    next: TreeStep | None
+
+
+def conditioned_prefix_tree(circuit: Circuit, subsystem: Sequence[int], layers: int | None = None) -> PrefixTree:
+    """`conditioned_prefix_state_layers`' tables over the first `layers` layers (default n), with their steps."""
+    members = tuple(sorted(set(subsystem)))
+    layers = circuit.n if layers is None else layers
+    tables, steps = [_root(circuit, members)], []
+    for t in range(1, layers + 1):
+        steps.append(_tree_step(circuit, members, t, tables[-1]))
+        tables.append(steps[-1].grow())
+    following = _tree_step(circuit, members, layers + 1, tables[-1]) if layers < circuit.n else None
+    return PrefixTree(tables=tuple(tables), steps=tuple(steps), next=following)
 
 
 def conditioned_prefix_states(circuit: Circuit, subsystem: Sequence[int], first: int = 0) -> list[np.ndarray]:

@@ -18,7 +18,9 @@ gates are conditioned on the subsystem path.
 `lambda_blocks` is where every lambda marginal picks its route, written
 once: the cascade for the subsystem (0,) of three particles, the hit stream
 for (0,) at every other particle count, and `conditioned_blocks` for every
-other subsystem. Each yields (outcome, block) pairs one at a time.
+other subsystem. Each yields (outcome, block) pairs one at a time. The hit
+stream's last layer is folded into the endpoint blocks by `table_blocks`,
+which reads that layer's hits off the prefix tree's `next` step.
 """
 from __future__ import annotations
 
@@ -30,7 +32,8 @@ import numpy as np
 
 from .circuits import Circuit
 from .common import DEFAULT_BUDGET, Charge, LambdaBlock, check_charges
-from .paths import conditioned_prefix_states, endpoint_rows, normalize_subsystem, pair_phases, prefix_amplitudes
+from .paths import TreeStep, conditioned_prefix_states, endpoint_rows, normalize_subsystem, pair_phases
+from .paths import prefix_amplitudes
 from .threeparticle import lambda3_tables
 from .twoparticle import lambda_tables, layer_hits, prefix_tree
 
@@ -106,7 +109,7 @@ def conditioned_blocks(
 
 
 def table_blocks(
-    circuit: Circuit, lam: np.ndarray, tree: list[np.ndarray] | None = None
+    circuit: Circuit, lam: np.ndarray, step: TreeStep | None = None
 ) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
     """((j,), block) for both endpoints of particle 0, read off a lambda table over t-mode prefixes.
 
@@ -114,9 +117,10 @@ def table_blocks(
     short (t = n - 1). Then endpoint j's block is that table plus layer n's
     hit between two prefixes that both move to j, with each prefix amplitude
     times the last single's element from its mode to j: bit-identical to the
-    final table's rows and columns that end at j. The hit reads the prefix
-    tree's table n - 1 off `tree`; a last layer with no gate on particle 0
-    adds none, so then the block is `lam` itself and no tree is needed.
+    final table's rows and columns that end at j. The hit reads layer n's
+    prefix-tree `step` (a `PrefixTree.next`); a last layer with no gate on
+    particle 0 adds none, so then the block is `lam` itself and no step is
+    needed.
     """
     t = lam.shape[0].bit_length() - 1
     amps = prefix_amplitudes(circuit, 0, upto=t)
@@ -125,7 +129,9 @@ def table_blocks(
             rows = endpoint_rows(t, j)
             yield (j,), LambdaBlock(amps[rows], lam[np.ix_(rows, rows)])
         return
-    hits = layer_hits(circuit, circuit.n, None if tree is None else tree[t])
+    if step is None and any(0 in gate.pair for gate in circuit.layer(circuit.n).phases):
+        raise ValueError("folding a last layer with a gate on particle 0 needs its prefix-tree step")
+    hits = None if step is None else layer_hits(step)
     for j in (0, 1):
         block = lam
         if hits is not None:
@@ -143,9 +149,9 @@ def lambda_blocks(
     The subsystem (0,) of three particles reads its two blocks off the last
     table of the cascade. At any other particle count it streams the hits
     over the first n - 1 layers (charged 4^(n-1)), and `table_blocks` folds
-    layer n into both endpoint blocks. Every other subsystem gets
-    `conditioned_blocks`, whose Gram-factor blocks hold no lambda until one
-    is read. Blocks are yielded one at a time, so a caller that drops each
+    layer n into both endpoint blocks from the tree's step of layer n. Every
+    other subsystem gets `conditioned_blocks`, whose Gram-factor blocks hold
+    no lambda until one is read. Blocks are yielded one at a time, so a caller that drops each
     before asking for the next holds one dense lambda at a time.
     """
     particles = normalize_subsystem(circuit, subsystem)
@@ -153,10 +159,11 @@ def lambda_blocks(
         yield from conditioned_blocks(circuit, particles, budget)
         return
     if circuit.particles == 3:
-        tree, tables = None, lambda3_tables(circuit, budget)
+        step, tables = None, lambda3_tables(circuit, budget)
     else:
         tree = prefix_tree(circuit, budget, layers=max(circuit.n - 1, 0))
-        tables = lambda_tables(circuit, tree=tree)
+        step, tables = tree.next, lambda_tables(circuit, tree=tree)
+        del tree  # the stream holds the tree until its last table; the fold reads only the next step
     for lam in tables:  # keeps only the last table
         pass
-    yield from table_blocks(circuit, lam, tree)
+    yield from table_blocks(circuit, lam, step)

@@ -21,11 +21,14 @@ of distinct pairs.
 `hit` and `lambda_accumulate` evolve each path tuple's external state by
 `condition_on_paths` and are the per-pair reference for every subsystem but
 the (0,) of three particles, whose hits are the paper's cascade in
-`threeparticle`. `lambda_tables` streams lambda^(t) of the subsystem (0,)
-over every prefix pair, one layer at a time, reading the conditioned
-external states of every prefix from one `prefix_tree`; `verify` checks each
-streamed table against the Gram matrix of those states. The stream serves
-every particle count but three.
+`threeparticle`. `_before_layer` (the external singles, axis by axis) and
+`_straddle` (the straddling factors D) remain only as that reference's
+helpers. `lambda_tables` streams lambda^(t) of the subsystem (0,) over
+every prefix pair, one layer at a time: `layer_hits` reads each layer's
+pre-gate states and D off the `prefix_tree` step that grew the tree's next
+table, so the stream rebuilds neither. `verify` checks each streamed table
+against the Gram matrix of the tree's tables. The stream serves every
+particle count but three.
 """
 from __future__ import annotations
 
@@ -36,8 +39,8 @@ import numpy as np
 
 from .circuits import Circuit
 from .common import DEFAULT_BUDGET, REALITY_TOL, Charge, LambdaBlock, RealityError, check_charges
-from .paths import Path, apply_single, condition_on_paths, conditioned_prefix_states, member_layout, normalize_subsystem
-from .paths import straddling_factor
+from .paths import Path, PrefixTree, TreeStep, apply_single, condition_on_paths, conditioned_prefix_tree, member_layout
+from .paths import normalize_subsystem, straddling_factor
 
 
 def _require_stream(circuit: Circuit) -> None:
@@ -94,21 +97,18 @@ def _before_layer(circuit: Circuit, members: tuple[int, ...], t: int, states: np
     return state.reshape(states.shape)
 
 
-def layer_hits(
-    circuit: Circuit, t: int, states: np.ndarray | None
-) -> Callable[[int, int], np.ndarray] | None:
-    """Layer t's hits over every pair of (t-1)-mode prefixes of particle 0, as a function of the modes (a, b) at t.
+def layer_hits(step: TreeStep) -> Callable[[int, int], np.ndarray] | None:
+    """A tree layer's hits over every pair of rows of its previous table, as a function of joint member modes (a, b).
 
     `hits(a, b)[k, l]` is the hit of the pair of prefixes k + a and l + b:
-    sum_x conj(pre[k, x]) pre[l, x] (conj(D_a(x)) D_b(x) - 1), with `pre`
-    the prefix tree's table t - 1 (`states`) just before the phase gates
-    and D the straddling factors (`_straddle`). None when layer t has no
-    straddling gate; `states` is read only when it has one.
+    sum_x conj(pre[k, x]) pre[l, x] (conj(D_a(x)) D_b(x) - 1), read off the
+    tree's own step: `pre` the external states just before the layer's
+    straddling gates, D their factors. None when the layer has no
+    straddling gate.
     """
-    factors = _straddle(circuit, (0,), t)
+    pre, factors = step.pre, step.factors
     if factors is None:
         return None
-    pre = _before_layer(circuit, (0,), t, states)
 
     def hits(a: int, b: int) -> np.ndarray:
         return (pre.conj() * (factors[b] * factors[a].conj() - 1.0)) @ pre.T
@@ -184,45 +184,50 @@ def prefix_tree_charges(circuit: Circuit, layers: int | None = None) -> list[Cha
     return [(4**layers, "path-pair table"), (1 << (layers + circuit.particles), "conditioned external states")]
 
 
-def prefix_tree(
-    circuit: Circuit, budget: int = DEFAULT_BUDGET, layers: int | None = None
-) -> list[np.ndarray]:
+def prefix_tree(circuit: Circuit, budget: int = DEFAULT_BUDGET, layers: int | None = None) -> PrefixTree:
     """Particle 0's conditioned prefix tree over the first `layers` layers (default n), charged first.
 
-    Both `prefix_tree_charges` are checked before anything is built.
+    Both `prefix_tree_charges` are checked before anything is built. The
+    tree keeps each layer's step, and the next layer's when the circuit has
+    one, for the hits that `lambda_tables` and `table_blocks` read.
     """
     _require_stream(circuit)
-    layers = circuit.n if layers is None else layers
     check_charges(prefix_tree_charges(circuit, layers), budget)
-    head = Circuit(particles=circuit.particles, layers=circuit.layers[:layers])
-    return conditioned_prefix_states(head, (0,))
+    return conditioned_prefix_tree(circuit, (0,), layers)
 
 
 def lambda_tables(
-    circuit: Circuit, budget: int = DEFAULT_BUDGET, tree: list[np.ndarray] | None = None
+    circuit: Circuit, budget: int = DEFAULT_BUDGET, tree: PrefixTree | None = None
 ) -> Iterator[np.ndarray]:
     """lambda^(t) over every pair of t-mode subsystem prefixes, for t = 0..n.
 
     Prefix indices encode modes most-significant-first, so a full path's row
     is its mode bitstring read as a binary number; paths ending at j occupy
-    rows 2k + j with k the lexicographic enumeration index. Layer t repeats
-    lambda^(t-1) over the new bit and adds the `layer_hits`. `tree` is the
-    circuit's `prefix_tree`, already charged; the stream runs over as many
-    layers as it has. Without one, the stream charges and builds the whole
-    tree on the first `next()`. Each table is a fresh array, never written
-    after it is yielded, so a caller that keeps only the last one holds at
-    most two tables at a time.
+    rows 2k + j with k the lexicographic enumeration index. Layer t writes
+    each new table once: lambda^(t-1) plus the `layer_hits` of one mode pair
+    (a, b) into the strided view of rows 2k + a and columns 2l + b, or
+    lambda^(t-1) alone at every (a, b) when the layer has no straddling
+    gate. `tree` is the circuit's `prefix_tree`, already charged; the stream
+    runs over as many layers as it has steps. Without one, the stream
+    charges and builds the whole tree on the first `next()`. Each table is a
+    fresh array, never written after it is yielded, so a caller that keeps
+    only the last one holds at most two tables, and one hit block, at a time.
     """
     tree = prefix_tree(circuit, budget) if tree is None else tree
     lam = np.ones((1, 1), dtype=complex)
     yield lam
-    for t in range(1, len(tree)):
-        lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
-        hits = layer_hits(circuit, t, tree[t - 1])
-        if hits is not None:
+    for step in tree.steps:
+        size = lam.shape[0]
+        grown = np.empty((2 * size, 2 * size), dtype=complex)
+        view = grown.reshape(size, 2, size, 2)
+        hits = layer_hits(step)
+        if hits is None:
+            view[...] = lam[:, None, :, None]
+        else:
             for a in (0, 1):
                 for b in (0, 1):
-                    lam[a::2, b::2] += hits(a, b)
+                    np.add(lam, hits(a, b), out=view[:, a, :, b])
+        lam = grown
         yield lam
 
 

@@ -9,9 +9,13 @@ are this circuit's, the last of which every other oracle check reads.
 
 The lambda route of the subsystem (0,) is built once per circuit: the hit
 stream of `twoparticle`, or for three particles the cascade, each a stream
-of per-layer tables. One conditioned prefix tree serves both the hit stream
-and the walk that checks it. One walk over the stream, holding at most the
-previous table, computes every per-layer check: the gap to the Gram matrix
+of per-layer tables. One conditioned prefix tree serves both the hit
+stream, which reads each layer's pre-gate states and straddling factors off
+the tree's steps, and the walk that checks it against the tree's tables.
+The hits stay per-layer sums over those states, never a difference of the
+tree's Gram matrices, so the walk is no restatement of the stream. One walk
+over the stream, holding at most the previous table, computes every
+per-layer check: the gap to the Gram matrix
 of the tree's conditioned external states (telescoping, three_closure), the
 largest |lambda| (lambda_bound), and, for the hit stream, the bit-exact
 repeat at layers without a gate on particle 0 (zero_hit_layers). The final
@@ -32,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -134,7 +138,7 @@ def _marginal_checks(
 def _walk_layers(
     circuit: Circuit,
     tables: Iterator[np.ndarray],
-    tree: list[np.ndarray],
+    tree: Sequence[np.ndarray],
     gateless: Container[int] = (),
 ) -> tuple[np.ndarray, float, float, float]:
     """Per-layer checks of a lambda stream, holding at most the previous table.
@@ -172,7 +176,7 @@ def _stream_checks(
     layers = enumerate(circuit.layers, start=1)
     gateless = [t for t, layer in layers if all(gate.pair[0] != 0 for gate in layer.phases)]
     tree = prefix_tree(circuit, budget)
-    final, gap, largest, zero_hit = _walk_layers(circuit, lambda_tables(circuit, tree=tree), tree, gateless)
+    final, gap, largest, zero_hit = _walk_layers(circuit, lambda_tables(circuit, tree=tree), tree.tables, gateless)
     blocks = [block for _, block in table_blocks(circuit, final)]
     marginals = [block.marginal() for block in blocks]
     _marginal_checks(runner, marginals, oracle, tol)

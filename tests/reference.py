@@ -16,7 +16,10 @@ trimmed circuits that the tests compare. The stream helpers at the end read
 the per-layer lambda tables of `lambda_tables` and `lambda3_tables`: one pair's
 trajectory, the final endpoint blocks, and the Gram tables of the package's
 conditioned prefix states that every layer must match. Then come the
-earlier two-particle table builder, the earlier three-particle cascade that
+earlier two-particle table builder, the earlier axis-by-axis prefix tree
+and the hit stream and fold that rebuilt each layer's pre-gate states and
+straddling factors from it (which the one-product tree step and the stream
+that reads its steps must match, bit for bit at two particles), the earlier three-particle cascade that
 refined its whole column stacks every layer, and the earlier pair sum, which
 the general hit stream, the carried-column cascade and the copy-free pair
 sum must reproduce. Then come the
@@ -73,9 +76,10 @@ from sumpaths.density import (
 from sumpaths.oracle import Distribution, evolve, marginal_by_sum, reduced_density_of
 from sumpaths.paths import ConditionalUnitary, Path, condition_on_paths, conditioned_prefix_states, normalize_subsystem
 from sumpaths.paths import apply_single, endpoint_rows, pair_phases, path_amplitude, prefix_amplitude_layers
-from sumpaths.paths import prefix_amplitudes
+from sumpaths.paths import member_layout, prefix_amplitudes, straddling_factor
 from sumpaths.subsystems import conditioned_charges, table_blocks
 from sumpaths.threeparticle import _thetas
+from sumpaths.twoparticle import _before_layer, _straddle
 
 
 def kron_layer_operator(circuit: Circuit, t: int) -> np.ndarray:
@@ -418,6 +422,93 @@ def two_particle_tables(circuit: Circuit) -> Iterator[np.ndarray]:
                     d = diag[b] * diag[a].conj() - 1.0
                     lam[a::2, b::2] += (pre.conj() * d) @ pre.T
         yield lam
+
+
+def axis_prefix_state_layers(circuit: Circuit, subsystem: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """The earlier `paths.conditioned_prefix_state_layers`: each layer step axis by axis.
+
+    The external singles one axis at a time, each external phase gate once
+    per prefix, `np.repeat` per member, then one multiply per straddling gate.
+    """
+    members = tuple(sorted(set(subsystem)))
+    external, axis = member_layout(circuit.particles, members)
+    if not external:
+        raise ValueError("conditioning set must leave at least one external particle")
+    size, width = len(members), len(external)
+    state = np.zeros((1,) * size + (2,) * width, dtype=complex)
+    state[(0,) * state.ndim] = 1.0
+    yield state.reshape(1, -1)
+    for t in range(1, circuit.n + 1):
+        layer = circuit.layer(t)
+        for p in external:
+            state = apply_single(state, axis[p], layer.singles[p])
+        straddling = []
+        for gate in layer.phases:
+            a_in, b_in = (p in members for p in gate.pair)
+            if a_in != b_in:
+                straddling.append(gate)
+            elif not a_in:
+                shape = [1] * state.ndim
+                shape[axis[gate.pair[0]]] = shape[axis[gate.pair[1]]] = 2
+                state = state * gate.diagonal().reshape(shape)
+        for k in range(size):
+            state = np.repeat(state, 2, axis=k)
+        new_mode = np.arange(1 << t) % 2
+        for gate in straddling:
+            member, other, factors = straddling_factor(gate, members)
+            shape = [1] * state.ndim
+            shape[axis[member]], shape[axis[other]] = 1 << t, 2
+            state = state * factors[new_mode].reshape(shape)
+        yield state.reshape(-1, 1 << width)
+
+
+def axis_layer_hits(circuit: Circuit, t: int, states: np.ndarray):
+    """The earlier `twoparticle.layer_hits`: `_before_layer` and `_straddle` rebuilt from table t - 1 of (0,)'s tree."""
+    factors = _straddle(circuit, (0,), t)
+    if factors is None:
+        return None
+    pre = _before_layer(circuit, (0,), t, states)
+
+    def hits(a: int, b: int) -> np.ndarray:
+        return (pre.conj() * (factors[b] * factors[a].conj() - 1.0)) @ pre.T
+
+    return hits
+
+
+def axis_lambda_tables(circuit: Circuit, layers: int | None = None) -> Iterator[np.ndarray]:
+    """The earlier `twoparticle.lambda_tables` over the first `layers` layers (default n), off the axis-by-axis tree.
+
+    Each layer repeats the last table by two `np.repeat` calls, then adds
+    `axis_layer_hits` into four strided views.
+    """
+    layers = circuit.n if layers is None else layers
+    tree = list(itertools.islice(axis_prefix_state_layers(circuit, (0,)), layers))
+    lam = np.ones((1, 1), dtype=complex)
+    yield lam
+    for t in range(1, layers + 1):
+        lam = np.repeat(np.repeat(lam, 2, axis=0), 2, axis=1)
+        hits = axis_layer_hits(circuit, t, tree[t - 1])
+        if hits is not None:
+            for a in (0, 1):
+                for b in (0, 1):
+                    lam[a::2, b::2] += hits(a, b)
+        yield lam
+
+
+def axis_folded_blocks(circuit: Circuit) -> dict[int, LambdaBlock]:
+    """{j: block}: the earlier `table_blocks` fold of layer n into lambda^(n-1) of `axis_lambda_tables` (n >= 1)."""
+    n = circuit.n
+    *_, lam = axis_lambda_tables(circuit, n - 1)
+    hits = axis_layer_hits(circuit, n, list(itertools.islice(axis_prefix_state_layers(circuit, (0,)), n))[-1])
+    amps = prefix_amplitudes(circuit, 0, upto=n - 1)
+    blocks = {}
+    for j in (0, 1):
+        block = lam
+        if hits is not None:
+            block = hits(j, j)
+            block += lam
+        blocks[j] = LambdaBlock(amps * circuit.single(n, 0)[j, np.arange(amps.size) % 2], block)
+    return blocks
 
 
 def _refine(

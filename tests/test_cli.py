@@ -161,6 +161,13 @@ def test_trace_bad_pair_index(epr_file):
     assert code == 2 and "out of range" in err
 
 
+@pytest.mark.parametrize("endpoint", ["", "x", "0,", "1,y"])
+def test_trace_bad_endpoint_spec_is_input_error(epr_file, endpoint):
+    code, out, err = run_cli("trace", "--circuit", epr_file, "--endpoint", endpoint, "--pair", "0,1")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad endpoint spec {endpoint!r}\n"
+
+
 def _straddles(circuit, subsystem: tuple[int, ...], t: int) -> bool:
     return any((a in subsystem) != (b in subsystem) for a, b in (g.pair for g in circuit.layer(t).phases))
 

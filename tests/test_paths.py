@@ -20,6 +20,7 @@ from sumpaths.paths import (
     apply_single,
     condition_on_paths,
     conditioned_prefix_states,
+    conditioned_prefix_tree,
     enumerate_paths,
     member_paths_at,
     path_amplitude,
@@ -29,6 +30,7 @@ from sumpaths.paths import (
 )
 
 from .reference import (
+    axis_prefix_state_layers,
     brute_amplitude,
     conditioned_external_matrix,
     conditioned_unitary,
@@ -397,3 +399,37 @@ def test_prefix_tree_rows_equal_the_conditioned_evolutions(particles, layers, se
             else:
                 expected = condition_on_paths(circuit, dict(zip(subsystem, paths))).state(upto=t)
             assert np.max(np.abs(table[row] - expected)) < 1e-12
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(2, 7), st.integers(0, 5), st.integers(0, 2**32 - 1), st.data())
+def test_tree_step_matches_the_axis_by_axis_step(particles, layers, seed, data):
+    # past four external particles the operator splits into Kronecker blocks of at most four
+    members = data.draw(st.integers(1, particles - 1))
+    subsystem = sorted(data.draw(st.sets(st.integers(0, particles - 1), min_size=members, max_size=members)))
+    if members * layers > 10:  # keep the largest table at 2^10 rows
+        layers = 10 // members
+    circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_single=0.9, p_phase=0.9)
+    tables = conditioned_prefix_states(circuit, subsystem)
+    earlier = list(axis_prefix_state_layers(circuit, subsystem))
+    for t, (table, old) in enumerate(zip(tables, earlier, strict=True)):
+        if particles == 2:
+            assert np.array_equal(table, old)
+        else:
+            assert np.max(np.abs(table - old)) < 1e-12
+        rows = data.draw(st.sets(st.integers(0, table.shape[0] - 1), min_size=1, max_size=4))
+        for row in rows:
+            if layers == 0:
+                expected = np.eye(table.shape[1])[0]
+            else:
+                paths = _prefix_paths(row, t, members, layers)
+                expected = condition_on_paths(circuit, dict(zip(subsystem, paths))).state(upto=t)
+            assert np.max(np.abs(table[row] - expected)) < 1e-12
+    tree = conditioned_prefix_tree(circuit, subsystem, max(layers - 1, 0))
+    assert all(np.array_equal(a, b) for a, b in zip(tree.tables, tables))
+    assert [step.layer for step in tree.steps] == list(range(1, len(tree.tables)))
+    if layers >= 1:
+        assert tree.next is not None and tree.next.layer == layers
+        assert np.array_equal(tree.next.grow(), tables[layers])
+    else:
+        assert tree.next is None

@@ -16,7 +16,7 @@ from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths, path_amplitude
 from sumpaths.subsystems import conditioned_blocks, conditioned_charges, lambda_blocks, table_blocks
 from sumpaths.threeparticle import lambda3_tables, lambda_three
-from sumpaths.twoparticle import lambda_accumulate, lambda_tables
+from sumpaths.twoparticle import lambda_accumulate, lambda_tables, prefix_tree
 
 from .reference import column_pair_sum, config_path_amplitude, dense_conditioned_blocks, final_blocks
 from .reference import lambda_general, sparse_circuit
@@ -203,6 +203,15 @@ def test_folded_blocks_equal_the_unfolded_ones_bit_for_bit(particles, pattern, s
         assert outcome == folded_outcome
         assert np.array_equal(block.amplitudes, folded_block.amplitudes)
         assert np.array_equal(block.lam, folded_block.lam)
+
+
+def test_folding_a_gated_last_layer_needs_its_tree_step():
+    circuit = random_circuit(np.random.default_rng(5), 2, 3, p_single=1.0, p_phase=1.0)
+    tree = prefix_tree(circuit, layers=2)
+    *_, short = lambda_tables(circuit, tree=tree)
+    with pytest.raises(ValueError, match="needs its prefix-tree step"):
+        list(table_blocks(circuit, short))
+    assert len(list(table_blocks(circuit, short, tree.next))) == 2
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from sumpaths.circuits import PhaseGate, build_epr_circuit, make_circuit, random_single
-from sumpaths.common import BudgetExceeded
+from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths
+from sumpaths.subsystems import lambda_blocks
 from sumpaths.twoparticle import (
     hit,
     lambda_accumulate,
@@ -19,6 +20,8 @@ from sumpaths.twoparticle import (
 )
 
 from .reference import (
+    axis_folded_blocks,
+    axis_lambda_tables,
     conditioned_external_matrix,
     final_blocks,
     gram_tables,
@@ -273,3 +276,62 @@ def test_scalar_hits_match_the_stream_beyond_three_particles(particles):
         for p, q in all_pairs(4, endpoint)[:12]:
             entry = lambda_accumulate(circuit, (0,), (p,), (q,))
             assert np.max(np.abs(np.array(entry.trajectory) - table_trajectory(tables, p, q))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 4, 5]),
+    st.lists(_PAIR_FLAGS, min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_stream_and_fold_match_the_axis_by_axis_stream(particles, pattern, seed, data):
+    # the stream reads each layer's pre-gate states and D off the tree step; the earlier
+    # stream rebuilt both from the tree's tables, and two particles keep its bits
+    circuit = sparse_circuit(particles, pattern, seed)
+    tables = list(lambda_tables(circuit))
+    for t, (lam, earlier) in enumerate(zip(tables, axis_lambda_tables(circuit), strict=True)):
+        if particles == 2:
+            assert np.array_equal(lam, earlier)
+        else:
+            assert np.max(np.abs(lam - earlier)) < 1e-12
+        if t and all(0 not in gate.pair for gate in circuit.layer(t).phases):
+            size = tables[t - 1].shape[0]
+            repeated = np.broadcast_to(tables[t - 1][:, None, :, None], (size, 2, size, 2))
+            assert np.array_equal(lam.reshape(size, 2, size, 2), repeated)
+    folded = {j: block for (j,), block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET)}
+    for j, earlier in axis_folded_blocks(circuit).items():
+        assert np.array_equal(folded[j].amplitudes, earlier.amplitudes)
+        if particles == 2:
+            assert np.array_equal(folded[j].lam, earlier.lam)
+        else:
+            assert np.max(np.abs(folded[j].lam - earlier.lam)) < 1e-12
+    n, final = circuit.n, tables[-1]
+    for _ in range(3):
+        k, l = (data.draw(st.integers(0, final.shape[0] - 1)) for _ in range(2))
+        p, q = (Path(tuple((index >> (n - 1 - s)) & 1 for s in range(n))) for index in (k, l))
+        t = data.draw(st.integers(1, n))
+        rows, cols = k >> (n - t), l >> (n - t)
+        streamed = tables[t][rows, cols] - tables[t - 1][rows >> 1, cols >> 1]
+        assert abs(streamed - hit(circuit, (0,), (p,), (q,), t)) < 1e-12
+
+
+def test_one_stream_layer_holds_the_old_table_the_new_table_and_one_hit_block():
+    # the earlier layer held two np.repeat copies (two and four old tables) at once
+    circuit = random_circuit(np.random.default_rng(71), particles=2, layers=10, p_single=1.0, p_phase=1.0)
+    tables = lambda_tables(circuit)
+    tracemalloc.start()
+    try:
+        for _ in range(circuit.n):
+            old = next(tables)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        new = next(tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert circuit.phase(circuit.n, (0, 1)) is not None
+    # one hit block is the size of the old table; the slack covers numpy's ufunc
+    # buffer (8192 entries) and the pre-gate rows weighted by one mode pair (512 x 2)
+    slack = 256 * 1024
+    assert peak - base <= new.nbytes + old.nbytes + slack
