@@ -14,9 +14,10 @@ layer is one `TreeStep`: one product of the rows with the layer's external
 operator (the external singles as Kronecker blocks of at most four
 particles, the external-only phase gates folded in as one diagonal), then
 one broadcast multiply that grows every member's prefix by its new bit and
-applies the straddling factors D[a, x]. `conditioned_prefix_tree` keeps
-each layer's `TreeStep`, so the hit stream of the subsystem (0,) reads the
-pre-gate states and D it needs instead of rebuilding them. The Gram tables
+applies the straddling factors D[a, x]. A `PrefixTree` grows one layer at
+a time and keeps its tables but no step: the hit stream of the subsystem
+(0,) grows it, reading each step's pre-gate states and D before dropping
+it, so neither is rebuilt and only one step is held. The Gram tables
 `verify` checks both table streams against, the general blocks (the final
 table only) and the density path sum read the same tree's tables.
 `condition_on_paths` is the per-path scalar reference it is checked against,
@@ -345,8 +346,6 @@ def apply_single(state: np.ndarray, axis: int, gate: np.ndarray) -> np.ndarray:
     differently.
     """
     size = state.shape[axis]
-    if axis == state.ndim - 1:  # the same product, without the transposes
-        return np.dot(state.reshape(-1, size), gate.T).reshape(state.shape)
     view = state.reshape(math.prod(state.shape[:axis]), size, -1)
     rows = np.dot(view.transpose(0, 2, 1).reshape(-1, size), gate.T)
     return rows.reshape(view.shape[0], -1, size).transpose(0, 2, 1).reshape(state.shape)
@@ -422,7 +421,7 @@ class TreeStep:
         return grown.reshape(-1, width)
 
 
-def _tree_step(circuit: Circuit, members: tuple[int, ...], t: int, table: np.ndarray) -> TreeStep:
+def tree_step(circuit: Circuit, members: tuple[int, ...], t: int, table: np.ndarray) -> TreeStep:
     """Layer t's `TreeStep` for the normalized `members`, from the prefix tree's table t - 1.
 
     The external-only phase diagonal folds into the operator when the
@@ -481,34 +480,35 @@ def conditioned_prefix_state_layers(circuit: Circuit, subsystem: Sequence[int]) 
     table = _root(circuit, members)
     yield table
     for t in range(1, circuit.n + 1):
-        table = _tree_step(circuit, members, t, table).grow()
+        table = tree_step(circuit, members, t, table).grow()
         yield table
 
 
-@dataclass(frozen=True, eq=False)
 class PrefixTree:
-    """A conditioned prefix tree over its first L layers that keeps each layer's step.
+    """A conditioned prefix tree over its first `layers` layers (default n), grown one layer at a time.
 
-    `tables[t]` is table t, for t = 0..L; `steps[t - 1]` is layer t's
-    `TreeStep`, for t = 1..L. `next` is layer L + 1's step when the circuit
-    has that layer: taken from table L, its table never grown.
+    `tables` holds table 0 and every table grown so far, as
+    `conditioned_prefix_state_layers` yields them. `grow` takes the next
+    layer's `TreeStep` from the last table, appends the table it grows and
+    returns the step. The tree keeps no step, so a caller that drops each
+    one before growing the next holds the tables and one step's pre-gate
+    states and factors.
     """
 
-    tables: tuple[np.ndarray, ...]
-    steps: tuple[TreeStep, ...]
-    next: TreeStep | None
+    def __init__(self, circuit: Circuit, subsystem: Sequence[int], layers: int | None = None) -> None:
+        self.circuit = circuit
+        self.members = tuple(sorted(set(subsystem)))
+        self.layers = circuit.n if layers is None else layers
+        self.tables = [_root(circuit, self.members)]
 
-
-def conditioned_prefix_tree(circuit: Circuit, subsystem: Sequence[int], layers: int | None = None) -> PrefixTree:
-    """`conditioned_prefix_state_layers`' tables over the first `layers` layers (default n), with their steps."""
-    members = tuple(sorted(set(subsystem)))
-    layers = circuit.n if layers is None else layers
-    tables, steps = [_root(circuit, members)], []
-    for t in range(1, layers + 1):
-        steps.append(_tree_step(circuit, members, t, tables[-1]))
-        tables.append(steps[-1].grow())
-    following = _tree_step(circuit, members, layers + 1, tables[-1]) if layers < circuit.n else None
-    return PrefixTree(tables=tuple(tables), steps=tuple(steps), next=following)
+    def grow(self) -> TreeStep:
+        """The step of layer t = len(tables), after table t is appended."""
+        t = len(self.tables)
+        if t > self.layers:
+            raise ValueError(f"the prefix tree is already grown to its {self.layers} layers")
+        step = tree_step(self.circuit, self.members, t, self.tables[-1])
+        self.tables.append(step.grow())
+        return step
 
 
 def conditioned_prefix_states(circuit: Circuit, subsystem: Sequence[int], first: int = 0) -> list[np.ndarray]:

@@ -20,7 +20,7 @@ once: the cascade for the subsystem (0,) of three particles, the hit stream
 for (0,) at every other particle count, and `conditioned_blocks` for every
 other subsystem. Each yields (outcome, block) pairs one at a time. The hit
 stream's last layer is folded into the endpoint blocks by `table_blocks`,
-which reads that layer's hits off the prefix tree's `next` step.
+which takes that layer's tree step from the stream's last prefix-tree table.
 """
 from __future__ import annotations
 
@@ -32,8 +32,8 @@ import numpy as np
 
 from .circuits import Circuit
 from .common import DEFAULT_BUDGET, Charge, LambdaBlock, check_charges
-from .paths import TreeStep, conditioned_prefix_states, endpoint_rows, normalize_subsystem, pair_phases
-from .paths import prefix_amplitudes
+from .paths import conditioned_prefix_states, endpoint_rows, normalize_subsystem, pair_phases, prefix_amplitudes
+from .paths import tree_step
 from .threeparticle import lambda3_tables
 from .twoparticle import lambda_tables, layer_hits, prefix_tree
 
@@ -109,7 +109,7 @@ def conditioned_blocks(
 
 
 def table_blocks(
-    circuit: Circuit, lam: np.ndarray, step: TreeStep | None = None
+    circuit: Circuit, lam: np.ndarray, table: np.ndarray | None = None
 ) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
     """((j,), block) for both endpoints of particle 0, read off a lambda table over t-mode prefixes.
 
@@ -118,9 +118,9 @@ def table_blocks(
     hit between two prefixes that both move to j, with each prefix amplitude
     times the last single's element from its mode to j: bit-identical to the
     final table's rows and columns that end at j. The hit reads layer n's
-    prefix-tree `step` (a `PrefixTree.next`); a last layer with no gate on
-    particle 0 adds none, so then the block is `lam` itself and no step is
-    needed.
+    `paths.tree_step`, taken from the prefix tree's table n - 1 (`table`);
+    a last layer with no gate on particle 0 adds none, so then the block is
+    `lam` itself and no table is needed.
     """
     t = lam.shape[0].bit_length() - 1
     amps = prefix_amplitudes(circuit, 0, upto=t)
@@ -129,9 +129,11 @@ def table_blocks(
             rows = endpoint_rows(t, j)
             yield (j,), LambdaBlock(amps[rows], lam[np.ix_(rows, rows)])
         return
-    if step is None and any(0 in gate.pair for gate in circuit.layer(circuit.n).phases):
-        raise ValueError("folding a last layer with a gate on particle 0 needs its prefix-tree step")
-    hits = None if step is None else layer_hits(step)
+    hits = None
+    if any(0 in gate.pair for gate in circuit.layer(circuit.n).phases):
+        if table is None:
+            raise ValueError("folding a last layer with a gate on particle 0 needs the prefix tree's table n - 1")
+        hits = layer_hits(tree_step(circuit, (0,), circuit.n, table))
     for j in (0, 1):
         block = lam
         if hits is not None:
@@ -149,7 +151,7 @@ def lambda_blocks(
     The subsystem (0,) of three particles reads its two blocks off the last
     table of the cascade. At any other particle count it streams the hits
     over the first n - 1 layers (charged 4^(n-1)), and `table_blocks` folds
-    layer n into both endpoint blocks from the tree's step of layer n. Every
+    layer n into both endpoint blocks from the tree's last table. Every
     other subsystem gets `conditioned_blocks`, whose Gram-factor blocks hold
     no lambda until one is read. Blocks are yielded one at a time, so a caller that drops each
     before asking for the next holds one dense lambda at a time.
@@ -159,11 +161,12 @@ def lambda_blocks(
         yield from conditioned_blocks(circuit, particles, budget)
         return
     if circuit.particles == 3:
-        step, tables = None, lambda3_tables(circuit, budget)
+        tree, tables = None, lambda3_tables(circuit, budget)
     else:
         tree = prefix_tree(circuit, budget, layers=max(circuit.n - 1, 0))
-        step, tables = tree.next, lambda_tables(circuit, tree=tree)
-        del tree  # the stream holds the tree until its last table; the fold reads only the next step
+        tables = lambda_tables(circuit, tree=tree)
     for lam in tables:  # keeps only the last table
         pass
-    yield from table_blocks(circuit, lam, step)
+    last = None if tree is None else tree.tables[-1]
+    del tree  # the fold reads only the tree's last table
+    yield from table_blocks(circuit, lam, last)

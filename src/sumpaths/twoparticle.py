@@ -24,11 +24,12 @@ the (0,) of three particles, whose hits are the paper's cascade in
 `threeparticle`. `_before_layer` (the external singles, axis by axis) and
 `_straddle` (the straddling factors D) remain only as that reference's
 helpers. `lambda_tables` streams lambda^(t) of the subsystem (0,) over
-every prefix pair, one layer at a time: `layer_hits` reads each layer's
-pre-gate states and D off the `prefix_tree` step that grew the tree's next
-table, so the stream rebuilds neither. `verify` checks each streamed table
-against the Gram matrix of the tree's tables. The stream serves every
-particle count but three.
+every prefix pair, one layer at a time, growing its `prefix_tree` as it
+goes: `layer_hits` reads each layer's pre-gate states and D off the step
+that grew the tree's next table, so the stream rebuilds neither, and drops
+the step before the next. `verify` checks each streamed table against the
+Gram matrix of the tree's tables. The stream serves every particle count
+but three.
 """
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ import numpy as np
 
 from .circuits import Circuit
 from .common import DEFAULT_BUDGET, REALITY_TOL, Charge, LambdaBlock, RealityError, check_charges
-from .paths import Path, PrefixTree, TreeStep, apply_single, condition_on_paths, conditioned_prefix_tree, member_layout
-from .paths import normalize_subsystem, straddling_factor
+from .paths import Path, PrefixTree, TreeStep, apply_single, condition_on_paths, member_layout, normalize_subsystem
+from .paths import straddling_factor
 
 
 def _require_stream(circuit: Circuit) -> None:
@@ -188,12 +189,11 @@ def prefix_tree(circuit: Circuit, budget: int = DEFAULT_BUDGET, layers: int | No
     """Particle 0's conditioned prefix tree over the first `layers` layers (default n), charged first.
 
     Both `prefix_tree_charges` are checked before anything is built. The
-    tree keeps each layer's step, and the next layer's when the circuit has
-    one, for the hits that `lambda_tables` and `table_blocks` read.
+    tree holds table 0; `lambda_tables` grows the rest.
     """
     _require_stream(circuit)
     check_charges(prefix_tree_charges(circuit, layers), budget)
-    return conditioned_prefix_tree(circuit, (0,), layers)
+    return PrefixTree(circuit, (0,), layers)
 
 
 def lambda_tables(
@@ -203,32 +203,40 @@ def lambda_tables(
 
     Prefix indices encode modes most-significant-first, so a full path's row
     is its mode bitstring read as a binary number; paths ending at j occupy
-    rows 2k + j with k the lexicographic enumeration index. Layer t writes
-    each new table once: lambda^(t-1) plus the `layer_hits` of one mode pair
-    (a, b) into the strided view of rows 2k + a and columns 2l + b, or
-    lambda^(t-1) alone at every (a, b) when the layer has no straddling
-    gate. `tree` is the circuit's `prefix_tree`, already charged; the stream
-    runs over as many layers as it has steps. Without one, the stream
-    charges and builds the whole tree on the first `next()`. Each table is a
-    fresh array, never written after it is yielded, so a caller that keeps
-    only the last one holds at most two tables, and one hit block, at a time.
+    rows 2k + j with k the lexicographic enumeration index. Layer t grows
+    the prefix tree's table t and writes each new lambda table once:
+    lambda^(t-1) plus the `layer_hits` of one mode pair (a, b) into the
+    strided view of rows 2k + a and columns 2l + b, or lambda^(t-1) alone at
+    every (a, b) when the layer has no straddling gate. `tree` is the
+    circuit's `prefix_tree`, already charged and not yet grown; the stream
+    grows it over all its layers, so table t is in `tree.tables` once
+    lambda^(t) is yielded. Without one, the stream charges and makes the
+    tree on the first `next()`. Each table is a fresh array, never written
+    after it is yielded, so a caller that keeps only the last one holds at
+    most two tables, one hit block and one tree step at a time.
     """
     tree = prefix_tree(circuit, budget) if tree is None else tree
+    if len(tree.tables) != 1:
+        raise ValueError("the hit stream grows its prefix tree from table 0")
     lam = np.ones((1, 1), dtype=complex)
     yield lam
-    for step in tree.steps:
-        size = lam.shape[0]
-        grown = np.empty((2 * size, 2 * size), dtype=complex)
-        view = grown.reshape(size, 2, size, 2)
-        hits = layer_hits(step)
-        if hits is None:
-            view[...] = lam[:, None, :, None]
-        else:
-            for a in (0, 1):
-                for b in (0, 1):
-                    np.add(lam, hits(a, b), out=view[:, a, :, b])
-        lam = grown
+    for _ in range(tree.layers):
+        lam = _grown_table(lam, layer_hits(tree.grow()))  # the step is dropped before the tree grows again
         yield lam
+
+
+def _grown_table(lam: np.ndarray, hits: Callable[[int, int], np.ndarray] | None) -> np.ndarray:
+    """lambda^(t) from lambda^(t-1) and layer t's hits, each mode pair (a, b) written once into its strided view."""
+    size = lam.shape[0]
+    grown = np.empty((2 * size, 2 * size), dtype=complex)
+    view = grown.reshape(size, 2, size, 2)
+    if hits is None:
+        view[...] = lam[:, None, :, None]
+    else:
+        for a in (0, 1):
+            for b in (0, 1):
+                np.add(lam, hits(a, b), out=view[:, a, :, b])
+    return grown
 
 
 def marginal_deviation(circuit: Circuit, endpoint: int, block: LambdaBlock) -> float:

@@ -10,12 +10,12 @@ are this circuit's, the last of which every other oracle check reads.
 The lambda route of the subsystem (0,) is built once per circuit: the hit
 stream of `twoparticle`, or for three particles the cascade, each a stream
 of per-layer tables. One conditioned prefix tree serves both the hit
-stream, which reads each layer's pre-gate states and straddling factors off
-the tree's steps, and the walk that checks it against the tree's tables.
-The hits stay per-layer sums over those states, never a difference of the
-tree's Gram matrices, so the walk is no restatement of the stream. One walk
-over the stream, holding at most the previous table, computes every
-per-layer check: the gap to the Gram matrix
+stream, which grows it and reads each layer's pre-gate states and
+straddling factors off the step that grew it, and the walk that checks the
+stream against the tree's tables. The hits stay per-layer sums over those
+states, never a difference of the tree's Gram matrices, so the walk is no
+restatement of the stream. One walk over the stream, holding at most the
+previous table, computes every per-layer check: the gap to the Gram matrix
 of the tree's conditioned external states (telescoping, three_closure), the
 largest |lambda| (lambda_bound), and, for the hit stream, the bit-exact
 repeat at layers without a gate on particle 0 (zero_hit_layers). The final
@@ -144,7 +144,8 @@ def _walk_layers(
     """Per-layer checks of a lambda stream, holding at most the previous table.
 
     Returns the final table, the worst gap |lambda_t - G_t| to the Gram
-    matrix G_t of the conditioned external states `tree[t]` after layer t,
+    matrix G_t of the conditioned external states `tree[t]` after layer t
+    (read once lambda_t is yielded, so a tree the stream grows serves),
     the largest |lambda_t|, and the worst zero-hit error at the `gateless`
     layers of the hit stream, where the table must repeat the previous one
     over the new bit and one path pair's scalar `hit` must be 0, both

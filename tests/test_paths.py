@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from sumpaths.corpus import random_circuit
 from sumpaths.oracle import evolve
 from sumpaths.paths import (
     Path,
+    PrefixTree,
     amplitudes_via_paths,
     apply_single,
     condition_on_paths,
     conditioned_prefix_states,
-    conditioned_prefix_tree,
     enumerate_paths,
     member_paths_at,
     path_amplitude,
@@ -425,11 +426,11 @@ def test_tree_step_matches_the_axis_by_axis_step(particles, layers, seed, data):
                 paths = _prefix_paths(row, t, members, layers)
                 expected = condition_on_paths(circuit, dict(zip(subsystem, paths))).state(upto=t)
             assert np.max(np.abs(table[row] - expected)) < 1e-12
-    tree = conditioned_prefix_tree(circuit, subsystem, max(layers - 1, 0))
-    assert all(np.array_equal(a, b) for a, b in zip(tree.tables, tables))
-    assert [step.layer for step in tree.steps] == list(range(1, len(tree.tables)))
-    if layers >= 1:
-        assert tree.next is not None and tree.next.layer == layers
-        assert np.array_equal(tree.next.grow(), tables[layers])
-    else:
-        assert tree.next is None
+    tree = PrefixTree(circuit, subsystem)
+    for t in range(1, layers + 1):
+        step = weakref.ref(tree.grow())
+        assert step() is None  # the tree keeps no step
+    assert len(tree.tables) == layers + 1
+    assert all(np.array_equal(a, b) for a, b in zip(tree.tables, tables, strict=True))
+    with pytest.raises(ValueError, match="already grown"):
+        tree.grow()

@@ -205,13 +205,15 @@ def test_folded_blocks_equal_the_unfolded_ones_bit_for_bit(particles, pattern, s
         assert np.array_equal(block.lam, folded_block.lam)
 
 
-def test_folding_a_gated_last_layer_needs_its_tree_step():
+def test_folding_a_gated_last_layer_needs_the_trees_last_table():
     circuit = random_circuit(np.random.default_rng(5), 2, 3, p_single=1.0, p_phase=1.0)
     tree = prefix_tree(circuit, layers=2)
     *_, short = lambda_tables(circuit, tree=tree)
-    with pytest.raises(ValueError, match="needs its prefix-tree step"):
+    with pytest.raises(ValueError, match="needs the prefix tree's table n - 1"):
         list(table_blocks(circuit, short))
-    assert len(list(table_blocks(circuit, short, tree.next))) == 2
+    assert len(list(table_blocks(circuit, short, tree.tables[-1]))) == 2
+    with pytest.raises(ValueError, match="grows its prefix tree from table 0"):
+        next(lambda_tables(circuit, tree=tree))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,6 +1,7 @@
 """Two-particle hits, hidden variables, and marginals against independent references."""
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -10,13 +11,14 @@ from sumpaths.circuits import PhaseGate, build_epr_circuit, make_circuit, random
 from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
-from sumpaths.paths import Path, enumerate_paths
+from sumpaths.paths import Path, TreeStep, enumerate_paths
 from sumpaths.subsystems import lambda_blocks
 from sumpaths.twoparticle import (
     hit,
     lambda_accumulate,
     lambda_tables,
     marginal_deviation,
+    prefix_tree,
 )
 
 from .reference import (
@@ -204,9 +206,9 @@ def test_budget_guard():
 
 
 def test_streamed_build_peaks_below_two_final_tables():
-    # each layer's table is repeated from the last one and its hits are added
-    # in place, so the last layer holds lambda_(n-1), one half-repeated copy
-    # and lambda_n
+    # each layer's table is written once from the last one and one hit block
+    # at a time, so the last layer holds lambda_(n-1), one hit block and
+    # lambda_n
     circuit = random_circuit(
         np.random.default_rng(59), particles=2, layers=9, p_single=1.0, p_phase=1.0
     )
@@ -335,3 +337,16 @@ def test_one_stream_layer_holds_the_old_table_the_new_table_and_one_hit_block():
     # buffer (8192 entries) and the pre-gate rows weighted by one mode pair (512 x 2)
     slack = 256 * 1024
     assert peak - base <= new.nbytes + old.nbytes + slack
+
+
+@pytest.mark.parametrize("particles", [2, 5])
+def test_the_stream_holds_no_tree_step_between_layers(particles):
+    # a step holds a pre-gate copy of the tree's last table and a 2^N factor
+    # array; keeping every layer's step would add about half the tree again
+    circuit = random_circuit(np.random.default_rng(83), particles, 4, p_single=1.0, p_phase=1.0)
+    tree = prefix_tree(circuit)
+    for t, _ in enumerate(lambda_tables(circuit, tree=tree)):
+        assert len(tree.tables) == t + 1
+        gc.collect()
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, TreeStep)]
+

@@ -124,12 +124,11 @@ def test_report_json_shape():
         # one table build: no_signaling folds the appended layer into its final table
         ("n2_l8_s0.json", twoparticle.lambda_tables, 1),
         ("n3_l3_s0.json", threeparticle.lambda3_tables, 1),
-        # one conditioned prefix tree each: the one the stream and the Gram walk share, which keeps
-        # its steps, and density's
-        ("n2_l8_s0.json", paths.conditioned_prefix_tree, 1),
+        # one conditioned prefix tree each: the one the stream grows and the Gram walk reads, and density's
+        ("n2_l8_s0.json", paths.PrefixTree, 1),
         ("n2_l8_s0.json", paths.conditioned_prefix_states, 1),
         # one conditioned prefix tree each: (0,) for the stream and its walk, (0, 1) for general_subsystem
-        ("n4_l3_s0.json", paths.conditioned_prefix_tree, 1),
+        ("n4_l3_s0.json", paths.PrefixTree, 1),
         ("n4_l3_s0.json", paths.conditioned_prefix_states, 1),
     ],
 )
