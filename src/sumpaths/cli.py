@@ -28,11 +28,11 @@ from .circuits import (
     circuit_digest,
     load_circuit,
 )
-from .common import DEFAULT_BUDGET, BudgetExceeded, LambdaBlock, check_budget
+from .common import DEFAULT_BUDGET, BudgetExceeded, LambdaBlock, check_budget, check_charges
 from .density import density_report
 from .oracle import marginal_by_sum
 from .paths import Path, amplitudes_via_paths, enumerate_paths, member_paths_at, normalize_subsystem, path_amplitude
-from .subsystems import lambda_blocks
+from .subsystems import dense_lambda_charges, lambda_blocks
 from .threeparticle import lambda_three
 from .twoparticle import lambda_accumulate
 from .verify import DEFAULT_TOL, verify_circuit
@@ -348,6 +348,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     oracle = marginal_by_sum(circuit, subsystem).as_mapping()
 
     raw = {}
+    check_charges(dense_lambda_charges(circuit, subsystem), args.budget)  # the clamp reads each block's lambda
     for outcome, block in lambda_blocks(circuit, subsystem, args.budget):
         raw[_label(outcome)] = _clamped(block, args.clamp).marginal()
         del block  # the block keeps its dense lambda: the next is built without this one alive

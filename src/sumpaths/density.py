@@ -18,7 +18,7 @@ import numpy as np
 from .circuits import Circuit, PhaseGate, factor_phase_gate, make_circuit
 from .common import DEFAULT_BUDGET, Charge, check_charges
 from .oracle import reduced_density_of, states
-from .paths import conditioned_prefix_states, prefix_amplitude_layers
+from .paths import conditioned_prefix_state_layers, prefix_amplitude_layers
 
 
 class PhaseGateNotNormalized(ValueError):
@@ -128,26 +128,32 @@ def _collapse_direct(singles: np.ndarray, psi: np.ndarray) -> complex:
 
 
 def density_charges(circuit: Circuit) -> list[Charge]:
-    """What `density_report` charges: the last layer's subsystem paths, the most any layer's path sum needs."""
-    return [(1 << max(circuit.n - 1, 0), "subsystem paths")]
+    """What `density_report` holds at its last layer: prefix-tree table n - 1, then particle 0's prefix amplitudes.
+
+    The table is 2^(n-1) rows of two external amplitudes, and the prefix
+    amplitudes through layer n are as many. No earlier layer holds more.
+    """
+    return [(1 << circuit.n, "conditioned external states"), (1 << circuit.n, "subsystem path amplitudes")]
 
 
 def density_report(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> list[dict]:
     """Per-layer records of the recursion for the CLI: errors against the oracle.
 
     The budget is charged once, with `density_charges`. Every layer reads one
-    oracle state stream, one prefix tree and one stream of particle 0's
-    prefix amplitudes of the normalized circuit, and builds its singles'
-    Kronecker product and evolved joint matrix once for the step, the
-    off-diagonal formula and the direct collapse.
+    oracle state stream, one stream of prefix-tree tables and one stream of
+    particle 0's prefix amplitudes of the normalized circuit, and builds its
+    singles' Kronecker product and evolved joint matrix once for the step,
+    the off-diagonal formula and the direct collapse. Layer t reads tree
+    table t - 1, so the tree stops before table n and holds one table at a
+    time beside the one it grows.
     """
     normalized = normalized_phase_form(circuit)
     check_charges(density_charges(normalized), budget)
-    tree = conditioned_prefix_states(normalized, (0,))
+    tables = itertools.islice(conditioned_prefix_state_layers(normalized, (0,)), normalized.n)
     amplitudes = itertools.islice(prefix_amplitude_layers(normalized, 0), 1, None)
-    layers = zip(itertools.pairwise(states(normalized)), amplitudes)
+    layers = zip(itertools.pairwise(states(normalized)), tables, amplitudes)
     records = []
-    for t, ((psi, after), amps) in enumerate(layers, start=1):
+    for t, ((psi, after), table, amps) in enumerate(layers, start=1):
         phi = _core_angle(normalized, t)
         prev_joint = np.outer(psi, psi.conj())
         singles = _singles(normalized, t)
@@ -155,7 +161,7 @@ def density_report(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> list[dict]
         pair = _step(normalized, t, phi, prev_joint, evolved)
         oracle = reduced_density_of(after, 2, 0)
         off = _offdiagonal(phi, evolved)
-        pathsum = _pathsum_collapse(normalized, t, amps, tree[t - 1])
+        pathsum = _pathsum_collapse(normalized, t, amps, table)
         direct = _collapse_direct(singles, psi)
         records.append(
             {

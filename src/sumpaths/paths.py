@@ -36,7 +36,7 @@ import numpy as np
 from .circuits import Circuit, PhaseGate, conditioned_diagonal
 from .common import DEFAULT_BUDGET, Charge, check_charges
 
-_MAX_PATHSUM_PARTICLES = 16  # the budget charges the lattice, not the 2^N output this bounds
+_MAX_PATHSUM_PARTICLES = 16  # checked before the charges, as the oracle checks its own cap
 
 
 @dataclass(frozen=True)
@@ -170,13 +170,24 @@ def pair_phases(circuit: Circuit, pair: tuple[int, int]) -> tuple[np.ndarray | N
 
 
 def pathsum_charges(circuit: Circuit) -> list[Charge]:
-    """What `amplitudes_via_paths` charges: the whole path lattice, (2^(n-1))^N.
+    """What `amplitudes_via_paths` holds: every pair's phase table, then elimination's largest table.
 
-    Raises ValueError past the particle cap, which it checks first.
+    Each of the C(N, 2) pairs gets a `pair_phases` prefix table over
+    (2^(n-1))^2 prefix pairs. Elimination's largest table is the one particle
+    0 leaves after going through its coupling to particle 1, 2 (2^(n-1))^(N-1)
+    entries, or the final 2^N endpoint table when that is larger; at one
+    particle it is the particle's 2^n prefix amplitudes. The two stay
+    separate charges, so each names one structure and neither is padded by
+    the other. Raises ValueError past the particle cap, which it checks
+    first.
     """
     if circuit.particles > _MAX_PATHSUM_PARTICLES:
         raise ValueError("too many particles for the path-sum evaluator")
-    return [((1 << max(circuit.n - 1, 0)) ** circuit.particles, "configuration-space path sum")]
+    width, particles = 1 << max(circuit.n - 1, 0), circuit.particles
+    return [
+        (math.comb(particles, 2) * width * width, "path-sum pair phase tables"),
+        (max(2 * width ** max(particles - 1, 1), 1 << particles), "path-sum elimination table"),
+    ]
 
 
 def amplitudes_via_paths(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -189,10 +200,12 @@ def amplitudes_via_paths(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> np.n
     particles, then contracts its prefix against its `prefix_amplitudes`
     in one batched matmul, leaving its endpoint. Particle 0 is contracted
     against its coupling to particle 1 instead, so no table holds the whole
-    charged lattice (2^(n-1))^N: none exceeds about 2 (2^(n-1))^(N-1)
-    entries. The endpoint factors multiply the final 2^N table. It never
-    evolves a state vector, so it stays independent of the oracle it is
-    checked against.
+    lattice (2^(n-1))^N: each table spans the endpoints eliminated so far
+    and the prefixes still to go, and none exceeds 2 (2^(n-1))^(N-1)
+    entries. The endpoint factors multiply the final 2^N table.
+    `pathsum_charges` charges the pair tables and that largest table before
+    anything is built. It never evolves a state vector, so it stays
+    independent of the oracle it is checked against.
     """
     n, particles = circuit.n, circuit.particles
     check_charges(pathsum_charges(circuit), budget)

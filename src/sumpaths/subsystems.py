@@ -39,18 +39,32 @@ from .twoparticle import lambda_tables, layer_hits, prefix_tree
 
 
 def conditioned_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Charge]:
-    """What `conditioned_blocks` charges for a normalized subsystem: one outcome's lambda pairs, then the tree's final table.
+    """What `conditioned_blocks` holds for a normalized subsystem: the tree's final table, then the amplitude tensor.
 
-    The pairs are the ceiling a dense lambda would need. The blocks hold Gram
-    factors and build no pair table, but the charge stays, so no exit-3
-    point moves.
+    The final table has one row per configuration path, 2^(Mn) of them, and
+    one column per external basis state; the tensor has one amplitude per
+    configuration path. Every block is a view of the two, and no lambda or
+    pair table is built.
     """
     n, size = circuit.n, len(particles)
-    count = (1 << max(n - 1, 0)) ** size
     return [
-        (count * count, "configuration path pairs"),
         (1 << (size * n + circuit.particles - size), "conditioned external states"),
+        (1 << (size * n), "joint path amplitudes"),
     ]
+
+
+def dense_lambda_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Charge]:
+    """What reading `lam` off each `lambda_blocks` block adds for a normalized subsystem: one outcome's lambda pairs.
+
+    The routes of the subsystem (0,) hold their lambda dense and charge it
+    themselves. Every other block is a Gram factor, whose `lam` materializes
+    count^2 pairs, count = 2^(M(n-1)) configuration paths per outcome, one
+    block at a time (`perturb`'s clamp).
+    """
+    if particles == (0,):
+        return []
+    count = (1 << max(circuit.n - 1, 0)) ** len(particles)
+    return [(count * count, "configuration path pairs")]
 
 
 def conditioned_blocks(
@@ -64,9 +78,9 @@ def conditioned_blocks(
     final table and the joint amplitude tensor are each built once and
     reordered once to (outcome, configuration path), so every block holds
     views and no outcome allocates anything of its own (past n = 1; below,
-    an outcome has at most one path). The budget is
-    charged `conditioned_charges` before anything is built. Outcomes come in
-    `itertools.product((0, 1), repeat=M)` order.
+    an outcome has at most one path). The budget is charged
+    `conditioned_charges`, those two structures, before anything is built.
+    Outcomes come in `itertools.product((0, 1), repeat=M)` order.
     """
     particles = normalize_subsystem(circuit, subsystem)
     n, size = circuit.n, len(particles)

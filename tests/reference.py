@@ -673,6 +673,12 @@ def tensordot_conditioned_layer(cond: ConditionalUnitary, state: np.ndarray, t: 
     return state.reshape(-1)
 
 
+def dense_conditioned_charges(circuit: Circuit, particles: tuple[int, ...]) -> list:
+    """`conditioned_charges`, then one outcome's lambda pairs, the dense table these blocks build."""
+    count = (1 << max(circuit.n - 1, 0)) ** len(particles)
+    return conditioned_charges(circuit, particles) + [(count * count, "configuration path pairs")]
+
+
 def dense_conditioned_blocks(
     circuit: Circuit, subsystem: tuple[int, ...], budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
@@ -680,14 +686,14 @@ def dense_conditioned_blocks(
 
     An outcome's lambda is the Gram matrix of the tree's final-table rows at
     its configuration paths; its amplitudes are the members' path amplitudes
-    times the intra-subsystem phases. The budget is charged the lambda pairs
-    of one outcome and the tree's final table before anything is built.
+    times the intra-subsystem phases. The budget is charged
+    `dense_conditioned_charges` before anything is built.
     Outcomes come in `itertools.product((0, 1), repeat=M)` order, and each
     lambda is built only when its outcome is reached.
     """
     particles = normalize_subsystem(circuit, subsystem)
     n, size = circuit.n, len(particles)
-    check_charges(conditioned_charges(circuit, particles), budget)
+    check_charges(dense_conditioned_charges(circuit, particles), budget)
     final = conditioned_prefix_states(circuit, particles)[n]
     amplitudes = [prefix_amplitudes(circuit, p) for p in particles]
     pairs = itertools.combinations(range(size), 2)

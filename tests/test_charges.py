@@ -1,0 +1,104 @@
+"""Every budget charge names a structure its route holds: traced peaks stay within a fixed multiple of the charges.
+
+Each charged builder runs under tracemalloc on hypothesis circuits of fixed
+sizes whose charges sum to about 2^16-2^20 entries, where the tables dwarf
+the slack. The sizes are listed rather than derived from the charges, so a
+charge that drops a structure fails here instead of sizing a run past the
+machine. The peak, above what was traced when the build started, must stay
+within FACTOR x (the sum of the charges x 16 B) + SLACK. A charge that counts
+work no code does still passes; a route that holds more than its charges
+say does not.
+"""
+from __future__ import annotations
+
+import tracemalloc
+from typing import Callable
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sumpaths.circuits import Circuit
+from sumpaths.corpus import random_circuit
+from sumpaths.density import density_charges, density_report
+from sumpaths.paths import amplitudes_via_paths, pathsum_charges
+from sumpaths.subsystems import conditioned_blocks, conditioned_charges
+from sumpaths.threeparticle import cascade_charges, lambda3_tables
+from sumpaths.twoparticle import lambda_tables, prefix_tree, prefix_tree_charges
+
+# A builder holds its tables while it makes the next one, and copies some once
+# (the reordered blocks, the step beside its table): peaks read up to about 2.5x.
+FACTOR = 3
+ENTRY = 16  # bytes per complex entry
+SLACK = 256 * 1024  # numpy's ufunc buffers, index arrays and the Python objects a build makes
+BUDGET = 1 << 40  # no charge may stop a build; the gate reads the charges itself
+
+# (particles, layers) per builder; conditioned_blocks draws layers by (particles, subsystem size)
+SIZES = {
+    "amplitudes_via_paths": [(1, 17), (1, 18), (2, 9), (2, 10), (3, 8), (3, 9), (4, 6), (4, 7), (5, 5), (6, 4)],
+    "prefix_tree+lambda_tables": [(2, 8), (2, 9), (4, 8), (4, 9), (5, 8), (5, 9), (6, 8), (6, 9)],
+    "lambda3_tables": [(3, 7), (3, 8)],
+    "density_report": [(2, 16), (2, 17)],
+}
+BLOCK_LAYERS = {
+    (2, 1): 16, (3, 1): 15, (3, 2): 8, (4, 1): 14, (4, 2): 7, (4, 3): 5, (5, 1): 13, (5, 2): 7,
+    (5, 3): 5, (5, 4): 4, (6, 1): 12, (6, 2): 6, (6, 3): 4, (6, 4): 3, (6, 5): 3,
+}  # the most layers whose charges stay within 2^18 entries; one fewer is drawn too
+
+
+def _stream(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
+    tree = prefix_tree(circuit, BUDGET)
+    for _ in lambda_tables(circuit, tree=tree):  # keeps only the last table, as `lambda_blocks` does
+        pass
+
+
+def _cascade(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
+    for _ in lambda3_tables(circuit, BUDGET):
+        pass
+
+
+def _blocks(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
+    for _, block in conditioned_blocks(circuit, subsystem, BUDGET):
+        block.marginal()
+
+
+# name: (charges, build)
+BUILDERS: dict[str, tuple[Callable, Callable]] = {
+    "amplitudes_via_paths": (lambda c, s: pathsum_charges(c), lambda c, s: amplitudes_via_paths(c, BUDGET)),
+    "conditioned_blocks": (conditioned_charges, _blocks),
+    "prefix_tree+lambda_tables": (lambda c, s: prefix_tree_charges(c), _stream),
+    "lambda3_tables": (lambda c, s: cascade_charges(c), _cascade),
+    "density_report": (lambda c, s: density_charges(c), lambda c, s: density_report(c, BUDGET)),
+}
+
+
+def traced_peak(build: Callable[[], object]) -> int:
+    """Bytes tracemalloc saw at its peak during `build()`, above what was traced when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        build()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_each_builder_holds_at_most_a_fixed_multiple_of_its_charges(name, data):
+    charges, build = BUILDERS[name]
+    if name == "conditioned_blocks":
+        particles, size = data.draw(st.sampled_from(sorted(BLOCK_LAYERS)))
+        subsystem = tuple(sorted(data.draw(st.permutations(range(particles)))[:size]))
+        layers = BLOCK_LAYERS[particles, size] - data.draw(st.integers(0, 1))
+    else:
+        (particles, layers), subsystem = data.draw(st.sampled_from(SIZES[name])), (0,)
+    density = data.draw(st.sampled_from([0.3, 1.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    circuit = random_circuit(rng, particles, layers, p_single=1.0, p_phase=density)
+    charged = sum(count for count, _ in charges(circuit, subsystem))
+    peak = traced_peak(lambda: build(circuit, subsystem))
+    assert peak <= FACTOR * charged * ENTRY + SLACK, (peak, charged)

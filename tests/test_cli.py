@@ -384,6 +384,18 @@ def test_perturb_clamp_zero_matches_classical_path_sum(random_file):
         assert abs(report["probabilities"][key] - classical[key] / total) < 1e-12
 
 
+def test_perturb_charges_the_dense_lambda_its_clamp_reads(tmp_path):
+    # (0, 1) of an all-gates N=3 n=7 circuit: the Gram-factor marginal fits the default budget,
+    # but the clamp reads each outcome's dense lambda, (2^12)^2 configuration path pairs
+    path = tmp_path / "c.json"
+    save_circuit(random_circuit(np.random.default_rng(1), 3, 7, p_single=1.0, p_phase=1.0), str(path))
+    code, out, _ = run_cli("marginal", "--circuit", str(path), "--subsystem", "0,1")
+    assert code == 0 and len(json.loads(out)["probabilities"]) == 4
+    code, out, err = run_cli("perturb", "--circuit", str(path), "--subsystem", "0,1", "--clamp", "0.5")
+    assert (code, out) == (3, "")
+    assert err == "error: configuration path pairs needs 16777216 combinations, budget is 4194304; raise --budget to override\n"
+
+
 def test_perturb_rejects_negative_clamp(epr_file):
     code, _, _ = run_cli("perturb", "--circuit", epr_file, "--clamp", "-0.5")
     assert code == 2
@@ -449,12 +461,13 @@ def test_density_command_reports_small_errors(tmp_path):
 
 
 def test_density_honours_budget():
-    # the last layer of an 8-layer circuit sums 2^7 subsystem paths
+    # the last layer of an 8-layer circuit holds tree table 7 and the prefix amplitudes, 2^8 entries each
     circuit = str(CORPUS / "n2_l8_s0.json")
-    code, out, err = run_cli("density", "--circuit", circuit, "--budget", "4")
-    assert code == 3 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    code, out, _ = run_cli("density", "--circuit", circuit, "--budget", "128")
+    for budget in ("4", "255"):
+        code, out, err = run_cli("density", "--circuit", circuit, "--budget", budget)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run_cli("density", "--circuit", circuit, "--budget", "256")
     assert code == 0 and out == run_cli("density", "--circuit", circuit)[1]
 
 

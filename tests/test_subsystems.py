@@ -18,8 +18,8 @@ from sumpaths.subsystems import conditioned_blocks, conditioned_charges, lambda_
 from sumpaths.threeparticle import lambda3_tables, lambda_three
 from sumpaths.twoparticle import lambda_accumulate, lambda_tables, prefix_tree
 
-from .reference import column_pair_sum, config_path_amplitude, dense_conditioned_blocks, final_blocks
-from .reference import lambda_general, sparse_circuit
+from .reference import column_pair_sum, config_path_amplitude, dense_conditioned_blocks, dense_conditioned_charges
+from .reference import final_blocks, lambda_general, sparse_circuit
 
 
 def test_single_particle_config_amplitude_reduces_to_path_amplitude():
@@ -270,6 +270,14 @@ def test_gram_factor_blocks_equal_the_dense_blocks(particles, layers, density, d
         with pytest.raises(BudgetExceeded) as dense:
             next(dense_conditioned_blocks(circuit, subsystem))
         assert str(factored.value) == str(dense.value)
+        return
+    if max(count for count, _ in dense_conditioned_charges(circuit, subsystem)) > DEFAULT_BUDGET:
+        # past the dense reference's pair table the factor blocks still fit: they answer to the oracle alone
+        with pytest.raises(BudgetExceeded, match="^configuration path pairs "):
+            next(dense_conditioned_blocks(circuit, subsystem))
+        oracle = marginal_by_sum(circuit, subsystem)
+        for outcome, block in conditioned_blocks(circuit, subsystem):
+            assert abs(block.marginal() - oracle[outcome]) < 1e-10
         return
     assert_gram_blocks_equal_the_dense_blocks(circuit, subsystem)
 

@@ -124,9 +124,9 @@ def test_report_json_shape():
         # one table build: no_signaling folds the appended layer into its final table
         ("n2_l8_s0.json", twoparticle.lambda_tables, 1),
         ("n3_l3_s0.json", threeparticle.lambda3_tables, 1),
-        # one conditioned prefix tree each: the one the stream grows and the Gram walk reads, and density's
+        # one conditioned prefix tree each: the one the stream grows and the Gram walk reads, and density's stream
         ("n2_l8_s0.json", paths.PrefixTree, 1),
-        ("n2_l8_s0.json", paths.conditioned_prefix_states, 1),
+        ("n2_l8_s0.json", paths.conditioned_prefix_state_layers, 1),
         # one conditioned prefix tree each: (0,) for the stream and its walk, (0, 1) for general_subsystem
         ("n4_l3_s0.json", paths.PrefixTree, 1),
         ("n4_l3_s0.json", paths.conditioned_prefix_states, 1),
@@ -272,8 +272,8 @@ def test_zero_hit_layers_compares_streamed_tables_at_four_particles(monkeypatch)
 @pytest.mark.parametrize(
     "particles, layers, charge",
     [
-        (3, 8, "configuration path pairs needs 268435456"),
-        (3, 7, "configuration path pairs needs 16777216"),
+        (3, 9, "three-particle cascade table needs 18874368"),
+        (4, 9, "path-sum elimination table needs 33554432"),
         (2, 12, "path-pair table needs 16777216"),
     ],
 )
@@ -290,6 +290,14 @@ def test_every_charge_is_checked_before_any_check_runs(monkeypatch, tmp_path, pa
         code = main(["verify", "--circuit", str(path)])
     assert (code, out.getvalue()) == (3, "")
     assert err.getvalue() == f"error: {charge} combinations, budget is 4194304; raise --budget to override\n"
+
+
+@pytest.mark.parametrize("particles", [3, 4])
+def test_verify_reaches_eight_all_gates_layers_at_three_and_four_particles(particles):
+    # one layer more passes the cascade's charge (N=3) or the path sum's elimination table (N=4),
+    # which test_every_charge_is_checked_before_any_check_runs pins; at N=4 n=8 that table is exactly 2^22
+    circuit = random_circuit(np.random.default_rng(11), particles, 8, p_single=1.0, p_phase=1.0)
+    assert verify_circuit(circuit).passed
 
 
 @pytest.mark.parametrize("file", ["n2_l3_s0.json", "n3_l3_s0.json", "n4_l3_s0.json"])
