@@ -141,6 +141,18 @@ def unitarity_defect(matrix: np.ndarray) -> float | np.ndarray:
     return float(defect) if matrix.ndim == 2 else defect
 
 
+def _tabulate(gates: list[PhaseGate]) -> None:
+    """Give every gate without a diagonal yet its row of one exp over all their angles,
+    as the gate would compute it alone; the rows are views of one read-only table."""
+    fresh = [gate for gate in gates if "_diagonal" not in gate.__dict__]
+    if not fresh:
+        return
+    table = np.exp(1j * np.array([gate.thetas for gate in fresh], dtype=float))
+    table.flags.writeable = False
+    for gate, row in zip(fresh, table):
+        gate.__dict__["_diagonal"] = row  # what the cached property stores on first read
+
+
 def _assemble(
     particles: int,
     layers: list[tuple[dict[int, int], list[PhaseGate]]],
@@ -151,7 +163,8 @@ def _assemble(
     gates, once every explicit single has passed one batched finiteness and unitarity check.
 
     The check reports the first failing gate in file order; the checked stack is frozen once
-    and each layer holds views of it."""
+    and each layer holds views of it. Every phase gate's diagonal is taken in `_tabulate`'s
+    one exp over the circuit's angles."""
     stack = np.array(singles, dtype=complex).reshape(-1, 2, 2)
     finite = np.isfinite(stack.view(float)).all(axis=(1, 2))
     clean = len(wheres) if finite.all() else int(finite.argmin())
@@ -163,6 +176,7 @@ def _assemble(
     if clean < len(wheres):
         raise CircuitFormatError(f"{wheres[clean]}: non-finite gate entry")
     stack.flags.writeable = False
+    _tabulate([gate for _, phases in layers for gate in phases])
     built = []
     for rows, phases in layers:
         gates = [_IDENTITY_FROZEN] * particles

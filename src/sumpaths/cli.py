@@ -1,7 +1,8 @@
 """Command line interface: marginals, traces, verification, demos, perturbation probes.
 
 All results go to standard output as canonically serialized JSON (sorted
-keys, repr floats), so identical inputs produce byte-identical reports;
+keys, repr floats: the text of json.dumps(..., sort_keys=True, indent=2),
+written directly by `_json`), so identical inputs produce byte-identical reports;
 diagnostics go to standard error. Exit codes: 0 success, 1 invariant or
 assertion failure (a NaN or infinite result included, which neither JSON
 nor CSV output holds), 2 invalid input, 3 path budget exceeded.
@@ -14,6 +15,7 @@ import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -38,12 +40,40 @@ from .twoparticle import lambda_accumulate
 from .verify import DEFAULT_TOL, verify_circuit
 
 
+def _json(value, indent: str = "\n") -> str:
+    """The text json.dumps(value, sort_keys=True, indent=2, allow_nan=False) writes, at the
+    nesting whose line break and indent is `indent`, for the value types reports hold: dict
+    (str keys), list, str, int, float, bool and None, tested in the order reports hold them
+    most. A NaN or infinite float raises ArithmeticError: JSON has no form for it."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ArithmeticError("result is not finite")
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return _encode_str(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(item, inner) for item in value]) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_encode_str(key) + ": " + _json(item, inner) for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(obj: dict) -> None:
-    try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:  # NaN and infinity have no JSON form
-        raise ArithmeticError("result is not finite") from None
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(_json(obj) + "\n")
 
 
 def _emit_csv(rows: list[tuple], header: tuple) -> None:

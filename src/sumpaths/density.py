@@ -7,6 +7,15 @@ split assumes the layer's phase gate is in core form diag(1, 1, 1, e^{i phi});
 `normalized_phase_form` rewrites any circuit into that form by absorbing the
 local factors into the layer's singles and dropping the global phase, which
 leaves every density matrix unchanged.
+
+`density_report` runs the recursion over the stacked layers. The oracle
+states, both particles' singles and the core angles of the normalized
+circuit are stacked once; the joint, evolved, miss, hit and oracle matrices
+of every layer are then (n, 4, 4) and (n, 2, 2) broadcasts and batched
+products, each bit-equal to its one-layer form (the per-layer references
+live with the tests). Only what a batch would round differently runs layer
+by layer: the Frobenius norm, the off-diagonal formula's scalar products
+and the collapse path sum over particle 0's prefix tree.
 """
 from __future__ import annotations
 
@@ -17,7 +26,7 @@ import numpy as np
 
 from .circuits import Circuit, PhaseGate, factor_phase_gate, make_circuit
 from .common import DEFAULT_BUDGET, Charge, check_charges
-from .oracle import reduced_density_of, states
+from .oracle import states
 from .paths import conditioned_prefix_state_layers, prefix_amplitude_layers
 
 
@@ -77,34 +86,8 @@ class DensityPair:
         return self.miss + self.hit
 
 
-def _singles(circuit: Circuit, t: int) -> np.ndarray:
-    """A^(t) x B^(t) as a 4 x 4 matrix: the Kronecker product as one broadcast product."""
-    gate_a, gate_b = circuit.single(t, 0), circuit.single(t, 1)
-    return (gate_a[:, None, :, None] * gate_b[None, :, None, :]).reshape(4, 4)
-
-
-def _evolved(singles: np.ndarray, phi: float | None, prev_joint: np.ndarray) -> np.ndarray | None:
-    """The joint density matrix after the layer's singles; None when the layer has no gate to read it."""
-    return None if phi is None else singles @ prev_joint @ singles.conj().T
-
-
-def _step(
-    circuit: Circuit, t: int, phi: float | None, prev_joint: np.ndarray, evolved: np.ndarray | None
-) -> DensityPair:
-    """One recursion step from the joint density matrix at layer t-1, the core angle and `_evolved`."""
-    gate_a = circuit.single(t, 0)
-    rho_prev = prev_joint.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-    miss = gate_a @ rho_prev @ gate_a.conj().T
-    if phi is None:
-        return DensityPair(layer=t, miss=miss, hit=np.zeros((2, 2), dtype=complex))
-    block = evolved.reshape(2, 2, 2, 2)[:, 1, :, 1]  # <1|_B ... |1>_B, indices (a, a')
-    z_phi = np.array([1.0, np.exp(1j * phi)])
-    hit = z_phi[:, None] * block * z_phi.conj()[None, :] - block
-    return DensityPair(layer=t, miss=miss, hit=hit)
-
-
 def _offdiagonal(phi: float | None, evolved: np.ndarray | None) -> np.ndarray:
-    """Independent off-diagonal formula for the hit term (its diagonal cancels exactly), from `_step`'s operands."""
+    """Independent off-diagonal formula for the hit term (its diagonal cancels exactly), from the evolved joint matrix."""
     out = np.zeros((2, 2), dtype=complex)
     if phi is not None:
         out[0, 1] = (np.exp(-1j * phi) - 1.0) * evolved[1, 3]  # <01|...|11>
@@ -122,11 +105,6 @@ def _pathsum_collapse(circuit: Circuit, t: int, amps: np.ndarray, table: np.ndar
     return complex(np.sum(amps[::2] * (table @ circuit.single(t, 1)[1])))  # row 2k + 0 extends prefix k
 
 
-def _collapse_direct(singles: np.ndarray, psi: np.ndarray) -> complex:
-    """<01| (A^(t) x B^(t)) |psi(t-1)>, straight from the layer's `_singles` and the state vector psi(t-1)."""
-    return complex((singles @ psi)[1])
-
-
 def density_charges(circuit: Circuit) -> list[Charge]:
     """What `density_report` holds at its last layer: prefix-tree table n - 1, then particle 0's prefix amplitudes.
 
@@ -139,42 +117,61 @@ def density_charges(circuit: Circuit) -> list[Charge]:
 def density_report(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> list[dict]:
     """Per-layer records of the recursion for the CLI: errors against the oracle.
 
-    The budget is charged once, with `density_charges`. Every layer reads one
-    oracle state stream, one stream of prefix-tree tables and one stream of
-    particle 0's prefix amplitudes of the normalized circuit, and builds its
-    singles' Kronecker product and evolved joint matrix once for the step,
-    the off-diagonal formula and the direct collapse. Layer t reads tree
-    table t - 1, so the tree stops before table n and holds one table at a
-    time beside the one it grows.
+    The budget is charged once, with `density_charges`. Every matrix, the
+    direct collapse amplitude and the error maxima come from the stacked
+    layers (see the module docstring); the loop over layers takes the
+    Frobenius norms and the collapse path sums, which read one stream of
+    prefix-tree tables and one of particle 0's prefix amplitudes. Layer t
+    reads tree table t - 1, so the tree stops before table n and holds one
+    table at a time beside the one it grows.
     """
     normalized = normalized_phase_form(circuit)
     check_charges(density_charges(normalized), budget)
-    tables = itertools.islice(conditioned_prefix_state_layers(normalized, (0,)), normalized.n)
+    n = normalized.n
+    psi = np.array(list(states(normalized)))  # psi(0) .. psi(n), one row each
+    first, second = (
+        np.array([layer.singles[i] for layer in normalized.layers], dtype=complex).reshape(n, 2, 2) for i in (0, 1)
+    )
+    angles = [_core_angle(normalized, t) for t in range(1, n + 1)]
+    phis = np.array([0.0 if phi is None else phi for phi in angles])
+
+    prev = psi[:-1]
+    joint = prev[:, :, None] * prev.conj()[:, None, :]
+    singles = (first[:, :, None, :, None] * second[:, None, :, None, :]).reshape(n, 4, 4)  # A^(t) x B^(t)
+    evolved = singles @ joint @ singles.conj().swapaxes(1, 2)
+    rho_prev = joint.reshape(n, 2, 2, 2, 2).trace(axis1=2, axis2=4)
+    miss = first @ rho_prev @ first.conj().swapaxes(1, 2)
+    block = evolved.reshape(n, 2, 2, 2, 2)[:, :, 1, :, 1]  # <1|_B ... |1>_B, indices (a, a')
+    z_phi = np.ones((n, 2), dtype=complex)
+    z_phi[:, 1] = np.exp(1j * phis)
+    hit = z_phi[:, :, None] * block * z_phi.conj()[:, None, :] - block
+    hit[np.array([phi is None for phi in angles], dtype=bool)] = 0.0  # no gate, no hit
+    total = miss + hit
+    after = psi[1:].reshape(n, 2, 2)  # (particle 0, particle 1)
+    oracle = after @ after.conj().swapaxes(1, 2)
+    off = np.array([_offdiagonal(phi, layer) for phi, layer in zip(angles, evolved)]).reshape(n, 2, 2)
+    hit_diagonal_max = np.abs(np.diagonal(hit, axis1=1, axis2=2)).max(axis=1)
+    offdiagonal_error = np.abs(off - hit).max(axis=(1, 2))
+    direct = (singles @ prev[:, :, None])[:, 1, 0]  # <01| (A^(t) x B^(t)) |psi(t-1)>
+    gap = total - oracle
+
+    tables = itertools.islice(conditioned_prefix_state_layers(normalized, (0,)), n)
     amplitudes = itertools.islice(prefix_amplitude_layers(normalized, 0), 1, None)
-    layers = zip(itertools.pairwise(states(normalized)), tables, amplitudes)
     records = []
-    for t, ((psi, after), table, amps) in enumerate(layers, start=1):
-        phi = _core_angle(normalized, t)
-        prev_joint = np.outer(psi, psi.conj())
-        singles = _singles(normalized, t)
-        evolved = _evolved(singles, phi, prev_joint)
-        pair = _step(normalized, t, phi, prev_joint, evolved)
-        oracle = reduced_density_of(after, 2, 0)
-        off = _offdiagonal(phi, evolved)
-        pathsum = _pathsum_collapse(normalized, t, amps, table)
-        direct = _collapse_direct(singles, psi)
+    for k, (table, amps) in enumerate(zip(tables, amplitudes)):
+        pathsum = _pathsum_collapse(normalized, k + 1, amps, table)
         records.append(
             {
-                "layer": t,
-                "miss": pair.miss,
-                "hit": pair.hit,
-                "total": pair.total,
-                "oracle": oracle,
-                "frobenius_error": float(np.linalg.norm(pair.total - oracle)),
-                "hit_diagonal_max": float(np.max(np.abs(np.diag(pair.hit)))),
-                "offdiagonal_error": float(np.max(np.abs(off - pair.hit))),
+                "layer": k + 1,
+                "miss": miss[k],
+                "hit": hit[k],
+                "total": total[k],
+                "oracle": oracle[k],
+                "frobenius_error": float(np.linalg.norm(gap[k])),
+                "hit_diagonal_max": float(hit_diagonal_max[k]),
+                "offdiagonal_error": float(offdiagonal_error[k]),
                 "pathsum_amplitude": pathsum,
-                "pathsum_error": abs(pathsum - direct),
+                "pathsum_error": abs(pathsum - complex(direct[k])),
             }
         )
     return records

@@ -111,14 +111,16 @@ def prefix_amplitude_layers(circuit: Circuit, particle: int) -> Iterator[np.ndar
 
     Each layer is one outer product: prefix index q with mode l after layer
     t - 1 is row 2q + l, and its extension by mode m after layer t takes the
-    matrix element single[m, l].
+    matrix element single[m, l]. The transposed single is made contiguous
+    first: a transposed view would lay the product out in its order, and
+    the reshape to one axis would then copy it.
     """
     amps = np.ones(1, dtype=complex)
     yield amps
     for t in range(1, circuit.n + 1):
         single = circuit.single(t, particle)
         # every path starts in mode 0
-        amps = single[:, 0] if t == 1 else (amps.reshape(-1, 2, 1) * single.T).reshape(-1)
+        amps = single[:, 0] if t == 1 else (amps.reshape(-1, 2, 1) * np.ascontiguousarray(single.T)).reshape(-1)
         yield amps
 
 

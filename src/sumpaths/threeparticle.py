@@ -265,7 +265,15 @@ class Lambda3Entry:
 def lambda_three(
     circuit: Circuit, p: Path, q: Path, budget: int = DEFAULT_BUDGET
 ) -> Lambda3Entry:
-    """Accumulate the full cascade for one ordered subsystem path pair."""
+    """Accumulate the full cascade for one ordered subsystem path pair.
+
+    Every layer's 4^r branch path pairs are charged before layer 1, in
+    layer order, so a circuit too long for them does no work and the error
+    names the first layer `hit_three` would stop at.
+    """
+    _require_three_particles(circuit)
+    for r in range(1, circuit.n + 1):
+        check_budget(4**r, budget, "branch path pairs")
     value = 1.0 + 0.0j
     trajectory = [value]
     breakdowns = []

@@ -21,7 +21,8 @@ largest |lambda| (lambda_bound), and, for the hit stream, the bit-exact
 repeat at layers without a gate on particle 0 (zero_hit_layers). The final
 table's blocks serve the marginal checks and both sides of no_signaling:
 the appended layer has no gate on particle 0, so `table_blocks` folds it
-into the amplitudes. The density checks run for two particles only.
+into the amplitudes. The density checks run for two particles only, on
+one `density_report`: the hit/miss recursion over the stacked layers.
 general_subsystem reads the pair (0, 1) off one more tree, as Gram
 factors whose pair sums build no lambda matrix. Each check is
 charged the time since the previous check ended, so a shared build counts
@@ -34,6 +35,7 @@ exits before any work.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Container, Iterable, Iterator, Sequence
@@ -113,8 +115,10 @@ class _Runner:
 
 
 def _worst(errors: Iterable[float]) -> float:
-    """The largest error, or NaN if any error is NaN (the builtin max may drop a NaN)."""
-    return float(np.max(list(errors)))
+    """The largest error, or NaN if any error is NaN (the builtin max alone may drop a NaN)."""
+    errors = list(errors)
+    largest = max(errors)
+    return math.nan if any(error != error for error in errors) else float(largest)
 
 
 def _hermitian_gap(table: np.ndarray) -> float:

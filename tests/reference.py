@@ -29,9 +29,11 @@ call kernels on reshaped views must equal them bit for bit. Then comes the
 earlier general-subsystem route, which built each outcome's dense lambda as
 the Gram matrix of its gathered final-table rows: the package's Gram-factor
 blocks must give its amplitudes and lambdas bit for bit. Then come the
-per-layer density references, one layer and one formula per call over the
-package's own helpers, which `density_report` must reproduce bit for bit,
-and the oracle's partial trace of one evolved state. Then comes the
+per-layer density references, one layer and one formula per call: the
+one-layer Kronecker product, evolved matrix and recursion step, over the
+package's own core angle and off-diagonal formula. `density_report`'s
+stacked-layer batches must reproduce them bit for bit, and its partial
+traces the oracle's partial trace of one evolved state. Then comes the
 earlier cascade charge, which tested each gate's presence by building its
 angle table. Last is the earlier circuit validator, which tests every
 number with a helper call: `validate_circuit`'s inline type tests must give
@@ -62,17 +64,7 @@ from sumpaths.circuits import (
 )
 from sumpaths.corpus import random_circuit
 from sumpaths.common import DEFAULT_BUDGET, LambdaBlock, check_budget, check_charges
-from sumpaths.density import (
-    DensityPair,
-    _collapse_direct,
-    _core_angle,
-    _evolved,
-    _offdiagonal,
-    _pathsum_collapse,
-    _require_two_particles,
-    _singles,
-    _step,
-)
+from sumpaths.density import DensityPair, _core_angle, _offdiagonal, _pathsum_collapse, _require_two_particles
 from sumpaths.oracle import Distribution, evolve, marginal_by_sum, reduced_density_of
 from sumpaths.paths import ConditionalUnitary, Path, condition_on_paths, conditioned_prefix_states, normalize_subsystem
 from sumpaths.paths import apply_single, endpoint_rows, pair_phases, path_amplitude, prefix_amplitude_layers
@@ -715,6 +707,32 @@ def dense_conditioned_blocks(
         yield outcome, LambdaBlock(amplitudes=bare * intra.reshape(-1), lam=states.conj() @ states.T)
 
 
+def _singles(circuit: Circuit, t: int) -> np.ndarray:
+    """A^(t) x B^(t) as a 4 x 4 matrix: the Kronecker product as one broadcast product."""
+    gate_a, gate_b = circuit.single(t, 0), circuit.single(t, 1)
+    return (gate_a[:, None, :, None] * gate_b[None, :, None, :]).reshape(4, 4)
+
+
+def _evolved(singles: np.ndarray, phi: float | None, prev_joint: np.ndarray) -> np.ndarray | None:
+    """The joint density matrix after the layer's singles; None when the layer has no gate to read it."""
+    return None if phi is None else singles @ prev_joint @ singles.conj().T
+
+
+def _step(
+    circuit: Circuit, t: int, phi: float | None, prev_joint: np.ndarray, evolved: np.ndarray | None
+) -> DensityPair:
+    """One recursion step from the joint density matrix at layer t-1, the core angle and `_evolved`."""
+    gate_a = circuit.single(t, 0)
+    rho_prev = prev_joint.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+    miss = gate_a @ rho_prev @ gate_a.conj().T
+    if phi is None:
+        return DensityPair(layer=t, miss=miss, hit=np.zeros((2, 2), dtype=complex))
+    block = evolved.reshape(2, 2, 2, 2)[:, 1, :, 1]  # <1|_B ... |1>_B, indices (a, a')
+    z_phi = np.array([1.0, np.exp(1j * phi)])
+    hit = z_phi[:, None] * block * z_phi.conj()[None, :] - block
+    return DensityPair(layer=t, miss=miss, hit=hit)
+
+
 def density_step(circuit: Circuit, t: int, prev_joint: np.ndarray) -> DensityPair:
     """One recursion step from the full two-particle density matrix at layer t-1."""
     _require_two_particles(circuit)
@@ -748,7 +766,7 @@ def hit_pathsum_amplitude(circuit: Circuit, t: int, budget: int = DEFAULT_BUDGET
 def collapse_amplitude_direct(circuit: Circuit, t: int) -> complex:
     """<01| (A^(t) x B^(t)) |psi(t-1)>, straight from the state vector."""
     _require_two_particles(circuit)
-    return _collapse_direct(_singles(circuit, t), evolve(circuit, t - 1))
+    return complex((_singles(circuit, t) @ evolve(circuit, t - 1))[1])
 
 
 def reduced_density(circuit: Circuit, particle: int, upto: int | None = None) -> np.ndarray:

@@ -30,11 +30,13 @@ from sumpaths.circuits import (
     conditioned_diagonal,
     dumps_canonical,
     factor_phase_gate,
+    load_circuit,
     make_circuit,
     random_single,
     validate_circuit,
 )
 from sumpaths.corpus import random_circuit
+from sumpaths.density import normalized_phase_form
 
 from .reference import reference_validate_circuit
 
@@ -80,6 +82,40 @@ def test_phase_diagonal_is_one_read_only_array(thetas):
         diagonal[0] = 1.0
     with pytest.raises(ValueError):
         diagonal.reshape(2, 2)[1, 1] = 1.0
+
+
+def _assert_phase_tables_are_the_per_gate_exp(circuit):
+    for gate in (gate for layer in circuit.layers for gate in layer.phases):
+        diagonal = gate.diagonal()
+        assert not diagonal.flags.writeable and not gate.table.flags.writeable
+        assert diagonal.tobytes() == np.exp(1j * np.asarray(gate.thetas)).tobytes()
+        assert gate.table.tobytes() == diagonal.tobytes() and gate.table.shape == (2, 2)
+
+
+@pytest.mark.parametrize("name", ["n2_l8_s0.json", "n3_l5_s1.json", "n4_l4_s2.json"])
+def test_loaded_circuits_hold_each_gates_own_phase_table(name):
+    _assert_phase_tables_are_the_per_gate_exp(load_circuit(str(CORPUS / name)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_built_circuits_hold_each_gates_own_phase_table(particles, layers, seed):
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(rng, particles, layers, p_single=0.5, p_phase=1.0)  # make_circuit
+    _assert_phase_tables_are_the_per_gate_exp(circuit)
+    _assert_phase_tables_are_the_per_gate_exp(append_external_layer(circuit, rng))
+    if particles == 2:
+        _assert_phase_tables_are_the_per_gate_exp(normalized_phase_form(circuit))
+
+
+def test_a_gate_outside_any_circuit_computes_its_own_table():
+    gate = PhaseGate(pair=(0, 1), thetas=(0.1, -2.0, 3.5, 7.25))
+    expected = np.exp(1j * np.asarray(gate.thetas))
+    assert gate.diagonal().tobytes() == expected.tobytes()
+    assert gate.table.tobytes() == expected.tobytes() and gate.table.shape == (2, 2)
+    # a gate that already has its table keeps it when a circuit is built from it
+    circuit = make_circuit(2, [({}, [gate])])
+    assert circuit.phase(1, (0, 1)).diagonal() is gate.diagonal()
 
 
 def test_phase_lookup_finds_what_a_scan_of_the_layer_finds():

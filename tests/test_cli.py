@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sumpaths import cli as cli_module
+from sumpaths import threeparticle as threeparticle_module
 from sumpaths import verify as verify_module
 from sumpaths.circuits import (
     build_epr_circuit,
@@ -831,6 +832,42 @@ def test_non_finite_results_exit_one(monkeypatch, epr_file):
             code, out, err = run_cli(argv[0], "--circuit", epr_file, *argv[1:], "--format", fmt)
             assert code == 1 and out == ""
             assert err == "error: result is not finite\n"
+
+
+def test_three_particle_trace_too_long_for_its_branch_pairs_exits_three_before_any_hit(tmp_path, monkeypatch):
+    # all-gates N=3 n=12: layer 12 would enumerate 4^12 branch path pairs, past the default budget
+    def no_hit(*args, **kwargs):
+        raise AssertionError("hit_three ran")
+
+    monkeypatch.setattr(threeparticle_module, "hit_three", no_hit)
+    path = tmp_path / "n3_l12.json"
+    save_circuit(random_circuit(np.random.default_rng(1), 3, 12, p_single=1.0, p_phase=1.0), str(path))
+    code, out, err = run_cli("trace", "--circuit", str(path), "--pair", "0,1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: branch path pairs needs 16777216") and err.count("\n") == 1
+
+
+_REPORT_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+_REPORT_TEXT = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f\u2028\U0001f600'))
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _REPORT_FLOATS | _REPORT_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_REPORT_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_REPORT_VALUES)
+def test_report_writer_gives_the_text_of_json_dumps(value):
+    assert cli_module._json(value) == json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_report_writer_rejects_a_non_finite_float_anywhere(bad):
+    with pytest.raises(ArithmeticError):
+        cli_module._json({"checks": [{"max_error": bad}], "pass": True})
 
 
 def test_trace_charges_the_conditioned_external_states(tmp_path):

@@ -215,6 +215,25 @@ def test_path_sum_operands_equal_the_reference_builders(particles, layers, p_sin
             assert value is None or np.array_equal(value, reference)
 
 
+def test_prefix_amplitude_layer_grows_without_copying_its_product():
+    # layer 16 is 2^16 complex, 1 MiB; a product laid out in the transposed
+    # single's order would be copied by the reshape, 2 MiB at the peak
+    circuit = random_circuit(np.random.default_rng(1), 2, 16, p_single=1.0, p_phase=1.0)
+    layers = prefix_amplitude_layers(circuit, 0)
+    for _ in range(16):
+        previous = next(layers)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grown = next(layers)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert previous.size == 2**15 and grown.size == 2**16
+    assert np.array_equal(grown, repeat_prefix_amplitudes(circuit, 0, 16))
+    assert peak < 1.5 * grown.nbytes
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.integers(1, 6), _GATE_DENSITIES, _GATE_DENSITIES, st.integers(0, 2**32 - 1), st.data())
 def test_eliminated_path_sum_matches_the_einsum_contraction(particles, p_single, p_phase, seed, data):
