@@ -48,10 +48,10 @@ states stay the literal (p, m)-conditioned ones: contracting them earlier
 would turn the columns into the conditioned external-pair states that
 `three_closure` checks the tables against.
 
-The budget is still charged with 4^r prefix pairs times four columns per
-present gate of each branch through layer r, at its largest
-(`_largest_table`): pairs of work, not bytes held, and an upper bound on
-the columns now booked. All-gates circuits reach n = 8 under the default
+The budget is charged with what the build holds at its largest, one charge
+per structure (`cascade_charges`): the last lambda table, and, through the
+last layer h with an A-B or A-C gate, both branches' struck path weights
+and partner states. All-gates circuits reach n = 10 under the default
 budget of 2^22.
 """
 from __future__ import annotations
@@ -295,31 +295,23 @@ def _last_hit_layer(circuit: Circuit) -> int:
     return max(coupled, default=0)
 
 
-def _largest_table(circuit: Circuit) -> int:
-    """The cascade's charge: 4^r prefix pairs times the columns booked through layer r, at its largest.
-
-    r runs up to `_last_hit_layer`, and the final 4^n lambda table counts if
-    larger. Each of a layer's present B-C, A-B and A-C gates counts four
-    columns on the branches it reaches, as when every increment was booked
-    as a pair of its own; `lambda3_tables` books one telescoped pair per
-    branch and layer, so the count bounds its columns from above. It is
-    pairs of work, not bytes held: each booked column is contracted over
-    the 4^r (subsystem, struck) prefix pairs once, and every later hit reads
-    it over all 4^r subsystem prefix pairs.
-    """
-    largest = 4**circuit.n
-    c_columns = b_columns = 0
-    for r, layer in enumerate(circuit.layers[: _last_hit_layer(circuit)], start=1):
-        bc, ab, ac = (layer.phase_on(pair) is not None for pair in (BC, AB, AC))
-        c_columns += 4 * (bc + ac)
-        b_columns += 4 * (bc + ab)
-        largest = max(largest, 4**r * max(c_columns, b_columns))
-    return largest
-
-
 def cascade_charges(circuit: Circuit) -> list[Charge]:
-    """What `lambda3_tables` charges: `_largest_table`."""
-    return [(_largest_table(circuit), "three-particle cascade table")]
+    """What `lambda3_tables` holds at its largest, one charge per structure.
+
+    The last lambda table has 4^n entries. Through the last hit layer h
+    (`_last_hit_layer`) each branch grows its struck particle's path weights
+    over 4^h (subsystem, struck) prefix pairs, and its partner's
+    conditioned states, two modes over each of 4^(h-1) prefix pairs: both
+    branches together hold 2 * 4^h weights and 4^h states. After h no hit
+    reads the branches, so nothing of theirs grows further. The contracted
+    columns hold 2^(r+1) entries per booked column, far below either.
+    """
+    last_hit = _last_hit_layer(circuit)
+    return [
+        (4**circuit.n, "path-pair table"),
+        (2 * 4**last_hit, "struck path weights"),
+        (4**last_hit, "partner states"),
+    ]
 
 
 def _carry(columns: np.ndarray, single: np.ndarray, booking: np.ndarray | None) -> np.ndarray:

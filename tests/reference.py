@@ -777,20 +777,16 @@ def reduced_density(circuit: Circuit, particle: int, upto: int | None = None) ->
 
 
 def thetas_cascade_charges(circuit: Circuit) -> list:
-    """The earlier `cascade_charges`: each gate's presence read off its 2x2 angle table."""
+    """`cascade_charges` with each gate's presence read off its 2x2 angle table."""
     def present(pair: tuple[int, int], r: int) -> bool:
         return _thetas(circuit, pair, r) is not None
 
-    ab, ac, bc = (0, 1), (0, 2), (1, 2)
-    last_hit = max((r for r in range(1, circuit.n + 1) if present(ab, r) or present(ac, r)), default=0)
-    largest = 4**circuit.n
-    c_columns = b_columns = 0
-    for r in range(1, last_hit + 1):
-        has_bc, has_ab, has_ac = (present(pair, r) for pair in (bc, ab, ac))
-        c_columns += 4 * (has_bc + has_ac)
-        b_columns += 4 * (has_bc + has_ab)
-        largest = max(largest, 4**r * max(c_columns, b_columns))
-    return [(largest, "three-particle cascade table")]
+    last_hit = max((r for r in range(1, circuit.n + 1) if present((0, 1), r) or present((0, 2), r)), default=0)
+    return [
+        (4**circuit.n, "path-pair table"),
+        (2 * 4**last_hit, "struck path weights"),
+        (4**last_hit, "partner states"),
+    ]
 
 
 def _ref_is_number(value: Any) -> bool:

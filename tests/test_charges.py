@@ -38,7 +38,7 @@ BUDGET = 1 << 40  # no charge may stop a build; the gate reads the charges itsel
 SIZES = {
     "amplitudes_via_paths": [(1, 17), (1, 18), (2, 9), (2, 10), (3, 8), (3, 9), (4, 6), (4, 7), (5, 5), (6, 4)],
     "prefix_tree+lambda_tables": [(2, 8), (2, 9), (4, 8), (4, 9), (5, 8), (5, 9), (6, 8), (6, 9)],
-    "lambda3_tables": [(3, 7), (3, 8)],
+    "lambda3_tables": [(3, 7), (3, 8), (3, 9)],
     "density_report": [(2, 16), (2, 17)],
 }
 BLOCK_LAYERS = {

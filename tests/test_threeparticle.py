@@ -379,11 +379,16 @@ def test_tables_match_the_refined_cascade_on_the_corpus(file):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), max_size=8),
+    st.lists(st.booleans(), max_size=3),
     st.integers(0, 2**32 - 1),
 )
-def test_cascade_charge_reads_gate_presence_like_the_angle_tables(pattern, seed):
-    circuit = sparse_circuit(pattern, np.random.default_rng(seed))
-    assert cascade_charges(circuit) == thetas_cascade_charges(circuit)
+def test_cascade_charge_reads_gate_presence_like_the_angle_tables(pattern, tail, seed):
+    # the tail's layers hold at most a B-C gate, so the last gate on A comes before them:
+    # the branches stop growing there while lambda grows through the tail
+    circuit = sparse_circuit(pattern + [(False, False, bc) for bc in tail], np.random.default_rng(seed))
+    charges = cascade_charges(circuit)
+    assert charges == thetas_cascade_charges(circuit)
+    assert charges[0][0] == 4**circuit.n and charges[1][0] <= 2 * 4 ** len(pattern)
 
 
 @pytest.mark.parametrize("file", sorted(path.name for path in CORPUS.glob("n3_*.json")))
@@ -393,8 +398,9 @@ def test_cascade_charge_reads_gate_presence_like_the_angle_tables_on_the_corpus(
 
 
 def test_eight_all_gate_layers_peak_well_under_the_charged_stack():
-    # the charge is 4^8 prefix pairs by 64 columns, 64 MiB of complex entries; the
-    # contracted columns keep the build's allocations at half that or less
+    # the charges are 4^8 lambda entries, 2 x 4^8 struck path weights and 4^8 partner
+    # states, 4 MiB of complex entries; the build holds about twice that while it grows a
+    # layer, and no array holds 4^8 prefix pairs by the 64 columns booked (64 MiB)
     circuit = random_circuit(np.random.default_rng(83), 3, 8, p_single=1.0, p_phase=1.0)
     tracemalloc.start()
     try:
@@ -404,22 +410,24 @@ def test_eight_all_gate_layers_peak_well_under_the_charged_stack():
     finally:
         tracemalloc.stop()
     assert lam.shape == (256, 256)
-    assert peak < 32 * 2**20
+    assert peak < 10 * 2**20
 
 
-def test_budget_guard_admits_eight_all_gate_layers_only():
+def test_budget_guard_admits_ten_all_gate_layers_only():
+    # at n = 11 lambda's 4^11 entries fit 2^22 exactly; both branches' path weights do not
     rng = np.random.default_rng(83)
-    next(lambda3_tables(random_circuit(rng, 3, 8, p_single=1.0, p_phase=1.0)))
-    with pytest.raises(BudgetExceeded):
-        next(lambda3_tables(random_circuit(rng, 3, 9, p_single=1.0, p_phase=1.0)))
+    next(lambda3_tables(random_circuit(rng, 3, 10, p_single=1.0, p_phase=1.0)))
+    with pytest.raises(BudgetExceeded, match="^struck path weights needs 8388608 "):
+        next(lambda3_tables(random_circuit(rng, 3, 11, p_single=1.0, p_phase=1.0)))
 
 
-def test_trailing_external_layer_costs_no_budget():
-    # the booked columns feed no hit after the last A-B/A-C gate, so the layer
-    # no-signaling appends fits the budget an all-gates n = 8 circuit fills
+def test_trailing_external_layer_adds_no_hit():
+    # the branches grow no further after the last A-B/A-C gate, so the layer
+    # no-signaling appends adds only lambda's repeat to the charges
     rng = np.random.default_rng(89)
     circuit = random_circuit(rng, 3, 8, p_single=1.0, p_phase=1.0)
     extended = append_external_layer(circuit, rng)
+    assert cascade_charges(extended)[1:] == cascade_charges(circuit)[1:]
     tables = list(lambda3_tables(extended))
     expanded = np.repeat(np.repeat(tables[circuit.n], 2, axis=0), 2, axis=1)
     assert np.array_equal(tables[extended.n], expanded)  # the appended layer adds no hit

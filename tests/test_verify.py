@@ -169,16 +169,20 @@ def test_no_signaling_catches_a_bad_fold(monkeypatch, file):
 
 
 def test_three_particle_verify_charges_the_base_tables_only(tmp_path):
-    # the base cascade's largest table is 32 entries; no extended build charges 4^3 = 64
+    # the cascade charges the base circuit's 4^2 lambda entries, 2 x 4 path weights and 4 partner
+    # states; the largest charge is the (0, 1) route's 2^5 conditioned external states, and no
+    # extended build charges its 4^3 = 64 lambda entries
     thetas = (0.0, 0.4, 1.1, 2.3)
     first = [PhaseGate(pair, thetas) for pair in ((0, 1), (0, 2), (1, 2))]
     circuit = make_circuit(3, [({0: HADAMARD, 1: HADAMARD, 2: HADAMARD}, first), ({}, [PhaseGate((1, 2), thetas)])])
     path = tmp_path / "c.json"
     save_circuit(circuit, str(path))
-    for budget, code in ((31, 3), (32, 0), (40, 0), (63, 0)):
+    stops = {15: "path-pair table needs 16", 31: "conditioned external states needs 32"}
+    for budget, code in ((15, 3), (31, 3), (32, 0), (40, 0), (63, 0)):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             assert main(["verify", "--circuit", str(path), "--budget", str(budget)]) == code
+        assert err.getvalue().startswith(f"error: {stops[budget]} ") if code else err.getvalue() == ""
 
 
 def test_marginal_builds_one_tree_for_every_outcome(monkeypatch):
@@ -272,7 +276,7 @@ def test_zero_hit_layers_compares_streamed_tables_at_four_particles(monkeypatch)
 @pytest.mark.parametrize(
     "particles, layers, charge",
     [
-        (3, 9, "three-particle cascade table needs 18874368"),
+        (3, 11, "struck path weights needs 8388608"),
         (4, 9, "path-sum elimination table needs 33554432"),
         (2, 12, "path-pair table needs 16777216"),
     ],
@@ -292,11 +296,12 @@ def test_every_charge_is_checked_before_any_check_runs(monkeypatch, tmp_path, pa
     assert err.getvalue() == f"error: {charge} combinations, budget is 4194304; raise --budget to override\n"
 
 
-@pytest.mark.parametrize("particles", [3, 4])
-def test_verify_reaches_eight_all_gates_layers_at_three_and_four_particles(particles):
-    # one layer more passes the cascade's charge (N=3) or the path sum's elimination table (N=4),
-    # which test_every_charge_is_checked_before_any_check_runs pins; at N=4 n=8 that table is exactly 2^22
-    circuit = random_circuit(np.random.default_rng(11), particles, 8, p_single=1.0, p_phase=1.0)
+@pytest.mark.parametrize("particles, layers", [(3, 10), (4, 8)])
+def test_verify_reaches_ten_all_gates_layers_at_three_particles_and_eight_at_four(particles, layers):
+    # one layer more passes the cascade's struck path weights (N=3) or the path sum's elimination
+    # table (N=4), which test_every_charge_is_checked_before_any_check_runs pins; at N=4 n=8 that
+    # table is exactly 2^22
+    circuit = random_circuit(np.random.default_rng(11), particles, layers, p_single=1.0, p_phase=1.0)
     assert verify_circuit(circuit).passed
 
 
