@@ -25,6 +25,7 @@ from .circuits import (
     Circuit,
     CircuitError,
     CircuitFormatError,
+    _parse_complex_matrix,
     _unique_keys,
     build_epr_circuit,
     circuit_digest,
@@ -299,8 +300,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_gate_spec(text: str) -> np.ndarray:
-    """A rotation angle in radians, or an explicit 2x2 matrix of [re, im] pairs."""
+def _parse_gate_spec(text: str, option: str) -> np.ndarray:
+    """A rotation angle in radians, or an explicit 2x2 matrix of [re, im] pairs read as circuit files read theirs."""
     try:
         angle = float(text)
         return np.array(
@@ -313,15 +314,12 @@ def _parse_gate_spec(text: str) -> np.ndarray:
         entries = json.loads(text)
     except (json.JSONDecodeError, RecursionError):  # the decoder recurses once per nesting level
         raise CircuitError(f"gate spec {text!r} is neither an angle nor a JSON matrix") from None
-    try:
-        return np.array([[complex(re, im) for re, im in row] for row in entries])
-    except (TypeError, ValueError):
-        raise CircuitError(f"gate spec {text!r} is not a matrix of [re, im] pairs") from None
+    return np.array(_parse_complex_matrix(entries, f"gate spec {option}")).reshape(2, 2)
 
 
 def cmd_epr(args: argparse.Namespace) -> int:
-    a2 = _parse_gate_spec(args.a2)
-    b2 = _parse_gate_spec(args.b2)
+    a2 = _parse_gate_spec(args.a2, "--a2")
+    b2 = _parse_gate_spec(args.b2, "--b2")
     circuit = build_epr_circuit(a2, b2)
     oracle = marginal_by_sum(circuit, {0}).as_mapping()
     pathsum = _pathsum_distribution(circuit, (0,), args.budget)

@@ -8,20 +8,19 @@ one entry of the product of several members' enumerations from its index
 alone, so naming two paths never enumerates the rest.
 
 `conditioned_prefix_state_layers` is the one vectorized evolution of the
-external system conditioned on subsystem paths, one table per layer, and
-`conditioned_prefix_states` holds its tables from a given layer on. Each
-layer is one `TreeStep`: one product of the rows with the layer's external
-operator (the external singles as Kronecker blocks of at most four
-particles, the external-only phase gates folded in as one diagonal), then
-one broadcast multiply that grows every member's prefix by its new bit and
-applies the straddling factors D[a, x]. A `PrefixTree` grows one layer at
-a time and keeps its tables but no step: the hit stream of the subsystem
-(0,) grows it, reading each step's pre-gate states and D before dropping
-it, so neither is rebuilt and only one step is held. The Gram tables
-`verify` checks both table streams against, the general blocks (the final
-table only) and the density path sum read the same tree's tables.
-`condition_on_paths` is the per-path scalar reference it is checked against,
-and the evolution the per-pair hits (`twoparticle.hit`) read.
+external system conditioned on subsystem paths, one table per layer, from
+`tree_root`. Each layer is one `TreeStep` (`tree_step`): one product of the
+rows with the layer's external operator (the external singles as Kronecker
+blocks of at most four particles, the external-only phase gates folded in
+as one diagonal), then one broadcast multiply that grows every member's
+prefix by its new bit and applies the straddling factors D[a, x]. The hit
+stream of the subsystem (0,) (`twoparticle.lambda_tables`) takes the same
+steps itself, reading each step's pre-gate states and D before dropping
+it, and yields each table beside its lambda. The three-particle Gram walk
+of `verify`, the general blocks (the final table only) and the density
+path sum read this generator's tables. `condition_on_paths` is the per-path
+scalar reference it is checked against, and the evolution the per-pair
+hits (`twoparticle.hit`) read.
 """
 from __future__ import annotations
 
@@ -468,7 +467,7 @@ def tree_step(circuit: Circuit, members: tuple[int, ...], t: int, table: np.ndar
     return TreeStep(layer=t, members=members, pre=pre, factors=factors)
 
 
-def _root(circuit: Circuit, members: tuple[int, ...]) -> np.ndarray:
+def tree_root(circuit: Circuit, members: tuple[int, ...]) -> np.ndarray:
     """Table 0: one row, the external system in |0...0>."""
     external, _ = member_layout(circuit.particles, members)
     if not external:
@@ -492,40 +491,8 @@ def conditioned_prefix_state_layers(circuit: Circuit, subsystem: Sequence[int]) 
     `verify` checks each streamed table against.
     """
     members = tuple(sorted(set(subsystem)))
-    table = _root(circuit, members)
+    table = tree_root(circuit, members)
     yield table
     for t in range(1, circuit.n + 1):
         table = tree_step(circuit, members, t, table).grow()
         yield table
-
-
-class PrefixTree:
-    """A conditioned prefix tree over its first `layers` layers (default n), grown one layer at a time.
-
-    `tables` holds table 0 and every table grown so far, as
-    `conditioned_prefix_state_layers` yields them. `grow` takes the next
-    layer's `TreeStep` from the last table, appends the table it grows and
-    returns the step. The tree keeps no step, so a caller that drops each
-    one before growing the next holds the tables and one step's pre-gate
-    states and factors.
-    """
-
-    def __init__(self, circuit: Circuit, subsystem: Sequence[int], layers: int | None = None) -> None:
-        self.circuit = circuit
-        self.members = tuple(sorted(set(subsystem)))
-        self.layers = circuit.n if layers is None else layers
-        self.tables = [_root(circuit, self.members)]
-
-    def grow(self) -> TreeStep:
-        """The step of layer t = len(tables), after table t is appended."""
-        t = len(self.tables)
-        if t > self.layers:
-            raise ValueError(f"the prefix tree is already grown to its {self.layers} layers")
-        step = tree_step(self.circuit, self.members, t, self.tables[-1])
-        self.tables.append(step.grow())
-        return step
-
-
-def conditioned_prefix_states(circuit: Circuit, subsystem: Sequence[int], first: int = 0) -> list[np.ndarray]:
-    """`conditioned_prefix_state_layers`' tables after layers `first`..n; no earlier table is held."""
-    return list(itertools.islice(conditioned_prefix_state_layers(circuit, subsystem), first, None))

@@ -4,12 +4,12 @@ Subsystem paths are configuration-space paths (one single-particle path per
 subsystem member). The hidden variable of an ordered pair of configuration
 paths with equal endpoint tuples is the overlap of the conditioned external
 evolutions. Every outcome of a subsystem reads the same conditioned
-evolution, so `conditioned_blocks` builds the prefix-shared evolution
-`paths.conditioned_prefix_states` once and yields each outcome's overlaps as
-a Gram factor: that outcome's rows of the final table, whose pair sum
-|S^T a|^2 needs no lambda matrix. One pair's lambda, built up hit by hit,
-is `twoparticle.lambda_accumulate`, the per-pair reference for every
-subsystem.
+evolution, so `conditioned_blocks` grows the prefix-shared evolution
+`paths.conditioned_prefix_state_layers` once and yields each outcome's
+overlaps as a Gram factor: that outcome's rows of the final table, whose
+pair sum |S^T a|^2 needs no lambda matrix. One pair's lambda, built up hit
+by hit, is `twoparticle.lambda_accumulate`, the per-pair reference for
+every subsystem.
 
 Phase gates wholly inside the subsystem belong to the configuration
 amplitude; gates wholly outside stay in the conditioned evolution; straddling
@@ -20,7 +20,8 @@ once: the cascade for the subsystem (0,) of three particles, the hit stream
 for (0,) at every other particle count, and `conditioned_blocks` for every
 other subsystem. Each yields (outcome, block) pairs one at a time. The hit
 stream's last layer is folded into the endpoint blocks by `table_blocks`,
-which takes that layer's tree step from the stream's last prefix-tree table.
+which takes that layer's tree step from the tree table the stream yields
+last.
 """
 from __future__ import annotations
 
@@ -32,10 +33,10 @@ import numpy as np
 
 from .circuits import Circuit
 from .common import DEFAULT_BUDGET, Charge, LambdaBlock, check_charges
-from .paths import conditioned_prefix_states, endpoint_rows, normalize_subsystem, pair_phases, prefix_amplitudes
-from .paths import tree_step
+from .paths import conditioned_prefix_state_layers, endpoint_rows, normalize_subsystem, pair_phases
+from .paths import prefix_amplitudes, tree_step
 from .threeparticle import lambda3_tables
-from .twoparticle import lambda_tables, layer_hits, prefix_tree
+from .twoparticle import lambda_tables, layer_hits
 
 
 def conditioned_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Charge]:
@@ -85,7 +86,8 @@ def conditioned_blocks(
     particles = normalize_subsystem(circuit, subsystem)
     n, size = circuit.n, len(particles)
     check_charges(conditioned_charges(circuit, particles), budget)
-    (states,) = conditioned_prefix_states(circuit, particles, first=n)  # the final table only
+    for states in conditioned_prefix_state_layers(circuit, particles):  # keeps only the final table
+        pass
     outcomes = itertools.product((0, 1), repeat=size)
     amps = [prefix_amplitudes(circuit, p) for p in particles]
     pairs = [
@@ -165,7 +167,7 @@ def lambda_blocks(
     The subsystem (0,) of three particles reads its two blocks off the last
     table of the cascade. At any other particle count it streams the hits
     over the first n - 1 layers (charged 4^(n-1)), and `table_blocks` folds
-    layer n into both endpoint blocks from the tree's last table. Every
+    layer n into both endpoint blocks from the last tree table it yields. Every
     other subsystem gets `conditioned_blocks`, whose Gram-factor blocks hold
     no lambda until one is read. Blocks are yielded one at a time, so a caller that drops each
     before asking for the next holds one dense lambda at a time.
@@ -175,12 +177,9 @@ def lambda_blocks(
         yield from conditioned_blocks(circuit, particles, budget)
         return
     if circuit.particles == 3:
-        tree, tables = None, lambda3_tables(circuit, budget)
+        pairs = ((lam, None) for lam in lambda3_tables(circuit, budget))
     else:
-        tree = prefix_tree(circuit, budget, layers=max(circuit.n - 1, 0))
-        tables = lambda_tables(circuit, tree=tree)
-    for lam in tables:  # keeps only the last table
+        pairs = lambda_tables(circuit, budget, layers=max(circuit.n - 1, 0))
+    for lam, table in pairs:  # keeps only the last pair
         pass
-    last = None if tree is None else tree.tables[-1]
-    del tree  # the fold reads only the tree's last table
-    yield from table_blocks(circuit, lam, last)
+    yield from table_blocks(circuit, lam, table)

@@ -23,7 +23,8 @@ happens).
 same literal cascade vectorized over every path-prefix pair and streams one
 lambda table per layer. `verify`'s `three_closure` checks each streamed
 table against the Gram matrix of the conditioned external-pair states of
-`paths.conditioned_prefix_states`, not of the cascade's own columns.
+`paths.conditioned_prefix_state_layers`, zipped layer by layer with the
+stream, not of the cascade's own columns.
 
 Each gamma or chi increment is sum_l conj(f_l(p, m)) f_l(q, n), separable
 across the (p, m) | (q, n) split of subsystem and struck prefixes, and a hit

@@ -24,12 +24,12 @@ the (0,) of three particles, whose hits are the paper's cascade in
 `threeparticle`. `_before_layer` (the external singles, axis by axis) and
 `_straddle` (the straddling factors D) remain only as that reference's
 helpers. `lambda_tables` streams lambda^(t) of the subsystem (0,) over
-every prefix pair, one layer at a time, growing its `prefix_tree` as it
-goes: `layer_hits` reads each layer's pre-gate states and D off the step
-that grew the tree's next table, so the stream rebuilds neither, and drops
-the step before the next. `verify` checks each streamed table against the
-Gram matrix of the tree's tables. The stream serves every particle count
-but three.
+every prefix pair, one layer at a time, beside particle 0's conditioned
+prefix-tree table t, which it grows one `paths.tree_step` per layer:
+`layer_hits` reads each layer's pre-gate states and D off the step that
+grew the table, so the stream rebuilds neither, and drops the step before
+it yields. `verify` checks each streamed lambda against the Gram matrix of
+the table beside it. The stream serves every particle count but three.
 """
 from __future__ import annotations
 
@@ -40,8 +40,8 @@ import numpy as np
 
 from .circuits import Circuit
 from .common import DEFAULT_BUDGET, REALITY_TOL, Charge, LambdaBlock, RealityError, check_charges
-from .paths import Path, PrefixTree, TreeStep, apply_single, condition_on_paths, member_layout, normalize_subsystem
-from .paths import straddling_factor
+from .paths import Path, TreeStep, apply_single, condition_on_paths, member_layout, normalize_subsystem
+from .paths import straddling_factor, tree_root, tree_step
 
 
 def _require_stream(circuit: Circuit) -> None:
@@ -175,54 +175,45 @@ def lambda_accumulate(circuit: Circuit, subsystem: Sequence[int], p: Sequence[Pa
 
 
 def prefix_tree_charges(circuit: Circuit, layers: int | None = None) -> list[Charge]:
-    """What `prefix_tree` charges over the first `layers` layers (default n).
+    """What `lambda_tables` charges over the first `layers` layers (default n).
 
-    A stream over those layers holds lambda over 4^layers prefix pairs, and
-    the tree's tables together hold under 2^(layers + 1) x 2^(N - 1)
-    external amplitudes.
+    The stream holds lambda over 4^layers prefix pairs, and its last two
+    tree tables with one step's pre-gate states, at most 2^(layers + 1) x
+    2^(N - 1) external amplitudes.
     """
     layers = circuit.n if layers is None else layers
     return [(4**layers, "path-pair table"), (1 << (layers + circuit.particles), "conditioned external states")]
 
 
-def prefix_tree(circuit: Circuit, budget: int = DEFAULT_BUDGET, layers: int | None = None) -> PrefixTree:
-    """Particle 0's conditioned prefix tree over the first `layers` layers (default n), charged first.
+def lambda_tables(
+    circuit: Circuit, budget: int = DEFAULT_BUDGET, layers: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(lambda^(t), tree table t) of the subsystem (0,), for t = 0..`layers` (default n).
 
-    Both `prefix_tree_charges` are checked before anything is built. The
-    tree holds table 0; `lambda_tables` grows the rest.
+    lambda^(t) spans every pair of t-mode prefixes. Prefix indices encode
+    modes most-significant-first, so a full path's row is its mode bitstring
+    read as a binary number; paths ending at j occupy rows 2k + j with k the
+    lexicographic enumeration index. Tree table t is particle 0's
+    `paths.conditioned_prefix_state_layers` table t, grown here one
+    `paths.tree_step` per layer. Layer t writes each new lambda table once:
+    lambda^(t-1) plus the `layer_hits` of that step for one mode pair (a, b)
+    into the strided view of rows 2k + a and columns 2l + b, or lambda^(t-1)
+    alone at every (a, b) when the layer has no straddling gate. Both
+    `prefix_tree_charges` are checked on the first `next()`, before anything
+    is built. No array is written after it is yielded, and the step is
+    dropped before its pair is yielded, so a caller that keeps only the last
+    pair holds at most two of each table and one hit block at a time.
     """
     _require_stream(circuit)
+    layers = circuit.n if layers is None else layers
     check_charges(prefix_tree_charges(circuit, layers), budget)
-    return PrefixTree(circuit, (0,), layers)
-
-
-def lambda_tables(
-    circuit: Circuit, budget: int = DEFAULT_BUDGET, tree: PrefixTree | None = None
-) -> Iterator[np.ndarray]:
-    """lambda^(t) over every pair of t-mode subsystem prefixes, for t = 0..n.
-
-    Prefix indices encode modes most-significant-first, so a full path's row
-    is its mode bitstring read as a binary number; paths ending at j occupy
-    rows 2k + j with k the lexicographic enumeration index. Layer t grows
-    the prefix tree's table t and writes each new lambda table once:
-    lambda^(t-1) plus the `layer_hits` of one mode pair (a, b) into the
-    strided view of rows 2k + a and columns 2l + b, or lambda^(t-1) alone at
-    every (a, b) when the layer has no straddling gate. `tree` is the
-    circuit's `prefix_tree`, already charged and not yet grown; the stream
-    grows it over all its layers, so table t is in `tree.tables` once
-    lambda^(t) is yielded. Without one, the stream charges and makes the
-    tree on the first `next()`. Each table is a fresh array, never written
-    after it is yielded, so a caller that keeps only the last one holds at
-    most two tables, one hit block and one tree step at a time.
-    """
-    tree = prefix_tree(circuit, budget) if tree is None else tree
-    if len(tree.tables) != 1:
-        raise ValueError("the hit stream grows its prefix tree from table 0")
-    lam = np.ones((1, 1), dtype=complex)
-    yield lam
-    for _ in range(tree.layers):
-        lam = _grown_table(lam, layer_hits(tree.grow()))  # the step is dropped before the tree grows again
-        yield lam
+    lam, table = np.ones((1, 1), dtype=complex), tree_root(circuit, (0,))
+    yield lam, table
+    for t in range(1, layers + 1):
+        step = tree_step(circuit, (0,), t, table)
+        lam, table = _grown_table(lam, layer_hits(step)), step.grow()
+        del step
+        yield lam, table
 
 
 def _grown_table(lam: np.ndarray, hits: Callable[[int, int], np.ndarray] | None) -> np.ndarray:

@@ -9,16 +9,17 @@ are this circuit's, the last of which every other oracle check reads.
 
 The lambda route of the subsystem (0,) is built once per circuit: the hit
 stream of `twoparticle`, or for three particles the cascade, each a stream
-of per-layer tables. One conditioned prefix tree serves both the hit
-stream, which grows it and reads each layer's pre-gate states and
-straddling factors off the step that grew it, and the walk that checks the
-stream against the tree's tables. The hits stay per-layer sums over those
-states, never a difference of the tree's Gram matrices, so the walk is no
-restatement of the stream. One walk over the stream, holding at most the
-previous table, computes every per-layer check: the gap to the Gram matrix
-of the tree's conditioned external states (telescoping, three_closure), the
-largest |lambda| (lambda_bound), and, for the hit stream, the bit-exact
-repeat at layers without a gate on particle 0 (zero_hit_layers). The final
+of per-layer tables. The walk reads each lambda beside particle 0's
+conditioned prefix-tree table of the same layer: the hit stream yields
+that table itself, grown by the step whose pre-gate states and straddling
+factors its hits read, and the cascade is zipped with
+`paths.conditioned_prefix_state_layers`. The hits stay per-layer sums over
+those states, never a difference of the tree's Gram matrices, so the walk
+is no restatement of the stream. One walk over the pairs, holding at most
+the previous lambda, computes every per-layer check: the gap to the Gram
+matrix of the tree table (telescoping, three_closure), the largest
+|lambda| (lambda_bound), and, for the hit stream, the bit-exact repeat at
+layers without a gate on particle 0 (zero_hit_layers). The final lambda
 table's blocks serve the marginal checks and both sides of no_signaling:
 the appended layer has no gate on particle 0, so `table_blocks` folds it
 into the amplitudes. The density checks run for two particles only, on
@@ -38,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Container, Iterable
 
 import numpy as np
 
@@ -46,10 +47,10 @@ from .circuits import Circuit, append_external_layer, circuit_digest
 from .common import DEFAULT_BUDGET, Charge, check_charges
 from .density import density_charges, density_report
 from .oracle import Distribution, check_particles, marginal_of, states
-from .paths import Path, amplitudes_via_paths, conditioned_prefix_states, pathsum_charges
+from .paths import Path, amplitudes_via_paths, conditioned_prefix_state_layers, pathsum_charges
 from .subsystems import conditioned_blocks, conditioned_charges, table_blocks
 from .threeparticle import cascade_charges, lambda3_tables
-from .twoparticle import hit, lambda_tables, marginal_deviation, prefix_tree, prefix_tree_charges
+from .twoparticle import hit, lambda_tables, marginal_deviation, prefix_tree_charges
 
 DEFAULT_TOL = 1e-9
 
@@ -140,17 +141,13 @@ def _marginal_checks(
 
 
 def _walk_layers(
-    circuit: Circuit,
-    tables: Iterator[np.ndarray],
-    tree: Sequence[np.ndarray],
-    gateless: Container[int] = (),
+    circuit: Circuit, pairs: Iterable[tuple[np.ndarray, np.ndarray]], gateless: Container[int] = ()
 ) -> tuple[np.ndarray, float, float, float]:
-    """Per-layer checks of a lambda stream, holding at most the previous table.
+    """Per-layer checks of (lambda_t, tree table t) pairs, holding at most the previous lambda.
 
-    Returns the final table, the worst gap |lambda_t - G_t| to the Gram
-    matrix G_t of the conditioned external states `tree[t]` after layer t
-    (read once lambda_t is yielded, so a tree the stream grows serves),
-    the largest |lambda_t|, and the worst zero-hit error at the `gateless`
+    Returns the final lambda, the worst gap |lambda_t - G_t| to the Gram
+    matrix G_t of the conditioned external states in tree table t, the
+    largest |lambda_t|, and the worst zero-hit error at the `gateless`
     layers of the hit stream, where the table must repeat the previous one
     over the new bit and one path pair's scalar `hit` must be 0, both
     bit-exact.
@@ -159,8 +156,8 @@ def _walk_layers(
     q = Path(modes=(1,) * (circuit.n - 1) + (0,)) if circuit.n > 1 else p
     gaps, largest, zero_hit = [], [], [0.0]
     previous = None
-    for t, lam in enumerate(tables):
-        gram = tree[t].conj() @ tree[t].T
+    for t, (lam, table) in enumerate(pairs):
+        gram = table.conj() @ table.T
         gaps.append(float(np.max(np.abs(np.subtract(lam, gram, out=gram)))))
         largest.append(float(np.max(np.abs(lam))))
         if t in gateless:
@@ -180,8 +177,7 @@ def _stream_checks(
     """The hit stream's checks, at every particle count but three; density only for two."""
     layers = enumerate(circuit.layers, start=1)
     gateless = [t for t, layer in layers if all(gate.pair[0] != 0 for gate in layer.phases)]
-    tree = prefix_tree(circuit, budget)
-    final, gap, largest, zero_hit = _walk_layers(circuit, lambda_tables(circuit, tree=tree), tree.tables, gateless)
+    final, gap, largest, zero_hit = _walk_layers(circuit, lambda_tables(circuit, budget), gateless)
     blocks = [block for _, block in table_blocks(circuit, final)]
     marginals = [block.marginal() for block in blocks]
     _marginal_checks(runner, marginals, oracle, tol)
@@ -210,8 +206,8 @@ def _stream_checks(
 def _three_particle_checks(
     runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
 ) -> tuple[list[float], np.ndarray]:
-    tree = conditioned_prefix_states(circuit, (0,))
-    final, gap, largest, _ = _walk_layers(circuit, lambda3_tables(circuit, budget), tree)
+    pairs = zip(lambda3_tables(circuit, budget), conditioned_prefix_state_layers(circuit, (0,)), strict=True)
+    final, gap, largest, _ = _walk_layers(circuit, pairs)
     marginals = [block.marginal() for _, block in table_blocks(circuit, final)]
     _marginal_checks(runner, marginals, oracle, tol)
     runner.run("three_closure", tol, lambda: gap)

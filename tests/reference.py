@@ -66,12 +66,12 @@ from sumpaths.corpus import random_circuit
 from sumpaths.common import DEFAULT_BUDGET, LambdaBlock, check_budget, check_charges
 from sumpaths.density import DensityPair, _core_angle, _offdiagonal, _pathsum_collapse, _require_two_particles
 from sumpaths.oracle import Distribution, evolve, marginal_by_sum, reduced_density_of
-from sumpaths.paths import ConditionalUnitary, Path, condition_on_paths, conditioned_prefix_states, normalize_subsystem
+from sumpaths.paths import ConditionalUnitary, Path, condition_on_paths, conditioned_prefix_state_layers, normalize_subsystem
 from sumpaths.paths import apply_single, endpoint_rows, pair_phases, path_amplitude, prefix_amplitude_layers
 from sumpaths.paths import member_layout, prefix_amplitudes, straddling_factor
 from sumpaths.subsystems import conditioned_charges, table_blocks
 from sumpaths.threeparticle import _thetas
-from sumpaths.twoparticle import _before_layer, _straddle
+from sumpaths.twoparticle import _before_layer, _straddle, lambda_tables
 
 
 def kron_layer_operator(circuit: Circuit, t: int) -> np.ndarray:
@@ -395,12 +395,17 @@ def final_blocks(circuit: Circuit, tables: Iterator[np.ndarray]) -> dict[int, La
 
 def gram_tables(circuit: Circuit) -> list[np.ndarray]:
     """G_t: overlaps of the external states conditioned on every t-mode prefix of particle 0."""
-    return [u.conj() @ u.T for u in conditioned_prefix_states(circuit, (0,))]
+    return [u.conj() @ u.T for u in conditioned_prefix_state_layers(circuit, (0,))]
+
+
+def hit_lambdas(circuit: Circuit) -> list[np.ndarray]:
+    """lambda^(0..n) of the hit stream, without the tree tables `lambda_tables` yields beside them."""
+    return [lam for lam, _ in lambda_tables(circuit)]
 
 
 def two_particle_tables(circuit: Circuit) -> Iterator[np.ndarray]:
     """The earlier two-particle stream: lambda^(t) for t = 0..n off one whole-circuit prefix tree."""
-    states = conditioned_prefix_states(circuit, (0,))
+    states = list(conditioned_prefix_state_layers(circuit, (0,)))
     lam = np.ones((1, 1), dtype=complex)
     yield lam
     for t in range(1, circuit.n + 1):
@@ -686,7 +691,7 @@ def dense_conditioned_blocks(
     particles = normalize_subsystem(circuit, subsystem)
     n, size = circuit.n, len(particles)
     check_charges(dense_conditioned_charges(circuit, particles), budget)
-    final = conditioned_prefix_states(circuit, particles)[n]
+    *_, final = conditioned_prefix_state_layers(circuit, particles)
     amplitudes = [prefix_amplitudes(circuit, p) for p in particles]
     pairs = itertools.combinations(range(size), 2)
     phases = {(a, b): pair_phases(circuit, (particles[a], particles[b])) for a, b in pairs}
@@ -759,7 +764,7 @@ def hit_pathsum_amplitude(circuit: Circuit, t: int, budget: int = DEFAULT_BUDGET
     _core_angle(circuit, t)
     check_budget(1 << max(t - 1, 0), budget, "subsystem paths")
     head = Circuit(particles=2, layers=circuit.layers[:t])  # the tree stays within the budget charged
-    table = conditioned_prefix_states(head, (0,))[t - 1]
+    table = next(itertools.islice(conditioned_prefix_state_layers(head, (0,)), t - 1, None))
     return _pathsum_collapse(circuit, t, prefix_amplitudes(circuit, 0, t), table)
 
 

@@ -25,7 +25,7 @@ from sumpaths.density import density_charges, density_report
 from sumpaths.paths import amplitudes_via_paths, pathsum_charges
 from sumpaths.subsystems import conditioned_blocks, conditioned_charges
 from sumpaths.threeparticle import cascade_charges, lambda3_tables
-from sumpaths.twoparticle import lambda_tables, prefix_tree, prefix_tree_charges
+from sumpaths.twoparticle import lambda_tables, prefix_tree_charges
 
 # A builder holds its tables while it makes the next one, and copies some once
 # (the reordered blocks, the step beside its table): peaks read up to about 2.5x.
@@ -37,7 +37,7 @@ BUDGET = 1 << 40  # no charge may stop a build; the gate reads the charges itsel
 # (particles, layers) per builder; conditioned_blocks draws layers by (particles, subsystem size)
 SIZES = {
     "amplitudes_via_paths": [(1, 17), (1, 18), (2, 9), (2, 10), (3, 8), (3, 9), (4, 6), (4, 7), (5, 5), (6, 4)],
-    "prefix_tree+lambda_tables": [(2, 8), (2, 9), (4, 8), (4, 9), (5, 8), (5, 9), (6, 8), (6, 9)],
+    "lambda_tables": [(2, 8), (2, 9), (4, 8), (4, 9), (5, 8), (5, 9), (6, 8), (6, 9)],
     "lambda3_tables": [(3, 7), (3, 8), (3, 9)],
     "density_report": [(2, 16), (2, 17)],
 }
@@ -48,8 +48,7 @@ BLOCK_LAYERS = {
 
 
 def _stream(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
-    tree = prefix_tree(circuit, BUDGET)
-    for _ in lambda_tables(circuit, tree=tree):  # keeps only the last table, as `lambda_blocks` does
+    for _ in lambda_tables(circuit, BUDGET):  # keeps only the last pair, as `lambda_blocks` does
         pass
 
 
@@ -67,7 +66,7 @@ def _blocks(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
 BUILDERS: dict[str, tuple[Callable, Callable]] = {
     "amplitudes_via_paths": (lambda c, s: pathsum_charges(c), lambda c, s: amplitudes_via_paths(c, BUDGET)),
     "conditioned_blocks": (conditioned_charges, _blocks),
-    "prefix_tree+lambda_tables": (lambda c, s: prefix_tree_charges(c), _stream),
+    "lambda_tables": (lambda c, s: prefix_tree_charges(c), _stream),
     "lambda3_tables": (lambda c, s: cascade_charges(c), _cascade),
     "density_report": (lambda c, s: density_charges(c), lambda c, s: density_report(c, BUDGET)),
 }

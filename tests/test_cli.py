@@ -16,7 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sumpaths import cli as cli_module
+from sumpaths import paths as paths_module
+from sumpaths import subsystems as subsystems_module
 from sumpaths import threeparticle as threeparticle_module
+from sumpaths import twoparticle as twoparticle_module
 from sumpaths import verify as verify_module
 from sumpaths.circuits import (
     build_epr_circuit,
@@ -345,6 +348,16 @@ def test_epr_command_rejects_nonunitary_matrix():
     bad = json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]])
     code, _, _ = run_cli("epr", "--a2", bad)
     assert code == 2
+
+
+@pytest.mark.parametrize("option", ["--a2", "--b2"])
+def test_epr_command_rejects_boolean_matrix_entries(option):
+    # a circuit file rejects a boolean entry, so the gate spec does too; true + 0i would read as 1
+    identity_of_booleans = json.dumps([[[True, 0], [0, 0]], [[0, 0], [1, 0]]])
+    code, out, err = run_cli("epr", option, identity_of_booleans)
+    assert code == 2 and out == ""
+    assert err == f"error: gate spec {option}[0][0]: entries must be numbers\n"
+    assert run_cli("epr", option, json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]))[0] == 0
 
 
 def test_perturb_clamp_one_reproduces_exact_marginal(random_file):
@@ -777,7 +790,7 @@ def test_sixteen_particles_fit_and_twenty_four_exit_before_allocating(tmp_path):
 
 
 @pytest.mark.parametrize("particles", [2, 4, 5])
-def test_twelve_layer_lambda_marginal_fits_the_default_budget(tmp_path, particles):
+def test_twelve_layer_lambda_marginal_fits_the_default_budget(tmp_path, monkeypatch, particles):
     # the stream runs 11 layers, 4^11 pairs, and folds the twelfth into the blocks
     path = tmp_path / "c.json"
     circuit = random_circuit(np.random.default_rng(11), particles, 12, p_single=0.9, p_phase=1.0)
@@ -787,6 +800,17 @@ def test_twelve_layer_lambda_marginal_fits_the_default_budget(tmp_path, particle
     oracle = marginal_by_sum(circuit, (0,)).as_mapping()
     probabilities = json.loads(out)["probabilities"]
     assert max(abs(probabilities[k] - oracle[k]) for k in oracle) < 1e-9
+
+    # all-gates n=13: the 12-layer stream's 4^12 pairs are charged before its first tree step
+    def no_step(*args, **kwargs):
+        raise AssertionError("tree_step ran")
+
+    for module in (paths_module, twoparticle_module, subsystems_module):
+        monkeypatch.setattr(module, "tree_step", no_step)
+    save_circuit(random_circuit(np.random.default_rng(1), particles, 13, p_single=1.0, p_phase=1.0), str(path))
+    code, out, err = run_cli("marginal", "--circuit", str(path), "--method", "lambda")
+    assert code == 3 and out == ""
+    assert err.startswith("error: path-pair table needs 16777216") and err.count("\n") == 1
 
 
 def _huge_angle_layers(thetas: list, singles: dict | None = None) -> list:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -17,11 +16,10 @@ from sumpaths.corpus import random_circuit
 from sumpaths.oracle import evolve
 from sumpaths.paths import (
     Path,
-    PrefixTree,
     amplitudes_via_paths,
     apply_single,
     condition_on_paths,
-    conditioned_prefix_states,
+    conditioned_prefix_state_layers,
     enumerate_paths,
     member_paths_at,
     path_amplitude,
@@ -408,7 +406,7 @@ def test_prefix_tree_rows_equal_the_conditioned_evolutions(particles, layers, se
     members = data.draw(st.integers(1, min(2, particles - 1)))
     subsystem = sorted(data.draw(st.sets(st.integers(0, particles - 1), min_size=members, max_size=members)))
     circuit = random_circuit(np.random.default_rng(seed), particles, layers)
-    tables = conditioned_prefix_states(circuit, subsystem)
+    tables = list(conditioned_prefix_state_layers(circuit, subsystem))
     assert len(tables) == layers + 1
     for t, table in enumerate(tables):
         assert table.shape == (1 << (members * t), 1 << (particles - members))
@@ -430,7 +428,7 @@ def test_tree_step_matches_the_axis_by_axis_step(particles, layers, seed, data):
     if members * layers > 10:  # keep the largest table at 2^10 rows
         layers = 10 // members
     circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_single=0.9, p_phase=0.9)
-    tables = conditioned_prefix_states(circuit, subsystem)
+    tables = conditioned_prefix_state_layers(circuit, subsystem)
     earlier = list(axis_prefix_state_layers(circuit, subsystem))
     for t, (table, old) in enumerate(zip(tables, earlier, strict=True)):
         if particles == 2:
@@ -445,11 +443,3 @@ def test_tree_step_matches_the_axis_by_axis_step(particles, layers, seed, data):
                 paths = _prefix_paths(row, t, members, layers)
                 expected = condition_on_paths(circuit, dict(zip(subsystem, paths))).state(upto=t)
             assert np.max(np.abs(table[row] - expected)) < 1e-12
-    tree = PrefixTree(circuit, subsystem)
-    for t in range(1, layers + 1):
-        step = weakref.ref(tree.grow())
-        assert step() is None  # the tree keeps no step
-    assert len(tree.tables) == layers + 1
-    assert all(np.array_equal(a, b) for a, b in zip(tree.tables, tables, strict=True))
-    with pytest.raises(ValueError, match="already grown"):
-        tree.grow()

@@ -16,10 +16,10 @@ from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths, path_amplitude
 from sumpaths.subsystems import conditioned_blocks, conditioned_charges, lambda_blocks, table_blocks
 from sumpaths.threeparticle import lambda3_tables, lambda_three
-from sumpaths.twoparticle import lambda_accumulate, lambda_tables, prefix_tree
+from sumpaths.twoparticle import lambda_accumulate, lambda_tables
 
 from .reference import column_pair_sum, config_path_amplitude, dense_conditioned_blocks, dense_conditioned_charges
-from .reference import final_blocks, lambda_general, sparse_circuit
+from .reference import final_blocks, hit_lambdas, lambda_general, sparse_circuit
 
 
 def test_single_particle_config_amplitude_reduces_to_path_amplitude():
@@ -62,7 +62,7 @@ def test_lambda_general_matches_two_particle_module():
     for p, q in itertools.permutations(paths[:4], 2):
         general = lambda_general(circuit, (0,), (p,), (q,))
         assert abs(general - lambda_accumulate(circuit, (0,), (p,), (q,)).final) < 1e-10
-    tables = final_blocks(circuit, lambda_tables(circuit))
+    tables = final_blocks(circuit, hit_lambdas(circuit))
     for (j,), block in conditioned_blocks(circuit, (0,)):
         assert abs(block.marginal() - tables[j].marginal()) < 1e-12
 
@@ -181,7 +181,7 @@ def test_each_streamed_table_is_the_final_table_of_the_cut_circuit(particles, pa
     # the tables are compared after the whole stream has run, so a table
     # written after it was yielded fails too
     circuit = sparse_circuit(particles, pattern, seed)
-    build = lambda_tables if particles == 2 else lambda3_tables
+    build = hit_lambdas if particles == 2 else lambda3_tables
     streamed = list(build(circuit))
     assert len(streamed) == circuit.n + 1
     for t, lam in enumerate(streamed):
@@ -195,7 +195,7 @@ def test_folded_blocks_equal_the_unfolded_ones_bit_for_bit(particles, pattern, s
     # the marginal route streams n - 1 layers and folds layer n, gate or no
     # gate, into both endpoint blocks, under the charges of that shorter stream
     circuit = sparse_circuit(particles, pattern, seed)
-    *_, final = lambda_tables(circuit)
+    *_, (final, _) = lambda_tables(circuit)
     unfolded = list(table_blocks(circuit, final))
     budget = max(4 ** (circuit.n - 1), 2 ** (circuit.n - 1 + particles))
     folded = list(lambda_blocks(circuit, (0,), budget=budget))
@@ -207,13 +207,10 @@ def test_folded_blocks_equal_the_unfolded_ones_bit_for_bit(particles, pattern, s
 
 def test_folding_a_gated_last_layer_needs_the_trees_last_table():
     circuit = random_circuit(np.random.default_rng(5), 2, 3, p_single=1.0, p_phase=1.0)
-    tree = prefix_tree(circuit, layers=2)
-    *_, short = lambda_tables(circuit, tree=tree)
+    *_, (short, table) = lambda_tables(circuit, layers=2)
     with pytest.raises(ValueError, match="needs the prefix tree's table n - 1"):
         list(table_blocks(circuit, short))
-    assert len(list(table_blocks(circuit, short, tree.tables[-1]))) == 2
-    with pytest.raises(ValueError, match="grows its prefix tree from table 0"):
-        next(lambda_tables(circuit, tree=tree))
+    assert len(list(table_blocks(circuit, short, table))) == 2
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

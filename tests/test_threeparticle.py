@@ -24,7 +24,7 @@ from sumpaths.threeparticle import (
     lambda_three,
 )
 from sumpaths.twoparticle import hit as hit_two
-from sumpaths.twoparticle import lambda_accumulate, lambda_tables
+from sumpaths.twoparticle import lambda_accumulate
 
 from .reference import (
     conditioned_external_matrix,
@@ -32,6 +32,7 @@ from .reference import (
     drop_particle,
     final_blocks,
     gram_tables,
+    hit_lambdas,
     lambda_general,
     refined_cascade_tables,
     remove_trailing_external_gate,
@@ -462,7 +463,7 @@ def test_decoupled_lambda_reduces_to_two_particle():
             two = lambda_accumulate(reduced, (0,), (p,), (q,)).final
             assert abs(three - two) < 1e-10
         three_marginal = final_blocks(circuit, lambda3_tables(circuit))[endpoint].marginal()
-        two_marginal = final_blocks(reduced, lambda_tables(reduced))[endpoint].marginal()
+        two_marginal = final_blocks(reduced, hit_lambdas(reduced))[endpoint].marginal()
         assert abs(three_marginal - two_marginal) < 1e-10
 
 

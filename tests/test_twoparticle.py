@@ -11,14 +11,13 @@ from sumpaths.circuits import PhaseGate, build_epr_circuit, make_circuit, random
 from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
-from sumpaths.paths import Path, TreeStep, enumerate_paths
+from sumpaths.paths import Path, TreeStep, conditioned_prefix_state_layers, enumerate_paths
 from sumpaths.subsystems import lambda_blocks
 from sumpaths.twoparticle import (
     hit,
     lambda_accumulate,
     lambda_tables,
     marginal_deviation,
-    prefix_tree,
 )
 
 from .reference import (
@@ -27,6 +26,7 @@ from .reference import (
     conditioned_external_matrix,
     final_blocks,
     gram_tables,
+    hit_lambdas,
     lambda_direct,
     sparse_circuit,
     table_trajectory,
@@ -106,7 +106,7 @@ def test_accumulated_lambda_matches_direct():
 
 def test_tables_match_scalar_ops():
     circuit = random_circuit(np.random.default_rng(13), particles=2, layers=4)
-    tables = list(lambda_tables(circuit))
+    tables = hit_lambdas(circuit)
     for p, q in all_pairs(4, 1):
         trajectory = np.array(table_trajectory(tables, p, q))
         scalar = lambda_accumulate(circuit, (0,), (p,), (q,))
@@ -116,7 +116,7 @@ def test_tables_match_scalar_ops():
 
 def test_tables_telescope_to_direct_tables_at_every_prefix():
     circuit = random_circuit(np.random.default_rng(17), particles=2, layers=7)
-    for lam, gram in zip(lambda_tables(circuit), gram_tables(circuit), strict=True):
+    for lam, gram in zip(hit_lambdas(circuit), gram_tables(circuit), strict=True):
         assert np.max(np.abs(lam - gram)) < 1e-10
 
 
@@ -128,14 +128,14 @@ def test_gateless_layers_copy_lambda_bit_exactly():
             ({1: random_single(np.random.default_rng(2))}, []),
         ],
     )
-    tables = list(lambda_tables(circuit))
+    tables = hit_lambdas(circuit)
     expanded = np.repeat(np.repeat(tables[1], 2, axis=0), 2, axis=1)
     assert np.array_equal(tables[2], expanded)
 
 
 def test_hermitian_pairing_and_bound():
     circuit = random_circuit(np.random.default_rng(19), particles=2, layers=6)
-    tables = list(lambda_tables(circuit))
+    tables = hit_lambdas(circuit)
     final = tables[circuit.n]
     assert np.max(np.abs(final - final.conj().T)) < 1e-12
     assert all(np.max(np.abs(table)) <= 1 + 1e-10 for table in tables)
@@ -148,7 +148,7 @@ def test_epr_marginal_is_half_for_any_measurement_rotation():
     rng = np.random.default_rng(23)
     for _ in range(5):
         circuit = build_epr_circuit(random_single(rng), random_single(rng))
-        blocks = final_blocks(circuit, lambda_tables(circuit))
+        blocks = final_blocks(circuit, hit_lambdas(circuit))
         for j in (0, 1):
             assert abs(blocks[j].marginal() - 0.5) < 1e-10
             assert abs(marginal_deviation(circuit, j, blocks[j]) - 0.5) < 1e-10
@@ -159,7 +159,7 @@ def test_interaction_free_marginal_is_free_born_rule():
     gates = [random_single(rng) for _ in range(3)]
     circuit = make_circuit(2, [({0: g, 1: random_single(rng)}, []) for g in gates])
     free = gates[2] @ gates[1] @ gates[0]
-    blocks = final_blocks(circuit, lambda_tables(circuit))
+    blocks = final_blocks(circuit, hit_lambdas(circuit))
     for j in (0, 1):
         assert abs(blocks[j].marginal() - abs(free[j, 0]) ** 2) < 1e-12
 
@@ -169,7 +169,7 @@ def test_marginal_matches_oracle_on_random_circuits():
     for layers in (1, 2, 3, 5, 8):
         circuit = random_circuit(rng, particles=2, layers=layers)
         oracle = marginal_by_sum(circuit, {0})
-        blocks = final_blocks(circuit, lambda_tables(circuit))
+        blocks = final_blocks(circuit, hit_lambdas(circuit))
         for j in (0, 1):
             assert abs(blocks[j].marginal() - oracle[j]) < 1e-9
             assert abs(blocks[j].marginal() - marginal_deviation(circuit, j, blocks[j])) < 1e-10
@@ -177,7 +177,7 @@ def test_marginal_matches_oracle_on_random_circuits():
 
 def test_marginals_normalize():
     circuit = random_circuit(np.random.default_rng(37), particles=2, layers=6)
-    blocks = final_blocks(circuit, lambda_tables(circuit))
+    blocks = final_blocks(circuit, hit_lambdas(circuit))
     assert abs(blocks[0].marginal() + blocks[1].marginal() - 1.0) < 1e-9
 
 
@@ -185,7 +185,7 @@ def test_single_layer_circuit_has_no_pairs():
     rng = np.random.default_rng(41)
     a = random_single(rng)
     circuit = make_circuit(2, [({0: a, 1: random_single(rng)}, [])])
-    blocks = final_blocks(circuit, lambda_tables(circuit))
+    blocks = final_blocks(circuit, hit_lambdas(circuit))
     for j in (0, 1):
         assert abs(blocks[j].marginal() - abs(a[j, 0]) ** 2) < 1e-12
 
@@ -214,7 +214,7 @@ def test_streamed_build_peaks_below_two_final_tables():
     )
     tracemalloc.start()
     try:
-        for final in lambda_tables(circuit):
+        for final, _ in lambda_tables(circuit):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -243,7 +243,7 @@ def test_structural_invariants_hold_for_arbitrary_angles(layer_thetas):
         for thetas in layer_thetas
     ]
     circuit = make_circuit(2, specs)
-    tables = list(lambda_tables(circuit))
+    tables = hit_lambdas(circuit)
     final = tables[circuit.n]
     assert np.max(np.abs(final - final.conj().T)) < 1e-12
     assert max(np.max(np.abs(t_)) for t_ in tables) <= 1 + 1e-10
@@ -261,7 +261,7 @@ _PAIR_FLAGS = st.lists(st.booleans(), min_size=15, max_size=15)  # one flag per 
 def test_hit_stream_matches_the_gram_tables_at_every_particle_count(particles, pattern, seed):
     # two particles keep the earlier builder's tables bit for bit
     circuit = sparse_circuit(particles, pattern, seed)
-    tables = list(lambda_tables(circuit))
+    tables = hit_lambdas(circuit)
     assert len(tables) == circuit.n + 1
     for lam, gram in zip(tables, gram_tables(circuit), strict=True):
         assert np.max(np.abs(lam - gram)) < 1e-12
@@ -273,7 +273,7 @@ def test_hit_stream_matches_the_gram_tables_at_every_particle_count(particles, p
 @pytest.mark.parametrize("particles", [4, 5])
 def test_scalar_hits_match_the_stream_beyond_three_particles(particles):
     circuit = random_circuit(np.random.default_rng(67), particles, 4, p_single=1.0, p_phase=0.7)
-    tables = list(lambda_tables(circuit))
+    tables = hit_lambdas(circuit)
     for endpoint in (0, 1):
         for p, q in all_pairs(4, endpoint)[:12]:
             entry = lambda_accumulate(circuit, (0,), (p,), (q,))
@@ -291,7 +291,7 @@ def test_stream_and_fold_match_the_axis_by_axis_stream(particles, pattern, seed,
     # the stream reads each layer's pre-gate states and D off the tree step; the earlier
     # stream rebuilt both from the tree's tables, and two particles keep its bits
     circuit = sparse_circuit(particles, pattern, seed)
-    tables = list(lambda_tables(circuit))
+    tables = hit_lambdas(circuit)
     for t, (lam, earlier) in enumerate(zip(tables, axis_lambda_tables(circuit), strict=True)):
         if particles == 2:
             assert np.array_equal(lam, earlier)
@@ -325,10 +325,10 @@ def test_one_stream_layer_holds_the_old_table_the_new_table_and_one_hit_block():
     tracemalloc.start()
     try:
         for _ in range(circuit.n):
-            old = next(tables)
+            old, _ = next(tables)
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        new = next(tables)
+        new, _ = next(tables)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -344,9 +344,20 @@ def test_the_stream_holds_no_tree_step_between_layers(particles):
     # a step holds a pre-gate copy of the tree's last table and a 2^N factor
     # array; keeping every layer's step would add about half the tree again
     circuit = random_circuit(np.random.default_rng(83), particles, 4, p_single=1.0, p_phase=1.0)
-    tree = prefix_tree(circuit)
-    for t, _ in enumerate(lambda_tables(circuit, tree=tree)):
-        assert len(tree.tables) == t + 1
+    for _ in lambda_tables(circuit):
         gc.collect()
         assert not [obj for obj in gc.get_objects() if isinstance(obj, TreeStep)]
 
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 4, 5]), st.integers(0, 6), st.integers(0, 2**32 - 1), st.data())
+def test_the_stream_yields_the_prefix_trees_tables_bit_for_bit(particles, layers, seed, data):
+    # the stream grows particle 0's tree itself, over all its layers or over the first few
+    circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_single=0.9, p_phase=0.8)
+    stop = data.draw(st.sampled_from([None, *range(layers + 1)]))
+    pairs = list(lambda_tables(circuit, layers=stop))
+    assert len(pairs) == (layers if stop is None else stop) + 1
+    for (lam, table), tree in zip(pairs, conditioned_prefix_state_layers(circuit, (0,))):
+        assert lam.shape == (table.shape[0],) * 2
+        assert np.array_equal(table, tree)

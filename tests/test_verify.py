@@ -124,12 +124,14 @@ def test_report_json_shape():
         # one table build: no_signaling folds the appended layer into its final table
         ("n2_l8_s0.json", twoparticle.lambda_tables, 1),
         ("n3_l3_s0.json", threeparticle.lambda3_tables, 1),
-        # one conditioned prefix tree each: the one the stream grows and the Gram walk reads, and density's stream
-        ("n2_l8_s0.json", paths.PrefixTree, 1),
-        ("n2_l8_s0.json", paths.conditioned_prefix_state_layers, 1),
-        # one conditioned prefix tree each: (0,) for the stream and its walk, (0, 1) for general_subsystem
-        ("n4_l3_s0.json", paths.PrefixTree, 1),
-        ("n4_l3_s0.json", paths.conditioned_prefix_states, 1),
+        # one step per layer of each conditioned prefix tree, none grown twice: the 8 layers
+        # of the stream's tree and the first 7 of density's; no_signaling's appended layer
+        # has no gate on particle 0, so its fold takes no step
+        ("n2_l8_s0.json", paths.tree_step, 15),
+        # 3 layers each of (0,)'s tree, grown by the stream (N=4) or zipped with the cascade
+        # (N=3), and of (0, 1)'s tree for general_subsystem
+        ("n3_l3_s0.json", paths.tree_step, 6),
+        ("n4_l3_s0.json", paths.tree_step, 6),
     ],
 )
 def test_verify_builds_each_route_once(monkeypatch, file, builder, builds):
@@ -186,7 +188,7 @@ def test_three_particle_verify_charges_the_base_tables_only(tmp_path):
 
 
 def test_marginal_builds_one_tree_for_every_outcome(monkeypatch):
-    calls = count_calls(monkeypatch, paths.conditioned_prefix_states)
+    calls = count_calls(monkeypatch, paths.conditioned_prefix_state_layers)
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(["marginal", "--circuit", str(CORPUS / "n4_l3_s0.json"), "--subsystem", "0,1"])
@@ -236,11 +238,11 @@ def test_zero_hit_layers_compares_streamed_tables_at_nine_layers(monkeypatch):
     build = twoparticle.lambda_tables
 
     def nudged(*args, **kwargs):
-        for t, lam in enumerate(build(*args, **kwargs)):
+        for t, (lam, table) in enumerate(build(*args, **kwargs)):
             if t == 5:
                 lam = lam.copy()
                 lam[0, 1] += 1e-13
-            yield lam
+            yield lam, table
 
     monkeypatch.setattr(verify, "lambda_tables", nudged)
     checks = {check.name: check for check in verify_circuit(circuit).checks}
@@ -261,11 +263,11 @@ def test_zero_hit_layers_compares_streamed_tables_at_four_particles(monkeypatch)
     build = twoparticle.lambda_tables
 
     def nudged(*args, **kwargs):
-        for t, lam in enumerate(build(*args, **kwargs)):
+        for t, (lam, table) in enumerate(build(*args, **kwargs)):
             if t == 3:
                 lam = lam.copy()
                 lam[0, 1] += 1e-13
-            yield lam
+            yield lam, table
 
     monkeypatch.setattr(verify, "lambda_tables", nudged)
     checks = {check.name: check for check in verify_circuit(circuit).checks}
