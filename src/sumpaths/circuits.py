@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -434,12 +435,10 @@ def random_single(rng: np.random.Generator) -> np.ndarray:
         return np.column_stack([c0, c1 / n1])
 
 
-def append_external_layer(
-    circuit: Circuit, rng: np.random.Generator, subsystem: tuple[int, ...] = (0,)
-) -> Circuit:
-    """Append one layer acting only on particles outside `subsystem` (random singles,
-    plus a random phase gate between two external particles when possible)."""
-    external = [i for i in range(circuit.particles) if i not in subsystem]
+def append_external_layer(circuit: Circuit, rng: np.random.Generator) -> Circuit:
+    """Append one layer acting only on particles other than 0 (random singles,
+    plus a random phase gate between particles 1 and 2 when there are three or more)."""
+    external = list(range(1, circuit.particles))
     if not external:
         raise ValueError("no external particles to act on")
     singles = {i: random_single(rng) for i in external}
@@ -567,17 +566,21 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return out
 
 
-def load_circuit(path: str) -> Circuit:
+def _read_json(path: str | os.PathLike) -> Any:
+    """A JSON file's value, repeated keys rejected; every decoding error names the file."""
     with open(path, encoding="utf-8") as handle:
         try:
-            raw = json.load(handle, object_pairs_hook=_unique_keys)
+            return json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as err:
             raise CircuitFormatError(f"{path}: invalid JSON ({err})") from None
         except RecursionError:  # the decoder recurses once per nesting level
             raise CircuitFormatError(f"{path}: invalid JSON (nested too deeply)") from None
         except CircuitFormatError as err:
             raise CircuitFormatError(f"{path}: {err}") from None
-    return validate_circuit(raw)
+
+
+def load_circuit(path: str) -> Circuit:
+    return validate_circuit(_read_json(path))
 
 
 def save_circuit(circuit: Circuit, path: str) -> None:

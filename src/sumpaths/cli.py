@@ -1,8 +1,9 @@
 """Command line interface: marginals, traces, verification, demos, perturbation probes.
 
-All results go to standard output as canonically serialized JSON (sorted
-keys, repr floats: the text of json.dumps(..., sort_keys=True, indent=2),
-written directly by `_json`), so identical inputs produce byte-identical reports;
+All results go to standard output through one writer, `_write`: canonically
+serialized JSON (sorted keys, repr floats: the text of json.dumps(...,
+sort_keys=True, indent=2), written directly by `_json`) or, with `--format
+csv`, flat rows, so identical inputs produce byte-identical reports;
 diagnostics go to standard error. Exit codes: 0 success, 1 invariant or
 assertion failure (a NaN or infinite result included, which neither JSON
 nor CSV output holds), 2 invalid input, 3 path budget exceeded.
@@ -17,6 +18,7 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path as FsPath
+from typing import Iterable
 
 import numpy as np
 
@@ -24,9 +26,8 @@ from . import oracle as oracle_module
 from .circuits import (
     Circuit,
     CircuitError,
-    CircuitFormatError,
     _parse_complex_matrix,
-    _unique_keys,
+    _read_json,
     build_epr_circuit,
     circuit_digest,
     load_circuit,
@@ -73,17 +74,37 @@ def _json(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(obj: dict) -> None:
-    sys.stdout.write(_json(obj) + "\n")
+def _write(
+    args: argparse.Namespace,
+    report: dict,
+    header: tuple[str, ...],
+    rows: Iterable[tuple],
+    circuit: Circuit | None = None,
+    failure: str = "",
+) -> int:
+    """Write a command's result to stdout as `--format` asks, then raise `failure`, if any.
 
-
-def _emit_csv(rows: list[tuple], header: tuple) -> None:
-    """Rows of raw cells, floats in repr form; a non-finite float fails before anything is written."""
-    if not all(math.isfinite(cell) for row in rows for cell in row if isinstance(cell, float)):
-        raise ArithmeticError("result is not finite")
-    lines = [",".join(header)]
-    lines += [",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row) for row in rows]
-    sys.stdout.write("\n".join(lines) + "\n")
+    JSON is `report` in the schema envelope, with `circuit`'s digest when one
+    is given. CSV is `header` and `rows` of raw cells, floats in repr form. A
+    non-finite float fails before anything is written. A command that failed
+    still writes its result; `failure` then raises ArithmeticError (exit 1).
+    """
+    if args.format == "csv":
+        rows = list(rows)
+        if not all(math.isfinite(cell) for row in rows for cell in row if isinstance(cell, float)):
+            raise ArithmeticError("result is not finite")
+        lines = [",".join(header)]
+        lines += [",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row) for row in rows]
+        text = "\n".join(lines)
+    else:
+        report = {"schema": 1, **report}
+        if circuit is not None:
+            report["circuit"] = circuit_digest(circuit)
+        text = _json(report)
+    sys.stdout.write(text + "\n")
+    if failure:
+        raise ArithmeticError(failure)
+    return 0
 
 
 def _c(value: complex) -> list[float]:
@@ -94,12 +115,12 @@ def _matrix(m: np.ndarray) -> list:
     return [[_c(cell) for cell in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _parse_subsystem(text: str, circuit: Circuit) -> tuple[int, ...]:
+def _parse_indices(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers, as `--subsystem`, `--endpoint` and `--pair` take them."""
     try:
-        indices = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise CircuitError(f"bad subsystem spec {text!r}") from None
-    return normalize_subsystem(circuit, indices)
+        raise CircuitError(f"bad {what} spec {text!r}") from None
 
 
 def _label(outcome: tuple[int, ...]) -> str:
@@ -126,46 +147,15 @@ def _pathsum_distribution(circuit: Circuit, subsystem: tuple[int, ...], budget: 
 
 def cmd_marginal(args: argparse.Namespace) -> int:
     circuit = load_circuit(args.circuit)
-    subsystem = _parse_subsystem(args.subsystem, circuit)
+    subsystem = normalize_subsystem(circuit, _parse_indices(args.subsystem, "subsystem"))
     if args.method == "oracle":
         probs = marginal_by_sum(circuit, subsystem).as_mapping()
     elif args.method == "pathsum":
         probs = _pathsum_distribution(circuit, subsystem, args.budget)
     else:
         probs = _lambda_distribution(circuit, subsystem, args.budget)
-    if args.format == "csv":
-        _emit_csv(
-            sorted(probs.items()),
-            ("outcome", "probability"),
-        )
-        return 0
-    _emit(
-        {
-            "schema": 1,
-            "circuit": circuit_digest(circuit),
-            "method": args.method,
-            "subsystem": list(subsystem),
-            "probabilities": probs,
-        }
-    )
-    return 0
-
-
-def _parse_pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise CircuitError(f"pair must be two comma-separated indices, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise CircuitError(f"bad pair spec {text!r}") from None
-
-
-def _parse_endpoints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise CircuitError(f"bad endpoint spec {text!r}") from None
+    report = {"method": args.method, "subsystem": list(subsystem), "probabilities": probs}
+    return _write(args, report, ("outcome", "probability"), sorted(probs.items()), circuit)
 
 
 def _branch_json(terms) -> list[dict]:
@@ -185,11 +175,13 @@ def _branch_json(terms) -> list[dict]:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     circuit = load_circuit(args.circuit)
-    subsystem = _parse_subsystem(args.subsystem, circuit)
-    endpoints = _parse_endpoints(args.endpoint)
+    subsystem = normalize_subsystem(circuit, _parse_indices(args.subsystem, "subsystem"))
+    endpoints = _parse_indices(args.endpoint, "endpoint")
     if len(endpoints) != len(subsystem):
         raise CircuitError("need one endpoint per subsystem particle")
-    first, second = _parse_pair(args.pair)
+    if args.pair.count(",") != 1:
+        raise CircuitError(f"pair must be two comma-separated indices, got {args.pair!r}")
+    first, second = _parse_indices(args.pair, "pair")
     check_budget((1 << max(circuit.n - 1, 0)) ** len(subsystem), args.budget, "path enumeration")
     cascade = subsystem == (0,) and circuit.particles == 3
     # the cascade charges its own branch pairs; the (0,) of two particles never paid for its 2-amplitude state
@@ -198,8 +190,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     p, q = (_select(circuit.n, endpoints, index) for index in (first, second))
 
     report: dict = {
-        "schema": 1,
-        "circuit": circuit_digest(circuit),
         "subsystem": list(subsystem),
         "endpoint": list(endpoints),
         "pair": [first, second],
@@ -225,15 +215,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
         hits = entry.hits
     report["trajectory"] = [_c(v) for v in entry.trajectory]
     report["hits"] = [_c(v) for v in hits]
-    if args.format == "csv":
-        rows = []
-        for t, value in enumerate(report["trajectory"]):
-            hit_value = [0.0, 0.0] if t == 0 else report["hits"][t - 1]
-            rows.append((t, *value, *hit_value))
-        _emit_csv(rows, ("layer", "lambda_re", "lambda_im", "hit_re", "hit_im"))
-        return 0
-    _emit(report)
-    return 0
+    rows = (
+        (t, *value, *([0.0, 0.0] if t == 0 else report["hits"][t - 1]))
+        for t, value in enumerate(report["trajectory"])
+    )
+    return _write(args, report, ("layer", "lambda_re", "lambda_im", "hit_re", "hit_im"), rows, circuit)
 
 
 def _select(n: int, endpoints: tuple[int, ...], index: int) -> tuple[Path, ...]:
@@ -257,34 +243,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CircuitError(f"tol must be finite and non-negative, got {args.tol}")
     if args.circuit is not None:
         report = _verify_one(load_circuit(args.circuit), args)
-        if args.format == "csv":
-            _emit_csv(
-                [
-                    (c["name"], c["max_error"], c["tolerance"], c["pass"])
-                    for c in report["checks"]
-                ],
-                ("check", "max_error", "tolerance", "pass"),
-            )
-        else:
-            _emit(report)
+        rows = ((c["name"], c["max_error"], c["tolerance"], c["pass"]) for c in report["checks"])
         failed = [c["name"] for c in report["checks"] if not c["pass"]]
-        if failed:
-            raise ArithmeticError(f"checks failed: {', '.join(failed)}")
-        return 0
+        failure = f"checks failed: {', '.join(failed)}" if failed else ""
+        return _write(args, report, ("check", "max_error", "tolerance", "pass"), rows, failure=failure)
 
     manifest_path = FsPath(args.manifest)
-    with open(manifest_path, encoding="utf-8") as handle:
-        try:
-            manifest = json.load(handle, object_pairs_hook=_unique_keys)
-        except RecursionError:  # the decoder recurses once per nesting level
-            raise CircuitFormatError(f"{manifest_path}: invalid JSON (nested too deeply)") from None
-        except CircuitFormatError as err:
-            raise CircuitFormatError(f"{manifest_path}: {err}") from None
+    manifest = _read_json(manifest_path)
     entries = manifest.get("circuits") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not all(
         isinstance(entry, dict) and isinstance(entry.get("file"), str) for entry in entries
     ):
-        raise CircuitError("manifest needs a 'circuits' list of objects, each with a 'file' name")
+        raise CircuitError(f"{manifest_path}: manifest needs a 'circuits' list of objects, each with a 'file' name")
     reports = []
     for entry in entries:
         circuit = load_circuit(str(manifest_path.parent / entry["file"]))
@@ -293,28 +263,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise CircuitError(f"{entry['file']}: digest differs from its manifest entry")
         report["file"] = entry["file"]
         reports.append(report)
-    overall = all(r["pass"] for r in reports)
-    _emit({"schema": 1, "pass": overall, "circuits": reports})
-    if not overall:
-        raise ArithmeticError(f"circuits failed: {', '.join(r['file'] for r in reports if not r['pass'])}")
-    return 0
+    rows = (
+        (r["file"], c["name"], c["max_error"], c["tolerance"], c["pass"]) for r in reports for c in r["checks"]
+    )
+    failed = [r["file"] for r in reports if not r["pass"]]
+    failure = f"circuits failed: {', '.join(failed)}" if failed else ""
+    report = {"pass": not failed, "circuits": reports}
+    return _write(args, report, ("file", "check", "max_error", "tolerance", "pass"), rows, failure=failure)
 
 
 def _parse_gate_spec(text: str, option: str) -> np.ndarray:
     """A rotation angle in radians, or an explicit 2x2 matrix of [re, im] pairs read as circuit files read theirs."""
     try:
         angle = float(text)
-        return np.array(
-            [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]],
-            dtype=complex,
-        )
     except ValueError:
-        pass
-    try:
-        entries = json.loads(text)
-    except (json.JSONDecodeError, RecursionError):  # the decoder recurses once per nesting level
-        raise CircuitError(f"gate spec {text!r} is neither an angle nor a JSON matrix") from None
-    return np.array(_parse_complex_matrix(entries, f"gate spec {option}")).reshape(2, 2)
+        try:
+            entries = json.loads(text)
+        except (json.JSONDecodeError, RecursionError):  # the decoder recurses once per nesting level
+            raise CircuitError(f"gate spec {text!r} is neither an angle nor a JSON matrix") from None
+        return np.array(_parse_complex_matrix(entries, f"gate spec {option}")).reshape(2, 2)
+    if not math.isfinite(angle):
+        raise CircuitError(f"gate spec {option}: angle {text!r} is not finite")
+    return np.array(
+        [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]],
+        dtype=complex,
+    )
 
 
 def cmd_epr(args: argparse.Namespace) -> int:
@@ -332,29 +305,23 @@ def cmd_epr(args: argparse.Namespace) -> int:
         for key in ("0", "1")
     )
     hit_error = max(abs(cross.hits[0] + 1.0), abs(cross.hits[1]))
-    passed = (
-        max_marginal_error < 1e-10 and abs(cross.final) < 1e-12 and hit_error < 1e-12
-    )
-    if args.format == "csv":
-        rows = [
-            (method, outcome, probs[outcome])
-            for method, probs in (("oracle", oracle), ("pathsum", pathsum), ("lambda", lam_probs))
-            for outcome in ("0", "1")
-        ]
-        _emit_csv(rows, ("method", "outcome", "probability"))
-        return 0 if passed else 1
-    _emit(
-        {
-            "schema": 1,
-            "circuit": circuit_digest(circuit),
-            "marginals": {"oracle": oracle, "pathsum": pathsum, "lambda": lam_probs},
-            "cross_pair_lambda": _c(cross.final),
-            "cross_pair_hits": [_c(v) for v in cross.hits],
-            "max_marginal_error": max_marginal_error,
-            "pass": passed,
-        }
-    )
-    return 0 if passed else 1
+    checks = {
+        "uniform_marginals": max_marginal_error < 1e-10,
+        "cross_pair_lambda": abs(cross.final) < 1e-12,
+        "cross_pair_hits": hit_error < 1e-12,
+    }
+    failed = [name for name, passed in checks.items() if not passed]
+    marginals = {"oracle": oracle, "pathsum": pathsum, "lambda": lam_probs}
+    report = {
+        "marginals": marginals,
+        "cross_pair_lambda": _c(cross.final),
+        "cross_pair_hits": [_c(v) for v in cross.hits],
+        "max_marginal_error": max_marginal_error,
+        "pass": not failed,
+    }
+    rows = ((method, outcome, probs[outcome]) for method, probs in marginals.items() for outcome in ("0", "1"))
+    failure = f"checks failed: {', '.join(failed)}" if failed else ""
+    return _write(args, report, ("method", "outcome", "probability"), rows, circuit, failure)
 
 
 def _clamped(block: LambdaBlock, clamp: float) -> LambdaBlock:
@@ -372,7 +339,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     if args.clamp < 0:
         raise CircuitError("clamp must be non-negative")
     circuit = load_circuit(args.circuit)
-    subsystem = _parse_subsystem(args.subsystem, circuit)
+    subsystem = normalize_subsystem(circuit, _parse_indices(args.subsystem, "subsystem"))
     oracle = marginal_by_sum(circuit, subsystem).as_mapping()
 
     raw = {}
@@ -383,30 +350,18 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     raw_total = sum(raw.values())
     probabilities = {key: value / raw_total for key, value in raw.items()}
     deviations = {key: probabilities[key] - oracle[key] for key in raw}
-    if args.format == "csv":
-        _emit_csv(
-            [
-                (key, raw[key], probabilities[key], oracle[key], deviations[key])
-                for key in sorted(raw)
-            ],
-            ("outcome", "raw", "probability", "oracle", "deviation"),
-        )
-        return 0
-    _emit(
-        {
-            "schema": 1,
-            "circuit": circuit_digest(circuit),
-            "subsystem": list(subsystem),
-            "clamp": args.clamp,
-            "raw": raw,
-            "raw_total": raw_total,
-            "probabilities": probabilities,
-            "oracle": oracle,
-            "deviation": deviations,
-            "max_deviation": max(abs(v) for v in deviations.values()),
-        }
-    )
-    return 0
+    report = {
+        "subsystem": list(subsystem),
+        "clamp": args.clamp,
+        "raw": raw,
+        "raw_total": raw_total,
+        "probabilities": probabilities,
+        "oracle": oracle,
+        "deviation": deviations,
+        "max_deviation": max(abs(v) for v in deviations.values()),
+    }
+    rows = ((key, raw[key], probabilities[key], oracle[key], deviations[key]) for key in sorted(raw))
+    return _write(args, report, ("outcome", "raw", "probability", "oracle", "deviation"), rows, circuit)
 
 
 def cmd_paths(args: argparse.Namespace) -> int:
@@ -416,60 +371,39 @@ def cmd_paths(args: argparse.Namespace) -> int:
     if args.endpoint not in (0, 1):
         raise CircuitError("endpoint must be 0 or 1")
     check_budget(1 << max(circuit.n - 1, 0), args.budget, "path enumeration")
-    rows = []
-    for index, path in enumerate(enumerate_paths(circuit.n, args.endpoint)):
-        rows.append((index, path, path_amplitude(circuit, args.particle, path)))
-    if args.format == "csv":
-        _emit_csv(
-            [(i, p.bitstring(), a.real, a.imag) for i, p, a in rows],
-            ("index", "modes", "re", "im"),
-        )
-        return 0
-    _emit(
-        {
-            "schema": 1,
-            "circuit": circuit_digest(circuit),
-            "particle": args.particle,
-            "endpoint": args.endpoint,
-            "paths": [
-                {"index": i, "modes": p.bitstring(), "amplitude": _c(a)} for i, p, a in rows
-            ],
-        }
-    )
-    return 0
+    paths = enumerate_paths(circuit.n, args.endpoint)
+    rows = [(i, p, path_amplitude(circuit, args.particle, p)) for i, p in enumerate(paths)]
+    report = {
+        "particle": args.particle,
+        "endpoint": args.endpoint,
+        "paths": [{"index": i, "modes": p.bitstring(), "amplitude": _c(a)} for i, p, a in rows],
+    }
+    csv_rows = ((i, p.bitstring(), a.real, a.imag) for i, p, a in rows)
+    return _write(args, report, ("index", "modes", "re", "im"), csv_rows, circuit)
 
 
 def cmd_density(args: argparse.Namespace) -> int:
     circuit = load_circuit(args.circuit)
     records = density_report(circuit, args.budget)
-    if args.format == "csv":
-        _emit_csv(
-            [
-                (r["layer"], r["frobenius_error"], r["hit_diagonal_max"],
-                 r["offdiagonal_error"], r["pathsum_error"])
-                for r in records
-            ],
-            ("t", "frobeniusError", "hitDiagonalMax", "offdiagonalError", "pathsumError"),
-        )
-        return 0
-    _emit(
-        {
-            "schema": 1,
-            "circuit": circuit_digest(circuit),
-            "layers": [
-                {
-                    "t": r["layer"],
-                    "miss": _matrix(r["miss"]),
-                    "hit": _matrix(r["hit"]),
-                    "sum": _matrix(r["total"]),
-                    "oracle": _matrix(r["oracle"]),
-                    "frobeniusError": r["frobenius_error"],
-                }
-                for r in records
-            ],
-        }
+    report = {
+        "layers": [
+            {
+                "t": r["layer"],
+                "miss": _matrix(r["miss"]),
+                "hit": _matrix(r["hit"]),
+                "sum": _matrix(r["total"]),
+                "oracle": _matrix(r["oracle"]),
+                "frobeniusError": r["frobenius_error"],
+            }
+            for r in records
+        ],
+    }
+    rows = (
+        (r["layer"], r["frobenius_error"], r["hit_diagonal_max"], r["offdiagonal_error"], r["pathsum_error"])
+        for r in records
     )
-    return 0
+    header = ("t", "frobeniusError", "hitDiagonalMax", "offdiagonalError", "pathsumError")
+    return _write(args, report, header, rows, circuit)
 
 
 def _add_common(parser: argparse.ArgumentParser, circuit: bool = True) -> None:
@@ -512,9 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", help="circuit JSON file")
     p.add_argument("--manifest", help="corpus manifest JSON file")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--oracle-cap", type=int, default=None)
+    _add_common(p, circuit=False)
     p.add_argument(
         "--timings",
         action="store_true",
@@ -558,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.oracle_cap < 1:
                 raise CircuitError(f"oracle cap must be at least 1, got {args.oracle_cap}")
             oracle_module.MAX_ORACLE_PARTICLES = args.oracle_cap
-        with np.errstate(all="ignore"):  # a non-finite result gets one error line from _emit
+        with np.errstate(all="ignore"):  # a non-finite result gets one error line from _write
             return args.func(args)
     except BudgetExceeded as err:
         print(f"error: {err}", file=sys.stderr)
@@ -566,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as err:  # norm drift in the oracle, a complex pair sum
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (CircuitError, OSError, json.JSONDecodeError, KeyError, ValueError) as err:
+    except (CircuitError, OSError, KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     finally:

@@ -27,7 +27,7 @@ def _count_text(count: int) -> str:
         return f"2^{power}" if count == 1 << power else f"more than 2^{power}"
 
 
-def check_budget(count: int, budget: int, what: str = "path lattice") -> None:
+def check_budget(count: int, budget: int, what: str) -> None:
     if count > budget:
         raise BudgetExceeded(
             f"{what} needs {_count_text(count)} combinations, budget is {_count_text(budget)};"

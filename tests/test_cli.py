@@ -1,6 +1,7 @@
 """CLI contract: commands, output schemas, exit codes, byte-stable reports."""
 from __future__ import annotations
 
+import dataclasses
 import io
 import itertools
 import json
@@ -304,25 +305,41 @@ def test_verify_rejects_corrupt_gate(tmp_path):
     assert code == 2 and "unitarity" in err
 
 
-def test_verify_manifest_runs_every_circuit():
-    # a small manifest over three shipped corpus files keeps this test quick
+def _small_manifest(directory: Path) -> str:
+    """A manifest over three shipped corpus files, copied into `directory`; keeps manifest tests quick."""
     manifest = json.loads((CORPUS / "manifest.json").read_text())
     subset = {
         "schema": 1,
         "generator_version": manifest["generator_version"],
         "circuits": manifest["circuits"][:3],
     }
-    import tempfile
+    for entry in subset["circuits"]:
+        (directory / entry["file"]).write_text((CORPUS / entry["file"]).read_text())
+    path = directory / "manifest.json"
+    path.write_text(json.dumps(subset))
+    return str(path)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        sub_path = Path(tmp) / "manifest.json"
-        sub_path.write_text(json.dumps(subset))
-        for entry in subset["circuits"]:
-            (Path(tmp) / entry["file"]).write_text((CORPUS / entry["file"]).read_text())
-        code, out, _ = run_cli("verify", "--manifest", str(sub_path))
+
+def test_verify_manifest_runs_every_circuit(tmp_path):
+    code, out, _ = run_cli("verify", "--manifest", _small_manifest(tmp_path))
     assert code == 0
     report = json.loads(out)
     assert report["pass"] is True and len(report["circuits"]) == 3
+
+
+def test_verify_manifest_csv_has_one_row_per_file_and_check(tmp_path):
+    manifest = _small_manifest(tmp_path)
+    code, out, err = run_cli("verify", "--manifest", manifest, "--format", "csv")
+    assert code == 0 and err == ""
+    json_code, json_out, _ = run_cli("verify", "--manifest", manifest)
+    assert json_code == 0
+    expected = [
+        f"{r['file']},{c['name']},{c['max_error']!r},{c['tolerance']!r},{c['pass']}"
+        for r in json.loads(json_out)["circuits"]
+        for c in r["checks"]
+    ]
+    assert len(expected) > 3
+    assert out.splitlines() == ["file,check,max_error,tolerance,pass", *expected]
 
 
 def test_verify_needs_exactly_one_source(epr_file):
@@ -342,6 +359,32 @@ def test_epr_command_rotation_and_matrix_specs():
     identity = json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])
     code, out, _ = run_cli("epr", "--a2", identity, "--b2", "1.1")
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("angle", ["inf", "1e400", "nan"])
+@pytest.mark.parametrize("option", ["--a2", "--b2"])
+def test_epr_command_rejects_a_non_finite_angle(option, angle):
+    code, out, err = run_cli("epr", option, angle)
+    assert code == 2 and out == ""
+    assert err == f"error: gate spec {option}: angle {angle!r} is not finite\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_epr_failure_writes_its_report_then_one_error_line(monkeypatch, fmt):
+    real = cli_module.lambda_accumulate
+
+    def leaky_cross_pair(*args):
+        entry = real(*args)
+        return dataclasses.replace(entry, hits=(entry.hits[0], entry.hits[1] + 1e-3))
+
+    monkeypatch.setattr(cli_module, "lambda_accumulate", leaky_cross_pair)
+    code, out, err = run_cli("epr", "--format", fmt)
+    assert code == 1
+    assert err.startswith("error: checks failed: ") and "cross_pair_hits" in err and err.count("\n") == 1
+    if fmt == "json":
+        assert json.loads(out)["pass"] is False
+    else:
+        assert out.splitlines()[0] == "method,outcome,probability" and len(out.splitlines()) == 7
 
 
 def test_epr_command_rejects_nonunitary_matrix():
@@ -485,24 +528,25 @@ def test_density_honours_budget():
     assert code == 0 and out == run_cli("density", "--circuit", circuit)[1]
 
 
-def test_csv_outputs_for_every_command(epr_file, random_file):
-    code, out, _ = run_cli("trace", "--circuit", random_file, "--pair", "0,1", "--format", "csv")
-    assert code == 0 and out.splitlines()[0] == "layer,lambda_re,lambda_im,hit_re,hit_im"
-    assert len(out.splitlines()) == 5  # header + lambda^(0..3)
-
-    code, out, _ = run_cli("epr", "--a2", "0.4", "--format", "csv")
-    assert code == 0 and out.splitlines()[0] == "method,outcome,probability"
-    assert len(out.splitlines()) == 7
-
-    code, out, _ = run_cli("perturb", "--circuit", epr_file, "--clamp", "0.5", "--format", "csv")
-    assert code == 0 and out.splitlines()[0] == "outcome,raw,probability,oracle,deviation"
-
-    code, out, _ = run_cli("density", "--circuit", epr_file, "--format", "csv")
-    assert code == 0
-    assert out.splitlines()[0] == "t,frobeniusError,hitDiagonalMax,offdiagonalError,pathsumError"
-
-    code, out, _ = run_cli("verify", "--circuit", epr_file, "--format", "csv")
-    assert code == 0 and out.splitlines()[0] == "check,max_error,tolerance,pass"
+def test_csv_outputs_for_every_command(epr_file, random_file, tmp_path):
+    headers = {
+        ("marginal", "--circuit", random_file): "outcome,probability",
+        ("trace", "--circuit", random_file, "--pair", "0,1"): "layer,lambda_re,lambda_im,hit_re,hit_im",
+        ("verify", "--circuit", epr_file): "check,max_error,tolerance,pass",
+        ("verify", "--manifest", _small_manifest(tmp_path)): "file,check,max_error,tolerance,pass",
+        ("epr", "--a2", "0.4"): "method,outcome,probability",
+        ("perturb", "--circuit", epr_file, "--clamp", "0.5"): "outcome,raw,probability,oracle,deviation",
+        ("paths", "--circuit", random_file, "--particle", "0", "--endpoint", "1"): "index,modes,re,im",
+        ("density", "--circuit", epr_file): "t,frobeniusError,hitDiagonalMax,offdiagonalError,pathsumError",
+    }
+    lines = {}
+    for argv, header in headers.items():
+        code, out, err = run_cli(*argv, "--format", "csv")
+        assert code == 0 and err == "", argv
+        assert out.splitlines()[0] == header and "{" not in out, argv
+        lines[argv[0]] = len(out.splitlines())
+    assert lines["trace"] == 5  # header + lambda^(0..3)
+    assert lines["epr"] == 7
 
 
 def test_verify_single_particle_circuit(tmp_path):
@@ -572,13 +616,15 @@ def test_zero_oracle_cap_is_input_error(epr_file):
     assert oracle.MAX_ORACLE_PARTICLES == cap
 
 
-@pytest.mark.parametrize("manifest", ["[]", '{"circuits": 3}', '{"circuits": [{"file": 3}]}'])
+@pytest.mark.parametrize(
+    "manifest", ["[]", '{"circuits": 3}', '{"circuits": [{"file": 3}]}', '{"circuits": [', "", '{"a": 1, "a": 2}']
+)
 def test_malformed_manifest_is_input_error(tmp_path, manifest):
     path = tmp_path / "manifest.json"
     path.write_text(manifest, encoding="utf-8")
     code, out, err = run_cli("verify", "--manifest", str(path))
     assert code == 2 and out == ""
-    assert err.startswith("error: manifest") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_epr_matrix_without_pairs_is_input_error():
@@ -1061,8 +1107,8 @@ def test_cli_exit_codes_hold_on_random_and_mutated_input(data):
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "c.json").write_text(json.dumps(circuit))
         (Path(tmp) / "manifest.json").write_text(json.dumps(manifest))
-        if command[0] == "verify-manifest":  # a manifest report is JSON in either format
-            argv = ("verify", "--manifest", str(Path(tmp) / "manifest.json"))
+        if command[0] == "verify-manifest":
+            argv = ("verify", "--manifest", str(Path(tmp) / "manifest.json"), "--format", fmt)
         else:
             argv = (command[0], "--circuit", str(Path(tmp) / "c.json"), *command[1:], "--format", fmt)
         code, out, err = run_cli(*argv)
