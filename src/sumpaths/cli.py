@@ -6,7 +6,8 @@ sort_keys=True, indent=2), written directly by `_json`) or, with `--format
 csv`, flat rows, so identical inputs produce byte-identical reports;
 diagnostics go to standard error. Exit codes: 0 success, 1 invariant or
 assertion failure (a NaN or infinite result included, which neither JSON
-nor CSV output holds), 2 invalid input, 3 path budget exceeded.
+nor CSV output holds), 2 invalid input, 3 budget exceeded: `--budget`
+bounds every table a command builds, the oracle's state vectors included.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import oracle as oracle_module
 from .circuits import (
     Circuit,
     CircuitError,
@@ -149,7 +149,7 @@ def cmd_marginal(args: argparse.Namespace) -> int:
     circuit = load_circuit(args.circuit)
     subsystem = normalize_subsystem(circuit, _parse_indices(args.subsystem, "subsystem"))
     if args.method == "oracle":
-        probs = marginal_by_sum(circuit, subsystem).as_mapping()
+        probs = marginal_by_sum(circuit, subsystem, args.budget).as_mapping()
     elif args.method == "pathsum":
         probs = _pathsum_distribution(circuit, subsystem, args.budget)
     else:
@@ -184,9 +184,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     first, second = _parse_indices(args.pair, "pair")
     check_budget((1 << max(circuit.n - 1, 0)) ** len(subsystem), args.budget, "path enumeration")
     cascade = subsystem == (0,) and circuit.particles == 3
-    # the cascade charges its own branch pairs; the (0,) of two particles never paid for its 2-amplitude state
-    if not cascade and (subsystem != (0,) or circuit.particles > 2):
-        check_budget(1 << (circuit.particles - len(subsystem)), args.budget, "conditioned external states")
     p, q = (_select(circuit.n, endpoints, index) for index in (first, second))
 
     report: dict = {
@@ -211,7 +208,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             for b in entry.breakdowns
         ]
     else:
-        entry = lambda_accumulate(circuit, subsystem, p, q)
+        entry = lambda_accumulate(circuit, subsystem, p, q, args.budget)
         hits = entry.hits
     report["trajectory"] = [_c(v) for v in entry.trajectory]
     report["hits"] = [_c(v) for v in hits]
@@ -241,12 +238,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CircuitError("verify needs exactly one of --circuit or --manifest")
     if not math.isfinite(args.tol) or args.tol < 0:
         raise CircuitError(f"tol must be finite and non-negative, got {args.tol}")
+    fields = ("name", "max_error", "tolerance", "pass") + (("timing_ms",) if args.timings else ())
+    header = ("check", *fields[1:])
     if args.circuit is not None:
         report = _verify_one(load_circuit(args.circuit), args)
-        rows = ((c["name"], c["max_error"], c["tolerance"], c["pass"]) for c in report["checks"])
+        rows = (tuple(c[field] for field in fields) for c in report["checks"])
         failed = [c["name"] for c in report["checks"] if not c["pass"]]
         failure = f"checks failed: {', '.join(failed)}" if failed else ""
-        return _write(args, report, ("check", "max_error", "tolerance", "pass"), rows, failure=failure)
+        return _write(args, report, header, rows, failure=failure)
 
     manifest_path = FsPath(args.manifest)
     manifest = _read_json(manifest_path)
@@ -263,13 +262,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise CircuitError(f"{entry['file']}: digest differs from its manifest entry")
         report["file"] = entry["file"]
         reports.append(report)
-    rows = (
-        (r["file"], c["name"], c["max_error"], c["tolerance"], c["pass"]) for r in reports for c in r["checks"]
-    )
+    rows = ((r["file"], *(c[field] for field in fields)) for r in reports for c in r["checks"])
     failed = [r["file"] for r in reports if not r["pass"]]
     failure = f"circuits failed: {', '.join(failed)}" if failed else ""
     report = {"pass": not failed, "circuits": reports}
-    return _write(args, report, ("file", "check", "max_error", "tolerance", "pass"), rows, failure=failure)
+    return _write(args, report, ("file", *header), rows, failure=failure)
 
 
 def _parse_gate_spec(text: str, option: str) -> np.ndarray:
@@ -294,10 +291,10 @@ def cmd_epr(args: argparse.Namespace) -> int:
     a2 = _parse_gate_spec(args.a2, "--a2")
     b2 = _parse_gate_spec(args.b2, "--b2")
     circuit = build_epr_circuit(a2, b2)
-    oracle = marginal_by_sum(circuit, {0}).as_mapping()
+    oracle = marginal_by_sum(circuit, {0}, args.budget).as_mapping()
     pathsum = _pathsum_distribution(circuit, (0,), args.budget)
     lam_probs = _lambda_distribution(circuit, (0,), args.budget)
-    cross = lambda_accumulate(circuit, (0,), (Path((0, 0)),), (Path((1, 0)),))
+    cross = lambda_accumulate(circuit, (0,), (Path((0, 0)),), (Path((1, 0)),), args.budget)
 
     max_marginal_error = max(
         abs(probs[key] - 0.5)
@@ -340,7 +337,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
         raise CircuitError("clamp must be non-negative")
     circuit = load_circuit(args.circuit)
     subsystem = normalize_subsystem(circuit, _parse_indices(args.subsystem, "subsystem"))
-    oracle = marginal_by_sum(circuit, subsystem).as_mapping()
+    oracle = marginal_by_sum(circuit, subsystem, args.budget).as_mapping()
 
     raw = {}
     check_charges(dense_lambda_charges(circuit, subsystem), args.budget)  # the clamp reads each block's lambda
@@ -409,14 +406,10 @@ def cmd_density(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser, circuit: bool = True) -> None:
     if circuit:
         parser.add_argument("--circuit", required=True, help="circuit JSON file")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="path budget")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument(
-        "--oracle-cap",
-        type=int,
-        default=None,
-        help="override the state-vector oracle's particle ceiling (default 12)",
+        "--budget", type=int, default=DEFAULT_BUDGET, help="most entries any one table or state vector may hold"
     )
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 @functools.cache
@@ -457,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("epr", help="EPR-B demo: uniform marginals, vanished interference")
     p.add_argument("--a2", default="0.0", help="rotation angle or 2x2 [re,im] matrix JSON")
     p.add_argument("--b2", default="0.0", help="rotation angle or 2x2 [re,im] matrix JSON")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_common(p, circuit=False)
     p.set_defaults(func=cmd_epr)
 
     p = sub.add_parser("perturb", help="clamp hidden-variable magnitudes and compare")
@@ -482,14 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cap = oracle_module.MAX_ORACLE_PARTICLES
     try:
         if args.budget <= 0:
             raise CircuitError(f"budget must be positive, got {args.budget}")
-        if getattr(args, "oracle_cap", None) is not None:
-            if args.oracle_cap < 1:
-                raise CircuitError(f"oracle cap must be at least 1, got {args.oracle_cap}")
-            oracle_module.MAX_ORACLE_PARTICLES = args.oracle_cap
         with np.errstate(all="ignore"):  # a non-finite result gets one error line from _write
             return args.func(args)
     except BudgetExceeded as err:
@@ -501,8 +488,6 @@ def main(argv: list[str] | None = None) -> int:
     except (CircuitError, OSError, KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    finally:
-        oracle_module.MAX_ORACLE_PARTICLES = cap  # the override lasts one call
 
 
 if __name__ == "__main__":

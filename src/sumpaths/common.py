@@ -11,7 +11,7 @@ REALITY_TOL = 1e-10
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when an enumeration would exceed the configured path budget."""
+    """Raised when a table would hold more entries than the configured budget allows."""
 
 
 class RealityError(ArithmeticError):

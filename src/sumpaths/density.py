@@ -117,18 +117,19 @@ def density_charges(circuit: Circuit) -> list[Charge]:
 def density_report(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> list[dict]:
     """Per-layer records of the recursion for the CLI: errors against the oracle.
 
-    The budget is charged once, with `density_charges`. Every matrix, the
-    direct collapse amplitude and the error maxima come from the stacked
-    layers (see the module docstring); the loop over layers takes the
-    Frobenius norms and the collapse path sums, which read one stream of
-    prefix-tree tables and one of particle 0's prefix amplitudes. Layer t
-    reads tree table t - 1, so the tree stops before table n and holds one
-    table at a time beside the one it grows.
+    The budget is charged `density_charges`, then the oracle's charges for
+    the normalized circuit's states. Every matrix, the direct collapse
+    amplitude and the error maxima come from the stacked layers (see the
+    module docstring); the loop over layers takes the Frobenius norms and
+    the collapse path sums, which read one stream of prefix-tree tables and
+    one of particle 0's prefix amplitudes. Layer t reads tree table t - 1,
+    so the tree stops before table n and holds one table at a time beside
+    the one it grows.
     """
     normalized = normalized_phase_form(circuit)
     check_charges(density_charges(normalized), budget)
     n = normalized.n
-    psi = np.array(list(states(normalized)))  # psi(0) .. psi(n), one row each
+    psi = np.array(list(states(normalized, budget=budget)))  # psi(0) .. psi(n), one row each
     first, second = (
         np.array([layer.singles[i] for layer in normalized.layers], dtype=complex).reshape(n, 2, 2) for i in (0, 1)
     )

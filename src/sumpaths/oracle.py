@@ -16,11 +16,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .circuits import Circuit
+from .common import DEFAULT_BUDGET, Charge, check_charges
 
 NORM_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
-
-MAX_ORACLE_PARTICLES = 12
 
 
 @dataclass(frozen=True)
@@ -67,22 +66,25 @@ def _apply_layer(state: np.ndarray, circuit: Circuit, t: int) -> np.ndarray:
     return state
 
 
-def check_particles(particles: int) -> None:
-    """The particle cap `states` checks first: dense amplitudes grow as 2^N."""
-    if particles > MAX_ORACLE_PARTICLES:
-        raise ValueError(
-            f"state-vector oracle capped at {MAX_ORACLE_PARTICLES} particles; raise the cap to override"
-        )
+def oracle_charges(circuit: Circuit) -> list[Charge]:
+    """What `states` holds while a single gate applies: three state vectors of 2^N amplitudes."""
+    size = 1 << circuit.particles
+    return [
+        (size, "state-vector amplitudes"),
+        (size, "running state vector of a layer"),
+        (size, "state vector reordered for a gate"),
+    ]
 
 
-def states(circuit: Circuit, upto: int | None = None) -> Iterator[np.ndarray]:
+def states(circuit: Circuit, upto: int | None = None, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
     """State vectors after layers 0..upto applied to |0...0> (upto=None means all layers).
 
-    No state is written after it is yielded. The particle cap (dense amplitudes
-    grow as 2^N) is checked on the first `next()`, the norm after every layer.
+    No state is written after it is yielded. The `oracle_charges` are checked
+    on the first `next()`, before the first state is built, and the norm after
+    every layer.
     """
     n = circuit.particles
-    check_particles(n)
+    check_charges(oracle_charges(circuit), budget)
     t_stop = circuit.n if upto is None else upto
     if not 0 <= t_stop <= circuit.n:
         raise IndexError(f"layer index {t_stop} out of range 0..{circuit.n}")
@@ -97,21 +99,21 @@ def states(circuit: Circuit, upto: int | None = None) -> Iterator[np.ndarray]:
         yield state.reshape(-1)
 
 
-def evolve(circuit: Circuit, upto: int | None = None) -> np.ndarray:
-    """The last of `states(circuit, upto)`."""
-    for state in states(circuit, upto):
+def evolve(circuit: Circuit, upto: int | None = None, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """The last of `states(circuit, upto, budget)`."""
+    for state in states(circuit, upto, budget):
         pass
     return state
 
 
-def marginal_by_sum(circuit: Circuit, subsystem: Iterable[int]) -> Distribution:
+def marginal_by_sum(circuit: Circuit, subsystem: Iterable[int], budget: int = DEFAULT_BUDGET) -> Distribution:
     """Classical sum of joint probabilities over the external outcomes."""
     members = sorted(set(subsystem))
     if not members:
         raise ValueError("subsystem must be non-empty")
     if members[0] < 0 or members[-1] >= circuit.particles:
         raise ValueError(f"subsystem {members} out of range for {circuit.particles} particles")
-    return marginal_of(evolve(circuit), circuit.particles, members)
+    return marginal_of(evolve(circuit, budget=budget), circuit.particles, members)
 
 
 def marginal_of(state: np.ndarray, particles: int, members: Iterable[int]) -> Distribution:

@@ -35,8 +35,6 @@ import numpy as np
 from .circuits import Circuit, PhaseGate, conditioned_diagonal
 from .common import DEFAULT_BUDGET, Charge, check_charges
 
-_MAX_PATHSUM_PARTICLES = 16  # checked before the charges, as the oracle checks its own cap
-
 
 @dataclass(frozen=True)
 class Path:
@@ -179,11 +177,9 @@ def pathsum_charges(circuit: Circuit) -> list[Charge]:
     entries, or the final 2^N endpoint table when that is larger; at one
     particle it is the particle's 2^n prefix amplitudes. The two stay
     separate charges, so each names one structure and neither is padded by
-    the other. Raises ValueError past the particle cap, which it checks
-    first.
+    the other. The elimination charge bounds the particle count too: it is
+    never less than the 2^N endpoint table.
     """
-    if circuit.particles > _MAX_PATHSUM_PARTICLES:
-        raise ValueError("too many particles for the path-sum evaluator")
     width, particles = 1 << max(circuit.n - 1, 0), circuit.particles
     return [
         (math.comb(particles, 2) * width * width, "path-sum pair phase tables"),

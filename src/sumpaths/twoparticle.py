@@ -21,15 +21,17 @@ of distinct pairs.
 `hit` and `lambda_accumulate` evolve each path tuple's external state by
 `condition_on_paths` and are the per-pair reference for every subsystem but
 the (0,) of three particles, whose hits are the paper's cascade in
-`threeparticle`. `_before_layer` (the external singles, axis by axis) and
-`_straddle` (the straddling factors D) remain only as that reference's
-helpers. `lambda_tables` streams lambda^(t) of the subsystem (0,) over
-every prefix pair, one layer at a time, beside particle 0's conditioned
-prefix-tree table t, which it grows one `paths.tree_step` per layer:
-`layer_hits` reads each layer's pre-gate states and D off the step that
-grew the table, so the stream rebuilds neither, and drops the step before
-it yields. `verify` checks each streamed lambda against the Gram matrix of
-the table beside it. The stream serves every particle count but three.
+`threeparticle`. `lambda_accumulate` charges what one hit holds
+(`pair_charges`) before its first hit. `_before_layer` (the external
+singles, axis by axis) and `_straddle` (the straddling factors D) remain
+only as that reference's helpers. `lambda_tables` streams lambda^(t) of the
+subsystem (0,) over every prefix pair, one layer at a time, beside particle
+0's conditioned prefix-tree table t, which it grows one `paths.tree_step`
+per layer: `layer_hits` reads each layer's pre-gate states and D off the
+step that grew the table, so the stream rebuilds neither, and drops the
+step before it yields. `verify` checks each streamed lambda against the
+Gram matrix of the table beside it. The stream serves every particle count
+but three.
 """
 from __future__ import annotations
 
@@ -160,9 +162,22 @@ class LambdaEntry:
         return self.trajectory[-1]
 
 
-def lambda_accumulate(circuit: Circuit, subsystem: Sequence[int], p: Sequence[Path], q: Sequence[Path]) -> LambdaEntry:
-    """Full trajectory with lambda^(0) = 1 and one additive `hit` per layer, for one member path tuple pair."""
-    _check_pair(circuit, subsystem, p, q)
+def pair_charges(circuit: Circuit, members: Sequence[int]) -> list[Charge]:
+    """What one `hit` holds: the 2^N straddling factors D and two conditioned external states of 2^(N - M)."""
+    return [
+        (1 << circuit.particles, "straddling factor table"),
+        (2 << (circuit.particles - len(members)), "conditioned external states"),
+    ]
+
+
+def lambda_accumulate(
+    circuit: Circuit, subsystem: Sequence[int], p: Sequence[Path], q: Sequence[Path], budget: int = DEFAULT_BUDGET
+) -> LambdaEntry:
+    """Full trajectory with lambda^(0) = 1 and one additive `hit` per layer, for one member path tuple pair.
+
+    The `pair_charges` are checked before the first hit.
+    """
+    check_charges(pair_charges(circuit, _check_pair(circuit, subsystem, p, q)), budget)
     value = 1.0 + 0.0j
     trajectory = [value]
     hits = []

@@ -46,7 +46,7 @@ import numpy as np
 from .circuits import Circuit, append_external_layer, circuit_digest
 from .common import DEFAULT_BUDGET, Charge, check_charges
 from .density import density_charges, density_report
-from .oracle import Distribution, check_particles, marginal_of, states
+from .oracle import Distribution, marginal_of, oracle_charges, states
 from .paths import Path, amplitudes_via_paths, conditioned_prefix_state_layers, pathsum_charges
 from .subsystems import conditioned_blocks, conditioned_charges, table_blocks
 from .threeparticle import cascade_charges, lambda3_tables
@@ -130,18 +130,8 @@ def _hermitian_gap(table: np.ndarray) -> float:
     )
 
 
-def _marginal_checks(
-    runner: _Runner, marginals: list[float], oracle: Distribution, tol: float
-) -> None:
-    """oracle_equivalence and marginal_normalization of the lambda marginals."""
-    runner.run(
-        "oracle_equivalence", tol, lambda: _worst(abs(marginals[j] - oracle[j]) for j in (0, 1))
-    )
-    runner.run("marginal_normalization", tol, lambda: abs(sum(marginals) - 1.0))
-
-
 def _walk_layers(
-    circuit: Circuit, pairs: Iterable[tuple[np.ndarray, np.ndarray]], gateless: Container[int] = ()
+    circuit: Circuit, pairs: Iterable[tuple[np.ndarray, np.ndarray]], gateless: Container[int]
 ) -> tuple[np.ndarray, float, float, float]:
     """Per-layer checks of (lambda_t, tree table t) pairs, holding at most the previous lambda.
 
@@ -171,23 +161,32 @@ def _walk_layers(
     return previous, _worst(gaps), _worst(largest), _worst(zero_hit)
 
 
-def _stream_checks(
+def _lambda_checks(
     runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
 ) -> tuple[list[float], np.ndarray]:
-    """The hit stream's checks, at every particle count but three; density only for two."""
+    """The (0,) route's checks: the cascade's at three particles, else the hit stream's; density only for two."""
+    cascade = circuit.particles == 3
+    if cascade:
+        pairs = zip(lambda3_tables(circuit, budget), conditioned_prefix_state_layers(circuit, (0,)), strict=True)
+    else:
+        pairs = lambda_tables(circuit, budget)
     layers = enumerate(circuit.layers, start=1)
-    gateless = [t for t, layer in layers if all(gate.pair[0] != 0 for gate in layer.phases)]
-    final, gap, largest, zero_hit = _walk_layers(circuit, lambda_tables(circuit, budget), gateless)
+    gateless = [] if cascade else [t for t, layer in layers if all(gate.pair[0] != 0 for gate in layer.phases)]
+    final, gap, largest, zero_hit = _walk_layers(circuit, pairs, gateless)
     blocks = [block for _, block in table_blocks(circuit, final)]
     marginals = [block.marginal() for block in blocks]
-    _marginal_checks(runner, marginals, oracle, tol)
-    runner.run("telescoping", 1e-10, lambda: gap)
-    runner.run("zero_hit_layers", 0.0, lambda: zero_hit)
-    runner.run(
-        "two_form_equivalence",
-        1e-10,
-        lambda: _worst(abs(marginals[j] - marginal_deviation(circuit, j, blocks[j])) for j in (0, 1)),
-    )
+    runner.run("oracle_equivalence", tol, lambda: _worst(abs(marginals[j] - oracle[j]) for j in (0, 1)))
+    runner.run("marginal_normalization", tol, lambda: abs(sum(marginals) - 1.0))
+    if cascade:
+        runner.run("three_closure", tol, lambda: gap)
+    else:
+        runner.run("telescoping", 1e-10, lambda: gap)
+        runner.run("zero_hit_layers", 0.0, lambda: zero_hit)
+        runner.run(
+            "two_form_equivalence",
+            1e-10,
+            lambda: _worst(abs(marginals[j] - marginal_deviation(circuit, j, blocks[j])) for j in (0, 1)),
+        )
     runner.run("hermitian_pairing", 1e-12, lambda: _hermitian_gap(final))
     runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, largest - 1.0]))
     if circuit.particles == 2:
@@ -203,22 +202,9 @@ def _stream_checks(
     return marginals, final
 
 
-def _three_particle_checks(
-    runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
-) -> tuple[list[float], np.ndarray]:
-    pairs = zip(lambda3_tables(circuit, budget), conditioned_prefix_state_layers(circuit, (0,)), strict=True)
-    final, gap, largest, _ = _walk_layers(circuit, pairs)
-    marginals = [block.marginal() for _, block in table_blocks(circuit, final)]
-    _marginal_checks(runner, marginals, oracle, tol)
-    runner.run("three_closure", tol, lambda: gap)
-    runner.run("hermitian_pairing", 1e-12, lambda: _hermitian_gap(final))
-    runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, largest - 1.0]))
-    return marginals, final
-
-
 def verify_charges(circuit: Circuit) -> list[Charge]:
     """Every budget charge `verify_circuit` makes, in the order its checks make them."""
-    charges = pathsum_charges(circuit) if circuit.n >= 1 else []
+    charges = oracle_charges(circuit) + (pathsum_charges(circuit) if circuit.n >= 1 else [])
     n = circuit.particles
     if n >= 2 and circuit.n >= 1:
         if n == 3:
@@ -237,17 +223,16 @@ def verify_circuit(
 ) -> VerificationReport:
     """Run every applicable invariant; raises BudgetExceeded if the circuit is too big.
 
-    The oracle's particle cap and every `verify_charges` charge are checked
-    before any check runs, in the order the checks would meet them.
+    Every `verify_charges` charge, the oracle's first, is checked before any
+    check runs, in the order the checks would meet them.
     """
-    check_particles(circuit.particles)
     check_charges(verify_charges(circuit), budget)
     runner = _Runner()
     digest = circuit_digest(circuit)
     n = circuit.particles
     probed = n >= 2 and circuit.n >= 1
     extended = append_external_layer(circuit, np.random.default_rng(int(digest[:8], 16))) if probed else circuit
-    stream, norm_errors = states(extended), []
+    stream, norm_errors = states(extended, budget=budget), []
     for final in itertools.islice(stream, circuit.n + 1):  # no_signaling reads the next state
         norm_errors.append(abs(np.linalg.norm(final) - 1.0))
     runner.run("norm_preservation", 1e-12, lambda: _worst(norm_errors))
@@ -258,8 +243,7 @@ def verify_circuit(
 
     if probed:
         oracle = marginal_of(final, n, {0})
-        route_checks = _three_particle_checks if n == 3 else _stream_checks
-        base_lam, table = route_checks(runner, circuit, budget, oracle, tol)
+        base_lam, table = _lambda_checks(runner, circuit, budget, oracle, tol)
 
         if n >= 3:
             runner.run("general_subsystem", tol, lambda: _general_subsystem_error(circuit, final, budget))

@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 from sumpaths.circuits import Circuit
 from sumpaths.corpus import random_circuit
 from sumpaths.density import density_charges, density_report
-from sumpaths.paths import amplitudes_via_paths, pathsum_charges
+from sumpaths.oracle import oracle_charges, states
+from sumpaths.paths import amplitudes_via_paths, member_paths_at, pathsum_charges
 from sumpaths.subsystems import conditioned_blocks, conditioned_charges
 from sumpaths.threeparticle import cascade_charges, lambda3_tables
-from sumpaths.twoparticle import lambda_tables, prefix_tree_charges
+from sumpaths.twoparticle import lambda_accumulate, lambda_tables, pair_charges, prefix_tree_charges
 
 # A builder holds its tables while it makes the next one, and copies some once
 # (the reordered blocks, the step beside its table): peaks read up to about 2.5x.
@@ -40,6 +41,8 @@ SIZES = {
     "lambda_tables": [(2, 8), (2, 9), (4, 8), (4, 9), (5, 8), (5, 9), (6, 8), (6, 9)],
     "lambda3_tables": [(3, 7), (3, 8), (3, 9)],
     "density_report": [(2, 16), (2, 17)],
+    "lambda_accumulate": [(15, 3), (16, 2), (17, 3), (18, 2), (19, 1)],
+    "states": [(14, 2), (15, 2), (16, 2), (17, 1), (18, 1)],
 }
 BLOCK_LAYERS = {
     (2, 1): 16, (3, 1): 15, (3, 2): 8, (4, 1): 14, (4, 2): 7, (4, 3): 5, (5, 1): 13, (5, 2): 7,
@@ -57,6 +60,17 @@ def _cascade(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
         pass
 
 
+def _oracle(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
+    for _ in states(circuit, budget=BUDGET):  # keeps only the last state, as `evolve` does
+        pass
+
+
+def _pair_reference(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
+    last = (1 << max(circuit.n - 1, 0)) ** len(subsystem) - 1
+    p, q = (member_paths_at(circuit.n, (0,) * len(subsystem), index) for index in (0, last))
+    lambda_accumulate(circuit, subsystem, p, q, BUDGET)
+
+
 def _blocks(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
     for _, block in conditioned_blocks(circuit, subsystem, BUDGET):
         block.marginal()
@@ -69,6 +83,8 @@ BUILDERS: dict[str, tuple[Callable, Callable]] = {
     "lambda_tables": (lambda c, s: prefix_tree_charges(c), _stream),
     "lambda3_tables": (lambda c, s: cascade_charges(c), _cascade),
     "density_report": (lambda c, s: density_charges(c), lambda c, s: density_report(c, BUDGET)),
+    "lambda_accumulate": (pair_charges, _pair_reference),
+    "states": (lambda c, s: oracle_charges(c), _oracle),
 }
 
 

@@ -342,6 +342,21 @@ def test_verify_manifest_csv_has_one_row_per_file_and_check(tmp_path):
     assert out.splitlines() == ["file,check,max_error,tolerance,pass", *expected]
 
 
+@pytest.mark.parametrize("source", ["circuit", "manifest"])
+def test_verify_csv_with_timings_gains_a_last_timing_column(tmp_path, epr_file, source):
+    argv = ("--circuit", epr_file) if source == "circuit" else ("--manifest", _small_manifest(tmp_path))
+    code, plain, _ = run_cli("verify", *argv, "--format", "csv")
+    assert code == 0
+    code, timed, err = run_cli("verify", *argv, "--format", "csv", "--timings")
+    assert code == 0 and err == ""
+    plain_lines, timed_lines = plain.splitlines(), timed.splitlines()
+    assert timed_lines[0] == plain_lines[0] + ",timing_ms"
+    assert len(timed_lines) == len(plain_lines) > 3
+    for untimed, row in zip(plain_lines[1:], timed_lines[1:]):
+        cells, timing = row.rsplit(",", 1)
+        assert cells == untimed and float(timing) >= 0.0
+
+
 def test_verify_needs_exactly_one_source(epr_file):
     code, _, _ = run_cli("verify")
     assert code == 2
@@ -606,16 +621,6 @@ def test_two_particle_no_signaling_layer_costs_no_budget(tmp_path):
         assert json.loads(out)["pass"] is True
 
 
-def test_zero_oracle_cap_is_input_error(epr_file):
-    from sumpaths import oracle
-
-    cap = oracle.MAX_ORACLE_PARTICLES
-    code, out, err = run_cli("marginal", "--circuit", epr_file, "--oracle-cap", "0")
-    assert code == 2 and out == ""
-    assert err == "error: oracle cap must be at least 1, got 0\n"
-    assert oracle.MAX_ORACLE_PARTICLES == cap
-
-
 @pytest.mark.parametrize(
     "manifest", ["[]", '{"circuits": 3}', '{"circuits": [{"file": 3}]}', '{"circuits": [', "", '{"a": 1, "a": 2}']
 )
@@ -669,15 +674,6 @@ def test_reports_are_deterministic_for_every_command(epr_file, random_file):
         second = run_cli(*argv)
         assert first[0] == 0
         assert first[1] == second[1]
-
-
-def test_oracle_cap_lasts_one_call():
-    code, _, _ = run_cli(
-        "marginal", "--circuit", str(CORPUS / "n2_l2_s0.json"), "--method", "oracle", "--oracle-cap", "2"
-    )
-    assert code == 0
-    code, _, err = run_cli("marginal", "--circuit", str(CORPUS / "n3_l2_s0.json"), "--method", "oracle")
-    assert code == 0, err
 
 
 NUMBERS = {"particles": 2, "cell": 1, "pair": [0, 1], "theta": [0, 0, 0, 1]}
@@ -821,7 +817,7 @@ def test_sixteen_particles_fit_and_twenty_four_exit_before_allocating(tmp_path):
     save_circuit(random_circuit(np.random.default_rng(1), 24, 1), str(large))
     code, out, err = run_cli("marginal", "--circuit", str(small), "--method", "lambda")
     assert (code, err) == (0, "")
-    code, oracle_out, _ = run_cli("marginal", "--circuit", str(small), "--method", "oracle", "--oracle-cap", "16")
+    code, oracle_out, _ = run_cli("marginal", "--circuit", str(small), "--method", "oracle")
     assert code == 0
     lam, oracle = json.loads(out)["probabilities"], json.loads(oracle_out)["probabilities"]
     assert max(abs(lam[k] - oracle[k]) for k in oracle) < 1e-9
@@ -833,6 +829,29 @@ def test_sixteen_particles_fit_and_twenty_four_exit_before_allocating(tmp_path):
         tracemalloc.stop()
     assert code == 3 and out == "" and "conditioned external states" in err
     assert peak < 16 * 2**20  # one 2 x 2^23 state table would be 256 MiB
+
+
+@pytest.mark.parametrize(
+    "argv, charge",
+    [
+        (("marginal", "--method", "oracle"), "state-vector amplitudes"),
+        (("marginal", "--method", "pathsum"), "path-sum elimination table"),
+        (("perturb", "--clamp", "1"), "state-vector amplitudes"),
+        (("verify",), "state-vector amplitudes"),
+    ],
+)
+def test_twenty_three_particles_exit_before_the_state_vector_is_built(tmp_path, argv, charge):
+    path = tmp_path / "p23.json"
+    save_circuit(random_circuit(np.random.default_rng(1), 23, 1, p_single=1.0, p_phase=1.0), str(path))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(*argv, "--circuit", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: {charge} needs 8388608") and err.count("\n") == 1
+    assert peak < 2**20  # one 2^23-entry state vector would be 128 MiB
 
 
 @pytest.mark.parametrize("particles", [2, 4, 5])
@@ -940,7 +959,7 @@ def test_report_writer_rejects_a_non_finite_float_anywhere(bad):
         cli_module._json({"checks": [{"max_error": bad}], "pass": True})
 
 
-def test_trace_charges_the_conditioned_external_states(tmp_path):
+def test_trace_charges_the_pair_reference(tmp_path):
     path = tmp_path / "p16.json"
     save_circuit(random_circuit(np.random.default_rng(1), 16, 1), str(path))
     tracemalloc.start()
@@ -952,8 +971,8 @@ def test_trace_charges_the_conditioned_external_states(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 3 and out == ""
-    assert err.startswith("error: conditioned external states needs 32768") and err.count("\n") == 1
-    assert peak < 2**20  # one 2^15 external state is 512 KiB
+    assert err.startswith("error: straddling factor table needs 65536") and err.count("\n") == 1
+    assert peak < 2**20  # one 2^16-entry straddling table is 1 MiB
 
 
 def test_lambda_blocks_are_held_one_at_a_time(tmp_path):

@@ -303,8 +303,10 @@ def test_amplitude_budget_guard():
     circuit = random_circuit(np.random.default_rng(1), particles=3, layers=4)
     with pytest.raises(BudgetExceeded):
         amplitudes_via_paths(circuit, budget=8)
-    with pytest.raises(ValueError, match="too many particles"):
-        amplitudes_via_paths(make_circuit(17, [({}, [])]))
+    wide = random_circuit(np.random.default_rng(1), particles=17, layers=1)
+    assert np.max(np.abs(amplitudes_via_paths(wide) - evolve(wide))) < 1e-12
+    with pytest.raises(BudgetExceeded, match="path-sum elimination table"):
+        amplitudes_via_paths(wide, budget=(1 << 17) - 1)
 
 
 def test_epr_conditioning_on_mode_zero_path_gives_free_external_circuit():

@@ -170,6 +170,15 @@ def test_no_signaling_catches_a_bad_fold(monkeypatch, file):
     assert not checks["no_signaling"].passed
 
 
+@pytest.mark.parametrize("particles, layers", [(13, 2), (16, 1)])
+def test_verify_passes_past_twelve_particles(particles, layers):
+    # the oracle is charged 2^N amplitudes per state vector, within the default budget up to N = 22
+    circuit = random_circuit(np.random.default_rng(1), particles, layers, p_single=1.0, p_phase=1.0)
+    report = verify_circuit(circuit)
+    assert report.passed, [check.name for check in report.checks if not check.passed]
+    assert len(report.checks) == 11
+
+
 def test_three_particle_verify_charges_the_base_tables_only(tmp_path):
     # the cascade charges the base circuit's 4^2 lambda entries, 2 x 4 path weights and 4 partner
     # states; the largest charge is the (0, 1) route's 2^5 conditioned external states, and no
