@@ -39,7 +39,7 @@ from .paths import Path, amplitudes_via_paths, enumerate_paths, member_paths_at,
 from .subsystems import dense_lambda_charges, lambda_blocks
 from .threeparticle import lambda_three
 from .twoparticle import lambda_accumulate
-from .verify import DEFAULT_TOL, verify_circuit
+from .verify import verify_circuit
 
 
 def _json(value, indent: str = "\n") -> str:
@@ -182,7 +182,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.pair.count(",") != 1:
         raise CircuitError(f"pair must be two comma-separated indices, got {args.pair!r}")
     first, second = _parse_indices(args.pair, "pair")
-    check_budget((1 << max(circuit.n - 1, 0)) ** len(subsystem), args.budget, "path enumeration")
     cascade = subsystem == (0,) and circuit.particles == 3
     p, q = (_select(circuit.n, endpoints, index) for index in (first, second))
 
@@ -229,15 +228,12 @@ def _select(n: int, endpoints: tuple[int, ...], index: int) -> tuple[Path, ...]:
 
 
 def _verify_one(circuit: Circuit, args: argparse.Namespace) -> dict:
-    report = verify_circuit(circuit, tol=args.tol, budget=args.budget)
-    return report.to_json(with_timings=args.timings)
+    return verify_circuit(circuit, args.budget).to_json(with_timings=args.timings)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if (args.circuit is None) == (args.manifest is None):
         raise CircuitError("verify needs exactly one of --circuit or --manifest")
-    if not math.isfinite(args.tol) or args.tol < 0:
-        raise CircuitError(f"tol must be finite and non-negative, got {args.tol}")
     fields = ("name", "max_error", "tolerance", "pass") + (("timing_ms",) if args.timings else ())
     header = ("check", *fields[1:])
     if args.circuit is not None:
@@ -438,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("--circuit", help="circuit JSON file")
     p.add_argument("--manifest", help="corpus manifest JSON file")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _add_common(p, circuit=False)
     p.add_argument(
         "--timings",

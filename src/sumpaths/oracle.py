@@ -57,7 +57,9 @@ def _apply_layer(state: np.ndarray, circuit: Circuit, t: int) -> np.ndarray:
     n = circuit.particles
     for i, gate in enumerate(layer.singles):
         view = state.reshape(1 << i, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+        del state  # neither the last product nor its operand stays alive while the next is built
         state = np.dot(gate, view).reshape(2, 1 << i, -1).transpose(1, 0, 2)
+        del view
     state = state.reshape((2,) * n)
     for gate in layer.phases:
         a, b = gate.pair

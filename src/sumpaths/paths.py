@@ -284,13 +284,20 @@ class ConditionalUnitary:
             state = diag.reshape(shape) * state
         return state.reshape(-1)
 
-    def state(self, upto: int | None = None) -> np.ndarray:
-        """Conditioned evolution applied to |0...0>."""
+    def states(self, upto: int | None = None) -> Iterator[np.ndarray]:
+        """Conditioned evolution of |0...0> after layers 0..upto (default n); none is written once yielded."""
         t_stop = self.n if upto is None else upto
         state = np.zeros(self.dim, dtype=complex)
         state[0] = 1.0
+        yield state
         for t in range(1, t_stop + 1):
             state = self._apply(state, t)
+            yield state
+
+    def state(self, upto: int | None = None) -> np.ndarray:
+        """Conditioned evolution applied to |0...0>: the last of `states(upto)`."""
+        for state in self.states(upto):
+            pass
         return state
 
 

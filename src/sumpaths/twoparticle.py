@@ -21,8 +21,9 @@ of distinct pairs.
 `hit` and `lambda_accumulate` evolve each path tuple's external state by
 `condition_on_paths` and are the per-pair reference for every subsystem but
 the (0,) of three particles, whose hits are the paper's cascade in
-`threeparticle`. `lambda_accumulate` charges what one hit holds
-(`pair_charges`) before its first hit. `_before_layer` (the external
+`threeparticle`. `hit` evolves both states up to its one layer;
+`lambda_accumulate` streams each side's states once, and charges what one
+hit holds (`pair_charges`) before its first hit. `_before_layer` (the external
 singles, axis by axis) and `_straddle` (the straddling factors D) remain
 only as that reference's helpers. `lambda_tables` streams lambda^(t) of the
 subsystem (0,) over every prefix pair, one layer at a time, beside particle
@@ -35,8 +36,9 @@ but three.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -138,14 +140,19 @@ def hit(circuit: Circuit, subsystem: Sequence[int], p: Sequence[Path], q: Sequen
     three particles, whose hits are the cascade's.
     """
     members = _check_pair(circuit, subsystem, p, q)
+    sides = (condition_on_paths(circuit, dict(zip(members, paths))).state(t - 1) for paths in (p, q))
+    return _contract(circuit, members, t, p, q, sides)
+
+
+def _contract(
+    circuit: Circuit, members: tuple[int, ...], t: int, p: Sequence[Path], q: Sequence[Path], sides: Iterable[np.ndarray]
+) -> complex:
+    """The hit at layer t from p's and q's conditioned states after layer t - 1, read only past a straddling gate."""
     factors = _straddle(circuit, members, t)
     if factors is None:
         return 0j
     # one row each: a two-row product can round differently from the one-row products traces print
-    x_p, x_q = (
-        _before_layer(circuit, members, t, condition_on_paths(circuit, dict(zip(members, paths))).state(t - 1)[None])[0]
-        for paths in (p, q)
-    )
+    x_p, x_q = (_before_layer(circuit, members, t, state[None])[0] for state in sides)
     diff = factors[_joint_mode(q, t)] * factors[_joint_mode(p, t)].conj() - 1.0
     return complex(np.sum(diff * x_p.conj() * x_q))
 
@@ -175,18 +182,15 @@ def lambda_accumulate(
 ) -> LambdaEntry:
     """Full trajectory with lambda^(0) = 1 and one additive `hit` per layer, for one member path tuple pair.
 
-    The `pair_charges` are checked before the first hit.
+    The `pair_charges` are checked before the first hit. Each side's
+    conditioned state is evolved once, so the walk is linear in n.
     """
-    check_charges(pair_charges(circuit, _check_pair(circuit, subsystem, p, q)), budget)
-    value = 1.0 + 0.0j
-    trajectory = [value]
-    hits = []
-    for t in range(1, circuit.n + 1):
-        increment = hit(circuit, subsystem, p, q, t)
-        hits.append(increment)
-        value = value + increment
-        trajectory.append(value)
-    return LambdaEntry(trajectory=tuple(trajectory), hits=tuple(hits))
+    members = _check_pair(circuit, subsystem, p, q)
+    check_charges(pair_charges(circuit, members), budget)
+    sides = (condition_on_paths(circuit, dict(zip(members, paths))).states() for paths in (p, q))
+    # the range ends first, so neither side builds its state after layer n
+    hits = tuple(_contract(circuit, members, t, p, q, states) for t, *states in zip(range(1, circuit.n + 1), *sides))
+    return LambdaEntry(trajectory=tuple(itertools.accumulate(hits, initial=1.0 + 0.0j)), hits=hits)
 
 
 def prefix_tree_charges(circuit: Circuit, layers: int | None = None) -> list[Charge]:

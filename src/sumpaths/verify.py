@@ -52,7 +52,7 @@ from .subsystems import conditioned_blocks, conditioned_charges, table_blocks
 from .threeparticle import cascade_charges, lambda3_tables
 from .twoparticle import hit, lambda_tables, marginal_deviation, prefix_tree_charges
 
-DEFAULT_TOL = 1e-9
+MARGINAL_TOL = 1e-9  # oracle_equivalence, marginal_normalization, three_closure, general_subsystem
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,14 @@ class VerificationReport:
 
 
 class _Runner:
-    """Runs checks in order, charging each with the time since the previous one ended."""
+    """Records checks in order, each charged the time since the previous one ended, its error's computation included."""
 
     def __init__(self) -> None:
         self.checks: list[CheckResult] = []
         self.mark = perf_counter()
 
-    def run(self, name: str, tolerance: float, fn) -> None:
-        error = float(fn())
+    def run(self, name: str, tolerance: float, error: float) -> None:
+        error = float(error)
         now = perf_counter()
         self.checks.append(
             CheckResult(
@@ -162,7 +162,7 @@ def _walk_layers(
 
 
 def _lambda_checks(
-    runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution, tol: float
+    runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution
 ) -> tuple[list[float], np.ndarray]:
     """The (0,) route's checks: the cascade's at three particles, else the hit stream's; density only for two."""
     cascade = circuit.particles == 3
@@ -175,30 +175,26 @@ def _lambda_checks(
     final, gap, largest, zero_hit = _walk_layers(circuit, pairs, gateless)
     blocks = [block for _, block in table_blocks(circuit, final)]
     marginals = [block.marginal() for block in blocks]
-    runner.run("oracle_equivalence", tol, lambda: _worst(abs(marginals[j] - oracle[j]) for j in (0, 1)))
-    runner.run("marginal_normalization", tol, lambda: abs(sum(marginals) - 1.0))
+    runner.run("oracle_equivalence", MARGINAL_TOL, _worst(abs(marginals[j] - oracle[j]) for j in (0, 1)))
+    runner.run("marginal_normalization", MARGINAL_TOL, abs(sum(marginals) - 1.0))
     if cascade:
-        runner.run("three_closure", tol, lambda: gap)
+        runner.run("three_closure", MARGINAL_TOL, gap)
     else:
-        runner.run("telescoping", 1e-10, lambda: gap)
-        runner.run("zero_hit_layers", 0.0, lambda: zero_hit)
+        runner.run("telescoping", 1e-10, gap)
+        runner.run("zero_hit_layers", 0.0, zero_hit)
         runner.run(
             "two_form_equivalence",
             1e-10,
-            lambda: _worst(abs(marginals[j] - marginal_deviation(circuit, j, blocks[j])) for j in (0, 1)),
+            _worst(abs(marginals[j] - marginal_deviation(circuit, j, blocks[j])) for j in (0, 1)),
         )
-    runner.run("hermitian_pairing", 1e-12, lambda: _hermitian_gap(final))
-    runner.run("lambda_bound", 1e-10, lambda: _worst([0.0, largest - 1.0]))
+    runner.run("hermitian_pairing", 1e-12, _hermitian_gap(final))
+    runner.run("lambda_bound", 1e-10, _worst([0.0, largest - 1.0]))
     if circuit.particles == 2:
         records = density_report(circuit, budget)
-        runner.run(
-            "density_reconstruction", 1e-10, lambda: _worst(r["frobenius_error"] for r in records)
-        )
-        runner.run("density_hit_diagonal", 1e-12, lambda: _worst(r["hit_diagonal_max"] for r in records))
-        runner.run(
-            "density_offdiagonal_form", 1e-12, lambda: _worst(r["offdiagonal_error"] for r in records)
-        )
-        runner.run("density_pathsum", 1e-10, lambda: _worst(r["pathsum_error"] for r in records))
+        runner.run("density_reconstruction", 1e-10, _worst(r["frobenius_error"] for r in records))
+        runner.run("density_hit_diagonal", 1e-12, _worst(r["hit_diagonal_max"] for r in records))
+        runner.run("density_offdiagonal_form", 1e-12, _worst(r["offdiagonal_error"] for r in records))
+        runner.run("density_pathsum", 1e-10, _worst(r["pathsum_error"] for r in records))
     return marginals, final
 
 
@@ -218,9 +214,7 @@ def verify_charges(circuit: Circuit) -> list[Charge]:
     return charges
 
 
-def verify_circuit(
-    circuit: Circuit, tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET
-) -> VerificationReport:
+def verify_circuit(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> VerificationReport:
     """Run every applicable invariant; raises BudgetExceeded if the circuit is too big.
 
     Every `verify_charges` charge, the oracle's first, is checked before any
@@ -235,26 +229,20 @@ def verify_circuit(
     stream, norm_errors = states(extended, budget=budget), []
     for final in itertools.islice(stream, circuit.n + 1):  # no_signaling reads the next state
         norm_errors.append(abs(np.linalg.norm(final) - 1.0))
-    runner.run("norm_preservation", 1e-12, lambda: _worst(norm_errors))
+    runner.run("norm_preservation", 1e-12, _worst(norm_errors))
     if circuit.n >= 1:
-        runner.run(
-            "pathsum_completeness", 1e-10, lambda: _worst(np.abs(amplitudes_via_paths(circuit, budget) - final))
-        )
+        runner.run("pathsum_completeness", 1e-10, _worst(np.abs(amplitudes_via_paths(circuit, budget) - final)))
 
     if probed:
         oracle = marginal_of(final, n, {0})
-        base_lam, table = _lambda_checks(runner, circuit, budget, oracle, tol)
+        base_lam, table = _lambda_checks(runner, circuit, budget, oracle)
 
         if n >= 3:
-            runner.run("general_subsystem", tol, lambda: _general_subsystem_error(circuit, final, budget))
+            runner.run("general_subsystem", MARGINAL_TOL, _general_subsystem_error(circuit, final, budget))
 
-        # read when no_signaling runs: the appended layer has no gate on particle 0, so it folds
-        ext_blocks = table_blocks(extended, table)
-        runner.run(
-            "no_signaling",
-            1e-12,
-            lambda: _no_signaling_error(oracle, base_lam, marginal_of(next(stream), n, {0}), ext_blocks),
-        )
+        # the appended layer has no gate on particle 0, so the final table folds it
+        ext_blocks, ext_oracle = table_blocks(extended, table), marginal_of(next(stream), n, {0})
+        runner.run("no_signaling", 1e-12, _no_signaling_error(oracle, base_lam, ext_oracle, ext_blocks))
 
     return VerificationReport(digest=digest, checks=tuple(runner.checks))
 

@@ -243,6 +243,15 @@ def test_trace_builds_only_the_two_named_paths(tmp_path):
     assert peak < 4 * 2**20
 
 
+def test_trace_answers_past_the_path_count_budget(tmp_path):
+    # 2^23 paths per endpoint, past the default budget: trace builds two of them and walks each side once
+    path = tmp_path / "n24.json"
+    save_circuit(random_circuit(np.random.default_rng(1), 2, 24, p_single=1.0, p_phase=1.0), str(path))
+    code, out, err = run_cli("trace", "--circuit", str(path), "--pair", "0,1")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["trajectory"]) == 25
+
+
 def test_paths_charges_its_enumeration(tmp_path):
     path = tmp_path / "n4.json"
     save_circuit(random_circuit(np.random.default_rng(4), 1, 4), str(path))
@@ -478,15 +487,19 @@ def test_perturb_rejects_negative_clamp(epr_file):
     [
         ("perturb", "--clamp", "nan"),
         ("perturb", "--clamp", "inf"),
-        ("verify", "--tol", "nan"),
-        ("verify", "--tol", "inf"),
-        ("verify", "--tol", "-1"),
     ],
 )
-def test_nonfinite_or_negative_clamp_and_tol_are_input_errors(epr_file, command, flag, value):
+def test_nonfinite_clamp_is_input_error(epr_file, command, flag, value):
     code, out, err = run_cli(command, "--circuit", epr_file, flag, value)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_takes_no_tolerance_option(epr_file):
+    # each check's tolerance is fixed in the verify module: no caller can loosen it
+    with redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--circuit", epr_file, "--tol", "1"])
+    assert exit_info.value.code == 2
 
 
 def test_paths_dump_epr():

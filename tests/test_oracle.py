@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,18 @@ def test_layer_kernel_equals_the_tensordot_form(particles, p_single, seed):
     state = rng.normal(size=(2,) * particles) + 1j * rng.normal(size=(2,) * particles)
     layer = oracle_module._apply_layer(state, circuit, 1)
     assert np.array_equal(layer, tensordot_oracle_layer(state, circuit, 1))
+
+
+def test_a_layer_holds_under_five_state_vectors():
+    # a gate's reordered operand and product are dropped before the next gate's are built
+    circuit = random_circuit(np.random.default_rng(1), 16, 2, p_single=1.0, p_phase=1.0)
+    tracemalloc.start()
+    try:
+        evolve(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * (16 << 16)  # one state vector: 2^16 amplitudes of 16 bytes
 
 
 def test_oracle_imports_no_kernel_of_the_routes_it_checks():

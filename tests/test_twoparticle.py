@@ -11,7 +11,8 @@ from sumpaths.circuits import PhaseGate, build_epr_circuit, make_circuit, random
 from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
-from sumpaths.paths import Path, TreeStep, conditioned_prefix_state_layers, enumerate_paths
+from sumpaths.paths import ConditionalUnitary, Path, TreeStep, conditioned_prefix_state_layers, enumerate_paths
+from sumpaths.paths import member_paths_at
 from sumpaths.subsystems import lambda_blocks
 from sumpaths.twoparticle import (
     hit,
@@ -361,3 +362,18 @@ def test_the_stream_yields_the_prefix_trees_tables_bit_for_bit(particles, layers
     for (lam, table), tree in zip(pairs, conditioned_prefix_state_layers(circuit, (0,))):
         assert lam.shape == (table.shape[0],) * 2
         assert np.array_equal(table, tree)
+
+
+@pytest.mark.parametrize("particles, subsystem, layers", [(2, (0,), 24), (4, (0, 1), 8), (5, (0, 2), 6)])
+def test_accumulation_evolves_each_side_once_and_matches_every_hit_bit_for_bit(
+    monkeypatch, particles, subsystem, layers
+):
+    circuit = random_circuit(np.random.default_rng(layers), particles, layers, p_single=1.0, p_phase=1.0)
+    endpoints = (0,) * len(subsystem)
+    p, q = (member_paths_at(layers, endpoints, index) for index in (0, 1))
+    calls = []
+    apply = ConditionalUnitary._apply
+    monkeypatch.setattr(ConditionalUnitary, "_apply", lambda self, state, t: calls.append(t) or apply(self, state, t))
+    entry = lambda_accumulate(circuit, subsystem, p, q)
+    assert len(calls) <= 2 * layers  # each side's state is grown once per layer, never rebuilt from layer 1
+    assert entry.hits == tuple(hit(circuit, subsystem, p, q, t) for t in range(1, layers + 1))

@@ -97,15 +97,46 @@ def test_more_particles_list_the_four_particle_checks(particles, layers):
     assert [check.name for check in report.checks] == FOUR_OR_MORE_CHECKS
 
 
-def test_impossible_tolerance_fails_and_exits_one(tmp_path):
+def test_a_failing_check_fails_the_report_and_exits_one(tmp_path, monkeypatch):
     path = tmp_path / "c.json"
     save_circuit(random_circuit(np.random.default_rng(11), 2, 4), str(path))
+    monkeypatch.setattr(verify, "marginal_deviation", lambda *args: twoparticle.marginal_deviation(*args) + 1e-6)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["verify", "--circuit", str(path), "--tol", "1e-18"])
+        code = main(["verify", "--circuit", str(path)])
     assert code == 1
     assert json.loads(out.getvalue())["pass"] is False
-    assert err.getvalue().startswith("error: checks failed: ") and err.getvalue().count("\n") == 1
+    assert err.getvalue() == "error: checks failed: two_form_equivalence\n"
+
+
+TOLERANCES = {
+    "norm_preservation": 1e-12,
+    "pathsum_completeness": 1e-10,
+    "oracle_equivalence": 1e-9,
+    "marginal_normalization": 1e-9,
+    "three_closure": 1e-9,
+    "telescoping": 1e-10,
+    "zero_hit_layers": 0.0,
+    "two_form_equivalence": 1e-10,
+    "hermitian_pairing": 1e-12,
+    "lambda_bound": 1e-10,
+    "density_reconstruction": 1e-10,
+    "density_hit_diagonal": 1e-12,
+    "density_offdiagonal_form": 1e-12,
+    "density_pathsum": 1e-10,
+    "general_subsystem": 1e-9,
+    "no_signaling": 1e-12,
+}
+
+
+def test_each_check_reports_its_fixed_tolerance():
+    seen = set()
+    for particles in (1, 2, 3, 4):
+        circuit = random_circuit(np.random.default_rng(particles), particles, 3, p_single=1.0, p_phase=1.0)
+        for check in verify_circuit(circuit).to_json()["checks"]:
+            assert check["tolerance"] == TOLERANCES[check["name"]], check["name"]
+            seen.add(check["name"])
+    assert seen == set(TOLERANCES)
 
 
 def test_report_json_shape():
