@@ -20,7 +20,7 @@ from .circuits import (
     validate_circuit,
 )
 from .common import DEFAULT_BUDGET, BudgetExceeded, RealityError
-from .density import DensityPair, normalized_phase_form
+from .density import normalized_phase_form
 from .oracle import Distribution, evolve, marginal_by_sum
 from .paths import (
     ConditionalUnitary,

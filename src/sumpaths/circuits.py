@@ -6,6 +6,13 @@ followed by the diagonal controlled-phase gates; since all phase gates are
 diagonal they commute with each other, so their relative order only matters
 for hit bookkeeping, never for the physics.
 
+A phase gate's angles become phases once per gate, in its table of
+exp(i theta) (`PhaseGate.table`, filled by `_tabulate`). Every route
+multiplies those unimodular factors, `conditioned_diagonal` and
+`factor_phase_gate` included, and none adds or subtracts angles: a sum of
+angles near 1e16 rounds by whole radians, and one of two angles near the
+float range overflows.
+
 The JSON file format is strict: unknown keys and repeated keys are rejected,
 a "singles" key is a particle index written as `str(i)`, complex entries are
 [re, im] pairs, and particles absent from a layer's "singles" get the
@@ -375,36 +382,40 @@ def make_circuit(
 
 
 def conditioned_diagonal(gate: PhaseGate, controller: int, mode: int) -> np.ndarray:
-    """Fix one member of the pair to `mode`; returns the length-2 diagonal of the gate on the other."""
+    """Fix one member of the pair to `mode`; returns the length-2 diagonal of the gate on the other:
+    a read-only row (controller first) or column (controller second) of the gate's table."""
     if mode not in (0, 1):
         raise ValueError(f"mode must be 0 or 1, got {mode}")
     if controller == gate.pair[0]:
-        angles = (gate.theta(mode, 0), gate.theta(mode, 1))
-    elif controller == gate.pair[1]:
-        angles = (gate.theta(0, mode), gate.theta(1, mode))
-    else:
-        raise BadParticleIndex(f"controller {controller} not in pair {gate.pair}")
-    return np.exp(1j * np.asarray(angles))
+        return gate.table[mode]
+    if controller == gate.pair[1]:
+        return gate.table[:, mode]
+    raise BadParticleIndex(f"controller {controller} not in pair {gate.pair}")
 
 
 @dataclass(frozen=True)
 class PhaseFactorization:
-    """diag(e^{i t1..t4}) = global * (Z_local_first x Z_local_second) * CZ_residual."""
+    """diag(d00, d01, d10, d11) = global * (diag(1, local_first) x diag(1, local_second)) * CZ_residual.
+
+    Every factor is read off the gate's table, so no two angles are ever added:
+    global = d00, local_first = d10 conj(d00), local_second = d01 conj(d00), and
+    the core angle residual = arg(d00 d11 conj(d01 d10)).
+    """
 
     global_phase: complex
-    local_first: float
-    local_second: float
+    local_first: complex
+    local_second: complex
     residual: float
 
 
 def factor_phase_gate(gate: PhaseGate) -> PhaseFactorization:
-    """Split a 4-angle phase gate into a global phase, two local Z rotations and a CZ core."""
-    t1, t2, t3, t4 = gate.thetas
+    """Split a phase gate into a global phase, two local Z factors and a CZ core angle."""
+    (d00, d01), (d10, d11) = gate.table.tolist()
     return PhaseFactorization(
-        global_phase=complex(np.exp(1j * t1)),
-        local_first=t3 - t1,
-        local_second=t2 - t1,
-        residual=t1 + t4 - t2 - t3,
+        global_phase=d00,
+        local_first=d10 * d00.conjugate(),
+        local_second=d01 * d00.conjugate(),
+        residual=float(np.angle(d00 * d11 * (d01 * d10).conjugate())),
     )
 
 

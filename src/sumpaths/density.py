@@ -5,8 +5,9 @@ interaction-free rotation of the previous reduced state (miss) and a purely
 off-diagonal correction (hit) that restores the exact partial trace. The
 split assumes the layer's phase gate is in core form diag(1, 1, 1, e^{i phi});
 `normalized_phase_form` rewrites any circuit into that form by absorbing the
-local factors into the layer's singles and dropping the global phase, which
-leaves every density matrix unchanged.
+local factors, read off the gate's exp(i theta) table, into the layer's
+singles and dropping the global phase, which leaves every density matrix
+unchanged.
 
 `density_report` runs the recursion over the stacked layers. The oracle
 states, both particles' singles and the core angles of the normalized
@@ -20,7 +21,6 @@ and the collapse path sum over particle 0's prefix tree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +53,9 @@ def normalized_phase_form(circuit: Circuit) -> Circuit:
             specs.append((dict(enumerate(layer.singles)), []))
             continue
         f = factor_phase_gate(gate)
-        singles = {
-            0: np.diag([1.0, np.exp(1j * f.local_first)]) @ layer.singles[0],
-            1: np.diag([1.0, np.exp(1j * f.local_second)]) @ layer.singles[1],
+        singles = {  # diag(1, z) @ single, as a scaling of the single's mode-1 row
+            0: np.array([[1.0], [f.local_first]]) * layer.singles[0],
+            1: np.array([[1.0], [f.local_second]]) * layer.singles[1],
         }
         specs.append((singles, [PhaseGate((0, 1), (0.0, 0.0, 0.0, f.residual))]))
     return make_circuit(2, specs)
@@ -71,19 +71,6 @@ def _core_angle(circuit: Circuit, t: int) -> float | None:
             f"layer {t} gate has angles {gate.thetas}; expected (0, 0, 0, phi)"
         )
     return gate.thetas[3]
-
-
-@dataclass(frozen=True)
-class DensityPair:
-    """Hit/miss split of the subsystem reduced density matrix at one layer."""
-
-    layer: int
-    miss: np.ndarray
-    hit: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.miss + self.hit
 
 
 def _offdiagonal(phi: float | None, evolved: np.ndarray | None) -> np.ndarray:

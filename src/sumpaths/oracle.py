@@ -90,15 +90,16 @@ def states(circuit: Circuit, upto: int | None = None, budget: int = DEFAULT_BUDG
     t_stop = circuit.n if upto is None else upto
     if not 0 <= t_stop <= circuit.n:
         raise IndexError(f"layer index {t_stop} out of range 0..{circuit.n}")
-    state = np.zeros((2,) * n, dtype=complex)
-    state[(0,) * n] = 1.0
-    yield state.reshape(-1)
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
+    yield state
     for t in range(1, t_stop + 1):
-        state = _apply_layer(state, circuit, t)
+        # flattened at once: a layer can leave a strided result, whose flat copy would sit beside it
+        state = _apply_layer(state, circuit, t).reshape(-1)
         norm = np.linalg.norm(state)
         if abs(norm - 1.0) > NORM_TOL:
             raise ArithmeticError(f"state norm drifted to {norm} after layer {t}")
-        yield state.reshape(-1)
+        yield state
 
 
 def evolve(circuit: Circuit, upto: int | None = None, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -125,9 +126,3 @@ def marginal_of(state: np.ndarray, particles: int, members: Iterable[int]) -> Di
     probs = probs.sum(axis=tuple(i for i in range(particles) if i not in members))
     return Distribution(labels=_outcome_labels(len(members)), probabilities=probs.reshape(-1))
 
-
-def reduced_density_of(state: np.ndarray, particles: int, particle: int) -> np.ndarray:
-    """Partial trace of |state><state| over every particle but `particle`, of `particles` particles."""
-    state = state.reshape((2,) * particles)
-    others = [i for i in range(particles) if i != particle]
-    return np.tensordot(state, state.conj(), axes=(others, others))

@@ -247,7 +247,7 @@ class ConditionedLayer:
     """External-system layer: free singles, kept internal phases, conditioned diagonals."""
 
     singles: tuple[np.ndarray, ...]
-    phases: tuple[PhaseGate, ...]
+    phases: tuple[tuple[tuple[int, int], np.ndarray], ...]  # (local pair, the gate's own 2x2 table)
     diagonals: tuple[tuple[int, np.ndarray], ...]  # (local particle, length-2 diagonal)
 
 
@@ -274,10 +274,9 @@ class ConditionalUnitary:
             view = state.reshape(1 << i, 2, -1).transpose(1, 0, 2).reshape(2, -1)
             state = np.dot(gate, view).reshape(2, 1 << i, -1).transpose(1, 0, 2)
         state = state.reshape((2,) * width)
-        for gate in layer.phases:
-            a, b = gate.pair
-            shape = [2 if k in (a, b) else 1 for k in range(width)]
-            state = state * gate.diagonal().reshape(shape)
+        for pair, table in layer.phases:
+            shape = [2 if k in pair else 1 for k in range(width)]
+            state = state * table.reshape(shape)
         for local, diag in layer.diagonals:
             shape = [2 if k == local else 1 for k in range(width)]
             # diagonal first: the operand order fixes the last bits `trace` prints
@@ -316,9 +315,10 @@ def normalize_subsystem(circuit: Circuit, subsystem: Sequence[int]) -> tuple[int
 def condition_on_paths(circuit: Circuit, conditioning: Mapping[int, Path]) -> ConditionalUnitary:
     """External circuit with every straddling phase gate fixed by the conditioning path's mode.
 
-    Phase gates wholly inside the external set are kept; gates wholly inside
-    the conditioning set are dropped (they belong to the subsystem amplitude,
-    not to the conditioned evolution).
+    Phase gates wholly inside the external set keep their own tables, on
+    their particles' local axes; gates wholly inside the conditioning set
+    are dropped (they belong to the subsystem amplitude, not to the
+    conditioned evolution).
     """
     cond = dict(conditioning)
     for i, path in cond.items():
@@ -343,7 +343,7 @@ def condition_on_paths(circuit: Circuit, conditioning: Mapping[int, Path]) -> Co
             if a_fixed and b_fixed:
                 continue
             if not a_fixed and not b_fixed:
-                phases.append(PhaseGate(pair=(local[a], local[b]), thetas=gate.thetas))
+                phases.append(((local[a], local[b]), gate.table))
             elif a_fixed:
                 diagonals.append((local[b], conditioned_diagonal(gate, a, cond[a].mode(t))))
             else:

@@ -83,24 +83,9 @@ def _require_three_particles(circuit: Circuit, external: int = 1) -> None:
         raise ValueError(f"external particle must be 1 (B) or 2 (C), got {external}")
 
 
-def _thetas(circuit: Circuit, pair: tuple[int, int], t: int) -> np.ndarray | None:
-    gate = circuit.phase(t, pair)
-    return None if gate is None else np.asarray(gate.thetas).reshape(2, 2)
-
-
-def _straddle_phase(circuit: Circuit, pair: tuple[int, int], a: Path, b: Path, upto: int) -> float:
-    """Accumulated angle of `pair` gates through layer `upto` along paths (a, b)."""
-    angle = 0.0
-    for t in range(1, upto + 1):
-        th = _thetas(circuit, pair, t)
-        if th is not None:
-            angle += th[a.mode(t), b.mode(t)]
-    return angle
-
-
 def _factors(gate: PhaseGate | None) -> np.ndarray | None:
     """The gate's factors exp(1j * theta), read-only, indexed [mode of first, mode of second]."""
-    return None if gate is None else gate.diagonal().reshape(2, 2)
+    return None if gate is None else gate.table
 
 
 def _toward(particle: int, table: np.ndarray | None) -> np.ndarray | None:
@@ -108,9 +93,14 @@ def _toward(particle: int, table: np.ndarray | None) -> np.ndarray | None:
     return table if table is None or particle == 2 else table.T
 
 
-def _bc_thetas(circuit: Circuit, particle: int, t: int) -> np.ndarray | None:
-    """B-C angles at layer t, `_toward` `particle`."""
-    return _toward(particle, _thetas(circuit, BC, t))
+def _along(circuit: Circuit, pair: tuple[int, int], a: Path, b: Path, upto: int) -> complex:
+    """Product of the `pair` gates' factors through layer `upto` along paths (a, b)."""
+    product = 1.0 + 0.0j
+    for t in range(1, upto + 1):
+        table = _factors(circuit.phase(t, pair))
+        if table is not None:
+            product *= table[a.mode(t), b.mode(t)]
+    return product
 
 
 def _external_state(circuit: Circuit, particle: int, a_path: Path, other: Path, upto: int) -> np.ndarray:
@@ -119,12 +109,12 @@ def _external_state(circuit: Circuit, particle: int, a_path: Path, other: Path, 
     state = np.array([1.0, 0.0], dtype=complex)
     for s in range(1, upto + 1):
         state = circuit.single(s, particle) @ state
-        th_bc = _bc_thetas(circuit, particle, s)
-        if th_bc is not None:
-            state = np.exp(1j * th_bc[other.mode(s)]) * state
-        th_a = _thetas(circuit, (0, particle), s)
-        if th_a is not None:
-            state = np.exp(1j * th_a[a_path.mode(s)]) * state
+        bc = _toward(particle, _factors(circuit.phase(s, BC)))
+        if bc is not None:
+            state = bc[other.mode(s)] * state
+        coupling = _factors(circuit.phase(s, (0, particle)))
+        if coupling is not None:
+            state = coupling[a_path.mode(s)] * state
     return state
 
 
@@ -141,17 +131,11 @@ def delta(circuit: Circuit, struck: int, p: Path, q: Path, e: Path, f: Path, r: 
     _require_three_particles(circuit, struck)
     k = _check_common_endpoint(e, f)
     pair = (0, struck)
-    th = _thetas(circuit, pair, r)
-    if th is None:
+    table = _factors(circuit.phase(r, pair))
+    if table is None:
         return 0j
-    factor = np.exp(1j * (th[q.mode(r), k] - th[p.mode(r), k])) - 1.0
-    cumulative = np.exp(
-        1j
-        * (
-            _straddle_phase(circuit, pair, q, f, r - 1)
-            - _straddle_phase(circuit, pair, p, e, r - 1)
-        )
-    )
+    factor = table[p.mode(r), k].conjugate() * table[q.mode(r), k] - 1.0
+    cumulative = _along(circuit, pair, p, e, r - 1).conjugate() * _along(circuit, pair, q, f, r - 1)
     return complex(
         factor * np.conj(path_amplitude(circuit, struck, e)) * path_amplitude(circuit, struck, f) * cumulative
     )
@@ -171,21 +155,21 @@ def gamma_chi(
     w_p = circuit.single(t, particle) @ _external_state(circuit, particle, p, e, t - 1)
     w_q = circuit.single(t, particle) @ _external_state(circuit, particle, q, f, t - 1)
 
-    th_bc = _bc_thetas(circuit, particle, t)
-    if th_bc is None:
+    bc = _toward(particle, _factors(circuit.phase(t, BC)))
+    if bc is None:
         chi = 0j
         y_p, y_q = w_p, w_q
     else:
-        d = np.exp(1j * (th_bc[f.mode(t)] - th_bc[e.mode(t)])) - 1.0
+        d = bc[e.mode(t)].conj() * bc[f.mode(t)] - 1.0
         chi = complex(np.sum(d * w_p.conj() * w_q))
-        y_p = np.exp(1j * th_bc[e.mode(t)]) * w_p
-        y_q = np.exp(1j * th_bc[f.mode(t)]) * w_q
+        y_p = bc[e.mode(t)] * w_p
+        y_q = bc[f.mode(t)] * w_q
 
-    th_a = _thetas(circuit, (0, particle), t)
-    if th_a is None:
+    coupling = _factors(circuit.phase(t, (0, particle)))
+    if coupling is None:
         gamma = 0j
     else:
-        d = np.exp(1j * (th_a[q.mode(t)] - th_a[p.mode(t)])) - 1.0
+        d = coupling[p.mode(t)].conj() * coupling[q.mode(t)] - 1.0
         gamma = complex(np.sum(d * y_p.conj() * y_q))
     return gamma, chi
 

@@ -30,12 +30,13 @@ earlier general-subsystem route, which built each outcome's dense lambda as
 the Gram matrix of its gathered final-table rows: the package's Gram-factor
 blocks must give its amplitudes and lambdas bit for bit. Then come the
 per-layer density references, one layer and one formula per call: the
+hit/miss pair of one layer, the partial trace of one state vector, and the
 one-layer Kronecker product, evolved matrix and recursion step, over the
 package's own core angle and off-diagonal formula. `density_report`'s
 stacked-layer batches must reproduce them bit for bit, and its partial
-traces the oracle's partial trace of one evolved state. Then comes the
-earlier cascade charge, which tested each gate's presence by building its
-angle table. Last is the earlier circuit validator, which tests every
+traces the partial trace of one evolved state. Then comes the earlier
+cascade charge, which tested each gate's presence layer by layer, pair by
+pair. Last is the earlier circuit validator, which tests every
 number with a helper call: `validate_circuit`'s inline type tests must give
 the same circuits and raise the same errors.
 """
@@ -44,6 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from dataclasses import dataclass
 from functools import reduce
 from typing import Any, Iterator, Mapping
 
@@ -64,13 +66,12 @@ from sumpaths.circuits import (
 )
 from sumpaths.corpus import random_circuit
 from sumpaths.common import DEFAULT_BUDGET, LambdaBlock, check_budget, check_charges
-from sumpaths.density import DensityPair, _core_angle, _offdiagonal, _pathsum_collapse, _require_two_particles
-from sumpaths.oracle import Distribution, evolve, marginal_by_sum, reduced_density_of
+from sumpaths.density import _core_angle, _offdiagonal, _pathsum_collapse, _require_two_particles
+from sumpaths.oracle import Distribution, evolve, marginal_by_sum
 from sumpaths.paths import ConditionalUnitary, Path, condition_on_paths, conditioned_prefix_state_layers, normalize_subsystem
 from sumpaths.paths import apply_single, endpoint_rows, pair_phases, path_amplitude, prefix_amplitude_layers
 from sumpaths.paths import member_layout, prefix_amplitudes, straddling_factor
 from sumpaths.subsystems import conditioned_charges, table_blocks
-from sumpaths.threeparticle import _thetas
 from sumpaths.twoparticle import _before_layer, _straddle, lambda_tables
 
 
@@ -661,9 +662,9 @@ def tensordot_conditioned_layer(cond: ConditionalUnitary, state: np.ndarray, t: 
     state = state.reshape((2,) * width)
     for i, gate in enumerate(layer.singles):
         state = tensordot_single(state, i, gate)
-    for gate in layer.phases:
-        shape = [2 if k in gate.pair else 1 for k in range(width)]
-        state = state * gate.diagonal().reshape(shape)
+    for pair, table in layer.phases:
+        shape = [2 if k in pair else 1 for k in range(width)]
+        state = state * table.reshape(shape)
     for local, diag in layer.diagonals:
         shape = [2 if k == local else 1 for k in range(width)]
         state = diag.reshape(shape) * state
@@ -710,6 +711,26 @@ def dense_conditioned_blocks(
                 intra = intra * last[outcome[a], outcome[b]]
         # no local keeps the lambda across the yield
         yield outcome, LambdaBlock(amplitudes=bare * intra.reshape(-1), lam=states.conj() @ states.T)
+
+
+@dataclass(frozen=True)
+class DensityPair:
+    """Hit/miss split of the subsystem reduced density matrix at one layer."""
+
+    layer: int
+    miss: np.ndarray
+    hit: np.ndarray
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.miss + self.hit
+
+
+def reduced_density_of(state: np.ndarray, particles: int, particle: int) -> np.ndarray:
+    """Partial trace of |state><state| over every particle but `particle`, of `particles` particles."""
+    state = state.reshape((2,) * particles)
+    others = [i for i in range(particles) if i != particle]
+    return np.tensordot(state, state.conj(), axes=(others, others))
 
 
 def _singles(circuit: Circuit, t: int) -> np.ndarray:
@@ -782,9 +803,9 @@ def reduced_density(circuit: Circuit, particle: int, upto: int | None = None) ->
 
 
 def thetas_cascade_charges(circuit: Circuit) -> list:
-    """`cascade_charges` with each gate's presence read off its 2x2 angle table."""
+    """`cascade_charges` with each gate's presence tested layer by layer, pair by pair."""
     def present(pair: tuple[int, int], r: int) -> bool:
-        return _thetas(circuit, pair, r) is not None
+        return circuit.phase(r, pair) is not None
 
     last_hit = max((r for r in range(1, circuit.n + 1) if present((0, 1), r) or present((0, 2), r)), default=0)
     return [

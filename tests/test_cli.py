@@ -920,6 +920,24 @@ def test_valid_extreme_circuits_pass_verify_and_sum_their_paths(tmp_path, docume
     assert max(abs(pathsum[k] - oracle[k]) for k in oracle) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "particles, argv",
+    [(2, ("density",)), (2, ("verify",)), (3, ("trace", "--pair", "0,1")), (3, ("verify",))],
+    ids=["n2-density", "n2-verify", "n3-trace", "n3-verify"],
+)
+def test_opposite_extreme_angles_answer(tmp_path, particles, argv):
+    # t1 + t4 - t2 - t3 and every difference of two modes' angles overflow; the gates' tables do not
+    raw = circuit_to_raw(random_circuit(np.random.default_rng(1), particles, 3, p_single=1.0, p_phase=1.0))
+    for gate in (gate for layer in raw["layers"] for gate in layer.get("phases", [])):
+        gate["theta"] = [1.7e308, -1.7e308, -1.7e308, 1.7e308]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(*argv, "--circuit", str(path))
+    assert (code, err) == (0, "")
+    if argv[0] == "verify":
+        assert all(check["pass"] for check in json.loads(out)["checks"])
+
+
 def test_non_finite_results_exit_one(monkeypatch, epr_file):
     def nan_amplitudes(circuit, budget=DEFAULT_BUDGET):
         return np.full(1 << circuit.particles, np.nan, dtype=complex)

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumpaths.circuits import PhaseGate, build_epr_circuit, load_circuit, make_circuit
+from sumpaths.circuits import PhaseGate, build_epr_circuit, load_circuit, make_circuit, random_single
 from sumpaths.corpus import random_circuit
 from sumpaths.density import PhaseGateNotNormalized, density_report, normalized_phase_form
 from sumpaths.oracle import evolve
@@ -40,6 +40,27 @@ def test_normalized_form_preserves_physics():
     ) < 1e-12
     for t in range(circuit.n + 1):
         assert np.max(np.abs(reduced_density(circuit, 0, t) - reduced_density(normalized, 0, t))) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 5),
+    st.lists(st.sampled_from([1.7e308, -1.7e308]) | st.floats(-1e16, 1e16), min_size=20, max_size=20),
+    st.integers(0, 2**32 - 1),
+)
+@example(5, [1.7e308, -1.7e308, -1.7e308, 1.7e308] * 5, 0)  # t1 + t4 - t2 - t3 overflows
+def test_density_total_is_the_given_circuits_reduced_density_at_extreme_angles(layers, angles, seed):
+    # the normalization reads each gate's table, so moving its local factors loses no bits
+    rng = np.random.default_rng(seed)
+    circuit = make_circuit(
+        2,
+        [
+            ({0: random_single(rng), 1: random_single(rng)}, [PhaseGate((0, 1), tuple(angles[4 * t : 4 * t + 4]))])
+            for t in range(layers)
+        ],
+    )
+    for record in density_report(circuit):
+        assert np.max(np.abs(record["total"] - reduced_density(circuit, 0, record["layer"]))) < 1e-12
 
 
 def test_density_step_without_gate_has_zero_hit():

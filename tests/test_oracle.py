@@ -166,9 +166,11 @@ def test_layer_kernel_equals_the_tensordot_form(particles, p_single, seed):
     assert np.array_equal(layer, tensordot_oracle_layer(state, circuit, 1))
 
 
-def test_a_layer_holds_under_five_state_vectors():
-    # a gate's reordered operand and product are dropped before the next gate's are built
-    circuit = random_circuit(np.random.default_rng(1), 16, 2, p_single=1.0, p_phase=1.0)
+@pytest.mark.parametrize("p_phase, layers", [(1.0, 2), (0.3, 3)])
+def test_a_layer_holds_under_five_state_vectors(p_phase, layers):
+    # a gate's reordered operand and product are dropped before the next gate's are built; at
+    # p_phase 0.3 a layer leaves a strided result, which the generator flattens and keeps alone
+    circuit = random_circuit(np.random.default_rng(1), 16, layers, p_single=1.0, p_phase=p_phase)
     tracemalloc.start()
     try:
         evolve(circuit)

@@ -6,7 +6,7 @@ from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumpaths.circuits import PhaseGate, append_external_layer, load_circuit, make_circuit, random_single
@@ -315,6 +315,30 @@ def test_tables_match_scalar_cascade_on_sparse_gate_patterns(pattern, seed):
         p, q = (paths[int(i)] for i in rng.integers(0, len(paths), 2))
         scalar = lambda_three(circuit, p, q)
         assert np.max(np.abs(np.array(table_trajectory(tables, p, q)) - scalar.trajectory)) < 1e-10
+
+
+# angles where the sum or difference of two rounds by whole radians, and ones where it overflows
+EXTREME_ANGLES = st.sampled_from([1.7e308, -1.7e308]) | st.floats(-1e16, 1e16)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.lists(EXTREME_ANGLES, min_size=36, max_size=36), st.integers(0, 2**32 - 1))
+@example(3, [1.7e308, -1.7e308, -1.7e308, 1.7e308] * 9, 0)
+def test_scalar_cascade_matches_the_tables_at_extreme_angles(layers, angles, seed):
+    # the scalar cascade multiplies each gate's factors, as the tables do: no two angles are combined
+    rng = np.random.default_rng(seed)
+    quads = iter(tuple(angles[k : k + 4]) for k in range(0, 36, 4))
+    specs = [
+        ({i: random_single(rng) for i in range(3)}, [PhaseGate(pair, next(quads)) for pair in ((0, 1), (0, 2), (1, 2))])
+        for _ in range(layers)
+    ]
+    circuit = make_circuit(3, specs)
+    tables = list(lambda3_tables(circuit))
+    for endpoint in (0, 1):
+        paths = enumerate_paths(layers, endpoint)
+        p, q = (paths[int(i)] for i in rng.integers(0, len(paths), 2))
+        scalar = lambda_three(circuit, p, q)
+        assert np.max(np.abs(np.array(table_trajectory(tables, p, q)) - scalar.trajectory)) < 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
