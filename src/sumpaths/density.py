@@ -9,9 +9,11 @@ local factors, read off the gate's exp(i theta) table, into the layer's
 singles and dropping the global phase, which leaves every density matrix
 unchanged.
 
-`density_report` runs the recursion over the stacked layers. The oracle
-states, both particles' singles and the core angles of the normalized
-circuit are stacked once; the joint, evolved, miss, hit and oracle matrices
+`density_report` runs the recursion over the stacked layers. The states,
+both particles' singles and the core angles of the normalized circuit are
+stacked once, and so are the given circuit's states, whose reduced
+densities are the oracle matrices: a fault in the normalization shows as a
+gap between the two. The joint, evolved, miss, hit and oracle matrices
 of every layer are then (n, 4, 4) and (n, 2, 2) broadcasts and batched
 products, each bit-equal to its one-layer form (the per-layer references
 live with the tests). Only what a batch would round differently runs layer
@@ -21,6 +23,7 @@ and the collapse path sum over particle 0's prefix tree.
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 import numpy as np
 
@@ -101,22 +104,31 @@ def density_charges(circuit: Circuit) -> list[Charge]:
     return [(1 << circuit.n, "conditioned external states"), (1 << circuit.n, "subsystem path amplitudes")]
 
 
-def density_report(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> list[dict]:
+def density_report(
+    circuit: Circuit, budget: int = DEFAULT_BUDGET, given: Sequence[np.ndarray] | None = None
+) -> list[dict]:
     """Per-layer records of the recursion for the CLI: errors against the oracle.
 
-    The budget is charged `density_charges`, then the oracle's charges for
-    the normalized circuit's states. Every matrix, the direct collapse
-    amplitude and the error maxima come from the stacked layers (see the
-    module docstring); the loop over layers takes the Frobenius norms and
-    the collapse path sums, which read one stream of prefix-tree tables and
-    one of particle 0's prefix amplitudes. Layer t reads tree table t - 1,
-    so the tree stops before table n and holds one table at a time beside
-    the one it grows.
+    The oracle matrices are the reduced densities of the given circuit's
+    states psi(0) .. psi(n): `given`, when the caller has evolved them
+    (`verify`), else evolved here. The recursion and the direct collapse
+    amplitude read the normalized circuit's states, which carry the
+    dropped global phases the collapse path sum needs. The budget is
+    charged `density_charges`, then the oracle's charges for the normalized
+    circuit's states and, unless `given`, the given circuit's. Every
+    matrix, the direct collapse amplitude and the error maxima come from
+    the stacked layers (see the module docstring); the loop over layers
+    takes the Frobenius norms and the collapse path sums, which read one
+    stream of prefix-tree tables and one of particle 0's prefix amplitudes.
+    Layer t reads tree table t - 1, so the tree stops before table n and
+    holds one table at a time beside the one it grows.
     """
     normalized = normalized_phase_form(circuit)
     check_charges(density_charges(normalized), budget)
     n = normalized.n
     psi = np.array(list(states(normalized, budget=budget)))  # psi(0) .. psi(n), one row each
+    if given is None:
+        given = list(states(circuit, budget=budget))
     first, second = (
         np.array([layer.singles[i] for layer in normalized.layers], dtype=complex).reshape(n, 2, 2) for i in (0, 1)
     )
@@ -135,7 +147,7 @@ def density_report(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> list[dict]
     hit = z_phi[:, :, None] * block * z_phi.conj()[:, None, :] - block
     hit[np.array([phi is None for phi in angles], dtype=bool)] = 0.0  # no gate, no hit
     total = miss + hit
-    after = psi[1:].reshape(n, 2, 2)  # (particle 0, particle 1)
+    after = np.array(given[1:]).reshape(n, 2, 2)  # (particle 0, particle 1)
     oracle = after @ after.conj().swapaxes(1, 2)
     off = np.array([_offdiagonal(phi, layer) for phi, layer in zip(angles, evolved)]).reshape(n, 2, 2)
     hit_diagonal_max = np.abs(np.diagonal(hit, axis1=1, axis2=2)).max(axis=1)

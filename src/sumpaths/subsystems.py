@@ -18,16 +18,18 @@ gates are conditioned on the subsystem path.
 `lambda_blocks` is where every lambda marginal picks its route, written
 once: the cascade for the subsystem (0,) of three particles, the hit stream
 for (0,) at every other particle count, and `conditioned_blocks` for every
-other subsystem. Each yields (outcome, block) pairs one at a time. The hit
-stream's last layer is folded into the endpoint blocks by `table_blocks`,
-which takes that layer's tree step from the tree table the stream yields
-last.
+other subsystem. Each yields (outcome, block) pairs one at a time. The
+cascade's blocks (`cascade_blocks`) hold every layer's hit as low-rank
+factors and no lambda table: their pair sum costs 2^r per factor column at
+layer r, where a dense hit costs 4^r. The hit stream's last layer is folded
+into the endpoint blocks by `table_blocks`, which takes that layer's tree
+step from the tree table the stream yields last.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .circuits import Circuit
 from .common import DEFAULT_BUDGET, Charge, LambdaBlock, check_charges
 from .paths import conditioned_prefix_state_layers, endpoint_rows, normalize_subsystem, pair_phases
 from .paths import prefix_amplitudes, tree_step
-from .threeparticle import lambda3_tables
+from .threeparticle import CascadeHits, HitLayer, cascade_hits, hit_factor_charges
 from .twoparticle import lambda_tables, layer_hits
 
 
@@ -55,15 +57,17 @@ def conditioned_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Ch
 
 
 def dense_lambda_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Charge]:
-    """What reading `lam` off each `lambda_blocks` block adds for a normalized subsystem: one outcome's lambda pairs.
+    """What reading `lam` off each `lambda_blocks` block adds for a normalized subsystem (`perturb`'s clamp).
 
-    The routes of the subsystem (0,) hold their lambda dense and charge it
-    themselves. Every other block is a Gram factor, whose `lam` materializes
+    The hit stream of the subsystem (0,) holds its lambda dense and charges
+    it itself. The cascade's blocks hold hit factors, whose `lam` is read off
+    the final table they add up to, 4^n path pairs, built once for both
+    endpoints. Every other block is a Gram factor, whose `lam` materializes
     count^2 pairs, count = 2^(M(n-1)) configuration paths per outcome, one
-    block at a time (`perturb`'s clamp).
+    block at a time.
     """
     if particles == (0,):
-        return []
+        return [(4**circuit.n, "path-pair table")] if circuit.particles == 3 else []
     count = (1 << max(circuit.n - 1, 0)) ** len(particles)
     return [(count * count, "configuration path pairs")]
 
@@ -159,17 +163,45 @@ def table_blocks(
         del block  # the next endpoint's block is built without this one alive
 
 
+def cascade_block_charges(circuit: Circuit) -> list[Charge]:
+    """What the cascade's blocks add to the stream's charges: the kept hit factors, then the 2^n path amplitudes.
+
+    The stream itself is charged `threeparticle.cascade_hit_charges`. Past
+    the last hit layer h the stream holds nothing more, but each pair
+    sum reads the amplitudes over every n-mode path, so a circuit with few
+    early hits is stopped by its layer count, not by 4^h.
+    """
+    return hit_factor_charges(circuit) + [(1 << circuit.n, "subsystem path amplitudes")]
+
+
+def cascade_blocks(circuit: Circuit, layers: Iterable[HitLayer]) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
+    """((j,), block) for both endpoints of particle 0 of three particles, over every layer's hit factors.
+
+    `layers` is `threeparticle.cascade_hits` of the circuit, or a list of
+    what it yielded; each block holds them all (`CascadeHits`, shared by both
+    endpoints) with the rows of its endpoint's paths, and particle 0's path
+    amplitudes at those rows.
+    """
+    hits = CascadeHits(layers)
+    amps = prefix_amplitudes(circuit, 0)
+    for j in (0, 1):
+        rows = endpoint_rows(circuit.n, j)
+        yield (j,), LambdaBlock(amps[rows], hits=hits, rows=rows)
+
+
 def lambda_blocks(
     circuit: Circuit, subsystem: Sequence[int], budget: int
 ) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
     """(outcome, block) for every subsystem outcome, by the route the particle count allows.
 
-    The subsystem (0,) of three particles reads its two blocks off the last
-    table of the cascade. At any other particle count it streams the hits
-    over the first n - 1 layers (charged 4^(n-1)), and `table_blocks` folds
-    layer n into both endpoint blocks from the last tree table it yields. Every
-    other subsystem gets `conditioned_blocks`, whose Gram-factor blocks hold
-    no lambda until one is read. Blocks are yielded one at a time, so a caller that drops each
+    The subsystem (0,) of three particles gets `cascade_blocks`, which hold
+    the cascade's hit factors, charged the stream's charges and
+    `cascade_block_charges`, and no lambda table until one is read. At any
+    other particle count it streams the hits over the first n - 1 layers
+    (charged 4^(n-1)), and `table_blocks` folds layer n into both endpoint
+    blocks from the last tree table it yields. Every other subsystem gets
+    `conditioned_blocks`, whose Gram-factor blocks hold no lambda until one
+    is read. Blocks are yielded one at a time, so a caller that drops each
     before asking for the next holds one dense lambda at a time.
     """
     particles = normalize_subsystem(circuit, subsystem)
@@ -177,9 +209,10 @@ def lambda_blocks(
         yield from conditioned_blocks(circuit, particles, budget)
         return
     if circuit.particles == 3:
-        pairs = ((lam, None) for lam in lambda3_tables(circuit, budget))
-    else:
-        pairs = lambda_tables(circuit, budget, layers=max(circuit.n - 1, 0))
-    for lam, table in pairs:  # keeps only the last pair
+        layers = cascade_hits(circuit, budget)  # checks the stream's charges
+        check_charges(cascade_block_charges(circuit), budget)
+        yield from cascade_blocks(circuit, layers)
+        return
+    for lam, table in lambda_tables(circuit, budget, layers=max(circuit.n - 1, 0)):  # keeps only the last pair
         pass
     yield from table_blocks(circuit, lam, table)

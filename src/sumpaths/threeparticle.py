@@ -19,12 +19,17 @@ both sums of an A-C hit run through the booking layer.
 Layers without the relevant gate contribute exact zeros (no arithmetic
 happens).
 
-`hit_three`/`lambda_three` evaluate single pairs; `lambda3_tables` runs the
-same literal cascade vectorized over every path-prefix pair and streams one
-lambda table per layer. `verify`'s `three_closure` checks each streamed
-table against the Gram matrix of the conditioned external-pair states of
-`paths.conditioned_prefix_state_layers`, zipped layer by layer with the
-stream, not of the cascade's own columns.
+`hit_three`/`lambda_three` evaluate single pairs; `cascade_hits` runs the
+same literal cascade vectorized over every path-prefix pair and streams each
+layer's hit as low-rank factors: (side, signed) pairs whose product
+(conj(side) * signed) @ side^T is the hit over every pair of r-mode
+prefixes. The stream has two readers. `hit_tables` adds each product to the
+last lambda table, and `lambda3_tables` streams those tables; `verify`'s
+`three_closure` checks each against the Gram matrix of the conditioned
+external-pair states of `paths.conditioned_prefix_state_layers`, zipped
+layer by layer with the stream, not of the cascade's own columns. The
+marginal (`LambdaBlock` over `CascadeHits`) sums each factor against the
+amplitudes instead, sum_m signed_m |(side^T A)_m|^2, and builds no table.
 
 Each gamma or chi increment is sum_l conj(f_l(p, m)) f_l(q, n), separable
 across the (p, m) | (q, n) split of subsystem and struck prefixes, and a hit
@@ -33,7 +38,7 @@ the struck particle's path weight: its bare amplitude times the booked
 A-struck phases. An increment is the partner's conditioned state after its
 gate minus the state before it, so a layer's B-C and A-partner increments
 telescope into one: the state after every gate of the layer minus the
-state before the first. `lambda3_tables` books that as four signed columns
+state before the first. `cascade_hits` books that as four signed columns
 of the partner's conditioned states over (p, m), one pair per branch and
 layer, and contracts them over m with the path weights once, at the booking
 layer, into a (2^r, 2 endpoints, 4) block. The one exception is the A-B hit
@@ -43,22 +48,27 @@ Later layers carry the contracted columns forward by a 2x2 transfer
 (`_carry`): a column only repeats over the new bits, while a path weight
 gains the layer's booking factor and the struck particle's next single. A
 layer costs O(4^r) for the partner's states, their weights and the one
-contraction, O(2^r * columns) for the carry, and one O(4^r * columns)
-product for the hit; no array holds 4^r * columns entries. The partner's
-states stay the literal (p, m)-conditioned ones: contracting them earlier
-would turn the columns into the conditioned external-pair states that
-`three_closure` checks the tables against.
+contraction, and O(2^r * columns) for the carry and the hit factors; no
+array holds 4^r * columns entries. Adding a hit to a lambda table costs
+O(4^r * columns), summing it against amplitudes O(2^r * columns). The
+partner's states stay the literal (p, m)-conditioned ones: contracting them
+earlier would turn the columns into the conditioned external-pair states
+that `three_closure` checks the tables against.
 
-The budget is charged with what the build holds at its largest, one charge
-per structure (`cascade_charges`): the last lambda table, and, through the
-last layer h with an A-B or A-C gate, both branches' struck path weights
-and partner states. All-gates circuits reach n = 10 under the default
-budget of 2^22.
+The budget is charged with what each part holds at its largest, one
+charge per structure: through the last layer h with an A-B or A-C gate,
+both branches' struck path weights and partner states
+(`cascade_hit_charges`, checked by the stream), for the tables also the
+last lambda table (`cascade_charges`), and for a reader that keeps every
+layer's factors (`CascadeHits`) those factors (`hit_factor_charges`).
+All-gates circuits reach n = 10 under the default budget of 2^22; at
+n = 11 the struck path weights stop both readers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -280,23 +290,37 @@ def _last_hit_layer(circuit: Circuit) -> int:
     return max(coupled, default=0)
 
 
-def cascade_charges(circuit: Circuit) -> list[Charge]:
-    """What `lambda3_tables` holds at its largest, one charge per structure.
+def cascade_hit_charges(circuit: Circuit) -> list[Charge]:
+    """What `cascade_hits` holds at its largest, one charge per structure.
 
-    The last lambda table has 4^n entries. Through the last hit layer h
-    (`_last_hit_layer`) each branch grows its struck particle's path weights
-    over 4^h (subsystem, struck) prefix pairs, and its partner's
-    conditioned states, two modes over each of 4^(h-1) prefix pairs: both
-    branches together hold 2 * 4^h weights and 4^h states. After h no hit
-    reads the branches, so nothing of theirs grows further. The contracted
-    columns hold 2^(r+1) entries per booked column, far below either.
+    Through the last hit layer h (`_last_hit_layer`) each branch grows its
+    struck particle's path weights over 4^h (subsystem, struck) prefix
+    pairs, and its partner's conditioned states, two modes over each of
+    4^(h-1) prefix pairs: both branches together hold 2 * 4^h weights and
+    4^h states. After h no hit reads the branches, so nothing of theirs
+    grows further. The contracted columns hold 2^(r+1) entries per booked
+    column and a layer's hit factors 2^(r+2), with at most 4r + 1 columns
+    per branch; a reader that keeps them all is charged `hit_factor_charges`.
     """
     last_hit = _last_hit_layer(circuit)
-    return [
-        (4**circuit.n, "path-pair table"),
-        (2 * 4**last_hit, "struck path weights"),
-        (4**last_hit, "partner states"),
-    ]
+    return [(2 * 4**last_hit, "struck path weights"), (4**last_hit, "partner states")]
+
+
+def hit_factor_charges(circuit: Circuit) -> list[Charge]:
+    """What keeping every layer's hit factors holds (`CascadeHits`): at most 2^(h+4) (4h + 1) entries.
+
+    Layer r <= h books at most 4r + 1 columns per branch, each 2^(r+2)
+    side entries and four signs; summed over both branches and r = 1..h
+    that stays within the bound, which is under a third of the struck path
+    weights at h = 10. With no hit layer nothing is kept.
+    """
+    last_hit = _last_hit_layer(circuit)
+    return [((1 << (last_hit + 4)) * (4 * last_hit + 1) if last_hit else 0, "hit factors")]
+
+
+def cascade_charges(circuit: Circuit) -> list[Charge]:
+    """What `lambda3_tables` holds at its largest: the last lambda table, 4^n entries, then `cascade_hit_charges`."""
+    return [(4**circuit.n, "path-pair table")] + cascade_hit_charges(circuit)
 
 
 def _carry(columns: np.ndarray, single: np.ndarray, booking: np.ndarray | None) -> np.ndarray:
@@ -351,41 +375,47 @@ def _telescoped(carried: np.ndarray, chain: list[np.ndarray]) -> np.ndarray:
     return carried if len(chain) == 1 else np.concatenate([carried, chain[-1], chain[0]], axis=2)
 
 
-def _branch_hit(columns: np.ndarray, signs: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """One branch's share of the hit table, for every subsystem prefix pair.
+def _branch_factors(columns: np.ndarray, signs: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One branch's share of the hit table, for every subsystem prefix pair, as (side, signed) factors.
 
     `columns[p, k, L]` with `signs[L]` is the branch weight 1 + gamma + chi
     in contracted form (column 0 is the 1), and `phases[p, k]` the booking
     gate's phase for the subsystem at prefix p and struck endpoint k. The
     share is sum_k (conj(phases[p, k]) phases[q, k] - 1) W_k[p, q] with
-    W_k = (conj(Y_k) * signs) @ Y_k.T, Y_k = columns[:, k], which is one
-    product over the phased and bare columns side by side.
+    W_k = (conj(Y_k) * signs) @ Y_k.T, Y_k = columns[:, k], which is
+    (conj(side) * signed) @ side.T over the phased and bare columns side by
+    side.
     """
     phased = columns * phases[:, :, None]
     side = np.concatenate([phased, columns], axis=1).reshape(len(columns), -1)
-    signed = np.multiply.outer(_PLUS_MINUS, signs).reshape(-1)
-    return (side.conj() * signed) @ side.T
+    return side, np.multiply.outer(_PLUS_MINUS, signs).reshape(-1)
 
 
-def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
-    """lambda^(t) over every pair of t-mode subsystem prefixes, for t = 0..n, by the literal cascade.
+HitLayer = tuple[tuple[np.ndarray, np.ndarray], ...]  # one layer's booked branches as (side, signed)
 
-    All arrays are indexed by prefix integers with modes packed
-    most-significant-first, exactly like the two-particle tables. Each
-    branch books a layer's gamma and chi increments, telescoped into one
-    pair, as columns of the partner's conditioned states over (subsystem,
-    struck) prefix pairs, contracts them with the struck particle's path
-    weights once, at the booking layer, and carries the contracted columns
-    forward by `_carry`. Each
-    lambda table is a fresh array, never written after it is yielded. The
-    `cascade_charges` and the particle count are checked on the first
-    `next()`.
+
+def cascade_hits(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[HitLayer]:
+    """Each layer's hit as low-rank factors, for r = 1..n, by the literal cascade.
+
+    Layer r's hit over every pair of r-mode subsystem prefixes is
+    sum (conj(side) * signed) @ side.T over the (side, signed) pairs it
+    yields: one per branch whose A-struck gate books at r (`_branch_factors`),
+    none past the last hit layer. Prefixes are packed most-significant-first,
+    exactly like the two-particle tables. Each branch books a layer's gamma
+    and chi increments, telescoped into one pair, as columns of the partner's
+    conditioned states over (subsystem, struck) prefix pairs, contracts them
+    with the struck particle's path weights once, at the booking layer, and
+    carries the contracted columns forward by `_carry`. No yielded array is
+    written afterwards. The particle count and `cascade_hit_charges` are
+    checked on the call, before any layer is built.
     """
     _require_three_particles(circuit)
-    check_charges(cascade_charges(circuit), budget)
-    lam = np.ones((1, 1), dtype=complex)
-    yield lam
+    check_charges(cascade_hit_charges(circuit), budget)
+    return _cascade_layers(circuit)
 
+
+def _cascade_layers(circuit: Circuit) -> Iterator[HitLayer]:
+    """The layers `cascade_hits` yields, unchecked."""
     # Per branch, keyed by the struck particle: the partner's states conditioned
     # on (A, struck) prefixes, the struck particle's path weights, the
     # contracted columns with their signs, and the last layer's booking factors.
@@ -399,13 +429,13 @@ def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[n
     last_hit = _last_hit_layer(circuit)
 
     for r in range(1, circuit.n + 1):
-        lam = lam.repeat(2, axis=0).repeat(2, axis=1)
         if r > last_hit:  # no hit reads the branches again
-            yield lam
+            yield ()
             continue
         layer = circuit.layers[r - 1]
         phases = {pair: _factors(layer.phase_on(pair)) for pair in (AB, AC, BC)}
         bit = np.arange(1 << r) % 2
+        hits = []
         for struck in (1, 2):  # A-B, then A-C
             partner = 3 - struck
             ph_book, ph_gamma = phases[0, struck], phases[0, partner]
@@ -445,5 +475,49 @@ def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[n
             if struck == 1 and ph_gamma is not None:
                 # A-B books before the layer-r A-C gate: its hit's pair stops at the state before that gate
                 hit_columns = _telescoped(carried, chain[:-1])
-            lam += _branch_hit(hit_columns, signs[struck][: hit_columns.shape[2]], ph_book[bit])
+            hits.append(_branch_factors(hit_columns, signs[struck][: hit_columns.shape[2]], ph_book[bit]))
+        yield tuple(hits)
+
+
+def hit_tables(layers: Iterable[HitLayer]) -> Iterator[np.ndarray]:
+    """lambda^(t) for t = 0, 1, ...: 1, then the last table repeated over the new bit plus the layer's factored hit.
+
+    Each table is a fresh array, never written after it is yielded.
+    """
+    lam = np.ones((1, 1), dtype=complex)
+    yield lam
+    for hits in layers:
+        lam = lam.repeat(2, axis=0).repeat(2, axis=1)
+        for side, signed in hits:
+            lam += (side.conj() * signed) @ side.T
         yield lam
+
+
+class CascadeHits:
+    """Every layer's factored hit from one cascade pass, and the final lambda table they add up to.
+
+    Holding them all is charged `hit_factor_charges`. The table is built
+    only when read, by `hit_tables`, so it holds the bits of
+    `lambda3_tables`' last table.
+    """
+
+    def __init__(self, layers: Iterable[HitLayer]) -> None:
+        self.layers = list(layers)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        for lam in hit_tables(self.layers):  # keeps only the last table
+            pass
+        return lam
+
+
+def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
+    """lambda^(t) over every pair of t-mode subsystem prefixes, for t = 0..n, by the literal cascade.
+
+    `hit_tables` over `cascade_hits`: every table is a fresh array, never
+    written after it is yielded. On the first `next()` the last table's
+    4^n entries are charged, then `cascade_hits` checks the particle count
+    and its own charges.
+    """
+    check_budget(4**circuit.n, budget, "path-pair table")
+    yield from hit_tables(cascade_hits(circuit, budget))

@@ -4,8 +4,10 @@ Every check applicable to the circuit's particle count runs at a stated
 tolerance and reports its worst error; the report is deterministic for a
 given input (the no-signaling probe layer is seeded from the circuit
 digest). The oracle evolves the no-signaling circuit (this one plus an
-external layer) once, holding at most two states; its first n + 1 states
-are this circuit's, the last of which every other oracle check reads.
+external layer) once, holding at most two states past two particles; its
+first n + 1 states are this circuit's, the last of which every other
+oracle check reads, and at two particles the density report reads them
+all.
 
 The lambda route of the subsystem (0,) is built once per circuit: the hit
 stream of `twoparticle`, or for three particles the cascade, each a stream
@@ -19,11 +21,17 @@ is no restatement of the stream. One walk over the pairs, holding at most
 the previous lambda, computes every per-layer check: the gap to the Gram
 matrix of the tree table (telescoping, three_closure), the largest
 |lambda| (lambda_bound), and, for the hit stream, the bit-exact repeat at
-layers without a gate on particle 0 (zero_hit_layers). The final lambda
-table's blocks serve the marginal checks and both sides of no_signaling:
-the appended layer has no gate on particle 0, so `table_blocks` folds it
-into the amplitudes. The density checks run for two particles only, on
-one `density_report`: the hit/miss recursion over the stacked layers.
+layers without a gate on particle 0 (zero_hit_layers). For the hit stream
+the final lambda table's blocks serve the marginal checks and both sides
+of no_signaling: the appended layer has no gate on particle 0, so
+`table_blocks` folds it into the amplitudes. For the cascade the dense
+tables, added up by `hit_tables` from a list of every layer's hit
+factors, serve three_closure, hermitian_pairing and lambda_bound, while
+the marginal checks and no_signaling read `cascade_blocks` over that same
+list, the route `marginal` prints; the appended layer books no hit. The
+density checks run for two particles only, on one `density_report`: the
+hit/miss recursion over the stacked layers, against the reduced densities
+of the states the oracle checks evolved.
 general_subsystem reads the pair (0, 1) off one more tree, as Gram
 factors whose pair sums build no lambda matrix. Each check is
 charged the time since the previous check ended, so a shared build counts
@@ -39,17 +47,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Container, Iterable
+from typing import Container, Iterable, Iterator
 
 import numpy as np
 
 from .circuits import Circuit, append_external_layer, circuit_digest
-from .common import DEFAULT_BUDGET, Charge, check_charges
+from .common import DEFAULT_BUDGET, Charge, LambdaBlock, check_charges
 from .density import density_charges, density_report
 from .oracle import Distribution, marginal_of, oracle_charges, states
 from .paths import Path, amplitudes_via_paths, conditioned_prefix_state_layers, pathsum_charges
-from .subsystems import conditioned_blocks, conditioned_charges, table_blocks
-from .threeparticle import cascade_charges, lambda3_tables
+from .subsystems import cascade_blocks, conditioned_blocks, conditioned_charges, table_blocks
+from .threeparticle import cascade_charges, cascade_hits, hit_factor_charges, hit_tables
 from .twoparticle import hit, lambda_tables, marginal_deviation, prefix_tree_charges
 
 MARGINAL_TOL = 1e-9  # oracle_equivalence, marginal_normalization, three_closure, general_subsystem
@@ -162,18 +170,27 @@ def _walk_layers(
 
 
 def _lambda_checks(
-    runner: _Runner, circuit: Circuit, budget: int, oracle: Distribution
-) -> tuple[list[float], np.ndarray]:
-    """The (0,) route's checks: the cascade's at three particles, else the hit stream's; density only for two."""
+    runner: _Runner, circuit: Circuit, extended: Circuit, budget: int, oracle: Distribution, history: list[np.ndarray]
+) -> tuple[list[float], Iterator[tuple[tuple[int, ...], LambdaBlock]]]:
+    """The (0,) route's checks: the cascade's at three particles, else the hit stream's; density only for two.
+
+    Returns the marginals and the `extended` circuit's blocks, for no_signaling.
+    """
     cascade = circuit.particles == 3
-    if cascade:
-        pairs = zip(lambda3_tables(circuit, budget), conditioned_prefix_state_layers(circuit, (0,)), strict=True)
+    if cascade:  # every layer's hit factors, kept for the marginal checks
+        hits = list(cascade_hits(circuit, budget))
+        pairs = zip(hit_tables(hits), conditioned_prefix_state_layers(circuit, (0,)), strict=True)
     else:
         pairs = lambda_tables(circuit, budget)
     layers = enumerate(circuit.layers, start=1)
     gateless = [] if cascade else [t for t, layer in layers if all(gate.pair[0] != 0 for gate in layer.phases)]
     final, gap, largest, zero_hit = _walk_layers(circuit, pairs, gateless)
-    blocks = [block for _, block in table_blocks(circuit, final)]
+    if cascade:  # the appended layer has no gate on particle 0, so it books no hit
+        blocks = [block for _, block in cascade_blocks(circuit, hits)]
+        ext_blocks = cascade_blocks(extended, hits + [()])
+    else:  # the appended layer has no gate on particle 0, so the final table folds it
+        blocks = [block for _, block in table_blocks(circuit, final)]
+        ext_blocks = table_blocks(extended, final)
     marginals = [block.marginal() for block in blocks]
     runner.run("oracle_equivalence", MARGINAL_TOL, _worst(abs(marginals[j] - oracle[j]) for j in (0, 1)))
     runner.run("marginal_normalization", MARGINAL_TOL, abs(sum(marginals) - 1.0))
@@ -190,12 +207,12 @@ def _lambda_checks(
     runner.run("hermitian_pairing", 1e-12, _hermitian_gap(final))
     runner.run("lambda_bound", 1e-10, _worst([0.0, largest - 1.0]))
     if circuit.particles == 2:
-        records = density_report(circuit, budget)
+        records = density_report(circuit, budget, history)
         runner.run("density_reconstruction", 1e-10, _worst(r["frobenius_error"] for r in records))
         runner.run("density_hit_diagonal", 1e-12, _worst(r["hit_diagonal_max"] for r in records))
         runner.run("density_offdiagonal_form", 1e-12, _worst(r["offdiagonal_error"] for r in records))
         runner.run("density_pathsum", 1e-10, _worst(r["pathsum_error"] for r in records))
-    return marginals, final
+    return marginals, ext_blocks
 
 
 def verify_charges(circuit: Circuit) -> list[Charge]:
@@ -204,7 +221,7 @@ def verify_charges(circuit: Circuit) -> list[Charge]:
     n = circuit.particles
     if n >= 2 and circuit.n >= 1:
         if n == 3:
-            charges += cascade_charges(circuit)
+            charges += cascade_charges(circuit) + hit_factor_charges(circuit)
         else:
             charges += prefix_tree_charges(circuit)
         if n == 2:
@@ -226,22 +243,23 @@ def verify_circuit(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Verificati
     n = circuit.particles
     probed = n >= 2 and circuit.n >= 1
     extended = append_external_layer(circuit, np.random.default_rng(int(digest[:8], 16))) if probed else circuit
-    stream, norm_errors = states(extended, budget=budget), []
+    stream, norm_errors, history = states(extended, budget=budget), [], []
     for final in itertools.islice(stream, circuit.n + 1):  # no_signaling reads the next state
         norm_errors.append(abs(np.linalg.norm(final) - 1.0))
+        if n == 2:  # the density report reads every state
+            history.append(final)
     runner.run("norm_preservation", 1e-12, _worst(norm_errors))
     if circuit.n >= 1:
         runner.run("pathsum_completeness", 1e-10, _worst(np.abs(amplitudes_via_paths(circuit, budget) - final)))
 
     if probed:
         oracle = marginal_of(final, n, {0})
-        base_lam, table = _lambda_checks(runner, circuit, budget, oracle)
+        base_lam, ext_blocks = _lambda_checks(runner, circuit, extended, budget, oracle, history)
 
         if n >= 3:
             runner.run("general_subsystem", MARGINAL_TOL, _general_subsystem_error(circuit, final, budget))
 
-        # the appended layer has no gate on particle 0, so the final table folds it
-        ext_blocks, ext_oracle = table_blocks(extended, table), marginal_of(next(stream), n, {0})
+        ext_oracle = marginal_of(next(stream), n, {0})
         runner.run("no_signaling", 1e-12, _no_signaling_error(oracle, base_lam, ext_oracle, ext_blocks))
 
     return VerificationReport(digest=digest, checks=tuple(runner.checks))

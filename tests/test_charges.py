@@ -20,13 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumpaths.circuits import Circuit
+from sumpaths.common import BudgetExceeded
 from sumpaths.corpus import random_circuit
 from sumpaths.density import density_charges, density_report
 from sumpaths.oracle import oracle_charges, states
 from sumpaths.paths import amplitudes_via_paths, member_paths_at, pathsum_charges
-from sumpaths.subsystems import conditioned_blocks, conditioned_charges
-from sumpaths.threeparticle import cascade_charges, lambda3_tables
+from sumpaths.subsystems import cascade_block_charges, conditioned_blocks, conditioned_charges, lambda_blocks
+from sumpaths.threeparticle import cascade_charges, cascade_hit_charges, lambda3_tables
 from sumpaths.twoparticle import lambda_accumulate, lambda_tables, pair_charges, prefix_tree_charges
+from sumpaths.verify import verify_charges, verify_circuit
 
 # A builder holds its tables while it makes the next one, and copies some once
 # (the reordered blocks, the step beside its table): peaks read up to about 2.5x.
@@ -40,6 +42,7 @@ SIZES = {
     "amplitudes_via_paths": [(1, 17), (1, 18), (2, 9), (2, 10), (3, 8), (3, 9), (4, 6), (4, 7), (5, 5), (6, 4)],
     "lambda_tables": [(2, 8), (2, 9), (4, 8), (4, 9), (5, 8), (5, 9), (6, 8), (6, 9)],
     "lambda3_tables": [(3, 7), (3, 8), (3, 9)],
+    "cascade_blocks": [(3, 7), (3, 8), (3, 9)],
     "density_report": [(2, 16), (2, 17)],
     "lambda_accumulate": [(15, 3), (16, 2), (17, 3), (18, 2), (19, 1)],
     "states": [(14, 2), (15, 2), (16, 2), (17, 1), (18, 1)],
@@ -58,6 +61,11 @@ def _stream(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
 def _cascade(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
     for _ in lambda3_tables(circuit, BUDGET):
         pass
+
+
+def _factored(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
+    for _, block in lambda_blocks(circuit, subsystem, BUDGET):  # the (0,) marginal of three particles
+        block.marginal()
 
 
 def _oracle(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
@@ -82,6 +90,7 @@ BUILDERS: dict[str, tuple[Callable, Callable]] = {
     "conditioned_blocks": (conditioned_charges, _blocks),
     "lambda_tables": (lambda c, s: prefix_tree_charges(c), _stream),
     "lambda3_tables": (lambda c, s: cascade_charges(c), _cascade),
+    "cascade_blocks": (lambda c, s: cascade_hit_charges(c) + cascade_block_charges(c), _factored),
     "density_report": (lambda c, s: density_charges(c), lambda c, s: density_report(c, BUDGET)),
     "lambda_accumulate": (pair_charges, _pair_reference),
     "states": (lambda c, s: oracle_charges(c), _oracle),
@@ -117,3 +126,15 @@ def test_each_builder_holds_at_most_a_fixed_multiple_of_its_charges(name, data):
     charged = sum(count for count, _ in charges(circuit, subsystem))
     peak = traced_peak(lambda: build(circuit, subsystem))
     assert peak <= FACTOR * charged * ENTRY + SLACK, (peak, charged)
+
+
+def test_kept_hit_factors_are_charged_before_the_cascade_runs():
+    # four all-gate layers: the stream's own charges, the path amplitudes and every table
+    # verify reads fit 4000 entries, but the factors kept for the marginal are charged
+    # 2^8 * 17 = 4352, so both routes that keep them stop first
+    circuit = random_circuit(np.random.default_rng(1), 3, 4, p_single=1.0, p_phase=1.0)
+    assert max(count for count, what in verify_charges(circuit) if what != "hit factors") < 4000
+    with pytest.raises(BudgetExceeded, match="^hit factors needs 4352 "):
+        next(lambda_blocks(circuit, (0,), 4000))
+    with pytest.raises(BudgetExceeded, match="^hit factors needs 4352 "):
+        verify_circuit(circuit, 4000)

@@ -1,6 +1,7 @@
 """Reduced-density hit/miss split against the partial-trace oracle."""
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sumpaths import density
 from sumpaths.circuits import PhaseGate, build_epr_circuit, load_circuit, make_circuit, random_single
 from sumpaths.corpus import random_circuit
 from sumpaths.density import PhaseGateNotNormalized, density_report, normalized_phase_form
 from sumpaths.oracle import evolve
+from sumpaths.verify import verify_circuit
 
 from .reference import (
     collapse_amplitude_direct,
@@ -176,7 +179,7 @@ def _assert_report_equals_the_one_layer_functions(circuit):
         assert direct == complex((singles @ evolve(normalized, t - 1))[1])
         assert record["pathsum_amplitude"] == pathsum
         assert record["pathsum_error"] == abs(pathsum - direct)
-        assert np.array_equal(record["oracle"], reduced_density(normalized, 0, t))
+        assert np.array_equal(record["oracle"], reduced_density(circuit, 0, t))  # the given circuit's
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -201,3 +204,14 @@ def test_rejects_three_particle_circuits():
     circuit = random_circuit(np.random.default_rng(13), 3, 2)
     with pytest.raises(ValueError):
         normalized_phase_form(circuit)
+
+
+@pytest.mark.parametrize("name", ["n2_l3_s0.json", "n2_l8_s1.json"])
+def test_density_reconstruction_sees_a_fault_in_the_normalization(monkeypatch, name):
+    # the oracle matrices are the given circuit's, so a normalization that drops each gate's
+    # local factor on particle 0 leaves the recursion's totals off them
+    factor = density.factor_phase_gate
+    monkeypatch.setattr(density, "factor_phase_gate", lambda gate: dataclasses.replace(factor(gate), local_first=1.0))
+    checks = {check.name: check for check in verify_circuit(load_circuit(str(CORPUS / name))).checks}
+    assert not checks["density_reconstruction"].passed
+    assert checks["oracle_equivalence"].passed

@@ -1,7 +1,9 @@
 """Three-particle cascade: branch factors, closure, reductions, no-signaling."""
 from __future__ import annotations
 
+import io
 import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path as FilePath
 
 import numpy as np
@@ -9,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sumpaths import cli
 from sumpaths.circuits import PhaseGate, append_external_layer, load_circuit, make_circuit, random_single
-from sumpaths.common import BudgetExceeded
+from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths
-from sumpaths.subsystems import conditioned_blocks
+from sumpaths.subsystems import conditioned_blocks, lambda_blocks
 from sumpaths.threeparticle import (
     cascade_charges,
     delta,
@@ -554,3 +557,110 @@ def test_wrong_particle_count_rejected():
         hit_three(circuit, p, q, 1)
     with pytest.raises(ValueError):
         next(lambda3_tables(circuit))
+
+
+# The factored marginal route: `lambda_blocks` reads (0,) of three particles
+# off every layer's hit factors and builds no lambda table unless `lam` is read.
+
+
+def swap_particles(circuit, first, second):
+    """The same circuit with particles `first` and `second` exchanged; a gate whose pair turns around is transposed."""
+    label = {first: second, second: first}
+    specs = []
+    for layer in circuit.layers:
+        phases = []
+        for gate in layer.phases:
+            a, b = (label.get(i, i) for i in gate.pair)
+            t00, t01, t10, t11 = gate.thetas
+            phases.append(PhaseGate((a, b), gate.thetas) if a < b else PhaseGate((b, a), (t00, t10, t01, t11)))
+        singles = {label.get(i, i): single for i, single in enumerate(layer.singles)}
+        specs.append((singles, sorted(phases, key=lambda gate: gate.pair)))
+    return make_circuit(circuit.particles, specs)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=0, max_size=9),
+    st.integers(0, 2**32 - 1),
+)
+def test_factored_marginals_match_the_dense_last_table(pattern, seed):
+    circuit = sparse_circuit(pattern, np.random.default_rng(seed))
+    dense = final_blocks(circuit, lambda3_tables(circuit))
+    blocks = list(lambda_blocks(circuit, (0,), DEFAULT_BUDGET))
+    assert [outcome for outcome, _ in blocks] == [(0,), (1,)]
+    for (j,), block in blocks:
+        assert block.hits is not None and "lam" not in vars(block)  # no table built
+        assert abs(block.marginal() - dense[j].marginal()) < 1e-12
+
+
+def test_factored_marginals_match_the_oracle_at_ten_layers():
+    circuit = random_circuit(np.random.default_rng(1), 3, 10, p_single=1.0, p_phase=1.0)
+    oracle = marginal_by_sum(circuit, (0,))
+    for (j,), block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET):
+        assert abs(block.marginal() - oracle[j]) < 1e-9
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2]),
+)
+def test_member_relabeling_ties_each_single_particle_to_the_factored_route(pattern, seed, member):
+    circuit = sparse_circuit(pattern, np.random.default_rng(seed))
+    factored = dict(lambda_blocks(swap_particles(circuit, 0, member), (0,), DEFAULT_BUDGET))
+    for outcome, block in conditioned_blocks(circuit, (member,)):
+        assert abs(block.marginal() - factored[outcome].marginal()) < 1e-12
+
+
+def _perturb_stdout(path: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["perturb", "--clamp", "0.5", "--circuit", path]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in CORPUS.glob("n3_*.json")))
+def test_perturb_prints_what_the_dense_last_table_prints(monkeypatch, name):
+    # the clamp reads each block's lam, added up from the hit factors in the cascade's
+    # order: bit for bit the last table's endpoint blocks, which perturb read before
+    path = str(CORPUS / name)
+    circuit = load_circuit(path)
+    dense = final_blocks(circuit, lambda3_tables(circuit))
+    for (j,), block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET):
+        assert np.array_equal(block.amplitudes, dense[j].amplitudes)
+        assert np.array_equal(block.lam, dense[j].lam)
+    factored = _perturb_stdout(path)
+    monkeypatch.setattr(cli, "lambda_blocks", lambda c, s, b: iter([((j,), dense[j]) for j in (0, 1)]))
+    assert factored == _perturb_stdout(path)
+
+
+def test_factored_marginal_holds_no_path_pair_table():
+    # A-B and A-C gates at layer 1 only, so the cascade's own structures stay 4^1-sized; a lambda
+    # over one endpoint's 4^(n-1) path pairs would be 1 MiB at n = 9 and the whole table 4 MiB
+    circuit = sparse_circuit([(True, True, True)] + [(False, False, True)] * 8, np.random.default_rng(9))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        marginals = {outcome: block.marginal() for outcome, block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET)}
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4**8 * 16
+    oracle = marginal_by_sum(circuit, (0,))
+    assert max(abs(marginals[(j,)] - oracle[j]) for j in (0, 1)) < 1e-9
+
+
+def test_factored_marginal_charges_the_path_amplitudes():
+    # hits at layer 1 only: the stream's charges stay 4^1-sized, but every pair sum reads
+    # particle 0's 2^n path amplitudes, which at n = 23 are past the default budget
+    circuit = sparse_circuit([(True, True, True)] + [(False, False, True)] * 22, np.random.default_rng(23))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="subsystem path amplitudes needs 8388608"):
+            next(lambda_blocks(circuit, (0,), DEFAULT_BUDGET))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

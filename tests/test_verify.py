@@ -1,6 +1,7 @@
 """Verification suite: report structure, pass behavior, failure signaling."""
 from __future__ import annotations
 
+import copy
 import functools
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 
 from sumpaths import oracle, paths, subsystems, threeparticle, twoparticle, verify
 from sumpaths.circuits import HADAMARD, PhaseGate, build_epr_circuit, load_circuit, make_circuit, save_circuit
-from sumpaths.common import BudgetExceeded, LambdaBlock
+from sumpaths.common import BudgetExceeded
 from sumpaths.cli import main
 from sumpaths.corpus import random_circuit
 from sumpaths.verify import verify_circuit
@@ -154,7 +155,8 @@ def test_report_json_shape():
     [
         # one table build: no_signaling folds the appended layer into its final table
         ("n2_l8_s0.json", twoparticle.lambda_tables, 1),
-        ("n3_l3_s0.json", threeparticle.lambda3_tables, 1),
+        # one cascade pass: its kept hit factors serve the tables and both marginal routes
+        ("n3_l3_s0.json", threeparticle.cascade_hits, 1),
         # one step per layer of each conditioned prefix tree, none grown twice: the 8 layers
         # of the stream's tree and the first 7 of density's; no_signaling's appended layer
         # has no gate on particle 0, so its fold takes no step
@@ -186,16 +188,25 @@ def test_verify_evolves_the_state_vector_once(monkeypatch, file, most):
     assert len(calls) <= most
 
 
-@pytest.mark.parametrize("file", ["n2_l5_s0.json", "n3_l3_s0.json"])
-def test_no_signaling_catches_a_bad_fold(monkeypatch, file):
-    # only a folded table (one layer short of its circuit) gets endpoint 0's amplitudes scaled
-    def bad_fold(circuit, lam):
-        for outcome, block in subsystems.table_blocks(circuit, lam):
-            if lam.shape[0] < 1 << circuit.n and outcome == (0,):
-                block = LambdaBlock(block.amplitudes * (1.0 + 1e-6), block.lam)
+@pytest.mark.parametrize(
+    "file, route",
+    [("n2_l5_s0.json", "table_blocks"), ("n3_l3_s0.json", "cascade_blocks")],
+    ids=["n2_l5_s0.json", "n3_l3_s0.json"],
+)
+def test_no_signaling_catches_a_bad_fold(monkeypatch, file, route):
+    # only the extended circuit's blocks get endpoint 0's amplitudes scaled: at N=2 the
+    # final table folded into its appended layer, at N=3 the kept hits with that layer's none
+    base = load_circuit(str(CORPUS / file))
+    blocks = getattr(subsystems, route)
+
+    def bad_fold(circuit, *args):
+        for outcome, block in blocks(circuit, *args):
+            if circuit.n > base.n and outcome == (0,):
+                block = copy.copy(block)
+                block.amplitudes = block.amplitudes * (1.0 + 1e-6)
             yield outcome, block
 
-    monkeypatch.setattr(verify, "table_blocks", bad_fold)
+    monkeypatch.setattr(verify, route, bad_fold)
     checks = {check.name: check for check in verify_circuit(load_circuit(str(CORPUS / file))).checks}
     assert checks["oracle_equivalence"].passed
     assert not checks["no_signaling"].passed
@@ -211,16 +222,18 @@ def test_verify_passes_past_twelve_particles(particles, layers):
 
 
 def test_three_particle_verify_charges_the_base_tables_only(tmp_path):
-    # the cascade charges the base circuit's 4^2 lambda entries, 2 x 4 path weights and 4 partner
-    # states; the largest charge is the (0, 1) route's 2^5 conditioned external states, and no
-    # extended build charges its 4^3 = 64 lambda entries
+    # the cascade charges the base circuit's 4^3 lambda entries, 2 x 4 path weights, 4 partner
+    # states and at most 2^5 x 5 = 160 kept hit factors, its largest charge; the (0, 1) route
+    # charges 2^7 conditioned external states, and no extended build charges its 4^4 = 256
+    # lambda entries
     thetas = (0.0, 0.4, 1.1, 2.3)
     first = [PhaseGate(pair, thetas) for pair in ((0, 1), (0, 2), (1, 2))]
-    circuit = make_circuit(3, [({0: HADAMARD, 1: HADAMARD, 2: HADAMARD}, first), ({}, [PhaseGate((1, 2), thetas)])])
+    later = ({}, [PhaseGate((1, 2), thetas)])
+    circuit = make_circuit(3, [({0: HADAMARD, 1: HADAMARD, 2: HADAMARD}, first), later, later])
     path = tmp_path / "c.json"
     save_circuit(circuit, str(path))
-    stops = {15: "path-pair table needs 16", 31: "conditioned external states needs 32"}
-    for budget, code in ((15, 3), (31, 3), (32, 0), (40, 0), (63, 0)):
+    stops = {63: "path-pair table needs 64", 159: "hit factors needs 160"}
+    for budget, code in ((63, 3), (159, 3), (160, 0), (200, 0), (255, 0)):
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             assert main(["verify", "--circuit", str(path), "--budget", str(budget)]) == code
