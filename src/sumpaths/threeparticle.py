@@ -47,9 +47,16 @@ reads the pair [after B-C, before B-C] in place of the layer's stored one.
 Later layers carry the contracted columns forward by a 2x2 transfer
 (`_carry`): a column only repeats over the new bits, while a path weight
 gains the layer's booking factor and the struck particle's next single. A
-layer costs O(4^r) for the partner's states, their weights and the one
-contraction, and O(2^r * columns) for the carry and the hit factors; no
-array holds 4^r * columns entries. Adding a hit to a lambda table costs
+path weight is the same for both modes of the subsystem's newest bit, so
+it is held once per (r-1)-mode subsystem prefix: 2^(r-1) x 2^r weights per
+branch. A layer costs O(4^r) for the partner's states, their weights and
+the one contraction, and O(2^r * columns) for the carry and the hit
+factors; no array holds 4^r * columns entries. Both branches advance in
+one pass (`_cascade_layers`): their weights, partner states, contraction
+and gate chain are each one array over a leading branch axis, with an
+all-ones table for an absent gate, while each branch keeps its own
+contracted columns, carry and hit factors, since the branches book
+different numbers of columns where their gates differ. Adding a hit to a lambda table costs
 O(4^r * columns), summing it against amplitudes O(2^r * columns). The
 partner's states stay the literal (p, m)-conditioned ones: contracting them
 earlier would turn the columns into the conditioned external-pair states
@@ -61,29 +68,31 @@ both branches' struck path weights and partner states
 (`cascade_hit_charges`, checked by the stream), for the tables also the
 last lambda table (`cascade_charges`), and for a reader that keeps every
 layer's factors (`CascadeHits`) those factors (`hit_factor_charges`).
-All-gates circuits reach n = 10 under the default budget of 2^22; at
-n = 11 the struck path weights stop both readers.
+All-gates circuits reach n = 11 under the default budget of 2^22, where
+the last lambda table, the struck path weights and the partner states are
+each exactly 2^22 entries; at n = 12 the first of them a reader charges
+stops it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .circuits import Circuit, PhaseGate
 from .common import DEFAULT_BUDGET, Charge, check_budget, check_charges
-from .paths import Path, apply_single, enumerate_paths, path_amplitude
+from .paths import Path, enumerate_paths, path_amplitude
 
 AB, AC, BC = (0, 1), (0, 2), (1, 2)
 
-_NO_FACTORS = np.ones((2, 2, 2))
-_NO_FACTORS.flags.writeable = False
 # Two blocks of two columns, the first added and the second subtracted: a booked
 # pair [after, before] over the partner's modes, and a hit's [phased, bare] sides.
 _PLUS_MINUS = np.array([1.0, 1.0, -1.0, -1.0])
 _PLUS_MINUS.flags.writeable = False
+_NO_GATE = np.ones((2, 2), dtype=complex)  # an absent gate's factors in a stacked table
+_NO_GATE.flags.writeable = False
 
 
 def _require_three_particles(circuit: Circuit, external: int = 1) -> None:
@@ -294,16 +303,17 @@ def cascade_hit_charges(circuit: Circuit) -> list[Charge]:
     """What `cascade_hits` holds at its largest, one charge per structure.
 
     Through the last hit layer h (`_last_hit_layer`) each branch grows its
-    struck particle's path weights over 4^h (subsystem, struck) prefix
-    pairs, and its partner's conditioned states, two modes over each of
-    4^(h-1) prefix pairs: both branches together hold 2 * 4^h weights and
-    4^h states. After h no hit reads the branches, so nothing of theirs
-    grows further. The contracted columns hold 2^(r+1) entries per booked
+    struck particle's path weights, held once per (h-1)-mode subsystem
+    prefix for every h-mode struck prefix (a weight is the same for both
+    modes of the subsystem's newest bit), 4^h / 2 of them, and its
+    partner's conditioned states, two modes over each of 4^(h-1) prefix
+    pairs: both branches together hold 4^h weights and 4^h states. After h
+    no hit reads the branches, so nothing of theirs grows further. The contracted columns hold 2^(r+1) entries per booked
     column and a layer's hit factors 2^(r+2), with at most 4r + 1 columns
     per branch; a reader that keeps them all is charged `hit_factor_charges`.
     """
     last_hit = _last_hit_layer(circuit)
-    return [(2 * 4**last_hit, "struck path weights"), (4**last_hit, "partner states")]
+    return [(4**last_hit, "struck path weights"), (4**last_hit, "partner states")]
 
 
 def hit_factor_charges(circuit: Circuit) -> list[Charge]:
@@ -311,8 +321,8 @@ def hit_factor_charges(circuit: Circuit) -> list[Charge]:
 
     Layer r <= h books at most 4r + 1 columns per branch, each 2^(r+2)
     side entries and four signs; summed over both branches and r = 1..h
-    that stays within the bound, which is under a third of the struck path
-    weights at h = 10. With no hit layer nothing is kept.
+    that stays within the bound, which is under two thirds of the struck
+    path weights at h = 10. With no hit layer nothing is kept.
     """
     last_hit = _last_hit_layer(circuit)
     return [((1 << (last_hit + 4)) * (4 * last_hit + 1) if last_hit else 0, "hit factors")]
@@ -321,6 +331,30 @@ def hit_factor_charges(circuit: Circuit) -> list[Charge]:
 def cascade_charges(circuit: Circuit) -> list[Charge]:
     """What `lambda3_tables` holds at its largest: the last lambda table, 4^n entries, then `cascade_hit_charges`."""
     return [(4**circuit.n, "path-pair table")] + cascade_hit_charges(circuit)
+
+
+def _stacked_gates(circuit: Circuit, layers: int) -> tuple:
+    """Both branches' gates at layers 1..`layers`, stacked once per circuit over [layer, branch].
+
+    Branch 0 strikes B (A-B books, C is the partner), branch 1 strikes C.
+    Returns which of the A-B, A-C and B-C gates each layer has; the struck
+    particles' singles; the partners' singles; the booking tables [subsystem
+    mode, struck mode]; the gamma (A-partner) tables [subsystem mode,
+    partner mode]; the B-C tables [struck mode, partner mode]; and the
+    factors that grow the partner states over a layer's new bits, [new
+    subsystem mode, new struck mode, partner mode]. An absent gate has an
+    all-ones table: multiplying by 1 + 0j is exact, so every product equals
+    the one the branch makes alone.
+    """
+    kept = circuit.layers[:layers]
+    gates = [[layer.phase_on(pair) for pair in (AB, AC, BC)] for layer in kept]
+    present = [[gate is not None for gate in row] for row in gates]
+    tables = np.array([[_NO_GATE if gate is None else gate.table for gate in row] for row in gates]).reshape(-1, 3, 2, 2)
+    singles = np.array([layer.singles[1:] for layer in kept]).reshape(-1, 2, 2, 2)
+    booking, gamma = tables[:, :2], tables[:, 1::-1]
+    bc = np.stack([tables[:, 2], tables[:, 2].transpose(0, 2, 1)], axis=1)
+    factors = bc[:, :, None] * gamma[:, :, :, None, :]
+    return present, singles, singles[:, ::-1], booking, gamma, bc, factors
 
 
 def _carry(columns: np.ndarray, single: np.ndarray, booking: np.ndarray | None) -> np.ndarray:
@@ -341,44 +375,57 @@ def _carry(columns: np.ndarray, single: np.ndarray, booking: np.ndarray | None) 
     return (single @ columns).repeat(2, axis=0)
 
 
-def _grow_weights(weights: np.ndarray, single: np.ndarray, booking: np.ndarray | None) -> np.ndarray:
-    """The struck particle's path weights over r-mode prefix pairs, from those over (r-1)-mode pairs.
+def _grow_weights(weights: np.ndarray, singles: np.ndarray, booking: np.ndarray | None) -> np.ndarray:
+    """Both branches' struck path weights at layer r, from those at layer r - 1.
 
-    `weights[p, e]` is the bare amplitude of struck prefix e times the
-    booked A-struck phases along (p, e). Layer r - 1's booking factors
-    `booking[p_last, e_last]` join (absent: ones), extending e by mode k
-    takes `single[k, e_last]`, and the weight repeats over p's new bit.
+    `weights[j, p, e]` is branch j's bare amplitude of struck prefix e times
+    the booked A-struck phases along (p, e). The subsystem's mode at layer r
+    meets a weight only through layer r's booking factor, which joins at
+    layer r + 1, so a weight is held once per (r-1)-mode subsystem prefix:
+    2^(r-1) x 2^r entries per branch, half of the 4^r prefix pairs. Layer
+    r - 1's booking factors `booking[j, p_last, e_last]` join first (none
+    before layer 2), splitting p by its newest mode; then extending e by
+    mode k takes `singles[j, k, e_last]`.
     """
-    size = weights.shape[0]
     if booking is not None:
-        weights = (weights.reshape(size // 2, 2, size // 2, 2) * booking[None, :, None, :]).reshape(size, size)
-    grown = np.empty((size, 2, size, 2), dtype=complex)
-    np.multiply(weights[:, None, :, None], single.T[np.arange(size) % 2], out=grown)
-    return grown.reshape(2 * size, 2 * size)
+        branches, half, size = weights.shape
+        weights = (weights.reshape(branches, half, 1, half, 2) * booking[:, None, :, None, :]).reshape(branches, size, size)
+    size = weights.shape[1]
+    steps = singles.transpose(0, 2, 1)[:, np.arange(size) % 2]  # [j, e, k]
+    return (weights[..., None] * steps[:, None]).reshape(len(weights), size, 2 * size)
 
 
 def _contract(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """States over (r-1)-mode prefix pairs, repeated over both new bits, summed with r-mode path weights.
+    """States over (r-1)-mode prefix pairs, repeated over both new subsystem bits, summed with r-mode path weights.
 
-    The sum runs over the struck prefixes that end at k: entry [2q + b, k, l]
-    is sum_e weights[2q + b, 2e + k] states[q, e, l]. A weight repeats over
-    the subsystem's new bit b (`_grow_weights`), so this is one batched
-    (2, e) x (e, l) product per q, repeated over b.
+    The sum runs over the struck prefixes that end at k: entry [j, 2q + b, k, l]
+    is sum_e weights[j, q, 2e + k] states[j, q, e, l], one batched
+    (2, e) x (e, l) product per branch j and prefix q, repeated over b. Each
+    product reads the same strides as a weight table held for both b would.
     """
-    size = states.shape[0]
-    rows = weights.reshape(size, 2, size, 2)[:, 0].transpose(0, 2, 1)  # the same for both b
-    return (rows @ states).repeat(2, axis=0)
+    branches, size = weights.shape[:2]
+    rows = weights.reshape(branches, size, size, 2).transpose(0, 1, 3, 2)
+    return (rows @ states).repeat(2, axis=1)
 
 
-def _telescoped(carried: np.ndarray, chain: list[np.ndarray]) -> np.ndarray:
-    """The carried columns, then the pair [last state, first state] of a chain that passed a gate."""
-    return carried if len(chain) == 1 else np.concatenate([carried, chain[-1], chain[0]], axis=2)
+@cache
+def _signed(count: int) -> np.ndarray:
+    """The signs of a hit's side columns over `count` contracted columns, read-only.
+
+    Column 0, the 1 of the branch weight, is added, and each booked pair
+    after it is [after, before]: signs 1, then [+, +, -, -] repeated. The
+    side holds them four times, as [phased, bare] x two struck endpoints.
+    """
+    signs = np.concatenate([np.ones(1), np.tile(_PLUS_MINUS, (count - 1) // 4)])
+    signed = np.multiply.outer(_PLUS_MINUS, signs).reshape(-1)
+    signed.flags.writeable = False
+    return signed
 
 
-def _branch_factors(columns: np.ndarray, signs: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _branch_factors(columns: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One branch's share of the hit table, for every subsystem prefix pair, as (side, signed) factors.
 
-    `columns[p, k, L]` with `signs[L]` is the branch weight 1 + gamma + chi
+    `columns[p, k, L]` with signs[L] (`_signed`) is the branch weight 1 + gamma + chi
     in contracted form (column 0 is the 1), and `phases[p, k]` the booking
     gate's phase for the subsystem at prefix p and struck endpoint k. The
     share is sum_k (conj(phases[p, k]) phases[q, k] - 1) W_k[p, q] with
@@ -388,7 +435,7 @@ def _branch_factors(columns: np.ndarray, signs: np.ndarray, phases: np.ndarray) 
     """
     phased = columns * phases[:, :, None]
     side = np.concatenate([phased, columns], axis=1).reshape(len(columns), -1)
-    return side, np.multiply.outer(_PLUS_MINUS, signs).reshape(-1)
+    return side, _signed(columns.shape[2])
 
 
 HitLayer = tuple[tuple[np.ndarray, np.ndarray], ...]  # one layer's booked branches as (side, signed)
@@ -415,67 +462,60 @@ def cascade_hits(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[Hit
 
 
 def _cascade_layers(circuit: Circuit) -> Iterator[HitLayer]:
-    """The layers `cascade_hits` yields, unchecked."""
-    # Per branch, keyed by the struck particle: the partner's states conditioned
-    # on (A, struck) prefixes, the struck particle's path weights, the
-    # contracted columns with their signs, and the last layer's booking factors.
-    # Column 0 is the 1 of the branch weight 1 + gamma + chi: before layer 1 the
-    # struck particle sits in mode 0 with weight 1.
-    states = {struck: np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2) for struck in (1, 2)}
-    weights = {struck: np.ones((1, 1), dtype=complex) for struck in (1, 2)}
-    columns = {struck: np.array([[[1.0], [0.0]]], dtype=complex) for struck in (1, 2)}
-    signs = {struck: np.ones(1) for struck in (1, 2)}
-    booking = {struck: None for struck in (1, 2)}
+    """The layers `cascade_hits` yields, unchecked: both branches in one pass, stacked as [A-B, A-C]."""
     last_hit = _last_hit_layer(circuit)
+    present, singles, partner, booking, gamma, bc, factors = _stacked_gates(circuit, last_hit)
+    # The partner's states conditioned on (A, struck) prefixes and the struck
+    # particle's path weights, both branches at once; per branch the contracted
+    # columns. Column 0 is the 1 of the branch weight 1 + gamma + chi: before
+    # layer 1 the struck particle sits in mode 0 with weight 1.
+    states = np.zeros((2, 1, 1, 2), dtype=complex)
+    states[..., 0] = 1.0
+    weights = np.ones((2, 1, 1), dtype=complex)
+    columns = [np.array([[[1.0], [0.0]]], dtype=complex) for _ in range(2)]
+    bits = np.arange(1 << last_hit) % 2
 
     for r in range(1, circuit.n + 1):
         if r > last_hit:  # no hit reads the branches again
             yield ()
             continue
-        layer = circuit.layers[r - 1]
-        phases = {pair: _factors(layer.phase_on(pair)) for pair in (AB, AC, BC)}
-        bit = np.arange(1 << r) % 2
+        t = r - 1
+        ab, ac, has_bc = present[t]
+        before = booking[t - 1] if t else None
+        bit = bits[: 1 << r]
+
+        # The partner's conditioned states through this layer's gate sequence:
+        # single, then B-C, then A-partner, contracted with the struck
+        # particle's path weights now; a diagonal gate commutes with that
+        # contraction, so one contraction serves the whole sequence.
+        weights = _grow_weights(weights, singles[t], before)
+        moved = (states.reshape(2, -1, 2) @ partner[t].transpose(0, 2, 1)).reshape(states.shape)
+        del states  # the next layer reads only the states grown from `moved`
+        first = _contract(weights, moved)
+        after_bc = first * bc[t][:, None]
+        last = after_bc * gamma[t][:, bit][:, :, None, :]
+        if r < last_hit:  # only the next layer reads them: grown over both new bits
+            size = moved.shape[1]
+            states = (moved[:, :, None, :, None, :] * factors[t][:, None, :, None]).reshape(2, 2 * size, 2 * size, 2)
+
+        # Each present gate's increment is the state after it minus the state
+        # before it, so the layer's increments telescope: one signed pair,
+        # [after every gate, before the first], stands for all of them.
         hits = []
-        for struck in (1, 2):  # A-B, then A-C
-            partner = 3 - struck
-            ph_book, ph_gamma = phases[0, struck], phases[0, partner]
-            ph_bc = _toward(partner, phases[BC])
-
-            # The partner's conditioned states through this layer's gate sequence:
-            # single, then B-C, then A-partner, contracted with the struck
-            # particle's path weights now; a diagonal gate commutes with that
-            # contraction, so one contraction serves the whole sequence.
-            weights[struck] = _grow_weights(weights[struck], layer.singles[struck], booking[struck])
-            moved = apply_single(states[struck], 2, layer.singles[partner])
-            chain = [_contract(weights[struck], moved)]
-            factors = _NO_FACTORS  # [new subsystem mode, new struck mode, partner mode]
-            if ph_bc is not None:
-                chain.append(chain[-1] * ph_bc)
-                factors = factors * ph_bc
-            if ph_gamma is not None:
-                chain.append(chain[-1] * ph_gamma[bit][:, None, :])
-                factors = factors * ph_gamma[:, None, :]
-            if r < last_hit:  # only the next layer reads them: grown over both new bits
-                size = moved.shape[0]
-                grown = np.empty((size, 2, size, 2, 2), dtype=complex)
-                np.multiply(moved[:, None, :, None, :], factors[:, None], out=grown)
-                states[struck] = grown.reshape(2 * size, 2 * size, 2)
-
-            # Each present gate's increment is the state after it minus the state
-            # before it, so the layer's increments telescope: one signed pair,
-            # [after every gate, before the first], stands for all of them.
-            carried = _carry(columns[struck], layer.singles[struck], booking[struck])
-            columns[struck] = _telescoped(carried, chain)
-            if len(chain) > 1:
-                signs[struck] = np.concatenate([signs[struck], _PLUS_MINUS])
-            booking[struck] = ph_book
-            if ph_book is None:
+        phases = booking[t][:, bit]
+        for j, (books, gamma_gate) in enumerate(((ab, ac), (ac, ab))):
+            carried = _carry(columns[j], singles[t, j], None if before is None else before[j])
+            if has_bc or gamma_gate:
+                columns[j] = np.concatenate([carried, last[j], first[j]], axis=2)
+            else:
+                columns[j] = carried
+            if not books:
                 continue
-            hit_columns = columns[struck]
-            if struck == 1 and ph_gamma is not None:
+            hit_columns = columns[j]
+            if j == 0 and gamma_gate:
                 # A-B books before the layer-r A-C gate: its hit's pair stops at the state before that gate
-                hit_columns = _telescoped(carried, chain[:-1])
-            hits.append(_branch_factors(hit_columns, signs[struck][: hit_columns.shape[2]], ph_book[bit]))
+                hit_columns = np.concatenate([carried, after_bc[0], first[0]], axis=2) if has_bc else carried
+            hits.append(_branch_factors(hit_columns, phases[j]))
         yield tuple(hits)
 
 

@@ -20,9 +20,11 @@ earlier two-particle table builder, the earlier axis-by-axis prefix tree
 and the hit stream and fold that rebuilt each layer's pre-gate states and
 straddling factors from it (which the one-product tree step and the stream
 that reads its steps must match, bit for bit at two particles), the earlier three-particle cascade that
-refined its whole column stacks every layer, and the earlier pair sum, which
-the general hit stream, the carried-column cascade and the copy-free pair
-sum must reproduce. Then come the
+refined its whole column stacks every layer, the earlier per-branch cascade
+pass, which ran one branch after the other and held each struck path weight
+for both modes of the subsystem's newest bit, and the earlier pair sum, which
+the general hit stream, the carried-column cascade, the stacked cascade pass
+(bit for bit) and the copy-free pair sum must reproduce. Then come the
 earlier single-gate kernels, `tensordot` and `moveaxis` with a matmul, and
 the oracle and conditioned layers built from them: the package's one-BLAS-
 call kernels on reshaped views must equal them bit for bit. Then comes the
@@ -72,6 +74,7 @@ from sumpaths.paths import ConditionalUnitary, Path, condition_on_paths, conditi
 from sumpaths.paths import apply_single, endpoint_rows, pair_phases, path_amplitude, prefix_amplitude_layers
 from sumpaths.paths import member_layout, prefix_amplitudes, straddling_factor
 from sumpaths.subsystems import conditioned_charges, table_blocks
+from sumpaths.threeparticle import _PLUS_MINUS, _carry, _factors, _last_hit_layer, _toward
 from sumpaths.twoparticle import _before_layer, _straddle, lambda_tables
 
 
@@ -620,6 +623,90 @@ def refined_cascade_tables(circuit: Circuit) -> Iterator[np.ndarray]:
         yield lam
 
 
+def _full_weights(weights: np.ndarray, single: np.ndarray, booking: np.ndarray | None) -> np.ndarray:
+    """One branch's struck path weights over r-mode prefix pairs, each repeated over the subsystem's newest bit."""
+    size = weights.shape[0]
+    if booking is not None:
+        weights = (weights.reshape(size // 2, 2, size // 2, 2) * booking[None, :, None, :]).reshape(size, size)
+    grown = np.empty((size, 2, size, 2), dtype=complex)
+    np.multiply(weights[:, None, :, None], single.T[np.arange(size) % 2], out=grown)
+    return grown.reshape(2 * size, 2 * size)
+
+
+def _full_contract(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """States over (r-1)-mode prefix pairs, repeated over both new bits, summed with the full weight table's b = 0 rows."""
+    size = states.shape[0]
+    rows = weights.reshape(size, 2, size, 2)[:, 0].transpose(0, 2, 1)
+    return (rows @ states).repeat(2, axis=0)
+
+
+def _telescoped(carried: np.ndarray, chain: list[np.ndarray]) -> np.ndarray:
+    """The carried columns, then the pair [last state, first state] of a chain that passed a gate."""
+    return carried if len(chain) == 1 else np.concatenate([carried, chain[-1], chain[0]], axis=2)
+
+
+def _branch_factors(columns: np.ndarray, signs: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One branch's hit as (side, signed) factors: the phased and bare columns side by side, each with its stored sign."""
+    phased = columns * phases[:, :, None]
+    side = np.concatenate([phased, columns], axis=1).reshape(len(columns), -1)
+    return side, np.multiply.outer(_PLUS_MINUS, signs).reshape(-1)
+
+
+def per_branch_cascade_layers(circuit: Circuit) -> Iterator[tuple]:
+    """The earlier cascade pass: one branch after the other, each struck path weight held for both subsystem bits.
+
+    Yields what `threeparticle.cascade_hits` yields. Each branch runs its own
+    gate chain of only the present gates, and its weight table repeats every
+    row over the subsystem's newest bit, so it holds 4^r entries per branch.
+    """
+    states = {struck: np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2) for struck in (1, 2)}
+    weights = {struck: np.ones((1, 1), dtype=complex) for struck in (1, 2)}
+    columns = {struck: np.array([[[1.0], [0.0]]], dtype=complex) for struck in (1, 2)}
+    signs = {struck: np.ones(1) for struck in (1, 2)}
+    booking = {struck: None for struck in (1, 2)}
+    last_hit = _last_hit_layer(circuit)
+
+    for r in range(1, circuit.n + 1):
+        if r > last_hit:
+            yield ()
+            continue
+        layer = circuit.layers[r - 1]
+        phases = {pair: _factors(layer.phase_on(pair)) for pair in ((0, 1), (0, 2), (1, 2))}
+        bit = np.arange(1 << r) % 2
+        hits = []
+        for struck in (1, 2):  # A-B, then A-C
+            partner = 3 - struck
+            ph_book, ph_gamma = phases[0, struck], phases[0, partner]
+            ph_bc = _toward(partner, phases[1, 2])
+            weights[struck] = _full_weights(weights[struck], layer.singles[struck], booking[struck])
+            moved = apply_single(states[struck], 2, layer.singles[partner])
+            chain = [_full_contract(weights[struck], moved)]
+            factors = np.ones((2, 2, 2))  # [new subsystem mode, new struck mode, partner mode]
+            if ph_bc is not None:
+                chain.append(chain[-1] * ph_bc)
+                factors = factors * ph_bc
+            if ph_gamma is not None:
+                chain.append(chain[-1] * ph_gamma[bit][:, None, :])
+                factors = factors * ph_gamma[:, None, :]
+            if r < last_hit:
+                size = moved.shape[0]
+                grown = np.empty((size, 2, size, 2, 2), dtype=complex)
+                np.multiply(moved[:, None, :, None, :], factors[:, None], out=grown)
+                states[struck] = grown.reshape(2 * size, 2 * size, 2)
+            carried = _carry(columns[struck], layer.singles[struck], booking[struck])
+            columns[struck] = _telescoped(carried, chain)
+            if len(chain) > 1:
+                signs[struck] = np.concatenate([signs[struck], _PLUS_MINUS])
+            booking[struck] = ph_book
+            if ph_book is None:
+                continue
+            hit_columns = columns[struck]
+            if struck == 1 and ph_gamma is not None:  # A-B books before the layer-r A-C gate
+                hit_columns = _telescoped(carried, chain[:-1])
+            hits.append(_branch_factors(hit_columns, signs[struck][: hit_columns.shape[2]], ph_book[bit]))
+        yield tuple(hits)
+
+
 def column_pair_sum(block: LambdaBlock) -> complex:
     """The earlier pair sum: sum |a|^2 plus a^dagger lambda a, lambda's diagonal zeroed 256 columns at a time."""
     conj = block.amplitudes.conj()
@@ -810,7 +897,7 @@ def thetas_cascade_charges(circuit: Circuit) -> list:
     last_hit = max((r for r in range(1, circuit.n + 1) if present((0, 1), r) or present((0, 2), r)), default=0)
     return [
         (4**circuit.n, "path-pair table"),
-        (2 * 4**last_hit, "struck path weights"),
+        (4**last_hit, "struck path weights"),
         (4**last_hit, "partner states"),
     ]
 

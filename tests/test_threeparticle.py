@@ -20,8 +20,10 @@ from sumpaths.paths import Path, enumerate_paths
 from sumpaths.subsystems import conditioned_blocks, lambda_blocks
 from sumpaths.threeparticle import (
     cascade_charges,
+    cascade_hits,
     delta,
     gamma_chi,
+    hit_tables,
     hit_three,
     lambda3_tables,
     lambda_three,
@@ -37,6 +39,7 @@ from .reference import (
     gram_tables,
     hit_lambdas,
     lambda_general,
+    per_branch_cascade_layers,
     refined_cascade_tables,
     remove_trailing_external_gate,
     table_trajectory,
@@ -404,6 +407,61 @@ def test_tables_match_the_refined_cascade_on_the_corpus(file):
     assert_matches_refined_cascade(load_circuit(str(CORPUS / file)))
 
 
+def assert_matches_the_per_branch_pass(circuit) -> None:
+    # both branches in one stacked pass give the per-branch pass's factors and tables bit for bit
+    layers = list(cascade_hits(circuit))
+    earlier = list(per_branch_cascade_layers(circuit))
+    assert len(layers) == len(earlier) == circuit.n
+    for hits, expected in zip(layers, earlier):
+        assert len(hits) == len(expected)
+        for (side, signed), (side_ref, signed_ref) in zip(hits, expected):
+            assert np.array_equal(side, side_ref) and np.array_equal(signed, signed_ref)
+    for lam, lam_ref in zip(lambda3_tables(circuit), hit_tables(earlier), strict=True):
+        assert np.array_equal(lam, lam_ref)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=7),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_pass_matches_the_per_branch_pass_on_sparse_gate_patterns(pattern, seed):
+    # the branches book different column counts wherever their gates differ
+    assert_matches_the_per_branch_pass(sparse_circuit(pattern, np.random.default_rng(seed)))
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_stacked_pass_matches_the_per_branch_pass_with_every_gate(layers, seed):
+    circuit = random_circuit(np.random.default_rng(seed), 3, layers, p_single=1.0, p_phase=1.0)
+    assert_matches_the_per_branch_pass(circuit)
+
+
+@pytest.mark.parametrize("file", sorted(path.name for path in CORPUS.glob("n3_*.json")))
+def test_stacked_pass_matches_the_per_branch_pass_on_the_corpus(file):
+    assert_matches_the_per_branch_pass(load_circuit(str(CORPUS / file)))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_no_yielded_factor_or_table_is_written_afterwards(pattern, seed):
+    # each array is copied as it is yielded and compared once the whole stream has run
+    circuit = sparse_circuit(pattern + [(True, True, True)], np.random.default_rng(seed))
+    yielded, snapshots = [], []
+    for hits in cascade_hits(circuit):
+        yielded.append(hits)
+        snapshots.append([(side.copy(), signed.copy()) for side, signed in hits])
+    tables = [(lam, lam.copy()) for lam in hit_tables(yielded)]
+    for hits, copies in zip(yielded, snapshots, strict=True):
+        for (side, signed), (side_copy, signed_copy) in zip(hits, copies, strict=True):
+            assert np.array_equal(side, side_copy) and np.array_equal(signed, signed_copy)
+    for lam, copy in tables:
+        assert np.array_equal(lam, copy)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), max_size=8),
@@ -416,7 +474,7 @@ def test_cascade_charge_reads_gate_presence_like_the_angle_tables(pattern, tail,
     circuit = sparse_circuit(pattern + [(False, False, bc) for bc in tail], np.random.default_rng(seed))
     charges = cascade_charges(circuit)
     assert charges == thetas_cascade_charges(circuit)
-    assert charges[0][0] == 4**circuit.n and charges[1][0] <= 2 * 4 ** len(pattern)
+    assert charges[0][0] == 4**circuit.n and charges[1][0] <= 4 ** len(pattern)
 
 
 @pytest.mark.parametrize("file", sorted(path.name for path in CORPUS.glob("n3_*.json")))
@@ -426,8 +484,8 @@ def test_cascade_charge_reads_gate_presence_like_the_angle_tables_on_the_corpus(
 
 
 def test_eight_all_gate_layers_peak_well_under_the_charged_stack():
-    # the charges are 4^8 lambda entries, 2 x 4^8 struck path weights and 4^8 partner
-    # states, 4 MiB of complex entries; the build holds about twice that while it grows a
+    # the charges are 4^8 lambda entries, 4^8 struck path weights and 4^8 partner
+    # states, 3 MiB of complex entries; the build holds about 2.5 times that while it grows a
     # layer, and no array holds 4^8 prefix pairs by the 64 columns booked (64 MiB)
     circuit = random_circuit(np.random.default_rng(83), 3, 8, p_single=1.0, p_phase=1.0)
     tracemalloc.start()
@@ -441,12 +499,14 @@ def test_eight_all_gate_layers_peak_well_under_the_charged_stack():
     assert peak < 10 * 2**20
 
 
-def test_budget_guard_admits_ten_all_gate_layers_only():
-    # at n = 11 lambda's 4^11 entries fit 2^22 exactly; both branches' path weights do not
+def test_budget_guard_admits_eleven_all_gate_layers_only():
+    # at n = 11 lambda's 4^11 entries, both branches' struck path weights (one per (10-mode
+    # subsystem prefix, 11-mode struck prefix) pair each) and the partner states all fit 2^22
+    # exactly; at n = 12 lambda's table, the first charge, does not
     rng = np.random.default_rng(83)
-    next(lambda3_tables(random_circuit(rng, 3, 10, p_single=1.0, p_phase=1.0)))
-    with pytest.raises(BudgetExceeded, match="^struck path weights needs 8388608 "):
-        next(lambda3_tables(random_circuit(rng, 3, 11, p_single=1.0, p_phase=1.0)))
+    next(lambda3_tables(random_circuit(rng, 3, 11, p_single=1.0, p_phase=1.0)))
+    with pytest.raises(BudgetExceeded, match="^path-pair table needs 16777216 "):
+        next(lambda3_tables(random_circuit(rng, 3, 12, p_single=1.0, p_phase=1.0)))
 
 
 def test_trailing_external_layer_adds_no_hit():
@@ -595,6 +655,14 @@ def test_factored_marginals_match_the_dense_last_table(pattern, seed):
 
 def test_factored_marginals_match_the_oracle_at_ten_layers():
     circuit = random_circuit(np.random.default_rng(1), 3, 10, p_single=1.0, p_phase=1.0)
+    oracle = marginal_by_sum(circuit, (0,))
+    for (j,), block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET):
+        assert abs(block.marginal() - oracle[j]) < 1e-9
+
+
+def test_factored_marginals_match_the_oracle_at_eleven_layers():
+    # the struck path weights and the partner states are each exactly 2^22 entries here
+    circuit = random_circuit(np.random.default_rng(1), 3, 11, p_single=1.0, p_phase=1.0)
     oracle = marginal_by_sum(circuit, (0,))
     for (j,), block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET):
         assert abs(block.marginal() - oracle[j]) < 1e-9

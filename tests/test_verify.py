@@ -331,7 +331,7 @@ def test_zero_hit_layers_compares_streamed_tables_at_four_particles(monkeypatch)
 @pytest.mark.parametrize(
     "particles, layers, charge",
     [
-        (3, 11, "struck path weights needs 8388608"),
+        (3, 11, "conditioned external states needs 8388608"),
         (4, 9, "path-sum elimination table needs 33554432"),
         (2, 12, "path-pair table needs 16777216"),
     ],
@@ -353,9 +353,9 @@ def test_every_charge_is_checked_before_any_check_runs(monkeypatch, tmp_path, pa
 
 @pytest.mark.parametrize("particles, layers", [(3, 10), (4, 8)])
 def test_verify_reaches_ten_all_gates_layers_at_three_particles_and_eight_at_four(particles, layers):
-    # one layer more passes the cascade's struck path weights (N=3) or the path sum's elimination
-    # table (N=4), which test_every_charge_is_checked_before_any_check_runs pins; at N=4 n=8 that
-    # table is exactly 2^22
+    # one layer more passes the (0, 1) tree's conditioned external states (N=3) or the path
+    # sum's elimination table (N=4), which test_every_charge_is_checked_before_any_check_runs
+    # pins; at N=4 n=8 that table is exactly 2^22
     circuit = random_circuit(np.random.default_rng(11), particles, layers, p_single=1.0, p_phase=1.0)
     assert verify_circuit(circuit).passed
 
