@@ -17,8 +17,9 @@ prefix by its new bit and applies the straddling factors D[a, x]. The hit
 stream of the subsystem (0,) (`twoparticle.lambda_tables`) takes the same
 steps itself, reading each step's pre-gate states and D before dropping
 it, and yields each table beside its lambda. The three-particle Gram walk
-of `verify`, the general blocks (the final table only) and the density
-path sum read this generator's tables. `condition_on_paths` is the per-path
+of `verify`, the general blocks (table n - 1 only, then one `tree_step` of
+their own for the last layer, folded per outcome) and the density path sum
+read this generator's tables. `condition_on_paths` is the per-path
 scalar reference it is checked against, and the evolution the per-pair
 hits (`twoparticle.hit`) read.
 """

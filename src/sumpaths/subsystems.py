@@ -5,11 +5,13 @@ subsystem member). The hidden variable of an ordered pair of configuration
 paths with equal endpoint tuples is the overlap of the conditioned external
 evolutions. Every outcome of a subsystem reads the same conditioned
 evolution, so `conditioned_blocks` grows the prefix-shared evolution
-`paths.conditioned_prefix_state_layers` once and yields each outcome's
-overlaps as a Gram factor: that outcome's rows of the final table, whose
-pair sum |S^T a|^2 needs no lambda matrix. One pair's lambda, built up hit
-by hit, is `twoparticle.lambda_accumulate`, the per-pair reference for
-every subsystem.
+`paths.conditioned_prefix_state_layers` once, to table n - 1, and yields
+each outcome's overlaps as a Gram factor: that outcome's rows of the final
+table, which layer n's tree step makes for it alone, since only the last
+layer decides where a path ends. Their pair sum |S^T a|^2 needs no lambda
+matrix. One pair's lambda, built up hit by hit, is
+`twoparticle.lambda_accumulate`, the per-pair reference for every
+subsystem.
 
 Phase gates wholly inside the subsystem belong to the configuration
 amplitude; gates wholly outside stay in the conditioned evolution; straddling
@@ -36,24 +38,33 @@ import numpy as np
 from .circuits import Circuit
 from .common import DEFAULT_BUDGET, Charge, LambdaBlock, check_charges
 from .paths import conditioned_prefix_state_layers, endpoint_rows, normalize_subsystem, pair_phases
-from .paths import prefix_amplitudes, tree_step
+from .paths import prefix_amplitudes, tree_root, tree_step
 from .threeparticle import CascadeHits, HitLayer, cascade_hits, hit_factor_charges
 from .twoparticle import lambda_tables, layer_hits
 
 
 def conditioned_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Charge]:
-    """What `conditioned_blocks` holds for a normalized subsystem: the tree's final table, then the amplitude tensor.
+    """What `conditioned_blocks` holds for a normalized subsystem: external states, straddling factors, amplitudes.
 
-    The final table has one row per configuration path, 2^(Mn) of them, and
-    one column per external basis state; the tensor has one amplitude per
-    configuration path. Every block is a view of the two, and no lambda or
-    pair table is built.
+    Three tables of external states: the tree's table n - 1, layer n's
+    pre-gate states and one outcome's rows of table n. Each has one row per
+    (n-1)-mode configuration path prefix, 2^(M(n-1)) of them, and one column
+    per external basis state. Layer n's straddling factor table has one
+    entry per joint basis state, 2^N; past n = 1 it is no larger than the
+    tables, but at n = 1 it is 2^M times larger. The amplitude tensor has
+    one amplitude per configuration path, 2^(Mn). Every block is a view of
+    the tensor and one outcome's rows, and no lambda or pair table is built.
     """
     n, size = circuit.n, len(particles)
-    return [
-        (1 << (size * n + circuit.particles - size), "conditioned external states"),
-        (1 << (size * n), "joint path amplitudes"),
+    states = 1 << (size * max(n - 1, 0) + circuit.particles - size)
+    charges = [
+        (states, "conditioned external states"),
+        (states, "pre-gate external states"),
+        (states, "one outcome's external states"),
     ]
+    if n:
+        charges.append((1 << circuit.particles, "straddling factor table"))
+    return charges + [(1 << (size * n), "joint path amplitudes")]
 
 
 def dense_lambda_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Charge]:
@@ -78,54 +89,81 @@ def conditioned_blocks(
     """(outcome, block) for every subsystem outcome, all read off one conditioned prefix tree.
 
     An outcome's block is a Gram factor: the tree's final-table rows at its
-    configuration paths, whose overlaps are its lambda. Its amplitudes are
-    the members' path amplitudes times the intra-subsystem phases. The
-    final table and the joint amplitude tensor are each built once and
-    reordered once to (outcome, configuration path), so every block holds
-    views and no outcome allocates anything of its own (past n = 1; below,
-    an outcome has at most one path). The budget is charged
-    `conditioned_charges`, those two structures, before anything is built.
-    Outcomes come in `itertools.product((0, 1), repeat=M)` order.
+    configuration paths, whose overlaps are its lambda. Only layer n decides
+    the members' endpoints, so the tree grows to table n - 1 and takes layer
+    n's `paths.tree_step` once: outcome o's rows are its pre-gate states
+    times the straddling factors D[o], the very products `TreeStep.grow`
+    makes for them, in configuration-path order; with no straddling gate
+    they are the pre-gate states themselves. Table n is never built. The
+    amplitudes (`_joint_amplitudes`) are built once, and each block holds a
+    view of them. The budget is charged `conditioned_charges` before
+    anything is built. Outcomes come in `itertools.product((0, 1),
+    repeat=M)` order, each outcome's rows built only when it is reached, so
+    a caller that drops each block before asking for the next holds one
+    outcome's rows at a time.
     """
     particles = normalize_subsystem(circuit, subsystem)
     n, size = circuit.n, len(particles)
     check_charges(conditioned_charges(circuit, particles), budget)
-    for states in conditioned_prefix_state_layers(circuit, particles):  # keeps only the final table
-        pass
     outcomes = itertools.product((0, 1), repeat=size)
+    if n == 0:  # the empty path ends at mode 0: the all-zeros outcome reads the root, no other outcome has a path
+        root = tree_root(circuit, particles)
+        for outcome in outcomes:
+            count = 0 if any(outcome) else 1
+            yield outcome, LambdaBlock(amplitudes=np.ones(count, dtype=complex), factor=root[:count])
+        return
+    for table in itertools.islice(conditioned_prefix_state_layers(circuit, particles), n):
+        pass  # keeps only table n - 1
+    step = tree_step(circuit, particles, n, table)
+    del table
+    amplitudes = _joint_amplitudes(circuit, particles)
+    for index, outcome in enumerate(outcomes):
+        rows = step.pre if step.factors is None else step.pre * step.factors[index]
+        yield outcome, LambdaBlock(amplitudes=amplitudes[index], factor=rows)
+        del rows  # the next outcome's rows are built without these alive
+
+
+def _joint_amplitudes(circuit: Circuit, particles: tuple[int, ...]) -> np.ndarray | list[np.ndarray]:
+    """Each outcome's configuration path amplitudes, indexed in `itertools.product((0, 1), repeat=M)` order.
+
+    A path's amplitude is the members' path amplitudes times the
+    intra-subsystem phases. Past n = 1 the phases are multiplied in place
+    into one tensor over (prefix, endpoint) per member, the bare amplitudes
+    take them in place, and one copy reorders the tensor to (outcome,
+    configuration path), so two 2^(Mn) tensors are alive at most. The
+    multiplication order is fixed: it sets the last bits of every marginal.
+    """
+    n, size = circuit.n, len(particles)
     amps = [prefix_amplitudes(circuit, p) for p in particles]
     pairs = [
         (a, b, pair_phases(circuit, (particles[a], particles[b]))) for a, b in itertools.combinations(range(size), 2)
     ]
-    if n <= 1:
-        # at most one configuration path per outcome (none at n = 0 once the outcome
-        # has a 1); numpy rounds a one-element complex product differently from a
-        # longer loop, so each outcome multiplies one-element arrays of its own
-        for index, outcome in enumerate(outcomes):
+    if n == 1:
+        # one configuration path per outcome; numpy rounds a one-element complex product
+        # differently from a longer loop, so each outcome multiplies one-element arrays of its own
+        amplitudes = []
+        for outcome in itertools.product((0, 1), repeat=size):
             bare = functools.reduce(np.multiply.outer, [amp[j : j + 1] for amp, j in zip(amps, outcome)])
             intra = np.ones(bare.shape, dtype=complex)
             for a, b, (_, last) in pairs:
                 if last is not None:
                     intra = intra * last[outcome[a], outcome[b]]
-            yield outcome, LambdaBlock(amplitudes=(bare * intra).reshape(-1), factor=states[index : index + 1])
-        return
+            amplitudes.append((bare * intra).reshape(-1))
+        return amplitudes
     split = (1 << (n - 1), 2) * size  # each member's (n-1)-mode prefix, then its endpoint
-    bare = functools.reduce(np.multiply.outer, amps)
     intra = np.ones(split, dtype=complex)
     for a, b, factors in pairs:
         for offset, factor in enumerate(factors):
             if factor is not None:  # the prefix factor, then the last layer's
                 shape = [1] * len(split)
                 shape[2 * a + offset], shape[2 * b + offset] = factor.shape
-                intra = intra * factor.reshape(shape)
+                intra *= factor.reshape(shape)
+    joint = functools.reduce(np.multiply.outer, amps).reshape(split)
+    joint *= intra
+    del intra
     # endpoints first, copied C-contiguous: a strided row would round the dense pair sum differently
     order = tuple(range(1, len(split), 2)) + tuple(range(0, len(split), 2))
-    amplitudes = np.ascontiguousarray((bare.reshape(split) * intra).transpose(order)).reshape(1 << size, -1)
-    external = 1 << (circuit.particles - size)
-    states = np.ascontiguousarray(states.reshape(split + (external,)).transpose(order + (len(split),)))
-    states = states.reshape(1 << size, -1, external)
-    for index, outcome in enumerate(outcomes):
-        yield outcome, LambdaBlock(amplitudes=amplitudes[index], factor=states[index])
+    return np.ascontiguousarray(joint.transpose(order)).reshape(1 << size, -1)
 
 
 def table_blocks(

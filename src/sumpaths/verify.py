@@ -32,14 +32,16 @@ list, the route `marginal` prints; the appended layer books no hit. The
 density checks run for two particles only, on one `density_report`: the
 hit/miss recursion over the stacked layers, against the reduced densities
 of the states the oracle checks evolved.
-general_subsystem reads the pair (0, 1) off one more tree, as Gram
-factors whose pair sums build no lambda matrix. Each check is
-charged the time since the previous check ended, so a shared build counts
-in the first check that needs it and the timings add up to the verify's
-wall time. Every reduction keeps a NaN error, so a non-finite result fails
-its check. Every budget charge the checks will make (`verify_charges`) is
-checked before the first one runs, so a circuit too big for any of them
-exits before any work.
+general_subsystem reads the pair (0, 1) off one more tree, grown to table
+n - 1 with its last layer folded per outcome, as Gram factors whose pair
+sums build no lambda matrix; each block is dropped before the next
+outcome's rows are built. Each check is charged the time since the
+previous check ended, so a shared build counts in the first check that
+needs it and the timings add up to the verify's wall time. Every
+reduction keeps a NaN error, so a non-finite result fails its check.
+Every budget charge the checks will make (`verify_charges`) is checked
+before the first one runs, so a circuit too big for any of them exits
+before any work.
 """
 from __future__ import annotations
 
@@ -268,8 +270,11 @@ def verify_circuit(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Verificati
 def _general_subsystem_error(circuit: Circuit, final: np.ndarray, budget: int) -> float:
     """The pair (0, 1) by the general route against the oracle's final state."""
     oracle = marginal_of(final, circuit.particles, (0, 1))
-    blocks = conditioned_blocks(circuit, (0, 1), budget)
-    return _worst(abs(block.marginal() - oracle[outcome]) for outcome, block in blocks)
+    errors = []
+    for outcome, block in conditioned_blocks(circuit, (0, 1), budget):
+        errors.append(abs(block.marginal() - oracle[outcome]))
+        del block  # the next outcome's rows are built without these alive
+    return _worst(errors)
 
 
 def _no_signaling_error(

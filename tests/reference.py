@@ -11,8 +11,8 @@ package's path-sum operands and contraction: `np.repeat`/`np.tile` prefix
 amplitudes, `np.kron` pair phases and one greedy-planned `np.einsum`. The
 package's one-broadcast-per-layer operands must equal them exactly, and
 its particle-by-particle elimination must match their sum.
-The circuit helpers after them make the seeded corpora and the reduced or
-trimmed circuits that the tests compare. The stream helpers at the end read
+The circuit helpers after them make the seeded corpora and the reduced,
+trimmed or relabeled circuits that the tests compare. The stream helpers at the end read
 the per-layer lambda tables of `lambda_tables` and `lambda3_tables`: one pair's
 trajectory, the final endpoint blocks, and the Gram tables of the package's
 conditioned prefix states that every layer must match. Then come the
@@ -27,10 +27,12 @@ the general hit stream, the carried-column cascade, the stacked cascade pass
 (bit for bit) and the copy-free pair sum must reproduce. Then come the
 earlier single-gate kernels, `tensordot` and `moveaxis` with a matmul, and
 the oracle and conditioned layers built from them: the package's one-BLAS-
-call kernels on reshaped views must equal them bit for bit. Then comes the
-earlier general-subsystem route, which built each outcome's dense lambda as
-the Gram matrix of its gathered final-table rows: the package's Gram-factor
-blocks must give its amplitudes and lambdas bit for bit. Then come the
+call kernels on reshaped views must equal them bit for bit. Then come the
+earlier general-subsystem routes: one built each outcome's dense lambda as
+the Gram matrix of its gathered final-table rows, and the next read each
+outcome's Gram factor off the whole final table, reordered. The package's
+Gram-factor blocks, which fold the last layer per outcome, must give their
+amplitudes and lambdas bit for bit, and the second's factors too. Then come the
 per-layer density references, one layer and one formula per call: the
 hit/miss pair of one layer, the partial trace of one state vector, and the
 one-layer Kronecker product, evolved matrix and recursion step, over the
@@ -381,6 +383,21 @@ def remove_trailing_external_gate(circuit: Circuit, atol: float = 1e-12) -> Circ
     specs = [
         (dict(enumerate(layer.singles)), list(layer.phases)) for layer in circuit.layers[:-1]
     ]
+    return make_circuit(circuit.particles, specs)
+
+
+def swap_particles(circuit: Circuit, first: int, second: int) -> Circuit:
+    """The same circuit with particles `first` and `second` exchanged; a gate whose pair turns around is transposed."""
+    label = {first: second, second: first}
+    specs = []
+    for layer in circuit.layers:
+        phases = []
+        for gate in layer.phases:
+            a, b = (label.get(i, i) for i in gate.pair)
+            t00, t01, t10, t11 = gate.thetas
+            phases.append(PhaseGate((a, b), gate.thetas) if a < b else PhaseGate((b, a), (t00, t10, t01, t11)))
+        singles = {label.get(i, i): single for i, single in enumerate(layer.singles)}
+        specs.append((singles, sorted(phases, key=lambda gate: gate.pair)))
     return make_circuit(circuit.particles, specs)
 
 
@@ -798,6 +815,63 @@ def dense_conditioned_blocks(
                 intra = intra * last[outcome[a], outcome[b]]
         # no local keeps the lambda across the yield
         yield outcome, LambdaBlock(amplitudes=bare * intra.reshape(-1), lam=states.conj() @ states.T)
+
+
+def table_conditioned_charges(circuit: Circuit, particles: tuple[int, ...]) -> list:
+    """What `table_conditioned_blocks` holds: the tree's final table, then the amplitude tensor."""
+    n, size = circuit.n, len(particles)
+    return [
+        (1 << (size * n + circuit.particles - size), "conditioned external states"),
+        (1 << (size * n), "joint path amplitudes"),
+    ]
+
+
+def table_conditioned_blocks(
+    circuit: Circuit, subsystem: tuple[int, ...], budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
+    """The earlier `conditioned_blocks`: each outcome's Gram factor read off the tree's whole final table.
+
+    The final table and the joint amplitude tensor are each built once and
+    reordered once to (outcome, configuration path), so every block holds
+    views of the two. The budget is charged `table_conditioned_charges`
+    before anything is built.
+    """
+    particles = normalize_subsystem(circuit, subsystem)
+    n, size = circuit.n, len(particles)
+    check_charges(table_conditioned_charges(circuit, particles), budget)
+    for states in conditioned_prefix_state_layers(circuit, particles):  # keeps only the final table
+        pass
+    outcomes = itertools.product((0, 1), repeat=size)
+    amps = [prefix_amplitudes(circuit, p) for p in particles]
+    pairs = [
+        (a, b, pair_phases(circuit, (particles[a], particles[b]))) for a, b in itertools.combinations(range(size), 2)
+    ]
+    if n <= 1:
+        # at most one configuration path per outcome (none at n = 0 once the outcome has a 1)
+        for index, outcome in enumerate(outcomes):
+            bare = reduce(np.multiply.outer, [amp[j : j + 1] for amp, j in zip(amps, outcome)])
+            intra = np.ones(bare.shape, dtype=complex)
+            for a, b, (_, last) in pairs:
+                if last is not None:
+                    intra = intra * last[outcome[a], outcome[b]]
+            yield outcome, LambdaBlock(amplitudes=(bare * intra).reshape(-1), factor=states[index : index + 1])
+        return
+    split = (1 << (n - 1), 2) * size  # each member's (n-1)-mode prefix, then its endpoint
+    bare = reduce(np.multiply.outer, amps)
+    intra = np.ones(split, dtype=complex)
+    for a, b, factors in pairs:
+        for offset, factor in enumerate(factors):
+            if factor is not None:  # the prefix factor, then the last layer's
+                shape = [1] * len(split)
+                shape[2 * a + offset], shape[2 * b + offset] = factor.shape
+                intra = intra * factor.reshape(shape)
+    order = tuple(range(1, len(split), 2)) + tuple(range(0, len(split), 2))  # endpoints first
+    amplitudes = np.ascontiguousarray((bare.reshape(split) * intra).transpose(order)).reshape(1 << size, -1)
+    external = 1 << (circuit.particles - size)
+    states = np.ascontiguousarray(states.reshape(split + (external,)).transpose(order + (len(split),)))
+    states = states.reshape(1 << size, -1, external)
+    for index, outcome in enumerate(outcomes):
+        yield outcome, LambdaBlock(amplitudes=amplitudes[index], factor=states[index])
 
 
 @dataclass(frozen=True)

@@ -867,6 +867,21 @@ def test_twenty_three_particles_exit_before_the_state_vector_is_built(tmp_path, 
     assert peak < 2**20  # one 2^23-entry state vector would be 128 MiB
 
 
+@pytest.mark.parametrize("particles, count", [(3, 8388608), (4, 16777216)])
+def test_twelve_layer_pair_marginal_exits_before_the_prefix_tree_is_built(tmp_path, particles, count):
+    # the general route's first charge, tree table 11, is past the default budget
+    path = tmp_path / "c.json"
+    save_circuit(random_circuit(np.random.default_rng(1), particles, 12, p_single=1.0, p_phase=1.0), str(path))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli("marginal", "--method", "lambda", "--subsystem", "0,1", "--circuit", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: conditioned external states needs {count} combinations")
+    assert peak < 2**20  # one 2^23-entry table would be 128 MiB
+
 @pytest.mark.parametrize("particles", [2, 4, 5])
 def test_twelve_layer_lambda_marginal_fits_the_default_budget(tmp_path, monkeypatch, particles):
     # the stream runs 11 layers, 4^11 pairs, and folds the twelfth into the blocks
@@ -1008,8 +1023,8 @@ def test_trace_charges_the_pair_reference(tmp_path):
 
 def test_lambda_blocks_are_held_one_at_a_time(tmp_path):
     # subsystem (0, 1) of an all-gates N=4 n=6 circuit: a dense lambda per outcome
-    # would be 1024 x 1024 complex, 16 MiB; the Gram-factor blocks are views of
-    # the tree's final table, 4096 x 4 complex, and hold no lambda at all
+    # would be 1024 x 1024 complex, 16 MiB; a Gram-factor block is one outcome's
+    # rows of the last layer, 1024 x 4 complex, and holds no lambda at all
     path = tmp_path / "n4.json"
     circuit = random_circuit(np.random.default_rng(3), 4, 6, p_single=1.0, p_phase=1.0)
     save_circuit(circuit, str(path))

@@ -19,7 +19,8 @@ from sumpaths.threeparticle import lambda3_tables, lambda_three
 from sumpaths.twoparticle import lambda_accumulate, lambda_tables
 
 from .reference import column_pair_sum, config_path_amplitude, dense_conditioned_blocks, dense_conditioned_charges
-from .reference import final_blocks, hit_lambdas, lambda_general, sparse_circuit
+from .reference import final_blocks, hit_lambdas, lambda_general, sparse_circuit, swap_particles
+from .reference import table_conditioned_blocks
 
 
 def test_single_particle_config_amplitude_reduces_to_path_amplitude():
@@ -293,3 +294,82 @@ def test_a_block_holds_exactly_one_lambda_form():
     block = LambdaBlock(amplitudes, factor=factor)
     assert block.lam is block.lam  # materialized once
     assert np.array_equal(block.lam, np.eye(2)) and block.marginal() == 2.0
+
+
+def assert_folded_blocks_equal_the_table_blocks(circuit, subsystem):
+    # folding layer n per outcome makes the products the whole final table held, in the same order
+    pairs = zip(conditioned_blocks(circuit, subsystem), table_conditioned_blocks(circuit, subsystem), strict=True)
+    for (outcome, block), (table_outcome, table) in pairs:
+        assert outcome == table_outcome
+        assert np.array_equal(block.amplitudes, table.amplitudes)
+        assert np.array_equal(block.factor, table.factor)
+        assert np.array_equal(block.lam, table.lam)
+        assert block.marginal() == table.marginal()
+
+
+def _folding_layers(particles: int, size: int) -> int:
+    """The most layers, up to 7, at which the final table and one outcome's lambda stay within 2^16 entries."""
+    return max(n for n in range(8) if size * n + particles - size <= 16 and 2 * size * max(n - 1, 0) <= 16)
+
+
+SUBSYSTEMS = [
+    (particles, subsystem)
+    for particles in range(2, 7)
+    for size in range(1, particles)
+    for subsystem in itertools.combinations(range(particles), size)
+]
+
+
+@pytest.mark.parametrize("particles, subsystem", SUBSYSTEMS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(density=st.sampled_from([0.0, 0.3, 1.0]), data=st.data())
+def test_folded_blocks_equal_the_final_table_blocks_bit_for_bit(particles, subsystem, density, data):
+    layers = data.draw(st.integers(0, _folding_layers(particles, len(subsystem))))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_phase=density)
+    assert_folded_blocks_equal_the_table_blocks(circuit, subsystem)
+
+
+@pytest.mark.parametrize("file", sorted(path.name for path in CORPUS.glob("n[34]_*.json")))
+def test_folded_blocks_equal_the_final_table_blocks_on_the_corpus(file):
+    circuit = load_circuit(str(CORPUS / file))
+    for size in range(1, circuit.particles):
+        for subsystem in itertools.combinations(range(circuit.particles), size):
+            assert_folded_blocks_equal_the_table_blocks(circuit, subsystem)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 4, 5]), st.lists(_GATE_FLAGS, min_size=1, max_size=5), st.integers(0, 2**32 - 1), st.data())
+def test_member_relabeling_ties_each_single_particle_to_the_hit_stream(particles, pattern, seed, data):
+    # the Gram route's (j,) is the hit stream's (0,) once particles 0 and j trade labels
+    member = data.draw(st.integers(1, particles - 1))
+    circuit = sparse_circuit(particles, pattern, seed)
+    streamed = dict(lambda_blocks(swap_particles(circuit, 0, member), (0,), DEFAULT_BUDGET))
+    for outcome, block in conditioned_blocks(circuit, (member,)):
+        assert abs(block.marginal() - streamed[outcome].marginal()) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([4, 5]), st.lists(_GATE_FLAGS, min_size=1, max_size=5), st.integers(0, 2**32 - 1), st.data())
+def test_external_relabeling_leaves_every_pair_block_lambda(particles, pattern, seed, data):
+    # a lambda is an overlap of external states, which no relabeling of the external particles moves
+    circuit = sparse_circuit(particles, pattern, seed)
+    relabeled = circuit
+    for first, second in data.draw(st.lists(st.tuples(st.integers(2, particles - 1), st.integers(2, particles - 1)))):
+        relabeled = swap_particles(relabeled, first, second)
+    pairs = zip(conditioned_blocks(circuit, (0, 1)), conditioned_blocks(relabeled, (0, 1)), strict=True)
+    for (outcome, block), (relabeled_outcome, moved) in pairs:
+        assert outcome == relabeled_outcome
+        assert np.max(np.abs(block.lam - moved.lam)) < 1e-12
+
+
+@pytest.mark.parametrize("particles", [3, 4])
+def test_pair_marginal_matches_the_oracle_at_eleven_all_gates_layers(particles):
+    # the last layer is folded per outcome: the largest external-state table is table 10,
+    # 2^21 entries at N=3 and 2^22 at N=4, beside the 2^22 joint path amplitudes
+    circuit = random_circuit(np.random.default_rng(1), particles, 11, p_single=1.0, p_phase=1.0)
+    oracle = marginal_by_sum(circuit, (0, 1))
+    for outcome, block in conditioned_blocks(circuit, (0, 1)):
+        assert abs(block.marginal() - oracle[outcome]) < 1e-9
+        del block
+

@@ -42,6 +42,7 @@ from .reference import (
     per_branch_cascade_layers,
     refined_cascade_tables,
     remove_trailing_external_gate,
+    swap_particles,
     table_trajectory,
     thetas_cascade_charges,
 )
@@ -621,21 +622,6 @@ def test_wrong_particle_count_rejected():
 
 # The factored marginal route: `lambda_blocks` reads (0,) of three particles
 # off every layer's hit factors and builds no lambda table unless `lam` is read.
-
-
-def swap_particles(circuit, first, second):
-    """The same circuit with particles `first` and `second` exchanged; a gate whose pair turns around is transposed."""
-    label = {first: second, second: first}
-    specs = []
-    for layer in circuit.layers:
-        phases = []
-        for gate in layer.phases:
-            a, b = (label.get(i, i) for i in gate.pair)
-            t00, t01, t10, t11 = gate.thetas
-            phases.append(PhaseGate((a, b), gate.thetas) if a < b else PhaseGate((b, a), (t00, t10, t01, t11)))
-        singles = {label.get(i, i): single for i, single in enumerate(layer.singles)}
-        specs.append((singles, sorted(phases, key=lambda gate: gate.pair)))
-    return make_circuit(circuit.particles, specs)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
