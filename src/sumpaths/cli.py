@@ -131,7 +131,7 @@ def _lambda_distribution(circuit: Circuit, subsystem: tuple[int, ...], budget: i
     probs = {}
     for outcome, block in lambda_blocks(circuit, subsystem, budget):
         probs[_label(outcome)] = block.marginal()
-        del block  # a folded endpoint block is dense: the next is built without this one alive
+        del block  # a Gram-factor block holds its outcome's rows: the next is built without these alive
     return probs
 
 

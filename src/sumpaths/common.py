@@ -1,13 +1,11 @@
-"""Shared numeric constants, guard errors, and the lambda pair sum."""
+"""Shared numeric constants, guard errors, per-layer hit factors and the lambda pair sum."""
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .threeparticle import CascadeHits
 
 DEFAULT_BUDGET = 2**22
 REALITY_TOL = 1e-10
@@ -47,20 +45,68 @@ def check_charges(charges: Iterable[Charge], budget: int) -> None:
         check_budget(count, budget, what)
 
 
+HitLayer = tuple[tuple[np.ndarray, np.ndarray], ...]  # one layer's hit as (side, signed) factors
+
+
+def add_hit(lam: np.ndarray, hits: HitLayer) -> np.ndarray:
+    """lambda^(t) from lambda^(t-1): the last table repeated over the new bit, plus each factor's (conj(side) * signed) @ side^T."""
+    lam = lam.repeat(2, axis=0).repeat(2, axis=1)
+    for side, signed in hits:
+        lam += (side.conj() * signed) @ side.T
+    return lam
+
+
+def hit_tables(layers: Iterable[HitLayer]) -> Iterator[np.ndarray]:
+    """lambda^(t) for t = 0, 1, ...: 1, then `add_hit` per layer; each table is a fresh array, never written after it is yielded."""
+    return itertools.accumulate(layers, add_hit, initial=np.ones((1, 1), dtype=complex))
+
+
+class HitFactors:
+    """Every layer's factored hit from one pass of a hit stream, kept for the pair sums of both endpoints.
+
+    Holding them is charged by the stream's kept-factor charge. No lambda
+    table is built unless a block's `lam` is read: then `block` adds layer
+    n's hit on the block's rows to lambda over the first n - 1 layers
+    (`head`), which is built once and shared, so a reader holds 4^(n-1)
+    entries per table where the whole last table holds 4^n.
+    """
+
+    def __init__(self, layers: Iterable[HitLayer]) -> None:
+        self.layers = list(layers)
+
+    @cached_property
+    def head(self) -> np.ndarray:
+        """lambda over every pair of (n-1)-mode prefixes (the 1 of no layers when n = 0), by `hit_tables`."""
+        for lam in hit_tables(self.layers[:-1]):  # keeps only the last table
+            pass
+        return lam
+
+    def block(self, rows: np.ndarray) -> np.ndarray:
+        """lambda over the n-mode prefixes `rows`: `head` at their (n-1)-mode prefixes plus layer n's hit on them."""
+        prefixes = rows >> 1
+        lam = self.head[np.ix_(prefixes, prefixes)]
+        for side, signed in self.layers[-1] if self.layers else ():
+            picked = side[rows]
+            lam += (picked.conj() * signed) @ picked.T
+        return lam
+
+
 class LambdaBlock:
     """Path amplitudes and pairwise hidden variables for one subsystem outcome.
 
     Every route ends in one of these; only the way lambda is held differs.
-    The hit stream holds it dense, as `lam`. General conditioned overlaps
-    hold it as a Gram `factor` S: one row per configuration path of the
-    outcome, one column per external basis state, with lambda = conj(S) S^T.
-    The three-particle cascade holds it as `hits`, every layer's hit in
-    low-rank factors (`threeparticle.CascadeHits`): lambda is 1 plus, for
+    General conditioned overlaps hold it as a Gram `factor` S: one row per
+    configuration path of the outcome, one column per external basis state,
+    with lambda = conj(S) S^T. The subsystem (0,) holds it as `hits`, every
+    layer's hit in low-rank factors (`HitFactors`), whether the paper's
+    cascade or particle 0's prefix tree made them: lambda is 1 plus, for
     each layer r and each of its (side, signed) pairs,
     (conj(side) * signed) @ side^T over r-mode prefixes, repeated over the
     later modes; the block's paths are the `rows` of that n-mode table.
-    Reading `lam` off a factor or the hits materializes it once, for
-    callers that read entries; `marginal` never does.
+    Reading `lam` off a factor or the hits materializes it once
+    (`HitFactors.block` folds layer n in on the block's rows alone), for
+    callers that read entries; `marginal` never does. A dense `lam` is what
+    `perturb` builds from a clamped block.
     """
 
     def __init__(
@@ -69,7 +115,7 @@ class LambdaBlock:
         lam: np.ndarray | None = None,
         *,
         factor: np.ndarray | None = None,
-        hits: CascadeHits | None = None,
+        hits: HitFactors | None = None,
         rows: np.ndarray | None = None,
     ) -> None:
         if [lam is None, factor is None, hits is None].count(False) != 1:
@@ -85,9 +131,9 @@ class LambdaBlock:
 
     @cached_property
     def lam(self) -> np.ndarray:
-        """The dense lambda; off a factor, conj(S) S^T from a C-contiguous S; off the hits, rows of their table."""
+        """The dense lambda; off a factor, conj(S) S^T from a C-contiguous S; off the hits, their `block` at its rows."""
         if self.hits is not None:
-            return self.hits.table[np.ix_(self.rows, self.rows)]
+            return self.hits.block(self.rows)
         factor = np.ascontiguousarray(self.factor)
         return factor.conj() @ factor.T
 

@@ -18,29 +18,29 @@ amplitude; gates wholly outside stay in the conditioned evolution; straddling
 gates are conditioned on the subsystem path.
 
 `lambda_blocks` is where every lambda marginal picks its route, written
-once: the cascade for the subsystem (0,) of three particles, the hit stream
-for (0,) at every other particle count, and `conditioned_blocks` for every
-other subsystem. Each yields (outcome, block) pairs one at a time. The
-cascade's blocks (`cascade_blocks`) hold every layer's hit as low-rank
-factors and no lambda table: their pair sum costs 2^r per factor column at
-layer r, where a dense hit costs 4^r. The hit stream's last layer is folded
-into the endpoint blocks by `table_blocks`, which takes that layer's tree
-step from the tree table the stream yields last.
+once: `hit_blocks` for the subsystem (0,) at every particle count, and
+`conditioned_blocks` for every other subsystem. Each yields (outcome,
+block) pairs one at a time. The (0,) blocks hold every layer's hit as
+low-rank factors and no lambda table: their pair sum costs 2^r per factor
+column at layer r, where a dense hit costs 4^r. Only the producer of the
+factors (`hit_stream`) depends on the particle count: the paper's cascade
+(`threeparticle.cascade_hits`) for three particles, particle 0's prefix
+tree (`twoparticle.tree_hits`) for every other count.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .circuits import Circuit
-from .common import DEFAULT_BUDGET, Charge, LambdaBlock, check_charges
+from .common import DEFAULT_BUDGET, Charge, HitFactors, HitLayer, LambdaBlock, check_charges
 from .paths import conditioned_prefix_state_layers, endpoint_rows, normalize_subsystem, pair_phases
 from .paths import prefix_amplitudes, tree_root, tree_step
-from .threeparticle import CascadeHits, HitLayer, cascade_hits, hit_factor_charges
-from .twoparticle import lambda_tables, layer_hits
+from .threeparticle import cascade_hit_charges, cascade_hits, hit_factor_charges
+from .twoparticle import tree_factor_charges, tree_hit_charges, tree_hits, tree_layers
 
 
 def conditioned_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Charge]:
@@ -70,15 +70,12 @@ def conditioned_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Ch
 def dense_lambda_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Charge]:
     """What reading `lam` off each `lambda_blocks` block adds for a normalized subsystem (`perturb`'s clamp).
 
-    The hit stream of the subsystem (0,) holds its lambda dense and charges
-    it itself. The cascade's blocks hold hit factors, whose `lam` is read off
-    the final table they add up to, 4^n path pairs, built once for both
-    endpoints. Every other block is a Gram factor, whose `lam` materializes
-    count^2 pairs, count = 2^(M(n-1)) configuration paths per outcome, one
-    block at a time.
+    A block's `lam` materializes count^2 pairs, count = 2^(M(n-1))
+    configuration paths per outcome, one block at a time. A Gram factor's
+    block is its own; the subsystem (0,)'s blocks share lambda over the
+    first n - 1 layers, 4^(n-1) pairs too, and each adds layer n's hit on
+    its own rows (`common.HitFactors`).
     """
-    if particles == (0,):
-        return [(4**circuit.n, "path-pair table")] if circuit.particles == 3 else []
     count = (1 << max(circuit.n - 1, 0)) ** len(particles)
     return [(count * count, "configuration path pairs")]
 
@@ -166,61 +163,54 @@ def _joint_amplitudes(circuit: Circuit, particles: tuple[int, ...]) -> np.ndarra
     return np.ascontiguousarray(joint.transpose(order)).reshape(1 << size, -1)
 
 
-def table_blocks(
-    circuit: Circuit, lam: np.ndarray, table: np.ndarray | None = None
-) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
-    """((j,), block) for both endpoints of particle 0, read off a lambda table over t-mode prefixes.
+class HitStream(NamedTuple):
+    """A producer of the subsystem (0,)'s per-layer hit factors, and what it and a reader that keeps them hold."""
 
-    `lam` is the circuit's final lambda table (t = n) or the table one layer
-    short (t = n - 1). Then endpoint j's block is that table plus layer n's
-    hit between two prefixes that both move to j, with each prefix amplitude
-    times the last single's element from its mode to j: bit-identical to the
-    final table's rows and columns that end at j. The hit reads layer n's
-    `paths.tree_step`, taken from the prefix tree's table n - 1 (`table`);
-    a last layer with no gate on particle 0 adds none, so then the block is
-    `lam` itself and no table is needed.
+    hits: Callable[[Circuit, int], Iterator[HitLayer]]  # checks `charges` on the call
+    charges: Callable[[Circuit], list[Charge]]
+    kept: Callable[[Circuit], list[Charge]]
+    # (layer t's factors, particle 0's tree table t) for t = 1..n, for `verify`'s walk
+    beside_tree: Callable[[Circuit, int], Iterator[tuple[HitLayer, np.ndarray]]]
+
+
+def _cascade_beside_tree(circuit: Circuit, budget: int) -> Iterator[tuple[HitLayer, np.ndarray]]:
+    """The cascade's factors zipped with particle 0's tree tables 1..n, since the cascade grows no tree.
+
+    The factors are listed first, so the cascade's struck path weights and
+    partner states are gone before the walk builds any lambda table.
     """
-    t = lam.shape[0].bit_length() - 1
-    amps = prefix_amplitudes(circuit, 0, upto=t)
-    if t == circuit.n:
-        for j in (0, 1):
-            rows = endpoint_rows(t, j)
-            yield (j,), LambdaBlock(amps[rows], lam[np.ix_(rows, rows)])
-        return
-    hits = None
-    if any(0 in gate.pair for gate in circuit.layer(circuit.n).phases):
-        if table is None:
-            raise ValueError("folding a last layer with a gate on particle 0 needs the prefix tree's table n - 1")
-        hits = layer_hits(tree_step(circuit, (0,), circuit.n, table))
-    for j in (0, 1):
-        block = lam
-        if hits is not None:
-            block = hits(j, j)
-            block += lam
-        yield (j,), LambdaBlock(amps * circuit.single(circuit.n, 0)[j, np.arange(amps.size) % 2], block)
-        del block  # the next endpoint's block is built without this one alive
+    tree = itertools.islice(conditioned_prefix_state_layers(circuit, (0,)), 1, None)
+    return zip(list(cascade_hits(circuit, budget)), tree, strict=True)
 
 
-def cascade_block_charges(circuit: Circuit) -> list[Charge]:
-    """What the cascade's blocks add to the stream's charges: the kept hit factors, then the 2^n path amplitudes.
+def hit_stream(circuit: Circuit) -> HitStream:
+    """The (0,) producer the particle count allows: the paper's cascade for three particles, particle 0's prefix tree otherwise.
 
-    The stream itself is charged `threeparticle.cascade_hit_charges`. Past
-    the last hit layer h the stream holds nothing more, but each pair
-    sum reads the amplitudes over every n-mode path, so a circuit with few
-    early hits is stopped by its layer count, not by 4^h.
+    The tree's stream yields its own tables, so `verify`'s tree grows once.
     """
-    return hit_factor_charges(circuit) + [(1 << circuit.n, "subsystem path amplitudes")]
+    if circuit.particles == 3:
+        return HitStream(cascade_hits, cascade_hit_charges, hit_factor_charges, _cascade_beside_tree)
+    return HitStream(tree_hits, tree_hit_charges, tree_factor_charges, tree_layers)
 
 
-def cascade_blocks(circuit: Circuit, layers: Iterable[HitLayer]) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
-    """((j,), block) for both endpoints of particle 0 of three particles, over every layer's hit factors.
+def hit_block_charges(circuit: Circuit) -> list[Charge]:
+    """What `hit_blocks` adds to the stream's charges: the kept hit factors, then particle 0's 2^n path amplitudes.
 
-    `layers` is `threeparticle.cascade_hits` of the circuit, or a list of
-    what it yielded; each block holds them all (`CascadeHits`, shared by both
-    endpoints) with the rows of its endpoint's paths, and particle 0's path
-    amplitudes at those rows.
+    Past the last layer with a hit the stream holds nothing more, but each
+    pair sum reads the amplitudes over every n-mode path, so a circuit with
+    few early hits is stopped by its layer count.
     """
-    hits = CascadeHits(layers)
+    return hit_stream(circuit).kept(circuit) + [(1 << circuit.n, "subsystem path amplitudes")]
+
+
+def hit_blocks(circuit: Circuit, layers: Iterable[HitLayer]) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
+    """((j,), block) for both endpoints of particle 0, over every layer's hit factors.
+
+    `layers` is what a `HitStream` yielded, or a list of it; each block
+    holds them all (`HitFactors`, shared by both endpoints) with the rows of
+    its endpoint's paths, and particle 0's path amplitudes at those rows.
+    """
+    hits = HitFactors(layers)
     amps = prefix_amplitudes(circuit, 0)
     for j in (0, 1):
         rows = endpoint_rows(circuit.n, j)
@@ -230,27 +220,21 @@ def cascade_blocks(circuit: Circuit, layers: Iterable[HitLayer]) -> Iterator[tup
 def lambda_blocks(
     circuit: Circuit, subsystem: Sequence[int], budget: int
 ) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
-    """(outcome, block) for every subsystem outcome, by the route the particle count allows.
+    """(outcome, block) for every subsystem outcome, by the route the subsystem takes.
 
-    The subsystem (0,) of three particles gets `cascade_blocks`, which hold
-    the cascade's hit factors, charged the stream's charges and
-    `cascade_block_charges`, and no lambda table until one is read. At any
-    other particle count it streams the hits over the first n - 1 layers
-    (charged 4^(n-1)), and `table_blocks` folds layer n into both endpoint
-    blocks from the last tree table it yields. Every other subsystem gets
-    `conditioned_blocks`, whose Gram-factor blocks hold no lambda until one
-    is read. Blocks are yielded one at a time, so a caller that drops each
-    before asking for the next holds one dense lambda at a time.
+    The subsystem (0,) gets `hit_blocks` over its `hit_stream`, at every
+    particle count: the stream checks its own charges, then the kept factors
+    and amplitudes are checked (`hit_block_charges`), all before the first
+    layer is built, and no lambda table is built until a block's `lam` is
+    read. Every other subsystem gets `conditioned_blocks`, whose Gram-factor
+    blocks hold no lambda until one is read. Blocks are yielded one at a
+    time, so a caller that drops each before asking for the next holds one
+    dense lambda at a time.
     """
     particles = normalize_subsystem(circuit, subsystem)
     if particles != (0,):
         yield from conditioned_blocks(circuit, particles, budget)
         return
-    if circuit.particles == 3:
-        layers = cascade_hits(circuit, budget)  # checks the stream's charges
-        check_charges(cascade_block_charges(circuit), budget)
-        yield from cascade_blocks(circuit, layers)
-        return
-    for lam, table in lambda_tables(circuit, budget, layers=max(circuit.n - 1, 0)):  # keeps only the last pair
-        pass
-    yield from table_blocks(circuit, lam, table)
+    layers = hit_stream(circuit).hits(circuit, budget)
+    check_charges(hit_block_charges(circuit), budget)
+    yield from hit_blocks(circuit, layers)

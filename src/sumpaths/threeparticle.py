@@ -23,13 +23,15 @@ happens).
 same literal cascade vectorized over every path-prefix pair and streams each
 layer's hit as low-rank factors: (side, signed) pairs whose product
 (conj(side) * signed) @ side^T is the hit over every pair of r-mode
-prefixes. The stream has two readers. `hit_tables` adds each product to the
-last lambda table, and `lambda3_tables` streams those tables; `verify`'s
-`three_closure` checks each against the Gram matrix of the conditioned
-external-pair states of `paths.conditioned_prefix_state_layers`, zipped
-layer by layer with the stream, not of the cascade's own columns. The
-marginal (`LambdaBlock` over `CascadeHits`) sums each factor against the
-amplitudes instead, sum_m signed_m |(side^T A)_m|^2, and builds no table.
+prefixes: the `HitLayer` form of `common`, which particle 0's prefix tree
+(`twoparticle.tree_hits`) yields at every other particle count. Every
+reader keeps the factors (`common.HitFactors`). The marginal
+(`subsystems.hit_blocks`) sums each factor against the amplitudes,
+sum_m signed_m |(side^T A)_m|^2, and builds no table; `verify` adds each
+product to the last lambda table (`common.add_hit`) and its `three_closure`
+checks each table against the Gram matrix of the conditioned external-pair
+states of `paths.conditioned_prefix_state_layers`, zipped layer by layer
+with the stream, not of the cascade's own columns.
 
 Each gamma or chi increment is sum_l conj(f_l(p, m)) f_l(q, n), separable
 across the (p, m) | (q, n) split of subsystem and struck prefixes, and a hit
@@ -65,24 +67,23 @@ that `three_closure` checks the tables against.
 The budget is charged with what each part holds at its largest, one
 charge per structure: through the last layer h with an A-B or A-C gate,
 both branches' struck path weights and partner states
-(`cascade_hit_charges`, checked by the stream), for the tables also the
-last lambda table (`cascade_charges`), and for a reader that keeps every
-layer's factors (`CascadeHits`) those factors (`hit_factor_charges`).
+(`cascade_hit_charges`, checked by the stream), and for a reader that
+keeps every layer's factors those factors (`hit_factor_charges`).
 All-gates circuits reach n = 11 under the default budget of 2^22, where
-the last lambda table, the struck path weights and the partner states are
-each exactly 2^22 entries; at n = 12 the first of them a reader charges
-stops it.
+the struck path weights and the partner states are each exactly 2^22
+entries (and so is the last lambda table `verify` builds); at n = 12 they
+stop it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import Iterable, Iterator
+from functools import cache
+from typing import Iterator
 
 import numpy as np
 
 from .circuits import Circuit, PhaseGate
-from .common import DEFAULT_BUDGET, Charge, check_budget, check_charges
+from .common import DEFAULT_BUDGET, Charge, HitLayer, check_budget, check_charges
 from .paths import Path, enumerate_paths, path_amplitude
 
 AB, AC, BC = (0, 1), (0, 2), (1, 2)
@@ -317,7 +318,7 @@ def cascade_hit_charges(circuit: Circuit) -> list[Charge]:
 
 
 def hit_factor_charges(circuit: Circuit) -> list[Charge]:
-    """What keeping every layer's hit factors holds (`CascadeHits`): at most 2^(h+4) (4h + 1) entries.
+    """What keeping every layer's hit factors holds (`common.HitFactors`): at most 2^(h+4) (4h + 1) entries.
 
     Layer r <= h books at most 4r + 1 columns per branch, each 2^(r+2)
     side entries and four signs; summed over both branches and r = 1..h
@@ -326,11 +327,6 @@ def hit_factor_charges(circuit: Circuit) -> list[Charge]:
     """
     last_hit = _last_hit_layer(circuit)
     return [((1 << (last_hit + 4)) * (4 * last_hit + 1) if last_hit else 0, "hit factors")]
-
-
-def cascade_charges(circuit: Circuit) -> list[Charge]:
-    """What `lambda3_tables` holds at its largest: the last lambda table, 4^n entries, then `cascade_hit_charges`."""
-    return [(4**circuit.n, "path-pair table")] + cascade_hit_charges(circuit)
 
 
 def _stacked_gates(circuit: Circuit, layers: int) -> tuple:
@@ -438,9 +434,6 @@ def _branch_factors(columns: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray
     return side, _signed(columns.shape[2])
 
 
-HitLayer = tuple[tuple[np.ndarray, np.ndarray], ...]  # one layer's booked branches as (side, signed)
-
-
 def cascade_hits(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[HitLayer]:
     """Each layer's hit as low-rank factors, for r = 1..n, by the literal cascade.
 
@@ -517,47 +510,3 @@ def _cascade_layers(circuit: Circuit) -> Iterator[HitLayer]:
                 hit_columns = np.concatenate([carried, after_bc[0], first[0]], axis=2) if has_bc else carried
             hits.append(_branch_factors(hit_columns, phases[j]))
         yield tuple(hits)
-
-
-def hit_tables(layers: Iterable[HitLayer]) -> Iterator[np.ndarray]:
-    """lambda^(t) for t = 0, 1, ...: 1, then the last table repeated over the new bit plus the layer's factored hit.
-
-    Each table is a fresh array, never written after it is yielded.
-    """
-    lam = np.ones((1, 1), dtype=complex)
-    yield lam
-    for hits in layers:
-        lam = lam.repeat(2, axis=0).repeat(2, axis=1)
-        for side, signed in hits:
-            lam += (side.conj() * signed) @ side.T
-        yield lam
-
-
-class CascadeHits:
-    """Every layer's factored hit from one cascade pass, and the final lambda table they add up to.
-
-    Holding them all is charged `hit_factor_charges`. The table is built
-    only when read, by `hit_tables`, so it holds the bits of
-    `lambda3_tables`' last table.
-    """
-
-    def __init__(self, layers: Iterable[HitLayer]) -> None:
-        self.layers = list(layers)
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        for lam in hit_tables(self.layers):  # keeps only the last table
-            pass
-        return lam
-
-
-def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
-    """lambda^(t) over every pair of t-mode subsystem prefixes, for t = 0..n, by the literal cascade.
-
-    `hit_tables` over `cascade_hits`: every table is a fresh array, never
-    written after it is yielded. On the first `next()` the last table's
-    4^n entries are charged, then `cascade_hits` checks the particle count
-    and its own charges.
-    """
-    check_budget(4**circuit.n, budget, "path-pair table")
-    yield from hit_tables(cascade_hits(circuit, budget))

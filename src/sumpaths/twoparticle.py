@@ -25,26 +25,26 @@ the (0,) of three particles, whose hits are the paper's cascade in
 `lambda_accumulate` streams each side's states once, and charges what one
 hit holds (`pair_charges`) before its first hit. `_before_layer` (the external
 singles, axis by axis) and `_straddle` (the straddling factors D) remain
-only as that reference's helpers. `lambda_tables` streams lambda^(t) of the
-subsystem (0,) over every prefix pair, one layer at a time, beside particle
-0's conditioned prefix-tree table t, which it grows one `paths.tree_step`
-per layer: `layer_hits` reads each layer's pre-gate states and D off the
-step that grew the table, so the stream rebuilds neither, and drops the
-step before it yields. `verify` checks each streamed lambda against the
-Gram matrix of the table beside it. The stream serves every particle count
-but three.
+only as that reference's helpers. `tree_hits` streams the hits of the
+subsystem (0,) at every particle count but three, in the cascade's
+low-rank `HitLayer` form, off particle 0's conditioned prefix tree, which
+it grows one `paths.tree_step` per layer: each layer's side is the grown
+table beside the step's pre-gate states, so the stream rebuilds neither,
+and drops the step before it yields. `tree_layers` yields each tree table
+beside its layer's factors, for `verify`, which checks the lambda they add
+up to against the Gram matrix of that table.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .circuits import Circuit
-from .common import DEFAULT_BUDGET, REALITY_TOL, Charge, LambdaBlock, RealityError, check_charges
-from .paths import Path, TreeStep, apply_single, condition_on_paths, member_layout, normalize_subsystem
+from .common import DEFAULT_BUDGET, REALITY_TOL, Charge, HitLayer, LambdaBlock, RealityError, check_charges
+from .paths import Path, apply_single, condition_on_paths, member_layout, normalize_subsystem
 from .paths import straddling_factor, tree_root, tree_step
 
 
@@ -100,25 +100,6 @@ def _before_layer(circuit: Circuit, members: tuple[int, ...], t: int, states: np
     for axis, particle in enumerate(external, start=1):
         state = apply_single(state, axis, singles[particle])
     return state.reshape(states.shape)
-
-
-def layer_hits(step: TreeStep) -> Callable[[int, int], np.ndarray] | None:
-    """A tree layer's hits over every pair of rows of its previous table, as a function of joint member modes (a, b).
-
-    `hits(a, b)[k, l]` is the hit of the pair of prefixes k + a and l + b:
-    sum_x conj(pre[k, x]) pre[l, x] (conj(D_a(x)) D_b(x) - 1), read off the
-    tree's own step: `pre` the external states just before the layer's
-    straddling gates, D their factors. None when the layer has no
-    straddling gate.
-    """
-    pre, factors = step.pre, step.factors
-    if factors is None:
-        return None
-
-    def hits(a: int, b: int) -> np.ndarray:
-        return (pre.conj() * (factors[b] * factors[a].conj() - 1.0)) @ pre.T
-
-    return hits
 
 
 def _joint_mode(paths: Sequence[Path], t: int) -> int:
@@ -193,60 +174,67 @@ def lambda_accumulate(
     return LambdaEntry(trajectory=tuple(itertools.accumulate(hits, initial=1.0 + 0.0j)), hits=hits)
 
 
-def prefix_tree_charges(circuit: Circuit, layers: int | None = None) -> list[Charge]:
-    """What `lambda_tables` charges over the first `layers` layers (default n).
+def tree_hit_charges(circuit: Circuit) -> list[Charge]:
+    """What `tree_layers` holds besides the factors its reader keeps: particle 0's tree table and one step's pre-gate states.
 
-    The stream holds lambda over 4^layers prefix pairs, and its last two
-    tree tables with one step's pre-gate states, at most 2^(layers + 1) x
-    2^(N - 1) external amplitudes.
+    Each is charged 2^(n + N - 1) external amplitudes, tree table n's size:
+    the stream holds table t - 1, its step and table t while it makes layer
+    t's side.
     """
-    layers = circuit.n if layers is None else layers
-    return [(4**layers, "path-pair table"), (1 << (layers + circuit.particles), "conditioned external states")]
+    states = 1 << (circuit.n + circuit.particles - 1)
+    return [(states, "conditioned external states"), (states, "pre-gate external states")]
 
 
-def lambda_tables(
-    circuit: Circuit, budget: int = DEFAULT_BUDGET, layers: int | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(lambda^(t), tree table t) of the subsystem (0,), for t = 0..`layers` (default n).
+def tree_factor_charges(circuit: Circuit) -> list[Charge]:
+    """What keeping every layer of `tree_hits` holds: one side of 2^(t + N) entries per layer t with a gate on particle 0.
 
-    lambda^(t) spans every pair of t-mode prefixes. Prefix indices encode
-    modes most-significant-first, so a full path's row is its mode bitstring
-    read as a binary number; paths ending at j occupy rows 2k + j with k the
-    lexicographic enumeration index. Tree table t is particle 0's
-    `paths.conditioned_prefix_state_layers` table t, grown here one
-    `paths.tree_step` per layer. Layer t writes each new lambda table once:
-    lambda^(t-1) plus the `layer_hits` of that step for one mode pair (a, b)
-    into the strided view of rows 2k + a and columns 2l + b, or lambda^(t-1)
-    alone at every (a, b) when the layer has no straddling gate. Both
-    `prefix_tree_charges` are checked on the first `next()`, before anything
-    is built. No array is written after it is yielded, and the step is
-    dropped before its pair is yielded, so a caller that keeps only the last
-    pair holds at most two of each table and one hit block at a time.
+    That stays under 2^(h + N + 1), h the last such layer.
+    """
+    layers = enumerate(circuit.layers, start=1)
+    kept = sum(1 << (t + circuit.particles) for t, layer in layers if any(0 in gate.pair for gate in layer.phases))
+    return [(kept, "hit factors")]
+
+
+def tree_layers(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[tuple[HitLayer, np.ndarray]]:
+    """(layer t's hit factors, particle 0's tree table t) of the subsystem (0,), for t = 1..n, one `paths.tree_step` each.
+
+    Layer t's hit over the pair of rows ((k, a), (l, b)) is
+    sum_x conj(pre[k, x]) pre[l, x] (conj(D_a(x)) D_b(x) - 1), with `pre`
+    and D the step's pre-gate states and straddling factors. That is
+    (conj(side) * signed) @ side^T with side = [table t | pre repeated over
+    the new bit], since table t's row (k, a) is pre[k] D[a], and signed = +1
+    on the first 2^(N-1) columns and -1 on the last: the `HitLayer` form of
+    the cascade. A layer without a gate on particle 0 yields no factor, so
+    its hit is an exact zero. Rows are prefixes packed most-significant-first,
+    and table t is `paths.conditioned_prefix_state_layers` table t. The
+    particle count and `tree_hit_charges` are checked on the call; each step
+    is dropped before its layer is yielded, and no yielded array is written
+    afterwards.
     """
     _require_stream(circuit)
-    layers = circuit.n if layers is None else layers
-    check_charges(prefix_tree_charges(circuit, layers), budget)
-    lam, table = np.ones((1, 1), dtype=complex), tree_root(circuit, (0,))
-    yield lam, table
-    for t in range(1, layers + 1):
+    check_charges(tree_hit_charges(circuit), budget)
+    return _tree_layers(circuit)
+
+
+def _tree_layers(circuit: Circuit) -> Iterator[tuple[HitLayer, np.ndarray]]:
+    """The layers `tree_layers` yields, unchecked."""
+    table = tree_root(circuit, (0,))
+    signed = np.repeat([1.0, -1.0], table.shape[1])
+    signed.flags.writeable = False
+    for t in range(1, circuit.n + 1):
         step = tree_step(circuit, (0,), t, table)
-        lam, table = _grown_table(lam, layer_hits(step)), step.grow()
+        table = step.grow()
+        hits = () if step.factors is None else ((np.concatenate([table, step.pre.repeat(2, axis=0)], axis=1), signed),)
         del step
-        yield lam, table
+        yield hits, table
 
 
-def _grown_table(lam: np.ndarray, hits: Callable[[int, int], np.ndarray] | None) -> np.ndarray:
-    """lambda^(t) from lambda^(t-1) and layer t's hits, each mode pair (a, b) written once into its strided view."""
-    size = lam.shape[0]
-    grown = np.empty((2 * size, 2 * size), dtype=complex)
-    view = grown.reshape(size, 2, size, 2)
-    if hits is None:
-        view[...] = lam[:, None, :, None]
-    else:
-        for a in (0, 1):
-            for b in (0, 1):
-                np.add(lam, hits(a, b), out=view[:, a, :, b])
-    return grown
+def tree_hits(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[HitLayer]:
+    """Each layer's hit of the subsystem (0,) as low-rank factors, read off particle 0's prefix tree (`tree_layers`).
+
+    The particle count and `tree_hit_charges` are checked on the call.
+    """
+    return (hits for hits, _ in tree_layers(circuit, budget))
 
 
 def marginal_deviation(circuit: Circuit, endpoint: int, block: LambdaBlock) -> float:

@@ -9,26 +9,27 @@ first n + 1 states are this circuit's, the last of which every other
 oracle check reads, and at two particles the density report reads them
 all.
 
-The lambda route of the subsystem (0,) is built once per circuit: the hit
-stream of `twoparticle`, or for three particles the cascade, each a stream
-of per-layer tables. The walk reads each lambda beside particle 0's
-conditioned prefix-tree table of the same layer: the hit stream yields
-that table itself, grown by the step whose pre-gate states and straddling
-factors its hits read, and the cascade is zipped with
-`paths.conditioned_prefix_state_layers`. The hits stay per-layer sums over
-those states, never a difference of the tree's Gram matrices, so the walk
-is no restatement of the stream. One walk over the pairs, holding at most
-the previous lambda, computes every per-layer check: the gap to the Gram
-matrix of the tree table (telescoping, three_closure), the largest
-|lambda| (lambda_bound), and, for the hit stream, the bit-exact repeat at
-layers without a gate on particle 0 (zero_hit_layers). For the hit stream
-the final lambda table's blocks serve the marginal checks and both sides
-of no_signaling: the appended layer has no gate on particle 0, so
-`table_blocks` folds it into the amplitudes. For the cascade the dense
-tables, added up by `hit_tables` from a list of every layer's hit
-factors, serve three_closure, hermitian_pairing and lambda_bound, while
-the marginal checks and no_signaling read `cascade_blocks` over that same
-list, the route `marginal` prints; the appended layer books no hit. The
+The lambda route of the subsystem (0,) is built once per circuit, by one
+walk at every particle count. Its producer (`subsystems.hit_stream`)
+yields each layer's hit as low-rank factors beside particle 0's tree table
+of the same layer: the cascade of `threeparticle` for three particles,
+zipped with `paths.conditioned_prefix_state_layers`, or particle 0's prefix
+tree (`twoparticle.tree_layers`) for any other count, which yields the
+table its step grew beside the factors it read off that step, so the tree
+grows once. The walk adds each layer's factors to the last lambda
+(`common.add_hit`) and reads it beside the tree table of the same layer.
+The marginals sum the factors layer by layer, never the closed form the
+hits telescope to, the Gram matrix of the last tree table, so
+oracle_equivalence stays no restatement of the tree. Holding at most the
+previous lambda, the walk computes every per-layer check: the gap to the
+Gram matrix of the tree table (three_closure at three particles,
+telescoping otherwise), the largest |lambda| (lambda_bound), and, for the
+tree's stream, the bit-exact repeat at layers without a gate on particle 0
+(zero_hit_layers). The final lambda serves hermitian_pairing. The walk
+keeps every layer's factors, and their blocks (`subsystems.hit_blocks`,
+the route `marginal` prints) serve the marginal checks and both sides of
+no_signaling: the appended layer has no gate on particle 0, so it books no
+hit. two_form_equivalence reads each endpoint block's dense lambda. The
 density checks run for two particles only, on one `density_report`: the
 hit/miss recursion over the stacked layers, against the reduced densities
 of the states the oracle checks evolved.
@@ -54,13 +55,12 @@ from typing import Container, Iterable, Iterator
 import numpy as np
 
 from .circuits import Circuit, append_external_layer, circuit_digest
-from .common import DEFAULT_BUDGET, Charge, LambdaBlock, check_charges
+from .common import DEFAULT_BUDGET, Charge, HitLayer, LambdaBlock, add_hit, check_charges
 from .density import density_charges, density_report
 from .oracle import Distribution, marginal_of, oracle_charges, states
-from .paths import Path, amplitudes_via_paths, conditioned_prefix_state_layers, pathsum_charges
-from .subsystems import cascade_blocks, conditioned_blocks, conditioned_charges, table_blocks
-from .threeparticle import cascade_charges, cascade_hits, hit_factor_charges, hit_tables
-from .twoparticle import hit, lambda_tables, marginal_deviation, prefix_tree_charges
+from .paths import Path, amplitudes_via_paths, pathsum_charges
+from .subsystems import conditioned_blocks, conditioned_charges, hit_blocks, hit_stream
+from .twoparticle import hit, marginal_deviation
 
 MARGINAL_TOL = 1e-9  # oracle_equivalence, marginal_normalization, three_closure, general_subsystem
 
@@ -141,22 +141,25 @@ def _hermitian_gap(table: np.ndarray) -> float:
 
 
 def _walk_layers(
-    circuit: Circuit, pairs: Iterable[tuple[np.ndarray, np.ndarray]], gateless: Container[int]
-) -> tuple[np.ndarray, float, float, float]:
-    """Per-layer checks of (lambda_t, tree table t) pairs, holding at most the previous lambda.
+    circuit: Circuit, pairs: Iterable[tuple[HitLayer, np.ndarray]], gateless: Container[int]
+) -> tuple[list[HitLayer], np.ndarray, float, float, float]:
+    """Per-layer checks of (layer t's hit factors, tree table t) pairs, adding each hit to lambda and holding at most the previous lambda.
 
-    Returns the final lambda, the worst gap |lambda_t - G_t| to the Gram
-    matrix G_t of the conditioned external states in tree table t, the
-    largest |lambda_t|, and the worst zero-hit error at the `gateless`
-    layers of the hit stream, where the table must repeat the previous one
-    over the new bit and one path pair's scalar `hit` must be 0, both
-    bit-exact.
+    Returns every layer's hit factors, the final lambda, the worst gap
+    |lambda_t - G_t| to the Gram matrix G_t of the conditioned external
+    states in tree table t, the largest |lambda_t|, and the worst zero-hit
+    error at the `gateless` layers of the tree's stream, where the table
+    must repeat the previous one over the new bit and one path pair's scalar
+    `hit` must be 0, both bit-exact. Table 0 is the tree's root, whose Gram
+    matrix is lambda_0 = 1.
     """
     p = Path(modes=(0,) * circuit.n)
     q = Path(modes=(1,) * (circuit.n - 1) + (0,)) if circuit.n > 1 else p
-    gaps, largest, zero_hit = [], [], [0.0]
-    previous = None
-    for t, (lam, table) in enumerate(pairs):
+    kept, lam = [], np.ones((1, 1), dtype=complex)
+    gaps, largest, zero_hit = [0.0], [1.0], [0.0]
+    for t, (hits, table) in enumerate(pairs, start=1):
+        kept.append(hits)
+        previous, lam = lam, add_hit(lam, hits)
         gram = table.conj() @ table.T
         gaps.append(float(np.max(np.abs(np.subtract(lam, gram, out=gram)))))
         largest.append(float(np.max(np.abs(lam))))
@@ -167,32 +170,28 @@ def _walk_layers(
             if not np.array_equal(grown, np.broadcast_to(repeated, grown.shape)):
                 zero_hit.append(float(np.max(np.abs(grown - repeated))))
             zero_hit.append(abs(hit(circuit, (0,), (p,), (q,), t)))
-        previous = lam
-    return previous, _worst(gaps), _worst(largest), _worst(zero_hit)
+    return kept, lam, _worst(gaps), _worst(largest), _worst(zero_hit)
 
 
 def _lambda_checks(
     runner: _Runner, circuit: Circuit, extended: Circuit, budget: int, oracle: Distribution, history: list[np.ndarray]
 ) -> tuple[list[float], Iterator[tuple[tuple[int, ...], LambdaBlock]]]:
-    """The (0,) route's checks: the cascade's at three particles, else the hit stream's; density only for two.
+    """The (0,) hit stream's checks, by one walk at every particle count; density only for two.
 
-    Returns the marginals and the `extended` circuit's blocks, for no_signaling.
+    The walk's kept factors make the blocks of the marginal checks, and of
+    both sides of no_signaling: the appended layer has no gate on particle
+    0, so it books no hit. Three particles check three_closure where the
+    tree's stream checks telescoping, zero_hit_layers and
+    two_form_equivalence. Returns the marginals and the `extended` circuit's
+    blocks, for no_signaling.
     """
     cascade = circuit.particles == 3
-    if cascade:  # every layer's hit factors, kept for the marginal checks
-        hits = list(cascade_hits(circuit, budget))
-        pairs = zip(hit_tables(hits), conditioned_prefix_state_layers(circuit, (0,)), strict=True)
-    else:
-        pairs = lambda_tables(circuit, budget)
     layers = enumerate(circuit.layers, start=1)
     gateless = [] if cascade else [t for t, layer in layers if all(gate.pair[0] != 0 for gate in layer.phases)]
-    final, gap, largest, zero_hit = _walk_layers(circuit, pairs, gateless)
-    if cascade:  # the appended layer has no gate on particle 0, so it books no hit
-        blocks = [block for _, block in cascade_blocks(circuit, hits)]
-        ext_blocks = cascade_blocks(extended, hits + [()])
-    else:  # the appended layer has no gate on particle 0, so the final table folds it
-        blocks = [block for _, block in table_blocks(circuit, final)]
-        ext_blocks = table_blocks(extended, final)
+    pairs = hit_stream(circuit).beside_tree(circuit, budget)
+    hits, final, gap, largest, zero_hit = _walk_layers(circuit, pairs, gateless)
+    blocks = [block for _, block in hit_blocks(circuit, hits)]
+    ext_blocks = hit_blocks(extended, hits + [()])
     marginals = [block.marginal() for block in blocks]
     runner.run("oracle_equivalence", MARGINAL_TOL, _worst(abs(marginals[j] - oracle[j]) for j in (0, 1)))
     runner.run("marginal_normalization", MARGINAL_TOL, abs(sum(marginals) - 1.0))
@@ -218,14 +217,17 @@ def _lambda_checks(
 
 
 def verify_charges(circuit: Circuit) -> list[Charge]:
-    """Every budget charge `verify_circuit` makes, in the order its checks make them."""
+    """Every budget charge `verify_circuit` makes, in the order its checks make them.
+
+    The (0,) walk charges the same three things at every particle count: its
+    last lambda table, 4^n path pairs, the hit stream's own charges, and the
+    hit factors it keeps.
+    """
     charges = oracle_charges(circuit) + (pathsum_charges(circuit) if circuit.n >= 1 else [])
     n = circuit.particles
     if n >= 2 and circuit.n >= 1:
-        if n == 3:
-            charges += cascade_charges(circuit) + hit_factor_charges(circuit)
-        else:
-            charges += prefix_tree_charges(circuit)
+        stream = hit_stream(circuit)
+        charges += [(4**circuit.n, "path-pair table")] + stream.charges(circuit) + stream.kept(circuit)
         if n == 2:
             charges += density_charges(circuit)
         if n >= 3:

@@ -12,14 +12,19 @@ amplitudes, `np.kron` pair phases and one greedy-planned `np.einsum`. The
 package's one-broadcast-per-layer operands must equal them exactly, and
 its particle-by-particle elimination must match their sum.
 The circuit helpers after them make the seeded corpora and the reduced,
-trimmed or relabeled circuits that the tests compare. The stream helpers at the end read
-the per-layer lambda tables of `lambda_tables` and `lambda3_tables`: one pair's
-trajectory, the final endpoint blocks, and the Gram tables of the package's
-conditioned prefix states that every layer must match. Then come the
+trimmed or relabeled circuits that the tests compare. The stream helpers after them read
+per-layer lambda tables, added up from the hit factors of particle 0's tree
+(`hit_lambdas`) or of the cascade (`lambda3_tables`, with its charges):
+one pair's trajectory, the final endpoint blocks, and the Gram tables of
+the package's conditioned prefix states that every layer must match. Then
+comes the earlier dense (0,) route of every particle count but three: the
+stream that wrote each lambda table from the last one and the tree step's
+dense hits, and the fold of its last layer into both endpoint blocks,
+which the factored route must match to rounding. Then come the
 earlier two-particle table builder, the earlier axis-by-axis prefix tree
 and the hit stream and fold that rebuilt each layer's pre-gate states and
-straddling factors from it (which the one-product tree step and the stream
-that reads its steps must match, bit for bit at two particles), the earlier three-particle cascade that
+straddling factors from it (which the one-product tree step must match bit
+for bit, and the factored stream to rounding), the earlier three-particle cascade that
 refined its whole column stacks every layer, the earlier per-branch cascade
 pass, which ran one branch after the other and held each struck path weight
 for both modes of the subsystem's newest bit, and the earlier pair sum, which
@@ -69,15 +74,15 @@ from sumpaths.circuits import (
     random_single,
 )
 from sumpaths.corpus import random_circuit
-from sumpaths.common import DEFAULT_BUDGET, LambdaBlock, check_budget, check_charges
+from sumpaths.common import DEFAULT_BUDGET, LambdaBlock, check_budget, check_charges, hit_tables
 from sumpaths.density import _core_angle, _offdiagonal, _pathsum_collapse, _require_two_particles
 from sumpaths.oracle import Distribution, evolve, marginal_by_sum
 from sumpaths.paths import ConditionalUnitary, Path, condition_on_paths, conditioned_prefix_state_layers, normalize_subsystem
 from sumpaths.paths import apply_single, endpoint_rows, pair_phases, path_amplitude, prefix_amplitude_layers
-from sumpaths.paths import member_layout, prefix_amplitudes, straddling_factor
-from sumpaths.subsystems import conditioned_charges, table_blocks
-from sumpaths.threeparticle import _PLUS_MINUS, _carry, _factors, _last_hit_layer, _toward
-from sumpaths.twoparticle import _before_layer, _straddle, lambda_tables
+from sumpaths.paths import TreeStep, member_layout, prefix_amplitudes, straddling_factor, tree_root, tree_step
+from sumpaths.subsystems import conditioned_charges
+from sumpaths.threeparticle import _PLUS_MINUS, _carry, _factors, _last_hit_layer, _toward, cascade_hit_charges, cascade_hits
+from sumpaths.twoparticle import _before_layer, _straddle, tree_hits
 
 
 def kron_layer_operator(circuit: Circuit, t: int) -> np.ndarray:
@@ -409,9 +414,11 @@ def table_trajectory(tables: list[np.ndarray], p: Path, q: Path) -> tuple[comple
 
 
 def final_blocks(circuit: Circuit, tables: Iterator[np.ndarray]) -> dict[int, LambdaBlock]:
-    """{j: endpoint-j block} read off the last table of a lambda stream."""
-    *_, final = tables
-    return {j: block for (j,), block in table_blocks(circuit, final)}
+    """{j: endpoint-j block} read off the last table of a lambda stream: its rows and columns of the paths ending at j."""
+    for final in tables:  # keeps only the last table
+        pass
+    amps = prefix_amplitudes(circuit, 0)
+    return {j: LambdaBlock(amps[rows], final[np.ix_(rows, rows)]) for j in (0, 1) for rows in [endpoint_rows(circuit.n, j)]}
 
 
 def gram_tables(circuit: Circuit) -> list[np.ndarray]:
@@ -420,8 +427,91 @@ def gram_tables(circuit: Circuit) -> list[np.ndarray]:
 
 
 def hit_lambdas(circuit: Circuit) -> list[np.ndarray]:
-    """lambda^(0..n) of the hit stream, without the tree tables `lambda_tables` yields beside them."""
-    return [lam for lam, _ in lambda_tables(circuit)]
+    """lambda^(0..n) of particle 0's tree stream, added up by `hit_tables` (2 or at least 4 particles)."""
+    return list(hit_tables(tree_hits(circuit)))
+
+
+def cascade_charges(circuit: Circuit) -> list:
+    """What `lambda3_tables` holds at its largest: the last lambda table, 4^n entries, then `cascade_hit_charges`."""
+    return [(4**circuit.n, "path-pair table")] + cascade_hit_charges(circuit)
+
+
+def lambda3_tables(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
+    """lambda^(t) over every pair of t-mode subsystem prefixes, for t = 0..n, by the literal cascade (three particles).
+
+    `hit_tables` over `cascade_hits`: every table is a fresh array, never
+    written after it is yielded. On the first `next()` the last table's
+    4^n entries are charged, then `cascade_hits` checks the particle count
+    and its own charges.
+    """
+    check_budget(4**circuit.n, budget, "path-pair table")
+    yield from hit_tables(cascade_hits(circuit, budget))
+
+
+def dense_layer_hits(step: TreeStep):
+    """The earlier `twoparticle.layer_hits`: a tree layer's dense hits over every pair of rows, as a function of (a, b).
+
+    `hits(a, b)[k, l]` is the hit of the pair of prefixes k + a and l + b:
+    sum_x conj(pre[k, x]) pre[l, x] (conj(D_a(x)) D_b(x) - 1), read off the
+    tree's own step. None when the layer has no straddling gate.
+    """
+    pre, factors = step.pre, step.factors
+    if factors is None:
+        return None
+
+    def hits(a: int, b: int) -> np.ndarray:
+        return (pre.conj() * (factors[b] * factors[a].conj() - 1.0)) @ pre.T
+
+    return hits
+
+
+def dense_lambda_tables(circuit: Circuit, layers: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The earlier dense (0,) stream, `twoparticle.lambda_tables`: (lambda^(t), tree table t) for t = 0..`layers`.
+
+    Layer t writes each new lambda table once: lambda^(t-1) plus the
+    `dense_layer_hits` of the step that grew table t for one mode pair
+    (a, b) into the strided view of rows 2k + a and columns 2l + b, or
+    lambda^(t-1) alone when the layer has no straddling gate.
+    """
+    layers = circuit.n if layers is None else layers
+    lam, table = np.ones((1, 1), dtype=complex), tree_root(circuit, (0,))
+    yield lam, table
+    for t in range(1, layers + 1):
+        step = tree_step(circuit, (0,), t, table)
+        hits, table = dense_layer_hits(step), step.grow()
+        size = lam.shape[0]
+        grown = np.empty((2 * size, 2 * size), dtype=complex)
+        view = grown.reshape(size, 2, size, 2)
+        if hits is None:
+            view[...] = lam[:, None, :, None]
+        else:
+            for a in (0, 1):
+                for b in (0, 1):
+                    np.add(lam, hits(a, b), out=view[:, a, :, b])
+        lam = grown
+        yield lam, table
+
+
+def dense_lambda_blocks(circuit: Circuit) -> dict[int, LambdaBlock]:
+    """{j: block}: the earlier (0,) marginal route of every particle count but three, the dense stream with its fold.
+
+    `dense_lambda_tables` runs n - 1 layers, and the earlier
+    `subsystems.table_blocks` folds layer n's hit between two prefixes that
+    both move to j into each endpoint's block, each prefix amplitude times
+    the last single's element from its mode to j.
+    """
+    n = circuit.n
+    for lam, table in dense_lambda_tables(circuit, max(n - 1, 0)):  # keeps only the last pair
+        pass
+    if n == 0:
+        return {j: LambdaBlock(np.ones(1 - j, dtype=complex), lam[: 1 - j, : 1 - j]) for j in (0, 1)}
+    amps = prefix_amplitudes(circuit, 0, upto=n - 1)
+    hits = dense_layer_hits(tree_step(circuit, (0,), n, table))
+    blocks = {}
+    for j in (0, 1):
+        block = lam if hits is None else hits(j, j) + lam
+        blocks[j] = LambdaBlock(amps * circuit.single(n, 0)[j, np.arange(amps.size) % 2], block)
+    return blocks
 
 
 def two_particle_tables(circuit: Circuit) -> Iterator[np.ndarray]:

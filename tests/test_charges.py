@@ -25,10 +25,11 @@ from sumpaths.corpus import random_circuit
 from sumpaths.density import density_charges, density_report
 from sumpaths.oracle import oracle_charges, states
 from sumpaths.paths import amplitudes_via_paths, member_paths_at, pathsum_charges
-from sumpaths.subsystems import cascade_block_charges, conditioned_blocks, conditioned_charges, lambda_blocks
-from sumpaths.threeparticle import cascade_charges, cascade_hit_charges, lambda3_tables
-from sumpaths.twoparticle import lambda_accumulate, lambda_tables, pair_charges, prefix_tree_charges
+from sumpaths.subsystems import conditioned_blocks, conditioned_charges, hit_block_charges, hit_stream, lambda_blocks
+from sumpaths.twoparticle import lambda_accumulate, pair_charges
 from sumpaths.verify import verify_charges, verify_circuit
+
+from .reference import cascade_charges, lambda3_tables
 
 # A builder holds its tables while it makes the next one, and copies some once
 # (the reordered blocks, the step beside its table): peaks read up to about 2.5x.
@@ -40,22 +41,17 @@ BUDGET = 1 << 40  # no charge may stop a build; the gate reads the charges itsel
 # (particles, layers) per builder; conditioned_blocks draws layers by (particles, subsystem size)
 SIZES = {
     "amplitudes_via_paths": [(1, 17), (1, 18), (2, 9), (2, 10), (3, 8), (3, 9), (4, 6), (4, 7), (5, 5), (6, 4)],
-    "lambda_tables": [(2, 8), (2, 9), (4, 8), (4, 9), (5, 8), (5, 9), (6, 8), (6, 9)],
     "lambda3_tables": [(3, 7), (3, 8), (3, 9)],
-    "cascade_blocks": [(3, 7), (3, 8), (3, 9)],
+    "lambda_blocks": [(2, 13), (2, 14), (3, 7), (3, 8), (3, 9), (4, 12), (4, 13), (5, 11), (5, 12), (6, 10), (6, 11)],
     "density_report": [(2, 16), (2, 17)],
     "lambda_accumulate": [(15, 3), (16, 2), (17, 3), (18, 2), (19, 1)],
     "states": [(14, 2), (15, 2), (16, 2), (17, 1), (18, 1)],
+    "verify_circuit": [(2, 8), (2, 9), (3, 7), (3, 8), (4, 6), (4, 7)],
 }
 BLOCK_LAYERS = {
     (2, 1): 16, (3, 1): 15, (3, 2): 8, (4, 1): 14, (4, 2): 8, (4, 3): 5, (5, 1): 13, (5, 2): 7,
     (5, 3): 5, (5, 4): 4, (6, 1): 12, (6, 2): 7, (6, 3): 5, (6, 4): 4, (6, 5): 3,
 }  # the most layers whose external-state tables and amplitudes stay within 2^18 entries; one fewer is drawn too
-
-
-def _stream(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
-    for _ in lambda_tables(circuit, BUDGET):  # keeps only the last pair, as `lambda_blocks` does
-        pass
 
 
 def _cascade(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
@@ -64,7 +60,7 @@ def _cascade(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
 
 
 def _factored(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
-    for _, block in lambda_blocks(circuit, subsystem, BUDGET):  # the (0,) marginal of three particles
+    for _, block in lambda_blocks(circuit, subsystem, BUDGET):  # the (0,) marginal, by the cascade or the tree
         block.marginal()
 
 
@@ -89,12 +85,12 @@ def _blocks(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
 BUILDERS: dict[str, tuple[Callable, Callable]] = {
     "amplitudes_via_paths": (lambda c, s: pathsum_charges(c), lambda c, s: amplitudes_via_paths(c, BUDGET)),
     "conditioned_blocks": (conditioned_charges, _blocks),
-    "lambda_tables": (lambda c, s: prefix_tree_charges(c), _stream),
     "lambda3_tables": (lambda c, s: cascade_charges(c), _cascade),
-    "cascade_blocks": (lambda c, s: cascade_hit_charges(c) + cascade_block_charges(c), _factored),
+    "lambda_blocks": (lambda c, s: hit_stream(c).charges(c) + hit_block_charges(c), _factored),
     "density_report": (lambda c, s: density_charges(c), lambda c, s: density_report(c, BUDGET)),
     "lambda_accumulate": (pair_charges, _pair_reference),
     "states": (lambda c, s: oracle_charges(c), _oracle),
+    "verify_circuit": (lambda c, s: verify_charges(c), lambda c, s: verify_circuit(c, BUDGET)),
 }
 
 
@@ -138,6 +134,16 @@ def test_folded_blocks_hold_at_most_a_fixed_multiple_of_their_charges_near_the_d
     circuit = random_circuit(np.random.default_rng(1), particles, layers, p_single=1.0, p_phase=1.0)
     charged = sum(count for count, _ in conditioned_charges(circuit, subsystem))
     peak = traced_peak(lambda: _blocks(circuit, subsystem))
+    assert peak <= FACTOR * charged * ENTRY + SLACK, (peak, charged)
+
+
+@pytest.mark.parametrize("particles, layers", [(2, 18), (4, 16)])
+def test_tree_hit_blocks_hold_at_most_a_fixed_multiple_of_their_charges_near_the_default_edge(particles, layers):
+    # one layer short of where the kept sides stop the (0,) marginal: they are 2^21 - 2^(N+1)
+    # entries here, past the sizes the hypothesis test draws
+    circuit = random_circuit(np.random.default_rng(1), particles, layers, p_single=1.0, p_phase=1.0)
+    charged = sum(count for count, _ in hit_stream(circuit).charges(circuit) + hit_block_charges(circuit))
+    peak = traced_peak(lambda: _factored(circuit, (0,)))
     assert peak <= FACTOR * charged * ENTRY + SLACK, (peak, charged)
 
 

@@ -600,10 +600,10 @@ def test_budget_charge_past_the_int_to_str_limit_exits_three(tmp_path):
     code, out, err = run_cli("marginal", "--circuit", str(path), "--method", "lambda", "--subsystem", "0")
     assert (code, out) == (3, "")
     assert err == "error: conditioned external states needs 2^20000 combinations, budget is 4194304; raise --budget to override\n"
-    # counts below it stay decimal; the marginal streams n - 1 = 7 layers and folds the last
+    # counts below it stay decimal; the marginal's first charge is particle 0's tree table 8, 2^(8 + 1) states
     save_circuit(random_circuit(np.random.default_rng(6), 2, 8), str(path))
     code, _, err = run_cli("marginal", "--circuit", str(path), "--budget", "64")
-    assert (code, err) == (3, "error: path-pair table needs 16384 combinations, budget is 64; raise --budget to override\n")
+    assert (code, err) == (3, "error: conditioned external states needs 512 combinations, budget is 64; raise --budget to override\n")
 
 
 @pytest.mark.parametrize("budget", ["-1", "0"])
@@ -882,9 +882,9 @@ def test_twelve_layer_pair_marginal_exits_before_the_prefix_tree_is_built(tmp_pa
     assert err.startswith(f"error: conditioned external states needs {count} combinations")
     assert peak < 2**20  # one 2^23-entry table would be 128 MiB
 
-@pytest.mark.parametrize("particles", [2, 4, 5])
-def test_twelve_layer_lambda_marginal_fits_the_default_budget(tmp_path, monkeypatch, particles):
-    # the stream runs 11 layers, 4^11 pairs, and folds the twelfth into the blocks
+@pytest.mark.parametrize("particles, layers, count", [(2, 20, 8388600), (4, 18, 8388576), (5, 17, 8388544)])
+def test_twelve_layer_lambda_marginal_fits_the_default_budget(tmp_path, monkeypatch, particles, layers, count):
+    # the tree's stream keeps one side of 2^(t + N) entries per layer and holds no lambda table
     path = tmp_path / "c.json"
     circuit = random_circuit(np.random.default_rng(11), particles, 12, p_single=0.9, p_phase=1.0)
     save_circuit(circuit, str(path))
@@ -894,16 +894,16 @@ def test_twelve_layer_lambda_marginal_fits_the_default_budget(tmp_path, monkeypa
     probabilities = json.loads(out)["probabilities"]
     assert max(abs(probabilities[k] - oracle[k]) for k in oracle) < 1e-9
 
-    # all-gates n=13: the 12-layer stream's 4^12 pairs are charged before its first tree step
+    # the first all-gates size past the kept sides, 2^(n + N + 1) - 2^(N + 1), is charged before its first tree step
     def no_step(*args, **kwargs):
         raise AssertionError("tree_step ran")
 
     for module in (paths_module, twoparticle_module, subsystems_module):
         monkeypatch.setattr(module, "tree_step", no_step)
-    save_circuit(random_circuit(np.random.default_rng(1), particles, 13, p_single=1.0, p_phase=1.0), str(path))
+    save_circuit(random_circuit(np.random.default_rng(1), particles, layers, p_single=1.0, p_phase=1.0), str(path))
     code, out, err = run_cli("marginal", "--circuit", str(path), "--method", "lambda")
     assert code == 3 and out == ""
-    assert err.startswith("error: path-pair table needs 16777216") and err.count("\n") == 1
+    assert err.startswith(f"error: hit factors needs {count} ") and err.count("\n") == 1
 
 
 def _huge_angle_layers(thetas: list, singles: dict | None = None) -> list:

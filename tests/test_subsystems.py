@@ -14,12 +14,12 @@ from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded, LambdaBlock
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths, path_amplitude
-from sumpaths.subsystems import conditioned_blocks, conditioned_charges, lambda_blocks, table_blocks
-from sumpaths.threeparticle import lambda3_tables, lambda_three
-from sumpaths.twoparticle import lambda_accumulate, lambda_tables
+from sumpaths.subsystems import conditioned_blocks, conditioned_charges, lambda_blocks
+from sumpaths.threeparticle import lambda_three
+from sumpaths.twoparticle import lambda_accumulate
 
 from .reference import column_pair_sum, config_path_amplitude, dense_conditioned_blocks, dense_conditioned_charges
-from .reference import final_blocks, hit_lambdas, lambda_general, sparse_circuit, swap_particles
+from .reference import final_blocks, hit_lambdas, lambda3_tables, lambda_general, sparse_circuit, swap_particles
 from .reference import table_conditioned_blocks
 
 
@@ -191,27 +191,18 @@ def test_each_streamed_table_is_the_final_table_of_the_cut_circuit(particles, pa
 
 
 @settings(max_examples=45, deadline=None, derandomize=True)
-@given(st.sampled_from([2, 4, 5]), st.lists(_GATE_FLAGS, min_size=1, max_size=5), st.integers(0, 2**32 - 1))
-def test_folded_blocks_equal_the_unfolded_ones_bit_for_bit(particles, pattern, seed):
-    # the marginal route streams n - 1 layers and folds layer n, gate or no
-    # gate, into both endpoint blocks, under the charges of that shorter stream
+@given(st.sampled_from([2, 3, 4, 5]), st.lists(_GATE_FLAGS, min_size=1, max_size=5), st.integers(0, 2**32 - 1))
+def test_folded_blocks_match_the_unfolded_ones(particles, pattern, seed):
+    # each endpoint's lambda adds layer n's hit on its own rows to the shared table over
+    # n - 1 layers: the whole last table's rows to rounding, and its amplitudes bit for bit
     circuit = sparse_circuit(particles, pattern, seed)
-    *_, (final, _) = lambda_tables(circuit)
-    unfolded = list(table_blocks(circuit, final))
-    budget = max(4 ** (circuit.n - 1), 2 ** (circuit.n - 1 + particles))
-    folded = list(lambda_blocks(circuit, (0,), budget=budget))
-    for (outcome, block), (folded_outcome, folded_block) in zip(unfolded, folded, strict=True):
-        assert outcome == folded_outcome
-        assert np.array_equal(block.amplitudes, folded_block.amplitudes)
-        assert np.array_equal(block.lam, folded_block.lam)
-
-
-def test_folding_a_gated_last_layer_needs_the_trees_last_table():
-    circuit = random_circuit(np.random.default_rng(5), 2, 3, p_single=1.0, p_phase=1.0)
-    *_, (short, table) = lambda_tables(circuit, layers=2)
-    with pytest.raises(ValueError, match="needs the prefix tree's table n - 1"):
-        list(table_blocks(circuit, short))
-    assert len(list(table_blocks(circuit, short, table))) == 2
+    unfolded = final_blocks(circuit, lambda3_tables(circuit) if particles == 3 else hit_lambdas(circuit))
+    folded = list(lambda_blocks(circuit, (0,), DEFAULT_BUDGET))
+    assert [outcome for outcome, _ in folded] == [(0,), (1,)]
+    for (j,), block in folded:
+        assert np.array_equal(unfolded[j].amplitudes, block.amplitudes)
+        assert np.max(np.abs(unfolded[j].lam - block.lam)) < 1e-12
+        assert block.hits.head.shape == (1 << (circuit.n - 1),) * 2
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -361,6 +352,19 @@ def test_external_relabeling_leaves_every_pair_block_lambda(particles, pattern, 
     for (outcome, block), (relabeled_outcome, moved) in pairs:
         assert outcome == relabeled_outcome
         assert np.max(np.abs(block.lam - moved.lam)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([4, 5]), st.lists(_GATE_FLAGS, min_size=1, max_size=5), st.integers(0, 2**32 - 1), st.data())
+def test_external_relabeling_leaves_every_single_particle_lambda_table(particles, pattern, seed, data):
+    # every table the tree's hits add up to is an overlap of external states, which no
+    # relabeling of particles 1..N-1 moves
+    circuit = sparse_circuit(particles, pattern, seed)
+    relabeled = circuit
+    for first, second in data.draw(st.lists(st.tuples(st.integers(1, particles - 1), st.integers(1, particles - 1)))):
+        relabeled = swap_particles(relabeled, first, second)
+    for lam, moved in zip(hit_lambdas(circuit), hit_lambdas(relabeled), strict=True):
+        assert np.max(np.abs(lam - moved)) < 1e-12
 
 
 @pytest.mark.parametrize("particles", [3, 4])

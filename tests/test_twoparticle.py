@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
 
-from sumpaths.circuits import PhaseGate, build_epr_circuit, make_circuit, random_single
-from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded
+from sumpaths.circuits import PhaseGate, build_epr_circuit, load_circuit, make_circuit, random_single
+from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded, hit_tables
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import ConditionalUnitary, Path, TreeStep, conditioned_prefix_state_layers, enumerate_paths
@@ -17,14 +18,16 @@ from sumpaths.subsystems import lambda_blocks
 from sumpaths.twoparticle import (
     hit,
     lambda_accumulate,
-    lambda_tables,
     marginal_deviation,
+    tree_hits,
+    tree_layers,
 )
 
 from .reference import (
     axis_folded_blocks,
     axis_lambda_tables,
     conditioned_external_matrix,
+    dense_lambda_blocks,
     final_blocks,
     gram_tables,
     hit_lambdas,
@@ -34,6 +37,7 @@ from .reference import (
     two_particle_tables,
 )
 
+CORPUS = FilePath(__file__).resolve().parent.parent / "corpus"
 EPR = build_epr_circuit(np.eye(2), np.eye(2))
 P0, P1 = (Path((0, 0)),), (Path((1, 0)),)  # the two subsystem paths to endpoint 0, one member each
 
@@ -197,30 +201,28 @@ def test_rejects_wrong_particle_count():
     with pytest.raises(ValueError):
         hit(circuit, (0,), (paths[0],), (paths[1],), 1)
     with pytest.raises(ValueError):
-        next(lambda_tables(circuit))
+        tree_hits(circuit)
 
 
 def test_budget_guard():
     circuit = random_circuit(np.random.default_rng(47), particles=2, layers=8)
     with pytest.raises(BudgetExceeded):
-        next(lambda_tables(circuit, budget=100))
+        tree_hits(circuit, budget=100)
 
 
-def test_streamed_build_peaks_below_two_final_tables():
-    # each layer's table is written once from the last one and one hit block
-    # at a time, so the last layer holds lambda_(n-1), one hit block and
-    # lambda_n
-    circuit = random_circuit(
-        np.random.default_rng(59), particles=2, layers=9, p_single=1.0, p_phase=1.0
-    )
+def test_marginal_holds_no_path_pair_table():
+    # the pair sums read each layer's side, 2^(t+2) entries, against folded amplitudes:
+    # one endpoint's 4^(n-1) path pairs would be 4 MiB at n = 10
+    circuit = random_circuit(np.random.default_rng(59), particles=2, layers=10, p_single=1.0, p_phase=1.0)
     tracemalloc.start()
     try:
-        for final, _ in lambda_tables(circuit):
-            pass
+        marginals = {outcome: block.marginal() for outcome, block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET)}
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * final.nbytes
+    assert peak < 4**8 * 16
+    oracle = marginal_by_sum(circuit, (0,))
+    assert max(abs(marginals[(j,)] - oracle[j]) for j in (0, 1)) < 1e-9
 
 
 from hypothesis import given, settings
@@ -260,7 +262,7 @@ _PAIR_FLAGS = st.lists(st.booleans(), min_size=15, max_size=15)  # one flag per 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 4, 5, 6]), st.lists(_PAIR_FLAGS, max_size=5), st.integers(0, 2**32 - 1))
 def test_hit_stream_matches_the_gram_tables_at_every_particle_count(particles, pattern, seed):
-    # two particles keep the earlier builder's tables bit for bit
+    # the factored hits add up to the earlier two-particle builder's tables to rounding
     circuit = sparse_circuit(particles, pattern, seed)
     tables = hit_lambdas(circuit)
     assert len(tables) == circuit.n + 1
@@ -268,7 +270,7 @@ def test_hit_stream_matches_the_gram_tables_at_every_particle_count(particles, p
         assert np.max(np.abs(lam - gram)) < 1e-12
     if particles == 2:
         for lam, earlier in zip(tables, two_particle_tables(circuit), strict=True):
-            assert np.array_equal(lam, earlier)
+            assert np.max(np.abs(lam - earlier)) < 1e-12
 
 
 @pytest.mark.parametrize("particles", [4, 5])
@@ -289,15 +291,12 @@ def test_scalar_hits_match_the_stream_beyond_three_particles(particles):
     st.data(),
 )
 def test_stream_and_fold_match_the_axis_by_axis_stream(particles, pattern, seed, data):
-    # the stream reads each layer's pre-gate states and D off the tree step; the earlier
-    # stream rebuilt both from the tree's tables, and two particles keep its bits
+    # the tree's factored hits add up to the tables of the earlier stream, which rebuilt each
+    # layer's pre-gate states and D from the tree's tables and added its dense hits
     circuit = sparse_circuit(particles, pattern, seed)
     tables = hit_lambdas(circuit)
     for t, (lam, earlier) in enumerate(zip(tables, axis_lambda_tables(circuit), strict=True)):
-        if particles == 2:
-            assert np.array_equal(lam, earlier)
-        else:
-            assert np.max(np.abs(lam - earlier)) < 1e-12
+        assert np.max(np.abs(lam - earlier)) < 1e-12
         if t and all(0 not in gate.pair for gate in circuit.layer(t).phases):
             size = tables[t - 1].shape[0]
             repeated = np.broadcast_to(tables[t - 1][:, None, :, None], (size, 2, size, 2))
@@ -305,10 +304,7 @@ def test_stream_and_fold_match_the_axis_by_axis_stream(particles, pattern, seed,
     folded = {j: block for (j,), block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET)}
     for j, earlier in axis_folded_blocks(circuit).items():
         assert np.array_equal(folded[j].amplitudes, earlier.amplitudes)
-        if particles == 2:
-            assert np.array_equal(folded[j].lam, earlier.lam)
-        else:
-            assert np.max(np.abs(folded[j].lam - earlier.lam)) < 1e-12
+        assert np.max(np.abs(folded[j].lam - earlier.lam)) < 1e-12
     n, final = circuit.n, tables[-1]
     for _ in range(3):
         k, l = (data.draw(st.integers(0, final.shape[0] - 1)) for _ in range(2))
@@ -319,25 +315,21 @@ def test_stream_and_fold_match_the_axis_by_axis_stream(particles, pattern, seed,
         assert abs(streamed - hit(circuit, (0,), (p,), (q,), t)) < 1e-12
 
 
-def test_one_stream_layer_holds_the_old_table_the_new_table_and_one_hit_block():
-    # the earlier layer held two np.repeat copies (two and four old tables) at once
+def test_an_endpoint_lambda_holds_three_of_its_tables():
+    # perturb reads each endpoint's lambda: the shared table over the first n - 1 layers,
+    # the endpoint's copy of it and layer n's hit on its rows, 4^(n-1) entries each
     circuit = random_circuit(np.random.default_rng(71), particles=2, layers=10, p_single=1.0, p_phase=1.0)
-    tables = lambda_tables(circuit)
+    blocks = [block for _, block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET)]
     tracemalloc.start()
     try:
-        for _ in range(circuit.n):
-            old, _ = next(tables)
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        new, _ = next(tables)
+        lams = [block.lam for block in blocks]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert circuit.phase(circuit.n, (0, 1)) is not None
-    # one hit block is the size of the old table; the slack covers numpy's ufunc
-    # buffer (8192 entries) and the pre-gate rows weighted by one mode pair (512 x 2)
-    slack = 256 * 1024
-    assert peak - base <= new.nbytes + old.nbytes + slack
+    assert all(lam.shape == (4**4 * 2,) * 2 for lam in lams)
+    # both endpoints' lambdas stay alive, so the last one's hit product is the third table
+    assert peak <= 4 * lams[0].nbytes + 256 * 1024
 
 
 @pytest.mark.parametrize("particles", [2, 5])
@@ -345,23 +337,60 @@ def test_the_stream_holds_no_tree_step_between_layers(particles):
     # a step holds a pre-gate copy of the tree's last table and a 2^N factor
     # array; keeping every layer's step would add about half the tree again
     circuit = random_circuit(np.random.default_rng(83), particles, 4, p_single=1.0, p_phase=1.0)
-    for _ in lambda_tables(circuit):
+    for _ in tree_layers(circuit):
         gc.collect()
         assert not [obj for obj in gc.get_objects() if isinstance(obj, TreeStep)]
 
 
-
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.sampled_from([2, 4, 5]), st.integers(0, 6), st.integers(0, 2**32 - 1), st.data())
-def test_the_stream_yields_the_prefix_trees_tables_bit_for_bit(particles, layers, seed, data):
-    # the stream grows particle 0's tree itself, over all its layers or over the first few
+@given(st.sampled_from([2, 4, 5]), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_the_stream_yields_the_prefix_trees_tables_bit_for_bit(particles, layers, seed):
+    # the stream grows particle 0's tree itself; each side is the grown table beside
+    # the step's pre-gate states, repeated over the new bit
     circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_single=0.9, p_phase=0.8)
-    stop = data.draw(st.sampled_from([None, *range(layers + 1)]))
-    pairs = list(lambda_tables(circuit, layers=stop))
-    assert len(pairs) == (layers if stop is None else stop) + 1
-    for (lam, table), tree in zip(pairs, conditioned_prefix_state_layers(circuit, (0,))):
-        assert lam.shape == (table.shape[0],) * 2
-        assert np.array_equal(table, tree)
+    pairs = list(tree_layers(circuit))
+    tree = list(conditioned_prefix_state_layers(circuit, (0,)))
+    assert len(pairs) == layers
+    width = tree[0].shape[1]
+    for t, (hits, table) in enumerate(pairs, start=1):
+        assert np.array_equal(table, tree[t])
+        assert len(hits) == any(0 in gate.pair for gate in circuit.layer(t).phases)
+        for side, signed in hits:
+            assert np.array_equal(side[:, :width], table)
+            assert np.array_equal(signed, np.repeat([1.0, -1.0], width))
+
+
+def assert_matches_the_dense_route(circuit):
+    # the earlier route streamed dense lambda tables over n - 1 layers and folded layer n in;
+    # the factored hits add up to the earlier axis-by-axis stream's tables
+    dense = dense_lambda_blocks(circuit)
+    for (j,), block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET):
+        assert block.hits is not None and "lam" not in vars(block)  # no table built
+        assert np.array_equal(block.amplitudes, dense[j].amplitudes)
+        assert abs(block.marginal() - dense[j].marginal()) < 1e-12
+        assert np.max(np.abs(block.lam - dense[j].lam), initial=0.0) < 1e-12
+    for lam, earlier in zip(hit_tables(tree_hits(circuit)), axis_lambda_tables(circuit), strict=True):
+        assert np.max(np.abs(lam - earlier)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 4, 5]), st.lists(_PAIR_FLAGS, max_size=9), st.integers(0, 2**32 - 1))
+def test_factored_route_matches_the_dense_route(particles, pattern, seed):
+    assert_matches_the_dense_route(sparse_circuit(particles, pattern, seed))
+
+
+@pytest.mark.parametrize("file", sorted(path.name for path in CORPUS.glob("n[24]_*.json")))
+def test_factored_route_matches_the_dense_route_on_the_corpus(file):
+    assert_matches_the_dense_route(load_circuit(str(CORPUS / file)))
+
+
+@pytest.mark.parametrize("particles, layers", [(2, 12), (2, 16), (2, 19), (4, 12), (4, 16), (4, 17)])
+def test_factored_marginals_match_the_oracle_to_the_kept_factor_charge(particles, layers):
+    # at N=2 n=19 and N=4 n=17 the kept sides are 2^22 - 2^(N+1) entries, within the default budget
+    circuit = random_circuit(np.random.default_rng(1), particles, layers, p_single=1.0, p_phase=1.0)
+    oracle = marginal_by_sum(circuit, (0,))
+    for (j,), block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET):
+        assert abs(block.marginal() - oracle[j]) < 1e-9
 
 
 @pytest.mark.parametrize("particles, subsystem, layers", [(2, (0,), 24), (4, (0, 1), 8), (5, (0, 2), 6)])

@@ -153,13 +153,13 @@ def test_report_json_shape():
 @pytest.mark.parametrize(
     "file, builder, builds",
     [
-        # one table build: no_signaling folds the appended layer into its final table
-        ("n2_l8_s0.json", twoparticle.lambda_tables, 1),
+        # one pass of the tree's stream: its kept hit factors serve the tables, the marginals
+        # and no_signaling, whose appended layer has no gate on particle 0 and books no hit
+        ("n2_l8_s0.json", twoparticle.tree_layers, 1),
         # one cascade pass: its kept hit factors serve the tables and both marginal routes
         ("n3_l3_s0.json", threeparticle.cascade_hits, 1),
         # one step per layer of each conditioned prefix tree, none grown twice: the 8 layers
-        # of the stream's tree and the first 7 of density's; no_signaling's appended layer
-        # has no gate on particle 0, so its fold takes no step
+        # of the stream's tree and the first 7 of density's
         ("n2_l8_s0.json", paths.tree_step, 15),
         # 3 layers each of (0,)'s tree, grown by the stream (N=4) or zipped with the cascade
         # (N=3), and of (0, 1)'s tree for general_subsystem
@@ -190,12 +190,12 @@ def test_verify_evolves_the_state_vector_once(monkeypatch, file, most):
 
 @pytest.mark.parametrize(
     "file, route",
-    [("n2_l5_s0.json", "table_blocks"), ("n3_l3_s0.json", "cascade_blocks")],
+    [("n2_l5_s0.json", "hit_blocks"), ("n3_l3_s0.json", "hit_blocks")],
     ids=["n2_l5_s0.json", "n3_l3_s0.json"],
 )
 def test_no_signaling_catches_a_bad_fold(monkeypatch, file, route):
-    # only the extended circuit's blocks get endpoint 0's amplitudes scaled: at N=2 the
-    # final table folded into its appended layer, at N=3 the kept hits with that layer's none
+    # only the extended circuit's blocks get endpoint 0's amplitudes scaled: the kept hits
+    # of the tree (N=2) or the cascade (N=3), with the appended layer's none
     base = load_circuit(str(CORPUS / file))
     blocks = getattr(subsystems, route)
 
@@ -259,15 +259,14 @@ def test_timings_charge_shared_builds_and_sum_to_wall_time(monkeypatch):
         clock[0] += 1.0
         return reads[-1]
 
-    build = twoparticle.lambda_tables
+    build = twoparticle.tree_layers
 
     def slow_build(*args, **kwargs):
         clock[0] += 1000.0
         return build(*args, **kwargs)
 
     monkeypatch.setattr(verify, "perf_counter", fake_clock)
-    monkeypatch.setattr(verify, "lambda_tables", slow_build)
-    monkeypatch.setattr(subsystems, "lambda_tables", slow_build)
+    monkeypatch.setattr(subsystems, "tree_layers", slow_build)
     report = verify_circuit(load_circuit(str(CORPUS / "n2_l8_s0.json")))
     timings = {check.name: check.timing_ms for check in report.checks}
     assert len(reads) == len(report.checks) + 1
@@ -278,9 +277,24 @@ def test_timings_charge_shared_builds_and_sum_to_wall_time(monkeypatch):
     assert all(ms == 1000.0 for name, ms in timings.items() if name not in slow)
 
 
+def _nudged_at(layer: int):
+    """The tree's stream with one more hit at `layer`: 1e-13 between prefixes 0 and 1, and an exact 0 on the diagonal."""
+    build = twoparticle.tree_layers
+
+    def nudged(*args, **kwargs):
+        for t, (hits, table) in enumerate(build(*args, **kwargs), start=1):
+            if t == layer:
+                side = np.zeros((table.shape[0], 2), dtype=complex)
+                side[0], side[1, 0] = 1.0, 1e-13
+                hits = hits + ((side, np.array([1.0, -1.0])),)
+            yield hits, table
+
+    return nudged
+
+
 def test_zero_hit_layers_compares_streamed_tables_at_nine_layers(monkeypatch):
-    # layer 5 of an otherwise all-gates n = 9 circuit has no 0-1 gate; its
-    # streamed table, nudged off the repeat of layer 4's, must fail the check
+    # layer 5 of an otherwise all-gates n = 9 circuit has no 0-1 gate; a hit
+    # streamed there nudges its table off the repeat of layer 4's, which must fail the check
     base = random_circuit(np.random.default_rng(61), 2, 9, p_single=1.0, p_phase=1.0)
     specs = [
         (dict(enumerate(layer.singles)), [] if t == 5 else list(layer.phases))
@@ -288,24 +302,15 @@ def test_zero_hit_layers_compares_streamed_tables_at_nine_layers(monkeypatch):
     ]
     circuit = make_circuit(2, specs)
     assert verify_circuit(circuit).passed
-    build = twoparticle.lambda_tables
-
-    def nudged(*args, **kwargs):
-        for t, (lam, table) in enumerate(build(*args, **kwargs)):
-            if t == 5:
-                lam = lam.copy()
-                lam[0, 1] += 1e-13
-            yield lam, table
-
-    monkeypatch.setattr(verify, "lambda_tables", nudged)
+    monkeypatch.setattr(subsystems, "tree_layers", _nudged_at(5))
     checks = {check.name: check for check in verify_circuit(circuit).checks}
     assert not checks["zero_hit_layers"].passed and checks["zero_hit_layers"].max_error > 0.0
     assert checks["telescoping"].passed
 
 
 def test_zero_hit_layers_compares_streamed_tables_at_four_particles(monkeypatch):
-    # layer 3 of an all-gates N=4 n=5 circuit keeps only its external gates;
-    # its streamed table, nudged off the repeat of layer 2's, must fail the check
+    # layer 3 of an all-gates N=4 n=5 circuit keeps only its external gates; a hit
+    # streamed there nudges its table off the repeat of layer 2's, which must fail the check
     base = random_circuit(np.random.default_rng(29), 4, 5, p_single=1.0, p_phase=1.0)
     specs = [
         (dict(enumerate(layer.singles)), [g for g in layer.phases if t != 3 or 0 not in g.pair])
@@ -313,16 +318,7 @@ def test_zero_hit_layers_compares_streamed_tables_at_four_particles(monkeypatch)
     ]
     circuit = make_circuit(4, specs)
     assert verify_circuit(circuit).passed
-    build = twoparticle.lambda_tables
-
-    def nudged(*args, **kwargs):
-        for t, (lam, table) in enumerate(build(*args, **kwargs)):
-            if t == 3:
-                lam = lam.copy()
-                lam[0, 1] += 1e-13
-            yield lam, table
-
-    monkeypatch.setattr(verify, "lambda_tables", nudged)
+    monkeypatch.setattr(subsystems, "tree_layers", _nudged_at(3))
     checks = {check.name: check for check in verify_circuit(circuit).checks}
     assert not checks["zero_hit_layers"].passed and checks["zero_hit_layers"].max_error > 0.0
     assert checks["telescoping"].passed
