@@ -31,7 +31,7 @@ from .paths import (
     pair_phases,
     path_amplitude,
 )
-from .subsystems import lambda_blocks
+from .subsystems import lambda_blocks, lambda_marginals
 from .threeparticle import (
     HitBreakdown,
     delta,

@@ -36,7 +36,7 @@ from .common import DEFAULT_BUDGET, BudgetExceeded, LambdaBlock, check_budget, c
 from .density import density_report
 from .oracle import marginal_by_sum
 from .paths import Path, amplitudes_via_paths, enumerate_paths, member_paths_at, normalize_subsystem, path_amplitude
-from .subsystems import dense_lambda_charges, lambda_blocks
+from .subsystems import dense_lambda_charges, lambda_blocks, lambda_marginals
 from .threeparticle import lambda_three
 from .twoparticle import lambda_accumulate
 from .verify import verify_circuit
@@ -128,11 +128,7 @@ def _label(outcome: tuple[int, ...]) -> str:
 
 
 def _lambda_distribution(circuit: Circuit, subsystem: tuple[int, ...], budget: int) -> dict[str, float]:
-    probs = {}
-    for outcome, block in lambda_blocks(circuit, subsystem, budget):
-        probs[_label(outcome)] = block.marginal()
-        del block  # a Gram-factor block holds its outcome's rows: the next is built without these alive
-    return probs
+    return {_label(outcome): p for outcome, p in lambda_marginals(circuit, subsystem, budget).items()}
 
 
 def _pathsum_distribution(circuit: Circuit, subsystem: tuple[int, ...], budget: int) -> dict[str, float]:

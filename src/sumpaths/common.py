@@ -1,8 +1,8 @@
-"""Shared numeric constants, guard errors, per-layer hit factors and the lambda pair sum."""
+"""Shared numeric constants, guard errors, per-layer hit factors, the streamed pair sums and the dense lambda block."""
 from __future__ import annotations
 
+import functools
 import itertools
-from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -48,132 +48,105 @@ def check_charges(charges: Iterable[Charge], budget: int) -> None:
 HitLayer = tuple[tuple[np.ndarray, np.ndarray], ...]  # one layer's hit as (side, signed) factors
 
 
-def add_hit(lam: np.ndarray, hits: HitLayer) -> np.ndarray:
-    """lambda^(t) from lambda^(t-1): the last table repeated over the new bit, plus each factor's (conj(side) * signed) @ side^T."""
-    lam = lam.repeat(2, axis=0).repeat(2, axis=1)
+def _pair_axes(rows: int, members: int, new: int) -> tuple[int, ...]:
+    """The shape of a pair table over `rows` joint prefixes with each member's prefix followed by a `new`-mode axis, on both sides."""
+    return (1 << (rows.bit_length() - 1) // members, new) * (2 * members)
+
+
+def add_hit(lam: np.ndarray, hits: HitLayer, members: int = 1) -> np.ndarray:
+    """lambda^(t) from lambda^(t-1): the last table repeated over each member's new mode, plus each factor's (conj(side) * signed) @ side^T.
+
+    A side's row count names the depth of prefix it reads: a side over
+    t-mode prefixes adds its product as it is, a side over (t-1)-mode
+    prefixes adds it repeated like the last table, in place. Rows join the
+    members' prefixes, first member most significant.
+    """
+    rows = len(lam)
+    grown = np.empty((rows << members,) * 2, dtype=complex)
+    view = grown.reshape(_pair_axes(rows, members, 2))
+    view[...] = lam.reshape(_pair_axes(rows, members, 1))
     for side, signed in hits:
-        lam += (side.conj() * signed) @ side.T
-    return lam
+        product = (side.conj() * signed) @ side.T
+        if len(side) == rows:
+            view += product.reshape(_pair_axes(rows, members, 1))
+        else:
+            grown += product
+    return grown
 
 
-def hit_tables(layers: Iterable[HitLayer]) -> Iterator[np.ndarray]:
+def hit_tables(layers: Iterable[HitLayer], members: int = 1) -> Iterator[np.ndarray]:
     """lambda^(t) for t = 0, 1, ...: 1, then `add_hit` per layer; each table is a fresh array, never written after it is yielded."""
-    return itertools.accumulate(layers, add_hit, initial=np.ones((1, 1), dtype=complex))
+    return itertools.accumulate(layers, functools.partial(add_hit, members=members), initial=np.ones((1, 1), dtype=complex))
 
 
-class HitFactors:
-    """Every layer's factored hit from one pass of a hit stream, kept for the pair sums of both endpoints.
+def endpoint_shares(hits: HitLayer, n: int) -> list[HitLayer]:
+    """Each endpoint's share of one particle's layer-n hit, over the (n-1)-mode prefixes of the paths that end there.
 
-    Holding them is charged by the stream's kept-factor charge. No lambda
-    table is built unless a block's `lam` is read: then `block` adds layer
-    n's hit on the block's rows to lambda over the first n - 1 layers
-    (`head`), which is built once and shared, so a reader holds 4^(n-1)
-    entries per table where the whole last table holds 4^n.
+    A side over n-mode prefixes gives endpoint j its rows side[j::2]; a
+    side over (n-1)-mode prefixes is read whole by both.
+    """
+    return [tuple((side[j::2] if len(side) == 1 << n else side, signed) for side, signed in hits) for j in (0, 1)]
+
+
+class PairSums:
+    """Every outcome's pair sum a^dagger lambda a, added up layer by layer as a hit stream passes, no lambda built.
+
+    `amplitudes[o]` holds outcome o's configuration path amplitudes over
+    the (n-1)-mode joint prefixes of its paths (one row at n <= 1). lambda
+    is 1 plus every layer's hit, so a^dagger lambda a is |sum a|^2 plus,
+    for each factor (side, signed) of each layer,
+    signed @ |A_d @ side|^2: A_d sums each path's amplitude over the
+    suffixes of its d-mode prefix, and d is the depth the side's row count
+    names. The folds A_d, d = 0..n-1, are built once, back from the
+    amplitudes, and a layer costs 2^(M d) per factor column where its
+    dense hit costs 4^(M d). `read` takes a layer every outcome reads, or
+    with `outcome` that outcome's share of layer n, over its own
+    (n-1)-mode rows. The sum_i |a_i|^2 (1 - lambda_ii) term of
+    `LambdaBlock.marginal` is dropped: every hit leaves lambda_ii = 1 up
+    to rounding, since the phases it reads are unimodular. No layer is
+    kept after it is read.
     """
 
-    def __init__(self, layers: Iterable[HitLayer]) -> None:
-        self.layers = list(layers)
+    def __init__(self, amplitudes: np.ndarray, members: int) -> None:
+        self.amplitudes = amplitudes
+        self.folds = {amplitudes.shape[1]: amplitudes}
+        fold = amplitudes
+        while fold.shape[1] > 1:  # each member's newest mode summed out
+            split = fold.reshape((len(fold),) + _pair_axes(fold.shape[1] >> members, members, 2)[: 2 * members])
+            fold = split.sum(axis=tuple(range(2, 2 * members + 1, 2))).reshape(len(fold), -1)
+            self.folds[fold.shape[1]] = fold
+        self.totals = np.abs(fold[:, 0]) ** 2
 
-    @cached_property
-    def head(self) -> np.ndarray:
-        """lambda over every pair of (n-1)-mode prefixes (the 1 of no layers when n = 0), by `hit_tables`."""
-        for lam in hit_tables(self.layers[:-1]):  # keeps only the last table
-            pass
-        return lam
-
-    def block(self, rows: np.ndarray) -> np.ndarray:
-        """lambda over the n-mode prefixes `rows`: `head` at their (n-1)-mode prefixes plus layer n's hit on them."""
-        prefixes = rows >> 1
-        lam = self.head[np.ix_(prefixes, prefixes)]
-        for side, signed in self.layers[-1] if self.layers else ():
-            picked = side[rows]
-            lam += (picked.conj() * signed) @ picked.T
-        return lam
+    def read(self, hits: HitLayer, outcome: int | None = None) -> None:
+        """Add one layer's factors to every outcome's sum, or with `outcome`, its share of layer n to that outcome's."""
+        for side, signed in hits:
+            if outcome is None:
+                self.totals += np.abs(self.folds[len(side)] @ side) ** 2 @ signed
+            else:
+                self.totals[outcome] += np.abs(self.amplitudes[outcome] @ side) ** 2 @ signed
 
 
 class LambdaBlock:
-    """Path amplitudes and pairwise hidden variables for one subsystem outcome.
+    """Path amplitudes and the dense pairwise hidden variables of one subsystem outcome, for `perturb`'s clamp.
 
-    Every route ends in one of these; only the way lambda is held differs.
-    General conditioned overlaps hold it as a Gram `factor` S: one row per
-    configuration path of the outcome, one column per external basis state,
-    with lambda = conj(S) S^T. The subsystem (0,) holds it as `hits`, every
-    layer's hit in low-rank factors (`HitFactors`), whether the paper's
-    cascade or particle 0's prefix tree made them: lambda is 1 plus, for
-    each layer r and each of its (side, signed) pairs,
-    (conj(side) * signed) @ side^T over r-mode prefixes, repeated over the
-    later modes; the block's paths are the `rows` of that n-mode table.
-    Reading `lam` off a factor or the hits materializes it once
-    (`HitFactors.block` folds layer n in on the block's rows alone), for
-    callers that read entries; `marginal` never does. A dense `lam` is what
-    `perturb` builds from a clamped block.
+    lambda holds one row and one column per configuration path of the
+    outcome; `subsystems.lambda_blocks` builds it from the hit stream,
+    and `perturb` builds a clamped copy of it.
     """
 
-    def __init__(
-        self,
-        amplitudes: np.ndarray,
-        lam: np.ndarray | None = None,
-        *,
-        factor: np.ndarray | None = None,
-        hits: HitFactors | None = None,
-        rows: np.ndarray | None = None,
-    ) -> None:
-        if [lam is None, factor is None, hits is None].count(False) != 1:
-            raise ValueError("a lambda block holds exactly one of lam, factor and hits")
-        if (hits is None) != (rows is None):
-            raise ValueError("a block of hits needs the rows of its paths, and only it")
+    def __init__(self, amplitudes: np.ndarray, lam: np.ndarray) -> None:
         self.amplitudes = amplitudes
-        self.factor = factor
-        self.hits = hits
-        self.rows = rows
-        if lam is not None:
-            self.lam = lam
-
-    @cached_property
-    def lam(self) -> np.ndarray:
-        """The dense lambda; off a factor, conj(S) S^T from a C-contiguous S; off the hits, their `block` at its rows."""
-        if self.hits is not None:
-            return self.hits.block(self.rows)
-        factor = np.ascontiguousarray(self.factor)
-        return factor.conj() @ factor.T
+        self.lam = lam
 
     def marginal(self) -> float:
         """Classical sum of path probabilities plus the lambda-weighted interference of distinct pairs.
 
         That is sum_i |a_i|^2 + sum_(i != k) conj(a_i) lambda_ik a_k, summed
-        as sum_i |a_i|^2 (1 - lambda_ii) + a^dagger lambda a. A dense lambda
-        is read in place and none of it is copied. Off a factor, lambda_ii is
-        |s_i|^2 and a^dagger lambda a is |S^T a|^2, so nothing of size
-        rows^2 is allocated. Off the hits, see `_hit_sum`.
+        as sum_i |a_i|^2 (1 - lambda_ii) + a^dagger lambda a; lambda is read
+        in place and none of it is copied.
         """
         a = self.amplitudes
-        if self.hits is not None:
-            return self._hit_sum()
-        if self.factor is None:
-            diagonal, pairs = np.diagonal(self.lam), a.conj() @ self.lam @ a
-        else:
-            projected = a @ self.factor
-            diagonal, pairs = np.sum(np.abs(self.factor) ** 2, axis=1), np.vdot(projected, projected)
-        total = complex(np.sum(np.abs(a) ** 2 * (1.0 - diagonal))) + complex(pairs)
+        total = complex(np.sum(np.abs(a) ** 2 * (1.0 - np.diagonal(self.lam)))) + complex(a.conj() @ self.lam @ a)
         if abs(total.imag) > REALITY_TOL:
             raise RealityError(f"pair sum has imaginary residue {total.imag:.3e}")
         return total.real
-
-    def _hit_sum(self) -> float:
-        """a^dagger lambda a summed layer by layer: |sum_P a_P|^2 + sum_r sum_m signed_m |(side_r^T A_r)_m|^2.
-
-        A_r is the block's amplitudes summed over the suffixes of each r-mode
-        prefix, so a layer costs 2^r per factor column where its dense hit
-        costs 4^r. The sum_i |a_i|^2 (1 - lambda_ii) term is dropped: every
-        hit leaves lambda_ii = 1 up to rounding, since the phases it reads
-        are unimodular.
-        """
-        paths = np.zeros(1 << len(self.hits.layers), dtype=complex)
-        paths[self.rows] = self.amplitudes
-        total = abs(paths.sum()) ** 2
-        for r, hits in enumerate(self.hits.layers, start=1):
-            if hits:
-                folded = paths.reshape(1 << r, -1).sum(axis=1)
-            for side, signed in hits:
-                total += float(signed @ np.abs(folded @ side) ** 2)
-        return float(total)

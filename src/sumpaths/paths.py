@@ -14,13 +14,12 @@ rows with the layer's external operator (the external singles as Kronecker
 blocks of at most four particles, the external-only phase gates folded in
 as one diagonal), then one broadcast multiply that grows every member's
 prefix by its new bit and applies the straddling factors D[a, x]. The hit
-stream of the subsystem (0,) (`twoparticle.tree_hits`) takes the same
-steps itself, reading each layer's hit factors off the grown table and the
-step's pre-gate states before dropping the step, and yields each table
-beside them for `verify`'s walk. The three-particle Gram walk of `verify`,
-the general blocks (table n - 1 only, then one `tree_step` of their own for
-the last layer, folded per outcome) and the density path sum read this
-generator's tables. `condition_on_paths` is the per-path
+stream of every subsystem but the (0,) of three particles
+(`twoparticle.tree_layers`) takes the same steps itself, reading each
+layer's hit factors off the grown table and the step's pre-gate states
+before dropping the step; the marginal's stream stops at table n - 1 and
+takes layer n once, shared out per outcome. The three-particle Gram walk
+of `verify` and the density path sum read this generator's tables. `condition_on_paths` is the per-path
 scalar reference it is checked against, and the evolution the per-pair
 hits (`twoparticle.hit`) read.
 """

@@ -23,15 +23,15 @@ happens).
 same literal cascade vectorized over every path-prefix pair and streams each
 layer's hit as low-rank factors: (side, signed) pairs whose product
 (conj(side) * signed) @ side^T is the hit over every pair of r-mode
-prefixes: the `HitLayer` form of `common`, which particle 0's prefix tree
-(`twoparticle.tree_hits`) yields at every other particle count. Every
-reader keeps the factors (`common.HitFactors`). The marginal
-(`subsystems.hit_blocks`) sums each factor against the amplitudes,
-sum_m signed_m |(side^T A)_m|^2, and builds no table; `verify` adds each
-product to the last lambda table (`common.add_hit`) and its `three_closure`
-checks each table against the Gram matrix of the conditioned external-pair
-states of `paths.conditioned_prefix_state_layers`, zipped layer by layer
-with the stream, not of the cascade's own columns.
+prefixes: the `HitLayer` form of `common`, which the members' prefix tree
+(`twoparticle.tree_layers`) yields for every other subsystem. The marginal
+(`subsystems.lambda_marginals`) sums each factor against the amplitudes as
+the stream passes, sum_m signed_m |(side^T A)_m|^2 (`common.PairSums`),
+keeps no layer and builds no table; `verify` lists the factors first, adds
+each product to the last lambda table (`common.add_hit`) and its
+`three_closure` checks each table against the Gram matrix of the
+conditioned external-pair states of `paths.conditioned_prefix_state_layers`,
+zipped layer by layer with the stream, not of the cascade's own columns.
 
 Each gamma or chi increment is sum_l conj(f_l(p, m)) f_l(q, n), separable
 across the (p, m) | (q, n) split of subsystem and struck prefixes, and a hit
@@ -67,8 +67,9 @@ that `three_closure` checks the tables against.
 The budget is charged with what each part holds at its largest, one
 charge per structure: through the last layer h with an A-B or A-C gate,
 both branches' struck path weights and partner states
-(`cascade_hit_charges`, checked by the stream), and for a reader that
-keeps every layer's factors those factors (`hit_factor_charges`).
+(`cascade_hit_charges`, checked by the stream), and for `verify`, which
+lists every layer's factors before its walk, those factors
+(`hit_factor_charges`).
 All-gates circuits reach n = 11 under the default budget of 2^22, where
 the struck path weights and the partner states are each exactly 2^22
 entries (and so is the last lambda table `verify` builds); at n = 12 they
@@ -311,14 +312,14 @@ def cascade_hit_charges(circuit: Circuit) -> list[Charge]:
     pairs: both branches together hold 4^h weights and 4^h states. After h
     no hit reads the branches, so nothing of theirs grows further. The contracted columns hold 2^(r+1) entries per booked
     column and a layer's hit factors 2^(r+2), with at most 4r + 1 columns
-    per branch; a reader that keeps them all is charged `hit_factor_charges`.
+    per branch; a reader that lists them all is charged `hit_factor_charges`.
     """
     last_hit = _last_hit_layer(circuit)
     return [(4**last_hit, "struck path weights"), (4**last_hit, "partner states")]
 
 
 def hit_factor_charges(circuit: Circuit) -> list[Charge]:
-    """What keeping every layer's hit factors holds (`common.HitFactors`): at most 2^(h+4) (4h + 1) entries.
+    """What listing every layer's hit factors holds (`verify`'s walk): at most 2^(h+4) (4h + 1) entries.
 
     Layer r <= h books at most 4r + 1 columns per branch, each 2^(r+2)
     side entries and four signs; summed over both branches and r = 1..h

@@ -25,19 +25,20 @@ the (0,) of three particles, whose hits are the paper's cascade in
 `lambda_accumulate` streams each side's states once, and charges what one
 hit holds (`pair_charges`) before its first hit. `_before_layer` (the external
 singles, axis by axis) and `_straddle` (the straddling factors D) remain
-only as that reference's helpers. `tree_hits` streams the hits of the
-subsystem (0,) at every particle count but three, in the cascade's
-low-rank `HitLayer` form, off particle 0's conditioned prefix tree, which
-it grows one `paths.tree_step` per layer: each layer's side is the grown
-table beside the step's pre-gate states, so the stream rebuilds neither,
-and drops the step before it yields. `tree_layers` yields each tree table
-beside its layer's factors, for `verify`, which checks the lambda they add
-up to against the Gram matrix of that table.
+only as that reference's helpers. `tree_layers` streams the hits of any
+member set but the (0,) of three particles, in the cascade's low-rank
+`HitLayer` form, off the members' conditioned prefix tree, which it grows
+one `paths.tree_step` per layer: each layer's hit is `tree_hit`, the
+grown table added and the step's pre-gate states subtracted, so the stream
+rebuilds neither, and drops the step before it yields. It yields each tree
+table beside its layer's factors, for `verify`, which checks the lambda
+they add up to against the Gram matrix of that table.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -48,19 +49,11 @@ from .paths import Path, apply_single, condition_on_paths, member_layout, normal
 from .paths import straddling_factor, tree_root, tree_step
 
 
-def _require_stream(circuit: Circuit) -> None:
-    if circuit.particles < 2 or circuit.particles == 3:
-        raise ValueError(
-            "the hit stream needs 2 or at least 4 particles; "
-            "three particles use the cascade of the three-particle module"
-        )
-
-
 def _check_pair(circuit: Circuit, subsystem: Sequence[int], p: Sequence[Path], q: Sequence[Path]) -> tuple[int, ...]:
     """The normalized members, once each member has one full-length path on both sides."""
     members = normalize_subsystem(circuit, subsystem)
-    if members == (0,):
-        _require_stream(circuit)
+    if members == (0,) and circuit.particles == 3:
+        raise ValueError("the subsystem (0,) of three particles takes the cascade of the three-particle module")
     if len(p) != len(members) or len(q) != len(members):
         raise ValueError(f"need one path per subsystem member, {len(members)} on each side")
     if any(path.n != circuit.n for path in (*p, *q)):
@@ -175,66 +168,56 @@ def lambda_accumulate(
 
 
 def tree_hit_charges(circuit: Circuit) -> list[Charge]:
-    """What `tree_layers` holds besides the factors its reader keeps: particle 0's tree table and one step's pre-gate states.
+    """What `tree_layers` holds for the subsystem (0,): particle 0's tree table and one step's pre-gate states.
 
     Each is charged 2^(n + N - 1) external amplitudes, tree table n's size:
     the stream holds table t - 1, its step and table t while it makes layer
-    t's side.
+    t's factors.
     """
     states = 1 << (circuit.n + circuit.particles - 1)
     return [(states, "conditioned external states"), (states, "pre-gate external states")]
 
 
-def tree_factor_charges(circuit: Circuit) -> list[Charge]:
-    """What keeping every layer of `tree_hits` holds: one side of 2^(t + N) entries per layer t with a gate on particle 0.
-
-    That stays under 2^(h + N + 1), h the last such layer.
-    """
-    layers = enumerate(circuit.layers, start=1)
-    kept = sum(1 << (t + circuit.particles) for t, layer in layers if any(0 in gate.pair for gate in layer.phases))
-    return [(kept, "hit factors")]
+@cache
+def _signs(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """+1 and -1 over `width` external basis states, read-only."""
+    plus, minus = np.ones(width), -np.ones(width)
+    plus.flags.writeable = minus.flags.writeable = False
+    return plus, minus
 
 
-def tree_layers(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[tuple[HitLayer, np.ndarray]]:
-    """(layer t's hit factors, particle 0's tree table t) of the subsystem (0,), for t = 1..n, one `paths.tree_step` each.
+def tree_hit(grown: np.ndarray, pre: np.ndarray) -> HitLayer:
+    """A tree layer's hit as two factors: (grown, +1) over the rows the layer grew, (pre, -1) over the rows it grew them from.
 
     Layer t's hit over the pair of rows ((k, a), (l, b)) is
     sum_x conj(pre[k, x]) pre[l, x] (conj(D_a(x)) D_b(x) - 1), with `pre`
-    and D the step's pre-gate states and straddling factors. That is
-    (conj(side) * signed) @ side^T with side = [table t | pre repeated over
-    the new bit], since table t's row (k, a) is pre[k] D[a], and signed = +1
-    on the first 2^(N-1) columns and -1 on the last: the `HitLayer` form of
-    the cascade. A layer without a gate on particle 0 yields no factor, so
-    its hit is an exact zero. Rows are prefixes packed most-significant-first,
-    and table t is `paths.conditioned_prefix_state_layers` table t. The
-    particle count and `tree_hit_charges` are checked on the call; each step
-    is dropped before its layer is yielded, and no yielded array is written
-    afterwards.
+    and D the step's pre-gate states and straddling factors. Row (k, a) of
+    table t is pre[k] D[a], so the hit is table t's Gram matrix minus
+    pre's, repeated over the new modes: each is one (side, signed) factor,
+    and a side's row count names the depth of prefix it reads. The two are
+    never joined: a joined side would repeat `pre` over every new mode.
     """
-    _require_stream(circuit)
-    check_charges(tree_hit_charges(circuit), budget)
-    return _tree_layers(circuit)
+    plus, minus = _signs(pre.shape[1])
+    return (grown, plus), (pre, minus)
 
 
-def _tree_layers(circuit: Circuit) -> Iterator[tuple[HitLayer, np.ndarray]]:
-    """The layers `tree_layers` yields, unchecked."""
-    table = tree_root(circuit, (0,))
-    signed = np.repeat([1.0, -1.0], table.shape[1])
-    signed.flags.writeable = False
+def tree_layers(circuit: Circuit, members: tuple[int, ...]) -> Iterator[tuple[HitLayer, np.ndarray]]:
+    """(layer t's hit factors, tree table t) for t = 1..n off the normalized `members`' prefix tree, one `paths.tree_step` each.
+
+    The factors are `tree_hit` of the grown table and the step's pre-gate
+    states; a layer without a straddling gate yields none, so its hit is an
+    exact zero. Table t is `paths.conditioned_prefix_state_layers` table t.
+    Each step is dropped before its layer is yielded, and no yielded array
+    is written afterwards. Nothing is charged here: callers charge what
+    they hold.
+    """
+    table = tree_root(circuit, members)
     for t in range(1, circuit.n + 1):
-        step = tree_step(circuit, (0,), t, table)
+        step = tree_step(circuit, members, t, table)
         table = step.grow()
-        hits = () if step.factors is None else ((np.concatenate([table, step.pre.repeat(2, axis=0)], axis=1), signed),)
+        hits = () if step.factors is None else tree_hit(table, step.pre)
         del step
         yield hits, table
-
-
-def tree_hits(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Iterator[HitLayer]:
-    """Each layer's hit of the subsystem (0,) as low-rank factors, read off particle 0's prefix tree (`tree_layers`).
-
-    The particle count and `tree_hit_charges` are checked on the call.
-    """
-    return (hits for hits, _ in tree_layers(circuit, budget))
 
 
 def marginal_deviation(circuit: Circuit, endpoint: int, block: LambdaBlock) -> float:

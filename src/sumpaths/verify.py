@@ -10,33 +10,33 @@ oracle check reads, and at two particles the density report reads them
 all.
 
 The lambda route of the subsystem (0,) is built once per circuit, by one
-walk at every particle count. Its producer (`subsystems.hit_stream`)
-yields each layer's hit as low-rank factors beside particle 0's tree table
-of the same layer: the cascade of `threeparticle` for three particles,
-zipped with `paths.conditioned_prefix_state_layers`, or particle 0's prefix
-tree (`twoparticle.tree_layers`) for any other count, which yields the
-table its step grew beside the factors it read off that step, so the tree
-grows once. The walk adds each layer's factors to the last lambda
-(`common.add_hit`) and reads it beside the tree table of the same layer.
-The marginals sum the factors layer by layer, never the closed form the
-hits telescope to, the Gram matrix of the last tree table, so
-oracle_equivalence stays no restatement of the tree. Holding at most the
-previous lambda, the walk computes every per-layer check: the gap to the
-Gram matrix of the tree table (three_closure at three particles,
-telescoping otherwise), the largest |lambda| (lambda_bound), and, for the
-tree's stream, the bit-exact repeat at layers without a gate on particle 0
-(zero_hit_layers). The final lambda serves hermitian_pairing. The walk
-keeps every layer's factors, and their blocks (`subsystems.hit_blocks`,
-the route `marginal` prints) serve the marginal checks and both sides of
-no_signaling: the appended layer has no gate on particle 0, so it books no
-hit. two_form_equivalence reads each endpoint block's dense lambda. The
-density checks run for two particles only, on one `density_report`: the
-hit/miss recursion over the stacked layers, against the reduced densities
-of the states the oracle checks evolved.
-general_subsystem reads the pair (0, 1) off one more tree, grown to table
-n - 1 with its last layer folded per outcome, as Gram factors whose pair
-sums build no lambda matrix; each block is dropped before the next
-outcome's rows are built. Each check is charged the time since the
+walk at every particle count. Its producer yields each layer's hit as
+low-rank factors beside particle 0's tree table of the same layer: the
+cascade of `threeparticle` for three particles, listed first and zipped
+with `paths.conditioned_prefix_state_layers`, or particle 0's prefix tree
+(`twoparticle.tree_layers`) for any other count, which yields the table
+its step grew beside the factors it read off that step, so the tree grows
+once. The walk adds each layer's factors to the last lambda
+(`common.add_hit`), reads it beside the tree table of the same layer, and
+passes the layer on to two pair sums (`common.PairSums`, the reader
+`marginal` prints through), the base circuit's and the no-signaling
+circuit's, which keep none of it. The marginals sum the factors layer by
+layer, never the closed form the hits telescope to, the Gram matrix of the
+last tree table, so oracle_equivalence stays no restatement of the tree.
+Holding at most the previous lambda, the walk computes every per-layer
+check: the gap to the Gram matrix of the tree table (three_closure at
+three particles, telescoping otherwise), the largest |lambda|
+(lambda_bound), and, for the tree's stream, the bit-exact repeat at layers
+without a gate on particle 0 (zero_hit_layers). The final lambda serves
+hermitian_pairing, and its endpoint rows final[j::2, j::2] serve
+two_form_equivalence. The appended no-signaling layer has no gate on
+particle 0, so it books no hit. The density checks run for two particles
+only, on one `density_report`: the hit/miss recursion over the stacked
+layers, against the reduced densities of the states the oracle checks
+evolved. general_subsystem reads the pair (0, 1) through
+`subsystems.lambda_marginals`, off one more tree grown to table n - 1 with
+its last layer shared out per outcome, whose pair sums build no lambda
+matrix. Each check is charged the time since the
 previous check ended, so a shared build counts in the first check that
 needs it and the timings add up to the verify's wall time. Every
 reduction keeps a NaN error, so a non-finite result fails its check.
@@ -50,17 +50,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable
 
 import numpy as np
 
 from .circuits import Circuit, append_external_layer, circuit_digest
-from .common import DEFAULT_BUDGET, Charge, HitLayer, LambdaBlock, add_hit, check_charges
+from .common import DEFAULT_BUDGET, Charge, HitLayer, LambdaBlock, PairSums, add_hit, check_charges, endpoint_shares
 from .density import density_charges, density_report
 from .oracle import Distribution, marginal_of, oracle_charges, states
-from .paths import Path, amplitudes_via_paths, pathsum_charges
-from .subsystems import conditioned_blocks, conditioned_charges, hit_blocks, hit_stream
-from .twoparticle import hit, marginal_deviation
+from .paths import Path, amplitudes_via_paths, conditioned_prefix_state_layers, pathsum_charges
+from .subsystems import amplitude_charges, joint_amplitudes, lambda_charges, lambda_marginals
+from .threeparticle import cascade_hit_charges, cascade_hits, hit_factor_charges
+from .twoparticle import hit, marginal_deviation, tree_hit_charges, tree_layers
 
 MARGINAL_TOL = 1e-9  # oracle_equivalence, marginal_normalization, three_closure, general_subsystem
 
@@ -141,24 +142,30 @@ def _hermitian_gap(table: np.ndarray) -> float:
 
 
 def _walk_layers(
-    circuit: Circuit, pairs: Iterable[tuple[HitLayer, np.ndarray]], gateless: Container[int]
-) -> tuple[list[HitLayer], np.ndarray, float, float, float]:
+    circuit: Circuit,
+    pairs: Iterable[tuple[HitLayer, np.ndarray]],
+    gateless: Container[int],
+    base: PairSums,
+    extended: PairSums,
+) -> tuple[np.ndarray, float, float, float]:
     """Per-layer checks of (layer t's hit factors, tree table t) pairs, adding each hit to lambda and holding at most the previous lambda.
 
-    Returns every layer's hit factors, the final lambda, the worst gap
-    |lambda_t - G_t| to the Gram matrix G_t of the conditioned external
+    Each layer is passed on to both pair sums and kept by neither: the
+    `extended` circuit's reads every layer whole, the base circuit's reads
+    layer n as each endpoint's share. Returns the final lambda, the worst
+    gap |lambda_t - G_t| to the Gram matrix G_t of the conditioned external
     states in tree table t, the largest |lambda_t|, and the worst zero-hit
     error at the `gateless` layers of the tree's stream, where the table
     must repeat the previous one over the new bit and one path pair's scalar
     `hit` must be 0, both bit-exact. Table 0 is the tree's root, whose Gram
     matrix is lambda_0 = 1.
     """
-    p = Path(modes=(0,) * circuit.n)
-    q = Path(modes=(1,) * (circuit.n - 1) + (0,)) if circuit.n > 1 else p
-    kept, lam = [], np.ones((1, 1), dtype=complex)
+    n = circuit.n
+    p = Path(modes=(0,) * n)
+    q = Path(modes=(1,) * (n - 1) + (0,)) if n > 1 else p
+    lam = np.ones((1, 1), dtype=complex)
     gaps, largest, zero_hit = [0.0], [1.0], [0.0]
     for t, (hits, table) in enumerate(pairs, start=1):
-        kept.append(hits)
         previous, lam = lam, add_hit(lam, hits)
         gram = table.conj() @ table.T
         gaps.append(float(np.max(np.abs(np.subtract(lam, gram, out=gram)))))
@@ -170,29 +177,43 @@ def _walk_layers(
             if not np.array_equal(grown, np.broadcast_to(repeated, grown.shape)):
                 zero_hit.append(float(np.max(np.abs(grown - repeated))))
             zero_hit.append(abs(hit(circuit, (0,), (p,), (q,), t)))
-    return kept, lam, _worst(gaps), _worst(largest), _worst(zero_hit)
+        extended.read(hits)
+        if t < n:
+            base.read(hits)
+        else:
+            for j, share in enumerate(endpoint_shares(hits, n)):
+                base.read(share, j)
+    return lam, _worst(gaps), _worst(largest), _worst(zero_hit)
 
 
 def _lambda_checks(
     runner: _Runner, circuit: Circuit, extended: Circuit, budget: int, oracle: Distribution, history: list[np.ndarray]
-) -> tuple[list[float], Iterator[tuple[tuple[int, ...], LambdaBlock]]]:
+) -> tuple[list[float], list[float]]:
     """The (0,) hit stream's checks, by one walk at every particle count; density only for two.
 
-    The walk's kept factors make the blocks of the marginal checks, and of
-    both sides of no_signaling: the appended layer has no gate on particle
-    0, so it books no hit. Three particles check three_closure where the
-    tree's stream checks telescoping, zero_hit_layers and
-    two_form_equivalence. Returns the marginals and the `extended` circuit's
-    blocks, for no_signaling.
+    The walk reads the cascade's factors at three particles, listed first so
+    the cascade's struck path weights and partner states are gone before
+    any lambda table is built, beside particle 0's tree tables; at any other
+    count it reads `twoparticle.tree_layers`, whose tree grows once. It
+    passes every layer to the pair sums of the marginal checks and of both
+    sides of no_signaling: the appended layer has no gate on particle 0, so
+    it books no hit. Three particles check three_closure where the tree's
+    stream checks telescoping, zero_hit_layers and two_form_equivalence,
+    which reads the endpoint rows of the final lambda. Returns the base and
+    the `extended` circuit's lambda marginals, for no_signaling.
     """
     cascade = circuit.particles == 3
-    layers = enumerate(circuit.layers, start=1)
-    gateless = [] if cascade else [t for t, layer in layers if all(gate.pair[0] != 0 for gate in layer.phases)]
-    pairs = hit_stream(circuit).beside_tree(circuit, budget)
-    hits, final, gap, largest, zero_hit = _walk_layers(circuit, pairs, gateless)
-    blocks = [block for _, block in hit_blocks(circuit, hits)]
-    ext_blocks = hit_blocks(extended, hits + [()])
-    marginals = [block.marginal() for block in blocks]
+    if cascade:
+        tree = itertools.islice(conditioned_prefix_state_layers(circuit, (0,)), 1, None)
+        pairs = zip(list(cascade_hits(circuit, budget)), tree, strict=True)
+        gateless = []
+    else:
+        pairs = tree_layers(circuit, (0,))
+        gateless = [t for t, layer in enumerate(circuit.layers, start=1) if all(0 not in g.pair for g in layer.phases)]
+    base = PairSums(joint_amplitudes(circuit, (0,)), 1)
+    ext = PairSums(joint_amplitudes(extended, (0,)), 1)
+    final, gap, largest, zero_hit = _walk_layers(circuit, pairs, gateless, base, ext)
+    marginals = base.totals.tolist()
     runner.run("oracle_equivalence", MARGINAL_TOL, _worst(abs(marginals[j] - oracle[j]) for j in (0, 1)))
     runner.run("marginal_normalization", MARGINAL_TOL, abs(sum(marginals) - 1.0))
     if cascade:
@@ -200,6 +221,7 @@ def _lambda_checks(
     else:
         runner.run("telescoping", 1e-10, gap)
         runner.run("zero_hit_layers", 0.0, zero_hit)
+        blocks = [LambdaBlock(base.amplitudes[j], final[j::2, j::2]) for j in (0, 1)]
         runner.run(
             "two_form_equivalence",
             1e-10,
@@ -213,25 +235,30 @@ def _lambda_checks(
         runner.run("density_hit_diagonal", 1e-12, _worst(r["hit_diagonal_max"] for r in records))
         runner.run("density_offdiagonal_form", 1e-12, _worst(r["offdiagonal_error"] for r in records))
         runner.run("density_pathsum", 1e-10, _worst(r["pathsum_error"] for r in records))
-    return marginals, ext_blocks
+    return marginals, ext.totals.tolist()
 
 
 def verify_charges(circuit: Circuit) -> list[Charge]:
     """Every budget charge `verify_circuit` makes, in the order its checks make them.
 
-    The (0,) walk charges the same three things at every particle count: its
-    last lambda table, 4^n path pairs, the hit stream's own charges, and the
-    hit factors it keeps.
+    The (0,) walk charges its last lambda table, 4^n path pairs, then what
+    its producer holds: the cascade's struck path weights and partner
+    states and the hit factors listed before the walk, or the tree's table
+    and pre-gate states. The pair sums charge the extended circuit's path
+    amplitudes and their folds, which cover the base circuit's.
+    general_subsystem charges what `subsystems.lambda_marginals` holds for
+    (0, 1).
     """
     charges = oracle_charges(circuit) + (pathsum_charges(circuit) if circuit.n >= 1 else [])
     n = circuit.particles
     if n >= 2 and circuit.n >= 1:
-        stream = hit_stream(circuit)
-        charges += [(4**circuit.n, "path-pair table")] + stream.charges(circuit) + stream.kept(circuit)
+        charges += [(4**circuit.n, "path-pair table")]
+        charges += cascade_hit_charges(circuit) + hit_factor_charges(circuit) if n == 3 else tree_hit_charges(circuit)
+        charges += amplitude_charges(circuit.n + 1, 1)
         if n == 2:
             charges += density_charges(circuit)
         if n >= 3:
-            charges += conditioned_charges(circuit, (0, 1))
+            charges += lambda_charges(circuit, (0, 1))
     return charges
 
 
@@ -258,32 +285,27 @@ def verify_circuit(circuit: Circuit, budget: int = DEFAULT_BUDGET) -> Verificati
 
     if probed:
         oracle = marginal_of(final, n, {0})
-        base_lam, ext_blocks = _lambda_checks(runner, circuit, extended, budget, oracle, history)
+        base_lam, ext_lam = _lambda_checks(runner, circuit, extended, budget, oracle, history)
 
         if n >= 3:
             runner.run("general_subsystem", MARGINAL_TOL, _general_subsystem_error(circuit, final, budget))
 
         ext_oracle = marginal_of(next(stream), n, {0})
-        runner.run("no_signaling", 1e-12, _no_signaling_error(oracle, base_lam, ext_oracle, ext_blocks))
+        runner.run("no_signaling", 1e-12, _no_signaling_error(oracle, base_lam, ext_oracle, ext_lam))
 
     return VerificationReport(digest=digest, checks=tuple(runner.checks))
 
 
 def _general_subsystem_error(circuit: Circuit, final: np.ndarray, budget: int) -> float:
-    """The pair (0, 1) by the general route against the oracle's final state."""
+    """The pair (0, 1) by `subsystems.lambda_marginals` against the oracle's final state."""
     oracle = marginal_of(final, circuit.particles, (0, 1))
-    errors = []
-    for outcome, block in conditioned_blocks(circuit, (0, 1), budget):
-        errors.append(abs(block.marginal() - oracle[outcome]))
-        del block  # the next outcome's rows are built without these alive
-    return _worst(errors)
+    return _worst(abs(probability - oracle[outcome]) for outcome, probability in lambda_marginals(circuit, (0, 1), budget).items())
 
 
 def _no_signaling_error(
-    base_oracle: Distribution, base_lam: list[float], ext_oracle: Distribution, ext_blocks: Iterable
+    base_oracle: Distribution, base_lam: list[float], ext_oracle: Distribution, ext_lam: list[float]
 ) -> float:
     """Appending an external layer must move neither the oracle nor the lambda marginal."""
-    ext_lam = [block.marginal() for _, block in ext_blocks]
     return _worst(
         [abs(base_oracle[j] - ext_oracle[j]) for j in (0, 1)]
         + [abs(base_lam[j] - ext_lam[j]) for j in (0, 1)]

@@ -34,10 +34,12 @@ earlier single-gate kernels, `tensordot` and `moveaxis` with a matmul, and
 the oracle and conditioned layers built from them: the package's one-BLAS-
 call kernels on reshaped views must equal them bit for bit. Then come the
 earlier general-subsystem routes: one built each outcome's dense lambda as
-the Gram matrix of its gathered final-table rows, and the next read each
-outcome's Gram factor off the whole final table, reordered. The package's
-Gram-factor blocks, which fold the last layer per outcome, must give their
-amplitudes and lambdas bit for bit, and the second's factors too. Then come the
+the Gram matrix of its gathered final-table rows, the next read each
+outcome's Gram factor off the whole final table, reordered, and the last
+(`gram_blocks`) folds the last layer per outcome. That Gram form is the
+closed form the hits telescope to: the streamed pair sums must match it to
+rounding, and the stream's last-layer shares must hold the whole table's
+rows bit for bit. Then come the
 per-layer density references, one layer and one formula per call: the
 hit/miss pair of one layer, the partial trace of one state vector, and the
 one-layer Kronecker product, evolved matrix and recursion step, over the
@@ -55,8 +57,8 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import reduce
-from typing import Any, Iterator, Mapping
+from functools import cached_property, reduce
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -80,9 +82,9 @@ from sumpaths.oracle import Distribution, evolve, marginal_by_sum
 from sumpaths.paths import ConditionalUnitary, Path, condition_on_paths, conditioned_prefix_state_layers, normalize_subsystem
 from sumpaths.paths import apply_single, endpoint_rows, pair_phases, path_amplitude, prefix_amplitude_layers
 from sumpaths.paths import TreeStep, member_layout, prefix_amplitudes, straddling_factor, tree_root, tree_step
-from sumpaths.subsystems import conditioned_charges
+from sumpaths.subsystems import conditioned_charges, joint_amplitudes
 from sumpaths.threeparticle import _PLUS_MINUS, _carry, _factors, _last_hit_layer, _toward, cascade_hit_charges, cascade_hits
-from sumpaths.twoparticle import _before_layer, _straddle, tree_hits
+from sumpaths.twoparticle import _before_layer, _straddle, tree_layers
 
 
 def kron_layer_operator(circuit: Circuit, t: int) -> np.ndarray:
@@ -428,7 +430,7 @@ def gram_tables(circuit: Circuit) -> list[np.ndarray]:
 
 def hit_lambdas(circuit: Circuit) -> list[np.ndarray]:
     """lambda^(0..n) of particle 0's tree stream, added up by `hit_tables` (2 or at least 4 particles)."""
-    return list(hit_tables(tree_hits(circuit)))
+    return list(hit_tables(hits for hits, _ in tree_layers(circuit, (0,))))
 
 
 def cascade_charges(circuit: Circuit) -> list:
@@ -865,10 +867,74 @@ def tensordot_conditioned_layer(cond: ConditionalUnitary, state: np.ndarray, t: 
     return state.reshape(-1)
 
 
+class GramBlock:
+    """One outcome's paths and its Gram factor S, one row per configuration path and one column per external basis state.
+
+    lambda = conj(S) S^T is the closed form the hits telescope to, so the
+    pair sum sum_i |a_i|^2 (1 - |s_i|^2) + |S^T a|^2 is the reference the
+    per-layer sums are checked against; no lambda matrix is built unless
+    `lam` is read.
+    """
+
+    def __init__(self, amplitudes: np.ndarray, factor: np.ndarray) -> None:
+        self.amplitudes = amplitudes
+        self.factor = factor
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        """conj(S) S^T from a C-contiguous S."""
+        factor = np.ascontiguousarray(self.factor)
+        return factor.conj() @ factor.T
+
+    def marginal(self) -> float:
+        projected = self.amplitudes @ self.factor
+        diagonal = np.sum(np.abs(self.factor) ** 2, axis=1)
+        total = complex(np.sum(np.abs(self.amplitudes) ** 2 * (1.0 - diagonal))) + complex(np.vdot(projected, projected))
+        assert abs(total.imag) < 1e-10, total
+        return total.real
+
+
+def gram_charges(circuit: Circuit, particles: tuple[int, ...]) -> list:
+    """What `gram_blocks` holds: the tree's three external-state tables and straddling factors, then the joint path amplitudes."""
+    return conditioned_charges(circuit, particles) + [(1 << (len(particles) * circuit.n), "joint path amplitudes")]
+
+
+def gram_blocks(
+    circuit: Circuit, subsystem: Sequence[int], budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[tuple[int, ...], GramBlock]]:
+    """The earlier `subsystems.conditioned_blocks`: (outcome, Gram block) for every outcome, off one conditioned prefix tree.
+
+    The tree grows to table n - 1 and takes layer n's `paths.tree_step`
+    once: outcome o's factor is its pre-gate states times the straddling
+    factors D[o], in configuration-path order. Table n is never built. The
+    budget is charged `gram_charges` before anything is built, and outcomes
+    come in `itertools.product((0, 1), repeat=M)` order.
+    """
+    particles = normalize_subsystem(circuit, subsystem)
+    n, size = circuit.n, len(particles)
+    check_charges(gram_charges(circuit, particles), budget)
+    outcomes = itertools.product((0, 1), repeat=size)
+    if n == 0:  # the empty path ends at mode 0: the all-zeros outcome reads the root, no other outcome has a path
+        root = tree_root(circuit, particles)
+        for outcome in outcomes:
+            count = 0 if any(outcome) else 1
+            yield outcome, GramBlock(np.ones(count, dtype=complex), root[:count])
+        return
+    for table in itertools.islice(conditioned_prefix_state_layers(circuit, particles), n):
+        pass  # keeps only table n - 1
+    step = tree_step(circuit, particles, n, table)
+    del table
+    amplitudes = joint_amplitudes(circuit, particles)
+    for index, outcome in enumerate(outcomes):
+        rows = step.pre if step.factors is None else step.pre * step.factors[index]
+        yield outcome, GramBlock(amplitudes[index], rows)
+        del rows
+
+
 def dense_conditioned_charges(circuit: Circuit, particles: tuple[int, ...]) -> list:
-    """`conditioned_charges`, then one outcome's lambda pairs, the dense table these blocks build."""
+    """`gram_charges`, then one outcome's lambda pairs, the dense table these blocks build."""
     count = (1 << max(circuit.n - 1, 0)) ** len(particles)
-    return conditioned_charges(circuit, particles) + [(count * count, "configuration path pairs")]
+    return gram_charges(circuit, particles) + [(count * count, "configuration path pairs")]
 
 
 def dense_conditioned_blocks(
@@ -918,8 +984,8 @@ def table_conditioned_charges(circuit: Circuit, particles: tuple[int, ...]) -> l
 
 def table_conditioned_blocks(
     circuit: Circuit, subsystem: tuple[int, ...], budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
-    """The earlier `conditioned_blocks`: each outcome's Gram factor read off the tree's whole final table.
+) -> Iterator[tuple[tuple[int, ...], GramBlock]]:
+    """The earliest `conditioned_blocks`: each outcome's Gram factor read off the tree's whole final table.
 
     The final table and the joint amplitude tensor are each built once and
     reordered once to (outcome, configuration path), so every block holds
@@ -944,7 +1010,7 @@ def table_conditioned_blocks(
             for a, b, (_, last) in pairs:
                 if last is not None:
                     intra = intra * last[outcome[a], outcome[b]]
-            yield outcome, LambdaBlock(amplitudes=(bare * intra).reshape(-1), factor=states[index : index + 1])
+            yield outcome, GramBlock((bare * intra).reshape(-1), states[index : index + 1])
         return
     split = (1 << (n - 1), 2) * size  # each member's (n-1)-mode prefix, then its endpoint
     bare = reduce(np.multiply.outer, amps)
@@ -961,7 +1027,7 @@ def table_conditioned_blocks(
     states = np.ascontiguousarray(states.reshape(split + (external,)).transpose(order + (len(split),)))
     states = states.reshape(1 << size, -1, external)
     for index, outcome in enumerate(outcomes):
-        yield outcome, LambdaBlock(amplitudes=amplitudes[index], factor=states[index])
+        yield outcome, GramBlock(amplitudes[index], states[index])
 
 
 @dataclass(frozen=True)

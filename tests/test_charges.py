@@ -25,7 +25,7 @@ from sumpaths.corpus import random_circuit
 from sumpaths.density import density_charges, density_report
 from sumpaths.oracle import oracle_charges, states
 from sumpaths.paths import amplitudes_via_paths, member_paths_at, pathsum_charges
-from sumpaths.subsystems import conditioned_blocks, conditioned_charges, hit_block_charges, hit_stream, lambda_blocks
+from sumpaths.subsystems import dense_lambda_charges, lambda_blocks, lambda_charges, lambda_marginals
 from sumpaths.twoparticle import lambda_accumulate, pair_charges
 from sumpaths.verify import verify_charges, verify_circuit
 
@@ -38,11 +38,11 @@ ENTRY = 16  # bytes per complex entry
 SLACK = 256 * 1024  # numpy's ufunc buffers, index arrays and the Python objects a build makes
 BUDGET = 1 << 40  # no charge may stop a build; the gate reads the charges itself
 
-# (particles, layers) per builder; conditioned_blocks draws layers by (particles, subsystem size)
+# (particles, layers) per builder; lambda_marginals draws layers by (particles, subsystem size)
 SIZES = {
     "amplitudes_via_paths": [(1, 17), (1, 18), (2, 9), (2, 10), (3, 8), (3, 9), (4, 6), (4, 7), (5, 5), (6, 4)],
     "lambda3_tables": [(3, 7), (3, 8), (3, 9)],
-    "lambda_blocks": [(2, 13), (2, 14), (3, 7), (3, 8), (3, 9), (4, 12), (4, 13), (5, 11), (5, 12), (6, 10), (6, 11)],
+    "lambda_blocks": [(2, 9), (2, 10), (3, 8), (3, 9), (4, 9), (4, 10), (5, 9), (6, 8)],
     "density_report": [(2, 16), (2, 17)],
     "lambda_accumulate": [(15, 3), (16, 2), (17, 3), (18, 2), (19, 1)],
     "states": [(14, 2), (15, 2), (16, 2), (17, 1), (18, 1)],
@@ -52,6 +52,7 @@ BLOCK_LAYERS = {
     (2, 1): 16, (3, 1): 15, (3, 2): 8, (4, 1): 14, (4, 2): 8, (4, 3): 5, (5, 1): 13, (5, 2): 7,
     (5, 3): 5, (5, 4): 4, (6, 1): 12, (6, 2): 7, (6, 3): 5, (6, 4): 4, (6, 5): 3,
 }  # the most layers whose external-state tables and amplitudes stay within 2^18 entries; one fewer is drawn too
+CASCADE_LAYERS = 9  # the (0,) of three particles takes the cascade: its 4^h structures reach 2^18 at h = 9
 
 
 def _cascade(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
@@ -59,9 +60,10 @@ def _cascade(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
         pass
 
 
-def _factored(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
-    for _, block in lambda_blocks(circuit, subsystem, BUDGET):  # the (0,) marginal, by the cascade or the tree
+def _dense(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
+    for _, block in lambda_blocks(circuit, subsystem, BUDGET):  # perturb's blocks, by the cascade or the tree
         block.marginal()
+        del block  # as perturb does: the next block is built without this one alive
 
 
 def _oracle(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
@@ -75,18 +77,16 @@ def _pair_reference(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
     lambda_accumulate(circuit, subsystem, p, q, BUDGET)
 
 
-def _blocks(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
-    for _, block in conditioned_blocks(circuit, subsystem, BUDGET):
-        block.marginal()
-        del block  # as every caller does: the next outcome's rows are built without these alive
+def _marginals(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
+    lambda_marginals(circuit, subsystem, BUDGET)
 
 
 # name: (charges, build)
 BUILDERS: dict[str, tuple[Callable, Callable]] = {
     "amplitudes_via_paths": (lambda c, s: pathsum_charges(c), lambda c, s: amplitudes_via_paths(c, BUDGET)),
-    "conditioned_blocks": (conditioned_charges, _blocks),
+    "lambda_marginals": (lambda_charges, _marginals),
     "lambda3_tables": (lambda c, s: cascade_charges(c), _cascade),
-    "lambda_blocks": (lambda c, s: hit_stream(c).charges(c) + hit_block_charges(c), _factored),
+    "lambda_blocks": (lambda c, s: lambda_charges(c, s) + dense_lambda_charges(c, s), _dense),
     "density_report": (lambda c, s: density_charges(c), lambda c, s: density_report(c, BUDGET)),
     "lambda_accumulate": (pair_charges, _pair_reference),
     "states": (lambda c, s: oracle_charges(c), _oracle),
@@ -111,10 +111,11 @@ def traced_peak(build: Callable[[], object]) -> int:
 @given(data=st.data())
 def test_each_builder_holds_at_most_a_fixed_multiple_of_its_charges(name, data):
     charges, build = BUILDERS[name]
-    if name == "conditioned_blocks":
+    if name == "lambda_marginals":  # one builder for every subsystem at N=2-6
         particles, size = data.draw(st.sampled_from(sorted(BLOCK_LAYERS)))
         subsystem = tuple(sorted(data.draw(st.permutations(range(particles)))[:size]))
-        layers = BLOCK_LAYERS[particles, size] - data.draw(st.integers(0, 1))
+        most = CASCADE_LAYERS if (particles, subsystem) == (3, (0,)) else BLOCK_LAYERS[particles, size]
+        layers = most - data.draw(st.integers(0, 1))
     else:
         (particles, layers), subsystem = data.draw(st.sampled_from(SIZES[name])), (0,)
     density = data.draw(st.sampled_from([0.3, 1.0]))
@@ -125,44 +126,35 @@ def test_each_builder_holds_at_most_a_fixed_multiple_of_its_charges(name, data):
     assert peak <= FACTOR * charged * ENTRY + SLACK, (peak, charged)
 
 
-@pytest.mark.parametrize("particles, subsystem, layers", [(3, (0, 1), 10), (4, (0, 1), 10), (2, (1,), 21)])
-def test_folded_blocks_hold_at_most_a_fixed_multiple_of_their_charges_near_the_default_edge(
-    particles, subsystem, layers
-):
-    # one layer short of where the default budget stops the folded route: its external-state
+@pytest.mark.parametrize(
+    "particles, subsystem, layers", [(3, (0, 1), 10), (4, (0, 1), 10), (2, (1,), 21), (2, (0,), 21)]
+)
+def test_the_reader_holds_at_most_a_fixed_multiple_of_its_charges_near_the_default_edge(particles, subsystem, layers):
+    # one layer short of where the default budget stops the reader: its external-state
     # tables and amplitudes are 2^19-2^21 entries, past the sizes the hypothesis test draws
     circuit = random_circuit(np.random.default_rng(1), particles, layers, p_single=1.0, p_phase=1.0)
-    charged = sum(count for count, _ in conditioned_charges(circuit, subsystem))
-    peak = traced_peak(lambda: _blocks(circuit, subsystem))
+    charged = sum(count for count, _ in lambda_charges(circuit, subsystem))
+    peak = traced_peak(lambda: _marginals(circuit, subsystem))
     assert peak <= FACTOR * charged * ENTRY + SLACK, (peak, charged)
 
 
-@pytest.mark.parametrize("particles, layers", [(2, 18), (4, 16)])
-def test_tree_hit_blocks_hold_at_most_a_fixed_multiple_of_their_charges_near_the_default_edge(particles, layers):
-    # one layer short of where the kept sides stop the (0,) marginal: they are 2^21 - 2^(N+1)
-    # entries here, past the sizes the hypothesis test draws
-    circuit = random_circuit(np.random.default_rng(1), particles, layers, p_single=1.0, p_phase=1.0)
-    charged = sum(count for count, _ in hit_stream(circuit).charges(circuit) + hit_block_charges(circuit))
-    peak = traced_peak(lambda: _factored(circuit, (0,)))
-    assert peak <= FACTOR * charged * ENTRY + SLACK, (peak, charged)
-
-
-def test_folded_blocks_charge_a_single_layers_straddling_factor_table():
+def test_the_reader_charges_a_single_layers_straddling_factor_table():
     # at n = 1 the external-state tables have one row, 2^(N - M) entries, but the step's
     # straddling factors span all 2^N joint basis states: uncharged, they would read 6x here
     circuit = random_circuit(np.random.default_rng(1), 18, 1, p_single=1.0, p_phase=1.0)
-    charged = sum(count for count, _ in conditioned_charges(circuit, (0, 1, 2)))
-    peak = traced_peak(lambda: _blocks(circuit, (0, 1, 2)))
+    charged = sum(count for count, _ in lambda_charges(circuit, (0, 1, 2)))
+    peak = traced_peak(lambda: _marginals(circuit, (0, 1, 2)))
     assert peak <= FACTOR * charged * ENTRY + SLACK, (peak, charged)
 
 
-def test_kept_hit_factors_are_charged_before_the_cascade_runs():
-    # four all-gate layers: the stream's own charges, the path amplitudes and every table
-    # verify reads fit 4000 entries, but the factors kept for the marginal are charged
-    # 2^8 * 17 = 4352, so both routes that keep them stop first
+def test_kept_hit_factors_are_charged_by_verify_alone():
+    # four all-gate layers: the cascade's own charges, the path amplitudes and every table
+    # verify reads fit 4000 entries, but the factors verify lists before its walk are charged
+    # 2^8 * 17 = 4352, so verify stops first; the marginal and perturb read each layer as it
+    # passes and answer
     circuit = random_circuit(np.random.default_rng(1), 3, 4, p_single=1.0, p_phase=1.0)
     assert max(count for count, what in verify_charges(circuit) if what != "hit factors") < 4000
-    with pytest.raises(BudgetExceeded, match="^hit factors needs 4352 "):
-        next(lambda_blocks(circuit, (0,), 4000))
+    assert lambda_marginals(circuit, (0,), 4000).keys() == {(0,), (1,)}
+    assert len(list(lambda_blocks(circuit, (0,), 4000))) == 2
     with pytest.raises(BudgetExceeded, match="^hit factors needs 4352 "):
         verify_circuit(circuit, 4000)

@@ -13,14 +13,15 @@ from sumpaths.circuits import Circuit, PhaseGate, build_epr_circuit, load_circui
 from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded, LambdaBlock
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
-from sumpaths.paths import Path, enumerate_paths, path_amplitude
-from sumpaths.subsystems import conditioned_blocks, conditioned_charges, lambda_blocks
+from sumpaths.paths import Path, conditioned_prefix_state_layers, enumerate_paths, normalize_subsystem, path_amplitude
+from sumpaths.paths import tree_step
+from sumpaths.subsystems import dense_lambda_charges, lambda_blocks, lambda_charges, lambda_marginals, lambda_stream
 from sumpaths.threeparticle import lambda_three
 from sumpaths.twoparticle import lambda_accumulate
 
 from .reference import column_pair_sum, config_path_amplitude, dense_conditioned_blocks, dense_conditioned_charges
-from .reference import final_blocks, hit_lambdas, lambda3_tables, lambda_general, sparse_circuit, swap_particles
-from .reference import table_conditioned_blocks
+from .reference import final_blocks, gram_blocks, hit_lambdas, lambda3_tables, lambda_general, sparse_circuit
+from .reference import swap_particles, table_conditioned_blocks
 
 
 def test_single_particle_config_amplitude_reduces_to_path_amplitude():
@@ -64,8 +65,8 @@ def test_lambda_general_matches_two_particle_module():
         general = lambda_general(circuit, (0,), (p,), (q,))
         assert abs(general - lambda_accumulate(circuit, (0,), (p,), (q,)).final) < 1e-10
     tables = final_blocks(circuit, hit_lambdas(circuit))
-    for (j,), block in conditioned_blocks(circuit, (0,)):
-        assert abs(block.marginal() - tables[j].marginal()) < 1e-12
+    for (j,), probability in lambda_marginals(circuit, (0,)).items():
+        assert abs(probability - tables[j].marginal()) < 1e-12
 
 
 def test_lambda_general_matches_three_particle_module():
@@ -106,24 +107,24 @@ def test_product_circuit_pair_marginal_is_product_of_born_rules():
     rng = np.random.default_rng(23)
     gates = [random_single(rng) for _ in range(3)]
     circuit = make_circuit(3, [({i: gates[i] for i in range(3)}, [])])
-    for outcome, block in conditioned_blocks(circuit, (0, 1)):
+    for outcome, probability in lambda_marginals(circuit, (0, 1)).items():
         expected = abs(gates[0][outcome[0], 0]) ** 2 * abs(gates[1][outcome[1], 0]) ** 2
-        assert abs(block.marginal() - expected) < 1e-12
+        assert abs(probability - expected) < 1e-12
 
 
 @pytest.mark.parametrize("subsystem", [(0,), (1,), (3,), (0, 1), (1, 3)])
 def test_marginal_general_matches_oracle_four_particles(subsystem):
     circuit = random_circuit(np.random.default_rng(29), 4, 4)
     oracle = marginal_by_sum(circuit, subsystem)
-    for outcome, block in conditioned_blocks(circuit, subsystem):
-        assert abs(block.marginal() - oracle[outcome]) < 1e-9
+    for outcome, probability in lambda_marginals(circuit, subsystem).items():
+        assert abs(probability - oracle[outcome]) < 1e-9
 
 
 def test_intra_subsystem_bookkeeping_is_interchangeable():
     # the intra-subsystem phases ride on the amplitudes, as in the scalar
     # configuration amplitude; moved onto lambda they leave the marginal
     circuit = random_circuit(np.random.default_rng(31), 4, 3)
-    for outcome, block in conditioned_blocks(circuit, (0, 1)):
+    for outcome, block in lambda_blocks(circuit, (0, 1)):
         configs = list(itertools.product(*(enumerate_paths(circuit.n, j) for j in outcome)))
         scalar = np.array([config_path_amplitude(circuit, (0, 1), c) for c in configs])
         assert np.max(np.abs(block.amplitudes - scalar)) < 1e-12
@@ -143,34 +144,31 @@ def test_intra_subsystem_bookkeeping_is_interchangeable():
 
 def test_subsystem_distribution_normalizes_and_matches_oracle():
     circuit = random_circuit(np.random.default_rng(37), 4, 3)
-    blocks = list(conditioned_blocks(circuit, (1, 2)))
+    marginals = lambda_marginals(circuit, (1, 2))
     oracle = marginal_by_sum(circuit, (1, 2))
-    assert [outcome for outcome, _ in blocks] == list(oracle.labels)
-    probabilities = np.array([block.marginal() for _, block in blocks])
+    assert list(marginals) == list(oracle.labels)
+    probabilities = np.array(list(marginals.values()))
     assert np.max(np.abs(probabilities - oracle.probabilities)) < 1e-9
     assert abs(probabilities.sum() - 1.0) < 1e-9
 
 
 def test_epr_marginal_through_general_machinery():
     circuit = build_epr_circuit(random_single(np.random.default_rng(41)), np.eye(2))
-    for _, block in conditioned_blocks(circuit, (0,)):
-        assert abs(block.marginal() - 0.5) < 1e-10
+    for probability in lambda_marginals(circuit, (0,)).values():
+        assert abs(probability - 0.5) < 1e-10
 
 
 def test_lambda_block_budget_guard():
     circuit = random_circuit(np.random.default_rng(43), 4, 4)
     with pytest.raises(BudgetExceeded):
-        next(conditioned_blocks(circuit, (0, 1), budget=16))
+        lambda_marginals(circuit, (0, 1), budget=16)
 
 
 def test_subsystem_validation():
     circuit = random_circuit(np.random.default_rng(47), 3, 2)
-    with pytest.raises(ValueError):
-        next(conditioned_blocks(circuit, ()))
-    with pytest.raises(ValueError):
-        next(conditioned_blocks(circuit, (0, 1, 2)))
-    with pytest.raises(ValueError):
-        next(conditioned_blocks(circuit, (0, 5)))
+    for subsystem in ((), (0, 1, 2), (0, 5)):
+        with pytest.raises(ValueError):
+            lambda_marginals(circuit, subsystem)
 
 
 _GATE_FLAGS = st.lists(st.booleans(), min_size=10, max_size=10)  # one flag per pair of up to 5 particles
@@ -202,7 +200,7 @@ def test_folded_blocks_match_the_unfolded_ones(particles, pattern, seed):
     for (j,), block in folded:
         assert np.array_equal(unfolded[j].amplitudes, block.amplitudes)
         assert np.max(np.abs(unfolded[j].lam - block.lam)) < 1e-12
-        assert block.hits.head.shape == (1 << (circuit.n - 1),) * 2
+        assert block.lam.shape == (1 << (circuit.n - 1),) * 2
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -225,82 +223,62 @@ def test_pair_sum_matches_the_column_sliced_sum(shape, clamp, seed):
 CORPUS = FilePath(__file__).resolve().parent.parent / "corpus"
 
 
-def assert_gram_blocks_equal_the_dense_blocks(circuit, subsystem):
-    # the factor route keeps every amplitude and materialized lambda bit for bit,
-    # and sums its pairs as |S^T a|^2 to within rounding of the dense pair sum
+def assert_reader_matches_the_references(circuit, subsystem):
+    # the streamed pair sums agree with the Gram closed form and the dense pair sum to rounding;
+    # perturb's blocks hold the amplitudes bit for bit and lambda to rounding
     oracle = marginal_by_sum(circuit, subsystem)
-    pairs = zip(conditioned_blocks(circuit, subsystem), dense_conditioned_blocks(circuit, subsystem), strict=True)
-    for (outcome, block), (dense_outcome, dense) in pairs:
-        assert outcome == dense_outcome
-        marginal = block.marginal()
-        if circuit.n == 0 and any(outcome):
-            assert block.amplitudes.size == block.factor.shape[0] == 0 and marginal == 0.0
-        assert np.array_equal(block.amplitudes, dense.amplitudes)
-        assert np.array_equal(block.lam, dense.lam)
-        assert LambdaBlock(block.amplitudes, block.lam).marginal() == dense.marginal()  # as perturb sums it
-        assert abs(marginal - dense.marginal()) < 1e-12
-        assert abs(marginal - oracle[outcome]) < 1e-10
+    marginals = lambda_marginals(circuit, subsystem)
+    pairs = zip(gram_blocks(circuit, subsystem), dense_conditioned_blocks(circuit, subsystem), strict=True)
+    blocks = lambda_blocks(circuit, subsystem)
+    for (outcome, gram), (dense_outcome, dense) in pairs:
+        (block_outcome, block) = next(blocks)
+        assert outcome == dense_outcome == block_outcome
+        assert abs(marginals[outcome] - gram.marginal()) < 1e-12
+        assert abs(marginals[outcome] - dense.marginal()) < 1e-12
+        assert abs(marginals[outcome] - oracle[outcome]) < 1e-10
+        assert abs(block.marginal() - dense.marginal()) < 1e-12
+        if circuit.n or not any(outcome):  # with no layers an outcome with a 1 has no path
+            assert np.array_equal(block.amplitudes, dense.amplitudes)
+            assert np.array_equal(gram.lam, dense.lam)
+            assert np.max(np.abs(block.lam - dense.lam)) < 1e-12
 
 
 @pytest.mark.parametrize("layers", range(6))
 @pytest.mark.parametrize("particles", [2, 3, 4, 5])
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(density=st.sampled_from([0.0, 0.3, 1.0]), data=st.data())
-def test_gram_factor_blocks_equal_the_dense_blocks(particles, layers, density, data):
+def test_the_reader_matches_the_dense_blocks(particles, layers, density, data):
     members = data.draw(st.lists(st.integers(0, particles - 1), min_size=1, max_size=particles - 1, unique=True))
     subsystem = tuple(sorted(members))
-    assume(subsystem != (0,))
+    assume(subsystem != (0,) or particles != 3)
     seed = data.draw(st.integers(0, 2**32 - 1))
     circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_phase=density)
-    if max(count for count, _ in conditioned_charges(circuit, subsystem)) > DEFAULT_BUDGET:
-        # both routes stop at the same charge, with the same message, before any work
-        with pytest.raises(BudgetExceeded) as factored:
-            next(conditioned_blocks(circuit, subsystem))
-        with pytest.raises(BudgetExceeded) as dense:
-            next(dense_conditioned_blocks(circuit, subsystem))
-        assert str(factored.value) == str(dense.value)
+    if max(count for count, _ in lambda_charges(circuit, subsystem)) > DEFAULT_BUDGET:
+        # the reader and the Gram reference stop at the same charge, with the same message, before any work
+        with pytest.raises(BudgetExceeded) as streamed:
+            lambda_marginals(circuit, subsystem)
+        with pytest.raises(BudgetExceeded) as gram:
+            next(gram_blocks(circuit, subsystem))
+        assert str(streamed.value) == str(gram.value)
         return
     if max(count for count, _ in dense_conditioned_charges(circuit, subsystem)) > DEFAULT_BUDGET:
-        # past the dense reference's pair table the factor blocks still fit: they answer to the oracle alone
+        # past the dense reference's pair table the reader still fits: it answers to the Gram form and the oracle
         with pytest.raises(BudgetExceeded, match="^configuration path pairs "):
             next(dense_conditioned_blocks(circuit, subsystem))
+        assert max(count for count, _ in dense_lambda_charges(circuit, subsystem)) > DEFAULT_BUDGET
         oracle = marginal_by_sum(circuit, subsystem)
-        for outcome, block in conditioned_blocks(circuit, subsystem):
-            assert abs(block.marginal() - oracle[outcome]) < 1e-10
+        marginals = lambda_marginals(circuit, subsystem)
+        for outcome, gram in gram_blocks(circuit, subsystem):
+            assert abs(marginals[outcome] - gram.marginal()) < 1e-12
+            assert abs(marginals[outcome] - oracle[outcome]) < 1e-10
         return
-    assert_gram_blocks_equal_the_dense_blocks(circuit, subsystem)
+    assert_reader_matches_the_references(circuit, subsystem)
 
 
 @pytest.mark.parametrize("subsystem", [(0, 1), (1, 2)])
 @pytest.mark.parametrize("file", sorted(path.name for path in CORPUS.glob("n[34]_*.json")))
-def test_gram_factor_blocks_equal_the_dense_blocks_on_the_corpus(file, subsystem):
-    assert_gram_blocks_equal_the_dense_blocks(load_circuit(str(CORPUS / file)), subsystem)
-
-
-def test_a_block_holds_exactly_one_lambda_form():
-    amplitudes, factor = np.ones(2, dtype=complex), np.eye(2, dtype=complex)
-    for forms in ({}, {"lam": np.eye(2), "factor": factor}):
-        with pytest.raises(ValueError):
-            LambdaBlock(amplitudes, **forms)
-    block = LambdaBlock(amplitudes, factor=factor)
-    assert block.lam is block.lam  # materialized once
-    assert np.array_equal(block.lam, np.eye(2)) and block.marginal() == 2.0
-
-
-def assert_folded_blocks_equal_the_table_blocks(circuit, subsystem):
-    # folding layer n per outcome makes the products the whole final table held, in the same order
-    pairs = zip(conditioned_blocks(circuit, subsystem), table_conditioned_blocks(circuit, subsystem), strict=True)
-    for (outcome, block), (table_outcome, table) in pairs:
-        assert outcome == table_outcome
-        assert np.array_equal(block.amplitudes, table.amplitudes)
-        assert np.array_equal(block.factor, table.factor)
-        assert np.array_equal(block.lam, table.lam)
-        assert block.marginal() == table.marginal()
-
-
-def _folding_layers(particles: int, size: int) -> int:
-    """The most layers, up to 7, at which the final table and one outcome's lambda stay within 2^16 entries."""
-    return max(n for n in range(8) if size * n + particles - size <= 16 and 2 * size * max(n - 1, 0) <= 16)
+def test_the_reader_matches_the_dense_blocks_on_the_corpus(file, subsystem):
+    assert_reader_matches_the_references(load_circuit(str(CORPUS / file)), subsystem)
 
 
 SUBSYSTEMS = [
@@ -311,33 +289,81 @@ SUBSYSTEMS = [
 ]
 
 
+def _gram_layers(particles: int, size: int) -> int:
+    """The most layers, up to 9, at which the tree's tables and the amplitudes stay within 2^16 entries."""
+    return max(n for n in range(10) if size * max(n - 1, 0) + particles - size <= 16 and size * n <= 16)
+
+
+def assert_reader_matches_the_gram_reference(circuit, subsystem):
+    marginals = lambda_marginals(circuit, subsystem)
+    assert list(marginals) == list(itertools.product((0, 1), repeat=len(subsystem)))
+    for outcome, gram in gram_blocks(circuit, subsystem):
+        assert abs(marginals[outcome] - gram.marginal()) < 1e-12
+
+
 @pytest.mark.parametrize("particles, subsystem", SUBSYSTEMS)
 @settings(max_examples=4, deadline=None, derandomize=True)
 @given(density=st.sampled_from([0.0, 0.3, 1.0]), data=st.data())
-def test_folded_blocks_equal_the_final_table_blocks_bit_for_bit(particles, subsystem, density, data):
-    layers = data.draw(st.integers(0, _folding_layers(particles, len(subsystem))))
+def test_the_reader_matches_the_gram_reference_for_every_subsystem(particles, subsystem, density, data):
+    # the per-layer sums and the closed form the hits telescope to, at N=2-6 and n <= 9
+    layers = data.draw(st.integers(0, _gram_layers(particles, len(subsystem))))
     seed = data.draw(st.integers(0, 2**32 - 1))
     circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_phase=density)
-    assert_folded_blocks_equal_the_table_blocks(circuit, subsystem)
+    assert_reader_matches_the_gram_reference(circuit, subsystem)
+
+
+def assert_streamed_sides_are_the_tree_tables(circuit, subsystem):
+    # every whole layer's sides are the tree's table t and layer t's pre-gate states, and each
+    # outcome's share of layer n holds the very products the whole final table held, bit for bit
+    particles = normalize_subsystem(circuit, subsystem)
+    tree = list(conditioned_prefix_state_layers(circuit, particles))
+    stream = lambda_stream(circuit, particles)
+    for t in range(1, circuit.n):
+        outcome, hits = next(stream)
+        assert outcome is None
+        pre = tree_step(circuit, particles, t, tree[t - 1]).pre
+        if hits:
+            (grown, plus), (previous, minus) = hits
+            assert np.array_equal(grown, tree[t]) and np.array_equal(previous, pre)
+            assert np.array_equal(plus, np.ones(pre.shape[1])) and np.array_equal(minus, -plus)
+    shares = dict(stream)
+    pairs = zip(table_conditioned_blocks(circuit, particles), gram_blocks(circuit, particles), strict=True)
+    for index, ((outcome, table), (_, gram)) in enumerate(pairs):
+        assert np.array_equal(table.factor, gram.factor) and np.array_equal(table.amplitudes, gram.amplitudes)
+        if circuit.n and shares[index]:
+            (rows, _), _ = shares[index]
+            assert np.array_equal(rows, table.factor)
+
+
+@pytest.mark.parametrize("particles, subsystem", [case for case in SUBSYSTEMS if case != (3, (0,))])  # no cascade
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(density=st.sampled_from([0.0, 0.3, 1.0]), data=st.data())
+def test_streamed_sides_are_the_tree_tables_bit_for_bit(particles, subsystem, density, data):
+    layers = data.draw(st.integers(0, min(7, _gram_layers(particles, len(subsystem)))))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_phase=density)
+    assert_streamed_sides_are_the_tree_tables(circuit, subsystem)
 
 
 @pytest.mark.parametrize("file", sorted(path.name for path in CORPUS.glob("n[34]_*.json")))
-def test_folded_blocks_equal_the_final_table_blocks_on_the_corpus(file):
+def test_the_reader_matches_the_gram_reference_on_the_corpus(file):
     circuit = load_circuit(str(CORPUS / file))
     for size in range(1, circuit.particles):
         for subsystem in itertools.combinations(range(circuit.particles), size):
-            assert_folded_blocks_equal_the_table_blocks(circuit, subsystem)
+            assert_reader_matches_the_gram_reference(circuit, subsystem)
+            if subsystem != (0,) or circuit.particles != 3:
+                assert_streamed_sides_are_the_tree_tables(circuit, subsystem)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 4, 5]), st.lists(_GATE_FLAGS, min_size=1, max_size=5), st.integers(0, 2**32 - 1), st.data())
 def test_member_relabeling_ties_each_single_particle_to_the_hit_stream(particles, pattern, seed, data):
-    # the Gram route's (j,) is the hit stream's (0,) once particles 0 and j trade labels
+    # the reader's (j,) is its (0,) once particles 0 and j trade labels
     member = data.draw(st.integers(1, particles - 1))
     circuit = sparse_circuit(particles, pattern, seed)
-    streamed = dict(lambda_blocks(swap_particles(circuit, 0, member), (0,), DEFAULT_BUDGET))
-    for outcome, block in conditioned_blocks(circuit, (member,)):
-        assert abs(block.marginal() - streamed[outcome].marginal()) < 1e-12
+    streamed = lambda_marginals(swap_particles(circuit, 0, member), (0,))
+    for outcome, probability in lambda_marginals(circuit, (member,)).items():
+        assert abs(probability - streamed[outcome]) < 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -348,10 +374,12 @@ def test_external_relabeling_leaves_every_pair_block_lambda(particles, pattern, 
     relabeled = circuit
     for first, second in data.draw(st.lists(st.tuples(st.integers(2, particles - 1), st.integers(2, particles - 1)))):
         relabeled = swap_particles(relabeled, first, second)
-    pairs = zip(conditioned_blocks(circuit, (0, 1)), conditioned_blocks(relabeled, (0, 1)), strict=True)
+    pairs = zip(lambda_blocks(circuit, (0, 1)), lambda_blocks(relabeled, (0, 1)), strict=True)
     for (outcome, block), (relabeled_outcome, moved) in pairs:
         assert outcome == relabeled_outcome
         assert np.max(np.abs(block.lam - moved.lam)) < 1e-12
+    marginals, moved = lambda_marginals(circuit, (0, 1)), lambda_marginals(relabeled, (0, 1))
+    assert max(abs(marginals[outcome] - moved[outcome]) for outcome in marginals) < 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -373,7 +401,6 @@ def test_pair_marginal_matches_the_oracle_at_eleven_all_gates_layers(particles):
     # 2^21 entries at N=3 and 2^22 at N=4, beside the 2^22 joint path amplitudes
     circuit = random_circuit(np.random.default_rng(1), particles, 11, p_single=1.0, p_phase=1.0)
     oracle = marginal_by_sum(circuit, (0, 1))
-    for outcome, block in conditioned_blocks(circuit, (0, 1)):
-        assert abs(block.marginal() - oracle[outcome]) < 1e-9
-        del block
+    for outcome, probability in lambda_marginals(circuit, (0, 1)).items():
+        assert abs(probability - oracle[outcome]) < 1e-9
 

@@ -18,7 +18,7 @@ from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded, hit_tables
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import Path, enumerate_paths
-from sumpaths.subsystems import conditioned_blocks, lambda_blocks
+from sumpaths.subsystems import lambda_blocks, lambda_marginals
 from sumpaths.threeparticle import (
     cascade_hits,
     delta,
@@ -35,6 +35,7 @@ from .reference import (
     decoupled_three_particle,
     drop_particle,
     final_blocks,
+    gram_blocks,
     gram_tables,
     hit_lambdas,
     lambda3_tables,
@@ -374,7 +375,7 @@ def test_tables_beyond_five_layers_match_direct_and_general_routes(layers):
     for lam, gram in zip(tables, gram_tables(circuit), strict=True):
         assert np.max(np.abs(lam - gram)) < 1e-9
     oracle = marginal_by_sum(circuit, {0})
-    general = dict(conditioned_blocks(circuit, (0,)))
+    general = dict(gram_blocks(circuit, (0,)))
     blocks = final_blocks(circuit, tables)
     for j in (0, 1):
         assert abs(blocks[j].marginal() - general[(j,)].marginal()) < 1e-9
@@ -620,8 +621,8 @@ def test_wrong_particle_count_rejected():
         next(lambda3_tables(circuit))
 
 
-# The factored marginal route: `lambda_blocks` reads (0,) of three particles
-# off every layer's hit factors and builds no lambda table unless `lam` is read.
+# The streamed marginal route: `lambda_marginals` reads (0,) of three particles
+# off every layer's hit factors as the cascade yields them and builds no lambda table.
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -632,26 +633,25 @@ def test_wrong_particle_count_rejected():
 def test_factored_marginals_match_the_dense_last_table(pattern, seed):
     circuit = sparse_circuit(pattern, np.random.default_rng(seed))
     dense = final_blocks(circuit, lambda3_tables(circuit))
-    blocks = list(lambda_blocks(circuit, (0,), DEFAULT_BUDGET))
-    assert [outcome for outcome, _ in blocks] == [(0,), (1,)]
-    for (j,), block in blocks:
-        assert block.hits is not None and "lam" not in vars(block)  # no table built
-        assert abs(block.marginal() - dense[j].marginal()) < 1e-12
+    marginals = lambda_marginals(circuit, (0,), DEFAULT_BUDGET)
+    assert list(marginals) == [(0,), (1,)]
+    for (j,), probability in marginals.items():
+        assert abs(probability - dense[j].marginal()) < 1e-12
 
 
 def test_factored_marginals_match_the_oracle_at_ten_layers():
     circuit = random_circuit(np.random.default_rng(1), 3, 10, p_single=1.0, p_phase=1.0)
     oracle = marginal_by_sum(circuit, (0,))
-    for (j,), block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET):
-        assert abs(block.marginal() - oracle[j]) < 1e-9
+    for (j,), probability in lambda_marginals(circuit, (0,), DEFAULT_BUDGET).items():
+        assert abs(probability - oracle[j]) < 1e-9
 
 
 def test_factored_marginals_match_the_oracle_at_eleven_layers():
     # the struck path weights and the partner states are each exactly 2^22 entries here
     circuit = random_circuit(np.random.default_rng(1), 3, 11, p_single=1.0, p_phase=1.0)
     oracle = marginal_by_sum(circuit, (0,))
-    for (j,), block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET):
-        assert abs(block.marginal() - oracle[j]) < 1e-9
+    for (j,), probability in lambda_marginals(circuit, (0,), DEFAULT_BUDGET).items():
+        assert abs(probability - oracle[j]) < 1e-9
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -662,9 +662,9 @@ def test_factored_marginals_match_the_oracle_at_eleven_layers():
 )
 def test_member_relabeling_ties_each_single_particle_to_the_factored_route(pattern, seed, member):
     circuit = sparse_circuit(pattern, np.random.default_rng(seed))
-    factored = dict(lambda_blocks(swap_particles(circuit, 0, member), (0,), DEFAULT_BUDGET))
-    for outcome, block in conditioned_blocks(circuit, (member,)):
-        assert abs(block.marginal() - factored[outcome].marginal()) < 1e-12
+    factored = lambda_marginals(swap_particles(circuit, 0, member), (0,), DEFAULT_BUDGET)
+    for outcome, probability in lambda_marginals(circuit, (member,), DEFAULT_BUDGET).items():
+        assert abs(probability - factored[outcome]) < 1e-12
 
 
 def _perturb_stdout(path: str) -> str:
@@ -702,7 +702,7 @@ def test_factored_marginal_holds_no_path_pair_table():
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        marginals = {outcome: block.marginal() for outcome, block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET)}
+        marginals = lambda_marginals(circuit, (0,), DEFAULT_BUDGET)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -717,8 +717,8 @@ def test_factored_marginal_charges_the_path_amplitudes():
     circuit = sparse_circuit([(True, True, True)] + [(False, False, True)] * 22, np.random.default_rng(23))
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceeded, match="subsystem path amplitudes needs 8388608"):
-            next(lambda_blocks(circuit, (0,), DEFAULT_BUDGET))
+        with pytest.raises(BudgetExceeded, match="joint path amplitudes needs 8388608"):
+            lambda_marginals(circuit, (0,), DEFAULT_BUDGET)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,17 +9,17 @@ import numpy as np
 import pytest
 
 from sumpaths.circuits import PhaseGate, build_epr_circuit, load_circuit, make_circuit, random_single
-from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded, hit_tables
+from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
 from sumpaths.paths import ConditionalUnitary, Path, TreeStep, conditioned_prefix_state_layers, enumerate_paths
 from sumpaths.paths import member_paths_at
-from sumpaths.subsystems import lambda_blocks
+from sumpaths.subsystems import lambda_blocks, lambda_marginals
+from sumpaths.paths import tree_step
 from sumpaths.twoparticle import (
     hit,
     lambda_accumulate,
     marginal_deviation,
-    tree_hits,
     tree_layers,
 )
 
@@ -200,23 +200,21 @@ def test_rejects_wrong_particle_count():
     paths = enumerate_paths(2, 0)
     with pytest.raises(ValueError):
         hit(circuit, (0,), (paths[0],), (paths[1],), 1)
-    with pytest.raises(ValueError):
-        tree_hits(circuit)
 
 
 def test_budget_guard():
     circuit = random_circuit(np.random.default_rng(47), particles=2, layers=8)
     with pytest.raises(BudgetExceeded):
-        tree_hits(circuit, budget=100)
+        lambda_marginals(circuit, (0,), budget=100)
 
 
 def test_marginal_holds_no_path_pair_table():
-    # the pair sums read each layer's side, 2^(t+2) entries, against folded amplitudes:
+    # the pair sums read each layer's sides, 2^(t+1) entries, against folded amplitudes:
     # one endpoint's 4^(n-1) path pairs would be 4 MiB at n = 10
     circuit = random_circuit(np.random.default_rng(59), particles=2, layers=10, p_single=1.0, p_phase=1.0)
     tracemalloc.start()
     try:
-        marginals = {outcome: block.marginal() for outcome, block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET)}
+        marginals = lambda_marginals(circuit, (0,), DEFAULT_BUDGET)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -319,16 +317,15 @@ def test_an_endpoint_lambda_holds_three_of_its_tables():
     # perturb reads each endpoint's lambda: the shared table over the first n - 1 layers,
     # the endpoint's copy of it and layer n's hit on its rows, 4^(n-1) entries each
     circuit = random_circuit(np.random.default_rng(71), particles=2, layers=10, p_single=1.0, p_phase=1.0)
-    blocks = [block for _, block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET)]
     tracemalloc.start()
     try:
-        lams = [block.lam for block in blocks]
+        lams = [block.lam for _, block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert circuit.phase(circuit.n, (0, 1)) is not None
     assert all(lam.shape == (4**4 * 2,) * 2 for lam in lams)
-    # both endpoints' lambdas stay alive, so the last one's hit product is the third table
+    # both endpoints' lambdas stay alive, so the last one's hit product is the fourth table
     assert peak <= 4 * lams[0].nbytes + 256 * 1024
 
 
@@ -337,7 +334,7 @@ def test_the_stream_holds_no_tree_step_between_layers(particles):
     # a step holds a pre-gate copy of the tree's last table and a 2^N factor
     # array; keeping every layer's step would add about half the tree again
     circuit = random_circuit(np.random.default_rng(83), particles, 4, p_single=1.0, p_phase=1.0)
-    for _ in tree_layers(circuit):
+    for _ in tree_layers(circuit, (0,)):
         gc.collect()
         assert not [obj for obj in gc.get_objects() if isinstance(obj, TreeStep)]
 
@@ -345,31 +342,34 @@ def test_the_stream_holds_no_tree_step_between_layers(particles):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 4, 5]), st.integers(0, 6), st.integers(0, 2**32 - 1))
 def test_the_stream_yields_the_prefix_trees_tables_bit_for_bit(particles, layers, seed):
-    # the stream grows particle 0's tree itself; each side is the grown table beside
-    # the step's pre-gate states, repeated over the new bit
+    # the stream grows particle 0's tree itself; its sides are the grown table, added,
+    # and the step's pre-gate states over the rows one layer shallower, subtracted
     circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_single=0.9, p_phase=0.8)
-    pairs = list(tree_layers(circuit))
+    pairs = list(tree_layers(circuit, (0,)))
     tree = list(conditioned_prefix_state_layers(circuit, (0,)))
     assert len(pairs) == layers
     width = tree[0].shape[1]
     for t, (hits, table) in enumerate(pairs, start=1):
         assert np.array_equal(table, tree[t])
-        assert len(hits) == any(0 in gate.pair for gate in circuit.layer(t).phases)
-        for side, signed in hits:
-            assert np.array_equal(side[:, :width], table)
-            assert np.array_equal(signed, np.repeat([1.0, -1.0], width))
+        assert len(hits) == 2 * any(0 in gate.pair for gate in circuit.layer(t).phases)
+        if hits:
+            (grown, plus), (pre, minus) = hits
+            assert grown is table and np.array_equal(pre, tree_step(circuit, (0,), t, tree[t - 1]).pre)
+            assert np.array_equal(plus, np.ones(width)) and np.array_equal(minus, -np.ones(width))
 
 
 def assert_matches_the_dense_route(circuit):
     # the earlier route streamed dense lambda tables over n - 1 layers and folded layer n in;
     # the factored hits add up to the earlier axis-by-axis stream's tables
     dense = dense_lambda_blocks(circuit)
+    marginals = lambda_marginals(circuit, (0,), DEFAULT_BUDGET)
     for (j,), block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET):
-        assert block.hits is not None and "lam" not in vars(block)  # no table built
-        assert np.array_equal(block.amplitudes, dense[j].amplitudes)
+        assert abs(marginals[(j,)] - dense[j].marginal()) < 1e-12
         assert abs(block.marginal() - dense[j].marginal()) < 1e-12
-        assert np.max(np.abs(block.lam - dense[j].lam), initial=0.0) < 1e-12
-    for lam, earlier in zip(hit_tables(tree_hits(circuit)), axis_lambda_tables(circuit), strict=True):
+        if circuit.n or j == 0:  # with no layers no path ends at 1: one zero amplitude here, none there
+            assert np.array_equal(block.amplitudes, dense[j].amplitudes)
+            assert np.max(np.abs(block.lam - dense[j].lam)) < 1e-12
+    for lam, earlier in zip(hit_lambdas(circuit), axis_lambda_tables(circuit), strict=True):
         assert np.max(np.abs(lam - earlier)) < 1e-12
 
 
@@ -384,13 +384,14 @@ def test_factored_route_matches_the_dense_route_on_the_corpus(file):
     assert_matches_the_dense_route(load_circuit(str(CORPUS / file)))
 
 
-@pytest.mark.parametrize("particles, layers", [(2, 12), (2, 16), (2, 19), (4, 12), (4, 16), (4, 17)])
-def test_factored_marginals_match_the_oracle_to_the_kept_factor_charge(particles, layers):
-    # at N=2 n=19 and N=4 n=17 the kept sides are 2^22 - 2^(N+1) entries, within the default budget
+@pytest.mark.parametrize("particles, layers", [(2, 12), (2, 16), (2, 20), (2, 22), (4, 12), (4, 16), (4, 20)])
+def test_factored_marginals_match_the_oracle_to_the_default_edge(particles, layers):
+    # at N=2 n=22 and N=4 n=20 tree table n - 1 and layer n's pre-gate states are 2^22 entries each,
+    # within the default budget; the pair sums keep no layer
     circuit = random_circuit(np.random.default_rng(1), particles, layers, p_single=1.0, p_phase=1.0)
     oracle = marginal_by_sum(circuit, (0,))
-    for (j,), block in lambda_blocks(circuit, (0,), DEFAULT_BUDGET):
-        assert abs(block.marginal() - oracle[j]) < 1e-9
+    for (j,), probability in lambda_marginals(circuit, (0,), DEFAULT_BUDGET).items():
+        assert abs(probability - oracle[j]) < 1e-9
 
 
 @pytest.mark.parametrize("particles, subsystem, layers", [(2, (0,), 24), (4, (0, 1), 8), (5, (0, 2), 6)])

@@ -1,7 +1,6 @@
 """Verification suite: report structure, pass behavior, failure signaling."""
 from __future__ import annotations
 
-import copy
 import functools
 import io
 import json
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sumpaths import oracle, paths, subsystems, threeparticle, twoparticle, verify
+from sumpaths import common, oracle, paths, subsystems, threeparticle, twoparticle, verify
 from sumpaths.circuits import HADAMARD, PhaseGate, build_epr_circuit, load_circuit, make_circuit, save_circuit
 from sumpaths.common import BudgetExceeded
 from sumpaths.cli import main
@@ -153,10 +152,10 @@ def test_report_json_shape():
 @pytest.mark.parametrize(
     "file, builder, builds",
     [
-        # one pass of the tree's stream: its kept hit factors serve the tables, the marginals
-        # and no_signaling, whose appended layer has no gate on particle 0 and books no hit
+        # one pass of the tree's stream: each layer serves the tables, the marginals and
+        # no_signaling, whose appended layer has no gate on particle 0 and books no hit
         ("n2_l8_s0.json", twoparticle.tree_layers, 1),
-        # one cascade pass: its kept hit factors serve the tables and both marginal routes
+        # one cascade pass: its listed hit factors serve the tables and both marginals
         ("n3_l3_s0.json", threeparticle.cascade_hits, 1),
         # one step per layer of each conditioned prefix tree, none grown twice: the 8 layers
         # of the stream's tree and the first 7 of density's
@@ -171,6 +170,16 @@ def test_verify_builds_each_route_once(monkeypatch, file, builder, builds):
     calls = count_calls(monkeypatch, builder)
     assert verify_circuit(load_circuit(str(CORPUS / file))).passed
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize("file", ["n2_l8_s0.json", "n2_l1_s0.json", "n4_l4_s0.json"])
+def test_verify_adds_each_hit_to_lambda_once(monkeypatch, file):
+    # the walk adds layer t's hit to lambda once per layer, and two_form_equivalence reads
+    # the endpoint rows of the walk's final table
+    circuit = load_circuit(str(CORPUS / file))
+    calls = count_calls(monkeypatch, common.add_hit)
+    assert verify_circuit(circuit).passed
+    assert len(calls) == circuit.n
 
 
 @pytest.mark.parametrize(
@@ -188,25 +197,19 @@ def test_verify_evolves_the_state_vector_once(monkeypatch, file, most):
     assert len(calls) <= most
 
 
-@pytest.mark.parametrize(
-    "file, route",
-    [("n2_l5_s0.json", "hit_blocks"), ("n3_l3_s0.json", "hit_blocks")],
-    ids=["n2_l5_s0.json", "n3_l3_s0.json"],
-)
-def test_no_signaling_catches_a_bad_fold(monkeypatch, file, route):
-    # only the extended circuit's blocks get endpoint 0's amplitudes scaled: the kept hits
-    # of the tree (N=2) or the cascade (N=3), with the appended layer's none
+@pytest.mark.parametrize("file", ["n2_l5_s0.json", "n3_l3_s0.json"])
+def test_no_signaling_catches_a_bad_fold(monkeypatch, file):
+    # only the extended circuit's pair sums get endpoint 0's amplitudes scaled: they read the
+    # layers of the tree (N=2) or the cascade (N=3), with the appended layer's none
     base = load_circuit(str(CORPUS / file))
-    blocks = getattr(subsystems, route)
 
-    def bad_fold(circuit, *args):
-        for outcome, block in blocks(circuit, *args):
-            if circuit.n > base.n and outcome == (0,):
-                block = copy.copy(block)
-                block.amplitudes = block.amplitudes * (1.0 + 1e-6)
-            yield outcome, block
+    def bad_fold(circuit, particles):
+        amplitudes = subsystems.joint_amplitudes(circuit, particles)
+        if circuit.n > base.n:
+            amplitudes[0] *= 1.0 + 1e-6
+        return amplitudes
 
-    monkeypatch.setattr(verify, route, bad_fold)
+    monkeypatch.setattr(verify, "joint_amplitudes", bad_fold)
     checks = {check.name: check for check in verify_circuit(load_circuit(str(CORPUS / file))).checks}
     assert checks["oracle_equivalence"].passed
     assert not checks["no_signaling"].passed
@@ -223,7 +226,7 @@ def test_verify_passes_past_twelve_particles(particles, layers):
 
 def test_three_particle_verify_charges_the_base_tables_only(tmp_path):
     # the cascade charges the base circuit's 4^3 lambda entries, 2 x 4 path weights, 4 partner
-    # states and at most 2^5 x 5 = 160 kept hit factors, its largest charge; the (0, 1) route
+    # states and at most 2^5 x 5 = 160 listed hit factors, its largest charge; the (0, 1) route
     # charges 2^7 conditioned external states, and no extended build charges its 4^4 = 256
     # lambda entries
     thetas = (0.0, 0.4, 1.1, 2.3)
@@ -241,7 +244,7 @@ def test_three_particle_verify_charges_the_base_tables_only(tmp_path):
 
 
 def test_marginal_builds_one_tree_for_every_outcome(monkeypatch):
-    calls = count_calls(monkeypatch, paths.conditioned_prefix_state_layers)
+    calls = count_calls(monkeypatch, twoparticle.tree_layers)
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(["marginal", "--circuit", str(CORPUS / "n4_l3_s0.json"), "--subsystem", "0,1"])
@@ -266,7 +269,7 @@ def test_timings_charge_shared_builds_and_sum_to_wall_time(monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(verify, "perf_counter", fake_clock)
-    monkeypatch.setattr(subsystems, "tree_layers", slow_build)
+    monkeypatch.setattr(verify, "tree_layers", slow_build)
     report = verify_circuit(load_circuit(str(CORPUS / "n2_l8_s0.json")))
     timings = {check.name: check.timing_ms for check in report.checks}
     assert len(reads) == len(report.checks) + 1
@@ -302,7 +305,7 @@ def test_zero_hit_layers_compares_streamed_tables_at_nine_layers(monkeypatch):
     ]
     circuit = make_circuit(2, specs)
     assert verify_circuit(circuit).passed
-    monkeypatch.setattr(subsystems, "tree_layers", _nudged_at(5))
+    monkeypatch.setattr(verify, "tree_layers", _nudged_at(5))
     checks = {check.name: check for check in verify_circuit(circuit).checks}
     assert not checks["zero_hit_layers"].passed and checks["zero_hit_layers"].max_error > 0.0
     assert checks["telescoping"].passed
@@ -318,7 +321,7 @@ def test_zero_hit_layers_compares_streamed_tables_at_four_particles(monkeypatch)
     ]
     circuit = make_circuit(4, specs)
     assert verify_circuit(circuit).passed
-    monkeypatch.setattr(subsystems, "tree_layers", _nudged_at(3))
+    monkeypatch.setattr(verify, "tree_layers", _nudged_at(3))
     checks = {check.name: check for check in verify_circuit(circuit).checks}
     assert not checks["zero_hit_layers"].passed and checks["zero_hit_layers"].max_error > 0.0
     assert checks["telescoping"].passed
