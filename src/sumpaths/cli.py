@@ -313,13 +313,13 @@ def cmd_epr(args: argparse.Namespace) -> int:
     return _write(args, report, ("method", "outcome", "probability"), rows, circuit, failure)
 
 
-def _clamped(block: LambdaBlock, clamp: float) -> LambdaBlock:
-    """The block with every hidden-variable magnitude above `clamp` scaled down to it."""
-    magnitude = np.abs(block.lam)
+def _clamped(lam: np.ndarray, clamp: float) -> np.ndarray:
+    """lambda with every hidden-variable magnitude above `clamp` scaled down to it."""
+    magnitude = np.abs(lam)
     scale = np.ones_like(magnitude)
     over = magnitude > clamp
     scale[over] = clamp / magnitude[over]
-    return LambdaBlock(block.amplitudes, block.lam * scale)
+    return lam * scale
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
@@ -331,11 +331,10 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     subsystem = normalize_subsystem(circuit, _parse_indices(args.subsystem, "subsystem"))
     oracle = marginal_by_sum(circuit, subsystem, args.budget).as_mapping()
 
-    raw = {}
-    check_charges(dense_lambda_charges(circuit, subsystem), args.budget)  # the clamp reads each block's lambda
-    for outcome, block in lambda_blocks(circuit, subsystem, args.budget):
-        raw[_label(outcome)] = _clamped(block, args.clamp).marginal()
-        del block  # the block keeps its dense lambda: the next is built without this one alive
+    check_charges(dense_lambda_charges(circuit, subsystem), args.budget)  # the clamp reads the blocks' lambda
+    blocks = list(lambda_blocks(circuit, subsystem, args.budget))
+    lam = _clamped(blocks[0][1].lam, args.clamp)  # every outcome's block shares one lambda: clamped once
+    raw = {_label(outcome): LambdaBlock(block.amplitudes, lam).marginal() for outcome, block in blocks}
     raw_total = sum(raw.values())
     probabilities = {key: value / raw_total for key, value in raw.items()}
     deviations = {key: probabilities[key] - oracle[key] for key in raw}

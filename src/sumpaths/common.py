@@ -79,15 +79,6 @@ def hit_tables(layers: Iterable[HitLayer], members: int = 1) -> Iterator[np.ndar
     return itertools.accumulate(layers, functools.partial(add_hit, members=members), initial=np.ones((1, 1), dtype=complex))
 
 
-def endpoint_shares(hits: HitLayer, n: int) -> list[HitLayer]:
-    """Each endpoint's share of one particle's layer-n hit, over the (n-1)-mode prefixes of the paths that end there.
-
-    A side over n-mode prefixes gives endpoint j its rows side[j::2]; a
-    side over (n-1)-mode prefixes is read whole by both.
-    """
-    return [tuple((side[j::2] if len(side) == 1 << n else side, signed) for side, signed in hits) for j in (0, 1)]
-
-
 class PairSums:
     """Every outcome's pair sum a^dagger lambda a, added up layer by layer as a hit stream passes, no lambda built.
 
@@ -99,9 +90,7 @@ class PairSums:
     suffixes of its d-mode prefix, and d is the depth the side's row count
     names. The folds A_d, d = 0..n-1, are built once, back from the
     amplitudes, and a layer costs 2^(M d) per factor column where its
-    dense hit costs 4^(M d). `read` takes a layer every outcome reads, or
-    with `outcome` that outcome's share of layer n, over its own
-    (n-1)-mode rows. The sum_i |a_i|^2 (1 - lambda_ii) term of
+    dense hit costs 4^(M d). The sum_i |a_i|^2 (1 - lambda_ii) term of
     `LambdaBlock.marginal` is dropped: every hit leaves lambda_ii = 1 up
     to rounding, since the phases it reads are unimodular. No layer is
     kept after it is read.
@@ -117,21 +106,18 @@ class PairSums:
             self.folds[fold.shape[1]] = fold
         self.totals = np.abs(fold[:, 0]) ** 2
 
-    def read(self, hits: HitLayer, outcome: int | None = None) -> None:
-        """Add one layer's factors to every outcome's sum, or with `outcome`, its share of layer n to that outcome's."""
+    def read(self, hits: HitLayer) -> None:
+        """Add one layer's factors to every outcome's sum."""
         for side, signed in hits:
-            if outcome is None:
-                self.totals += np.abs(self.folds[len(side)] @ side) ** 2 @ signed
-            else:
-                self.totals[outcome] += np.abs(self.amplitudes[outcome] @ side) ** 2 @ signed
+            self.totals += np.abs(self.folds[len(side)] @ side) ** 2 @ signed
 
 
 class LambdaBlock:
     """Path amplitudes and the dense pairwise hidden variables of one subsystem outcome, for `perturb`'s clamp.
 
     lambda holds one row and one column per configuration path of the
-    outcome; `subsystems.lambda_blocks` builds it from the hit stream,
-    and `perturb` builds a clamped copy of it.
+    outcome; `subsystems.lambda_blocks` builds one lambda from the hit
+    stream that every outcome's block shares, and `perturb` clamps it once.
     """
 
     def __init__(self, amplitudes: np.ndarray, lam: np.ndarray) -> None:

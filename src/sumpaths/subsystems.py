@@ -10,11 +10,11 @@ one stream (`lambda_stream`): the paper's cascade
 and the members' conditioned prefix tree (`twoparticle.tree_layers`) for
 every other subsystem at every particle count. Layer t's tree hit is
 (table t, +1) over t-mode rows and (the step's pre-gate states, -1) over
-(t-1)-mode rows. Only the last layer decides where a path ends, so the
-stream yields layers 1..n-1 whole and then each outcome's share of layer
-n over its own (n-1)-mode rows: for the tree, the pre-gate states times
-the outcome's straddling factors D[o] beside the pre-gate states, so table
-n is never built; for the cascade, the rows side[o::2].
+(t-1)-mode rows. A pair of paths gains a hit only where the two meet an
+interaction differently, and two paths that end at the same outcome meet
+every gate of the last layer the same way: layer n's hit on them is
+sum_x conj(pre_k) pre_l (|D_o(x)|^2 - 1) = 0. So the stream yields layers
+1..n-1 and stops, and neither the cascade nor the tree builds layer n.
 One pair's lambda, built up hit by hit, is
 `twoparticle.lambda_accumulate`, the per-pair reference for every
 subsystem.
@@ -26,43 +26,22 @@ gates are conditioned on the subsystem path.
 Two readers take the stream. `lambda_marginals`, behind `marginal`, sums
 every outcome's pairs as the stream passes (`common.PairSums`) and keeps
 no layer. `lambda_blocks`, behind `perturb`'s clamp alone, adds the
-layers up to the dense lambda over n - 1 layers (`common.hit_tables`) and
-each outcome's share of layer n to it, one outcome's block at a time.
+layers up to the dense lambda over n - 1 layers (`common.hit_tables`),
+which every outcome's block shares.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .circuits import Circuit
-from .common import DEFAULT_BUDGET, Charge, HitLayer, LambdaBlock, PairSums, check_charges, endpoint_shares, hit_tables
-from .paths import normalize_subsystem, pair_phases, prefix_amplitudes, tree_root, tree_step
+from .common import DEFAULT_BUDGET, Charge, HitLayer, LambdaBlock, PairSums, check_charges, hit_tables
+from .paths import normalize_subsystem, pair_phases, prefix_amplitudes
 from .threeparticle import cascade_hit_charges, cascade_hits
-from .twoparticle import tree_hit, tree_layers
-
-
-def conditioned_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Charge]:
-    """What the tree's stream holds for a normalized subsystem: three tables of external states, then the straddling factors.
-
-    Table n - 1, layer n's pre-gate states and one outcome's share of layer
-    n. Each has one row per (n-1)-mode configuration path prefix,
-    2^(M(n-1)) of them, and one column per external basis state; the
-    earlier tables and each layer's pre-gate states are smaller. Layer n's
-    straddling factor table has one entry per joint basis state, 2^N; past
-    n = 1 it is no larger than the tables, but at n = 1 it is 2^M times
-    larger.
-    """
-    n, size = circuit.n, len(particles)
-    states = 1 << (size * max(n - 1, 0) + circuit.particles - size)
-    charges = [
-        (states, "conditioned external states"),
-        (states, "pre-gate external states"),
-        (states, "one outcome's external states"),
-    ]
-    return charges + [(1 << circuit.particles, "straddling factor table")] if n else charges
+from .twoparticle import tree_hit_charges, tree_layers
 
 
 def amplitude_charges(layers: int, size: int) -> list[Charge]:
@@ -81,75 +60,54 @@ def _takes_cascade(circuit: Circuit, particles: tuple[int, ...]) -> bool:
     return circuit.particles == 3 and particles == (0,)
 
 
-def lambda_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Charge]:
-    """Every charge `lambda_stream` checks for a normalized subsystem: its producer's, then the amplitudes' its readers hold.
+def _head(circuit: Circuit) -> Circuit:
+    """The circuit without its last layer: the layers whose hits a pair of paths that end together can read."""
+    return Circuit(particles=circuit.particles, layers=circuit.layers[: max(circuit.n - 1, 0)])
 
+
+def lambda_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Charge]:
+    """Every charge `lambda_stream` checks for a normalized subsystem: its producer's over layers 1..n-1, then the amplitudes' its readers hold.
+
+    The producer runs on the circuit without its last layer: the cascade's
+    struck path weights and partner states through its last hit layer
+    there, or the tree's table n - 1 and pre-gate states
+    (`twoparticle.tree_hit_charges`), 2^(M(n-1) + N - M) each. Layer n - 1's
+    straddling factor table, 2^N entries, is never larger than table n - 1.
     `lambda_blocks` builds no folds, but their charge is below the
     amplitudes' and never stops it first.
     """
-    stream = cascade_hit_charges(circuit) if _takes_cascade(circuit, particles) else conditioned_charges(circuit, particles)
+    head = _head(circuit)
+    stream = cascade_hit_charges(head) if _takes_cascade(circuit, particles) else tree_hit_charges(head, particles)
     return stream + amplitude_charges(circuit.n, len(particles))
 
 
 def dense_lambda_charges(circuit: Circuit, particles: tuple[int, ...]) -> list[Charge]:
     """What `lambda_blocks` adds for a normalized subsystem (`perturb`'s clamp): count^2 path pairs, count = 2^(M(n-1)).
 
-    It holds lambda over the first n - 1 layers, one outcome's copy of it
-    with layer n's share added, and the hit product being added, each over
-    one outcome's count^2 pairs of configuration paths at most.
+    It holds lambda over the first n - 1 layers, which every outcome's
+    block shares, and the hit product being added to it, each over count^2
+    pairs of (n-1)-mode configuration path prefixes at most.
     """
     count = (1 << max(circuit.n - 1, 0)) ** len(particles)
     return [(count * count, "configuration path pairs")]
 
 
-def lambda_stream(
-    circuit: Circuit, particles: tuple[int, ...], budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[int | None, HitLayer]]:
-    """A normalized subsystem's hits: (None, layer t's factors) for t = 1..n-1, then (o, outcome o's share of layer n) for each outcome.
+def lambda_stream(circuit: Circuit, particles: tuple[int, ...], budget: int = DEFAULT_BUDGET) -> Iterator[HitLayer]:
+    """A normalized subsystem's hits: layer t's factors for t = 1..n-1, and nothing of layer n.
 
-    Outcomes are indexed in `itertools.product((0, 1), repeat=M)` order, and
-    a share's sides run over the outcome's (n-1)-mode rows. The cascade
-    serves the subsystem (0,) of three particles, the members' prefix tree
-    (`_tree_stream`) every other subsystem. Every `lambda_charges` charge
-    is checked on the call, before anything is built. With no layers every
-    outcome's share is empty.
+    Layer n's hit is exactly zero on every pair of paths that end at the
+    same outcome, since there both paths meet each of its gates in the same
+    mode, so no pair sum reads it. The cascade serves the subsystem (0,) of
+    three particles, the members' prefix tree (`twoparticle.tree_layers`)
+    every other subsystem, each run on the circuit without its last layer.
+    Every `lambda_charges` charge is checked on the call, before anything
+    is built.
     """
     check_charges(lambda_charges(circuit, particles), budget)
-    n = circuit.n
+    head = _head(circuit)
     if _takes_cascade(circuit, particles):
-        stream = _endpoint_last(cascade_hits(circuit, budget), n)
-    else:
-        stream = _tree_stream(circuit, particles)
-    return stream if n else iter([(outcome, ()) for outcome in range(1 << len(particles))])
-
-
-def _endpoint_last(layers: Iterable[HitLayer], n: int) -> Iterator[tuple[int | None, HitLayer]]:
-    """A single particle's layers 1..n-1 whole, then each endpoint's share of layer n (`common.endpoint_shares`)."""
-    for t, hits in enumerate(layers, start=1):
-        if t < n:
-            yield None, hits
-        else:
-            yield from enumerate(endpoint_shares(hits, n))
-
-
-def _tree_stream(circuit: Circuit, particles: tuple[int, ...]) -> Iterator[tuple[int | None, HitLayer]]:
-    """The prefix tree's layers 1..n-1 (`twoparticle.tree_layers`), then layer n taken once and shared out per outcome.
-
-    Outcome o's share is `twoparticle.tree_hit` of its pre-gate states
-    times D[o], the very products `TreeStep.grow` would make for its rows,
-    beside the pre-gate states; with no straddling gate it is empty. Table
-    n - 1 is dropped before any outcome's rows are built, and each
-    outcome's rows are built only when it is reached.
-    """
-    n = circuit.n
-    table = tree_root(circuit, particles)
-    for hits, table in itertools.islice(tree_layers(circuit, particles), n - 1):
-        yield None, hits
-        del hits
-    step = tree_step(circuit, particles, n, table)
-    del table
-    for outcome in range(1 << len(particles)):
-        yield outcome, () if step.factors is None else tree_hit(step.pre * step.factors[outcome], step.pre)
+        return cascade_hits(head, budget)
+    return (hits for hits, _ in tree_layers(head, particles))
 
 
 def joint_amplitudes(circuit: Circuit, particles: tuple[int, ...]) -> np.ndarray:
@@ -214,35 +172,26 @@ def lambda_marginals(
     particles = normalize_subsystem(circuit, subsystem)
     stream = lambda_stream(circuit, particles, budget)
     sums = PairSums(joint_amplitudes(circuit, particles), len(particles))
-    for outcome, hits in stream:
-        sums.read(hits, outcome)
-        del hits  # the next layer or share is built without this one alive
+    for hits in stream:
+        sums.read(hits)
+        del hits  # the next layer is built without this one alive
     return dict(zip(itertools.product((0, 1), repeat=len(particles)), sums.totals.tolist()))
 
 
 def lambda_blocks(
     circuit: Circuit, subsystem: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[tuple[int, ...], LambdaBlock]]:
-    """(outcome, block) with each outcome's dense lambda, for `perturb`'s clamp, off one pass of `lambda_stream`.
+    """(outcome, block) for `perturb`'s clamp: each outcome's amplitudes beside one lambda, over n - 1 layers, that every block shares.
 
-    lambda over the first n - 1 layers is added up as the stream passes
-    (`common.hit_tables`); each outcome's block is a copy of it with the
-    outcome's share of layer n added. The caller checks
-    `dense_lambda_charges`; the stream checks its own before anything is
-    built. Blocks come one at a time, so a caller that drops each before
-    asking for the next holds one at a time.
+    lambda is added up as `lambda_stream` passes (`common.hit_tables`), and
+    no outcome gets a copy of it: layer n adds nothing on the pairs of
+    paths that end together. The caller checks `dense_lambda_charges`; the
+    stream checks its own before anything is built.
     """
     particles = normalize_subsystem(circuit, subsystem)
     stream = lambda_stream(circuit, particles, budget)
     amplitudes = joint_amplitudes(circuit, particles)
-    head = (hits for _, hits in itertools.islice(stream, max(circuit.n - 1, 0)))
-    for lam in hit_tables(head, len(particles)):
+    for lam in hit_tables(stream, len(particles)):
         pass  # keeps only lambda over n - 1 layers
-    outcomes = list(itertools.product((0, 1), repeat=len(particles)))
-    for outcome, share in stream:
-        block = lam.copy()
-        for side, signed in share:
-            block += (side.conj() * signed) @ side.T
-        del share  # the next outcome's share is built without this one alive
-        yield outcomes[outcome], LambdaBlock(amplitudes[outcome], block)
-        del block
+    for outcome, row in zip(itertools.product((0, 1), repeat=len(particles)), amplitudes):
+        yield outcome, LambdaBlock(row, lam)

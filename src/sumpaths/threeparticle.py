@@ -25,9 +25,11 @@ layer's hit as low-rank factors: (side, signed) pairs whose product
 (conj(side) * signed) @ side^T is the hit over every pair of r-mode
 prefixes: the `HitLayer` form of `common`, which the members' prefix tree
 (`twoparticle.tree_layers`) yields for every other subsystem. The marginal
-(`subsystems.lambda_marginals`) sums each factor against the amplitudes as
-the stream passes, sum_m signed_m |(side^T A)_m|^2 (`common.PairSums`),
-keeps no layer and builds no table; `verify` lists the factors first, adds
+(`subsystems.lambda_marginals`) runs the cascade on the circuit without its
+last layer, whose hit is zero on every pair of paths that end together,
+sums each factor against the amplitudes as the stream passes,
+sum_m signed_m |(side^T A)_m|^2 (`common.PairSums`), keeps no layer and
+builds no table; `verify` lists the factors first, adds
 each product to the last lambda table (`common.add_hit`) and its
 `three_closure` checks each table against the Gram matrix of the
 conditioned external-pair states of `paths.conditioned_prefix_state_layers`,
@@ -70,10 +72,12 @@ both branches' struck path weights and partner states
 (`cascade_hit_charges`, checked by the stream), and for `verify`, which
 lists every layer's factors before its walk, those factors
 (`hit_factor_charges`).
-All-gates circuits reach n = 11 under the default budget of 2^22, where
-the struck path weights and the partner states are each exactly 2^22
-entries (and so is the last lambda table `verify` builds); at n = 12 they
-stop it.
+The marginal and `perturb` run it through layer n - 1 alone, so all-gates
+circuits reach n = 12 under the default budget of 2^22, where the struck
+path weights and the partner states are each exactly 2^22 entries; at
+n = 13 they stop them. `verify` runs it through layer n: at n = 11 its
+structures and the last lambda table it builds are each 2^22 entries, and
+at n = 12 they stop it (the path sum's pair phase tables first).
 """
 from __future__ import annotations
 

@@ -167,14 +167,15 @@ def lambda_accumulate(
     return LambdaEntry(trajectory=tuple(itertools.accumulate(hits, initial=1.0 + 0.0j)), hits=hits)
 
 
-def tree_hit_charges(circuit: Circuit) -> list[Charge]:
-    """What `tree_layers` holds for the subsystem (0,): particle 0's tree table and one step's pre-gate states.
+def tree_hit_charges(circuit: Circuit, members: tuple[int, ...]) -> list[Charge]:
+    """What `tree_layers` holds for the normalized `members`: the members' tree table and one step's pre-gate states.
 
-    Each is charged 2^(n + N - 1) external amplitudes, tree table n's size:
+    Each is charged 2^(Mn + N - M) external amplitudes, tree table n's size:
     the stream holds table t - 1, its step and table t while it makes layer
     t's factors.
     """
-    states = 1 << (circuit.n + circuit.particles - 1)
+    size = len(members)
+    states = 1 << (size * circuit.n + circuit.particles - size)
     return [(states, "conditioned external states"), (states, "pre-gate external states")]
 
 

@@ -19,10 +19,15 @@ its step grew beside the factors it read off that step, so the tree grows
 once. The walk adds each layer's factors to the last lambda
 (`common.add_hit`), reads it beside the tree table of the same layer, and
 passes the layer on to two pair sums (`common.PairSums`, the reader
-`marginal` prints through), the base circuit's and the no-signaling
-circuit's, which keep none of it. The marginals sum the factors layer by
-layer, never the closed form the hits telescope to, the Gram matrix of the
-last tree table, so oracle_equivalence stays no restatement of the tree.
+`marginal` prints through), which keep none of it: the no-signaling
+circuit's reads every layer, and the base circuit's layers 1..n-1 alone,
+as `subsystems.lambda_marginals` does, since layer n's hit is zero on
+every pair of paths that end together. So oracle_equivalence checks the
+very bits `marginal` prints. Every layer still reaches lambda, for
+three_closure, telescoping, hermitian_pairing and two_form_equivalence.
+The marginals sum the factors layer by layer, never the closed form the
+hits telescope to, the Gram matrix of the last tree table, so
+oracle_equivalence stays no restatement of the tree.
 Holding at most the previous lambda, the walk computes every per-layer
 check: the gap to the Gram matrix of the tree table (three_closure at
 three particles, telescoping otherwise), the largest |lambda|
@@ -34,11 +39,10 @@ particle 0, so it books no hit. The density checks run for two particles
 only, on one `density_report`: the hit/miss recursion over the stacked
 layers, against the reduced densities of the states the oracle checks
 evolved. general_subsystem reads the pair (0, 1) through
-`subsystems.lambda_marginals`, off one more tree grown to table n - 1 with
-its last layer shared out per outcome, whose pair sums build no lambda
-matrix. Each check is charged the time since the
-previous check ended, so a shared build counts in the first check that
-needs it and the timings add up to the verify's wall time. Every
+`subsystems.lambda_marginals`, off one more tree grown to table n - 1,
+whose pair sums build no lambda matrix. Each check is charged the time
+since the previous check ended, so a shared build counts in the first
+check that needs it and the timings add up to the verify's wall time. Every
 reduction keeps a NaN error, so a non-finite result fails its check.
 Every budget charge the checks will make (`verify_charges`) is checked
 before the first one runs, so a circuit too big for any of them exits
@@ -55,7 +59,7 @@ from typing import Container, Iterable
 import numpy as np
 
 from .circuits import Circuit, append_external_layer, circuit_digest
-from .common import DEFAULT_BUDGET, Charge, HitLayer, LambdaBlock, PairSums, add_hit, check_charges, endpoint_shares
+from .common import DEFAULT_BUDGET, Charge, HitLayer, LambdaBlock, PairSums, add_hit, check_charges
 from .density import density_charges, density_report
 from .oracle import Distribution, marginal_of, oracle_charges, states
 from .paths import Path, amplitudes_via_paths, conditioned_prefix_state_layers, pathsum_charges
@@ -151,13 +155,13 @@ def _walk_layers(
     """Per-layer checks of (layer t's hit factors, tree table t) pairs, adding each hit to lambda and holding at most the previous lambda.
 
     Each layer is passed on to both pair sums and kept by neither: the
-    `extended` circuit's reads every layer whole, the base circuit's reads
-    layer n as each endpoint's share. Returns the final lambda, the worst
-    gap |lambda_t - G_t| to the Gram matrix G_t of the conditioned external
-    states in tree table t, the largest |lambda_t|, and the worst zero-hit
-    error at the `gateless` layers of the tree's stream, where the table
-    must repeat the previous one over the new bit and one path pair's scalar
-    `hit` must be 0, both bit-exact. Table 0 is the tree's root, whose Gram
+    `extended` circuit's reads every layer, the base circuit's layers
+    1..n-1, as `subsystems.lambda_marginals` does. Returns the final
+    lambda, the worst gap |lambda_t - G_t| to the Gram matrix G_t of the
+    conditioned external states in tree table t, the largest |lambda_t|,
+    and the worst zero-hit error at the `gateless` layers of the tree's
+    stream, where the table must repeat the previous one over the new bit
+    and one path pair's scalar `hit` must be 0, both bit-exact. Table 0 is the tree's root, whose Gram
     matrix is lambda_0 = 1.
     """
     n = circuit.n
@@ -178,11 +182,8 @@ def _walk_layers(
                 zero_hit.append(float(np.max(np.abs(grown - repeated))))
             zero_hit.append(abs(hit(circuit, (0,), (p,), (q,), t)))
         extended.read(hits)
-        if t < n:
+        if t < n:  # layer n adds nothing on the pairs of paths that end together
             base.read(hits)
-        else:
-            for j, share in enumerate(endpoint_shares(hits, n)):
-                base.read(share, j)
     return lam, _worst(gaps), _worst(largest), _worst(zero_hit)
 
 
@@ -195,12 +196,13 @@ def _lambda_checks(
     the cascade's struck path weights and partner states are gone before
     any lambda table is built, beside particle 0's tree tables; at any other
     count it reads `twoparticle.tree_layers`, whose tree grows once. It
-    passes every layer to the pair sums of the marginal checks and of both
-    sides of no_signaling: the appended layer has no gate on particle 0, so
-    it books no hit. Three particles check three_closure where the tree's
-    stream checks telescoping, zero_hit_layers and two_form_equivalence,
-    which reads the endpoint rows of the final lambda. Returns the base and
-    the `extended` circuit's lambda marginals, for no_signaling.
+    passes layers 1..n-1 to the base circuit's pair sums, which the marginal
+    checks and no_signaling read, and every layer to the extended circuit's:
+    the appended layer has no gate on particle 0, so it books no hit. Three
+    particles check three_closure where the tree's stream checks
+    telescoping, zero_hit_layers and two_form_equivalence, which reads the
+    endpoint rows of the final lambda. Returns the base and the `extended`
+    circuit's lambda marginals, for no_signaling.
     """
     cascade = circuit.particles == 3
     if cascade:
@@ -253,7 +255,7 @@ def verify_charges(circuit: Circuit) -> list[Charge]:
     n = circuit.particles
     if n >= 2 and circuit.n >= 1:
         charges += [(4**circuit.n, "path-pair table")]
-        charges += cascade_hit_charges(circuit) + hit_factor_charges(circuit) if n == 3 else tree_hit_charges(circuit)
+        charges += cascade_hit_charges(circuit) + hit_factor_charges(circuit) if n == 3 else tree_hit_charges(circuit, (0,))
         charges += amplitude_charges(circuit.n + 1, 1)
         if n == 2:
             charges += density_charges(circuit)

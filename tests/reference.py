@@ -38,8 +38,11 @@ the Gram matrix of its gathered final-table rows, the next read each
 outcome's Gram factor off the whole final table, reordered, and the last
 (`gram_blocks`) folds the last layer per outcome. That Gram form is the
 closed form the hits telescope to: the streamed pair sums must match it to
-rounding, and the stream's last-layer shares must hold the whole table's
-rows bit for bit. Then come the
+rounding. Then comes the earlier stream, which shared layer n out per
+outcome after layers 1..n-1 (`earlier_stream`), and its pair sums: its
+shares must hold the whole table's rows bit for bit and add at most
+rounding to each pair sum, and the stream that stops at layer n - 1 must
+match its marginals to rounding. Then come the
 per-layer density references, one layer and one formula per call: the
 hit/miss pair of one layer, the partial trace of one state vector, and the
 one-layer Kronecker product, evolved matrix and recursion step, over the
@@ -76,15 +79,15 @@ from sumpaths.circuits import (
     random_single,
 )
 from sumpaths.corpus import random_circuit
-from sumpaths.common import DEFAULT_BUDGET, LambdaBlock, check_budget, check_charges, hit_tables
+from sumpaths.common import DEFAULT_BUDGET, HitLayer, LambdaBlock, PairSums, check_budget, check_charges, hit_tables
 from sumpaths.density import _core_angle, _offdiagonal, _pathsum_collapse, _require_two_particles
 from sumpaths.oracle import Distribution, evolve, marginal_by_sum
 from sumpaths.paths import ConditionalUnitary, Path, condition_on_paths, conditioned_prefix_state_layers, normalize_subsystem
 from sumpaths.paths import apply_single, endpoint_rows, pair_phases, path_amplitude, prefix_amplitude_layers
 from sumpaths.paths import TreeStep, member_layout, prefix_amplitudes, straddling_factor, tree_root, tree_step
-from sumpaths.subsystems import conditioned_charges, joint_amplitudes
+from sumpaths.subsystems import joint_amplitudes
 from sumpaths.threeparticle import _PLUS_MINUS, _carry, _factors, _last_hit_layer, _toward, cascade_hit_charges, cascade_hits
-from sumpaths.twoparticle import _before_layer, _straddle, tree_layers
+from sumpaths.twoparticle import _before_layer, _straddle, tree_hit, tree_layers
 
 
 def kron_layer_operator(circuit: Circuit, t: int) -> np.ndarray:
@@ -895,8 +898,22 @@ class GramBlock:
 
 
 def gram_charges(circuit: Circuit, particles: tuple[int, ...]) -> list:
-    """What `gram_blocks` holds: the tree's three external-state tables and straddling factors, then the joint path amplitudes."""
-    return conditioned_charges(circuit, particles) + [(1 << (len(particles) * circuit.n), "joint path amplitudes")]
+    """What `gram_blocks` holds: three external-state tables and layer n's straddling factors, then the joint path amplitudes.
+
+    Table n - 1, layer n's pre-gate states and one outcome's rows each have
+    one row per (n-1)-mode configuration path prefix and one column per
+    external basis state; the straddling factor table has 2^N entries.
+    """
+    n, size = circuit.n, len(particles)
+    states = 1 << (size * max(n - 1, 0) + circuit.particles - size)
+    charges = [
+        (states, "conditioned external states"),
+        (states, "pre-gate external states"),
+        (states, "one outcome's external states"),
+    ]
+    if n:
+        charges.append((1 << circuit.particles, "straddling factor table"))
+    return charges + [(1 << (size * n), "joint path amplitudes")]
 
 
 def gram_blocks(
@@ -1028,6 +1045,65 @@ def table_conditioned_blocks(
     states = states.reshape(1 << size, -1, external)
     for index, outcome in enumerate(outcomes):
         yield outcome, GramBlock(amplitudes[index], states[index])
+
+
+def earlier_stream(circuit: Circuit, particles: tuple[int, ...]) -> Iterator[tuple[int | None, HitLayer]]:
+    """The earlier `subsystems.lambda_stream`: (None, layer t's factors) for t = 1..n-1, then (o, outcome o's share of layer n).
+
+    The whole circuit's producer yields layers 1..n-1, and layer n is
+    shared out over each outcome's own (n-1)-mode rows, in
+    `itertools.product((0, 1), repeat=M)` order. The tree takes layer n's
+    `paths.tree_step` off table n - 1 once, and outcome o's share is
+    `twoparticle.tree_hit` of the pre-gate states times D[o] beside the
+    pre-gate states, or nothing with no straddling gate: the rows of table
+    n that end at o. The cascade (the subsystem (0,) of three particles)
+    gives endpoint o the rows side[o::2] of each side over n-mode prefixes
+    and each side over (n-1)-mode prefixes whole. With no layers every
+    share is empty.
+    """
+    n, outcomes = circuit.n, 1 << len(particles)
+    if n == 0:
+        yield from ((outcome, ()) for outcome in range(outcomes))
+    elif circuit.particles == 3 and particles == (0,):
+        for t, hits in enumerate(cascade_hits(circuit), start=1):
+            if t < n:
+                yield None, hits
+            else:
+                for o in (0, 1):
+                    yield o, tuple((side[o::2] if len(side) == 1 << n else side, signed) for side, signed in hits)
+    else:
+        table = tree_root(circuit, particles)
+        for hits, table in itertools.islice(tree_layers(circuit, particles), n - 1):
+            yield None, hits
+        step = tree_step(circuit, particles, n, table)
+        for o in range(outcomes):
+            yield o, () if step.factors is None else tree_hit(step.pre * step.factors[o], step.pre)
+
+
+def share_sums(circuit: Circuit, particles: tuple[int, ...]) -> tuple[np.ndarray, list[list]]:
+    """Every outcome's pair sum over the `earlier_stream`'s layers 1..n-1, and what each factor of its layer-n share adds to it.
+
+    A share's factor (side, signed) adds sum_m signed_m |(side^T a_o)_m|^2,
+    read against outcome o's own amplitudes.
+    """
+    sums = PairSums(joint_amplitudes(circuit, particles), len(particles))
+    added = []
+    for outcome, hits in earlier_stream(circuit, particles):
+        if outcome is None:
+            sums.read(hits)
+        else:
+            added.append([np.abs(sums.amplitudes[outcome] @ side) ** 2 @ signed for side, signed in hits])
+    return sums.totals, added
+
+
+def share_marginals(circuit: Circuit, subsystem: Sequence[int]) -> dict[tuple[int, ...], float]:
+    """The earlier `subsystems.lambda_marginals`: the pair sums over layers 1..n-1, then each outcome's share of layer n, in that order."""
+    particles = normalize_subsystem(circuit, subsystem)
+    totals, added = share_sums(circuit, particles)
+    for outcome, terms in enumerate(added):
+        for term in terms:
+            totals[outcome] += term
+    return dict(zip(itertools.product((0, 1), repeat=len(particles)), totals.tolist()))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumpaths.circuits import Circuit
-from sumpaths.common import BudgetExceeded
+from sumpaths.cli import _clamped
+from sumpaths.common import BudgetExceeded, LambdaBlock
 from sumpaths.corpus import random_circuit
 from sumpaths.density import density_charges, density_report
 from sumpaths.oracle import oracle_charges, states
@@ -61,9 +62,10 @@ def _cascade(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
 
 
 def _dense(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
-    for _, block in lambda_blocks(circuit, subsystem, BUDGET):  # perturb's blocks, by the cascade or the tree
-        block.marginal()
-        del block  # as perturb does: the next block is built without this one alive
+    blocks = list(lambda_blocks(circuit, subsystem, BUDGET))  # perturb's blocks, by the cascade or the tree
+    lam = _clamped(blocks[0][1].lam, 0.5)  # as perturb does: one clamped copy of the lambda every block shares
+    for _, block in blocks:
+        LambdaBlock(block.amplitudes, lam).marginal()
 
 
 def _oracle(circuit: Circuit, subsystem: tuple[int, ...]) -> None:
@@ -139,11 +141,24 @@ def test_the_reader_holds_at_most_a_fixed_multiple_of_its_charges_near_the_defau
 
 
 def test_the_reader_charges_a_single_layers_straddling_factor_table():
-    # at n = 1 the external-state tables have one row, 2^(N - M) entries, but the step's
-    # straddling factors span all 2^N joint basis states: uncharged, they would read 6x here
-    circuit = random_circuit(np.random.default_rng(1), 18, 1, p_single=1.0, p_phase=1.0)
+    # at n = 2 the stream takes one tree step, off a root of one row, 2^(N - M) entries; the step's
+    # straddling factors span all 2^N joint basis states, as many entries as table 1, whose charge
+    # covers them
+    circuit = random_circuit(np.random.default_rng(1), 18, 2, p_single=1.0, p_phase=1.0)
     charged = sum(count for count, _ in lambda_charges(circuit, (0, 1, 2)))
     peak = traced_peak(lambda: _marginals(circuit, (0, 1, 2)))
+    assert peak <= FACTOR * charged * ENTRY + SLACK, (peak, charged)
+
+
+@pytest.mark.parametrize("name", ["lambda_marginals", "lambda_blocks"])
+@pytest.mark.parametrize("layers", [9, 10])
+def test_the_cascade_readers_hold_at_most_a_fixed_multiple_of_their_charges(name, layers):
+    # the subsystem (0,) of three particles runs the cascade through layer n - 1 alone: on all-gates
+    # circuits its charges, and perturb's lambda over n - 1 layers, sum to 2^17-2^19.6 entries
+    circuit = random_circuit(np.random.default_rng(1), 3, layers, p_single=1.0, p_phase=1.0)
+    charges, build = BUILDERS[name]
+    charged = sum(count for count, _ in charges(circuit, (0,)))
+    peak = traced_peak(lambda: build(circuit, (0,)))
     assert peak <= FACTOR * charged * ENTRY + SLACK, (peak, charged)
 
 

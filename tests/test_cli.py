@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from sumpaths import cli as cli_module
 from sumpaths import paths as paths_module
-from sumpaths import subsystems as subsystems_module
 from sumpaths import threeparticle as threeparticle_module
 from sumpaths import twoparticle as twoparticle_module
 from sumpaths import verify as verify_module
@@ -465,6 +464,25 @@ def test_perturb_clamp_zero_matches_classical_path_sum(random_file):
         assert abs(report["probabilities"][key] - classical[key] / total) < 1e-12
 
 
+def test_three_particle_lambda_routes_answer_at_twelve_layers_and_stop_at_thirteen(tmp_path):
+    # the cascade runs through layer n - 1 alone: at all-gates n = 12 its struck path weights and
+    # partner states are each exactly 2^22 entries, and so is perturb's lambda over 11 layers
+    path = tmp_path / "c.json"
+    circuit = random_circuit(np.random.default_rng(1), 3, 12, p_single=1.0, p_phase=1.0)
+    save_circuit(circuit, str(path))
+    oracle = marginal_by_sum(circuit, (0,)).as_mapping()
+    code, out, err = run_cli("marginal", "--method", "lambda", "--circuit", str(path))
+    assert (code, err) == (0, "")
+    probabilities = json.loads(out)["probabilities"]
+    assert max(abs(probabilities[k] - oracle[k]) for k in oracle) < 1e-9
+    code, out, err = run_cli("perturb", "--clamp", "1", "--circuit", str(path))
+    assert (code, err) == (0, "") and json.loads(out)["max_deviation"] < 1e-9
+    save_circuit(random_circuit(np.random.default_rng(1), 3, 13, p_single=1.0, p_phase=1.0), str(path))
+    code, out, err = run_cli("marginal", "--method", "lambda", "--circuit", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: struck path weights needs 16777216 ") and err.count("\n") == 1
+
+
 def test_three_particle_lambda_routes_answer_at_small_budgets():
     # the marginal and perturb read the cascade's layers as they pass and keep none, so a budget
     # of 300 fits n3_l4_s0's 4^4 struck path weights; keeping every layer's factors, 4352 entries,
@@ -481,7 +499,7 @@ def test_three_particle_lambda_routes_answer_at_small_budgets():
 
 def test_perturb_charges_the_dense_lambda_its_clamp_reads(tmp_path):
     # (0, 1) of an all-gates N=3 n=7 circuit: the streamed marginal fits the default budget,
-    # but the clamp reads each outcome's dense lambda, (2^12)^2 configuration path pairs
+    # but the clamp reads the dense lambda every outcome's block shares, (2^12)^2 configuration path pairs
     path = tmp_path / "c.json"
     save_circuit(random_circuit(np.random.default_rng(1), 3, 7, p_single=1.0, p_phase=1.0), str(path))
     code, out, _ = run_cli("marginal", "--circuit", str(path), "--subsystem", "0,1")
@@ -912,7 +930,7 @@ def test_twelve_layer_lambda_marginal_fits_the_default_budget(tmp_path, monkeypa
     def no_step(*args, **kwargs):
         raise AssertionError("tree_step ran")
 
-    for module in (paths_module, twoparticle_module, subsystems_module):
+    for module in (paths_module, twoparticle_module):
         monkeypatch.setattr(module, "tree_step", no_step)
     save_circuit(random_circuit(np.random.default_rng(1), particles, layers, p_single=1.0, p_phase=1.0), str(path))
     code, out, err = run_cli("marginal", "--circuit", str(path), "--method", "lambda")
@@ -1037,8 +1055,8 @@ def test_trace_charges_the_pair_reference(tmp_path):
 
 def test_lambda_blocks_are_held_one_at_a_time(tmp_path):
     # subsystem (0, 1) of an all-gates N=4 n=6 circuit: a dense lambda per outcome
-    # would be 1024 x 1024 complex, 16 MiB; the pair sums read one outcome's share
-    # of the last layer at a time, 1024 x 4 complex, and hold no lambda at all
+    # would be 1024 x 1024 complex, 16 MiB; the pair sums read layers 1-5 as they
+    # pass, table 5 is 1024 x 4 complex, and hold no lambda at all
     path = tmp_path / "n4.json"
     circuit = random_circuit(np.random.default_rng(3), 4, 6, p_single=1.0, p_phase=1.0)
     save_circuit(circuit, str(path))

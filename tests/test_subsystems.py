@@ -13,15 +13,15 @@ from sumpaths.circuits import Circuit, PhaseGate, build_epr_circuit, load_circui
 from sumpaths.common import DEFAULT_BUDGET, BudgetExceeded, LambdaBlock
 from sumpaths.corpus import random_circuit
 from sumpaths.oracle import marginal_by_sum
-from sumpaths.paths import Path, conditioned_prefix_state_layers, enumerate_paths, normalize_subsystem, path_amplitude
-from sumpaths.paths import tree_step
+from sumpaths.paths import Path, conditioned_prefix_state_layers, enumerate_paths, member_paths_at, normalize_subsystem
+from sumpaths.paths import path_amplitude, tree_step
 from sumpaths.subsystems import dense_lambda_charges, lambda_blocks, lambda_charges, lambda_marginals, lambda_stream
 from sumpaths.threeparticle import lambda_three
 from sumpaths.twoparticle import lambda_accumulate
 
 from .reference import column_pair_sum, config_path_amplitude, dense_conditioned_blocks, dense_conditioned_charges
-from .reference import final_blocks, gram_blocks, hit_lambdas, lambda3_tables, lambda_general, sparse_circuit
-from .reference import swap_particles, table_conditioned_blocks
+from .reference import earlier_stream, final_blocks, gram_blocks, hit_lambdas, lambda3_tables, lambda_general
+from .reference import share_marginals, share_sums, sparse_circuit, swap_particles, table_conditioned_blocks
 
 
 def test_single_particle_config_amplitude_reduces_to_path_amplitude():
@@ -191,8 +191,8 @@ def test_each_streamed_table_is_the_final_table_of_the_cut_circuit(particles, pa
 @settings(max_examples=45, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 3, 4, 5]), st.lists(_GATE_FLAGS, min_size=1, max_size=5), st.integers(0, 2**32 - 1))
 def test_folded_blocks_match_the_unfolded_ones(particles, pattern, seed):
-    # each endpoint's lambda adds layer n's hit on its own rows to the shared table over
-    # n - 1 layers: the whole last table's rows to rounding, and its amplitudes bit for bit
+    # every endpoint's block reads the one table over n - 1 layers: the whole last table's
+    # rows to rounding, since layer n adds nothing there, and its amplitudes bit for bit
     circuit = sparse_circuit(particles, pattern, seed)
     unfolded = final_blocks(circuit, lambda3_tables(circuit) if particles == 3 else hit_lambdas(circuit))
     folded = list(lambda_blocks(circuit, (0,), DEFAULT_BUDGET))
@@ -313,20 +313,21 @@ def test_the_reader_matches_the_gram_reference_for_every_subsystem(particles, su
 
 
 def assert_streamed_sides_are_the_tree_tables(circuit, subsystem):
-    # every whole layer's sides are the tree's table t and layer t's pre-gate states, and each
-    # outcome's share of layer n holds the very products the whole final table held, bit for bit
+    # the stream yields layers 1..n-1 and nothing more, each layer's sides the tree's table t and
+    # layer t's pre-gate states; the earlier route's shares of layer n held the very rows of the
+    # whole final table that end at each outcome, bit for bit
     particles = normalize_subsystem(circuit, subsystem)
     tree = list(conditioned_prefix_state_layers(circuit, particles))
     stream = lambda_stream(circuit, particles)
     for t in range(1, circuit.n):
-        outcome, hits = next(stream)
-        assert outcome is None
+        hits = next(stream)
         pre = tree_step(circuit, particles, t, tree[t - 1]).pre
         if hits:
             (grown, plus), (previous, minus) = hits
             assert np.array_equal(grown, tree[t]) and np.array_equal(previous, pre)
             assert np.array_equal(plus, np.ones(pre.shape[1])) and np.array_equal(minus, -plus)
-    shares = dict(stream)
+    assert next(stream, None) is None
+    shares = [share for outcome, share in earlier_stream(circuit, particles) if outcome is not None]
     pairs = zip(table_conditioned_blocks(circuit, particles), gram_blocks(circuit, particles), strict=True)
     for index, ((outcome, table), (_, gram)) in enumerate(pairs):
         assert np.array_equal(table.factor, gram.factor) and np.array_equal(table.amplitudes, gram.amplitudes)
@@ -353,6 +354,59 @@ def test_the_reader_matches_the_gram_reference_on_the_corpus(file):
             assert_reader_matches_the_gram_reference(circuit, subsystem)
             if subsystem != (0,) or circuit.particles != 3:
                 assert_streamed_sides_are_the_tree_tables(circuit, subsystem)
+
+
+def assert_the_last_layer_adds_nothing(circuit, subsystem):
+    # on pairs of paths that end at the same outcome, layer n's hit is exactly zero: each outcome's
+    # share of it adds at most 1e-14 to its pair sum, and the marginals that never build it match
+    # the earlier route, which read it, to 1e-12
+    particles = normalize_subsystem(circuit, subsystem)
+    _, added = share_sums(circuit, particles)
+    assert max(abs(float(np.sum(terms))) for terms in added) <= 1e-14
+    marginals, earlier = lambda_marginals(circuit, subsystem), share_marginals(circuit, subsystem)
+    assert list(marginals) == list(earlier)
+    assert max(abs(marginals[outcome] - earlier[outcome]) for outcome in earlier) < 1e-12
+
+
+def assert_a_pair_that_ends_together_gains_nothing_at_the_last_layer(circuit, subsystem, endpoints, indices):
+    # the per-pair references: lambda over n layers is lambda over n - 1 layers to 1e-15
+    particles = normalize_subsystem(circuit, subsystem)
+    p, q = (member_paths_at(circuit.n, endpoints, index) for index in indices)
+    if circuit.particles == 3 and particles == (0,):
+        trajectory = lambda_three(circuit, p[0], q[0]).trajectory
+    else:
+        trajectory = lambda_accumulate(circuit, particles, p, q).trajectory
+    assert abs(trajectory[-1] - trajectory[-2]) <= 1e-15
+
+
+@pytest.mark.parametrize("particles, subsystem", SUBSYSTEMS)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(density=st.sampled_from([0.3, 1.0]), data=st.data())
+def test_the_last_layer_adds_nothing_for_every_subsystem(particles, subsystem, density, data):
+    # both producers at N=2-6 and n <= 9; the scalar cascade's pairs at n <= 4
+    cascade = (particles, subsystem) == (3, (0,))
+    layers = data.draw(st.integers(0, _gram_layers(particles, len(subsystem))))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    circuit = random_circuit(np.random.default_rng(seed), particles, layers, p_phase=density)
+    assert_the_last_layer_adds_nothing(circuit, subsystem)
+    pair_layers = data.draw(st.integers(1, 4 if cascade else 9))
+    pair_circuit = random_circuit(np.random.default_rng(seed), particles, pair_layers, p_phase=density)
+    endpoints = data.draw(st.lists(st.integers(0, 1), min_size=len(subsystem), max_size=len(subsystem)))
+    count = 1 << (len(subsystem) * (pair_layers - 1))
+    indices = data.draw(st.tuples(st.integers(0, count - 1), st.integers(0, count - 1)))
+    assert_a_pair_that_ends_together_gains_nothing_at_the_last_layer(pair_circuit, subsystem, endpoints, indices)
+
+
+@pytest.mark.parametrize("file", sorted(path.name for path in CORPUS.glob("n*_l*_s*.json")))
+def test_the_last_layer_adds_nothing_on_the_corpus(file):
+    circuit = load_circuit(str(CORPUS / file))
+    for size in range(1, circuit.particles):
+        last = (1 << size * (circuit.n - 1)) - 1
+        for subsystem in itertools.combinations(range(circuit.particles), size):
+            assert_the_last_layer_adds_nothing(circuit, subsystem)
+            for endpoints in ((0,) * size, (1,) * size):  # the first, middle and last path prefixes
+                for indices in ((0, last), (last // 2, 0)):
+                    assert_a_pair_that_ends_together_gains_nothing_at_the_last_layer(circuit, subsystem, endpoints, indices)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -397,7 +451,7 @@ def test_external_relabeling_leaves_every_single_particle_lambda_table(particles
 
 @pytest.mark.parametrize("particles", [3, 4])
 def test_pair_marginal_matches_the_oracle_at_eleven_all_gates_layers(particles):
-    # the last layer is folded per outcome: the largest external-state table is table 10,
+    # the stream stops at layer 10: the largest external-state table is table 10,
     # 2^21 entries at N=3 and 2^22 at N=4, beside the 2^22 joint path amplitudes
     circuit = random_circuit(np.random.default_rng(1), particles, 11, p_single=1.0, p_phase=1.0)
     oracle = marginal_by_sum(circuit, (0, 1))

@@ -647,7 +647,7 @@ def test_factored_marginals_match_the_oracle_at_ten_layers():
 
 
 def test_factored_marginals_match_the_oracle_at_eleven_layers():
-    # the struck path weights and the partner states are each exactly 2^22 entries here
+    # the cascade runs through layer 10: its struck path weights and partner states are 2^20 entries each
     circuit = random_circuit(np.random.default_rng(1), 3, 11, p_single=1.0, p_phase=1.0)
     oracle = marginal_by_sum(circuit, (0,))
     for (j,), probability in lambda_marginals(circuit, (0,), DEFAULT_BUDGET).items():
@@ -676,8 +676,8 @@ def _perturb_stdout(path: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(path.name for path in CORPUS.glob("n3_*.json")))
 def test_perturb_prints_within_rounding_of_the_dense_last_table(monkeypatch, name):
-    # the clamp reads each block's lam: layer n's hit on the endpoint's rows added to the
-    # shared table over n - 1 layers, which is the last table's endpoint block to rounding
+    # the clamp reads the table over n - 1 layers that both endpoints' blocks share, which
+    # is the last table's endpoint block to rounding: layer n adds nothing there
     path = str(CORPUS / name)
     circuit = load_circuit(path)
     dense = final_blocks(circuit, lambda3_tables(circuit))

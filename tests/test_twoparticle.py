@@ -314,8 +314,8 @@ def test_stream_and_fold_match_the_axis_by_axis_stream(particles, pattern, seed,
 
 
 def test_an_endpoint_lambda_holds_three_of_its_tables():
-    # perturb reads each endpoint's lambda: the shared table over the first n - 1 layers,
-    # the endpoint's copy of it and layer n's hit on its rows, 4^(n-1) entries each
+    # perturb reads one lambda that both endpoints share, the table over the first n - 1 layers:
+    # it, the table it grew from and the last hit product are 4^(n-1) entries at most
     circuit = random_circuit(np.random.default_rng(71), particles=2, layers=10, p_single=1.0, p_phase=1.0)
     tracemalloc.start()
     try:
@@ -324,8 +324,7 @@ def test_an_endpoint_lambda_holds_three_of_its_tables():
     finally:
         tracemalloc.stop()
     assert circuit.phase(circuit.n, (0, 1)) is not None
-    assert all(lam.shape == (4**4 * 2,) * 2 for lam in lams)
-    # both endpoints' lambdas stay alive, so the last one's hit product is the fourth table
+    assert lams[0] is lams[1] and lams[0].shape == (4**4 * 2,) * 2
     assert peak <= 4 * lams[0].nbytes + 256 * 1024
 
 

@@ -160,10 +160,10 @@ def test_report_json_shape():
         # one step per layer of each conditioned prefix tree, none grown twice: the 8 layers
         # of the stream's tree and the first 7 of density's
         ("n2_l8_s0.json", paths.tree_step, 15),
-        # 3 layers each of (0,)'s tree, grown by the stream (N=4) or zipped with the cascade
-        # (N=3), and of (0, 1)'s tree for general_subsystem
-        ("n3_l3_s0.json", paths.tree_step, 6),
-        ("n4_l3_s0.json", paths.tree_step, 6),
+        # 3 layers of (0,)'s tree, grown by the stream (N=4) or zipped with the cascade (N=3),
+        # and the first 2 of (0, 1)'s tree for general_subsystem, whose pair sums skip layer 3
+        ("n3_l3_s0.json", paths.tree_step, 5),
+        ("n4_l3_s0.json", paths.tree_step, 5),
     ],
 )
 def test_verify_builds_each_route_once(monkeypatch, file, builder, builds):
@@ -241,6 +241,23 @@ def test_three_particle_verify_charges_the_base_tables_only(tmp_path):
         with redirect_stdout(out), redirect_stderr(err):
             assert main(["verify", "--circuit", str(path), "--budget", str(budget)]) == code
         assert err.getvalue().startswith(f"error: {stops[budget]} ") if code else err.getvalue() == ""
+
+
+@pytest.mark.parametrize("file", sorted(path.name for path in CORPUS.glob("n*_l*_s*.json")))
+def test_verify_checks_the_bits_the_marginal_prints(monkeypatch, file):
+    # the walk's base pair sums read layers 1..n-1, as lambda_marginals does, so the (0,)
+    # marginals that oracle_equivalence checks are the ones `marginal` prints, bit for bit
+    circuit = load_circuit(str(CORPUS / file))
+    checks, walked = verify._lambda_checks, []
+
+    def recorded(*args):
+        walked.append(checks(*args))
+        return walked[-1]
+
+    monkeypatch.setattr(verify, "_lambda_checks", recorded)
+    assert verify_circuit(circuit).passed
+    (base, _), = walked
+    assert base == list(subsystems.lambda_marginals(circuit, (0,)).values())
 
 
 def test_marginal_builds_one_tree_for_every_outcome(monkeypatch):
